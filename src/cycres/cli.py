@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import cyc_complex, graph_core, resolution_verify
 from .errors import CycresError, NotIrreducibleError, ValidationError
@@ -23,50 +22,37 @@ EXIT_VALIDATION = 2
 EXIT_CLASS = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    path: str
-    omega: int = None
-    d_max: int = None
-    fmt: str = "text"
-    seed: int = 0
-    require_minimal: bool = False
-    out: str = None
-    d_max_cap: int = 12
-
-
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
         return graph_core.parse_digraph(fh.read())
 
 
-def _prepare(cfg):
-    g = _load(cfg.path)
+def _prepare(args):
+    g = _load(args.input)
     L = graph_core.laplacian(g)
-    return graph_core.prepare(L, cfg.omega)
+    return graph_core.prepare(L, args.omega)
 
 
-def _emit(cfg, payload, text):
-    if cfg.fmt == "json":
+def _emit(args, payload, text):
+    if args.fmt == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    g = _load(cfg.path)
+def cmd_classify(args) -> int:
+    g = _load(args.input)
     L = graph_core.laplacian(g)
     cls = graph_core.classify(L)
     if cls == "CB":
-        _emit(cfg, {"class": "CB", "irreducible": False}, "CB (reducible)")
+        _emit(args, {"class": "CB", "irreducible": False}, "CB (reducible)")
         return EXIT_OK
     from . import intlinalg
 
     mu = intlinalg.adjugate_row(L.signed_rows())
     nu = intlinalg.grading_vector(mu)
     already = graph_core.block_echelon_structure(L)
-    M = graph_core.prepare(L, cfg.omega)
+    M = graph_core.prepare(L, args.omega)
     delta = len(M.echelon)
     payload = {
         "class": cls,
@@ -82,18 +68,18 @@ def cmd_classify(cfg: RunConfig) -> int:
         f"echelon={'yes' if already else 'no'}, delta={delta}, "
         f"blocks={tuple(M.echelon)}, perm={tuple(M.perm)}"
     )
-    _emit(cfg, payload, text)
+    _emit(args, payload, text)
     return EXIT_OK
 
 
-def cmd_resolve(cfg: RunConfig) -> int:
-    M = _prepare(cfg)
+def cmd_resolve(args) -> int:
+    M = _prepare(args)
     C = cyc_complex.build_complex(M)
     doc = cyc_complex.export_json(C, indent=2)
     minimal, _ = cyc_complex.minimality_check(C)
     summary = f"ranks={list(C.ranks())} minimal={str(minimal).lower()}"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(doc + "\n")
         print(summary)
     else:
@@ -102,45 +88,45 @@ def cmd_resolve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    M = _prepare(cfg)
+def cmd_verify(args) -> int:
+    M = _prepare(args)
     C = cyc_complex.build_complex(M)
-    d_max = cfg.d_max
+    d_max = args.d_max
     if d_max is None:
-        d_max = resolution_verify.default_d_max(C, cap=cfg.d_max_cap)
+        d_max = resolution_verify.default_d_max(C)
     report = resolution_verify.full_verify(
-        C, d_max=d_max, seed=cfg.seed, instance=cfg.path
+        C, d_max=d_max, seed=args.seed, instance=args.input
     )
     ok = report.passed
     minimal, witness = cyc_complex.minimality_check(C)
-    if cfg.require_minimal and not minimal:
+    if args.require_minimal and not minimal:
         report.checks.append(
             resolution_verify.CheckResult(
                 "require_minimal", False, f"non-minimal entry {witness}"
             )
         )
         ok = False
-    _emit(cfg, report.to_json_dict(), report.to_text())
+    _emit(args, report.to_json_dict(), report.to_text())
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def cmd_gb(cfg: RunConfig) -> int:
-    M = _prepare(cfg)
+def cmd_gb(args) -> int:
+    M = _prepare(args)
     C = cyc_complex.build_complex(M)
     lines = [elem_str(f, C.tower, 0) for f in C.diffs[1]]
-    _emit(cfg, {"groebner_basis": lines}, "\n".join(lines))
+    _emit(args, {"groebner_basis": lines}, "\n".join(lines))
     return EXIT_OK
 
 
-def cmd_homology(cfg: RunConfig) -> int:
-    M = _prepare(cfg)
+def cmd_homology(args) -> int:
+    M = _prepare(args)
     C = cyc_complex.build_complex(M)
-    d_max = cfg.d_max
+    d_max = args.d_max
     if d_max is None:
-        d_max = resolution_verify.default_d_max(C, cap=cfg.d_max_cap)
+        d_max = resolution_verify.default_d_max(C)
     check = resolution_verify.graded_homology_oracle(C, d_max)
-    report = resolution_verify.VerificationReport(cfg.path, [check])
-    _emit(cfg, report.to_json_dict(), report.to_text())
+    report = resolution_verify.VerificationReport(args.input, [check])
+    _emit(args, report.to_json_dict(), report.to_text())
     return EXIT_OK if check.ok else EXIT_VERIFY_FAIL
 
 
@@ -173,21 +159,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        path=args.input,
-        omega=args.omega,
-        d_max=args.d_max,
-        fmt=args.fmt,
-        seed=args.seed,
-        require_minimal=args.require_minimal,
-        out=args.out,
-    )
-    if cfg.d_max is not None and cfg.d_max < 0:
+    if args.d_max is not None and args.d_max < 0:
         print("error: --max-degree must be nonnegative", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except NotIrreducibleError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CLASS

@@ -10,7 +10,6 @@ first, ties broken by the rightmost differing vertex.
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations
 
 from . import intlinalg
@@ -43,14 +42,6 @@ def _block_key(block, n):
 
 def srle_key(p, n):
     return tuple(_block_key(b, n) for b in p)
-
-
-def srle_compare(p, q, n):
-    """-1, 0, +1 as p precedes, equals, succeeds q (same n, same block count)."""
-    if len(p) != len(q):
-        raise ValueError("partitions must have the same number of blocks")
-    kp, kq = srle_key(p, n), srle_key(q, n)
-    return (kp > kq) - (kp < kq)
 
 
 def _set_partitions(universe, parts):
@@ -110,11 +101,11 @@ def boundary(p, L: CBMatrix, index_below):
         mono = arrow_monomial(p[s], p[s + 1], L)
         merged = p[:s] + (tuple(sorted(p[s] + p[s + 1])),) + p[s + 2 :]
         idx = index_below[canonical_partition(merged, n)]
-        elem_add_term(elem, idx, Fraction((-1) ** s), mono)
+        elem_add_term(elem, idx, (-1) ** s, mono)
     mono = arrow_monomial(p[k], p[0], L)
     merged = p[1:k] + (tuple(sorted(p[0] + p[k])),)
     idx = index_below[canonical_partition(merged, n)]
-    elem_add_term(elem, idx, Fraction(-1), mono)
+    elem_add_term(elem, idx, -1, mono)
     return elem
 
 
@@ -207,7 +198,7 @@ def leading_term_formula(C: CycComplex, k, j):
     merged = p[:-2] + (tuple(sorted(p[-2] + p[-1])),)
     idx = C.index[k - 1][canonical_partition(merged, C.n)]
     mono = arrow_monomial(p[-2], p[-1], C.L)
-    return (Fraction((-1) ** (k - 1)), mono, idx)
+    return ((-1) ** (k - 1), mono, idx)
 
 
 def check_leading_terms(C: CycComplex) -> bool:

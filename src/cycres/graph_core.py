@@ -78,18 +78,29 @@ class CBMatrix:
         return WeightedDigraph(self.n, arcs)
 
 
+def _is_int(x):
+    # bool is a subclass of int, but true/false are not weights or vertices
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate_digraph(n, arcs):
+    if not _is_int(n):
+        raise ValidationError(f"vertex count {n!r} is not an integer")
     if n < 3:
         raise TooSmallError(f"need at least 3 vertices, got {n}")
     seen = set()
     has_out = [False] * (n + 1)
     has_in = [False] * (n + 1)
     for s, t, w in arcs:
+        if not (_is_int(s) and _is_int(t) and _is_int(w)):
+            raise ValidationError(
+                f"arc ({s!r},{t!r}) weight {w!r}: endpoints and weight must be integers"
+            )
         if not (1 <= s <= n and 1 <= t <= n):
             raise ValidationError(f"arc ({s},{t}) out of vertex range 1..{n}")
         if s == t:
             raise ValidationError(f"loop at {s}")
-        if not isinstance(w, int) or w <= 0:
+        if w <= 0:
             raise ValidationError(f"arc ({s},{t}) has nonpositive weight {w}")
         if (s, t) in seen:
             raise ValidationError(f"duplicate arc ({s},{t})")
@@ -106,9 +117,13 @@ def validate_digraph(n, arcs):
 
 def digraph_from_matrix(rows):
     """Digraph of a signed Laplacian-type matrix; entry (i,j) = -weight."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValidationError("matrix must be a list of rows")
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValidationError("matrix is not square")
+    if not all(_is_int(v) for r in rows for v in r):
+        raise ValidationError("matrix entries must be integers")
     arcs = []
     for i in range(n):
         for j in range(n):
@@ -142,6 +157,8 @@ def parse_digraph(text):
     if "matrix" in doc:
         return digraph_from_matrix(doc["matrix"])
     if "n" in doc and "arcs" in doc:
+        if not isinstance(doc["arcs"], list):
+            raise ValidationError('"arcs" must be a list of arc records')
         arcs = []
         for rec in doc["arcs"]:
             try:

@@ -1,9 +1,13 @@
-"""Graded polynomial arithmetic over Q and induced module orders.
+"""Graded polynomial arithmetic and induced module orders.
+
+The lattice ideal lives in Q[x], but every computation here stays in Z:
+every differential coefficient is +-1 and every leading coefficient a unit,
+so division and S-vectors never produce a fraction.
 
 Representation conventions (kept deliberately plain for speed):
 
     monomial   tuple of n nonnegative ints (the exponent vector)
-    Poly       dict {monomial: Fraction}, no zero coefficients stored
+    Poly       dict {monomial: int}, no zero coefficients stored
     Elem       dict {basis index: Poly}, no zero polynomials stored
 
 Free-module elements of the degree-0 ring are Elems concentrated on index 0.
@@ -15,9 +19,8 @@ broken by the larger basis index.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import ZeroElementError
+from .errors import InternalError, ZeroElementError
 
 
 @dataclass(frozen=True)
@@ -55,12 +58,6 @@ def wrlo_key(mono, ctx: GradedContext):
     return (ctx.degree(mono), tuple(-e for e in reversed(mono)))
 
 
-def wrlo_compare(alpha, beta, ctx: GradedContext):
-    """-1, 0 or +1 as alpha <, =, > beta under the order."""
-    ka, kb = wrlo_key(alpha, ctx), wrlo_key(beta, ctx)
-    return (ka > kb) - (ka < kb)
-
-
 # ---------------------------------------------------------------------------
 # polynomials and module elements
 
@@ -94,28 +91,8 @@ def elem_scale_term(elem, coeff, mono):
     return out
 
 
-def elem_is_zero(elem):
-    return not elem
-
-
 def elem_copy(elem):
     return {idx: dict(poly) for idx, poly in elem.items()}
-
-
-def elem_eq(a, b):
-    return a == b
-
-
-def poly_to_elem(poly, idx=0):
-    return {idx: dict(poly)} if poly else {}
-
-
-def leading_term(poly, ctx: GradedContext):
-    """(coefficient, monomial) of the largest term of a plain polynomial."""
-    if not poly:
-        raise ZeroElementError("leading term of zero polynomial")
-    m = max(poly, key=lambda mono: wrlo_key(mono, ctx))
-    return poly[m], m
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +128,6 @@ class OrderTower:
             self.path[level][idx] + (idx,),
         )
 
-    def compare(self, level, m1, i, m2, j):
-        k1, k2 = self.key(level, m1, i), self.key(level, m2, j)
-        return (k1 > k2) - (k1 < k2)
-
     def leading_module_term(self, elem, level):
         """(coefficient, monomial, basis index) of the largest term."""
         if not elem:
@@ -186,21 +159,27 @@ class OrderTower:
         self.lms.append(lms)
 
 
-def module_compare(m1, i, m2, j, tower: OrderTower, level):
-    return tower.compare(level, m1, i, m2, j)
-
-
 # ---------------------------------------------------------------------------
 # division and S-vectors
+
+def _unit_leading_term(elem, tower: OrderTower, level):
+    """Leading term of elem, whose coefficient must be a unit of Z."""
+    lt = tower.leading_module_term(elem, level)
+    if lt[0] not in (1, -1):
+        raise InternalError(f"leading coefficient {lt[0]} is not a unit")
+    return lt
+
 
 def divide(g, basis, tower: OrderTower, level):
     """Standard expression g = sum q_i * basis_i + remainder.
 
     At every step the current leading term is reduced by the lowest-index
     basis element whose leading term divides it; irreducible leading terms
-    move to the remainder.  Quotients are plain polynomials.
+    move to the remainder.  Quotients are plain polynomials.  Every basis
+    leading coefficient must be +-1, so that dividing by it (multiplying by
+    itself) keeps all coefficients in Z.
     """
-    basis_lts = [tower.leading_module_term(b, level) for b in basis]
+    basis_lts = [_unit_leading_term(b, tower, level) for b in basis]
     quotients = [{} for _ in basis]
     remainder = {}
     work = elem_copy(g)
@@ -208,7 +187,7 @@ def divide(g, basis, tower: OrderTower, level):
         coeff, mono, idx = tower.leading_module_term(work, level)
         for bi, (bc, bm, bidx) in enumerate(basis_lts):
             if bidx == idx and mono_divides(bm, mono):
-                q = coeff / bc
+                q = coeff * bc
                 qm = mono_div(mono, bm)
                 poly_add_term(quotients[bi], q, qm)
                 elem_combine(work, basis[bi], -q, qm)
@@ -225,15 +204,16 @@ def s_vector(fi, fj, tower: OrderTower, level):
     Returns (S, m_ji, m_ij) where S = m_ji*fi - m_ij*fj and each m is a
     signed monomial (coefficient, exponent vector).  Returns None when the
     leading terms sit on different basis elements (their least common
-    multiple is zero, so no pair is formed).
+    multiple is zero, so no pair is formed).  Both leading coefficients
+    must be +-1; each is then its own inverse.
     """
-    ci, mi, ii = tower.leading_module_term(fi, level)
-    cj, mj, ij = tower.leading_module_term(fj, level)
+    ci, mi, ii = _unit_leading_term(fi, tower, level)
+    cj, mj, ij = _unit_leading_term(fj, tower, level)
     if ii != ij:
         return None
     lcm = mono_lcm(mi, mj)
-    m_ji = (Fraction(1) / ci, mono_div(lcm, mi))
-    m_ij = (Fraction(1) / cj, mono_div(lcm, mj))
+    m_ji = (ci, mono_div(lcm, mi))
+    m_ij = (cj, mono_div(lcm, mj))
     s = elem_scale_term(fi, m_ji[0], m_ji[1])
     elem_combine(s, fj, -m_ij[0], m_ij[1])
     return s, m_ji, m_ij
@@ -252,21 +232,6 @@ def _term_str(coeff, mono, suffix=""):
     if c != 1 or not factors:
         factors.insert(0, str(c))
     return "*".join(factors) + suffix
-
-
-def poly_str(poly, ctx: GradedContext):
-    """Render a polynomial, terms in decreasing order."""
-    if not poly:
-        return "0"
-    monos = sorted(poly, key=lambda m: wrlo_key(m, ctx), reverse=True)
-    out = []
-    for m in monos:
-        c = poly[m]
-        sep = "" if not out else (" + " if c > 0 else " - ")
-        if not out and c < 0:
-            sep = "-"
-        out.append(sep + _term_str(c, m))
-    return "".join(out)
 
 
 def elem_str(elem, tower: OrderTower, level):
@@ -291,50 +256,3 @@ def elem_str(elem, tower: OrderTower, level):
         out.append(sep + _term_str(coeff, mono, suffix))
     return "".join(out)
 
-
-def _parse_term(text, n):
-    suffix_idx = None
-    if "·" in text:
-        text, ref = text.split("·", 1)
-        if not (ref.startswith("e[") and ref.endswith("]")):
-            raise ValueError(f"bad basis reference {ref!r}")
-        _, j = ref[2:-1].split(",")
-        suffix_idx = int(j) - 1
-    coeff = Fraction(1)
-    mono = [0] * n
-    for factor in text.split("*"):
-        if factor.startswith("x"):
-            if "^" in factor:
-                var, e = factor[1:].split("^")
-                mono[int(var) - 1] += int(e)
-            else:
-                mono[int(factor[1:]) - 1] += 1
-        else:
-            coeff *= Fraction(factor)
-    return coeff, tuple(mono), suffix_idx
-
-
-def parse_elem(text, n):
-    """Inverse of elem_str / poly_str (level information is discarded)."""
-    if text.strip() == "0":
-        return {}
-    pieces = text.replace(" - ", "\x00-").replace(" + ", "\x00").split("\x00")
-    elem = {}
-    for piece in pieces:
-        piece = piece.strip()
-        sign = 1
-        while piece.startswith("-"):
-            sign = -sign
-            piece = piece[1:]
-        coeff, mono, idx = _parse_term(piece, n)
-        elem_add_term(elem, 0 if idx is None else idx, sign * coeff, mono)
-    return elem
-
-
-def parse_poly(text, n):
-    elem = parse_elem(text, n)
-    if not elem:
-        return {}
-    if set(elem) != {0}:
-        raise ValueError("module element where a polynomial was expected")
-    return elem[0]

@@ -8,6 +8,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from cycres import cyc_complex, graph_core  # noqa: E402
+from cycres.poly_ring import elem_add_term  # noqa: E402
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -73,3 +74,49 @@ def generic4_complex():
 @pytest.fixture(scope="session")
 def weighted4_echelon_complex():
     return complex_from_matrix(WEIGHTED4_ECHELON)
+
+
+# ---------------------------------------------------------------------------
+# an independent reader for the polynomial text format of `resolve` output
+
+
+def _parse_term(text, n):
+    suffix_idx = None
+    if "·" in text:
+        text, ref = text.split("·", 1)
+        if not (ref.startswith("e[") and ref.endswith("]")):
+            raise ValueError(f"bad basis reference {ref!r}")
+        _, j = ref[2:-1].split(",")
+        suffix_idx = int(j) - 1
+    coeff = 1
+    mono = [0] * n
+    for factor in text.split("*"):
+        if factor.startswith("x"):
+            if "^" in factor:
+                var, e = factor[1:].split("^")
+                mono[int(var) - 1] += int(e)
+            else:
+                mono[int(factor[1:]) - 1] += 1
+        else:
+            coeff *= int(factor)
+    return coeff, tuple(mono), suffix_idx
+
+
+def parse_elem(text, n):
+    """Inverse of poly_ring.elem_str (level information is discarded).
+
+    A level-0 polynomial comes back as an Elem on basis index 0.
+    """
+    if text.strip() == "0":
+        return {}
+    pieces = text.replace(" - ", "\x00-").replace(" + ", "\x00").split("\x00")
+    elem = {}
+    for piece in pieces:
+        piece = piece.strip()
+        sign = 1
+        while piece.startswith("-"):
+            sign = -sign
+            piece = piece[1:]
+        coeff, mono, idx = _parse_term(piece, n)
+        elem_add_term(elem, 0 if idx is None else idx, sign * coeff, mono)
+    return elem

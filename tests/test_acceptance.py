@@ -9,9 +9,9 @@ import time
 
 from cycres import cli, cyc_complex, graph_core, intlinalg
 from cycres import resolution_verify as rv
-from cycres.poly_ring import elem_str, mono_divides, parse_poly
+from cycres.poly_ring import elem_str, mono_divides
 
-from conftest import CYCLE4, INSTANCES, WEIGHTED4, WEIGHTED4_ECHELON, k4_digraph
+from conftest import CYCLE4, INSTANCES, WEIGHTED4, WEIGHTED4_ECHELON, k4_digraph, parse_elem
 
 
 def verdict(name, ok):
@@ -48,7 +48,7 @@ def test_k4_golden_run():
     )
     ok &= C.ranks() == (1, 7, 12, 6)
     gb = [C.diffs[1][j][0] for j in range(7)]
-    golden = [parse_poly(s, 4) for s in K4_GOLDEN_GB]
+    golden = [parse_elem(s, 4)[0] for s in K4_GOLDEN_GB]
     ok &= gb == golden  # srle order
     ok &= {frozenset(p.items()) for p in gb} == {frozenset(p.items()) for p in golden}
     minimal, _ = cyc_complex.minimality_check(C)

@@ -1,8 +1,11 @@
+import hashlib
 import json
+
+import pytest
 
 from cycres import cli
 
-from conftest import INSTANCES
+from conftest import INSTANCES, parse_elem
 
 
 def run(capsys, *args):
@@ -78,6 +81,26 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert "loop" in err
     code, _, _ = run(capsys, "classify", str(tmp_path / "missing.json"))
     assert code == 2
+    # a 3-cycle, well formed both ways; each malformed copy changes one field
+    arcs = [{"from": 1, "to": 2, "w": 1}, {"from": 2, "to": 3, "w": 1},
+            {"from": 3, "to": 1, "w": 1}]
+    matrix = [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]
+    for doc in ({"n": 3, "arcs": arcs}, {"matrix": matrix}):
+        bad.write_text(json.dumps(doc))
+        assert run(capsys, "classify", str(bad))[0] == 0
+    malformed = [
+        {"n": 3, "arcs": [dict(arcs[0], w=True)] + arcs[1:]},
+        {"matrix": [[1.0, -1, 0], [0, 1, -1], [-1, 0, 1]]},
+        {"matrix": [[1, "-1", 0], [0, 1, -1], [-1, 0, 1]]},
+        {"n": "3", "arcs": arcs},
+        {"n": 3, "arcs": 5},
+        {"matrix": 5},
+    ]
+    for doc in malformed:
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "classify", str(bad))
+        assert code == 2, doc
+        assert err.startswith("error: "), err
 
 
 def test_verify_k4(capsys):
@@ -136,6 +159,23 @@ def test_omega_out_of_range_exits_2(capsys):
     assert "omega" in err
 
 
+# sha256 of `cycres resolve <instance> --out`, pinned before the move from
+# rational to integer coefficients; the output must not change by one byte.
+RESOLVE_SHA256 = {
+    "k4": "653659cceb38a9c907b6a5a081837d5212f1dc0b4d925c6bdca763112a2f51bc",
+    "echelon6": "aa3f7cacb08c4ae3ad6d5ed415adbdebec6004c3da2a3c916b3d09d4d691e9ac",
+    "weighted4": "631bfc8715d30c772a25335be0c0c80218f0e7050bd6cff3862f44a84bf7758a",
+    "cycle4": "579ce047ce056f18fd6b2a6e85b01403c9d1ecc3d628d1212f1b4378507ddcf7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVE_SHA256))
+def test_resolve_output_pinned(tmp_path, capsys, name):
+    out_path = tmp_path / f"{name}.json"
+    assert run(capsys, "resolve", inst(f"{name}.json"), "--out", str(out_path))[0] == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == RESOLVE_SHA256[name]
+
+
 def test_resolve_byte_stable(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "resolve", inst("k4.json"), "--out", str(a))[0] == 0
@@ -149,7 +189,6 @@ def test_resolve_round_trip_reverify(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
 
     from cycres import cyc_complex, graph_core
-    from cycres.poly_ring import parse_elem
 
     g = graph_core.parse_digraph((INSTANCES / "cycle4.json").read_text())
     C = cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)))

@@ -1,6 +1,5 @@
 import json
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -8,9 +7,14 @@ import pytest
 from cycres import cyc_complex as cc
 from cycres import graph_core
 from cycres.errors import InternalError, NotIrreducibleError, ValidationError
-from cycres.poly_ring import parse_elem
-
-from conftest import REDUCIBLE, WEIGHTED4, complex_from_matrix, generic4_matrix
+from conftest import (
+    ECHELON6,
+    REDUCIBLE,
+    WEIGHTED4,
+    complex_from_matrix,
+    generic4_matrix,
+    parse_elem,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +52,14 @@ def P(*blocks):
 
 
 def test_srle_compare_examples():
-    assert cc.srle_compare(P([1, 2, 3], [4]), P([2, 3], [1, 4]), 4) == -1
-    assert cc.srle_compare(P([3], [2], [1], [4]), P([1], [2], [3], [4]), 4) == -1
+    def key(p):
+        return cc.srle_key(p, 4)
+
+    assert key(P([1, 2, 3], [4])) < key(P([2, 3], [1, 4]))
+    assert key(P([3], [2], [1], [4])) < key(P([1], [2], [3], [4]))
     p = P([2], [1, 3], [4])
-    assert cc.srle_compare(p, p, 4) == 0
+    assert key(p) == key(P([2], [1, 3], [4]))
+    assert key(p) != key(P([1], [2, 3], [4]))
 
 
 def test_enumerate_basis_n4_k1_full_listing():
@@ -124,9 +132,9 @@ def test_boundary_level2_generic_example(generic4_complex):
     f = C.diffs[2][0]
     assert C.bases[2][0] == P([2, 3], [1], [4])
     expected = {
-        C.index[1][P([1, 2, 3], [4])]: {(0, a[1][0], a[2][0], 0): Fraction(1)},
-        C.index[1][P([2, 3], [1, 4])]: {(a[0][3], 0, 0, 0): Fraction(-1)},
-        C.index[1][P([1], [2, 3, 4])]: {(0, 0, 0, a[3][1] + a[3][2]): Fraction(-1)},
+        C.index[1][P([1, 2, 3], [4])]: {(0, a[1][0], a[2][0], 0): 1},
+        C.index[1][P([2, 3], [1, 4])]: {(a[0][3], 0, 0, 0): -1},
+        C.index[1][P([1], [2, 3, 4])]: {(0, 0, 0, a[3][1] + a[3][2]): -1},
     }
     assert f == expected
 
@@ -138,10 +146,10 @@ def test_boundary_level3_signs(generic4_complex):
     f = C.diffs[3][0]
     assert C.bases[3][0] == P([3], [2], [1], [4])
     expected = {
-        C.index[2][P([2, 3], [1], [4])]: {(0, 0, a[2][1], 0): Fraction(1)},
-        C.index[2][P([3], [1, 2], [4])]: {(0, a[1][0], 0, 0): Fraction(-1)},
-        C.index[2][P([3], [2], [1, 4])]: {(a[0][3], 0, 0, 0): Fraction(1)},
-        C.index[2][P([2], [1], [3, 4])]: {(0, 0, 0, a[3][2]): Fraction(-1)},
+        C.index[2][P([2, 3], [1], [4])]: {(0, 0, a[2][1], 0): 1},
+        C.index[2][P([3], [1, 2], [4])]: {(0, a[1][0], 0, 0): -1},
+        C.index[2][P([3], [2], [1, 4])]: {(a[0][3], 0, 0, 0): 1},
+        C.index[2][P([2], [1], [3, 4])]: {(0, 0, 0, a[3][2]): -1},
     }
     assert f == expected
 
@@ -158,7 +166,7 @@ def test_boundary_singletons_give_column_binomials(generic4_complex):
         col = [rows[r][i - 1] for r in range(n)]
         plus = tuple(max(x, 0) for x in col)
         minus = tuple(max(-x, 0) for x in col)
-        assert f == {0: {plus: Fraction(1), minus: Fraction(-1)}}
+        assert f == {0: {plus: 1, minus: -1}}
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +174,13 @@ def test_boundary_singletons_give_column_binomials(generic4_complex):
 
 def test_build_complex_ranks(k4_complex):
     assert k4_complex.ranks() == (1, 7, 12, 6)
+
+
+def test_differential_coefficients_are_int(k4_complex):
+    for C in (k4_complex, complex_from_matrix(ECHELON6)):
+        coeffs = [c for k in range(1, C.n) for f in C.diffs[k]
+                  for poly in f.values() for c in poly.values()]
+        assert coeffs and all(type(c) is int for c in coeffs)
 
 
 def test_build_complex_ranks_n3_and_n5():
@@ -320,7 +335,7 @@ def _expected_elem(C, terms):
         for v, targets in exps.items():
             mono[v - 1] = sum(a[v - 1][t - 1] for t in targets)
         blocks = tuple(tuple(int(ch) for ch in b) for b in part.split(","))
-        out[C.index[len(blocks) - 1][blocks]] = {tuple(mono): Fraction(sign)}
+        out[C.index[len(blocks) - 1][blocks]] = {tuple(mono): sign}
     return out
 
 

@@ -1,12 +1,13 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycres import poly_ring as pr
-from cycres.errors import ZeroElementError
+from cycres.errors import InternalError, ZeroElementError
+
+from conftest import parse_elem
 
 monos4 = st.tuples(*([st.integers(0, 5)] * 4))
 contexts = st.sampled_from(
@@ -19,54 +20,62 @@ contexts = st.sampled_from(
 )
 
 
+def cmp(a, b):
+    """-1, 0 or +1 as a <, =, > b."""
+    return (a > b) - (a < b)
+
+
 def test_wrlo_weighted_example():
     # with weights (3,2,6,6): y^3 and x^2 both have degree 6, and the
     # rightmost nonzero coordinate of (0,3,0,0)-(2,0,0,0) is +3, so y^3 is smaller
     ctx = pr.GradedContext(4, (3, 2, 6, 6))
-    assert pr.wrlo_compare((0, 3, 0, 0), (2, 0, 0, 0), ctx) == -1
+    assert pr.wrlo_key((0, 3, 0, 0), ctx) < pr.wrlo_key((2, 0, 0, 0), ctx)
 
 
 def test_wrlo_equal_and_unit_weights():
     ctx = pr.GradedContext(4, (1, 1, 1, 1))
-    assert pr.wrlo_compare((1, 2, 0, 1), (1, 2, 0, 1), ctx) == 0
+    assert pr.wrlo_key((1, 2, 0, 1), ctx) == pr.wrlo_key((1, 2, 0, 1), ctx)
     # x1*x2 vs x3^2: equal degree, difference (1,1,-2,0) has rightmost -2
-    assert pr.wrlo_compare((1, 1, 0, 0), (0, 0, 2, 0), ctx) == 1
+    assert pr.wrlo_key((1, 1, 0, 0), ctx) > pr.wrlo_key((0, 0, 2, 0), ctx)
 
 
 @settings(max_examples=150, deadline=None)
 @given(contexts, monos4, monos4, monos4)
 def test_wrlo_total_order_properties(ctx, a, b, c):
-    cab = pr.wrlo_compare(a, b, ctx)
-    assert cab == -pr.wrlo_compare(b, a, ctx)
+    def key(m):
+        return pr.wrlo_key(m, ctx)
+
+    cab = cmp(key(a), key(b))
+    # total: the key separates distinct monomials
     assert (cab == 0) == (a == b)
     # transitivity
-    if cab >= 0 and pr.wrlo_compare(b, c, ctx) >= 0:
-        assert pr.wrlo_compare(a, c, ctx) >= 0
+    if cab >= 0 and cmp(key(b), key(c)) >= 0:
+        assert cmp(key(a), key(c)) >= 0
     # multiplicativity
-    assert pr.wrlo_compare(pr.mono_mul(a, c), pr.mono_mul(b, c), ctx) == cab
+    assert cmp(key(pr.mono_mul(a, c)), key(pr.mono_mul(b, c))) == cab
 
 
 def test_leading_term_poly():
-    ctx = pr.GradedContext(4, (1, 1, 1, 1))
-    f = {(1, 1, 1, 0): Fraction(1), (0, 0, 0, 3): Fraction(-1)}
-    assert pr.leading_term(f, ctx) == (Fraction(1), (1, 1, 1, 0))
-    assert pr.leading_term({(2, 0, 0, 0): Fraction(5)}, ctx) == (Fraction(5), (2, 0, 0, 0))
+    tower = pr.OrderTower(pr.GradedContext(4, (1, 1, 1, 1)))
+    f = {(1, 1, 1, 0): 1, (0, 0, 0, 3): -1}
+    assert tower.leading_module_term({0: f}, 0) == (1, (1, 1, 1, 0), 0)
+    assert tower.leading_module_term({0: {(2, 0, 0, 0): 5}}, 0) == (5, (2, 0, 0, 0), 0)
     with pytest.raises(ZeroElementError):
-        pr.leading_term({}, ctx)
+        tower.leading_module_term({}, 0)
 
 
 def test_module_compare_k4_example(k4_complex):
-    C = k4_complex
+    key = k4_complex.tower.key
     # x*e_{1,7} maps to x^4, e_{1,1} maps to x1*x2*x3; degree 4 beats 3
-    assert pr.module_compare((1, 0, 0, 0), 6, (0, 0, 0, 0), 0, C.tower, 1) == 1
-    assert pr.module_compare((1, 0, 0, 0), 2, (1, 0, 0, 0), 2, C.tower, 1) == 0
+    assert key(1, (1, 0, 0, 0), 6) > key(1, (0, 0, 0, 0), 0)
+    assert key(1, (1, 0, 0, 0), 2) == key(1, (1, 0, 0, 0), 2)
 
 
 def test_module_compare_tie_breaks_by_larger_index(k4_complex):
-    C = k4_complex
+    key = k4_complex.tower.key
     # x1^2 * Lm(f_{0,2}) = x2^2 * Lm(f_{0,3}) = x1^2x2^2x3^2; index decides
-    assert pr.module_compare((2, 0, 0, 0), 1, (0, 2, 0, 0), 2, C.tower, 1) == -1
-    assert pr.module_compare((0, 2, 0, 0), 2, (2, 0, 0, 0), 1, C.tower, 1) == 1
+    assert key(1, (2, 0, 0, 0), 1) < key(1, (0, 2, 0, 0), 2)
+    assert key(1, (0, 2, 0, 0), 2) > key(1, (2, 0, 0, 0), 1)
 
 
 def test_leading_module_term_of_degree0_images(weighted4_echelon_complex):
@@ -77,7 +86,7 @@ def test_leading_module_term_of_degree0_images(weighted4_echelon_complex):
         from cycres.cyc_complex import arrow_monomial
 
         assert idx == 0
-        assert coeff == Fraction(1)
+        assert coeff == 1
         assert mono == arrow_monomial(p[0], p[1], C.L)
 
 
@@ -108,7 +117,7 @@ def test_divide_basis_element_is_exact(k4_complex):
     g0 = C.diffs[1]
     q, r = pr.divide(g0[3], g0, C.tower, 0)
     assert r == {}
-    assert q[3] == {(0, 0, 0, 0): Fraction(1)}
+    assert q[3] == {(0, 0, 0, 0): 1}
     assert all(not qq for i, qq in enumerate(q) if i != 3)
 
 
@@ -123,7 +132,7 @@ def test_divide_k4_s_pair_reduces_to_zero(k4_complex):
 
 def test_divide_coprime_leading_terms_leave_remainder(k4_complex):
     C = k4_complex
-    g = {0: {(0, 0, 0, 2): Fraction(1)}}  # x4^2: no leading term divides it
+    g = {0: {(0, 0, 0, 2): 1}}  # x4^2: no leading term divides it
     q, r = pr.divide(g, C.diffs[1], C.tower, 0)
     assert r == g
     assert all(not qq for qq in q)
@@ -134,11 +143,11 @@ def test_divide_prefers_lowest_index_divisor(k4_complex):
     # x1^3*x2^3 is divisible by three leading terms; the reduction must take
     # x1^2*x2^2 (position 4 in srle order) first, pinning the whole run
     C = k4_complex
-    g = {0: {(3, 3, 0, 0): Fraction(1)}}
+    g = {0: {(3, 3, 0, 0): 1}}
     q, r = pr.divide(g, C.diffs[1], C.tower, 0)
-    assert q[3] == {(1, 1, 0, 0): Fraction(1)}
-    assert q[0] == {(0, 0, 1, 2): Fraction(1)}
-    assert r == {0: {(0, 0, 1, 5): Fraction(1)}}
+    assert q[3] == {(1, 1, 0, 0): 1}
+    assert q[0] == {(0, 0, 1, 2): 1}
+    assert r == {0: {(0, 0, 1, 5): 1}}
     assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
 
 
@@ -149,7 +158,7 @@ def test_divide_random_standard_expressions(k4_complex):
         g = {}
         for _ in range(rng.randint(1, 4)):
             mono = tuple(rng.randint(0, 3) for _ in range(4))
-            pr.elem_add_term(g, 0, Fraction(rng.choice([-2, -1, 1, 2])), mono)
+            pr.elem_add_term(g, 0, rng.choice([-2, -1, 1, 2]), mono)
         q, r = pr.divide(g, C.diffs[1], C.tower, 0)
         assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
 
@@ -174,7 +183,7 @@ def test_s_vector_same_element_is_zero(k4_complex):
     C = k4_complex
     s, m_ji, m_ij = pr.s_vector(C.diffs[1][0], C.diffs[1][0], C.tower, 0)
     assert s == {}
-    assert m_ji == m_ij == (Fraction(1), (0, 0, 0, 0))
+    assert m_ji == m_ij == (1, (0, 0, 0, 0))
 
 
 def test_s_vector_nested_subsets_generic(generic4_complex):
@@ -183,7 +192,7 @@ def test_s_vector_nested_subsets_generic(generic4_complex):
     g0 = C.diffs[1]
     a14 = C.L.a[0][3]
     s, m_ji, m_ij = pr.s_vector(g0[1], g0[0], C.tower, 0)
-    assert m_ji == (Fraction(1), (a14, 0, 0, 0))
+    assert m_ji == (1, (a14, 0, 0, 0))
     lt = C.tower.leading_module_term(s, 0)
     lcm_key = C.tower.key(0, pr.mono_mul((a14, 0, 0, 0), C.tower.lms[1][1][1]), 0)
     assert C.tower.key(0, lt[1], lt[2]) < lcm_key
@@ -194,7 +203,7 @@ def test_s_vector_level_one_pair_from_worked_example(generic4_complex):
     C = generic4_complex
     a14 = C.L.a[0][3]
     s, m_ji, m_ij = pr.s_vector(C.diffs[2][4], C.diffs[2][3], C.tower, 1)
-    assert m_ji == (Fraction(-1), (a14, 0, 0, 0))
+    assert m_ji == (-1, (a14, 0, 0, 0))
     assert s
 
 
@@ -217,28 +226,39 @@ def test_s_vector_drops_below_lcm_k4_pairs(k4_complex, i, j):
 
 
 # ---------------------------------------------------------------------------
+# integer coefficients: leading coefficients must be units
+
+def test_divide_rejects_non_unit_leading_coefficient(k4_complex):
+    C = k4_complex
+    doubled = pr.elem_scale_term(C.diffs[1][0], 2, C.ctx.unit())
+    g = {0: {(3, 3, 3, 0): 1}}
+    with pytest.raises(InternalError):
+        pr.divide(g, [doubled], C.tower, 0)
+    with pytest.raises(InternalError):
+        pr.divide(g, list(C.diffs[1]) + [doubled], C.tower, 0)
+
+
+def test_s_vector_rejects_non_unit_leading_coefficient(k4_complex):
+    C = k4_complex
+    g0 = C.diffs[1]
+    doubled = pr.elem_scale_term(g0[0], 2, C.ctx.unit())
+    with pytest.raises(InternalError):
+        pr.s_vector(doubled, g0[1], C.tower, 0)
+    with pytest.raises(InternalError):
+        pr.s_vector(g0[1], doubled, C.tower, 0)
+
+
+# ---------------------------------------------------------------------------
 # text format
-
-def test_poly_str_and_parse_round_trip():
-    ctx = pr.GradedContext(4, (1, 1, 1, 1))
-    f = {
-        (1, 1, 1, 0): Fraction(1),
-        (0, 0, 0, 3): Fraction(-1),
-        (0, 2, 0, 0): Fraction(3, 2),
-    }
-    s = pr.poly_str(f, ctx)
-    assert s == "x1*x2*x3 - x4^3 + 3/2*x2^2"
-    assert pr.parse_poly(s, 4) == f
-    assert pr.poly_str({}, ctx) == "0"
-    assert pr.parse_poly("0", 4) == {}
-
 
 def test_elem_str_round_trip(k4_complex):
     C = k4_complex
+    assert pr.elem_str({}, C.tower, 0) == "0"
+    assert parse_elem("0", 4) == {}
     for k in (1, 2, 3):
         for f in C.diffs[k]:
             s = pr.elem_str(f, C.tower, k - 1)
-            assert pr.parse_elem(s, 4) == f
+            assert parse_elem(s, 4) == f
 
 
 def test_elem_str_level0_is_plain_polynomial(k4_complex):
@@ -254,9 +274,9 @@ def _rec_compare(C, level, m1, i, m2, j):
     monomials through the images one level down, compare there, break ties
     by the larger basis index."""
     if level == 0:
-        return pr.wrlo_compare(m1, m2, C.ctx)
-    lt1 = _rec_leading(C, level - 1, pr.elem_scale_term(C.diffs[level][i], Fraction(1), m1))
-    lt2 = _rec_leading(C, level - 1, pr.elem_scale_term(C.diffs[level][j], Fraction(1), m2))
+        return cmp(pr.wrlo_key(m1, C.ctx), pr.wrlo_key(m2, C.ctx))
+    lt1 = _rec_leading(C, level - 1, pr.elem_scale_term(C.diffs[level][i], 1, m1))
+    lt2 = _rec_leading(C, level - 1, pr.elem_scale_term(C.diffs[level][j], 1, m2))
     c = _rec_compare(C, level - 1, lt1[0], lt1[1], lt2[0], lt2[1])
     if c:
         return c
@@ -281,7 +301,7 @@ def test_tower_keys_agree_with_recursive_definition(generic4_complex):
             m1 = tuple(rng.randint(0, 4) for _ in range(4))
             m2 = tuple(rng.randint(0, 4) for _ in range(4))
             i, j = rng.randrange(r), rng.randrange(r)
-            got = pr.module_compare(m1, i, m2, j, C.tower, level)
+            got = cmp(C.tower.key(level, m1, i), C.tower.key(level, m2, j))
             assert got == _rec_compare(C, level, m1, i, m2, j)
 
 
@@ -302,6 +322,6 @@ def test_divide_at_level_one_standard_expressions(k4_complex):
         for _ in range(rng.randint(1, 4)):
             idx = rng.randrange(7)
             mono = tuple(rng.randint(0, 2) for _ in range(4))
-            pr.elem_add_term(g, idx, Fraction(rng.choice([-1, 1])), mono)
+            pr.elem_add_term(g, idx, rng.choice([-1, 1]), mono)
         q, r = pr.divide(g, g1, C.tower, 1)
         assert_standard_expression(g, g1, q, r, C.tower, 1)

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 from cycres import cyc_complex as cc
 from cycres import graph_core
@@ -28,7 +27,7 @@ def test_s_poly_closed_form_nested(generic4_complex):
     assert s == formula
     assert l_dc == (0, 0, 0, a[3][1] + a[3][2])
     f7 = C.diffs[1][6]
-    assert s == elem_scale_term(f7, Fraction(-1), l_dc)
+    assert s == elem_scale_term(f7, -1, l_dc)
 
 
 def test_colon_stability_k4(k4_complex):
@@ -42,13 +41,13 @@ def test_colon_manual_member_and_nonmember(k4_complex):
     C = k4_complex
     g0 = C.diffs[1]
     t = (0, 0, 0, 1)
-    tg = elem_scale_term(g0[0], Fraction(1), t)
+    tg = elem_scale_term(g0[0], 1, t)
     _, rem = divide(tg, g0, C.tower, 0)
     assert rem == {}
-    h = {0: {(1, 0, 0, 0): Fraction(1)}}  # x1 alone is not in the ideal
+    h = {0: {(1, 0, 0, 0): 1}}  # x1 alone is not in the ideal
     _, rem_h = divide(h, g0, C.tower, 0)
     assert rem_h
-    _, rem_th = divide(elem_scale_term(h, Fraction(1), t), g0, C.tower, 0)
+    _, rem_th = divide(elem_scale_term(h, 1, t), g0, C.tower, 0)
     assert rem_th
 
 
@@ -57,11 +56,10 @@ def test_module_quotients_worked_example_level1(generic4_complex):
     a = C.L.a
     mqs = rv.module_quotients(C, 1, 4)
     retained = {(j, c, m) for j, c, m in mqs.retained()}
-    one = Fraction(1)
     assert retained == {
-        (0, one, (a[0][3], a[1][3], 0, 0)),
-        (1, one, (0, a[1][0] + a[1][3], 0, 0)),
-        (2, one, (a[0][1] + a[0][3], 0, 0, 0)),
+        (0, 1, (a[0][3], a[1][3], 0, 0)),
+        (1, 1, (0, a[1][0] + a[1][3], 0, 0)),
+        (2, 1, (a[0][1] + a[0][3], 0, 0, 0)),
     }
     pruned = [g for g in mqs.generators if g[3]]
     assert [g[0] for g in pruned] == [3]
@@ -71,7 +69,7 @@ def test_module_quotients_worked_example_level2(generic4_complex):
     C = generic4_complex
     a = C.L.a
     mqs = rv.module_quotients(C, 2, 4)
-    assert mqs.retained() == [(3, Fraction(-1), (a[0][3], 0, 0, 0))]
+    assert mqs.retained() == [(3, -1, (a[0][3], 0, 0, 0))]
 
 
 def test_module_quotients_empty_when_last_block_is_n(generic4_complex):
@@ -97,7 +95,7 @@ def test_tau_identity_worked_examples(generic4_complex):
     ok, witness = rv.verify_tau_identity(C, 1, e1)
     assert ok, witness
     de = C.diffs[2][C.index[2][e1]]
-    assert de[i] == {(a[0][3], 0, 0, 0): Fraction(-1)}  # -tau leads with +x1^a14
+    assert de[i] == {(a[0][3], 0, 0, 0): -1}  # -tau leads with +x1^a14
 
     e2 = ((3,), (2,), (1,), (4,))
     i2, j2 = rv.tau_pair(C, 2, e2)
@@ -108,7 +106,7 @@ def test_tau_identity_worked_examples(generic4_complex):
     ok, witness = rv.verify_tau_identity(C, 2, e2)
     assert ok, witness
     de2 = C.diffs[3][C.index[3][e2]]
-    assert de2[i2] == {(a[0][3], 0, 0, 0): Fraction(1)}  # m^2_{4,5} = -x1^a14
+    assert de2[i2] == {(a[0][3], 0, 0, 0): 1}  # m^2_{4,5} = -x1^a14
 
 
 def test_tau_identities_all(k4_complex, generic4_complex, cycle4_complex):
