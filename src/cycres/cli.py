@@ -24,7 +24,11 @@ EXIT_CLASS = 3
 
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_core.parse_digraph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"{path} is not UTF-8 text: {e}") from e
+    return graph_core.parse_digraph(text)
 
 
 def _prepare(args):
@@ -91,11 +95,8 @@ def cmd_resolve(args) -> int:
 def cmd_verify(args) -> int:
     M = _prepare(args)
     C = cyc_complex.build_complex(M)
-    d_max = args.d_max
-    if d_max is None:
-        d_max = resolution_verify.default_d_max(C)
     report = resolution_verify.full_verify(
-        C, d_max=d_max, seed=args.seed, instance=args.input
+        C, d_max=args.d_max, seed=args.seed, instance=args.input
     )
     ok = report.passed
     minimal, witness = cyc_complex.minimality_check(C)
@@ -124,7 +125,9 @@ def cmd_homology(args) -> int:
     d_max = args.d_max
     if d_max is None:
         d_max = resolution_verify.default_d_max(C)
-    check = resolution_verify.graded_homology_oracle(C, d_max)
+    check = resolution_verify.run_check(
+        "graded_homology", lambda: resolution_verify.graded_homology_oracle(C, d_max)
+    )
     report = resolution_verify.VerificationReport(args.input, [check])
     _emit(args, report.to_json_dict(), report.to_text())
     return EXIT_OK if check.ok else EXIT_VERIFY_FAIL

@@ -89,8 +89,6 @@ def validate_digraph(n, arcs):
     if n < 3:
         raise TooSmallError(f"need at least 3 vertices, got {n}")
     seen = set()
-    has_out = [False] * (n + 1)
-    has_in = [False] * (n + 1)
     for s, t, w in arcs:
         if not (_is_int(s) and _is_int(t) and _is_int(w)):
             raise ValidationError(
@@ -105,12 +103,18 @@ def validate_digraph(n, arcs):
         if (s, t) in seen:
             raise ValidationError(f"duplicate arc ({s},{t})")
         seen.add((s, t))
-        has_out[s] = True
-        has_in[t] = True
+    # each vertex needs an outgoing arc; refuse a vertex count the arcs
+    # cannot cover before any work of size n
+    if len(arcs) < n:
+        raise ValidationError(
+            f"{len(arcs)} arcs for {n} vertices: each vertex needs an outgoing arc"
+        )
+    has_out = {s for s, _ in seen}
+    has_in = {t for _, t in seen}
     for v in range(1, n + 1):
-        if not has_out[v]:
+        if v not in has_out:
             raise ValidationError(f"sink at {v} (no outgoing arc)")
-        if not has_in[v]:
+        if v not in has_in:
             raise ValidationError(f"source at {v} (no incoming arc)")
     return WeightedDigraph(n, tuple(arcs))
 
@@ -150,7 +154,7 @@ def parse_digraph(text):
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValidationError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ValidationError("top-level JSON must be an object")

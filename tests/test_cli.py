@@ -95,11 +95,17 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         {"n": "3", "arcs": arcs},
         {"n": 3, "arcs": 5},
         {"matrix": 5},
+        # a valid digraph has no sinks, so it has at least n arcs
+        {"n": 10**12, "arcs": arcs},
     ]
-    for doc in malformed:
-        bad.write_text(json.dumps(doc))
+    contents = [json.dumps(doc).encode() for doc in malformed] + [
+        b"\xff\xfe{}",  # not UTF-8
+        b"[" * 100000 + b"]" * 100000,  # nested past the recursion limit
+    ]
+    for data in contents:
+        bad.write_bytes(data)
         code, _, err = run(capsys, "classify", str(bad))
-        assert code == 2, doc
+        assert code == 2, data[:80]
         assert err.startswith("error: "), err
 
 

@@ -67,6 +67,9 @@ def test_parse_rejects_sink_and_source():
         graph_core.parse_digraph(arcs_doc(3, [(1, 2, 1), (2, 1, 1), (1, 3, 1)]))
     with pytest.raises(ValidationError, match="source"):
         graph_core.parse_digraph(arcs_doc(3, [(1, 2, 1), (2, 1, 1), (3, 1, 1)]))
+    # refused from the arc count alone, before any work of size n
+    with pytest.raises(ValidationError, match="3 arcs for 1000000000000 vertices"):
+        graph_core.parse_digraph(arcs_doc(10**12, [(1, 2, 1), (2, 3, 1), (3, 1, 1)]))
 
 
 def test_parse_rejects_bad_json_and_positive_offdiagonal():

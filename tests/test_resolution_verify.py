@@ -1,20 +1,22 @@
 import random
 
+import pytest
+
 from cycres import cyc_complex as cc
 from cycres import graph_core
 from cycres import resolution_verify as rv
 from cycres.poly_ring import divide, elem_scale_term, mono_divides, s_vector
 
-from conftest import complex_from_matrix
+from conftest import ECHELON6, WEIGHTED4, complex_from_matrix, generic4_matrix
 
 
 K4_ROWS = [[3, -1, -1, -1], [-1, 3, -1, -1], [-1, -1, 3, -1], [-1, -1, -1, 3]]
 
 
 def test_degree0_gb_k4(k4_complex):
-    res = rv.verify_degree0_gb(k4_complex)
-    assert res.ok, res.witness
-    assert res.counters["pairs"] == 21
+    ok, witness, counters = rv.verify_degree0_gb(k4_complex)
+    assert ok, witness
+    assert counters["pairs"] == 21
 
 
 def test_s_poly_closed_form_nested(generic4_complex):
@@ -31,8 +33,8 @@ def test_s_poly_closed_form_nested(generic4_complex):
 
 
 def test_colon_stability_k4(k4_complex):
-    res = rv.verify_colon_stability(k4_complex, trials=6, seed=1)
-    assert res.ok, res.witness
+    ok, witness, _ = rv.verify_colon_stability(k4_complex, trials=6, seed=1)
+    assert ok, witness
     # no leading term involves the last variable
     assert all(lt[1][3] == 0 for lt in k4_complex.tower.lms[1])
 
@@ -51,39 +53,83 @@ def test_colon_manual_member_and_nonmember(k4_complex):
     assert rem_th
 
 
+def quotients_at(C, k, i):
+    return rv.module_quotients(C, k, i, dict(rv.quotient_sources(C, k))[i])
+
+
 def test_module_quotients_worked_example_level1(generic4_complex):
     C = generic4_complex
     a = C.L.a
-    mqs = rv.module_quotients(C, 1, 4)
-    retained = {(j, c, m) for j, c, m in mqs.retained()}
+    gens = quotients_at(C, 1, 4)
+    retained = {(j, c, m) for j, c, m, pruned in gens if not pruned}
     assert retained == {
         (0, 1, (a[0][3], a[1][3], 0, 0)),
         (1, 1, (0, a[1][0] + a[1][3], 0, 0)),
         (2, 1, (a[0][1] + a[0][3], 0, 0, 0)),
     }
-    pruned = [g for g in mqs.generators if g[3]]
+    pruned = [g for g in gens if g[3]]
     assert [g[0] for g in pruned] == [3]
 
 
 def test_module_quotients_worked_example_level2(generic4_complex):
     C = generic4_complex
     a = C.L.a
-    mqs = rv.module_quotients(C, 2, 4)
-    assert mqs.retained() == [(3, -1, (a[0][3], 0, 0, 0))]
+    gens = quotients_at(C, 2, 4)
+    assert [(j, c, m) for j, c, m, pruned in gens if not pruned] == [(3, -1, (a[0][3], 0, 0, 0))]
 
 
 def test_module_quotients_empty_when_last_block_is_n(generic4_complex):
     C = generic4_complex
     assert C.bases[1][0] == ((1, 2, 3), (4,))
-    assert rv.basis_members(C, 1, 0) == []
-    mqs = rv.module_quotients(C, 1, 1)
-    assert all(not pruned for *_, pruned in mqs.generators)
+    assert dict(rv.quotient_sources(C, 1))[0] == []
+    gens = quotients_at(C, 1, 1)
+    assert all(not pruned for *_, pruned in gens)
 
 
 def test_verify_module_quotients_all(k4_complex, generic4_complex, cycle4_complex):
     for C in (k4_complex, generic4_complex, cycle4_complex):
-        res = rv.verify_module_quotients(C)
-        assert res.ok, res.witness
+        ok, witness, _ = rv.verify_module_quotients(C)
+        assert ok, witness
+
+
+QUOTIENT_INSTANCES = {
+    "k4": lambda: complex_from_matrix(K4_ROWS),
+    "generic4": lambda: cc.build_complex(graph_core.prepare(generic4_matrix())),
+    "echelon6": lambda: complex_from_matrix(ECHELON6),
+    "weighted4": lambda: complex_from_matrix(WEIGHTED4),
+    "random6": lambda: cc.build_complex(graph_core.prepare(graph_core.laplacian(
+        rv.random_icb_digraph(6, random.Random(2))))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_INSTANCES))
+def test_quotient_sources_match_all_pairs_scan(name):
+    C = QUOTIENT_INSTANCES[name]()
+    for k in range(1, C.n):
+        basis = C.bases[k]
+        expected = [
+            (i, [
+                (j, set(basis[j][k - 1]) > set(p[k - 1]))
+                for j in range(i)
+                if basis[j][: k - 1] == p[: k - 1]
+            ])
+            for i, p in enumerate(basis)
+        ]
+        assert list(rv.quotient_sources(C, k)) == expected
+
+
+def test_module_quotients_catch_a_target_across_prefixes():
+    C = complex_from_matrix(K4_ROWS)
+    k = 2
+    i = len(C.bases[k]) - 1
+    assert C.bases[k][0][: k - 1] != C.bases[k][i][: k - 1]
+    ok, witness, _ = rv.verify_module_quotients(C)
+    assert ok, witness
+    coeff, mono, _ = C.tower.lms[k][i]
+    C.tower.lms[k][i] = (coeff, mono, C.tower.lms[k][0][2])
+    ok, witness, _ = rv.verify_module_quotients(C)
+    assert not ok
+    assert witness == f"nonzero quotient across different prefixes at level {k}: 1, {i + 1}"
 
 
 def test_tau_identity_worked_examples(generic4_complex):
@@ -111,8 +157,9 @@ def test_tau_identity_worked_examples(generic4_complex):
 
 def test_tau_identities_all(k4_complex, generic4_complex, cycle4_complex):
     for C in (k4_complex, generic4_complex, cycle4_complex):
-        res = rv.verify_tau_identities(C)
-        assert res.ok, res.witness
+        ok, witness, counters = rv.verify_tau_identities(C)
+        assert ok, witness
+        assert counters["elements"] == sum(len(b) for b in C.bases[2:])
 
 
 def test_schreyer_coverage_counts(k4_complex):
@@ -126,8 +173,8 @@ def test_schreyer_coverage_counts(k4_complex):
 
 
 def test_distinct_images(k4_complex, cycle4_complex):
-    assert rv.verify_distinct_images(k4_complex).ok
-    assert rv.verify_distinct_images(cycle4_complex).ok
+    assert rv.verify_distinct_images(k4_complex)[0]
+    assert rv.verify_distinct_images(cycle4_complex)[0]
 
 
 def test_minimal_gb_divisibility(k4_complex, cycle4_complex):
@@ -163,8 +210,9 @@ def test_graded_pieces_vanish_at_degree_zero(k4_complex):
 
 
 def test_homology_oracle_k4_small_degrees(k4_complex):
-    res = rv.graded_homology_oracle(k4_complex, 6)
-    assert res.ok, res.witness
+    ok, witness, counters = rv.graded_homology_oracle(k4_complex, 6)
+    assert ok, witness
+    assert counters["degrees"] == 7
 
 
 def test_homology_oracle_catches_corruption():
@@ -174,8 +222,9 @@ def test_homology_oracle_catches_corruption():
     C.diffs[3] = C.diffs[3][:5]
     C.bases[3] = C.bases[3][:5]
     C.shifts[3] = C.shifts[3][:5]
-    res = rv.graded_homology_oracle(C, 6)
-    assert not res.ok
+    ok, witness, _ = rv.graded_homology_oracle(C, 6)
+    assert not ok
+    assert witness.startswith("homology at position")
 
 
 def test_hilbert_tail_k4(k4_complex):
@@ -221,6 +270,19 @@ def test_full_verify_flags_corruption():
     assert not report.passed
     failed = {c.name for c in report.checks if not c.ok}
     assert "d_squared" in failed
+
+
+def test_full_verify_calls_checks_by_module_name(k4_complex, monkeypatch):
+    # a profiler times each check by replacing its module attribute
+    calls = []
+    monkeypatch.setattr(rv, "check_d_squared", lambda C: False)
+    monkeypatch.setattr(rv, "verify_distinct_images", lambda C: (False, "replaced", {}))
+    monkeypatch.setattr(rv, "graded_homology_oracle",
+                        lambda *args: calls.append(args) or (True, None, {}))
+    report = rv.full_verify(k4_complex, d_max=3)
+    failed = [(c.name, c.witness) for c in report.checks if not c.ok]
+    assert failed == [("d_squared", "composition nonzero"), ("basis_images_distinct", "replaced")]
+    assert calls == [(k4_complex, 3)]
 
 
 def test_report_json_shape(k4_complex):
