@@ -99,14 +99,15 @@ def cmd_verify(args) -> int:
         C, d_max=args.d_max, seed=args.seed, instance=args.input
     )
     ok = report.passed
-    minimal, witness = cyc_complex.minimality_check(C)
-    if args.require_minimal and not minimal:
-        report.checks.append(
-            resolution_verify.CheckResult(
-                "require_minimal", False, f"non-minimal entry {witness}"
+    if args.require_minimal:
+        minimal, witness = cyc_complex.minimality_check(C)
+        if not minimal:
+            report.checks.append(
+                resolution_verify.CheckResult(
+                    "require_minimal", False, f"non-minimal entry {witness}"
+                )
             )
-        )
-        ok = False
+            ok = False
     _emit(args, report.to_json_dict(), report.to_text())
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 

@@ -116,13 +116,17 @@ class CycComplex:
     mu: tuple
     bases: list          # bases[k]: srle list of partitions, k = 0..n-1
     index: list          # index[k]: partition -> position
-    diffs: list          # diffs[k]: list of Elems in degree k-1, k >= 1
     shifts: list         # shifts[k][j]: weighted degree of basis element
     tower: OrderTower = field(repr=False)
 
     @property
     def n(self):
         return self.L.n
+
+    @property
+    def diffs(self):
+        """diffs[k]: the tower's images, Elems in degree k-1, k >= 1."""
+        return self.tower.images
 
     def ranks(self):
         return tuple(len(b) for b in self.bases)
@@ -148,14 +152,12 @@ def build_complex(L: CBMatrix) -> CycComplex:
     ctx = GradedContext(n, nu)
     bases = [enumerate_basis(n, k) for k in range(n)]
     index = [{p: i for i, p in enumerate(b)} for b in bases]
-    diffs = [None]
-    for k in range(1, n):
-        diffs.append([boundary(p, L, index[k - 1]) for p in bases[k]])
-
+    tower = OrderTower(ctx)
     shifts = [[0]]
     for k in range(1, n):
+        columns = [boundary(p, L, index[k - 1]) for p in bases[k]]
         level = []
-        for j, f in enumerate(diffs[k]):
+        for j, f in enumerate(columns):
             degs = {
                 ctx.degree(m) + shifts[k - 1][p]
                 for p, poly in f.items()
@@ -167,11 +169,8 @@ def build_complex(L: CBMatrix) -> CycComplex:
                 )
             level.append(degs.pop())
         shifts.append(level)
-
-    tower = OrderTower(ctx)
-    for k in range(1, n):
-        tower.add_level(diffs[k])
-    return CycComplex(L, ctx, mu, bases, index, diffs, shifts, tower)
+        tower.add_level(columns)
+    return CycComplex(L, ctx, mu, bases, index, shifts, tower)
 
 
 def apply_differential(C: CycComplex, k, elem):

@@ -1,8 +1,8 @@
 """Graded polynomial arithmetic and induced module orders.
 
 The lattice ideal lives in Q[x], but every computation here stays in Z:
-every differential coefficient is +-1 and every leading coefficient a unit,
-so division and S-vectors never produce a fraction.
+every differential coefficient is +-1 and the order tower refuses any other
+leading coefficient, so division and S-vectors never produce a fraction.
 
 Representation conventions (kept deliberately plain for speed):
 
@@ -106,15 +106,16 @@ class OrderTower:
     level k-1: a module monomial m*e_i maps to m * Lm(image_i), compared one
     level down, ties resolved by the larger basis index.  The comparison is
     flattened at construction time into, per basis index, an accumulated
-    level-0 monomial and the tuple of basis indices met during the descent;
-    both tables are immutable after add_level, so concurrent readers are
-    safe.
+    level-0 monomial and the tuple of basis indices met during the descent.
+    The tower owns the images and their leading terms; all four tables are
+    immutable after add_level, so concurrent readers are safe.
     """
 
     def __init__(self, ctx: GradedContext):
         self.ctx = ctx
         self.acc = [[ctx.unit()]]   # acc[level][idx]: level-0 monomial
         self.path = [[()]]          # path[level][idx]: descent index tuple
+        self.images = [None]        # images[level][idx]: Elem one level down
         self.lms = [None]           # lms[level][idx]: (coeff, mono, idx) of image
 
     @property
@@ -145,41 +146,38 @@ class OrderTower:
     def add_level(self, images):
         """Append the order induced by the images of the next level's basis.
 
-        ``images`` are nonzero Elems of the current top level.
+        ``images`` are nonzero Elems of the current top level, kept as
+        given; each leading coefficient must be +-1.
         """
         level = self.levels - 1
         lms = [self.leading_module_term(f, level) for f in images]
         acc = []
         path = []
-        for (_, mono, p) in lms:
+        for j, (coeff, mono, p) in enumerate(lms):
+            if coeff not in (1, -1):
+                raise InternalError(f"leading coefficient {coeff} of image {j + 1} is not a unit")
             acc.append(mono_mul(mono, self.acc[level][p]))
             path.append(self.path[level][p] + (p,))
         self.acc.append(acc)
         self.path.append(path)
+        self.images.append(images)
         self.lms.append(lms)
 
 
 # ---------------------------------------------------------------------------
 # division and S-vectors
 
-def _unit_leading_term(elem, tower: OrderTower, level):
-    """Leading term of elem, whose coefficient must be a unit of Z."""
-    lt = tower.leading_module_term(elem, level)
-    if lt[0] not in (1, -1):
-        raise InternalError(f"leading coefficient {lt[0]} is not a unit")
-    return lt
+def divide(g, tower: OrderTower, level):
+    """Standard expression g = sum q_i * image_i + remainder at a level.
 
-
-def divide(g, basis, tower: OrderTower, level):
-    """Standard expression g = sum q_i * basis_i + remainder.
-
-    At every step the current leading term is reduced by the lowest-index
-    basis element whose leading term divides it; irreducible leading terms
-    move to the remainder.  Quotients are plain polynomials.  Every basis
-    leading coefficient must be +-1, so that dividing by it (multiplying by
-    itself) keeps all coefficients in Z.
+    The images are tower.images[level + 1].  At every step the current
+    leading term is reduced by the lowest-index image whose stored leading
+    term divides it; irreducible leading terms move to the remainder.
+    Quotients are plain polynomials; every leading coefficient is +-1, its
+    own inverse, so all coefficients stay in Z.
     """
-    basis_lts = [_unit_leading_term(b, tower, level) for b in basis]
+    basis = tower.images[level + 1]
+    basis_lts = tower.lms[level + 1]
     quotients = [{} for _ in basis]
     remainder = {}
     work = elem_copy(g)
@@ -198,24 +196,30 @@ def divide(g, basis, tower: OrderTower, level):
     return quotients, remainder
 
 
-def s_vector(fi, fj, tower: OrderTower, level):
-    """The leading-term-cancelling combination of two module elements.
-
-    Returns (S, m_ji, m_ij) where S = m_ji*fi - m_ij*fj and each m is a
-    signed monomial (coefficient, exponent vector).  Returns None when the
-    leading terms sit on different basis elements (their least common
-    multiple is zero, so no pair is formed).  Both leading coefficients
-    must be +-1; each is then its own inverse.
+def s_cofactor(tower: OrderTower, level, i, j):
+    """m_ji = Lc(f_i) * LCM(Lm f_i, Lm f_j) / Lm f_i for the images f_i, f_j
+    in tower.images[level + 1], or None when their leading terms sit on
+    different basis elements (the least common multiple is zero).
     """
-    ci, mi, ii = _unit_leading_term(fi, tower, level)
-    cj, mj, ij = _unit_leading_term(fj, tower, level)
+    ci, mi, ii = tower.lms[level + 1][i]
+    _, mj, ij = tower.lms[level + 1][j]
     if ii != ij:
         return None
-    lcm = mono_lcm(mi, mj)
-    m_ji = (ci, mono_div(lcm, mi))
-    m_ij = (cj, mono_div(lcm, mj))
-    s = elem_scale_term(fi, m_ji[0], m_ji[1])
-    elem_combine(s, fj, -m_ij[0], m_ij[1])
+    return ci, mono_div(mono_lcm(mi, mj), mi)
+
+
+def s_vector(tower: OrderTower, level, i, j):
+    """(S, m_ji, m_ij) with S = m_ji*f_i - m_ij*f_j cancelling the leading
+    terms of the images f_i, f_j (cofactors as in s_cofactor), or None when
+    those sit on different basis elements.
+    """
+    m_ji = s_cofactor(tower, level, i, j)
+    if m_ji is None:
+        return None
+    m_ij = s_cofactor(tower, level, j, i)
+    images = tower.images[level + 1]
+    s = elem_scale_term(images[i], m_ji[0], m_ji[1])
+    elem_combine(s, images[j], -m_ij[0], m_ij[1])
     return s, m_ji, m_ij
 
 

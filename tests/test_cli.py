@@ -2,6 +2,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycres import cli
 
@@ -132,6 +134,31 @@ def test_verify_require_minimal_fails_on_cycle(capsys):
     assert "require_minimal" in out
 
 
+def test_verify_runs_the_minimality_pass_once(capsys, monkeypatch):
+    from cycres import cyc_complex, resolution_verify
+
+    calls = []
+    original = cyc_complex.minimality_check
+
+    def counting(C):
+        calls.append(C)
+        return original(C)
+
+    monkeypatch.setattr(cyc_complex, "minimality_check", counting)
+    monkeypatch.setattr(resolution_verify, "minimality_check", counting)
+    code, _, _ = run(capsys, "verify", inst("cycle4.json"), "--max-degree", "2")
+    assert code == 0
+    assert len(calls) == 1
+    calls.clear()
+    code, out, _ = run(
+        capsys, "verify", inst("cycle4.json"), "--max-degree", "2", "--require-minimal"
+    )
+    assert code == 1
+    assert len(calls) == 2
+    line = next(ln for ln in out.splitlines() if "require_minimal" in ln)
+    assert line.endswith("  witness: non-minimal entry (2, 1, 2, -1)")
+
+
 def test_gb_k4(capsys):
     code, out, _ = run(capsys, "gb", inst("k4.json"))
     assert code == 0
@@ -210,3 +237,61 @@ def test_resolve_round_trip_reverify(tmp_path, capsys):
     r2 = rv.full_verify(C, d_max=4, seed=5)
     strip = lambda rep: [(c.name, c.ok, str(c.witness), c.counters) for c in rep.checks]
     assert strip(r1) == strip(r2)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input document ends in exit 0, 2 or 3, never a traceback
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.dictionaries(st.sampled_from(["n", "arcs", "matrix", "from", "to", "w"])
+                          | st.text(max_size=3), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+arc_records = st.fixed_dictionaries(
+    {"from": st.integers(0, 6), "to": st.integers(0, 6), "w": st.integers(-1, 3)}
+)
+
+
+@st.composite
+def weighted_arc_documents(draw):
+    """Arcs between every ordered pair of n <= 5 vertices, weight 0 = absent."""
+    n = draw(st.integers(0, 5))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    arcs = [{"from": a, "to": b, "w": w} for (a, b), w in zip(pairs, weights) if w]
+    return {"n": n, "arcs": arcs}
+
+
+@st.composite
+def small_matrices(draw):
+    """Signed Laplacians of n <= 5 vertices, one entry sometimes changed."""
+    n = draw(st.integers(0, 5))
+    rows = [[-draw(st.integers(0, 3)) if i != j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = -sum(rows[i])
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(-3, 6))
+    return {"matrix": rows}
+
+
+documents = (
+    json_values
+    | st.builds(lambda n, arcs: {"n": n, "arcs": arcs}, st.integers(-1, 5),
+                st.lists(arc_records, max_size=12))
+    | weighted_arc_documents()
+    | small_matrices()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_fuzz_classify_and_verify_exit_codes(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["classify", str(path)]) in (0, 2, 3)
+    assert cli.main(["verify", str(path), "--max-degree", "2"]) in (0, 2, 3)

@@ -115,7 +115,7 @@ def assert_standard_expression(g, basis, quotients, remainder, tower, level):
 def test_divide_basis_element_is_exact(k4_complex):
     C = k4_complex
     g0 = C.diffs[1]
-    q, r = pr.divide(g0[3], g0, C.tower, 0)
+    q, r = pr.divide(g0[3], C.tower, 0)
     assert r == {}
     assert q[3] == {(0, 0, 0, 0): 1}
     assert all(not qq for i, qq in enumerate(q) if i != 3)
@@ -124,8 +124,8 @@ def test_divide_basis_element_is_exact(k4_complex):
 def test_divide_k4_s_pair_reduces_to_zero(k4_complex):
     C = k4_complex
     g0 = C.diffs[1]
-    s, _, _ = pr.s_vector(g0[1], g0[0], C.tower, 0)
-    q, r = pr.divide(s, g0, C.tower, 0)
+    s, _, _ = pr.s_vector(C.tower, 0, 1, 0)
+    q, r = pr.divide(s, C.tower, 0)
     assert r == {}
     assert_standard_expression(s, g0, q, r, C.tower, 0)
 
@@ -133,7 +133,7 @@ def test_divide_k4_s_pair_reduces_to_zero(k4_complex):
 def test_divide_coprime_leading_terms_leave_remainder(k4_complex):
     C = k4_complex
     g = {0: {(0, 0, 0, 2): 1}}  # x4^2: no leading term divides it
-    q, r = pr.divide(g, C.diffs[1], C.tower, 0)
+    q, r = pr.divide(g, C.tower, 0)
     assert r == g
     assert all(not qq for qq in q)
     assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
@@ -144,7 +144,7 @@ def test_divide_prefers_lowest_index_divisor(k4_complex):
     # x1^2*x2^2 (position 4 in srle order) first, pinning the whole run
     C = k4_complex
     g = {0: {(3, 3, 0, 0): 1}}
-    q, r = pr.divide(g, C.diffs[1], C.tower, 0)
+    q, r = pr.divide(g, C.tower, 0)
     assert q[3] == {(1, 1, 0, 0): 1}
     assert q[0] == {(0, 0, 1, 2): 1}
     assert r == {0: {(0, 0, 1, 5): 1}}
@@ -159,20 +159,19 @@ def test_divide_random_standard_expressions(k4_complex):
         for _ in range(rng.randint(1, 4)):
             mono = tuple(rng.randint(0, 3) for _ in range(4))
             pr.elem_add_term(g, 0, rng.choice([-2, -1, 1, 2]), mono)
-        q, r = pr.divide(g, C.diffs[1], C.tower, 0)
+        q, r = pr.divide(g, C.tower, 0)
         assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
 
 
 def test_divide_homogeneous_input_gives_homogeneous_parts(generic4_complex):
     C = generic4_complex
-    g0 = C.diffs[1]
     for i, j in [(1, 0), (4, 2), (6, 5)]:
-        s, _, _ = pr.s_vector(g0[i], g0[j], C.tower, 0)
+        s, _, _ = pr.s_vector(C.tower, 0, i, j)
         if not s:
             continue
         degs = {C.ctx.degree(m) for m in s[0]}
         assert len(degs) == 1
-        q, r = pr.divide(s, g0, C.tower, 0)
+        q, r = pr.divide(s, C.tower, 0)
         assert r == {}
         d = degs.pop()
         for qq, shift in zip(q, C.shifts[1]):
@@ -181,7 +180,7 @@ def test_divide_homogeneous_input_gives_homogeneous_parts(generic4_complex):
 
 def test_s_vector_same_element_is_zero(k4_complex):
     C = k4_complex
-    s, m_ji, m_ij = pr.s_vector(C.diffs[1][0], C.diffs[1][0], C.tower, 0)
+    s, m_ji, m_ij = pr.s_vector(C.tower, 0, 0, 0)
     assert s == {}
     assert m_ji == m_ij == (1, (0, 0, 0, 0))
 
@@ -189,9 +188,8 @@ def test_s_vector_same_element_is_zero(k4_complex):
 def test_s_vector_nested_subsets_generic(generic4_complex):
     # C = {2,3} inside D = {1,2,3}: the quotient monomial is x1^(weight 1->4)
     C = generic4_complex
-    g0 = C.diffs[1]
     a14 = C.L.a[0][3]
-    s, m_ji, m_ij = pr.s_vector(g0[1], g0[0], C.tower, 0)
+    s, m_ji, m_ij = pr.s_vector(C.tower, 0, 1, 0)
     assert m_ji == (1, (a14, 0, 0, 0))
     lt = C.tower.leading_module_term(s, 0)
     lcm_key = C.tower.key(0, pr.mono_mul((a14, 0, 0, 0), C.tower.lms[1][1][1]), 0)
@@ -202,7 +200,7 @@ def test_s_vector_level_one_pair_from_worked_example(generic4_complex):
     # pair (f_{1,5}, f_{1,4}): quotient monomial -x1^(weight 1->4)
     C = generic4_complex
     a14 = C.L.a[0][3]
-    s, m_ji, m_ij = pr.s_vector(C.diffs[2][4], C.diffs[2][3], C.tower, 1)
+    s, m_ji, m_ij = pr.s_vector(C.tower, 1, 4, 3)
     assert m_ji == (-1, (a14, 0, 0, 0))
     assert s
 
@@ -210,15 +208,14 @@ def test_s_vector_level_one_pair_from_worked_example(generic4_complex):
 def test_s_vector_disjoint_leading_basis_elements_no_pair(k4_complex):
     C = k4_complex
     # f_{1,1} leads on e_{1,2}, f_{1,2} on e_{1,3}: no common basis element
-    assert pr.s_vector(C.diffs[2][0], C.diffs[2][1], C.tower, 1) is None
+    assert pr.s_vector(C.tower, 1, 0, 1) is None
 
 
 @pytest.mark.parametrize("i,j", [(i, j) for i in range(7) for j in range(i)])
 def test_s_vector_drops_below_lcm_k4_pairs(k4_complex, i, j):
     # the leading monomial of an S-vector is strictly below the cancelled lcm
     C = k4_complex
-    g0 = C.diffs[1]
-    s, m_ji, m_ij = pr.s_vector(g0[i], g0[j], C.tower, 0)
+    s, m_ji, m_ij = pr.s_vector(C.tower, 0, i, j)
     lcm = pr.mono_lcm(C.tower.lms[1][i][1], C.tower.lms[1][j][1])
     if s:
         _, sm, si = C.tower.leading_module_term(s, 0)
@@ -226,26 +223,32 @@ def test_s_vector_drops_below_lcm_k4_pairs(k4_complex, i, j):
 
 
 # ---------------------------------------------------------------------------
-# integer coefficients: leading coefficients must be units
+# integer coefficients: building the tower refuses a non-unit leading term
 
-def test_divide_rejects_non_unit_leading_coefficient(k4_complex):
+def test_add_level_rejects_non_unit_leading_coefficient(k4_complex):
     C = k4_complex
     doubled = pr.elem_scale_term(C.diffs[1][0], 2, C.ctx.unit())
-    g = {0: {(3, 3, 3, 0): 1}}
-    with pytest.raises(InternalError):
-        pr.divide(g, [doubled], C.tower, 0)
-    with pytest.raises(InternalError):
-        pr.divide(g, list(C.diffs[1]) + [doubled], C.tower, 0)
+    for images in ([doubled], list(C.diffs[1]) + [doubled]):
+        tower = pr.OrderTower(C.ctx)
+        with pytest.raises(InternalError):
+            tower.add_level(images)
+        assert tower.levels == 1
 
 
-def test_s_vector_rejects_non_unit_leading_coefficient(k4_complex):
+def test_add_level_rejects_non_unit_leading_coefficient_at_any_position(k4_complex):
     C = k4_complex
     g0 = C.diffs[1]
     doubled = pr.elem_scale_term(g0[0], 2, C.ctx.unit())
+    for images in ([doubled, g0[1]], [g0[1], doubled]):
+        with pytest.raises(InternalError):
+            pr.OrderTower(C.ctx).add_level(images)
+    # one level up, inside the list of boundary columns
+    tower = pr.OrderTower(C.ctx)
+    tower.add_level(g0)
+    doubled = pr.elem_scale_term(C.diffs[2][3], -2, C.ctx.unit())
     with pytest.raises(InternalError):
-        pr.s_vector(doubled, g0[1], C.tower, 0)
-    with pytest.raises(InternalError):
-        pr.s_vector(g0[1], doubled, C.tower, 0)
+        tower.add_level(C.diffs[2][:3] + [doubled] + C.diffs[2][4:])
+    assert tower.levels == 2
 
 
 # ---------------------------------------------------------------------------
@@ -323,5 +326,5 @@ def test_divide_at_level_one_standard_expressions(k4_complex):
             idx = rng.randrange(7)
             mono = tuple(rng.randint(0, 2) for _ in range(4))
             pr.elem_add_term(g, idx, rng.choice([-1, 1]), mono)
-        q, r = pr.divide(g, g1, C.tower, 1)
+        q, r = pr.divide(g, C.tower, 1)
         assert_standard_expression(g, g1, q, r, C.tower, 1)

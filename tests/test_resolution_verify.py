@@ -5,7 +5,7 @@ import pytest
 from cycres import cyc_complex as cc
 from cycres import graph_core
 from cycres import resolution_verify as rv
-from cycres.poly_ring import divide, elem_scale_term, mono_divides, s_vector
+from cycres.poly_ring import OrderTower, divide, elem_scale_term, mono_divides, s_vector
 
 from conftest import ECHELON6, WEIGHTED4, complex_from_matrix, generic4_matrix
 
@@ -24,7 +24,7 @@ def test_s_poly_closed_form_nested(generic4_complex):
     # its coefficient is the arrow monomial from the outside V into C
     C = generic4_complex
     a = C.L.a
-    s, m_ji, m_ij = s_vector(C.diffs[1][1], C.diffs[1][0], C.tower, 0)
+    s, m_ji, m_ij = s_vector(C.tower, 0, 1, 0)
     formula, l_cd, l_dc = rv.s_poly_closed_form((2, 3), (1, 2, 3), C)
     assert s == formula
     assert l_dc == (0, 0, 0, a[3][1] + a[3][2])
@@ -44,12 +44,12 @@ def test_colon_manual_member_and_nonmember(k4_complex):
     g0 = C.diffs[1]
     t = (0, 0, 0, 1)
     tg = elem_scale_term(g0[0], 1, t)
-    _, rem = divide(tg, g0, C.tower, 0)
+    _, rem = divide(tg, C.tower, 0)
     assert rem == {}
     h = {0: {(1, 0, 0, 0): 1}}  # x1 alone is not in the ideal
-    _, rem_h = divide(h, g0, C.tower, 0)
+    _, rem_h = divide(h, C.tower, 0)
     assert rem_h
-    _, rem_th = divide(elem_scale_term(h, 1, t), g0, C.tower, 0)
+    _, rem_th = divide(elem_scale_term(h, 1, t), C.tower, 0)
     assert rem_th
 
 
@@ -283,6 +283,26 @@ def test_full_verify_calls_checks_by_module_name(k4_complex, monkeypatch):
     failed = [(c.name, c.witness) for c in report.checks if not c.ok]
     assert failed == [("d_squared", "composition nonzero"), ("basis_images_distinct", "replaced")]
     assert calls == [(k4_complex, 3)]
+
+
+@pytest.mark.parametrize("rows", [K4_ROWS, ECHELON6], ids=["k4", "echelon6"])
+def test_column_leading_terms_are_computed_only_by_the_tower(rows, monkeypatch):
+    # the tower derives each column's leading term once, when it is built;
+    # verification reads tower.lms and never derives one again
+    C = complex_from_matrix(rows)
+    columns = {id(f) for level in C.diffs[1:] for f in level}
+    seen = []
+    original = OrderTower.leading_module_term
+
+    def recording(self, elem, level):
+        seen.append(elem)
+        return original(self, elem, level)
+
+    monkeypatch.setattr(OrderTower, "leading_module_term", recording)
+    report = rv.full_verify(C, d_max=2)
+    assert report.passed, report.to_text()
+    assert seen
+    assert not [elem for elem in seen if id(elem) in columns]
 
 
 def test_report_json_shape(k4_complex):
