@@ -180,60 +180,15 @@ def laplacian(g: WeightedDigraph) -> CBMatrix:
     return CBMatrix(g.n, tuple(tuple(row) for row in w))
 
 
-def strongly_connected_components(g: WeightedDigraph):
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
-    n = g.n
-    adj = [[] for _ in range(n + 1)]
-    for s, t, _ in g.arcs:
-        adj[s].append(t)
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    counter = [0]
-
-    def strongconnect(root):
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack.add(v)
-            recurse = False
-            for i in range(pi, len(adj[v])):
-                u = adj[v][i]
-                if u not in index:
-                    work.append((v, i + 1))
-                    work.append((u, 0))
-                    recurse = True
-                    break
-                if u in on_stack:
-                    low[v] = min(low[v], index[u])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack.discard(u)
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    for v in range(1, n + 1):
-        if v not in index:
-            strongconnect(v)
-    return comps
-
-
 def is_strongly_connected(g: WeightedDigraph) -> bool:
-    return len(strongly_connected_components(g)) == 1
+    """Every vertex is reached from vertex n and reaches it."""
+    reverse = WeightedDigraph(g.n, tuple((t, s, w) for s, t, w in g.arcs))
+    try:
+        unweighted_distance(g, g.n)
+        unweighted_distance(reverse, g.n)
+    except NotStronglyConnectedError:
+        return False
+    return True
 
 
 def is_strongly_complete(g: WeightedDigraph) -> bool:

@@ -1,8 +1,10 @@
 """Exact integer and rational linear algebra.
 
 Matrices are lists of rows; integer matrices hold Python ints (arbitrary
-precision), rational ones hold ``fractions.Fraction``.  Nothing here ever
-touches floating point.
+precision), rational ones hold ``fractions.Fraction``.  Determinants use
+Bareiss elimination; ``rank`` is dense elimination over ``Fraction`` (the
+reference) and ``rank_sparse`` a fraction-free row echelon on {column: int}
+rows.  Nothing here ever touches floating point.
 """
 
 from fractions import Fraction
@@ -124,66 +126,33 @@ def rank(m):
 def rank_sparse(rows):
     """Exact rank over the rationals of a sparse integer matrix.
 
-    ``rows`` is an iterable of {column: int} dicts.  Elimination keeps rows
-    integral (cross-multiplication followed by a gcd division), and pivots
-    are chosen to limit fill: sparsest available column first, then the
-    shortest row in it, preferring unit entries.
+    ``rows`` is an iterable of {column: int} dicts; they are not modified.
+    Fraction-free row echelon: the pivot rows are kept by their smallest
+    column.  Each incoming row is reduced by the pivot on its smallest
+    column (cross-multiplied, then divided by its gcd) until its smallest
+    column holds no pivot, when it becomes one, or it vanishes.
     """
-    mat = {}
-    for rid, row in enumerate(rows):
-        cleaned = {c: v for c, v in row.items() if v}
-        if cleaned:
-            mat[rid] = cleaned
-    col_rows = {}
-    for rid, row in mat.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(rid)
-
-    def drop_entry(rid, c):
-        s = col_rows.get(c)
-        if s is not None:
-            s.discard(rid)
-            if not s:
-                del col_rows[c]
-
-    rnk = 0
-    while mat:
-        c = min(col_rows, key=lambda cc: len(col_rows[cc]))
-        pid = min(
-            col_rows[c],
-            key=lambda rr: (abs(mat[rr][c]) != 1, len(mat[rr]), rr),
-        )
-        pivot_row = mat.pop(pid)
-        for cc in pivot_row:
-            drop_entry(pid, cc)
-        rnk += 1
-        a = pivot_row[c]
-        for rid in list(col_rows.get(c, ())):
-            row = mat[rid]
-            b = row.pop(c)
-            drop_entry(rid, c)
-            for cc, pv in pivot_row.items():
-                if cc == c:
-                    continue
-                nv = a * row.get(cc, 0) - b * pv
-                if nv:
-                    if cc not in row:
-                        col_rows.setdefault(cc, set()).add(rid)
-                    row[cc] = nv
-                elif cc in row:
-                    del row[cc]
-                    drop_entry(rid, cc)
+    pivots = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = row
+                break
+            a, b = pivot[c], row[c]
             if a != 1:
                 for cc in row:
-                    if cc not in pivot_row:
-                        row[cc] *= a
-            if not row:
-                del mat[rid]
-                continue
-            g = 0
-            for v in row.values():
-                g = gcd(g, v)
+                    row[cc] *= a
+            for cc, pv in pivot.items():
+                nv = row.get(cc, 0) - b * pv
+                if nv:
+                    row[cc] = nv
+                else:
+                    del row[cc]
+            g = gcd(*row.values())
             if g > 1:
                 for cc in row:
                     row[cc] //= g
-    return rnk
+    return len(pivots)

@@ -76,11 +76,11 @@ def elem_add_term(elem, idx, coeff, mono):
         del elem[idx]
 
 
-def elem_combine(acc, other, coeff=1, mono=None):
+def elem_combine(acc, other, coeff, mono):
     """acc += coeff * x^mono * other, in place."""
     for idx, poly in other.items():
         for m, c in poly.items():
-            elem_add_term(acc, idx, coeff * c, m if mono is None else mono_mul(mono, m))
+            elem_add_term(acc, idx, coeff * c, mono_mul(mono, m))
 
 
 def elem_scale_term(elem, coeff, mono):

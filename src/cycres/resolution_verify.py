@@ -185,12 +185,15 @@ def _random_poly(ctx, rng, terms=3, max_exp=2):
     return poly
 
 
-def verify_colon_stability(C: CycComplex, trials=8, seed=0):
+COLON_TRIALS = 8
+
+
+def verify_colon_stability(C: CycComplex, seed=0):
     """Multiplying by the last variable never changes ideal membership.
 
-    Checks that no degree-0 leading term involves x_n, that random ideal
-    members stay members after multiplication by x_n, and that random
-    non-members stay non-members.
+    Checks that no degree-0 leading term involves x_n, that COLON_TRIALS
+    random ideal members stay members after multiplication by x_n, and that
+    as many random non-members stay non-members.
     """
     g0 = C.diffs[1]
     n = C.n
@@ -200,7 +203,7 @@ def verify_colon_stability(C: CycComplex, trials=8, seed=0):
     rng = random.Random(seed)
     xn = tuple(0 if v != n - 1 else 1 for v in range(n))
     done = 0
-    for _ in range(trials):
+    for _ in range(COLON_TRIALS):
         member = {}
         for _ in range(rng.randint(1, 3)):
             i = rng.randrange(len(g0))
@@ -460,30 +463,35 @@ def monomials_of_degree(nu, d):
     return out
 
 
-def graded_piece_rank(C: CycComplex, k, d, mono_cache):
-    """Exact rank of the degree-d piece of the k-th differential.
+def piece_index(C: CycComplex, k, d, mono_cache):
+    """{(position, monomial): index} numbering the degree-d piece of level k.
 
-    Returns (rank, number of columns).
+    Positions go in basis order, each followed by the monomials of degree d
+    minus its shift; mono_cache holds the monomial lists by degree.
     """
-    def monos(deg):
-        if deg not in mono_cache:
-            mono_cache[deg] = monomials_of_degree(C.ctx.nu, deg)
-        return mono_cache[deg]
+    index = {}
+    for p, shift in enumerate(C.shifts[k]):
+        e = d - shift
+        if e not in mono_cache:
+            mono_cache[e] = monomials_of_degree(C.ctx.nu, e)
+        for beta in mono_cache[e]:
+            index[(p, beta)] = len(index)
+    return index
 
-    row_ids = {}
-    for p in range(len(C.bases[k - 1])):
-        for beta in monos(d - C.shifts[k - 1][p]):
-            row_ids[(p, beta)] = len(row_ids)
-    rows = [dict() for _ in row_ids]
-    ncols = 0
-    for j, f in enumerate(C.diffs[k]):
-        for alpha in monos(d - C.shifts[k][j]):
-            for p, poly in f.items():
-                for mono, coeff in poly.items():
-                    rid = row_ids[(p, mono_mul(alpha, mono))]
-                    rows[rid][ncols] = rows[rid].get(ncols, 0) + coeff
-            ncols += 1
-    return rank_sparse(rows), ncols
+
+def graded_piece_rank(C: CycComplex, k, row_index, col_index):
+    """Exact rank of one graded piece of the k-th differential.
+
+    row_index and col_index are the piece_index maps of levels k-1 and k in
+    the same degree.  Returns (rank, number of columns).
+    """
+    rows = [dict() for _ in row_index]
+    for col, (j, alpha) in enumerate(col_index):
+        for p, poly in C.diffs[k][j].items():
+            for mono, coeff in poly.items():
+                row = rows[row_index[(p, mono_mul(alpha, mono))]]
+                row[col] = row.get(col, 0) + coeff
+    return rank_sparse(rows), len(col_index)
 
 
 def graded_homology_oracle(C: CycComplex, d_max):
@@ -498,14 +506,16 @@ def graded_homology_oracle(C: CycComplex, d_max):
     degrees = 0
     for d in range(d_max + 1):
         mono_cache = {}
-        ranks = {}
+        # level 0 is one generator of degree 0: this caches all of degree d
+        below = piece_index(C, 0, d, mono_cache)
+        ranks = {n: 0}
         cols = {}
         for k in range(1, n):
-            ranks[k], cols[k] = graded_piece_rank(C, k, d, mono_cache)
-        ranks[n] = 0
-        all_d = monomials_of_degree(C.ctx.nu, d)
+            level = piece_index(C, k, d, mono_cache)
+            ranks[k], cols[k] = graded_piece_rank(C, k, below, level)
+            below = level
         in_lt = sum(
-            1 for m in all_d if any(mono_divides(g, m) for g in lt_monos)
+            1 for m in mono_cache[d] if any(mono_divides(g, m) for g in lt_monos)
         )
         if ranks[1] != in_lt:
             return False, (
@@ -535,14 +545,18 @@ def count_monomials(nu, d_top):
     return counts
 
 
-def default_d_max(C: CycComplex, cap=12, max_cols=6000):
+DEGREE_CAP = 12
+MAX_PIECE_COLS = 6000
+
+
+def default_d_max(C: CycComplex):
     """Degree bound for the exactness oracle: twice the top shift, capped.
 
-    Degrees whose graded pieces would exceed max_cols columns in some
+    Degrees whose graded pieces would exceed MAX_PIECE_COLS columns in some
     position are dropped from the default range; an explicit --max-degree
     overrides this guard.
     """
-    bound = min(2 * max(C.shifts[C.n - 1]), cap)
+    bound = min(2 * max(C.shifts[C.n - 1]), DEGREE_CAP)
     counts = count_monomials(C.ctx.nu, bound)
     safe = -1
     for d in range(bound + 1):
@@ -550,7 +564,7 @@ def default_d_max(C: CycComplex, cap=12, max_cols=6000):
             sum(counts[d - s] for s in C.shifts[k] if s <= d)
             for k in range(1, C.n)
         )
-        if widest > max_cols:
+        if widest > MAX_PIECE_COLS:
             break
         safe = d
     return max(safe, 0)

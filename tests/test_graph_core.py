@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycres import graph_core, intlinalg
 from cycres.errors import (
@@ -206,6 +208,37 @@ def test_classification_matches_reachability_closure():
         hits[cls] += 1
         assert (cls in ("ICB", "PCB")) == reachability_closure(g)
     assert hits["CB"] > 0 and hits["ICB"] > 0
+
+
+@st.composite
+def arc_sets(draw):
+    """(n, free, closed): arbitrary weighted arcs, and one drawn outgoing and
+    one drawn incoming arc at every vertex, sometimes with the free ones."""
+    n = draw(st.integers(2, 6))
+    weight = st.integers(1, 3)
+    arc = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda a: a[0] != a[1])
+    free = draw(st.dictionaries(arc, weight, max_size=2 * n))
+    closed = dict(free) if draw(st.booleans()) else {}
+    for v in range(1, n + 1):
+        other = st.integers(1, n).filter(lambda u: u != v)
+        closed.setdefault((v, draw(other)), draw(weight))
+        closed.setdefault((draw(other), v), draw(weight))
+    return n, free, closed
+
+
+@settings(max_examples=300, deadline=None)
+@given(arc_sets())
+def test_strong_connectivity_matches_reachability_closure(case):
+    n, free, closed = case
+    for weights in (free, closed):
+        g = graph_core.WeightedDigraph(
+            n, tuple((s, t, w) for (s, t), w in sorted(weights.items()))
+        )
+        connected = reachability_closure(g)
+        assert graph_core.is_strongly_connected(g) == connected
+    # closed has no sink and no source, so it has a Laplacian to classify
+    expected = "PCB" if len(closed) == n * (n - 1) else "ICB" if connected else "CB"
+    assert graph_core.classify(graph_core.laplacian(g)) == expected
 
 
 def test_icb_rows_independent_and_enumeration_reaches_echelon():

@@ -127,27 +127,46 @@ def test_icb_any_three_rows_independent():
         assert intlinalg.rank(sub) == 3
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
-    st.integers(2, 6),
-    st.integers(2, 6),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(1, 4),
     st.data(),
 )
-def test_rank_sparse_matches_dense(nrows, ncols, data):
-    entries = data.draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, nrows - 1),
-                st.integers(0, ncols - 1),
-                st.integers(-3, 3),
-            ),
-            max_size=nrows * ncols,
+def test_rank_sparse_matches_dense(nrows, ncols, nbase, data):
+    # rows are freshly drawn, integer combinations of a few drawn rows,
+    # repeats or zero, so that most matrices are rank-deficient and rows
+    # reduce to zero
+    def drawn_row():
+        row = [0] * ncols
+        entries = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, ncols - 1), st.integers(-3, 3)),
+                max_size=ncols,
+            )
         )
-    )
-    dense = [[0] * ncols for _ in range(nrows)]
-    for r, c, v in entries:
-        dense[r][c] = v
+        for c, v in entries:
+            row[c] = v
+        return row
+
+    base = [drawn_row() for _ in range(nbase)]
+    dense = []
+    for _ in range(nrows):
+        kind = data.draw(st.sampled_from(["drawn", "combination", "repeat", "zero"]))
+        if kind == "drawn":
+            row = drawn_row()
+        elif kind == "combination":
+            coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=nbase, max_size=nbase))
+            row = [sum(a * b[c] for a, b in zip(coeffs, base)) for c in range(ncols)]
+        elif kind == "repeat" and dense:
+            row = list(data.draw(st.sampled_from(dense)))
+        else:
+            row = [0] * ncols
+        dense.append(row)
     sparse = [
         {c: v for c, v in enumerate(row) if v} for row in dense
     ]
+    before = [dict(row) for row in sparse]
     assert intlinalg.rank_sparse(sparse) == intlinalg.rank(dense)
+    assert sparse == before

@@ -33,8 +33,9 @@ def test_s_poly_closed_form_nested(generic4_complex):
 
 
 def test_colon_stability_k4(k4_complex):
-    ok, witness, _ = rv.verify_colon_stability(k4_complex, trials=6, seed=1)
+    ok, witness, counters = rv.verify_colon_stability(k4_complex, seed=1)
     assert ok, witness
+    assert counters["trials"] == rv.COLON_TRIALS
     # no leading term involves the last variable
     assert all(lt[1][3] == 0 for lt in k4_complex.tower.lms[1])
 
@@ -204,9 +205,13 @@ def test_monomials_of_degree():
 
 
 def test_graded_pieces_vanish_at_degree_zero(k4_complex):
+    cache = {}
+    below = rv.piece_index(k4_complex, 0, 0, cache)
     for k in range(1, 4):
-        rank, ncols = rv.graded_piece_rank(k4_complex, k, 0, {})
+        level = rv.piece_index(k4_complex, k, 0, cache)
+        rank, ncols = rv.graded_piece_rank(k4_complex, k, below, level)
         assert ncols == 0 and rank == 0
+        below = level
 
 
 def test_homology_oracle_k4_small_degrees(k4_complex):
@@ -316,7 +321,6 @@ def test_report_json_shape(k4_complex):
 
 def test_default_d_max(k4_complex):
     assert rv.default_d_max(k4_complex) == 12
-    assert rv.default_d_max(k4_complex, cap=8) == 8
 
 
 def test_random_icb_instances_fully_verify():
@@ -344,12 +348,16 @@ def test_graded_piece_ranks_match_dense_oracle():
     for C in instances:
         for d in range(0, 7):
             cache = {}
+            below = rv.piece_index(C, 0, d, cache)
             for k in range(1, C.n):
-                sparse_rank, ncols = rv.graded_piece_rank(C, k, d, cache)
+                level = rv.piece_index(C, k, d, cache)
+                sparse_rank, ncols = rv.graded_piece_rank(C, k, below, level)
                 row_ids = {}
                 for p in range(len(C.bases[k - 1])):
                     for beta in rv.monomials_of_degree(C.ctx.nu, d - C.shifts[k - 1][p]):
                         row_ids[(p, beta)] = len(row_ids)
+                assert below == row_ids
+                below = level
                 cols = []
                 for j, f in enumerate(C.diffs[k]):
                     for alpha in rv.monomials_of_degree(C.ctx.nu, d - C.shifts[k][j]):

@@ -36,3 +36,38 @@ def test_traced_layer_and_check_functions_exist():
         assert callable(owner), f"{mod_name}.{attr}"
     for check, fn_name in tables["CHECK_FUNCTIONS"].items():
         assert callable(getattr(cycres.resolution_verify, fn_name)), check
+
+
+def test_oracle_calls_keep_the_shape_the_tracer_reads(k4_complex, monkeypatch):
+    # the tracer counts rank_sparse rows and nonzeros from its argument,
+    # oracle columns from graded_piece_rank's result, and takes the oracle's
+    # assembly time as graded_piece_rank time minus the rank_sparse time
+    # inside it; both are looked up through resolution_verify
+    rv = cycres.resolution_verify
+    open_pieces = []
+    ranks, pieces = [], []
+    rank_sparse, graded_piece_rank = rv.rank_sparse, rv.graded_piece_rank
+
+    def recording_rank(rows):
+        ranks.append((len(open_pieces), rows))
+        return rank_sparse(rows)
+
+    def recording_piece(*args):
+        open_pieces.append(args)
+        result = graded_piece_rank(*args)
+        open_pieces.pop()
+        pieces.append(result)
+        return result
+
+    monkeypatch.setattr(rv, "rank_sparse", recording_rank)
+    monkeypatch.setattr(rv, "graded_piece_rank", recording_piece)
+    ok, witness, counters = rv.graded_homology_oracle(k4_complex, 6)
+    assert ok, witness
+    assert counters["degrees"] == 7
+    assert len(ranks) == len(pieces) == 21
+    for inside, rows in ranks:
+        assert inside == 1
+        assert isinstance(rows, list) and all(isinstance(row, dict) for row in rows)
+    for result in pieces:
+        assert isinstance(result, tuple) and len(result) == 2
+        assert all(type(x) is int for x in result)
