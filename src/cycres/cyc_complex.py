@@ -116,7 +116,6 @@ class CycComplex:
     mu: tuple
     bases: list          # bases[k]: srle list of partitions, k = 0..n-1
     index: list          # index[k]: partition -> position
-    shifts: list         # shifts[k][j]: weighted degree of basis element
     tower: OrderTower = field(repr=False)
 
     @property
@@ -125,8 +124,13 @@ class CycComplex:
 
     @property
     def diffs(self):
-        """diffs[k]: the tower's images, Elems in degree k-1, k >= 1."""
+        """diffs[k]: the tower's columns, in degree k-1, k >= 1."""
         return self.tower.images
+
+    @property
+    def shifts(self):
+        """shifts[k][j]: weighted degree of basis element j in degree k."""
+        return self.tower.shifts
 
     def ranks(self):
         return tuple(len(b) for b in self.bases)
@@ -137,7 +141,7 @@ def build_complex(L: CBMatrix) -> CycComplex:
 
     The matrix must be irreducible and already in block echelon form (use
     graph_core.prepare to reach it); homogeneity of every differential
-    column is checked on the way.
+    column is checked by the order tower.
     """
     cls = classify(L)
     if cls == "CB":
@@ -153,42 +157,26 @@ def build_complex(L: CBMatrix) -> CycComplex:
     bases = [enumerate_basis(n, k) for k in range(n)]
     index = [{p: i for i, p in enumerate(b)} for b in bases]
     tower = OrderTower(ctx)
-    shifts = [[0]]
     for k in range(1, n):
-        columns = [boundary(p, L, index[k - 1]) for p in bases[k]]
-        level = []
-        for j, f in enumerate(columns):
-            degs = {
-                ctx.degree(m) + shifts[k - 1][p]
-                for p, poly in f.items()
-                for m in poly
-            }
-            if len(degs) != 1:
-                raise InternalError(
-                    f"inhomogeneous differential column {j + 1} in degree {k}"
-                )
-            level.append(degs.pop())
-        shifts.append(level)
-        tower.add_level(columns)
-    return CycComplex(L, ctx, mu, bases, index, shifts, tower)
+        tower.add_level([boundary(p, L, index[k - 1]) for p in bases[k]])
+    return CycComplex(L, ctx, mu, bases, index, tower)
 
 
-def apply_differential(C: CycComplex, k, elem):
-    """Image under the degree-k differential of an element of C_k."""
+def apply_differential(C: CycComplex, k, column):
+    """Image under the degree-k differential of a column in C_k."""
     out = {}
-    for j, poly in elem.items():
-        for mono, coeff in poly.items():
-            elem_combine(out, C.diffs[k][j], coeff, mono)
+    for coeff, mono, j in column:
+        elem_combine(out, C.diffs[k][j], coeff, mono)
     return out
 
 
-def check_d_squared(C: CycComplex) -> bool:
+def check_d_squared(C: CycComplex):
     """Direct composition of consecutive differentials is zero."""
     for k in range(2, C.n):
-        for f in C.diffs[k]:
+        for j, f in enumerate(C.diffs[k]):
             if apply_differential(C, k - 1, f):
-                return False
-    return True
+                return False, f"composition nonzero on column {j + 1} in degree {k}", {}
+    return True, None, {}
 
 
 def leading_term_formula(C: CycComplex, k, j):
@@ -200,28 +188,27 @@ def leading_term_formula(C: CycComplex, k, j):
     return ((-1) ** (k - 1), mono, idx)
 
 
-def check_leading_terms(C: CycComplex) -> bool:
+def check_leading_terms(C: CycComplex):
     """Every differential column's maximal term matches the closed formula."""
     for k in range(1, C.n):
         for j in range(len(C.bases[k])):
-            found = C.tower.lms[k][j]
-            if found != leading_term_formula(C, k, j):
-                return False
-    return True
+            if C.tower.lms[k][j] != leading_term_formula(C, k, j):
+                return False, f"formula mismatch on column {j + 1} in degree {k}", {}
+    return True, None, {}
 
 
 def minimality_check(C: CycComplex):
     """(True, None) when no differential entry has a constant term.
 
     Otherwise returns (False, (k, source index, target index, coefficient))
-    for one offending entry.
+    for the first offending entry: lowest k, then source, then target.
     """
     unit = C.ctx.unit()
     for k in range(1, C.n):
         for j, f in enumerate(C.diffs[k]):
-            for p, poly in f.items():
-                if unit in poly:
-                    return False, (k, j, p, poly[unit])
+            constants = [(p, coeff) for coeff, mono, p in f if mono == unit]
+            if constants:
+                return False, (k, j, *min(constants))
     return True, None
 
 
@@ -233,7 +220,7 @@ def to_json_dict(C: CycComplex):
         "shifts": [list(level) for level in C.shifts],
         "diffs": [
             [
-                {"basis": j + 1, "poly": elem_str(f, C.tower, k - 1)}
+                {"basis": j + 1, "poly": elem_str(f, k - 1)}
                 for j, f in enumerate(C.diffs[k])
             ]
             for k in range(1, C.n)

@@ -9,8 +9,13 @@ Representation conventions (kept deliberately plain for speed):
     monomial   tuple of n nonnegative ints (the exponent vector)
     Poly       dict {monomial: int}, no zero coefficients stored
     Elem       dict {basis index: Poly}, no zero polynomials stored
+    column     tuple of (coeff, monomial, basis index) terms, strictly
+               decreasing in the module order one level down
 
-Free-module elements of the degree-0 ring are Elems concentrated on index 0.
+Elems are the mutable accumulators (division work and remainders, S-vectors,
+sampled ideal members); each differential column is stored once, as a
+column, by the order tower, so its first term is its leading term.
+Free-module elements of the degree-0 ring live on basis index 0.
 The monomial order is the weighted reverse lexicographic order with positive
 integer weights nu: higher weighted degree wins, ties broken by the
 rightmost nonzero coordinate of the difference being negative.  Module
@@ -76,11 +81,10 @@ def elem_add_term(elem, idx, coeff, mono):
         del elem[idx]
 
 
-def elem_combine(acc, other, coeff, mono):
-    """acc += coeff * x^mono * other, in place."""
-    for idx, poly in other.items():
-        for m, c in poly.items():
-            elem_add_term(acc, idx, coeff * c, mono_mul(mono, m))
+def elem_combine(acc, column, coeff, mono):
+    """acc += coeff * x^mono * column, in place."""
+    for c, m, idx in column:
+        elem_add_term(acc, idx, coeff * c, mono_mul(mono, m))
 
 
 def elem_scale_term(elem, coeff, mono):
@@ -102,21 +106,23 @@ class OrderTower:
     """Monomial orders on the free modules of a resolution chain.
 
     Level 0 is the ring itself (a free module of rank 1) ordered by wrlo.
-    Level k >= 1 is ordered through the enumerated images of its basis in
-    level k-1: a module monomial m*e_i maps to m * Lm(image_i), compared one
-    level down, ties resolved by the larger basis index.  The comparison is
-    flattened at construction time into, per basis index, an accumulated
-    level-0 monomial and the tuple of basis indices met during the descent.
-    The tower owns the images and their leading terms; all four tables are
-    immutable after add_level, so concurrent readers are safe.
+    Level k >= 1 is ordered through the differential columns of its basis
+    in level k-1: a module monomial m*e_i maps to m * Lm(column_i), compared
+    one level down, ties resolved by the larger basis index.  The comparison
+    is flattened at construction time into, per basis index, an accumulated
+    level-0 monomial and the path of basis indices met during the descent,
+    its own index last.  The tower owns the columns, their leading terms and
+    the degree shifts; every table is immutable after add_level, so
+    concurrent readers are safe.
     """
 
     def __init__(self, ctx: GradedContext):
         self.ctx = ctx
         self.acc = [[ctx.unit()]]   # acc[level][idx]: level-0 monomial
-        self.path = [[()]]          # path[level][idx]: descent index tuple
-        self.images = [None]        # images[level][idx]: Elem one level down
-        self.lms = [None]           # lms[level][idx]: (coeff, mono, idx) of image
+        self.path = [[(0,)]]        # path[level][idx]: descent indices, idx last
+        self.images = [None]        # images[level][idx]: column one level down
+        self.lms = [None]           # lms[level][idx]: images[level][idx][0]
+        self.shifts = [[0]]         # shifts[level][idx]: degree of acc[level][idx]
 
     @property
     def levels(self):
@@ -126,7 +132,7 @@ class OrderTower:
         """Sortable key for the module monomial x^mono * e_idx at a level."""
         return (
             wrlo_key(mono_mul(mono, self.acc[level][idx]), self.ctx),
-            self.path[level][idx] + (idx,),
+            self.path[level][idx],
         )
 
     def leading_module_term(self, elem, level):
@@ -143,25 +149,44 @@ class OrderTower:
                     best = (coeff, mono, idx)
         return best
 
-    def add_level(self, images):
-        """Append the order induced by the images of the next level's basis.
+    def add_level(self, elems):
+        """Append the order induced by the next level's differential columns.
 
-        ``images`` are nonzero Elems of the current top level, kept as
-        given; each leading coefficient must be +-1.
+        ``elems`` are nonzero Elems of the current top level.  Each term is
+        keyed once; each Elem is stored as a column, its first term is its
+        leading term, whose coefficient must be +-1, and the degree part
+        of its keys, which must be one value, is its shift.  Nothing is
+        appended when a column is refused.
         """
         level = self.levels - 1
-        lms = [self.leading_module_term(f, level) for f in images]
-        acc = []
-        path = []
-        for j, (coeff, mono, p) in enumerate(lms):
+        images, acc, path, shifts = [], [], [], []
+        for j, elem in enumerate(elems):
+            keyed = sorted(
+                ((self.key(level, mono, idx), (coeff, mono, idx))
+                 for idx, poly in elem.items() for mono, coeff in poly.items()),
+                reverse=True,
+            )
+            if not keyed:
+                raise ZeroElementError(f"zero differential column {j + 1} in degree {level + 1}")
+            # keys order by degree first, so the first and last terms bound it
+            degree = keyed[0][0][0][0]
+            if keyed[-1][0][0][0] != degree:
+                raise InternalError(
+                    f"inhomogeneous differential column {j + 1} in degree {level + 1}"
+                )
+            column = tuple(term for _, term in keyed)
+            coeff, mono, p = column[0]
             if coeff not in (1, -1):
                 raise InternalError(f"leading coefficient {coeff} of image {j + 1} is not a unit")
+            images.append(column)
             acc.append(mono_mul(mono, self.acc[level][p]))
-            path.append(self.path[level][p] + (p,))
+            path.append(self.path[level][p] + (j,))
+            shifts.append(degree)
         self.acc.append(acc)
         self.path.append(path)
         self.images.append(images)
-        self.lms.append(lms)
+        self.lms.append([column[0] for column in images])
+        self.shifts.append(shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +243,8 @@ def s_vector(tower: OrderTower, level, i, j):
         return None
     m_ij = s_cofactor(tower, level, j, i)
     images = tower.images[level + 1]
-    s = elem_scale_term(images[i], m_ji[0], m_ji[1])
+    s = {}
+    elem_combine(s, images[i], m_ji[0], m_ji[1])
     elem_combine(s, images[j], -m_ij[0], m_ij[1])
     return s, m_ji, m_ij
 
@@ -238,25 +264,18 @@ def _term_str(coeff, mono, suffix=""):
     return "*".join(factors) + suffix
 
 
-def elem_str(elem, tower: OrderTower, level):
-    """Render a module element, terms in decreasing order, e[k,j] 1-based.
+def elem_str(column, level):
+    """Render a column in its stored order, e[k,j] 1-based.
 
     Level 0 is the ring itself, so its single basis element is left implicit.
     """
-    if not elem:
+    if not column:
         return "0"
-    terms = [
-        (tower.key(level, mono, idx), coeff, mono, idx)
-        for idx, poly in elem.items()
-        for mono, coeff in poly.items()
-    ]
-    terms.sort(key=lambda t: t[0], reverse=True)
     out = []
-    for _, coeff, mono, idx in terms:
+    for coeff, mono, idx in column:
         sep = "" if not out else (" + " if coeff > 0 else " - ")
         if not out and coeff < 0:
             sep = "-"
         suffix = "" if level == 0 else f"·e[{level},{idx + 1}]"
         out.append(sep + _term_str(coeff, mono, suffix))
     return "".join(out)
-

@@ -1,4 +1,5 @@
 import pathlib
+import random
 import sys
 
 import pytest
@@ -31,6 +32,37 @@ GENERIC4_WEIGHTS = [
     [7, 8, 0, 9],
     [10, 11, 12, 0],
 ]
+
+
+def random_icb_digraph(n, rng: random.Random, extra=None, max_weight=3):
+    """Random strongly connected digraph: a Hamiltonian cycle plus extras.
+
+    The cycle guarantees strong connectivity; extra arcs (default about n of
+    them) exercise non-complete shapes.  Weights are 1..max_weight.
+    """
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    arcs = {}
+    for a, b in zip(order, order[1:] + order[:1]):
+        arcs[(a, b)] = rng.randint(1, max_weight)
+    if extra is None:
+        extra = n
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+             if a != b and (a, b) not in arcs]
+    rng.shuffle(pairs)
+    for a, b in pairs[:extra]:
+        arcs[(a, b)] = rng.randint(1, max_weight)
+    return graph_core.WeightedDigraph(
+        n, tuple((a, b, w) for (a, b), w in sorted(arcs.items()))
+    )
+
+
+def column_elem(column):
+    """The Elem {basis index: Poly} holding the terms of a stored column."""
+    elem = {}
+    for coeff, mono, idx in column:
+        elem_add_term(elem, idx, coeff, mono)
+    return elem
 
 
 def k4_digraph():
@@ -102,15 +134,14 @@ def _parse_term(text, n):
     return coeff, tuple(mono), suffix_idx
 
 
-def parse_elem(text, n):
-    """Inverse of poly_ring.elem_str (level information is discarded).
-
-    A level-0 polynomial comes back as an Elem on basis index 0.
+def parse_column(text, n):
+    """Inverse of poly_ring.elem_str: the (coeff, mono, idx) terms in text
+    order (level information is discarded; level 0 gives index 0).
     """
     if text.strip() == "0":
-        return {}
+        return ()
     pieces = text.replace(" - ", "\x00-").replace(" + ", "\x00").split("\x00")
-    elem = {}
+    terms = []
     for piece in pieces:
         piece = piece.strip()
         sign = 1
@@ -118,5 +149,10 @@ def parse_elem(text, n):
             sign = -sign
             piece = piece[1:]
         coeff, mono, idx = _parse_term(piece, n)
-        elem_add_term(elem, 0 if idx is None else idx, sign * coeff, mono)
-    return elem
+        terms.append((sign * coeff, mono, 0 if idx is None else idx))
+    return tuple(terms)
+
+
+def parse_elem(text, n):
+    """parse_column as an Elem; a level-0 polynomial sits on basis index 0."""
+    return column_elem(parse_column(text, n))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cycres import cli
 
-from conftest import INSTANCES, parse_elem
+from conftest import INSTANCES, parse_column
 
 
 def run(capsys, *args):
@@ -159,18 +159,21 @@ def test_verify_runs_the_minimality_pass_once(capsys, monkeypatch):
     assert line.endswith("  witness: non-minimal entry (2, 1, 2, -1)")
 
 
+K4_GB = [
+    "x1*x2*x3 - x4^3",
+    "x2^2*x3^2 - x1^2*x4^2",
+    "x1^2*x3^2 - x2^2*x4^2",
+    "x1^2*x2^2 - x3^2*x4^2",
+    "x3^3 - x1*x2*x4",
+    "x2^3 - x1*x3*x4",
+    "x1^3 - x2*x3*x4",
+]
+
+
 def test_gb_k4(capsys):
     code, out, _ = run(capsys, "gb", inst("k4.json"))
     assert code == 0
-    assert out.splitlines() == [
-        "x1*x2*x3 - x4^3",
-        "x2^2*x3^2 - x1^2*x4^2",
-        "x1^2*x3^2 - x2^2*x4^2",
-        "x1^2*x2^2 - x3^2*x4^2",
-        "x3^3 - x1*x2*x4",
-        "x2^3 - x1*x3*x4",
-        "x1^3 - x2*x3*x4",
-    ]
+    assert out.splitlines() == K4_GB
 
 
 def test_homology_command(capsys):
@@ -209,6 +212,59 @@ def test_resolve_output_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == RESOLVE_SHA256[name]
 
 
+def test_resolve_and_gb_render_the_stored_column_order(tmp_path, capsys, monkeypatch):
+    # the tower keys each term once, when it stores the column; export and
+    # gb print the stored order and compute no key
+    from cycres import cyc_complex, graph_core
+    from cycres.poly_ring import OrderTower
+
+    g = graph_core.parse_digraph((INSTANCES / "k4.json").read_text())
+    C = cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)))
+    expected = cyc_complex.export_json(C, indent=2)
+
+    def refuse(*args):
+        raise AssertionError("OrderTower.key called after the build")
+
+    monkeypatch.setattr(cyc_complex, "build_complex", lambda M: C)
+    monkeypatch.setattr(OrderTower, "key", refuse)
+    assert cyc_complex.export_json(C, indent=2) == expected
+    out_path = tmp_path / "k4.json"
+    assert run(capsys, "resolve", inst("k4.json"), "--out", str(out_path))[0] == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == RESOLVE_SHA256["k4"]
+    code, out, _ = run(capsys, "gb", inst("k4.json"))
+    assert code == 0
+    assert out.splitlines() == K4_GB
+    code, out, _ = run(capsys, "gb", inst("k4.json"), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"groebner_basis": K4_GB}
+
+
+# sha256 of the `cycres verify --format json` report with its "instance"
+# field and every "millis" field removed, keys sorted; pinned from the code
+# before differential columns were stored in module order.  Same verdicts,
+# counters and witness text on every verifiable bundled instance.
+VERIFY_SHA256 = {
+    "cycle4": "09e9826bd6b21293b3b33036f8450948d9d1d0b9cd463fcadf1794bc7e0a86f7",
+    "cycle4_arcs": "09e9826bd6b21293b3b33036f8450948d9d1d0b9cd463fcadf1794bc7e0a86f7",
+    "echelon6": "a567b55d2e4a6e315d7cd54001fac37e9321bc3967074195d4325a9e404c2793",
+    "k4": "2d1468d681829e8f1d0344b6307846840b37f080f4630944cc02242f9efe7f94",
+    "weighted4": "105976b5efcdfb4ab9bcf95bb1d158f47b3f2016bbbc97e90f3f8623631d7762",
+    "weighted4_echelon": "105976b5efcdfb4ab9bcf95bb1d158f47b3f2016bbbc97e90f3f8623631d7762",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_SHA256))
+def test_verify_report_pinned(capsys, name):
+    code, out, _ = run(capsys, "verify", inst(f"{name}.json"), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc.pop("instance") == inst(f"{name}.json")
+    for check in doc["checks"]:
+        assert type(check.pop("millis")) is int
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == VERIFY_SHA256[name]
+
+
 def test_resolve_byte_stable(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "resolve", inst("k4.json"), "--out", str(a))[0] == 0
@@ -229,7 +285,7 @@ def test_resolve_round_trip_reverify(tmp_path, capsys):
     assert doc["nu"] == list(C.ctx.nu)
     for k in range(1, C.n):
         for j, col in enumerate(doc["diffs"][k - 1]):
-            assert parse_elem(col["poly"], C.n) == C.diffs[k][j]
+            assert parse_column(col["poly"], C.n) == C.diffs[k][j]
     # verifying the rebuilt complex reproduces the same verdicts
     from cycres import resolution_verify as rv
 

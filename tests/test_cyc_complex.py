@@ -11,9 +11,11 @@ from conftest import (
     ECHELON6,
     REDUCIBLE,
     WEIGHTED4,
+    column_elem,
     complex_from_matrix,
     generic4_matrix,
-    parse_elem,
+    parse_column,
+    random_icb_digraph,
 )
 
 
@@ -136,7 +138,7 @@ def test_boundary_level2_generic_example(generic4_complex):
         C.index[1][P([2, 3], [1, 4])]: {(a[0][3], 0, 0, 0): -1},
         C.index[1][P([1], [2, 3, 4])]: {(0, 0, 0, a[3][1] + a[3][2]): -1},
     }
-    assert f == expected
+    assert column_elem(f) == expected
 
 
 def test_boundary_level3_signs(generic4_complex):
@@ -151,7 +153,7 @@ def test_boundary_level3_signs(generic4_complex):
         C.index[2][P([3], [2], [1, 4])]: {(a[0][3], 0, 0, 0): 1},
         C.index[2][P([2], [1], [3, 4])]: {(0, 0, 0, a[3][2]): -1},
     }
-    assert f == expected
+    assert column_elem(f) == expected
 
 
 def test_boundary_singletons_give_column_binomials(generic4_complex):
@@ -166,7 +168,7 @@ def test_boundary_singletons_give_column_binomials(generic4_complex):
         col = [rows[r][i - 1] for r in range(n)]
         plus = tuple(max(x, 0) for x in col)
         minus = tuple(max(-x, 0) for x in col)
-        assert f == {0: {plus: 1, minus: -1}}
+        assert column_elem(f) == {0: {plus: 1, minus: -1}}
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +180,7 @@ def test_build_complex_ranks(k4_complex):
 
 def test_differential_coefficients_are_int(k4_complex):
     for C in (k4_complex, complex_from_matrix(ECHELON6)):
-        coeffs = [c for k in range(1, C.n) for f in C.diffs[k]
-                  for poly in f.values() for c in poly.values()]
+        coeffs = [c for k in range(1, C.n) for f in C.diffs[k] for c, _, _ in f]
         assert coeffs and all(type(c) is int for c in coeffs)
 
 
@@ -187,8 +188,6 @@ def test_build_complex_ranks_n3_and_n5():
     g3 = graph_core.validate_digraph(3, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (1, 3, 2)])
     C3 = cc.build_complex(graph_core.prepare(graph_core.laplacian(g3)))
     assert C3.ranks() == (1, 3, 2)
-
-    from cycres.resolution_verify import random_icb_digraph
 
     g5 = random_icb_digraph(5, random.Random(1))
     C5 = cc.build_complex(graph_core.prepare(graph_core.laplacian(g5)))
@@ -212,9 +211,8 @@ def test_shifts_are_homogeneous_degrees(generic4_complex):
     assert C.shifts[0] == [0]
     for k in range(1, C.n):
         for j, f in enumerate(C.diffs[k]):
-            for p, poly in f.items():
-                for mono in poly:
-                    assert C.ctx.degree(mono) + C.shifts[k - 1][p] == C.shifts[k][j]
+            for _, mono, p in f:
+                assert C.ctx.degree(mono) + C.shifts[k - 1][p] == C.shifts[k][j]
 
 
 def test_euler_characteristic_vanishes(k4_complex, generic4_complex, cycle4_complex):
@@ -223,25 +221,50 @@ def test_euler_characteristic_vanishes(k4_complex, generic4_complex, cycle4_comp
 
 
 def test_check_d_squared(k4_complex):
-    assert cc.check_d_squared(k4_complex)
+    assert cc.check_d_squared(k4_complex) == (True, None, {})
 
 
 def test_check_d_squared_random_n5():
-    from cycres.resolution_verify import random_icb_digraph
-
     g = random_icb_digraph(5, random.Random(23))
     C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
-    assert cc.check_d_squared(C)
-    assert cc.check_leading_terms(C)
+    assert cc.check_d_squared(C) == (True, None, {})
+    assert cc.check_leading_terms(C) == (True, None, {})
+
+
+def negate_last_term(column):
+    coeff, mono, idx = column[-1]
+    return column[:-1] + ((-coeff, mono, idx),)
 
 
 def test_corrupted_sign_breaks_d_squared():
     C = complex_from_matrix([[3, -1, -1, -1], [-1, 3, -1, -1],
                              [-1, -1, 3, -1], [-1, -1, -1, 3]])
-    idx = next(iter(C.diffs[2][0]))
-    mono = next(iter(C.diffs[2][0][idx]))
-    C.diffs[2][0][idx][mono] = -C.diffs[2][0][idx][mono]
-    assert not cc.check_d_squared(C)
+    C.diffs[2][0] = negate_last_term(C.diffs[2][0])
+    ok, witness, counters = cc.check_d_squared(C)
+    assert not ok
+    assert witness == "composition nonzero on column 1 in degree 2"
+    assert counters == {}
+
+
+def test_d_squared_witness_names_the_corrupted_column():
+    # one flipped sign in column 5 of degree 2: d_1 of that column is no
+    # longer zero, and no earlier column fails
+    C = complex_from_matrix([[3, -1, -1, -1], [-1, 3, -1, -1],
+                             [-1, -1, 3, -1], [-1, -1, -1, 3]])
+    assert cc.check_d_squared(C) == (True, None, {})
+    C.diffs[2][4] = negate_last_term(C.diffs[2][4])
+    assert cc.check_d_squared(C) == (
+        False, "composition nonzero on column 5 in degree 2", {}
+    )
+
+
+def test_leading_terms_witness_names_the_first_mismatch():
+    C = complex_from_matrix([[3, -1, -1, -1], [-1, 3, -1, -1],
+                             [-1, -1, 3, -1], [-1, -1, -1, 3]])
+    C.tower.lms[2][6] = C.tower.lms[2][7]
+    assert cc.check_leading_terms(C) == (
+        False, "formula mismatch on column 7 in degree 2", {}
+    )
 
 
 def test_first_differential_image_in_kernel_of_projection(k4_complex):
@@ -249,10 +272,11 @@ def test_first_differential_image_in_kernel_of_projection(k4_complex):
     # the defining property of lattice-ideal membership
     C = k4_complex
     for f in C.diffs[1]:
-        monos = list(f[0])
+        poly = column_elem(f)[0]
+        monos = list(poly)
         assert len(monos) == 2
         assert C.ctx.degree(monos[0]) == C.ctx.degree(monos[1])
-        assert f[0][monos[0]] + f[0][monos[1]] == 0
+        assert poly[monos[0]] + poly[monos[1]] == 0
 
 
 def test_minimality_check(k4_complex, cycle4_complex):
@@ -262,7 +286,12 @@ def test_minimality_check(k4_complex, cycle4_complex):
     k, j, p, coeff = witness
     assert abs(coeff) == 1
     unit = cycle4_complex.ctx.unit()
-    assert cycle4_complex.diffs[k][j][p][unit] == coeff
+    assert column_elem(cycle4_complex.diffs[k][j])[p][unit] == coeff
+    # a column with two constant terms: the witness names the lower target
+    g = random_icb_digraph(4, random.Random(2))
+    C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
+    assert cc.minimality_check(C) == (False, (2, 1, 0, 1))
+    assert sorted(p for _, mono, p in C.diffs[2][1] if mono == unit) == [0, 2]
 
 
 def test_minimality_weighted_complete_graph():
@@ -289,7 +318,7 @@ def test_boundary_xn_marker():
     assert all(C.L.a[n - 1][i] > 0 for i in range(n - 1))
     for k in range(1, n):
         for j, p in enumerate(C.bases[k]):
-            f = C.diffs[k][j]
+            f = column_elem(C.diffs[k][j])
             rotate = cc.canonical_partition(
                 p[1:k] + (tuple(sorted(p[0] + p[k])),), n
             )
@@ -316,7 +345,7 @@ def test_export_round_trip(k4_complex):
         cols = doc["diffs"][k - 1]
         assert [c["basis"] for c in cols] == list(range(1, len(C.bases[k]) + 1))
         for j, col in enumerate(cols):
-            assert parse_elem(col["poly"], 4) == C.diffs[k][j]
+            assert parse_column(col["poly"], 4) == C.diffs[k][j]
 
 
 def test_export_is_deterministic(k4_complex):
@@ -387,7 +416,7 @@ def _check_table(C, k, table):
     for pos, (part, terms) in enumerate(table):
         blocks = tuple(tuple(int(ch) for ch in b) for b in part.split(","))
         assert C.bases[k][pos] == blocks
-        assert C.diffs[k][pos] == _expected_elem(C, terms)
+        assert column_elem(C.diffs[k][pos]) == _expected_elem(C, terms)
 
 
 def test_level2_differential_matches_published_table(generic4_complex):

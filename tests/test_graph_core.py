@@ -19,6 +19,7 @@ from conftest import (
     WEIGHTED4,
     WEIGHTED4_ECHELON,
     k4_digraph,
+    random_icb_digraph,
 )
 
 
@@ -242,8 +243,6 @@ def test_strong_connectivity_matches_reachability_closure(case):
 
 
 def test_icb_rows_independent_and_enumeration_reaches_echelon():
-    from cycres.resolution_verify import random_icb_digraph
-
     rng = random.Random(42)
     for _ in range(25):
         n = rng.randint(3, 6)
@@ -267,7 +266,6 @@ def test_icb_rows_independent_and_enumeration_reaches_echelon():
 
 
 def test_rightmost_coordinate_of_column_sums_is_negative():
-    from cycres.resolution_verify import random_icb_digraph
     from itertools import combinations
 
     rng = random.Random(17)

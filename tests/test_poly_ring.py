@@ -7,7 +7,20 @@ from hypothesis import strategies as st
 from cycres import poly_ring as pr
 from cycres.errors import InternalError, ZeroElementError
 
-from conftest import parse_elem
+from conftest import (
+    ECHELON6,
+    WEIGHTED4,
+    column_elem,
+    complex_from_matrix,
+    parse_column,
+    parse_elem,
+)
+
+COMPLEX_ROWS = {
+    "k4": [[3, -1, -1, -1], [-1, 3, -1, -1], [-1, -1, 3, -1], [-1, -1, -1, 3]],
+    "echelon6": ECHELON6,
+    "weighted4": WEIGHTED4,
+}
 
 monos4 = st.tuples(*([st.integers(0, 5)] * 4))
 contexts = st.sampled_from(
@@ -102,10 +115,10 @@ def assert_standard_expression(g, basis, quotients, remainder, tower, level):
         for q, b in zip(quotients, basis):
             if not q:
                 continue
-            _, bm, bi = tower.leading_module_term(b, level)
+            _, bm, bi = tower.leading_module_term(column_elem(b), level)
             for mono in q:
                 assert gkey >= tower.key(level, pr.mono_mul(mono, bm), bi)
-    basis_lts = [tower.leading_module_term(b, level) for b in basis]
+    basis_lts = [tower.leading_module_term(column_elem(b), level) for b in basis]
     for idx, poly in remainder.items():
         for mono in poly:
             for _, bm, bi in basis_lts:
@@ -115,7 +128,7 @@ def assert_standard_expression(g, basis, quotients, remainder, tower, level):
 def test_divide_basis_element_is_exact(k4_complex):
     C = k4_complex
     g0 = C.diffs[1]
-    q, r = pr.divide(g0[3], C.tower, 0)
+    q, r = pr.divide(column_elem(g0[3]), C.tower, 0)
     assert r == {}
     assert q[3] == {(0, 0, 0, 0): 1}
     assert all(not qq for i, qq in enumerate(q) if i != 3)
@@ -227,8 +240,9 @@ def test_s_vector_drops_below_lcm_k4_pairs(k4_complex, i, j):
 
 def test_add_level_rejects_non_unit_leading_coefficient(k4_complex):
     C = k4_complex
-    doubled = pr.elem_scale_term(C.diffs[1][0], 2, C.ctx.unit())
-    for images in ([doubled], list(C.diffs[1]) + [doubled]):
+    g0 = [column_elem(f) for f in C.diffs[1]]
+    doubled = pr.elem_scale_term(g0[0], 2, C.ctx.unit())
+    for images in ([doubled], g0 + [doubled]):
         tower = pr.OrderTower(C.ctx)
         with pytest.raises(InternalError):
             tower.add_level(images)
@@ -237,7 +251,7 @@ def test_add_level_rejects_non_unit_leading_coefficient(k4_complex):
 
 def test_add_level_rejects_non_unit_leading_coefficient_at_any_position(k4_complex):
     C = k4_complex
-    g0 = C.diffs[1]
+    g0 = [column_elem(f) for f in C.diffs[1]]
     doubled = pr.elem_scale_term(g0[0], 2, C.ctx.unit())
     for images in ([doubled, g0[1]], [g0[1], doubled]):
         with pytest.raises(InternalError):
@@ -245,10 +259,42 @@ def test_add_level_rejects_non_unit_leading_coefficient_at_any_position(k4_compl
     # one level up, inside the list of boundary columns
     tower = pr.OrderTower(C.ctx)
     tower.add_level(g0)
-    doubled = pr.elem_scale_term(C.diffs[2][3], -2, C.ctx.unit())
+    g1 = [column_elem(f) for f in C.diffs[2]]
+    doubled = pr.elem_scale_term(g1[3], -2, C.ctx.unit())
     with pytest.raises(InternalError):
-        tower.add_level(C.diffs[2][:3] + [doubled] + C.diffs[2][4:])
+        tower.add_level(g1[:3] + [doubled] + g1[4:])
     assert tower.levels == 2
+
+
+def test_add_level_rejects_an_inhomogeneous_column(k4_complex):
+    C = k4_complex
+    tower = pr.OrderTower(C.ctx)
+    with pytest.raises(InternalError, match="inhomogeneous differential column 1 in degree 1"):
+        tower.add_level([{0: {(1, 0, 0, 0): 1, (0, 0, 0, 2): -1}}])
+    assert tower.levels == 1
+    with pytest.raises(ZeroElementError):
+        tower.add_level([{}])
+    assert tower.levels == 1
+    # one level up: a term on e[1,1] one degree too high in column 4
+    tower.add_level([column_elem(f) for f in C.diffs[1]])
+    g1 = [column_elem(f) for f in C.diffs[2]]
+    pr.elem_add_term(g1[3], 0, 1, (0, 0, 0, 3))
+    with pytest.raises(InternalError, match="inhomogeneous differential column 4 in degree 2"):
+        tower.add_level(g1)
+    assert tower.levels == 2
+
+
+@pytest.mark.parametrize("name", ["k4", "echelon6", "weighted4"])
+def test_stored_columns_are_strictly_decreasing(name):
+    C = complex_from_matrix(COMPLEX_ROWS[name])
+    for k in range(1, C.n):
+        assert len(C.tower.lms[k]) == len(C.diffs[k]) == len(C.bases[k])
+        for j, column in enumerate(C.diffs[k]):
+            assert type(column) is tuple
+            keys = [C.tower.key(k - 1, mono, idx) for _, mono, idx in column]
+            assert all(a > b for a, b in zip(keys, keys[1:]))
+            assert C.tower.lms[k][j] is column[0]
+            assert {key[0][0] for key in keys} == {C.shifts[k][j]}
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +302,18 @@ def test_add_level_rejects_non_unit_leading_coefficient_at_any_position(k4_compl
 
 def test_elem_str_round_trip(k4_complex):
     C = k4_complex
-    assert pr.elem_str({}, C.tower, 0) == "0"
+    assert pr.elem_str((), 0) == "0"
     assert parse_elem("0", 4) == {}
+    assert parse_column("0", 4) == ()
     for k in (1, 2, 3):
         for f in C.diffs[k]:
-            s = pr.elem_str(f, C.tower, k - 1)
-            assert parse_elem(s, 4) == f
+            s = pr.elem_str(f, k - 1)
+            assert parse_column(s, 4) == f
 
 
 def test_elem_str_level0_is_plain_polynomial(k4_complex):
     C = k4_complex
-    assert pr.elem_str(C.diffs[1][0], C.tower, 0) == "x1*x2*x3 - x4^3"
+    assert pr.elem_str(C.diffs[1][0], 0) == "x1*x2*x3 - x4^3"
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +325,8 @@ def _rec_compare(C, level, m1, i, m2, j):
     by the larger basis index."""
     if level == 0:
         return cmp(pr.wrlo_key(m1, C.ctx), pr.wrlo_key(m2, C.ctx))
-    lt1 = _rec_leading(C, level - 1, pr.elem_scale_term(C.diffs[level][i], 1, m1))
-    lt2 = _rec_leading(C, level - 1, pr.elem_scale_term(C.diffs[level][j], 1, m2))
+    lt1 = _rec_leading(C, level - 1, pr.elem_scale_term(column_elem(C.diffs[level][i]), 1, m1))
+    lt2 = _rec_leading(C, level - 1, pr.elem_scale_term(column_elem(C.diffs[level][j]), 1, m2))
     c = _rec_compare(C, level - 1, lt1[0], lt1[1], lt2[0], lt2[1])
     if c:
         return c
@@ -312,7 +359,7 @@ def test_tower_leading_terms_agree_with_recursive_definition(k4_complex):
     C = k4_complex
     for level in (1, 2, 3):
         for j, f in enumerate(C.diffs[level]):
-            mono, idx = _rec_leading(C, level - 1, f)
+            mono, idx = _rec_leading(C, level - 1, column_elem(f))
             assert C.tower.lms[level][j][1:] == (mono, idx)
 
 

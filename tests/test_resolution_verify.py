@@ -7,7 +7,14 @@ from cycres import graph_core
 from cycres import resolution_verify as rv
 from cycres.poly_ring import OrderTower, divide, elem_scale_term, mono_divides, s_vector
 
-from conftest import ECHELON6, WEIGHTED4, complex_from_matrix, generic4_matrix
+from conftest import (
+    ECHELON6,
+    WEIGHTED4,
+    column_elem,
+    complex_from_matrix,
+    generic4_matrix,
+    random_icb_digraph,
+)
 
 
 K4_ROWS = [[3, -1, -1, -1], [-1, 3, -1, -1], [-1, -1, 3, -1], [-1, -1, -1, 3]]
@@ -29,7 +36,7 @@ def test_s_poly_closed_form_nested(generic4_complex):
     assert s == formula
     assert l_dc == (0, 0, 0, a[3][1] + a[3][2])
     f7 = C.diffs[1][6]
-    assert s == elem_scale_term(f7, -1, l_dc)
+    assert s == elem_scale_term(column_elem(f7), -1, l_dc)
 
 
 def test_colon_stability_k4(k4_complex):
@@ -44,7 +51,7 @@ def test_colon_manual_member_and_nonmember(k4_complex):
     C = k4_complex
     g0 = C.diffs[1]
     t = (0, 0, 0, 1)
-    tg = elem_scale_term(g0[0], 1, t)
+    tg = elem_scale_term(column_elem(g0[0]), 1, t)
     _, rem = divide(tg, C.tower, 0)
     assert rem == {}
     h = {0: {(1, 0, 0, 0): 1}}  # x1 alone is not in the ideal
@@ -99,7 +106,7 @@ QUOTIENT_INSTANCES = {
     "echelon6": lambda: complex_from_matrix(ECHELON6),
     "weighted4": lambda: complex_from_matrix(WEIGHTED4),
     "random6": lambda: cc.build_complex(graph_core.prepare(graph_core.laplacian(
-        rv.random_icb_digraph(6, random.Random(2))))),
+        random_icb_digraph(6, random.Random(2))))),
 }
 
 
@@ -141,7 +148,7 @@ def test_tau_identity_worked_examples(generic4_complex):
     assert (C.bases[1][i], C.bases[1][j]) == (((2, 3), (1, 4)), ((1, 2, 3), (4,)))
     ok, witness = rv.verify_tau_identity(C, 1, e1)
     assert ok, witness
-    de = C.diffs[2][C.index[2][e1]]
+    de = column_elem(C.diffs[2][C.index[2][e1]])
     assert de[i] == {(a[0][3], 0, 0, 0): -1}  # -tau leads with +x1^a14
 
     e2 = ((3,), (2,), (1,), (4,))
@@ -152,7 +159,7 @@ def test_tau_identity_worked_examples(generic4_complex):
     )
     ok, witness = rv.verify_tau_identity(C, 2, e2)
     assert ok, witness
-    de2 = C.diffs[3][C.index[3][e2]]
+    de2 = column_elem(C.diffs[3][C.index[3][e2]])
     assert de2[i2] == {(a[0][3], 0, 0, 0): 1}  # m^2_{4,5} = -x1^a14
 
 
@@ -268,19 +275,19 @@ def test_full_verify_cycle4(cycle4_complex):
 
 def test_full_verify_flags_corruption():
     C = complex_from_matrix(K4_ROWS)
-    idx = next(iter(C.diffs[2][0]))
-    mono = next(iter(C.diffs[2][0][idx]))
-    C.diffs[2][0][idx][mono] = -C.diffs[2][0][idx][mono]
+    coeff, mono, idx = C.diffs[2][0][-1]
+    C.diffs[2][0] = C.diffs[2][0][:-1] + ((-coeff, mono, idx),)
     report = rv.full_verify(C, d_max=4, instance="corrupted")
     assert not report.passed
-    failed = {c.name for c in report.checks if not c.ok}
+    failed = {c.name: c.witness for c in report.checks if not c.ok}
     assert "d_squared" in failed
+    assert failed["d_squared"] == "composition nonzero on column 1 in degree 2"
 
 
 def test_full_verify_calls_checks_by_module_name(k4_complex, monkeypatch):
     # a profiler times each check by replacing its module attribute
     calls = []
-    monkeypatch.setattr(rv, "check_d_squared", lambda C: False)
+    monkeypatch.setattr(rv, "check_d_squared", lambda C: (False, "composition nonzero", {}))
     monkeypatch.setattr(rv, "verify_distinct_images", lambda C: (False, "replaced", {}))
     monkeypatch.setattr(rv, "graded_homology_oracle",
                         lambda *args: calls.append(args) or (True, None, {}))
@@ -326,7 +333,7 @@ def test_default_d_max(k4_complex):
 def test_random_icb_instances_fully_verify():
     rng = random.Random(77)
     for _ in range(3):
-        g = rv.random_icb_digraph(4, rng)
+        g = random_icb_digraph(4, rng)
         C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
         report = rv.full_verify(C, d_max=min(rv.default_d_max(C), 8))
         assert report.passed, report.to_text()
@@ -341,7 +348,7 @@ def test_graded_piece_ranks_match_dense_oracle():
     rng = random.Random(31)
     instances = [
         cc.build_complex(
-            graph_core.prepare(graph_core.laplacian(rv.random_icb_digraph(4, rng)))
+            graph_core.prepare(graph_core.laplacian(random_icb_digraph(4, rng)))
         ),
         complex_from_matrix(K4_ROWS),
     ]
@@ -362,9 +369,8 @@ def test_graded_piece_ranks_match_dense_oracle():
                 for j, f in enumerate(C.diffs[k]):
                     for alpha in rv.monomials_of_degree(C.ctx.nu, d - C.shifts[k][j]):
                         col = [0] * len(row_ids)
-                        for p, poly in f.items():
-                            for mono, coeff in poly.items():
-                                col[row_ids[(p, mono_mul(alpha, mono))]] = int(coeff)
+                        for coeff, mono, p in f:
+                            col[row_ids[(p, mono_mul(alpha, mono))]] = int(coeff)
                         cols.append(col)
                 assert len(cols) == ncols
                 dense = [list(row) for row in zip(*cols)] if cols else []
