@@ -2,7 +2,9 @@
 
 A partition here is a tuple of blocks, each block a sorted tuple of vertices,
 blocks disjoint and covering {1..n}, with n in the last block (the canonical
-representative of the cyclic equivalence class).  The free module in
+representative of the cyclic equivalence class).  A merge of two cyclic
+neighbours keeps the block holding n last, so nothing is ever rotated back
+into canonical form.  The free module in
 homological degree k has one basis element per partition into k+1 blocks,
 enumerated in the size-reverse lexicographic order (srle): bigger blocks
 first, ties broken by the rightmost differing vertex.
@@ -22,14 +24,6 @@ from .poly_ring import (
     elem_combine,
     elem_str,
 )
-
-
-def canonical_partition(blocks, n):
-    """Rotate so that the block containing n comes last; sort each block."""
-    blocks = [tuple(sorted(b)) for b in blocks]
-    pos = next(i for i, b in enumerate(blocks) if n in b)
-    rotated = blocks[pos + 1 :] + blocks[: pos + 1]
-    return tuple(rotated)
 
 
 def _block_key(block, n):
@@ -84,28 +78,32 @@ def arrow_monomial(I, J, L: CBMatrix):
     return tuple(mono)
 
 
+def merge(p, s):
+    """Join block s of p to its cyclic successor; s = k joins block 0 to the
+    last block.  The block holding n stays last, so the result is canonical.
+    """
+    k = len(p) - 1
+    if s == k:
+        return p[1:k] + (tuple(sorted(p[0] + p[k])),)
+    return p[:s] + (tuple(sorted(p[s] + p[s + 1])),) + p[s + 2 :]
+
+
 def boundary(p, L: CBMatrix, index_below):
     """Image of a basis partition under the differential.
 
-    Adjacent blocks are merged left to right with alternating signs and
-    arrow-monomial coefficients; the closing term merges the last block into
-    the first.  ``index_below`` maps canonical partitions with one block
-    fewer to their basis position.
+    Each block is merged with its cyclic successor, with arrow-monomial
+    coefficients and signs alternating from +1, except that the closing
+    merge of the last block into the first is always -1.  ``index_below``
+    maps partitions with one block fewer to their basis position.
     """
     k = len(p) - 1
     if k < 1:
         raise ValueError("boundary needs at least two blocks")
-    n = L.n
     elem = {}
-    for s in range(k):
-        mono = arrow_monomial(p[s], p[s + 1], L)
-        merged = p[:s] + (tuple(sorted(p[s] + p[s + 1])),) + p[s + 2 :]
-        idx = index_below[canonical_partition(merged, n)]
-        elem_add_term(elem, idx, (-1) ** s, mono)
-    mono = arrow_monomial(p[k], p[0], L)
-    merged = p[1:k] + (tuple(sorted(p[0] + p[k])),)
-    idx = index_below[canonical_partition(merged, n)]
-    elem_add_term(elem, idx, -1, mono)
+    for s in range(k + 1):
+        mono = arrow_monomial(p[s], p[(s + 1) % (k + 1)], L)
+        sign = -1 if s == k else (-1) ** s
+        elem_add_term(elem, index_below[merge(p, s)], sign, mono)
     return elem
 
 
@@ -162,19 +160,19 @@ def build_complex(L: CBMatrix) -> CycComplex:
     return CycComplex(L, ctx, mu, bases, index, tower)
 
 
-def apply_differential(C: CycComplex, k, column):
-    """Image under the degree-k differential of a column in C_k."""
-    out = {}
-    for coeff, mono, j in column:
-        elem_combine(out, C.diffs[k][j], coeff, mono)
-    return out
-
-
 def check_d_squared(C: CycComplex):
-    """Direct composition of consecutive differentials is zero."""
+    """Direct composition of consecutive differentials is zero.
+
+    This is the one place that sums a column's whole image one level down;
+    the tau check relies on it.
+    """
     for k in range(2, C.n):
+        below = C.diffs[k - 1]
         for j, f in enumerate(C.diffs[k]):
-            if apply_differential(C, k - 1, f):
+            image = {}
+            for coeff, mono, idx in f:
+                elem_combine(image, below[idx], coeff, mono)
+            if image:
                 return False, f"composition nonzero on column {j + 1} in degree {k}", {}
     return True, None, {}
 
@@ -182,8 +180,7 @@ def check_d_squared(C: CycComplex):
 def leading_term_formula(C: CycComplex, k, j):
     """Predicted leading term of the j-th differential column in degree k."""
     p = C.bases[k][j]
-    merged = p[:-2] + (tuple(sorted(p[-2] + p[-1])),)
-    idx = C.index[k - 1][canonical_partition(merged, C.n)]
+    idx = C.index[k - 1][merge(p, k - 1)]
     mono = arrow_monomial(p[-2], p[-1], C.L)
     return ((-1) ** (k - 1), mono, idx)
 

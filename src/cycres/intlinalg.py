@@ -1,13 +1,11 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Matrices are lists of rows; integer matrices hold Python ints (arbitrary
-precision), rational ones hold ``fractions.Fraction``.  Determinants use
-Bareiss elimination; ``rank`` is dense elimination over ``Fraction`` (the
-reference) and ``rank_sparse`` a fraction-free row echelon on {column: int}
-rows.  Nothing here ever touches floating point.
+Matrices are lists of rows of Python ints (arbitrary precision).
+Determinants use Bareiss elimination; ``rank_sparse`` is the rank over the
+rationals of {column: int} rows by a fraction-free row echelon.  Nothing
+here ever touches floating point or a fraction.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionError, NotIrreducibleError
@@ -68,15 +66,6 @@ def adjugate_row(m):
     return tuple(det(minor(m, i, i)) for i in range(n))
 
 
-def adjugate(m):
-    """Full adjugate by the cofactor formula (test oracle; O(n^5))."""
-    n = _check_square(m)
-    return [
-        [(-1) ** (i + j) * det(minor(m, j, i)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def grading_vector(mu):
     """Divide a positive integer vector by its gcd.
 
@@ -89,38 +78,6 @@ def grading_vector(mu):
     for x in mu:
         d = gcd(d, x)
     return tuple(x // d for x in mu)
-
-
-def rank(m):
-    """Exact rank over the rationals of a dense matrix (int or Fraction)."""
-    if not m or not m[0]:
-        return 0
-    rows = [[Fraction(x) for x in row] for row in m]
-    ncols = len(rows[0])
-    if any(len(row) != ncols for row in rows):
-        raise DimensionError("ragged matrix")
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                fi = f / pv
-                ri, rr = rows[i], rows[r]
-                for j in range(c, ncols):
-                    ri[j] -= rr[j] * fi
-        r += 1
-        if r == len(rows):
-            break
-    return r
 
 
 def rank_sparse(rows):

