@@ -115,7 +115,7 @@ def cmd_verify(args) -> int:
 def cmd_gb(args) -> int:
     M = _prepare(args)
     C = cyc_complex.build_complex(M)
-    lines = [elem_str(f, 0) for f in C.diffs[1]]
+    lines = [elem_str(f, 0, C.ctx) for f in C.diffs[1]]
     _emit(args, {"groebner_basis": lines}, "\n".join(lines))
     return EXIT_OK
 

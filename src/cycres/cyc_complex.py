@@ -26,16 +26,10 @@ from .poly_ring import (
 )
 
 
-def _block_key(block, n):
-    # bigger blocks first; ties: the largest element not shared comes first
-    present = [0] * n
-    for v in block:
-        present[n - v] = -1
-    return (-len(block), tuple(present))
-
-
 def srle_key(p, n):
-    return tuple(_block_key(b, n) for b in p)
+    # per block: bigger blocks first; ties: the largest element not shared
+    # comes first, so the block's vertex bitmask counts against it
+    return tuple(-(len(b) << n) - sum(1 << (v - 1) for v in b) for b in p)
 
 
 def _set_partitions(universe, parts):
@@ -59,23 +53,38 @@ def enumerate_basis(n, k):
     if not 1 <= k + 1 <= n:
         raise ValueError(f"block count {k + 1} out of range for n={n}")
     out = []
+    block_keys = {}
     for blocks in _set_partitions(list(range(1, n + 1)), k + 1):
         last = next(b for b in blocks if n in b)
         others = [tuple(sorted(b)) for b in blocks if b is not last]
+        tail = (tuple(sorted(last)),)
+        blocks = others + [tail[0]]
+        block_keys.update(zip(blocks, srle_key(blocks, n)))
         for perm in permutations(others):
-            out.append(perm + (tuple(sorted(last)),))
-    out.sort(key=lambda p: srle_key(p, n))
+            out.append(perm + tail)
+    # srle_key of each partition, from the keys of its blocks
+    out.sort(key=lambda p: tuple(map(block_keys.__getitem__, p)))
     return out
 
 
-def arrow_monomial(I, J, L: CBMatrix):
-    """Exponent vector of prod_{i in I} x_i^(sum of weights from i into J)."""
+def arrow_monomial(I, J, L: CBMatrix, ctx: GradedContext):
+    """prod_{i in I} x_i^(sum of weights from i into J), packed."""
     if set(I) & set(J):
         raise InternalError(f"arrow monomial with overlapping sets {I}, {J}")
-    mono = [0] * L.n
-    for i in I:
-        mono[i - 1] = sum(L.a[i - 1][j - 1] for j in J)
-    return tuple(mono)
+    return sum(ctx.power(i - 1, sum(L.a[i - 1][j - 1] for j in J)) for i in I)
+
+
+class ArrowTable(dict):
+    """The arrow monomials of one complex by block pair (I, J), each summed
+    once, when first asked for."""
+
+    def __init__(self, L: CBMatrix, ctx: GradedContext):
+        super().__init__()
+        self.L, self.ctx = L, ctx
+
+    def __missing__(self, pair):
+        mono = self[pair] = arrow_monomial(*pair, self.L, self.ctx)
+        return mono
 
 
 def merge(p, s):
@@ -88,7 +97,7 @@ def merge(p, s):
     return p[:s] + (tuple(sorted(p[s] + p[s + 1])),) + p[s + 2 :]
 
 
-def boundary(p, L: CBMatrix, index_below):
+def boundary(p, arrows: ArrowTable, index_below):
     """Image of a basis partition under the differential.
 
     Each block is merged with its cyclic successor, with arrow-monomial
@@ -101,7 +110,7 @@ def boundary(p, L: CBMatrix, index_below):
         raise ValueError("boundary needs at least two blocks")
     elem = {}
     for s in range(k + 1):
-        mono = arrow_monomial(p[s], p[(s + 1) % (k + 1)], L)
+        mono = arrows[p[s], p[(s + 1) % (k + 1)]]
         sign = -1 if s == k else (-1) ** s
         elem_add_term(elem, index_below[merge(p, s)], sign, mono)
     return elem
@@ -115,6 +124,7 @@ class CycComplex:
     bases: list          # bases[k]: srle list of partitions, k = 0..n-1
     index: list          # index[k]: partition -> position
     tower: OrderTower = field(repr=False)
+    arrows: ArrowTable = field(repr=False)
 
     @property
     def n(self):
@@ -151,13 +161,30 @@ def build_complex(L: CBMatrix) -> CycComplex:
     n = L.n
     mu = intlinalg.adjugate_row(L.signed_rows())
     nu = intlinalg.grading_vector(mu)
-    ctx = GradedContext(n, nu)
+    ctx = GradedContext.holding(nu, degree_bound(L, nu))
+    arrows = ArrowTable(L, ctx)
     bases = [enumerate_basis(n, k) for k in range(n)]
     index = [{p: i for i, p in enumerate(b)} for b in bases]
     tower = OrderTower(ctx)
     for k in range(1, n):
-        tower.add_level([boundary(p, L, index[k - 1]) for p in bases[k]])
-    return CycComplex(L, ctx, mu, bases, index, tower)
+        tower.add_level([boundary(p, arrows, index[k - 1]) for p in bases[k]])
+    return CycComplex(L, ctx, mu, bases, index, tower, arrows)
+
+
+def degree_bound(L: CBMatrix, nu):
+    """A weighted degree that no monomial formed on the complex exceeds.
+
+    An arrow monomial raises x_i to at most the weighted out-degree L_ii.
+    A homogeneous column's shift is the degree of a product of arrow
+    monomials on disjoint vertex sets, so every shift, tower accumulator
+    and stored term has degree at most D = sum_i nu_i L_ii.  Verification
+    multiplies two such monomials (S-vectors, cofactors, keys of tail terms)
+    and multiplies degree-0 generators by random monomials with exponents
+    up to 2 and then by x_n; division never raises a degree.  Hence
+    2*D + 3*sum(nu).  The exactness oracle works to its own degree bound.
+    """
+    D = sum(w * L.a[i][i] for i, w in enumerate(nu))
+    return 2 * D + 3 * sum(nu)
 
 
 def check_d_squared(C: CycComplex):
@@ -181,8 +208,7 @@ def leading_term_formula(C: CycComplex, k, j):
     """Predicted leading term of the j-th differential column in degree k."""
     p = C.bases[k][j]
     idx = C.index[k - 1][merge(p, k - 1)]
-    mono = arrow_monomial(p[-2], p[-1], C.L)
-    return ((-1) ** (k - 1), mono, idx)
+    return ((-1) ** (k - 1), C.arrows[p[-2], p[-1]], idx)
 
 
 def check_leading_terms(C: CycComplex):
@@ -200,10 +226,9 @@ def minimality_check(C: CycComplex):
     Otherwise returns (False, (k, source index, target index, coefficient))
     for the first offending entry: lowest k, then source, then target.
     """
-    unit = C.ctx.unit()
     for k in range(1, C.n):
         for j, f in enumerate(C.diffs[k]):
-            constants = [(p, coeff) for coeff, mono, p in f if mono == unit]
+            constants = [(p, coeff) for coeff, mono, p in f if mono == 0]
             if constants:
                 return False, (k, j, *min(constants))
     return True, None
@@ -217,7 +242,7 @@ def to_json_dict(C: CycComplex):
         "shifts": [list(level) for level in C.shifts],
         "diffs": [
             [
-                {"basis": j + 1, "poly": elem_str(f, k - 1)}
+                {"basis": j + 1, "poly": elem_str(f, k - 1, C.ctx)}
                 for j, f in enumerate(C.diffs[k])
             ]
             for k in range(1, C.n)

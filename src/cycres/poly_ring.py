@@ -6,7 +6,8 @@ leading coefficient, so division and S-vectors never produce a fraction.
 
 Representation conventions (kept deliberately plain for speed):
 
-    monomial   tuple of n nonnegative ints (the exponent vector)
+    monomial   one int, its packed key K (see GradedContext); x^a * x^b
+               is K(a) + K(b), x^a / x^b is K(a) - K(b), the unit is 0
     Poly       dict {monomial: int}, no zero coefficients stored
     Elem       dict {basis index: Poly}, no zero polynomials stored
     column     tuple of (coeff, monomial, basis index) terms, strictly
@@ -18,49 +19,109 @@ column, by the order tower, so its first term is its leading term.
 Free-module elements of the degree-0 ring live on basis index 0.
 The monomial order is the weighted reverse lexicographic order with positive
 integer weights nu: higher weighted degree wins, ties broken by the
-rightmost nonzero coordinate of the difference being negative.  Module
-orders are induced level by level through a fixed list of images, with ties
-broken by the larger basis index.
+rightmost nonzero coordinate of the difference being negative.  Integer
+order on packed monomials is exactly that order.  Module orders are induced
+level by level through a fixed list of images, with ties broken by the
+larger basis index.  Exponent vectors are unpacked only to read input and
+to write text.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InternalError, ZeroElementError
 
 
 @dataclass(frozen=True)
 class GradedContext:
+    """The weights nu and the packing of monomials into ints.
+
+    With fields of w = ``width`` bits and s = n*w, the exponent vector e is
+    the int K(e) = deg(e)*2^s - sum_i e_i*2^(w*(i-1)).  The top bit of each
+    field is a guard, clear in every packed monomial, so an exponent is at
+    most ``cap`` = 2^(w-1) - 1.  K is additive, and integer order on K is the
+    weighted reverse lexicographic order: the degree decides first, then
+    the exponent of x_n (smaller wins), then x_(n-1), and so on.
+    """
+
     n: int
     nu: tuple  # positive integer weights, gcd 1
+    width: int
+    cap: int = field(init=False, repr=False)
+    shift: int = field(init=False, repr=False)   # s = n * width
+    mask: int = field(init=False, repr=False)    # the exponent part, 2^s - 1
+    guard: int = field(init=False, repr=False)   # the top bit of every field
+    variables: tuple = field(init=False, repr=False)  # x_1, ..., x_n packed
+    _text: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        w, n = self.width, len(self.nu)
+        if n != self.n or w < 1:
+            raise InternalError(f"no packing of {n} weights into {w}-bit fields")
+        object.__setattr__(self, "cap", (1 << (w - 1)) - 1)
+        object.__setattr__(self, "shift", n * w)
+        object.__setattr__(self, "mask", (1 << (n * w)) - 1)
+        object.__setattr__(self, "guard", sum(1 << (w * i + w - 1) for i in range(n)))
+        object.__setattr__(self, "variables", tuple(
+            (v << (n * w)) - (1 << (w * i)) for i, v in enumerate(self.nu)
+        ))
+
+    @classmethod
+    def holding(cls, nu, degree):
+        """The narrowest context holding every monomial of weighted degree
+        at most ``degree`` (x_i^(degree // nu_i) is the widest of them)."""
+        cap = max(degree // w for w in nu)
+        return cls(len(nu), tuple(nu), cap.bit_length() + 1)
+
+    def pack(self, exps):
+        """The key of an exponent vector; InternalError past ``cap``."""
+        if len(exps) != self.n:
+            raise InternalError(
+                f"exponent vector {tuple(exps)} does not fit {self.n} {self.width}-bit fields"
+            )
+        return sum(self.power(i, e) for i, e in enumerate(exps))
+
+    def power(self, i, e):
+        """The key of x_(i+1)^e; InternalError past ``cap``."""
+        if not 0 <= e <= self.cap:
+            raise InternalError(f"exponent {e} of x{i + 1} does not fit {self.width}-bit fields")
+        return e * self.variables[i]
+
+    def unpack(self, mono):
+        low, w, cap = -mono & self.mask, self.width, self.cap
+        return tuple((low >> (w * i)) & cap for i in range(self.n))
 
     def degree(self, mono):
-        return sum(e * w for e, w in zip(mono, self.nu))
+        return -(-mono >> self.shift)
 
-    def unit(self):
-        return (0,) * self.n
+    def divides(self, a, b):
+        """True when x^a divides x^b: no field of b - a borrows."""
+        return not (a - b) & self.guard
 
+    def cofactor(self, a, b):
+        """x^lcm(a,b) / x^a, that is x^max(b - a, 0) field by field."""
+        guard, w = self.guard, self.width
+        # every field of t is 2^(w-1) + b_i - a_i in [1, 2^w - 1]: no borrow,
+        # and its guard bit is set exactly where b_i >= a_i
+        t = ((-b & self.mask) | guard) - (-a & self.mask)
+        keep = t & guard
+        low = t & (keep - (keep >> (w - 1)))
+        degree, rest, cap = 0, low, self.cap
+        for v in self.nu:
+            degree += v * (rest & cap)
+            rest >>= w
+        return (degree << self.shift) - low
 
-# ---------------------------------------------------------------------------
-# monomials
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-def mono_divides(a, b):
-    """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
-
-def mono_div(a, b):
-    """Exponent vector of x^a / x^b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def wrlo_key(mono, ctx: GradedContext):
-    """Sort key realizing the weighted reverse lexicographic order."""
-    return (ctx.degree(mono), tuple(-e for e in reversed(mono)))
+    def text(self, mono):
+        """x1*x3^2 style text of a monomial, "" for the unit; each distinct
+        monomial of the context is rendered once."""
+        out = self._text.get(mono)
+        if out is None:
+            out = self._text[mono] = "*".join(
+                f"x{v + 1}" if e == 1 else f"x{v + 1}^{e}"
+                for v, e in enumerate(self.unpack(mono))
+                if e
+            )
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +145,14 @@ def elem_add_term(elem, idx, coeff, mono):
 def elem_combine(acc, column, coeff, mono):
     """acc += coeff * x^mono * column, in place."""
     for c, m, idx in column:
-        elem_add_term(acc, idx, coeff * c, mono_mul(mono, m))
+        elem_add_term(acc, idx, coeff * c, mono + m)
 
 
 def elem_scale_term(elem, coeff, mono):
     """coeff * x^mono * elem as a new Elem."""
     out = {}
     for idx, poly in elem.items():
-        out[idx] = {mono_mul(mono, m): coeff * c for m, c in poly.items()}
+        out[idx] = {mono + m: coeff * c for m, c in poly.items()}
     return out
 
 
@@ -118,7 +179,7 @@ class OrderTower:
 
     def __init__(self, ctx: GradedContext):
         self.ctx = ctx
-        self.acc = [[ctx.unit()]]   # acc[level][idx]: level-0 monomial
+        self.acc = [[0]]            # acc[level][idx]: level-0 monomial
         self.path = [[(0,)]]        # path[level][idx]: descent indices, idx last
         self.images = [None]        # images[level][idx]: column one level down
         self.lms = [None]           # lms[level][idx]: images[level][idx][0]
@@ -130,24 +191,17 @@ class OrderTower:
 
     def key(self, level, mono, idx):
         """Sortable key for the module monomial x^mono * e_idx at a level."""
-        return (
-            wrlo_key(mono_mul(mono, self.acc[level][idx]), self.ctx),
-            self.path[level][idx],
-        )
+        return (mono + self.acc[level][idx], self.path[level][idx])
 
     def leading_module_term(self, elem, level):
         """(coefficient, monomial, basis index) of the largest term."""
         if not elem:
             raise ZeroElementError("leading term of zero module element")
-        best = None
-        best_key = None
-        for idx, poly in elem.items():
-            for mono, coeff in poly.items():
-                k = self.key(level, mono, idx)
-                if best_key is None or k > best_key:
-                    best_key = k
-                    best = (coeff, mono, idx)
-        return best
+        acc, path = self.acc[level], self.path[level]
+        # the largest monomial of a component gives its largest key
+        idx = max(elem, key=lambda i: (max(elem[i]) + acc[i], path[i]))
+        mono = max(elem[idx])
+        return elem[idx][mono], mono, idx
 
     def add_level(self, elems):
         """Append the order induced by the next level's differential columns.
@@ -159,34 +213,57 @@ class OrderTower:
         appended when a column is refused.
         """
         level = self.levels - 1
+        below_acc, below_path = self.acc[level], self.path[level]
+        degree_of, guard = self.ctx.degree, self.ctx.guard
         images, acc, path, shifts = [], [], [], []
         for j, elem in enumerate(elems):
             keyed = sorted(
-                ((self.key(level, mono, idx), (coeff, mono, idx))
+                ((mono + below_acc[idx], below_path[idx], coeff, mono, idx)
                  for idx, poly in elem.items() for mono, coeff in poly.items()),
                 reverse=True,
             )
             if not keyed:
                 raise ZeroElementError(f"zero differential column {j + 1} in degree {level + 1}")
             # keys order by degree first, so the first and last terms bound it
-            degree = keyed[0][0][0][0]
-            if keyed[-1][0][0][0] != degree:
+            degree = degree_of(keyed[0][0])
+            if degree_of(keyed[-1][0]) != degree:
                 raise InternalError(
                     f"inhomogeneous differential column {j + 1} in degree {level + 1}"
                 )
-            column = tuple(term for _, term in keyed)
-            coeff, mono, p = column[0]
+            column = tuple(term[2:] for term in keyed)
+            top, top_path, coeff, mono, p = keyed[0]
             if coeff not in (1, -1):
                 raise InternalError(f"leading coefficient {coeff} of image {j + 1} is not a unit")
+            if -top & guard:
+                raise InternalError(
+                    f"accumulated monomial of image {j + 1} in degree {level + 1} "
+                    f"overflows {self.ctx.width}-bit fields"
+                )
             images.append(column)
-            acc.append(mono_mul(mono, self.acc[level][p]))
-            path.append(self.path[level][p] + (j,))
+            acc.append(top)
+            path.append(top_path + (j,))
             shifts.append(degree)
         self.acc.append(acc)
         self.path.append(path)
         self.images.append(images)
         self.lms.append([column[0] for column in images])
         self.shifts.append(shifts)
+
+    def repacked(self, ctx: GradedContext):
+        """The same tower with every monomial packed for ``ctx`` instead."""
+        def move(mono):
+            return ctx.pack(self.ctx.unpack(mono))
+
+        out = OrderTower(ctx)
+        out.acc = [[move(m) for m in level] for level in self.acc]
+        out.path = self.path
+        out.images = [None] + [
+            [tuple((c, move(m), idx) for c, m, idx in column) for column in level]
+            for level in self.images[1:]
+        ]
+        out.lms = [None] + [[column[0] for column in level] for level in out.images[1:]]
+        out.shifts = self.shifts
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +280,16 @@ def divide(g, tower: OrderTower, level):
     """
     basis = tower.images[level + 1]
     basis_lts = tower.lms[level + 1]
+    guard = tower.ctx.guard
     quotients = [{} for _ in basis]
     remainder = {}
     work = elem_copy(g)
     while work:
         coeff, mono, idx = tower.leading_module_term(work, level)
         for bi, (bc, bm, bidx) in enumerate(basis_lts):
-            if bidx == idx and mono_divides(bm, mono):
+            if bidx == idx and not (bm - mono) & guard:
                 q = coeff * bc
-                qm = mono_div(mono, bm)
+                qm = mono - bm
                 poly_add_term(quotients[bi], q, qm)
                 elem_combine(work, basis[bi], -q, qm)
                 break
@@ -230,7 +308,7 @@ def s_cofactor(tower: OrderTower, level, i, j):
     _, mj, ij = tower.lms[level + 1][j]
     if ii != ij:
         return None
-    return ci, mono_div(mono_lcm(mi, mj), mi)
+    return ci, tower.ctx.cofactor(mi, mj)
 
 
 def s_vector(tower: OrderTower, level, i, j):
@@ -252,30 +330,23 @@ def s_vector(tower: OrderTower, level, i, j):
 # ---------------------------------------------------------------------------
 # text format
 
-def _term_str(coeff, mono, suffix=""):
-    factors = []
-    for v, e in enumerate(mono):
-        if e == 0:
-            continue
-        factors.append(f"x{v + 1}" if e == 1 else f"x{v + 1}^{e}")
-    c = abs(coeff)
-    if c != 1 or not factors:
-        factors.insert(0, str(c))
-    return "*".join(factors) + suffix
-
-
-def elem_str(column, level):
+def elem_str(column, level, ctx: GradedContext):
     """Render a column in its stored order, e[k,j] 1-based.
 
     Level 0 is the ring itself, so its single basis element is left implicit.
     """
     if not column:
         return "0"
+    text = ctx.text
     out = []
     for coeff, mono, idx in column:
-        sep = "" if not out else (" + " if coeff > 0 else " - ")
-        if not out and coeff < 0:
-            sep = "-"
-        suffix = "" if level == 0 else f"·e[{level},{idx + 1}]"
-        out.append(sep + _term_str(coeff, mono, suffix))
+        if not out:
+            sep = "-" if coeff < 0 else ""
+        else:
+            sep = " + " if coeff > 0 else " - "
+        term = text(mono)
+        c = abs(coeff)
+        if c != 1 or not term:
+            term = f"{c}*{term}" if term else str(c)
+        out.append(sep + term if level == 0 else f"{sep}{term}·e[{level},{idx + 1}]")
     return "".join(out)

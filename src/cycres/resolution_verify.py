@@ -11,10 +11,12 @@ over Q.
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from .errors import InternalError
 from .graph_core import is_strongly_complete
 from .cyc_complex import (
+    ArrowTable,
     CycComplex,
     arrow_monomial,
     check_d_squared,
@@ -24,11 +26,10 @@ from .cyc_complex import (
 )
 from .intlinalg import rank_sparse
 from .poly_ring import (
+    GradedContext,
     divide,
     elem_combine,
     elem_scale_term,
-    mono_divides,
-    mono_mul,
     s_cofactor,
     s_vector,
 )
@@ -83,13 +84,13 @@ def partition_str(p):
 # ---------------------------------------------------------------------------
 # degree-0 checks
 
-def _arrow_plus(A, B, Cs, L):
-    """Exponents ((sum weights into B) - (sum weights into C))^+ over A."""
-    mono = [0] * L.n
-    for i in A:
-        d = sum(L.a[i - 1][j - 1] for j in B) - sum(L.a[i - 1][j - 1] for j in Cs)
-        mono[i - 1] = max(d, 0)
-    return tuple(mono)
+def _arrow_plus(A, B, Cs, C: CycComplex):
+    """prod over i in A of x_i^((sum weights into B) - (sum weights into C))^+."""
+    a, power = C.L.a, C.ctx.power
+    return sum(
+        power(i - 1, max(sum(a[i - 1][j - 1] for j in B) - sum(a[i - 1][j - 1] for j in Cs), 0))
+        for i in A
+    )
 
 
 def s_poly_closed_form(C, D, complex_: CycComplex):
@@ -99,17 +100,17 @@ def s_poly_closed_form(C, D, complex_: CycComplex):
     union, and combines the degree-0 binomials of F and G with explicit
     monomial coefficients.  Entirely bypasses leading-term computations.
     """
-    L = complex_.L
+    L, ctx = complex_.L, complex_.ctx
     n = complex_.n
     Cset, Dset = set(C), set(D)
     E = sorted(Cset & Dset)
     F = sorted(Cset - Dset)
     G = sorted(Dset - Cset)
     V = sorted(set(range(1, n + 1)) - (Cset | Dset))
-    l_cd = mono_mul(mono_mul(_arrow_plus(E, G, F, L), arrow_monomial(F, G, L)),
-                    arrow_monomial(V, D, L))
-    l_dc = mono_mul(mono_mul(_arrow_plus(E, F, G, L), arrow_monomial(G, F, L)),
-                    arrow_monomial(V, C, L))
+    l_cd = (_arrow_plus(E, G, F, complex_) + arrow_monomial(F, G, L, ctx)
+            + arrow_monomial(V, D, L, ctx))
+    l_dc = (_arrow_plus(E, F, G, complex_) + arrow_monomial(G, F, L, ctx)
+            + arrow_monomial(V, C, L, ctx))
     out = {}
     if F:
         fF = complex_.diffs[1][complex_.index[1][_subset_partition(F, n)]]
@@ -148,7 +149,7 @@ def verify_degree0_gb(C: CycComplex):
                 for mono, piece in ((l_cd, set(ci) - set(cj)), (l_dc, set(cj) - set(ci))):
                     if piece:
                         lt = C.tower.lms[1][C.index[1][_subset_partition(sorted(piece), C.n)]]
-                        if s_key < C.tower.key(0, mono_mul(mono, lt[1]), lt[2]):
+                        if s_key < C.tower.key(0, mono + lt[1], lt[2]):
                             return False, (
                                 f"leading bound fails for C={set(ci)}, D={set(cj)}"
                             ), {"pairs": pairs}
@@ -173,7 +174,7 @@ def verify_distinct_images(C: CycComplex):
 def _random_poly(ctx, rng, terms=3, max_exp=2):
     poly = {}
     for _ in range(terms):
-        mono = tuple(rng.randint(0, max_exp) for _ in range(ctx.n))
+        mono = ctx.pack([rng.randint(0, max_exp) for _ in range(ctx.n)])
         coeff = rng.choice([1, -1]) * rng.randint(1, 3)
         if mono in poly:
             continue
@@ -192,18 +193,18 @@ def verify_colon_stability(C: CycComplex, seed=0):
     as many random non-members stay non-members.
     """
     g0 = C.diffs[1]
-    n = C.n
+    n, ctx = C.n, C.ctx
+    xn = ctx.pack([0] * (n - 1) + [1])
     for j, lt in enumerate(C.tower.lms[1]):
-        if lt[1][n - 1] != 0:
+        if ctx.divides(xn, lt[1]):
             return False, f"x{n} divides leading term of generator {j + 1}", {"trials": 0}
     rng = random.Random(seed)
-    xn = tuple(0 if v != n - 1 else 1 for v in range(n))
     done = 0
     for _ in range(COLON_TRIALS):
         member = {}
         for _ in range(rng.randint(1, 3)):
             i = rng.randrange(len(g0))
-            mono = tuple(rng.randint(0, 2) for _ in range(n))
+            mono = ctx.pack([rng.randint(0, 2) for _ in range(n)])
             elem_combine(member, g0[i], rng.choice([1, -1]), mono)
         for elem in (member, elem_scale_term(member, 1, xn)):
             _, rem = divide(elem, C.tower, 0)
@@ -244,6 +245,12 @@ def quotient_sources(C: CycComplex, k):
         group.append((i, ik))
 
 
+def _readable(C: CycComplex, term):
+    """A (coefficient, monomial) term, or None, with its exponent vector
+    spelled out."""
+    return term and (term[0], C.ctx.unpack(term[1]))
+
+
 def module_quotients(C: CycComplex, k, i, sources):
     """Generators (j, coeff, mono, pruned) of the colon ideal of leading terms
     at the sources (j, retained) of position i, as quotient_sources gives them.
@@ -263,20 +270,18 @@ def module_quotients(C: CycComplex, k, i, sources):
         direct = s_cofactor(C.tower, k - 1, i, j)
         expected = (
             sign,
-            mono_mul(
-                _arrow_plus(jk & ik, jk1, ik1, C.L),
-                arrow_monomial(jk & ik1, jk1, C.L),
-            ),
+            _arrow_plus(jk & ik, jk1, ik1, C) + arrow_monomial(jk & ik1, jk1, C.L, C.ctx),
         )
         if direct != expected:
             raise AssertionError(
                 f"closed formula mismatch at level {k}, pair ({j + 1},{i + 1}): "
-                f"direct {direct}, formula {expected}"
+                f"direct {_readable(C, direct)}, formula {_readable(C, expected)}"
             )
         gens.append((j, direct[0], direct[1], not retained))
     kept = [m for _, _, m, pruned in gens if not pruned]
+    divides = C.ctx.divides
     for j, _, mono, pruned in gens:
-        if pruned and not any(mono_divides(m, mono) for m in kept):
+        if pruned and not any(divides(m, mono) for m in kept):
             raise AssertionError(
                 f"superfluous generator {j + 1} at level {k} not divisible "
                 f"by a retained one (target {i + 1})"
@@ -334,8 +339,8 @@ def verify_tau_identity(C: CycComplex, k, e) -> tuple:
     s, m_ji, m_ij = sv
     de = C.diffs[k + 1][C.index[k + 1][e]]
     sign = (-1) ** (k - 1)
-    expect_ji = (sign, arrow_monomial(e[k], e[k + 1], C.L))
-    expect_ij = (sign, arrow_monomial(e[k - 1], e[k], C.L))
+    expect_ji = (sign, C.arrows[e[k], e[k + 1]])
+    expect_ij = (sign, C.arrows[e[k - 1], e[k]])
     if m_ji != expect_ji or m_ij != expect_ij:
         return False, f"m-coefficients differ at {partition_str(e)}"
     if [(-c, m) for c, m, idx in de if idx == i] != [m_ji]:
@@ -349,7 +354,7 @@ def verify_tau_identity(C: CycComplex, k, e) -> tuple:
         s_key = C.tower.key(k - 1, lt[1], lt[2])
         for _, mono, s_idx in (t for t in de if t[2] not in (i, j)):
             glt = C.tower.lms[k][s_idx]
-            if s_key < C.tower.key(k - 1, mono_mul(mono, glt[1]), glt[2]):
+            if s_key < C.tower.key(k - 1, mono + glt[1], glt[2]):
                 return False, (
                     f"standard-expression bound fails at {partition_str(e)}"
                 )
@@ -421,27 +426,25 @@ def verify_coverage_all(C: CycComplex):
 # ---------------------------------------------------------------------------
 # independent exactness oracle
 
-def monomials_of_degree(nu, d):
-    """All exponent vectors with the given weighted degree."""
-    n = len(nu)
+def monomials_of_degree(ctx: GradedContext, d):
+    """All monomials with the given weighted degree, packed, in the order
+    of their exponent vectors read lexicographically."""
+    nu, n, w = ctx.nu, ctx.n, ctx.width
+    if max(d // v for v in nu) > ctx.cap:
+        raise InternalError(f"degree {d} does not fit {w}-bit fields")
     out = []
-    mono = [0] * n
+    top = d << ctx.shift
 
-    def rec(i, rem):
+    def rec(i, rem, low):
         if i == n - 1:
             if rem % nu[i] == 0:
-                mono[i] = rem // nu[i]
-                out.append(tuple(mono))
-                mono[i] = 0
+                out.append(top - low - ((rem // nu[i]) << (w * i)))
             return
-        w = nu[i]
-        for e in range(rem // w + 1):
-            mono[i] = e
-            rec(i + 1, rem - e * w)
-        mono[i] = 0
+        for e in range(rem // nu[i] + 1):
+            rec(i + 1, rem - e * nu[i], low + (e << (w * i)))
 
     if d >= 0:
-        rec(0, d)
+        rec(0, d, 0)
     return out
 
 
@@ -455,7 +458,7 @@ def piece_index(C: CycComplex, k, d, mono_cache):
     for p, shift in enumerate(C.shifts[k]):
         e = d - shift
         if e not in mono_cache:
-            mono_cache[e] = monomials_of_degree(C.ctx.nu, e)
+            mono_cache[e] = monomials_of_degree(C.ctx, e)
         for beta in mono_cache[e]:
             index[(p, beta)] = len(index)
     return index
@@ -470,7 +473,7 @@ def graded_piece_rank(C: CycComplex, k, row_index, col_index):
     rows = [dict() for _ in row_index]
     for col, (j, alpha) in enumerate(col_index):
         for coeff, mono, p in C.diffs[k][j]:
-            row = rows[row_index[(p, mono_mul(alpha, mono))]]
+            row = rows[row_index[(p, alpha + mono)]]
             row[col] = row.get(col, 0) + coeff
     return rank_sparse(rows), len(col_index)
 
@@ -480,10 +483,16 @@ def graded_homology_oracle(C: CycComplex, d_max):
 
     Position 0 compares the rank of the first differential with the count of
     monomials inside the leading-term ideal of the degree-0 basis; higher
-    positions compare kernel dimensions with the rank one step up.
+    positions compare kernel dimensions with the rank one step up.  Every
+    monomial of a piece has degree at most d_max; when the complex's packing
+    does not hold them, the oracle works on a copy packed wider.
     """
     n = C.n
+    wide = GradedContext.holding(C.ctx.nu, d_max)
+    if wide.width > C.ctx.width:
+        C = replace(C, ctx=wide, tower=C.tower.repacked(wide), arrows=ArrowTable(C.L, wide))
     lt_monos = [lt[1] for lt in C.tower.lms[1]]
+    divides = C.ctx.divides
     degrees = 0
     for d in range(d_max + 1):
         mono_cache = {}
@@ -496,7 +505,7 @@ def graded_homology_oracle(C: CycComplex, d_max):
             ranks[k], cols[k] = graded_piece_rank(C, k, below, level)
             below = level
         in_lt = sum(
-            1 for m in mono_cache[d] if any(mono_divides(g, m) for g in lt_monos)
+            1 for m in mono_cache[d] if any(divides(g, m) for g in lt_monos)
         )
         if ranks[1] != in_lt:
             return False, (

@@ -57,6 +57,11 @@ def random_icb_digraph(n, rng: random.Random, extra=None, max_weight=3):
     )
 
 
+def packed(ctx, poly):
+    """A Poly given by exponent tuples, with its monomials packed for ctx."""
+    return {ctx.pack(mono): coeff for mono, coeff in poly.items()}
+
+
 def column_elem(column):
     """The Elem {basis index: Poly} holding the terms of a stored column."""
     elem = {}
@@ -112,7 +117,7 @@ def weighted4_echelon_complex():
 # an independent reader for the polynomial text format of `resolve` output
 
 
-def _parse_term(text, n):
+def _parse_term(text, ctx):
     suffix_idx = None
     if "·" in text:
         text, ref = text.split("·", 1)
@@ -121,7 +126,7 @@ def _parse_term(text, n):
         _, j = ref[2:-1].split(",")
         suffix_idx = int(j) - 1
     coeff = 1
-    mono = [0] * n
+    mono = [0] * ctx.n
     for factor in text.split("*"):
         if factor.startswith("x"):
             if "^" in factor:
@@ -131,12 +136,13 @@ def _parse_term(text, n):
                 mono[int(factor[1:]) - 1] += 1
         else:
             coeff *= int(factor)
-    return coeff, tuple(mono), suffix_idx
+    return coeff, ctx.pack(mono), suffix_idx
 
 
-def parse_column(text, n):
+def parse_column(text, ctx):
     """Inverse of poly_ring.elem_str: the (coeff, mono, idx) terms in text
-    order (level information is discarded; level 0 gives index 0).
+    order, monomials packed for ctx (level information is discarded; level 0
+    gives index 0).
     """
     if text.strip() == "0":
         return ()
@@ -148,11 +154,11 @@ def parse_column(text, n):
         while piece.startswith("-"):
             sign = -sign
             piece = piece[1:]
-        coeff, mono, idx = _parse_term(piece, n)
+        coeff, mono, idx = _parse_term(piece, ctx)
         terms.append((sign * coeff, mono, 0 if idx is None else idx))
     return tuple(terms)
 
 
-def parse_elem(text, n):
+def parse_elem(text, ctx):
     """parse_column as an Elem; a level-0 polynomial sits on basis index 0."""
-    return column_elem(parse_column(text, n))
+    return column_elem(parse_column(text, ctx))

@@ -9,7 +9,7 @@ import time
 
 from cycres import cli, cyc_complex, graph_core, intlinalg
 from cycres import resolution_verify as rv
-from cycres.poly_ring import elem_str, mono_divides
+from cycres.poly_ring import elem_str
 
 from conftest import (
     CYCLE4,
@@ -57,7 +57,7 @@ def test_k4_golden_run():
     )
     ok &= C.ranks() == (1, 7, 12, 6)
     gb = [column_elem(C.diffs[1][j])[0] for j in range(7)]
-    golden = [parse_elem(s, 4)[0] for s in K4_GOLDEN_GB]
+    golden = [parse_elem(s, C.ctx)[0] for s in K4_GOLDEN_GB]
     ok &= gb == golden  # srle order
     ok &= {frozenset(p.items()) for p in gb} == {frozenset(p.items()) for p in golden}
     minimal, _ = cyc_complex.minimality_check(C)
@@ -92,14 +92,14 @@ def test_four_cycle_non_minimality():
     ok = True
     g = graph_core.digraph_from_matrix(CYCLE4)
     C = cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)))
-    images = [elem_str(f, 0) for f in C.diffs[1]]
+    images = [elem_str(f, 0, C.ctx) for f in C.diffs[1]]
     ok &= images == CYCLE4_GOLDEN_IMAGES
     report = rv.full_verify(C, instance="cycle4")
     ok &= report.passed
     minimal, witness = cyc_complex.minimality_check(C)
     ok &= minimal is False
     k, j, p, coeff = witness
-    ok &= abs(coeff) == 1 and column_elem(C.diffs[k][j])[p][C.ctx.unit()] == coeff
+    ok &= abs(coeff) == 1 and column_elem(C.diffs[k][j])[p][0] == coeff
     verdict("four-cycle-non-minimality", ok)
 
 
@@ -167,7 +167,7 @@ def test_k4_hilbert_tail():
     lt = [m[1] for m in C.tower.lms[1]]
     ok = True
     for d in range(6, 13):
-        monos = rv.monomials_of_degree(C.ctx.nu, d)
-        outside = sum(1 for m in monos if not any(mono_divides(g, m) for g in lt))
+        monos = rv.monomials_of_degree(C.ctx, d)
+        outside = sum(1 for m in monos if not any(C.ctx.divides(g, m) for g in lt))
         ok &= outside == 16
     verdict("k4-hilbert-tail", ok)

@@ -265,6 +265,41 @@ def test_verify_report_pinned(capsys, name):
     assert digest == VERIFY_SHA256[name]
 
 
+# the same digest, for runs whose oracle degree bound reaches past the
+# exponents the build needs: K4 (L_ii = 3) to degree 20, and a unit 3-cycle
+# to degree 40, past the fields of its complex; pinned from the code that
+# kept monomials as exponent tuples
+WIDE_ORACLE_SHA256 = {
+    "k4": ("20", "4b16c5a1cafa339b0ae4823fbb891ae5070b59ff6f42aa7198a98fe94a183ff8"),
+    "cycle3": ("40", "89c77f1a3f54aaeeb31c858fb563a294f2df6ad298d29c0e24e71e67e547682d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_ORACLE_SHA256))
+def test_verify_report_pinned_past_the_build_exponents(tmp_path, capsys, name):
+    from cycres import cyc_complex, graph_core
+
+    path = tmp_path / f"{name}.json"
+    if name == "cycle3":
+        arcs = [{"from": v, "to": v % 3 + 1, "w": 1} for v in (1, 2, 3)]
+        path.write_text(json.dumps({"n": 3, "arcs": arcs}))
+        # the oracle needs exponents up to 40, more than these fields hold
+        g = graph_core.parse_digraph(path.read_text())
+        C = cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)))
+        assert C.ctx.cap < 40
+    else:
+        path.write_bytes((INSTANCES / "k4.json").read_bytes())
+    d_max, expected = WIDE_ORACLE_SHA256[name]
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json", "--max-degree", d_max)
+    assert code == 0
+    doc = json.loads(out)
+    doc.pop("instance")
+    for check in doc["checks"]:
+        assert type(check.pop("millis")) is int
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == expected
+
+
 def test_resolve_byte_stable(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "resolve", inst("k4.json"), "--out", str(a))[0] == 0
@@ -285,7 +320,7 @@ def test_resolve_round_trip_reverify(tmp_path, capsys):
     assert doc["nu"] == list(C.ctx.nu)
     for k in range(1, C.n):
         for j, col in enumerate(doc["diffs"][k - 1]):
-            assert parse_column(col["poly"], C.n) == C.diffs[k][j]
+            assert parse_column(col["poly"], C.ctx) == C.diffs[k][j]
     # verifying the rebuilt complex reproduces the same verdicts
     from cycres import resolution_verify as rv
 

@@ -7,6 +7,7 @@ import pytest
 from cycres import cyc_complex as cc
 from cycres import graph_core
 from cycres.errors import InternalError, NotIrreducibleError, ValidationError
+from cycres.poly_ring import GradedContext
 from conftest import (
     ECHELON6,
     REDUCIBLE,
@@ -14,9 +15,13 @@ from conftest import (
     column_elem,
     complex_from_matrix,
     generic4_matrix,
+    packed,
     parse_column,
     random_icb_digraph,
 )
+
+# 6-bit fields: exponents up to 31, above every row sum of generic4_matrix
+CTX4 = GradedContext(4, (1, 1, 1, 1), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +67,27 @@ def test_srle_compare_examples():
     p = P([2], [1, 3], [4])
     assert key(p) == key(P([2], [1, 3], [4]))
     assert key(p) != key(P([1], [2, 3], [4]))
+
+
+def _tuple_srle_key(p, n):
+    """The srle key as it was first written, a tuple per block: bigger
+    blocks first; ties: the largest element not shared comes first."""
+    def block_key(block):
+        present = [0] * n
+        for v in block:
+            present[n - v] = -1
+        return (-len(block), tuple(present))
+
+    return tuple(block_key(b) for b in p)
+
+
+def test_srle_int_keys_order_like_the_tuple_keys():
+    for n in range(1, 8):
+        for k in range(n):
+            basis = cc.enumerate_basis(n, k)
+            assert basis == sorted(basis, key=lambda p: _tuple_srle_key(p, n))
+            keys = [cc.srle_key(p, n) for p in basis]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_enumerate_basis_n4_k1_full_listing():
@@ -127,21 +153,51 @@ def test_merge_is_canonical_and_hits_the_basis(rows, k4_complex):
 
 def test_arrow_monomial_empty_sets():
     L = generic4_matrix()
-    assert cc.arrow_monomial((), (1, 2), L) == (0, 0, 0, 0)
-    assert cc.arrow_monomial((1, 2), (), L) == (0, 0, 0, 0)
+    assert cc.arrow_monomial((), (1, 2), L, CTX4) == CTX4.pack((0, 0, 0, 0))
+    assert cc.arrow_monomial((1, 2), (), L, CTX4) == CTX4.pack((0, 0, 0, 0))
 
 
 def test_arrow_monomial_k4(k4_complex):
-    assert cc.arrow_monomial((1, 2, 3), (4,), k4_complex.L) == (1, 1, 1, 0)
+    C = k4_complex
+    assert cc.arrow_monomial((1, 2, 3), (4,), C.L, C.ctx) == C.ctx.pack((1, 1, 1, 0))
 
 
 def test_arrow_monomial_generic():
     L = generic4_matrix()
     a = L.a
-    got = cc.arrow_monomial((2, 3), (1, 4), L)
-    assert got == (0, a[1][0] + a[1][3], a[2][0] + a[2][3], 0)
-    with pytest.raises(InternalError):
-        cc.arrow_monomial((1, 2), (2, 3), L)
+    got = cc.arrow_monomial((2, 3), (1, 4), L, CTX4)
+    assert got == CTX4.pack((0, a[1][0] + a[1][3], a[2][0] + a[2][3], 0))
+    with pytest.raises(InternalError, match=r"overlapping sets \(1, 2\), \(2, 3\)"):
+        cc.arrow_monomial((1, 2), (2, 3), L, CTX4)
+    # a row sum past the fields is refused, not wrapped into another variable
+    with pytest.raises(InternalError, match="exponent 33 of x4 does not fit 6-bit fields"):
+        cc.arrow_monomial((4,), (1, 2, 3), L, CTX4)
+
+
+@pytest.mark.parametrize("rows", [None, ECHELON6], ids=["k4", "echelon6"])
+def test_arrow_table_belongs_to_one_complex(rows, k4_complex, monkeypatch):
+    # every block pair is summed once, by the complex's own table; another
+    # complex in the same process has its own table and its own packing
+    calls = []
+    original = cc.arrow_monomial
+
+    def counting(I, J, L, ctx):
+        calls.append((I, J))
+        return original(I, J, L, ctx)
+
+    monkeypatch.setattr(cc, "arrow_monomial", counting)
+    C = complex_from_matrix(rows or [[3, -1, -1, -1], [-1, 3, -1, -1],
+                                     [-1, -1, 3, -1], [-1, -1, -1, 3]])
+    assert len(calls) == len(set(calls)) == len(C.arrows)
+    for (I, J), mono in C.arrows.items():
+        assert mono == original(I, J, C.L, C.ctx)
+    for k in range(1, C.n):
+        for p, f in zip(C.bases[k], C.diffs[k]):
+            pairs = [(p[s], p[(s + 1) % (k + 1)]) for s in range(k + 1)]
+            assert sorted(m for _, m, _ in f) == sorted(C.arrows[pair] for pair in pairs)
+    assert C.arrows is not k4_complex.arrows
+    other = complex_from_matrix(WEIGHTED4)
+    assert other.arrows is not C.arrows and other.arrows.ctx is other.ctx
 
 
 def test_boundary_level2_generic_example(generic4_complex):
@@ -151,9 +207,9 @@ def test_boundary_level2_generic_example(generic4_complex):
     f = C.diffs[2][0]
     assert C.bases[2][0] == P([2, 3], [1], [4])
     expected = {
-        C.index[1][P([1, 2, 3], [4])]: {(0, a[1][0], a[2][0], 0): 1},
-        C.index[1][P([2, 3], [1, 4])]: {(a[0][3], 0, 0, 0): -1},
-        C.index[1][P([1], [2, 3, 4])]: {(0, 0, 0, a[3][1] + a[3][2]): -1},
+        C.index[1][P([1, 2, 3], [4])]: packed(C.ctx, {(0, a[1][0], a[2][0], 0): 1}),
+        C.index[1][P([2, 3], [1, 4])]: packed(C.ctx, {(a[0][3], 0, 0, 0): -1}),
+        C.index[1][P([1], [2, 3, 4])]: packed(C.ctx, {(0, 0, 0, a[3][1] + a[3][2]): -1}),
     }
     assert column_elem(f) == expected
 
@@ -165,10 +221,10 @@ def test_boundary_level3_signs(generic4_complex):
     f = C.diffs[3][0]
     assert C.bases[3][0] == P([3], [2], [1], [4])
     expected = {
-        C.index[2][P([2, 3], [1], [4])]: {(0, 0, a[2][1], 0): 1},
-        C.index[2][P([3], [1, 2], [4])]: {(0, a[1][0], 0, 0): -1},
-        C.index[2][P([3], [2], [1, 4])]: {(a[0][3], 0, 0, 0): 1},
-        C.index[2][P([2], [1], [3, 4])]: {(0, 0, 0, a[3][2]): -1},
+        C.index[2][P([2, 3], [1], [4])]: packed(C.ctx, {(0, 0, a[2][1], 0): 1}),
+        C.index[2][P([3], [1, 2], [4])]: packed(C.ctx, {(0, a[1][0], 0, 0): -1}),
+        C.index[2][P([3], [2], [1, 4])]: packed(C.ctx, {(a[0][3], 0, 0, 0): 1}),
+        C.index[2][P([2], [1], [3, 4])]: packed(C.ctx, {(0, 0, 0, a[3][2]): -1}),
     }
     assert column_elem(f) == expected
 
@@ -183,7 +239,7 @@ def test_boundary_singletons_give_column_binomials(generic4_complex):
         col = [rows[r][i - 1] for r in range(n)]
         plus = tuple(max(x, 0) for x in col)
         minus = tuple(max(-x, 0) for x in col)
-        assert column_elem(f) == {0: {plus: 1, minus: -1}}
+        assert column_elem(f) == {0: packed(C.ctx, {plus: 1, minus: -1})}
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +356,7 @@ def test_minimality_check(k4_complex, cycle4_complex):
     assert not ok
     k, j, p, coeff = witness
     assert abs(coeff) == 1
-    unit = cycle4_complex.ctx.unit()
+    unit = 0
     assert column_elem(cycle4_complex.diffs[k][j])[p][unit] == coeff
     # a column with two constant terms: the witness names the lower target
     g = random_icb_digraph(4, random.Random(2))
@@ -339,9 +395,9 @@ def test_boundary_xn_marker():
             for idx, poly in f.items():
                 for mono in poly:
                     if idx == ridx and len(poly) == 1:
-                        assert mono[n - 1] > 0
+                        assert C.ctx.unpack(mono)[n - 1] > 0
                     elif idx != ridx:
-                        assert mono[n - 1] == 0
+                        assert C.ctx.unpack(mono)[n - 1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +414,7 @@ def test_export_round_trip(k4_complex):
         cols = doc["diffs"][k - 1]
         assert [c["basis"] for c in cols] == list(range(1, len(C.bases[k]) + 1))
         for j, col in enumerate(cols):
-            assert parse_column(col["poly"], 4) == C.diffs[k][j]
+            assert parse_column(col["poly"], C.ctx) == C.diffs[k][j]
 
 
 def test_export_is_deterministic(k4_complex):
@@ -377,7 +433,7 @@ def _expected_elem(C, terms):
         for v, targets in exps.items():
             mono[v - 1] = sum(a[v - 1][t - 1] for t in targets)
         blocks = tuple(tuple(int(ch) for ch in b) for b in part.split(","))
-        out[C.index[len(blocks) - 1][blocks]] = {tuple(mono): sign}
+        out[C.index[len(blocks) - 1][blocks]] = {C.ctx.pack(mono): sign}
     return out
 
 

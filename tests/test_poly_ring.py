@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monomial_reference as ref
 from cycres import poly_ring as pr
 from cycres.errors import InternalError, ZeroElementError
 
@@ -12,6 +13,7 @@ from conftest import (
     WEIGHTED4,
     column_elem,
     complex_from_matrix,
+    packed,
     parse_column,
     parse_elem,
 )
@@ -23,14 +25,9 @@ COMPLEX_ROWS = {
 }
 
 monos4 = st.tuples(*([st.integers(0, 5)] * 4))
-contexts = st.sampled_from(
-    [
-        pr.GradedContext(4, (1, 1, 1, 1)),
-        pr.GradedContext(4, (2, 3, 6, 6)),
-        pr.GradedContext(4, (3, 2, 6, 6)),
-        pr.GradedContext(4, (1, 2, 3, 5)),
-    ]
-)
+WEIGHTS4 = [(1, 1, 1, 1), (2, 3, 6, 6), (3, 2, 6, 6), (1, 2, 3, 5)]
+# 5-bit fields hold exponents up to 15, so products of two monos4 fit
+contexts = st.sampled_from([pr.GradedContext(4, nu, 5) for nu in WEIGHTS4])
 
 
 def cmp(a, b):
@@ -41,22 +38,21 @@ def cmp(a, b):
 def test_wrlo_weighted_example():
     # with weights (3,2,6,6): y^3 and x^2 both have degree 6, and the
     # rightmost nonzero coordinate of (0,3,0,0)-(2,0,0,0) is +3, so y^3 is smaller
-    ctx = pr.GradedContext(4, (3, 2, 6, 6))
-    assert pr.wrlo_key((0, 3, 0, 0), ctx) < pr.wrlo_key((2, 0, 0, 0), ctx)
+    ctx = pr.GradedContext(4, (3, 2, 6, 6), 4)
+    assert ctx.pack((0, 3, 0, 0)) < ctx.pack((2, 0, 0, 0))
 
 
 def test_wrlo_equal_and_unit_weights():
-    ctx = pr.GradedContext(4, (1, 1, 1, 1))
-    assert pr.wrlo_key((1, 2, 0, 1), ctx) == pr.wrlo_key((1, 2, 0, 1), ctx)
+    ctx = pr.GradedContext(4, (1, 1, 1, 1), 4)
+    assert ctx.pack((1, 2, 0, 1)) == ctx.pack((1, 2, 0, 1))
     # x1*x2 vs x3^2: equal degree, difference (1,1,-2,0) has rightmost -2
-    assert pr.wrlo_key((1, 1, 0, 0), ctx) > pr.wrlo_key((0, 0, 2, 0), ctx)
+    assert ctx.pack((1, 1, 0, 0)) > ctx.pack((0, 0, 2, 0))
 
 
 @settings(max_examples=150, deadline=None)
 @given(contexts, monos4, monos4, monos4)
 def test_wrlo_total_order_properties(ctx, a, b, c):
-    def key(m):
-        return pr.wrlo_key(m, ctx)
+    key = ctx.pack
 
     cab = cmp(key(a), key(b))
     # total: the key separates distinct monomials
@@ -65,30 +61,94 @@ def test_wrlo_total_order_properties(ctx, a, b, c):
     if cab >= 0 and cmp(key(b), key(c)) >= 0:
         assert cmp(key(a), key(c)) >= 0
     # multiplicativity
-    assert cmp(key(pr.mono_mul(a, c)), key(pr.mono_mul(b, c))) == cab
+    assert cmp(key(a) + key(c), key(b) + key(c)) == cab
+
+
+@st.composite
+def packed_cases(draw):
+    """A context, narrow fields included, and three exponent vectors that
+    fit it, up to the largest exponent its fields hold."""
+    ctx = pr.GradedContext(4, draw(st.sampled_from(WEIGHTS4)), draw(st.integers(1, 5)))
+    mono = st.tuples(*([st.integers(0, ctx.cap)] * 4))
+    return ctx, draw(mono), draw(mono), draw(mono)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_cases())
+def test_packed_monomials_agree_with_the_tuple_reference(case):
+    ctx, a, b, c = case
+    nu = ctx.nu
+    pa, pb, pc = ctx.pack(a), ctx.pack(b), ctx.pack(c)
+    # round trip and degree
+    assert ctx.unpack(pa) == a
+    assert ctx.degree(pa) == ref.degree(a, nu)
+    assert ctx.pack((0, 0, 0, 0)) == 0
+    # order, also after multiplying both sides by the same monomial, whose
+    # sums may fill a field up to its guard bit
+    assert cmp(pa, pb) == cmp(ref.wrlo_key(a, nu), ref.wrlo_key(b, nu))
+    assert cmp(pa + pc, pb + pc) == cmp(
+        ref.wrlo_key(ref.mono_mul(a, c), nu), ref.wrlo_key(ref.mono_mul(b, c), nu)
+    )
+    product = ref.mono_mul(a, b)
+    if max(product) <= ctx.cap:
+        assert pa + pb == ctx.pack(product)
+        assert ctx.degree(pa + pb) == ref.degree(product, nu)
+    # divisibility, the quotient and the S-pair cofactor lcm(a, b) / a
+    assert ctx.divides(pa, pb) == ref.mono_divides(a, b)
+    if ref.mono_divides(a, b):
+        assert pb - pa == ctx.pack(ref.mono_div(b, a))
+    assert ctx.cofactor(pa, pb) == ctx.pack(ref.mono_div(ref.mono_lcm(a, b), a))
+
+
+def test_an_exponent_past_the_fields_raises_and_never_aliases():
+    ctx = pr.GradedContext(4, (1, 1, 1, 1), 3)
+    assert ctx.cap == 3
+    assert ctx.unpack(ctx.pack((3, 0, 0, 3))) == (3, 0, 0, 3)
+    # x1^4 would carry into the field of x2 and read as x2
+    for exps in ((4, 0, 0, 0), (0, 0, 0, 4), (-1, 0, 0, 0)):
+        with pytest.raises(InternalError, match="does not fit 3-bit fields"):
+            ctx.pack(exps)
+    with pytest.raises(InternalError, match="does not fit 4 3-bit fields"):
+        ctx.pack((0, 0, 0))
+    # the tower refuses an accumulated level-0 monomial past the fields
+    tower = pr.OrderTower(ctx)
+    tower.add_level([{0: {ctx.pack((3, 0, 0, 0)): 1}}])
+    with pytest.raises(InternalError, match="overflows 3-bit fields"):
+        tower.add_level([{0: {ctx.pack((1, 0, 0, 0)): 1}}])
+    assert tower.levels == 2
+
+
+def test_context_holding_a_degree():
+    ctx = pr.GradedContext.holding((2, 3, 6, 6), 20)
+    assert ctx.cap >= 10 and ctx.width == 5
+    assert ctx.unpack(ctx.pack((10, 0, 0, 0))) == (10, 0, 0, 0)
+    assert pr.GradedContext.holding((1, 1, 1, 1), 20).cap == 31
 
 
 def test_leading_term_poly():
-    tower = pr.OrderTower(pr.GradedContext(4, (1, 1, 1, 1)))
-    f = {(1, 1, 1, 0): 1, (0, 0, 0, 3): -1}
-    assert tower.leading_module_term({0: f}, 0) == (1, (1, 1, 1, 0), 0)
-    assert tower.leading_module_term({0: {(2, 0, 0, 0): 5}}, 0) == (5, (2, 0, 0, 0), 0)
+    ctx = pr.GradedContext(4, (1, 1, 1, 1), 4)
+    tower = pr.OrderTower(ctx)
+    f = packed(ctx, {(1, 1, 1, 0): 1, (0, 0, 0, 3): -1})
+    assert tower.leading_module_term({0: f}, 0) == (1, ctx.pack((1, 1, 1, 0)), 0)
+    assert tower.leading_module_term({0: packed(ctx, {(2, 0, 0, 0): 5})}, 0) == (
+        5, ctx.pack((2, 0, 0, 0)), 0
+    )
     with pytest.raises(ZeroElementError):
         tower.leading_module_term({}, 0)
 
 
 def test_module_compare_k4_example(k4_complex):
-    key = k4_complex.tower.key
+    key, P = k4_complex.tower.key, k4_complex.ctx.pack
     # x*e_{1,7} maps to x^4, e_{1,1} maps to x1*x2*x3; degree 4 beats 3
-    assert key(1, (1, 0, 0, 0), 6) > key(1, (0, 0, 0, 0), 0)
-    assert key(1, (1, 0, 0, 0), 2) == key(1, (1, 0, 0, 0), 2)
+    assert key(1, P((1, 0, 0, 0)), 6) > key(1, P((0, 0, 0, 0)), 0)
+    assert key(1, P((1, 0, 0, 0)), 2) == key(1, P((1, 0, 0, 0)), 2)
 
 
 def test_module_compare_tie_breaks_by_larger_index(k4_complex):
-    key = k4_complex.tower.key
+    key, P = k4_complex.tower.key, k4_complex.ctx.pack
     # x1^2 * Lm(f_{0,2}) = x2^2 * Lm(f_{0,3}) = x1^2x2^2x3^2; index decides
-    assert key(1, (2, 0, 0, 0), 1) < key(1, (0, 2, 0, 0), 2)
-    assert key(1, (0, 2, 0, 0), 2) > key(1, (2, 0, 0, 0), 1)
+    assert key(1, P((2, 0, 0, 0)), 1) < key(1, P((0, 2, 0, 0)), 2)
+    assert key(1, P((0, 2, 0, 0)), 2) > key(1, P((2, 0, 0, 0)), 1)
 
 
 def test_leading_module_term_of_degree0_images(weighted4_echelon_complex):
@@ -100,7 +160,7 @@ def test_leading_module_term_of_degree0_images(weighted4_echelon_complex):
 
         assert idx == 0
         assert coeff == 1
-        assert mono == arrow_monomial(p[0], p[1], C.L)
+        assert mono == arrow_monomial(p[0], p[1], C.L, C.ctx)
 
 
 def assert_standard_expression(g, basis, quotients, remainder, tower, level):
@@ -117,12 +177,12 @@ def assert_standard_expression(g, basis, quotients, remainder, tower, level):
                 continue
             _, bm, bi = tower.leading_module_term(column_elem(b), level)
             for mono in q:
-                assert gkey >= tower.key(level, pr.mono_mul(mono, bm), bi)
+                assert gkey >= tower.key(level, mono + bm, bi)
     basis_lts = [tower.leading_module_term(column_elem(b), level) for b in basis]
     for idx, poly in remainder.items():
         for mono in poly:
             for _, bm, bi in basis_lts:
-                assert not (bi == idx and pr.mono_divides(bm, mono))
+                assert not (bi == idx and tower.ctx.divides(bm, mono))
 
 
 def test_divide_basis_element_is_exact(k4_complex):
@@ -130,7 +190,7 @@ def test_divide_basis_element_is_exact(k4_complex):
     g0 = C.diffs[1]
     q, r = pr.divide(column_elem(g0[3]), C.tower, 0)
     assert r == {}
-    assert q[3] == {(0, 0, 0, 0): 1}
+    assert q[3] == packed(C.ctx, {(0, 0, 0, 0): 1})
     assert all(not qq for i, qq in enumerate(q) if i != 3)
 
 
@@ -145,7 +205,7 @@ def test_divide_k4_s_pair_reduces_to_zero(k4_complex):
 
 def test_divide_coprime_leading_terms_leave_remainder(k4_complex):
     C = k4_complex
-    g = {0: {(0, 0, 0, 2): 1}}  # x4^2: no leading term divides it
+    g = {0: packed(C.ctx, {(0, 0, 0, 2): 1})}  # x4^2: no leading term divides it
     q, r = pr.divide(g, C.tower, 0)
     assert r == g
     assert all(not qq for qq in q)
@@ -156,11 +216,11 @@ def test_divide_prefers_lowest_index_divisor(k4_complex):
     # x1^3*x2^3 is divisible by three leading terms; the reduction must take
     # x1^2*x2^2 (position 4 in srle order) first, pinning the whole run
     C = k4_complex
-    g = {0: {(3, 3, 0, 0): 1}}
+    g = {0: packed(C.ctx, {(3, 3, 0, 0): 1})}
     q, r = pr.divide(g, C.tower, 0)
-    assert q[3] == {(1, 1, 0, 0): 1}
-    assert q[0] == {(0, 0, 1, 2): 1}
-    assert r == {0: {(0, 0, 1, 5): 1}}
+    assert q[3] == packed(C.ctx, {(1, 1, 0, 0): 1})
+    assert q[0] == packed(C.ctx, {(0, 0, 1, 2): 1})
+    assert r == {0: packed(C.ctx, {(0, 0, 1, 5): 1})}
     assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
 
 
@@ -170,7 +230,7 @@ def test_divide_random_standard_expressions(k4_complex):
     for _ in range(25):
         g = {}
         for _ in range(rng.randint(1, 4)):
-            mono = tuple(rng.randint(0, 3) for _ in range(4))
+            mono = C.ctx.pack([rng.randint(0, 3) for _ in range(4)])
             pr.elem_add_term(g, 0, rng.choice([-2, -1, 1, 2]), mono)
         q, r = pr.divide(g, C.tower, 0)
         assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
@@ -195,17 +255,18 @@ def test_s_vector_same_element_is_zero(k4_complex):
     C = k4_complex
     s, m_ji, m_ij = pr.s_vector(C.tower, 0, 0, 0)
     assert s == {}
-    assert m_ji == m_ij == (1, (0, 0, 0, 0))
+    assert m_ji == m_ij == (1, C.ctx.pack((0, 0, 0, 0)))
 
 
 def test_s_vector_nested_subsets_generic(generic4_complex):
     # C = {2,3} inside D = {1,2,3}: the quotient monomial is x1^(weight 1->4)
     C = generic4_complex
     a14 = C.L.a[0][3]
+    x1_a14 = C.ctx.pack((a14, 0, 0, 0))
     s, m_ji, m_ij = pr.s_vector(C.tower, 0, 1, 0)
-    assert m_ji == (1, (a14, 0, 0, 0))
+    assert m_ji == (1, x1_a14)
     lt = C.tower.leading_module_term(s, 0)
-    lcm_key = C.tower.key(0, pr.mono_mul((a14, 0, 0, 0), C.tower.lms[1][1][1]), 0)
+    lcm_key = C.tower.key(0, x1_a14 + C.tower.lms[1][1][1], 0)
     assert C.tower.key(0, lt[1], lt[2]) < lcm_key
 
 
@@ -214,7 +275,7 @@ def test_s_vector_level_one_pair_from_worked_example(generic4_complex):
     C = generic4_complex
     a14 = C.L.a[0][3]
     s, m_ji, m_ij = pr.s_vector(C.tower, 1, 4, 3)
-    assert m_ji == (-1, (a14, 0, 0, 0))
+    assert m_ji == (-1, C.ctx.pack((a14, 0, 0, 0)))
     assert s
 
 
@@ -229,7 +290,8 @@ def test_s_vector_drops_below_lcm_k4_pairs(k4_complex, i, j):
     # the leading monomial of an S-vector is strictly below the cancelled lcm
     C = k4_complex
     s, m_ji, m_ij = pr.s_vector(C.tower, 0, i, j)
-    lcm = pr.mono_lcm(C.tower.lms[1][i][1], C.tower.lms[1][j][1])
+    ctx = C.ctx
+    lcm = ctx.pack(ref.mono_lcm(ctx.unpack(C.tower.lms[1][i][1]), ctx.unpack(C.tower.lms[1][j][1])))
     if s:
         _, sm, si = C.tower.leading_module_term(s, 0)
         assert C.tower.key(0, sm, si) < C.tower.key(0, lcm, 0)
@@ -241,7 +303,7 @@ def test_s_vector_drops_below_lcm_k4_pairs(k4_complex, i, j):
 def test_add_level_rejects_non_unit_leading_coefficient(k4_complex):
     C = k4_complex
     g0 = [column_elem(f) for f in C.diffs[1]]
-    doubled = pr.elem_scale_term(g0[0], 2, C.ctx.unit())
+    doubled = pr.elem_scale_term(g0[0], 2, 0)
     for images in ([doubled], g0 + [doubled]):
         tower = pr.OrderTower(C.ctx)
         with pytest.raises(InternalError):
@@ -252,7 +314,7 @@ def test_add_level_rejects_non_unit_leading_coefficient(k4_complex):
 def test_add_level_rejects_non_unit_leading_coefficient_at_any_position(k4_complex):
     C = k4_complex
     g0 = [column_elem(f) for f in C.diffs[1]]
-    doubled = pr.elem_scale_term(g0[0], 2, C.ctx.unit())
+    doubled = pr.elem_scale_term(g0[0], 2, 0)
     for images in ([doubled, g0[1]], [g0[1], doubled]):
         with pytest.raises(InternalError):
             pr.OrderTower(C.ctx).add_level(images)
@@ -260,7 +322,7 @@ def test_add_level_rejects_non_unit_leading_coefficient_at_any_position(k4_compl
     tower = pr.OrderTower(C.ctx)
     tower.add_level(g0)
     g1 = [column_elem(f) for f in C.diffs[2]]
-    doubled = pr.elem_scale_term(g1[3], -2, C.ctx.unit())
+    doubled = pr.elem_scale_term(g1[3], -2, 0)
     with pytest.raises(InternalError):
         tower.add_level(g1[:3] + [doubled] + g1[4:])
     assert tower.levels == 2
@@ -270,7 +332,7 @@ def test_add_level_rejects_an_inhomogeneous_column(k4_complex):
     C = k4_complex
     tower = pr.OrderTower(C.ctx)
     with pytest.raises(InternalError, match="inhomogeneous differential column 1 in degree 1"):
-        tower.add_level([{0: {(1, 0, 0, 0): 1, (0, 0, 0, 2): -1}}])
+        tower.add_level([{0: packed(C.ctx, {(1, 0, 0, 0): 1, (0, 0, 0, 2): -1})}])
     assert tower.levels == 1
     with pytest.raises(ZeroElementError):
         tower.add_level([{}])
@@ -278,7 +340,7 @@ def test_add_level_rejects_an_inhomogeneous_column(k4_complex):
     # one level up: a term on e[1,1] one degree too high in column 4
     tower.add_level([column_elem(f) for f in C.diffs[1]])
     g1 = [column_elem(f) for f in C.diffs[2]]
-    pr.elem_add_term(g1[3], 0, 1, (0, 0, 0, 3))
+    pr.elem_add_term(g1[3], 0, 1, C.ctx.pack((0, 0, 0, 3)))
     with pytest.raises(InternalError, match="inhomogeneous differential column 4 in degree 2"):
         tower.add_level(g1)
     assert tower.levels == 2
@@ -294,7 +356,7 @@ def test_stored_columns_are_strictly_decreasing(name):
             keys = [C.tower.key(k - 1, mono, idx) for _, mono, idx in column]
             assert all(a > b for a, b in zip(keys, keys[1:]))
             assert C.tower.lms[k][j] is column[0]
-            assert {key[0][0] for key in keys} == {C.shifts[k][j]}
+            assert {C.ctx.degree(key[0]) for key in keys} == {C.shifts[k][j]}
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +364,40 @@ def test_stored_columns_are_strictly_decreasing(name):
 
 def test_elem_str_round_trip(k4_complex):
     C = k4_complex
-    assert pr.elem_str((), 0) == "0"
-    assert parse_elem("0", 4) == {}
-    assert parse_column("0", 4) == ()
+    assert pr.elem_str((), 0, C.ctx) == "0"
+    assert parse_elem("0", C.ctx) == {}
+    assert parse_column("0", C.ctx) == ()
     for k in (1, 2, 3):
         for f in C.diffs[k]:
-            s = pr.elem_str(f, k - 1)
-            assert parse_column(s, 4) == f
+            s = pr.elem_str(f, k - 1, C.ctx)
+            assert parse_column(s, C.ctx) == f
 
 
 def test_elem_str_level0_is_plain_polynomial(k4_complex):
     C = k4_complex
-    assert pr.elem_str(C.diffs[1][0], 0) == "x1*x2*x3 - x4^3"
+    assert pr.elem_str(C.diffs[1][0], 0, C.ctx) == "x1*x2*x3 - x4^3"
+
+
+def test_elem_str_renders_each_distinct_monomial_once(monkeypatch):
+    # text is kept per context: a second rendering unpacks nothing, and a
+    # fresh complex renders its own monomials again
+    C = complex_from_matrix(COMPLEX_ROWS["echelon6"])
+    unpacked = []
+    original = pr.GradedContext.unpack
+
+    def counting(self, mono):
+        unpacked.append(mono)
+        return original(self, mono)
+
+    monkeypatch.setattr(pr.GradedContext, "unpack", counting)
+    texts = [pr.elem_str(f, k - 1, C.ctx) for k in range(1, C.n) for f in C.diffs[k]]
+    distinct = {m for k in range(1, C.n) for f in C.diffs[k] for _, m, _ in f}
+    assert sorted(unpacked) == sorted(distinct)
+    assert [pr.elem_str(f, k - 1, C.ctx) for k in range(1, C.n) for f in C.diffs[k]] == texts
+    assert len(unpacked) == len(distinct)
+    D = complex_from_matrix(COMPLEX_ROWS["echelon6"])
+    assert pr.elem_str(D.diffs[1][0], 0, D.ctx) == texts[0]
+    assert len(unpacked) > len(distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +408,8 @@ def _rec_compare(C, level, m1, i, m2, j):
     monomials through the images one level down, compare there, break ties
     by the larger basis index."""
     if level == 0:
-        return cmp(pr.wrlo_key(m1, C.ctx), pr.wrlo_key(m2, C.ctx))
+        ctx = C.ctx
+        return cmp(ref.wrlo_key(ctx.unpack(m1), ctx.nu), ref.wrlo_key(ctx.unpack(m2), ctx.nu))
     lt1 = _rec_leading(C, level - 1, pr.elem_scale_term(column_elem(C.diffs[level][i]), 1, m1))
     lt2 = _rec_leading(C, level - 1, pr.elem_scale_term(column_elem(C.diffs[level][j]), 1, m2))
     c = _rec_compare(C, level - 1, lt1[0], lt1[1], lt2[0], lt2[1])
@@ -348,8 +433,8 @@ def test_tower_keys_agree_with_recursive_definition(generic4_complex):
     for level in (1, 2, 3):
         r = len(C.bases[level])
         for _ in range(40):
-            m1 = tuple(rng.randint(0, 4) for _ in range(4))
-            m2 = tuple(rng.randint(0, 4) for _ in range(4))
+            m1 = C.ctx.pack([rng.randint(0, 4) for _ in range(4)])
+            m2 = C.ctx.pack([rng.randint(0, 4) for _ in range(4)])
             i, j = rng.randrange(r), rng.randrange(r)
             got = cmp(C.tower.key(level, m1, i), C.tower.key(level, m2, j))
             assert got == _rec_compare(C, level, m1, i, m2, j)
@@ -371,7 +456,7 @@ def test_divide_at_level_one_standard_expressions(k4_complex):
         g = {}
         for _ in range(rng.randint(1, 4)):
             idx = rng.randrange(7)
-            mono = tuple(rng.randint(0, 2) for _ in range(4))
+            mono = C.ctx.pack([rng.randint(0, 2) for _ in range(4)])
             pr.elem_add_term(g, idx, rng.choice([-1, 1]), mono)
         q, r = pr.divide(g, C.tower, 1)
         assert_standard_expression(g, g1, q, r, C.tower, 1)

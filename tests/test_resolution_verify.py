@@ -5,7 +5,8 @@ import pytest
 from cycres import cyc_complex as cc
 from cycres import graph_core
 from cycres import resolution_verify as rv
-from cycres.poly_ring import OrderTower, divide, elem_scale_term, mono_divides, s_vector
+from cycres.errors import InternalError
+from cycres.poly_ring import GradedContext, OrderTower, divide, elem_scale_term, s_vector
 
 from conftest import (
     ECHELON6,
@@ -13,6 +14,7 @@ from conftest import (
     column_elem,
     complex_from_matrix,
     generic4_matrix,
+    packed,
     random_icb_digraph,
 )
 
@@ -34,7 +36,7 @@ def test_s_poly_closed_form_nested(generic4_complex):
     s, m_ji, m_ij = s_vector(C.tower, 0, 1, 0)
     formula, l_cd, l_dc = rv.s_poly_closed_form((2, 3), (1, 2, 3), C)
     assert s == formula
-    assert l_dc == (0, 0, 0, a[3][1] + a[3][2])
+    assert l_dc == C.ctx.pack((0, 0, 0, a[3][1] + a[3][2]))
     f7 = C.diffs[1][6]
     assert s == elem_scale_term(column_elem(f7), -1, l_dc)
 
@@ -44,17 +46,17 @@ def test_colon_stability_k4(k4_complex):
     assert ok, witness
     assert counters["trials"] == rv.COLON_TRIALS
     # no leading term involves the last variable
-    assert all(lt[1][3] == 0 for lt in k4_complex.tower.lms[1])
+    assert all(k4_complex.ctx.unpack(lt[1])[3] == 0 for lt in k4_complex.tower.lms[1])
 
 
 def test_colon_manual_member_and_nonmember(k4_complex):
     C = k4_complex
     g0 = C.diffs[1]
-    t = (0, 0, 0, 1)
+    t = C.ctx.pack((0, 0, 0, 1))
     tg = elem_scale_term(column_elem(g0[0]), 1, t)
     _, rem = divide(tg, C.tower, 0)
     assert rem == {}
-    h = {0: {(1, 0, 0, 0): 1}}  # x1 alone is not in the ideal
+    h = {0: packed(C.ctx, {(1, 0, 0, 0): 1})}  # x1 alone is not in the ideal
     _, rem_h = divide(h, C.tower, 0)
     assert rem_h
     _, rem_th = divide(elem_scale_term(h, 1, t), C.tower, 0)
@@ -68,12 +70,13 @@ def quotients_at(C, k, i):
 def test_module_quotients_worked_example_level1(generic4_complex):
     C = generic4_complex
     a = C.L.a
+    P = C.ctx.pack
     gens = quotients_at(C, 1, 4)
     retained = {(j, c, m) for j, c, m, pruned in gens if not pruned}
     assert retained == {
-        (0, 1, (a[0][3], a[1][3], 0, 0)),
-        (1, 1, (0, a[1][0] + a[1][3], 0, 0)),
-        (2, 1, (a[0][1] + a[0][3], 0, 0, 0)),
+        (0, 1, P((a[0][3], a[1][3], 0, 0))),
+        (1, 1, P((0, a[1][0] + a[1][3], 0, 0))),
+        (2, 1, P((a[0][1] + a[0][3], 0, 0, 0))),
     }
     pruned = [g for g in gens if g[3]]
     assert [g[0] for g in pruned] == [3]
@@ -83,7 +86,9 @@ def test_module_quotients_worked_example_level2(generic4_complex):
     C = generic4_complex
     a = C.L.a
     gens = quotients_at(C, 2, 4)
-    assert [(j, c, m) for j, c, m, pruned in gens if not pruned] == [(3, -1, (a[0][3], 0, 0, 0))]
+    assert [(j, c, m) for j, c, m, pruned in gens if not pruned] == [
+        (3, -1, C.ctx.pack((a[0][3], 0, 0, 0)))
+    ]
 
 
 def test_module_quotients_empty_when_last_block_is_n(generic4_complex):
@@ -140,6 +145,22 @@ def test_module_quotients_catch_a_target_across_prefixes():
     assert witness == f"nonzero quotient across different prefixes at level {k}: 1, {i + 1}"
 
 
+def test_module_quotients_witness_spells_out_exponents():
+    # x1 times the leading term of generator 5 of K4: the cofactor read from
+    # the tower no longer matches the closed formula, and the witness shows
+    # both as exponent vectors
+    C = complex_from_matrix(K4_ROWS)
+    coeff, mono, idx = C.tower.lms[1][4]
+    assert C.ctx.unpack(mono) == (0, 0, 3, 0)
+    C.tower.lms[1][4] = (coeff, mono + C.ctx.pack((1, 0, 0, 0)), idx)
+    assert rv.verify_module_quotients(C) == (
+        False,
+        "closed formula mismatch at level 1, pair (1,5): "
+        "direct (1, (0, 1, 0, 0)), formula (1, (1, 1, 0, 0))",
+        {"generators": 6},
+    )
+
+
 def test_tau_identity_worked_examples(generic4_complex):
     C = generic4_complex
     a = C.L.a
@@ -149,7 +170,7 @@ def test_tau_identity_worked_examples(generic4_complex):
     ok, witness = rv.verify_tau_identity(C, 1, e1)
     assert ok, witness
     de = column_elem(C.diffs[2][C.index[2][e1]])
-    assert de[i] == {(a[0][3], 0, 0, 0): -1}  # -tau leads with +x1^a14
+    assert de[i] == packed(C.ctx, {(a[0][3], 0, 0, 0): -1})  # -tau leads with +x1^a14
 
     e2 = ((3,), (2,), (1,), (4,))
     i2, j2 = rv.tau_pair(C, 2, e2)
@@ -160,7 +181,7 @@ def test_tau_identity_worked_examples(generic4_complex):
     ok, witness = rv.verify_tau_identity(C, 2, e2)
     assert ok, witness
     de2 = column_elem(C.diffs[3][C.index[3][e2]])
-    assert de2[i2] == {(a[0][3], 0, 0, 0): 1}  # m^2_{4,5} = -x1^a14
+    assert de2[i2] == packed(C.ctx, {(a[0][3], 0, 0, 0): 1})  # m^2_{4,5} = -x1^a14
 
 
 def _tau_target(k=2, e=((3,), (2,), (1,), (4,))):
@@ -208,7 +229,7 @@ def test_tau_identity_catches_a_tail_term_above_the_s_vector():
     assert [t for t in C.diffs[k + 1][col] if t[2] not in (i, j)]
     _replace_term(
         C, k + 1, col, lambda t: t[2] not in (i, j),
-        lambda t: (t[0], (t[1][0] + 10,) + t[1][1:], t[2]),
+        lambda t: (t[0], t[1] + C.ctx.pack((10, 0, 0, 0)), t[2]),
     )
     assert rv.verify_tau_identity(C, k, e) == (
         False, "standard-expression bound fails at (3,2,1,4)"
@@ -259,14 +280,14 @@ def test_distinct_images(k4_complex, cycle4_complex):
 def test_minimal_gb_divisibility(k4_complex, cycle4_complex):
     k4_lms = [lt[1] for lt in k4_complex.tower.lms[1]]
     assert not any(
-        mono_divides(a, b)
+        k4_complex.ctx.divides(a, b)
         for i, a in enumerate(k4_lms)
         for j, b in enumerate(k4_lms)
         if i != j
     )
     cyc_lms = [lt[1] for lt in cycle4_complex.tower.lms[1]]
     assert any(
-        mono_divides(a, b)
+        cycle4_complex.ctx.divides(a, b)
         for i, a in enumerate(cyc_lms)
         for j, b in enumerate(cyc_lms)
         if i != j
@@ -277,9 +298,16 @@ def test_minimal_gb_divisibility(k4_complex, cycle4_complex):
 # homology oracle
 
 def test_monomials_of_degree():
-    assert rv.monomials_of_degree((1, 1), 2) == [(0, 2), (1, 1), (2, 0)]
-    assert rv.monomials_of_degree((2, 3), 7) == [(2, 1)]
-    assert rv.monomials_of_degree((1, 1, 1), 0) == [(0, 0, 0)]
+    ctx = GradedContext(2, (1, 1), 3)
+    assert rv.monomials_of_degree(ctx, 2) == [ctx.pack(m) for m in [(0, 2), (1, 1), (2, 0)]]
+    ctx = GradedContext(2, (2, 3), 3)
+    assert rv.monomials_of_degree(ctx, 7) == [ctx.pack((2, 1))]
+    ctx = GradedContext(3, (1, 1, 1), 3)
+    assert rv.monomials_of_degree(ctx, 0) == [ctx.pack((0, 0, 0))]
+    # x1^4 of degree 4 needs more than 3-bit fields
+    assert len(rv.monomials_of_degree(ctx, 3)) == 10
+    with pytest.raises(InternalError, match="degree 4 does not fit 3-bit fields"):
+        rv.monomials_of_degree(ctx, 4)
 
 
 def test_graded_pieces_vanish_at_degree_zero(k4_complex):
@@ -314,9 +342,10 @@ def test_hilbert_tail_k4(k4_complex):
     # frozen via the monomial-counting oracle: 16 standard monomials per
     # degree once the degree passes the generator range
     lt = [m[1] for m in k4_complex.tower.lms[1]]
+    divides = k4_complex.ctx.divides
     for d in range(6, 13):
-        all_d = rv.monomials_of_degree((1, 1, 1, 1), d)
-        outside = [m for m in all_d if not any(mono_divides(g, m) for g in lt)]
+        all_d = rv.monomials_of_degree(k4_complex.ctx, d)
+        outside = [m for m in all_d if not any(divides(g, m) for g in lt)]
         assert len(outside) == 16
 
 
@@ -417,7 +446,6 @@ def test_graded_piece_ranks_match_dense_oracle():
     # same matrices, assembled densely and ranked by fraction-free
     # elimination over Q, for a random weighted instance and K4
     from linalg_reference import rank
-    from cycres.poly_ring import mono_mul
 
     rng = random.Random(31)
     instances = [
@@ -435,16 +463,16 @@ def test_graded_piece_ranks_match_dense_oracle():
                 sparse_rank, ncols = rv.graded_piece_rank(C, k, below, level)
                 row_ids = {}
                 for p in range(len(C.bases[k - 1])):
-                    for beta in rv.monomials_of_degree(C.ctx.nu, d - C.shifts[k - 1][p]):
+                    for beta in rv.monomials_of_degree(C.ctx, d - C.shifts[k - 1][p]):
                         row_ids[(p, beta)] = len(row_ids)
                 assert below == row_ids
                 below = level
                 cols = []
                 for j, f in enumerate(C.diffs[k]):
-                    for alpha in rv.monomials_of_degree(C.ctx.nu, d - C.shifts[k][j]):
+                    for alpha in rv.monomials_of_degree(C.ctx, d - C.shifts[k][j]):
                         col = [0] * len(row_ids)
                         for coeff, mono, p in f:
-                            col[row_ids[(p, mono_mul(alpha, mono))]] = int(coeff)
+                            col[row_ids[(p, alpha + mono)]] = int(coeff)
                         cols.append(col)
                 assert len(cols) == ncols
                 dense = [list(row) for row in zip(*cols)] if cols else []
