@@ -1,13 +1,13 @@
 """Cyclically ordered partitions and the chain complex they span.
 
-A partition here is a tuple of blocks, each block a sorted tuple of vertices,
-blocks disjoint and covering {1..n}, with n in the last block (the canonical
-representative of the cyclic equivalence class).  A merge of two cyclic
-neighbours keeps the block holding n last, so nothing is ever rotated back
-into canonical form.  The free module in
-homological degree k has one basis element per partition into k+1 blocks,
-enumerated in the size-reverse lexicographic order (srle): bigger blocks
-first, ties broken by the rightmost differing vertex.
+A block is an int bitmask (bit v-1 is vertex v) and a partition is a tuple
+of blocks, disjoint and covering {1..n}, with n in the last block (the
+canonical representative of the cyclic equivalence class).  A merge of two
+cyclic neighbours is the union of their masks and keeps the block holding n
+last, so nothing is ever rotated back into canonical form.  The free module
+in homological degree k has one basis element per partition into k+1
+blocks, enumerated in the size-reverse lexicographic order (srle): bigger
+blocks first, ties broken by the rightmost differing vertex.
 """
 
 import json
@@ -26,57 +26,66 @@ from .poly_ring import (
 )
 
 
+def vertices(b):
+    """The vertices of block b, ascending."""
+    out = []
+    while b:
+        out.append((b & -b).bit_length())
+        b &= b - 1
+    return out
+
+
 def srle_key(p, n):
     # per block: bigger blocks first; ties: the largest element not shared
     # comes first, so the block's vertex bitmask counts against it
-    return tuple(-(len(b) << n) - sum(1 << (v - 1) for v in b) for b in p)
+    return tuple(-(b.bit_count() << n) - b for b in p)
 
 
-def _set_partitions(universe, parts):
-    """All partitions of a list into `parts` nonempty unordered blocks."""
+def _set_partitions(m, parts):
+    """All partitions of {1..m} into `parts` nonempty unordered blocks, as
+    lists of masks with the block holding m last."""
     if parts == 1:
-        yield [list(universe)]
+        yield [(1 << m) - 1]
         return
-    if len(universe) < parts:
+    if m < parts:
         return
-    first, rest = universe[0], universe[1:]
-    # first alone in a block, or joined to any block of a smaller partition
-    for sub in _set_partitions(rest, parts - 1):
-        yield [[first]] + sub
-    for sub in _set_partitions(rest, parts):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
+    top = 1 << (m - 1)
+    # m alone in a block, or joined to any block of a partition of {1..m-1}
+    for sub in _set_partitions(m - 1, parts - 1):
+        yield sub + [top]
+    for sub in _set_partitions(m - 1, parts):
+        for i in range(parts):
+            yield sub[:i] + sub[i + 1 :] + [sub[i] | top]
 
 
 def enumerate_basis(n, k):
     """All partitions of {1..n} into k+1 blocks, canonical, in srle order."""
     if not 1 <= k + 1 <= n:
         raise ValueError(f"block count {k + 1} out of range for n={n}")
-    out = []
-    block_keys = {}
-    for blocks in _set_partitions(list(range(1, n + 1)), k + 1):
-        last = next(b for b in blocks if n in b)
-        others = [tuple(sorted(b)) for b in blocks if b is not last]
-        tail = (tuple(sorted(last)),)
-        blocks = others + [tail[0]]
-        block_keys.update(zip(blocks, srle_key(blocks, n)))
-        for perm in permutations(others):
-            out.append(perm + tail)
-    # srle_key of each partition, from the keys of its blocks
-    out.sort(key=lambda p: tuple(map(block_keys.__getitem__, p)))
-    return out
+    keyed = []
+    for *others, last in _set_partitions(n, k + 1):
+        # the last block is fixed, so the keys of the others order the
+        # partitions; they are computed once and permuted with the blocks
+        keys = srle_key(others, n)
+        keyed += zip(permutations(keys), (perm + (last,) for perm in permutations(others)))
+    keyed.sort()
+    return [p for _, p in keyed]
 
 
 def arrow_monomial(I, J, L: CBMatrix, ctx: GradedContext):
-    """prod_{i in I} x_i^(sum of weights from i into J), packed."""
-    if set(I) & set(J):
-        raise InternalError(f"arrow monomial with overlapping sets {I}, {J}")
-    return sum(ctx.power(i - 1, sum(L.a[i - 1][j - 1] for j in J)) for i in I)
+    """prod_{i in I} x_i^(sum of weights from i into J), packed; I and J are
+    disjoint blocks."""
+    if I & J:
+        raise InternalError(
+            f"arrow monomial with overlapping sets {tuple(vertices(I))}, {tuple(vertices(J))}"
+        )
+    into = vertices(J)
+    return sum(ctx.power(i - 1, sum(L.a[i - 1][j - 1] for j in into)) for i in vertices(I))
 
 
 class ArrowTable(dict):
-    """The arrow monomials of one complex by block pair (I, J), each summed
-    once, when first asked for."""
+    """The arrow monomials of one complex by block pair (I, J) of masks, each
+    summed once, when first asked for."""
 
     def __init__(self, L: CBMatrix, ctx: GradedContext):
         super().__init__()
@@ -93,8 +102,8 @@ def merge(p, s):
     """
     k = len(p) - 1
     if s == k:
-        return p[1:k] + (tuple(sorted(p[0] + p[k])),)
-    return p[:s] + (tuple(sorted(p[s] + p[s + 1])),) + p[s + 2 :]
+        return p[1:k] + (p[0] | p[k],)
+    return p[:s] + (p[s] | p[s + 1],) + p[s + 2 :]
 
 
 def boundary(p, arrows: ArrowTable, index_below):

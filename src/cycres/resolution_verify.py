@@ -23,6 +23,7 @@ from .cyc_complex import (
     check_leading_terms,
     merge,
     minimality_check,
+    vertices,
 )
 from .intlinalg import rank_sparse
 from .poly_ring import (
@@ -77,19 +78,21 @@ class VerificationReport:
 
 
 def partition_str(p):
-    sep = "" if max(max(b) for b in p) <= 9 else "."
-    return "(" + ",".join(sep.join(str(v) for v in b) for b in p) + ")"
+    # the largest mask holds the highest vertex
+    sep = "" if max(p).bit_length() <= 9 else "."
+    return "(" + ",".join(sep.join(map(str, vertices(b))) for b in p) + ")"
 
 
 # ---------------------------------------------------------------------------
 # degree-0 checks
 
 def _arrow_plus(A, B, Cs, C: CycComplex):
-    """prod over i in A of x_i^((sum weights into B) - (sum weights into C))^+."""
+    """prod over i in block A of x_i^((sum weights into B) - (sum weights into Cs))^+."""
     a, power = C.L.a, C.ctx.power
+    B, Cs = vertices(B), vertices(Cs)
     return sum(
         power(i - 1, max(sum(a[i - 1][j - 1] for j in B) - sum(a[i - 1][j - 1] for j in Cs), 0))
-        for i in A
+        for i in vertices(A)
     )
 
 
@@ -101,39 +104,30 @@ def s_poly_closed_form(C, D, complex_: CycComplex):
     monomial coefficients.  Entirely bypasses leading-term computations.
     """
     L, ctx = complex_.L, complex_.ctx
-    n = complex_.n
-    Cset, Dset = set(C), set(D)
-    E = sorted(Cset & Dset)
-    F = sorted(Cset - Dset)
-    G = sorted(Dset - Cset)
-    V = sorted(set(range(1, n + 1)) - (Cset | Dset))
+    full = (1 << complex_.n) - 1
+    E, F, G, V = C & D, C & ~D, D & ~C, full & ~(C | D)
     l_cd = (_arrow_plus(E, G, F, complex_) + arrow_monomial(F, G, L, ctx)
             + arrow_monomial(V, D, L, ctx))
     l_dc = (_arrow_plus(E, F, G, complex_) + arrow_monomial(G, F, L, ctx)
             + arrow_monomial(V, C, L, ctx))
     out = {}
     if F:
-        fF = complex_.diffs[1][complex_.index[1][_subset_partition(F, n)]]
+        fF = complex_.diffs[1][complex_.index[1][F, full ^ F]]
         elem_combine(out, fF, 1, l_cd)
     if G:
-        fG = complex_.diffs[1][complex_.index[1][_subset_partition(G, n)]]
+        fG = complex_.diffs[1][complex_.index[1][G, full ^ G]]
         elem_combine(out, fG, -1, l_dc)
     return out, l_cd, l_dc
-
-
-def _subset_partition(C, n):
-    comp = tuple(v for v in range(1, n + 1) if v not in set(C))
-    return (tuple(sorted(C)), comp)
 
 
 def verify_degree0_gb(C: CycComplex):
     """Buchberger criterion plus the closed-form S-polynomial identity."""
     r1 = len(C.diffs[1])
+    full = (1 << C.n) - 1
     pairs = 0
     for i in range(r1):
         for j in range(i + 1, r1):
-            ci = C.bases[1][i][0]
-            cj = C.bases[1][j][0]
+            ci, cj = C.bases[1][i][0], C.bases[1][j][0]
             sv = s_vector(C.tower, 0, i, j)
             if sv is None:
                 return False, f"no S-pair for ({i + 1},{j + 1})", {"pairs": pairs}
@@ -141,22 +135,24 @@ def verify_degree0_gb(C: CycComplex):
             formula, l_cd, l_dc = s_poly_closed_form(ci, cj, C)
             if s != formula:
                 return False, (
-                    f"closed form mismatch for C={set(ci)}, D={set(cj)}"
+                    f"closed form mismatch for C, D = {partition_str((ci, cj))}"
                 ), {"pairs": pairs}
             if s:
                 s_lt = C.tower.leading_module_term(s, 0)
                 s_key = C.tower.key(0, s_lt[1], s_lt[2])
-                for mono, piece in ((l_cd, set(ci) - set(cj)), (l_dc, set(cj) - set(ci))):
+                for mono, piece in ((l_cd, ci & ~cj), (l_dc, cj & ~ci)):
                     if piece:
-                        lt = C.tower.lms[1][C.index[1][_subset_partition(sorted(piece), C.n)]]
+                        lt = C.tower.lms[1][C.index[1][piece, full ^ piece]]
                         if s_key < C.tower.key(0, mono + lt[1], lt[2]):
                             return False, (
-                                f"leading bound fails for C={set(ci)}, D={set(cj)}"
+                                f"leading bound fails for C, D = {partition_str((ci, cj))}"
                             ), {"pairs": pairs}
             _, rem = divide(s, C.tower, 0)
             pairs += 1
             if rem:
-                return False, f"nonzero remainder for C={set(ci)}, D={set(cj)}", {"pairs": pairs}
+                return False, (
+                    f"nonzero remainder for C, D = {partition_str((ci, cj))}"
+                ), {"pairs": pairs}
     return True, None, {"pairs": pairs}
 
 
@@ -235,13 +231,13 @@ def quotient_sources(C: CycComplex, k):
     """Yield (i, [(j, retained), ...]) for every level-k position i in order.
 
     The sources are the positions j < i with the same first k-1 blocks; j is
-    retained when its k-th block strictly contains that of i.
+    retained when its k-th block contains that of i (two such blocks differ).
     """
     groups = {}
     for i, p in enumerate(C.bases[k]):
         group = groups.setdefault(p[: k - 1], [])
-        ik = set(p[k - 1])
-        yield i, [(j, jk > ik) for j, jk in group]
+        ik = p[k - 1]
+        yield i, [(j, ik & ~jk == 0) for j, jk in group]
         group.append((i, ik))
 
 
@@ -259,14 +255,11 @@ def module_quotients(C: CycComplex, k, i, sources):
     closed product formula; a pruned generator (its source is not retained)
     must be divisible by a retained one.
     """
-    p = C.bases[k][i]
-    ik = set(p[k - 1])
-    ik1 = set(p[k])
+    ik, ik1 = C.bases[k][i][k - 1 :]
     sign = (-1) ** (k - 1)
     gens = []
     for j, retained in sources:
-        q = C.bases[k][j]
-        jk, jk1 = set(q[k - 1]), set(q[k])
+        jk, jk1 = C.bases[k][j][k - 1 :]
         direct = s_cofactor(C.tower, k - 1, i, j)
         expected = (
             sign,
@@ -309,7 +302,7 @@ def verify_module_quotients(C: CycComplex):
             except AssertionError as e:
                 return False, str(e), {"generators": count}
             count += len(gens)
-            if set(C.bases[k][i][k]) == {C.n} and gens:
+            if C.bases[k][i][k] == 1 << (C.n - 1) and gens:
                 return False, (
                     f"expected empty quotient set at level {k}, index {i + 1}"
                 ), {"generators": count}
@@ -374,9 +367,7 @@ def verify_tau_identities(C: CycComplex):
 
 def rho_image(C: CycComplex, k, i, j):
     p, q = C.bases[k][i], C.bases[k][j]
-    jk = set(q[k - 1])
-    ik = set(p[k - 1])
-    return p[:k] + (tuple(sorted(jk - ik)), q[k])
+    return p[:k] + (q[k - 1] & ~p[k - 1], q[k])
 
 
 def verify_schreyer_coverage(C: CycComplex, k) -> tuple:

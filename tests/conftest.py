@@ -57,6 +57,19 @@ def random_icb_digraph(n, rng: random.Random, extra=None, max_weight=3):
     )
 
 
+def P(*blocks):
+    """A partition given by the vertices of its blocks, as the tuple of
+    block bitmasks that cyc_complex uses (bit v-1 is vertex v)."""
+    return tuple(sum(1 << (v - 1) for v in b) for b in blocks)
+
+
+def tuples(p):
+    """The inverse of P: each block as the sorted tuple of its vertices."""
+    return tuple(
+        tuple(v for v in range(1, b.bit_length() + 1) if b >> (v - 1) & 1) for b in p
+    )
+
+
 def packed(ctx, poly):
     """A Poly given by exponent tuples, with its monomials packed for ctx."""
     return {ctx.pack(mono): coeff for mono, coeff in poly.items()}

@@ -1,23 +1,32 @@
 import json
 import random
+from functools import reduce
 from itertools import product
+from operator import or_
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import partition_reference as ref
 from cycres import cyc_complex as cc
 from cycres import graph_core
+from cycres import resolution_verify as rv
 from cycres.errors import InternalError, NotIrreducibleError, ValidationError
 from cycres.poly_ring import GradedContext
 from conftest import (
     ECHELON6,
     REDUCIBLE,
     WEIGHTED4,
+    P,
     column_elem,
     complex_from_matrix,
     generic4_matrix,
     packed,
     parse_column,
     random_icb_digraph,
+    tuples,
 )
 
 # 6-bit fields: exponents up to 31, above every row sum of generic4_matrix
@@ -54,10 +63,6 @@ def brute_force_basis(n, k):
 # ---------------------------------------------------------------------------
 # srle order and bases
 
-def P(*blocks):
-    return tuple(tuple(b) for b in blocks)
-
-
 def test_srle_compare_examples():
     def key(p):
         return cc.srle_key(p, 4)
@@ -69,23 +74,11 @@ def test_srle_compare_examples():
     assert key(p) != key(P([1], [2, 3], [4]))
 
 
-def _tuple_srle_key(p, n):
-    """The srle key as it was first written, a tuple per block: bigger
-    blocks first; ties: the largest element not shared comes first."""
-    def block_key(block):
-        present = [0] * n
-        for v in block:
-            present[n - v] = -1
-        return (-len(block), tuple(present))
-
-    return tuple(block_key(b) for b in p)
-
-
 def test_srle_int_keys_order_like_the_tuple_keys():
     for n in range(1, 8):
         for k in range(n):
             basis = cc.enumerate_basis(n, k)
-            assert basis == sorted(basis, key=lambda p: _tuple_srle_key(p, n))
+            assert basis == sorted(basis, key=lambda p: ref.srle_key(tuples(p), n))
             keys = [cc.srle_key(p, n) for p in basis]
             assert all(a < b for a, b in zip(keys, keys[1:]))
 
@@ -120,7 +113,7 @@ def test_enumerate_basis_matches_brute_force_and_stirling():
             basis = cc.enumerate_basis(n, k)
             expected = brute_force_basis(n, k)
             assert len(basis) == len(expected)
-            assert set(basis) == expected
+            assert {tuples(p) for p in basis} == expected
             fact = 1
             for i in range(1, k + 1):
                 fact *= i
@@ -140,12 +133,47 @@ def test_merge_is_canonical_and_hits_the_basis(rows, k4_complex):
             targets = []
             for s in range(k + 1):
                 q = cc.merge(p, s)
-                assert n in q[-1]
-                assert all(list(b) == sorted(b) for b in q)
+                assert n in tuples(q)[-1]
+                # nonempty disjoint blocks covering {1..n}
+                assert all(q) and sum(q) == reduce(or_, q) == (1 << n) - 1
                 assert q in C.index[k - 1]
                 targets.append(q)
             if k >= 2:
                 assert len(set(targets)) == k + 1
+
+
+@st.composite
+def partition_pairs(draw):
+    """Two random canonical partitions of one {1..n}, n <= 7, into the same
+    number (at least two) of blocks, as sorted vertex tuples."""
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(2, n))
+
+    def partition():
+        # the first m-1 blocks cut a shuffle of 1..n-1; the rest joins n
+        order = draw(st.permutations(range(1, n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=m - 1, max_size=m - 1)))
+        blocks = [tuple(sorted(order[a:b])) for a, b in zip([0] + cuts, cuts + [None])]
+        return tuple(blocks[:-1]) + (blocks[-1] + (n,),)
+
+    return n, partition(), partition()
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_pairs())
+def test_mask_operations_match_the_tuple_reference(case):
+    n, p, q = case
+    k = len(p) - 1
+    assert [tuples(cc.merge(P(*p), s)) for s in range(k + 1)] == [
+        ref.merge(p, s) for s in range(k + 1)
+    ]
+    # rho_image reads only the level-k basis
+    C = SimpleNamespace(bases={k: [P(*p), P(*q)]})
+    assert tuples(rv.rho_image(C, k, 0, 1)) == ref.rho_image(p, q, k)
+    assert (cc.srle_key(P(*p), n) < cc.srle_key(P(*q), n)) == (
+        ref.srle_key(p, n) < ref.srle_key(q, n)
+    )
+    assert (cc.srle_key(P(*p), n) == cc.srle_key(P(*q), n)) == (p == q)
 
 
 # ---------------------------------------------------------------------------
@@ -153,25 +181,25 @@ def test_merge_is_canonical_and_hits_the_basis(rows, k4_complex):
 
 def test_arrow_monomial_empty_sets():
     L = generic4_matrix()
-    assert cc.arrow_monomial((), (1, 2), L, CTX4) == CTX4.pack((0, 0, 0, 0))
-    assert cc.arrow_monomial((1, 2), (), L, CTX4) == CTX4.pack((0, 0, 0, 0))
+    assert cc.arrow_monomial(*P([], [1, 2]), L, CTX4) == CTX4.pack((0, 0, 0, 0))
+    assert cc.arrow_monomial(*P([1, 2], []), L, CTX4) == CTX4.pack((0, 0, 0, 0))
 
 
 def test_arrow_monomial_k4(k4_complex):
     C = k4_complex
-    assert cc.arrow_monomial((1, 2, 3), (4,), C.L, C.ctx) == C.ctx.pack((1, 1, 1, 0))
+    assert cc.arrow_monomial(*P([1, 2, 3], [4]), C.L, C.ctx) == C.ctx.pack((1, 1, 1, 0))
 
 
 def test_arrow_monomial_generic():
     L = generic4_matrix()
     a = L.a
-    got = cc.arrow_monomial((2, 3), (1, 4), L, CTX4)
+    got = cc.arrow_monomial(*P([2, 3], [1, 4]), L, CTX4)
     assert got == CTX4.pack((0, a[1][0] + a[1][3], a[2][0] + a[2][3], 0))
     with pytest.raises(InternalError, match=r"overlapping sets \(1, 2\), \(2, 3\)"):
-        cc.arrow_monomial((1, 2), (2, 3), L, CTX4)
+        cc.arrow_monomial(*P([1, 2], [2, 3]), L, CTX4)
     # a row sum past the fields is refused, not wrapped into another variable
     with pytest.raises(InternalError, match="exponent 33 of x4 does not fit 6-bit fields"):
-        cc.arrow_monomial((4,), (1, 2, 3), L, CTX4)
+        cc.arrow_monomial(*P([4], [1, 2, 3]), L, CTX4)
 
 
 @pytest.mark.parametrize("rows", [None, ECHELON6], ids=["k4", "echelon6"])
@@ -234,7 +262,7 @@ def test_boundary_singletons_give_column_binomials(generic4_complex):
     rows = C.L.signed_rows()
     n = C.n
     for i in range(1, n):
-        p = ((i,), tuple(v for v in range(1, n + 1) if v != i))
+        p = P([i], [v for v in range(1, n + 1) if v != i])
         f = C.diffs[1][C.index[1][p]]
         col = [rows[r][i - 1] for r in range(n)]
         plus = tuple(max(x, 0) for x in col)
@@ -432,7 +460,7 @@ def _expected_elem(C, terms):
         mono = [0, 0, 0, 0]
         for v, targets in exps.items():
             mono[v - 1] = sum(a[v - 1][t - 1] for t in targets)
-        blocks = tuple(tuple(int(ch) for ch in b) for b in part.split(","))
+        blocks = P(*(map(int, b) for b in part.split(",")))
         out[C.index[len(blocks) - 1][blocks]] = {C.ctx.pack(mono): sign}
     return out
 
@@ -483,8 +511,7 @@ LEVEL3_TABLE = [
 def _check_table(C, k, table):
     assert len(table) == len(C.bases[k])
     for pos, (part, terms) in enumerate(table):
-        blocks = tuple(tuple(int(ch) for ch in b) for b in part.split(","))
-        assert C.bases[k][pos] == blocks
+        assert tuples(C.bases[k][pos]) == tuple(tuple(map(int, b)) for b in part.split(","))
         assert column_elem(C.diffs[k][pos]) == _expected_elem(C, terms)
 
 

@@ -11,11 +11,13 @@ from cycres.poly_ring import GradedContext, OrderTower, divide, elem_scale_term,
 from conftest import (
     ECHELON6,
     WEIGHTED4,
+    P,
     column_elem,
     complex_from_matrix,
     generic4_matrix,
     packed,
     random_icb_digraph,
+    tuples,
 )
 
 
@@ -28,13 +30,38 @@ def test_degree0_gb_k4(k4_complex):
     assert counters["pairs"] == 21
 
 
+def test_partition_str_on_hand_written_partitions():
+    # no complex is built; vertices run together while every one is a
+    # single digit, and are dot-separated once one has two
+    assert rv.partition_str(P([3], [2], [1], [4])) == "(3,2,1,4)"
+    assert rv.partition_str(P([2, 3], [1, 4])) == "(23,14)"
+    assert rv.partition_str(P(range(1, 10))) == "(123456789)"
+    assert rv.partition_str(P([10], [1, 2], [3, 11])) == "(10,1.2,3.11)"
+    assert rv.partition_str(P([2, 9], [1, 3, 10])) == "(2.9,1.3.10)"
+
+
+@pytest.mark.parametrize("pos, witness", [
+    (3, "closed form mismatch for C, D = (123,12)"),
+    (4, "leading bound fails for C, D = (123,12)"),
+])
+def test_degree0_gb_witness_renders_the_subsets_like_partitions(pos, witness):
+    # x1 times the tower's leading term of generator pos + 1 of K4 breaks
+    # the pair C = {1,2,3}, D = {1,2}: the S-polynomial no longer matches
+    # the closed form (the generator of D), or it does but the bound on its
+    # leading term fails (the generator of C - D = {3})
+    C = complex_from_matrix(K4_ROWS)
+    coeff, mono, idx = C.tower.lms[1][pos]
+    C.tower.lms[1][pos] = (coeff, mono + C.ctx.pack((1, 0, 0, 0)), idx)
+    assert rv.verify_degree0_gb(C) == (False, witness, {"pairs": 2})
+
+
 def test_s_poly_closed_form_nested(generic4_complex):
     # C = {2,3} strictly inside D = {1,2,3}: only the G-piece survives and
     # its coefficient is the arrow monomial from the outside V into C
     C = generic4_complex
     a = C.L.a
     s, m_ji, m_ij = s_vector(C.tower, 0, 1, 0)
-    formula, l_cd, l_dc = rv.s_poly_closed_form((2, 3), (1, 2, 3), C)
+    formula, l_cd, l_dc = rv.s_poly_closed_form(*P([2, 3], [1, 2, 3]), C)
     assert s == formula
     assert l_dc == C.ctx.pack((0, 0, 0, a[3][1] + a[3][2]))
     f7 = C.diffs[1][6]
@@ -93,7 +120,7 @@ def test_module_quotients_worked_example_level2(generic4_complex):
 
 def test_module_quotients_empty_when_last_block_is_n(generic4_complex):
     C = generic4_complex
-    assert C.bases[1][0] == ((1, 2, 3), (4,))
+    assert C.bases[1][0] == P([1, 2, 3], [4])
     assert dict(rv.quotient_sources(C, 1))[0] == []
     gens = quotients_at(C, 1, 1)
     assert all(not pruned for *_, pruned in gens)
@@ -122,7 +149,7 @@ def test_quotient_sources_match_all_pairs_scan(name):
         basis = C.bases[k]
         expected = [
             (i, [
-                (j, set(basis[j][k - 1]) > set(p[k - 1]))
+                (j, set(tuples(basis[j])[k - 1]) > set(tuples(p)[k - 1]))
                 for j in range(i)
                 if basis[j][: k - 1] == p[: k - 1]
             ])
@@ -164,19 +191,19 @@ def test_module_quotients_witness_spells_out_exponents():
 def test_tau_identity_worked_examples(generic4_complex):
     C = generic4_complex
     a = C.L.a
-    e1 = ((2, 3), (1,), (4,))
+    e1 = P([2, 3], [1], [4])
     i, j = rv.tau_pair(C, 1, e1)
-    assert (C.bases[1][i], C.bases[1][j]) == (((2, 3), (1, 4)), ((1, 2, 3), (4,)))
+    assert (C.bases[1][i], C.bases[1][j]) == (P([2, 3], [1, 4]), P([1, 2, 3], [4]))
     ok, witness = rv.verify_tau_identity(C, 1, e1)
     assert ok, witness
     de = column_elem(C.diffs[2][C.index[2][e1]])
     assert de[i] == packed(C.ctx, {(a[0][3], 0, 0, 0): -1})  # -tau leads with +x1^a14
 
-    e2 = ((3,), (2,), (1,), (4,))
+    e2 = P([3], [2], [1], [4])
     i2, j2 = rv.tau_pair(C, 2, e2)
     assert (C.bases[2][i2], C.bases[2][j2]) == (
-        ((3,), (2,), (1, 4)),
-        ((3,), (1, 2), (4,)),
+        P([3], [2], [1, 4]),
+        P([3], [1, 2], [4]),
     )
     ok, witness = rv.verify_tau_identity(C, 2, e2)
     assert ok, witness
@@ -184,7 +211,7 @@ def test_tau_identity_worked_examples(generic4_complex):
     assert de2[i2] == packed(C.ctx, {(a[0][3], 0, 0, 0): 1})  # m^2_{4,5} = -x1^a14
 
 
-def _tau_target(k=2, e=((3,), (2,), (1,), (4,))):
+def _tau_target(k=2, e=P([3], [2], [1], [4])):
     # a fresh generic4 complex to corrupt, and the tau element e at level k
     C = cc.build_complex(graph_core.prepare(generic4_matrix()))
     i, j = rv.tau_pair(C, k, e)
