@@ -191,10 +191,6 @@ def is_strongly_connected(g: WeightedDigraph) -> bool:
     return True
 
 
-def is_strongly_complete(g: WeightedDigraph) -> bool:
-    return len(g.arcs) == g.n * (g.n - 1)
-
-
 def classify(L: CBMatrix) -> str:
     """Return "PCB", "ICB" or "CB"."""
     n = L.n

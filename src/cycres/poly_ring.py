@@ -8,15 +8,17 @@ Representation conventions (kept deliberately plain for speed):
 
     monomial   one int, its packed key K (see GradedContext); x^a * x^b
                is K(a) + K(b), x^a / x^b is K(a) - K(b), the unit is 0
-    Poly       dict {monomial: int}, no zero coefficients stored
-    Elem       dict {basis index: Poly}, no zero polynomials stored
+    Elem       dict {(monomial, basis index): int}, one entry per term
+               c * x^m * e_i, no zero coefficient stored
     column     tuple of (coeff, monomial, basis index) terms, strictly
                decreasing in the module order one level down
 
 Elems are the mutable accumulators (division work and remainders, S-vectors,
 sampled ideal members); each differential column is stored once, as a
-column, by the order tower, so its first term is its leading term.
-Free-module elements of the degree-0 ring live on basis index 0.
+column, by the order tower, so its first term is its leading term.  The
+quotients of a division form one Elem a level up, on the basis indices of
+the columns divided by.  Elements of the degree-0 ring live on basis
+index 0.
 The monomial order is the weighted reverse lexicographic order with positive
 integer weights nu: higher weighted degree wins, ties broken by the
 rightmost nonzero coordinate of the difference being negative.  Integer
@@ -125,39 +127,33 @@ class GradedContext:
 
 
 # ---------------------------------------------------------------------------
-# polynomials and module elements
-
-def poly_add_term(poly, coeff, mono):
-    c = poly.get(mono, 0) + coeff
-    if c:
-        poly[mono] = c
-    elif mono in poly:
-        del poly[mono]
-
+# module elements
 
 def elem_add_term(elem, idx, coeff, mono):
-    poly = elem.setdefault(idx, {})
-    poly_add_term(poly, coeff, mono)
-    if not poly:
-        del elem[idx]
+    """elem += coeff * x^mono * e_idx, in place."""
+    key = (mono, idx)
+    c = elem.get(key, 0) + coeff
+    if c:
+        elem[key] = c
+    elif key in elem:
+        del elem[key]
 
 
 def elem_combine(acc, column, coeff, mono):
-    """acc += coeff * x^mono * column, in place."""
+    """acc += coeff * x^mono * column, in place; coeff is nonzero."""
+    get = acc.get
     for c, m, idx in column:
-        elem_add_term(acc, idx, coeff * c, mono + m)
+        key = (mono + m, idx)
+        total = get(key, 0) + coeff * c
+        if total:
+            acc[key] = total
+        else:
+            del acc[key]
 
 
 def elem_scale_term(elem, coeff, mono):
-    """coeff * x^mono * elem as a new Elem."""
-    out = {}
-    for idx, poly in elem.items():
-        out[idx] = {mono + m: coeff * c for m, c in poly.items()}
-    return out
-
-
-def elem_copy(elem):
-    return {idx: dict(poly) for idx, poly in elem.items()}
+    """coeff * x^mono * elem as a new Elem; coeff is nonzero."""
+    return {(mono + m, idx): coeff * c for (m, idx), c in elem.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +194,18 @@ class OrderTower:
         if not elem:
             raise ZeroElementError("leading term of zero module element")
         acc, path = self.acc[level], self.path[level]
-        # the largest monomial of a component gives its largest key
-        idx = max(elem, key=lambda i: (max(elem[i]) + acc[i], path[i]))
-        mono = max(elem[idx])
-        return elem[idx][mono], mono, idx
+        mono, idx = max(elem, key=lambda t: (t[0] + acc[t[1]], path[t[1]]))
+        return elem[mono, idx], mono, idx
 
     def add_level(self, elems):
         """Append the order induced by the next level's differential columns.
 
-        ``elems`` are nonzero Elems of the current top level.  Each term is
-        keyed once; each Elem is stored as a column, its first term is its
-        leading term, whose coefficient must be +-1, and the degree part
-        of its keys, which must be one value, is its shift.  Nothing is
-        appended when a column is refused.
+        ``elems`` are nonzero Elems of the current top level.  Each term,
+        read from its (monomial, basis index) key, is keyed once; each Elem
+        is stored as a column, its first term is its leading term, whose
+        coefficient must be +-1, and the degree part of its keys, which
+        must be one value, is its shift.  Nothing is appended when a column
+        is refused.
         """
         level = self.levels - 1
         below_acc, below_path = self.acc[level], self.path[level]
@@ -219,7 +214,7 @@ class OrderTower:
         for j, elem in enumerate(elems):
             keyed = sorted(
                 ((mono + below_acc[idx], below_path[idx], coeff, mono, idx)
-                 for idx, poly in elem.items() for mono, coeff in poly.items()),
+                 for (mono, idx), coeff in elem.items()),
                 reverse=True,
             )
             if not keyed:
@@ -270,33 +265,35 @@ class OrderTower:
 # division and S-vectors
 
 def divide(g, tower: OrderTower, level):
-    """Standard expression g = sum q_i * image_i + remainder at a level.
+    """(quotient, remainder) of the standard expression
+    g = sum q_i * image_i + remainder at a level.
 
     The images are tower.images[level + 1].  At every step the current
     leading term is reduced by the lowest-index image whose stored leading
-    term divides it; irreducible leading terms move to the remainder.
-    Quotients are plain polynomials; every leading coefficient is +-1, its
-    own inverse, so all coefficients stay in Z.
+    term divides it; irreducible leading terms move to the remainder.  The
+    quotient is one Elem a level up, {(monomial, i): q_i's coefficient}.
+    Every leading coefficient is +-1, its own inverse, so all coefficients
+    stay in Z.  The leading terms met strictly decrease, so each key of the
+    quotient and of the remainder is written once.
     """
     basis = tower.images[level + 1]
     basis_lts = tower.lms[level + 1]
     guard = tower.ctx.guard
-    quotients = [{} for _ in basis]
-    remainder = {}
-    work = elem_copy(g)
+    quotient, remainder = {}, {}
+    work = dict(g)
     while work:
         coeff, mono, idx = tower.leading_module_term(work, level)
         for bi, (bc, bm, bidx) in enumerate(basis_lts):
             if bidx == idx and not (bm - mono) & guard:
                 q = coeff * bc
                 qm = mono - bm
-                poly_add_term(quotients[bi], q, qm)
+                quotient[qm, bi] = q
                 elem_combine(work, basis[bi], -q, qm)
                 break
         else:
-            elem_add_term(remainder, idx, coeff, mono)
-            elem_add_term(work, idx, -coeff, mono)
-    return quotients, remainder
+            remainder[mono, idx] = coeff
+            del work[mono, idx]
+    return quotient, remainder
 
 
 def s_cofactor(tower: OrderTower, level, i, j):

@@ -14,11 +14,10 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .errors import InternalError
-from .graph_core import is_strongly_complete
+from .graph_core import classify
 from .cyc_complex import (
     ArrowTable,
     CycComplex,
-    arrow_monomial,
     check_d_squared,
     check_leading_terms,
     merge,
@@ -87,13 +86,17 @@ def partition_str(p):
 # degree-0 checks
 
 def _arrow_plus(A, B, Cs, C: CycComplex):
-    """prod over i in block A of x_i^((sum weights into B) - (sum weights into Cs))^+."""
-    a, power = C.L.a, C.ctx.power
-    B, Cs = vertices(B), vertices(Cs)
-    return sum(
-        power(i - 1, max(sum(a[i - 1][j - 1] for j in B) - sum(a[i - 1][j - 1] for j in Cs), 0))
-        for i in vertices(A)
-    )
+    """prod over i in block A of x_i^((sum weights into B) - (sum weights into Cs))^+.
+
+    Each factor is the difference of two single-vertex arrow monomials: a
+    packed power of one variable is positive exactly when its exponent is.
+    """
+    arrows, out = C.arrows, 0
+    while A:
+        v = A & -A
+        out += max(arrows[v, B] - arrows[v, Cs], 0)
+        A ^= v
+    return out
 
 
 def s_poly_closed_form(C, D, complex_: CycComplex):
@@ -103,13 +106,11 @@ def s_poly_closed_form(C, D, complex_: CycComplex):
     union, and combines the degree-0 binomials of F and G with explicit
     monomial coefficients.  Entirely bypasses leading-term computations.
     """
-    L, ctx = complex_.L, complex_.ctx
+    arrows = complex_.arrows
     full = (1 << complex_.n) - 1
     E, F, G, V = C & D, C & ~D, D & ~C, full & ~(C | D)
-    l_cd = (_arrow_plus(E, G, F, complex_) + arrow_monomial(F, G, L, ctx)
-            + arrow_monomial(V, D, L, ctx))
-    l_dc = (_arrow_plus(E, F, G, complex_) + arrow_monomial(G, F, L, ctx)
-            + arrow_monomial(V, C, L, ctx))
+    l_cd = _arrow_plus(E, G, F, complex_) + arrows[F, G] + arrows[V, D]
+    l_dc = _arrow_plus(E, F, G, complex_) + arrows[G, F] + arrows[V, C]
     out = {}
     if F:
         fF = complex_.diffs[1][complex_.index[1][F, full ^ F]]
@@ -118,6 +119,20 @@ def s_poly_closed_form(C, D, complex_: CycComplex):
         fG = complex_.diffs[1][complex_.index[1][G, full ^ G]]
         elem_combine(out, fG, -1, l_dc)
     return out, l_cd, l_dc
+
+
+def below_leading_term(tower, level, s, terms):
+    """True when s is zero or no x^mono * Lt(g_j), for (mono, j) in terms and
+    the columns g_j of tower.images[level + 1], lies above Lt(s): the bound
+    on every term of a standard expression of s."""
+    if not s:
+        return True
+    _, s_mono, s_idx = tower.leading_module_term(s, level)
+    s_key = tower.key(level, s_mono, s_idx)
+    lms = tower.lms[level + 1]
+    return all(
+        s_key >= tower.key(level, mono + lms[j][1], lms[j][2]) for mono, j in terms
+    )
 
 
 def verify_degree0_gb(C: CycComplex):
@@ -137,16 +152,14 @@ def verify_degree0_gb(C: CycComplex):
                 return False, (
                     f"closed form mismatch for C, D = {partition_str((ci, cj))}"
                 ), {"pairs": pairs}
-            if s:
-                s_lt = C.tower.leading_module_term(s, 0)
-                s_key = C.tower.key(0, s_lt[1], s_lt[2])
-                for mono, piece in ((l_cd, ci & ~cj), (l_dc, cj & ~ci)):
-                    if piece:
-                        lt = C.tower.lms[1][C.index[1][piece, full ^ piece]]
-                        if s_key < C.tower.key(0, mono + lt[1], lt[2]):
-                            return False, (
-                                f"leading bound fails for C, D = {partition_str((ci, cj))}"
-                            ), {"pairs": pairs}
+            terms = [
+                (mono, C.index[1][piece, full ^ piece])
+                for mono, piece in ((l_cd, ci & ~cj), (l_dc, cj & ~ci)) if piece
+            ]
+            if not below_leading_term(C.tower, 0, s, terms):
+                return False, (
+                    f"leading bound fails for C, D = {partition_str((ci, cj))}"
+                ), {"pairs": pairs}
             _, rem = divide(s, C.tower, 0)
             pairs += 1
             if rem:
@@ -168,13 +181,14 @@ def verify_distinct_images(C: CycComplex):
 
 
 def _random_poly(ctx, rng, terms=3, max_exp=2):
+    """A random nonzero ring element, an Elem on basis index 0."""
     poly = {}
     for _ in range(terms):
         mono = ctx.pack([rng.randint(0, max_exp) for _ in range(ctx.n)])
         coeff = rng.choice([1, -1]) * rng.randint(1, 3)
-        if mono in poly:
+        if (mono, 0) in poly:
             continue
-        poly[mono] = coeff
+        poly[mono, 0] = coeff
     return poly
 
 
@@ -208,9 +222,7 @@ def verify_colon_stability(C: CycComplex, seed=0):
                 return False, "ideal member with nonzero remainder", {"trials": done}
         hunt = 0
         while True:
-            h = {0: _random_poly(C.ctx, rng)}
-            if not h[0]:
-                continue
+            h = _random_poly(C.ctx, rng)
             _, rem = divide(h, C.tower, 0)
             if rem:
                 break
@@ -261,10 +273,7 @@ def module_quotients(C: CycComplex, k, i, sources):
     for j, retained in sources:
         jk, jk1 = C.bases[k][j][k - 1 :]
         direct = s_cofactor(C.tower, k - 1, i, j)
-        expected = (
-            sign,
-            _arrow_plus(jk & ik, jk1, ik1, C) + arrow_monomial(jk & ik1, jk1, C.L, C.ctx),
-        )
+        expected = (sign, _arrow_plus(jk & ik, jk1, ik1, C) + C.arrows[jk & ik1, jk1])
         if direct != expected:
             raise AssertionError(
                 f"closed formula mismatch at level {k}, pair ({j + 1},{i + 1}): "
@@ -342,15 +351,9 @@ def verify_tau_identity(C: CycComplex, k, e) -> tuple:
         return False, f"second component mismatch at {partition_str(e)}"
     # the tail writes S as a standard expression: it sums to S because
     # d(de) = 0 (check_d_squared), and each of its terms stays below Lt(S)
-    if s:
-        lt = C.tower.leading_module_term(s, k - 1)
-        s_key = C.tower.key(k - 1, lt[1], lt[2])
-        for _, mono, s_idx in (t for t in de if t[2] not in (i, j)):
-            glt = C.tower.lms[k][s_idx]
-            if s_key < C.tower.key(k - 1, mono + glt[1], glt[2]):
-                return False, (
-                    f"standard-expression bound fails at {partition_str(e)}"
-                )
+    tail = ((mono, idx) for _, mono, idx in de if idx not in (i, j))
+    if not below_leading_term(C.tower, k - 1, s, tail):
+        return False, f"standard-expression bound fails at {partition_str(e)}"
     return True, None
 
 
@@ -554,7 +557,7 @@ def default_d_max(C: CycComplex):
 def minimality_vs_completeness(C: CycComplex):
     """The complex is minimal exactly when the digraph is strongly complete."""
     minimal, witness = minimality_check(C)
-    complete = is_strongly_complete(C.L.digraph())
+    complete = classify(C.L) == "PCB"
     if minimal != complete:
         return False, f"minimality flag {minimal} but strongly complete is {complete}", {}
     return True, (None if minimal else f"non-minimal witness {witness}"), {}

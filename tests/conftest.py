@@ -71,12 +71,19 @@ def tuples(p):
 
 
 def packed(ctx, poly):
-    """A Poly given by exponent tuples, with its monomials packed for ctx."""
+    """{monomial: coeff} given by exponent tuples, packed for ctx."""
     return {ctx.pack(mono): coeff for mono, coeff in poly.items()}
 
 
+def poly_elem(ctx, poly, idx=0):
+    """The Elem c * x^m * e_idx summed over a {exponent tuple: c} dict;
+    idx 0 makes it a ring element."""
+    return {(mono, idx): coeff for mono, coeff in packed(ctx, poly).items()}
+
+
 def column_elem(column):
-    """The Elem {basis index: Poly} holding the terms of a stored column."""
+    """The Elem {(monomial, basis index): coeff} holding the terms of a
+    stored column."""
     elem = {}
     for coeff, mono, idx in column:
         elem_add_term(elem, idx, coeff, mono)

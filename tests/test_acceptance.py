@@ -56,8 +56,8 @@ def test_k4_golden_run():
         graph_core.prepare(graph_core.laplacian(k4_digraph()))
     )
     ok &= C.ranks() == (1, 7, 12, 6)
-    gb = [column_elem(C.diffs[1][j])[0] for j in range(7)]
-    golden = [parse_elem(s, C.ctx)[0] for s in K4_GOLDEN_GB]
+    gb = [column_elem(C.diffs[1][j]) for j in range(7)]
+    golden = [parse_elem(s, C.ctx) for s in K4_GOLDEN_GB]
     ok &= gb == golden  # srle order
     ok &= {frozenset(p.items()) for p in gb} == {frozenset(p.items()) for p in golden}
     minimal, _ = cyc_complex.minimality_check(C)
@@ -99,7 +99,7 @@ def test_four_cycle_non_minimality():
     minimal, witness = cyc_complex.minimality_check(C)
     ok &= minimal is False
     k, j, p, coeff = witness
-    ok &= abs(coeff) == 1 and column_elem(C.diffs[k][j])[p][0] == coeff
+    ok &= abs(coeff) == 1 and column_elem(C.diffs[k][j])[0, p] == coeff
     verdict("four-cycle-non-minimality", ok)
 
 

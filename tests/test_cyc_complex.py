@@ -23,8 +23,8 @@ from conftest import (
     column_elem,
     complex_from_matrix,
     generic4_matrix,
-    packed,
     parse_column,
+    poly_elem,
     random_icb_digraph,
     tuples,
 )
@@ -235,9 +235,9 @@ def test_boundary_level2_generic_example(generic4_complex):
     f = C.diffs[2][0]
     assert C.bases[2][0] == P([2, 3], [1], [4])
     expected = {
-        C.index[1][P([1, 2, 3], [4])]: packed(C.ctx, {(0, a[1][0], a[2][0], 0): 1}),
-        C.index[1][P([2, 3], [1, 4])]: packed(C.ctx, {(a[0][3], 0, 0, 0): -1}),
-        C.index[1][P([1], [2, 3, 4])]: packed(C.ctx, {(0, 0, 0, a[3][1] + a[3][2]): -1}),
+        **poly_elem(C.ctx, {(0, a[1][0], a[2][0], 0): 1}, C.index[1][P([1, 2, 3], [4])]),
+        **poly_elem(C.ctx, {(a[0][3], 0, 0, 0): -1}, C.index[1][P([2, 3], [1, 4])]),
+        **poly_elem(C.ctx, {(0, 0, 0, a[3][1] + a[3][2]): -1}, C.index[1][P([1], [2, 3, 4])]),
     }
     assert column_elem(f) == expected
 
@@ -249,10 +249,10 @@ def test_boundary_level3_signs(generic4_complex):
     f = C.diffs[3][0]
     assert C.bases[3][0] == P([3], [2], [1], [4])
     expected = {
-        C.index[2][P([2, 3], [1], [4])]: packed(C.ctx, {(0, 0, a[2][1], 0): 1}),
-        C.index[2][P([3], [1, 2], [4])]: packed(C.ctx, {(0, a[1][0], 0, 0): -1}),
-        C.index[2][P([3], [2], [1, 4])]: packed(C.ctx, {(a[0][3], 0, 0, 0): 1}),
-        C.index[2][P([2], [1], [3, 4])]: packed(C.ctx, {(0, 0, 0, a[3][2]): -1}),
+        **poly_elem(C.ctx, {(0, 0, a[2][1], 0): 1}, C.index[2][P([2, 3], [1], [4])]),
+        **poly_elem(C.ctx, {(0, a[1][0], 0, 0): -1}, C.index[2][P([3], [1, 2], [4])]),
+        **poly_elem(C.ctx, {(a[0][3], 0, 0, 0): 1}, C.index[2][P([3], [2], [1, 4])]),
+        **poly_elem(C.ctx, {(0, 0, 0, a[3][2]): -1}, C.index[2][P([2], [1], [3, 4])]),
     }
     assert column_elem(f) == expected
 
@@ -267,7 +267,7 @@ def test_boundary_singletons_give_column_binomials(generic4_complex):
         col = [rows[r][i - 1] for r in range(n)]
         plus = tuple(max(x, 0) for x in col)
         minus = tuple(max(-x, 0) for x in col)
-        assert column_elem(f) == {0: packed(C.ctx, {plus: 1, minus: -1})}
+        assert column_elem(f) == poly_elem(C.ctx, {plus: 1, minus: -1})
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +371,12 @@ def test_first_differential_image_in_kernel_of_projection(k4_complex):
     # the defining property of lattice-ideal membership
     C = k4_complex
     for f in C.diffs[1]:
-        poly = column_elem(f)[0]
-        monos = list(poly)
-        assert len(monos) == 2
-        assert C.ctx.degree(monos[0]) == C.ctx.degree(monos[1])
-        assert poly[monos[0]] + poly[monos[1]] == 0
+        elem = column_elem(f)
+        assert len(elem) == 2
+        (m0, i0), (m1, i1) = elem
+        assert i0 == i1 == 0
+        assert C.ctx.degree(m0) == C.ctx.degree(m1)
+        assert elem[m0, 0] + elem[m1, 0] == 0
 
 
 def test_minimality_check(k4_complex, cycle4_complex):
@@ -385,7 +386,7 @@ def test_minimality_check(k4_complex, cycle4_complex):
     k, j, p, coeff = witness
     assert abs(coeff) == 1
     unit = 0
-    assert column_elem(cycle4_complex.diffs[k][j])[p][unit] == coeff
+    assert column_elem(cycle4_complex.diffs[k][j])[unit, p] == coeff
     # a column with two constant terms: the witness names the lower target
     g = random_icb_digraph(4, random.Random(2))
     C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
@@ -420,12 +421,12 @@ def test_boundary_xn_marker():
             f = column_elem(C.diffs[k][j])
             rotate = cc.merge(p, k)
             ridx = C.index[k - 1][rotate]
-            for idx, poly in f.items():
-                for mono in poly:
-                    if idx == ridx and len(poly) == 1:
-                        assert C.ctx.unpack(mono)[n - 1] > 0
-                    elif idx != ridx:
-                        assert C.ctx.unpack(mono)[n - 1] == 0
+            on_ridx = sum(1 for _, idx in f if idx == ridx)
+            for mono, idx in f:
+                if idx == ridx and on_ridx == 1:
+                    assert C.ctx.unpack(mono)[n - 1] > 0
+                elif idx != ridx:
+                    assert C.ctx.unpack(mono)[n - 1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +462,7 @@ def _expected_elem(C, terms):
         for v, targets in exps.items():
             mono[v - 1] = sum(a[v - 1][t - 1] for t in targets)
         blocks = P(*(map(int, b) for b in part.split(",")))
-        out[C.index[len(blocks) - 1][blocks]] = {C.ctx.pack(mono): sign}
+        out.update(poly_elem(C.ctx, {tuple(mono): sign}, C.index[len(blocks) - 1][blocks]))
     return out
 
 

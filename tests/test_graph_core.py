@@ -118,6 +118,14 @@ def test_classify_examples():
     assert graph_core.classify(Lp) == "ICB"
     Lr = graph_core.laplacian(graph_core.digraph_from_matrix(REDUCIBLE))
     assert graph_core.classify(Lr) == "CB"
+    # strongly complete is PCB: a missing arc makes a strongly connected
+    # digraph ICB
+    Lc = graph_core.laplacian(graph_core.digraph_from_matrix(CYCLE4))
+    assert graph_core.classify(Lc) == "ICB"
+    arcs = [(i, j, 1) for i in range(1, 5) for j in range(1, 5) if i != j]
+    arcs.remove((2, 3, 1))
+    Lm = graph_core.laplacian(graph_core.validate_digraph(4, arcs))
+    assert graph_core.classify(Lm) == "ICB"
 
 
 def test_unweighted_distance():
@@ -154,15 +162,6 @@ def test_block_echelon_structure_examples():
     assert graph_core.block_echelon_structure(K4) == (1, (3,))
     Lnot = graph_core.laplacian(graph_core.digraph_from_matrix(WEIGHTED4))
     assert graph_core.block_echelon_structure(Lnot) is None
-
-
-def test_is_strongly_complete():
-    assert graph_core.is_strongly_complete(k4_digraph())
-    g = graph_core.digraph_from_matrix(CYCLE4)
-    assert not graph_core.is_strongly_complete(g)
-    arcs = [(i, j, 1) for i in range(1, 5) for j in range(1, 5) if i != j]
-    arcs.remove((2, 3, 1))
-    assert not graph_core.is_strongly_complete(graph_core.validate_digraph(4, arcs))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from conftest import (
     WEIGHTED4,
     column_elem,
     complex_from_matrix,
-    packed,
     parse_column,
     parse_elem,
+    poly_elem,
 )
 
 COMPLEX_ROWS = {
@@ -112,9 +112,9 @@ def test_an_exponent_past_the_fields_raises_and_never_aliases():
         ctx.pack((0, 0, 0))
     # the tower refuses an accumulated level-0 monomial past the fields
     tower = pr.OrderTower(ctx)
-    tower.add_level([{0: {ctx.pack((3, 0, 0, 0)): 1}}])
+    tower.add_level([poly_elem(ctx, {(3, 0, 0, 0): 1})])
     with pytest.raises(InternalError, match="overflows 3-bit fields"):
-        tower.add_level([{0: {ctx.pack((1, 0, 0, 0)): 1}}])
+        tower.add_level([poly_elem(ctx, {(1, 0, 0, 0): 1})])
     assert tower.levels == 2
 
 
@@ -128,9 +128,9 @@ def test_context_holding_a_degree():
 def test_leading_term_poly():
     ctx = pr.GradedContext(4, (1, 1, 1, 1), 4)
     tower = pr.OrderTower(ctx)
-    f = packed(ctx, {(1, 1, 1, 0): 1, (0, 0, 0, 3): -1})
-    assert tower.leading_module_term({0: f}, 0) == (1, ctx.pack((1, 1, 1, 0)), 0)
-    assert tower.leading_module_term({0: packed(ctx, {(2, 0, 0, 0): 5})}, 0) == (
+    f = poly_elem(ctx, {(1, 1, 1, 0): 1, (0, 0, 0, 3): -1})
+    assert tower.leading_module_term(f, 0) == (1, ctx.pack((1, 1, 1, 0)), 0)
+    assert tower.leading_module_term(poly_elem(ctx, {(2, 0, 0, 0): 5}), 0) == (
         5, ctx.pack((2, 0, 0, 0)), 0
     )
     with pytest.raises(ZeroElementError):
@@ -163,26 +163,23 @@ def test_leading_module_term_of_degree0_images(weighted4_echelon_complex):
         assert mono == arrow_monomial(p[0], p[1], C.L, C.ctx)
 
 
-def assert_standard_expression(g, basis, quotients, remainder, tower, level):
-    recomposed = pr.elem_copy(remainder)
-    for q, b in zip(quotients, basis):
-        for mono, coeff in q.items():
-            pr.elem_combine(recomposed, b, coeff, mono)
+def assert_standard_expression(g, basis, quotient, remainder, tower, level):
+    """quotient is the Elem {(monomial, i): coeff} on the positions of basis."""
+    assert all(quotient.values()) and all(remainder.values())
+    recomposed = dict(remainder)
+    for (mono, i), coeff in quotient.items():
+        pr.elem_combine(recomposed, basis[i], coeff, mono)
     assert recomposed == g
     if g:
         _, gm, gi = tower.leading_module_term(g, level)
         gkey = tower.key(level, gm, gi)
-        for q, b in zip(quotients, basis):
-            if not q:
-                continue
-            _, bm, bi = tower.leading_module_term(column_elem(b), level)
-            for mono in q:
-                assert gkey >= tower.key(level, mono + bm, bi)
+        for mono, i in quotient:
+            _, bm, bi = tower.leading_module_term(column_elem(basis[i]), level)
+            assert gkey >= tower.key(level, mono + bm, bi)
     basis_lts = [tower.leading_module_term(column_elem(b), level) for b in basis]
-    for idx, poly in remainder.items():
-        for mono in poly:
-            for _, bm, bi in basis_lts:
-                assert not (bi == idx and tower.ctx.divides(bm, mono))
+    for mono, idx in remainder:
+        for _, bm, bi in basis_lts:
+            assert not (bi == idx and tower.ctx.divides(bm, mono))
 
 
 def test_divide_basis_element_is_exact(k4_complex):
@@ -190,8 +187,8 @@ def test_divide_basis_element_is_exact(k4_complex):
     g0 = C.diffs[1]
     q, r = pr.divide(column_elem(g0[3]), C.tower, 0)
     assert r == {}
-    assert q[3] == packed(C.ctx, {(0, 0, 0, 0): 1})
-    assert all(not qq for i, qq in enumerate(q) if i != 3)
+    # the unit on position 4 and nothing on any other position
+    assert q == poly_elem(C.ctx, {(0, 0, 0, 0): 1}, 3)
 
 
 def test_divide_k4_s_pair_reduces_to_zero(k4_complex):
@@ -205,10 +202,10 @@ def test_divide_k4_s_pair_reduces_to_zero(k4_complex):
 
 def test_divide_coprime_leading_terms_leave_remainder(k4_complex):
     C = k4_complex
-    g = {0: packed(C.ctx, {(0, 0, 0, 2): 1})}  # x4^2: no leading term divides it
+    g = poly_elem(C.ctx, {(0, 0, 0, 2): 1})  # x4^2: no leading term divides it
     q, r = pr.divide(g, C.tower, 0)
     assert r == g
-    assert all(not qq for qq in q)
+    assert q == {}
     assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
 
 
@@ -216,11 +213,13 @@ def test_divide_prefers_lowest_index_divisor(k4_complex):
     # x1^3*x2^3 is divisible by three leading terms; the reduction must take
     # x1^2*x2^2 (position 4 in srle order) first, pinning the whole run
     C = k4_complex
-    g = {0: packed(C.ctx, {(3, 3, 0, 0): 1})}
+    g = poly_elem(C.ctx, {(3, 3, 0, 0): 1})
     q, r = pr.divide(g, C.tower, 0)
-    assert q[3] == packed(C.ctx, {(1, 1, 0, 0): 1})
-    assert q[0] == packed(C.ctx, {(0, 0, 1, 2): 1})
-    assert r == {0: packed(C.ctx, {(0, 0, 1, 5): 1})}
+    assert q == {
+        **poly_elem(C.ctx, {(1, 1, 0, 0): 1}, 3),
+        **poly_elem(C.ctx, {(0, 0, 1, 2): 1}, 0),
+    }
+    assert r == poly_elem(C.ctx, {(0, 0, 1, 5): 1})
     assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
 
 
@@ -242,13 +241,13 @@ def test_divide_homogeneous_input_gives_homogeneous_parts(generic4_complex):
         s, _, _ = pr.s_vector(C.tower, 0, i, j)
         if not s:
             continue
-        degs = {C.ctx.degree(m) for m in s[0]}
+        assert {idx for _, idx in s} == {0}
+        degs = {C.ctx.degree(m) for m, _ in s}
         assert len(degs) == 1
         q, r = pr.divide(s, C.tower, 0)
         assert r == {}
         d = degs.pop()
-        for qq, shift in zip(q, C.shifts[1]):
-            assert all(C.ctx.degree(m) + shift == d for m in qq)
+        assert all(C.ctx.degree(m) + C.shifts[1][i] == d for m, i in q)
 
 
 def test_s_vector_same_element_is_zero(k4_complex):
@@ -297,6 +296,29 @@ def test_s_vector_drops_below_lcm_k4_pairs(k4_complex, i, j):
         assert C.tower.key(0, sm, si) < C.tower.key(0, lcm, 0)
 
 
+def test_combining_a_column_and_its_negative_leaves_nothing(k4_complex):
+    # cancelled terms are deleted, so no zero coefficient is left behind
+    C = k4_complex
+    mono = C.ctx.pack((1, 0, 2, 0))
+    other = column_elem(C.diffs[1][2])
+    for k in (1, 2, 3):
+        for column in C.diffs[k]:
+            acc = {}
+            pr.elem_combine(acc, column, -1, mono)
+            assert acc == {(mono + m, idx): -c for c, m, idx in column}
+            pr.elem_combine(acc, column, 1, mono)
+            assert acc == {}
+            if k == 1:
+                acc = dict(other)
+                pr.elem_combine(acc, column, 1, 0)
+                pr.elem_combine(acc, column, -1, 0)
+                assert acc == other and all(acc.values())
+    elem = {}
+    pr.elem_add_term(elem, 3, 2, mono)
+    pr.elem_add_term(elem, 3, -2, mono)
+    assert elem == {}
+
+
 # ---------------------------------------------------------------------------
 # integer coefficients: building the tower refuses a non-unit leading term
 
@@ -332,7 +354,7 @@ def test_add_level_rejects_an_inhomogeneous_column(k4_complex):
     C = k4_complex
     tower = pr.OrderTower(C.ctx)
     with pytest.raises(InternalError, match="inhomogeneous differential column 1 in degree 1"):
-        tower.add_level([{0: packed(C.ctx, {(1, 0, 0, 0): 1, (0, 0, 0, 2): -1})}])
+        tower.add_level([poly_elem(C.ctx, {(1, 0, 0, 0): 1, (0, 0, 0, 2): -1})])
     assert tower.levels == 1
     with pytest.raises(ZeroElementError):
         tower.add_level([{}])
@@ -420,10 +442,9 @@ def _rec_compare(C, level, m1, i, m2, j):
 
 def _rec_leading(C, level, elem):
     best = None
-    for idx, poly in elem.items():
-        for mono in poly:
-            if best is None or _rec_compare(C, level, mono, idx, best[0], best[1]) > 0:
-                best = (mono, idx)
+    for mono, idx in elem:
+        if best is None or _rec_compare(C, level, mono, idx, best[0], best[1]) > 0:
+            best = (mono, idx)
     return best
 
 
