@@ -118,8 +118,12 @@ def test_classify_examples():
     assert graph_core.classify(Lp) == "ICB"
     Lr = graph_core.laplacian(graph_core.digraph_from_matrix(REDUCIBLE))
     assert graph_core.classify(Lr) == "CB"
+
+
+def test_is_strongly_complete():
     # strongly complete is PCB: a missing arc makes a strongly connected
     # digraph ICB
+    assert graph_core.classify(graph_core.laplacian(k4_digraph())) == "PCB"
     Lc = graph_core.laplacian(graph_core.digraph_from_matrix(CYCLE4))
     assert graph_core.classify(Lc) == "ICB"
     arcs = [(i, j, 1) for i in range(1, 5) for j in range(1, 5) if i != j]
