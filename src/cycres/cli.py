@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import cyc_complex, graph_core, resolution_verify
+from . import cyc_complex, graph_core, intlinalg, resolution_verify
 from .errors import CycresError, NotIrreducibleError, ValidationError
 from .poly_ring import elem_str
 
@@ -51,8 +51,6 @@ def cmd_classify(args) -> int:
     if cls == "CB":
         _emit(args, {"class": "CB", "irreducible": False}, "CB (reducible)")
         return EXIT_OK
-    from . import intlinalg
-
     mu = intlinalg.adjugate_row(L.signed_rows())
     nu = intlinalg.grading_vector(mu)
     already = graph_core.block_echelon_structure(L)
@@ -79,7 +77,7 @@ def cmd_classify(args) -> int:
 def cmd_resolve(args) -> int:
     M = _prepare(args)
     C = cyc_complex.build_complex(M)
-    doc = cyc_complex.export_json(C, indent=2)
+    doc = cyc_complex.export_json(C)
     minimal, _ = cyc_complex.minimality_check(C)
     summary = f"ranks={list(C.ranks())} minimal={str(minimal).lower()}"
     if args.out:
@@ -94,7 +92,7 @@ def cmd_resolve(args) -> int:
 
 def cmd_verify(args) -> int:
     M = _prepare(args)
-    C = cyc_complex.build_complex(M)
+    C = cyc_complex.build_complex(M, args.d_max or 0)
     report = resolution_verify.full_verify(
         C, d_max=args.d_max, seed=args.seed, instance=args.input
     )
@@ -122,10 +120,8 @@ def cmd_gb(args) -> int:
 
 def cmd_homology(args) -> int:
     M = _prepare(args)
-    C = cyc_complex.build_complex(M)
-    d_max = args.d_max
-    if d_max is None:
-        d_max = resolution_verify.default_d_max(C)
+    C = cyc_complex.build_complex(M, args.d_max or 0)
+    d_max = resolution_verify.default_d_max(C) if args.d_max is None else args.d_max
     check = resolution_verify.run_check(
         "graded_homology", lambda: resolution_verify.graded_homology_oracle(C, d_max)
     )

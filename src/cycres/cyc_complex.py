@@ -13,6 +13,7 @@ blocks first, ties broken by the rightmost differing vertex.
 import json
 from dataclasses import dataclass, field
 from itertools import permutations
+from math import comb
 
 from . import intlinalg
 from .errors import InternalError, NotIrreducibleError, ValidationError
@@ -153,12 +154,25 @@ class CycComplex:
         return tuple(len(b) for b in self.bases)
 
 
-def build_complex(L: CBMatrix) -> CycComplex:
+MAX_VERTICES = 9
+
+
+def basis_size(n):
+    """The basis size over all degrees, sum_j (j-1)! * S(n, j); j! * S(n, j)
+    counts the maps of n vertices onto j blocks, by inclusion-exclusion."""
+    return sum(
+        sum((-1) ** i * comb(j, i) * (j - i) ** n for i in range(j + 1)) // j
+        for j in range(1, n + 1)
+    )
+
+
+def build_complex(L: CBMatrix, degree=0) -> CycComplex:
     """Assemble bases, differentials, degree shifts and the order tower.
 
     The matrix must be irreducible and already in block echelon form (use
     graph_core.prepare to reach it); homogeneity of every differential
-    column is checked by the order tower.
+    column is checked by the order tower.  The packing also holds
+    ``degree``, an explicit oracle bound.  n > MAX_VERTICES is refused.
     """
     cls = classify(L)
     if cls == "CB":
@@ -168,9 +182,13 @@ def build_complex(L: CBMatrix) -> CycComplex:
             "matrix is not in block echelon form; apply the distance enumeration"
         )
     n = L.n
+    if n > MAX_VERTICES:
+        raise ValidationError(
+            f"n = {n} has {basis_size(n):,} basis elements; at most n = {MAX_VERTICES} is built"
+        )
     mu = intlinalg.adjugate_row(L.signed_rows())
     nu = intlinalg.grading_vector(mu)
-    ctx = GradedContext.holding(nu, degree_bound(L, nu))
+    ctx = GradedContext.holding(nu, max(degree_bound(L, nu), degree))
     arrows = ArrowTable(L, ctx)
     bases = [enumerate_basis(n, k) for k in range(n)]
     index = [{p: i for i, p in enumerate(b)} for b in bases]
@@ -190,7 +208,7 @@ def degree_bound(L: CBMatrix, nu):
     multiplies two such monomials (S-vectors, cofactors, keys of tail terms)
     and multiplies degree-0 generators by random monomials with exponents
     up to 2 and then by x_n; division never raises a degree.  Hence
-    2*D + 3*sum(nu).  The exactness oracle works to its own degree bound.
+    2*D + 3*sum(nu), past the oracle's default range (at most 2*D).
     """
     D = sum(w * L.a[i][i] for i, w in enumerate(nu))
     return 2 * D + 3 * sum(nu)
@@ -259,5 +277,5 @@ def to_json_dict(C: CycComplex):
     }
 
 
-def export_json(C: CycComplex, indent=None):
-    return json.dumps(to_json_dict(C), indent=indent, sort_keys=True)
+def export_json(C: CycComplex):
+    return json.dumps(to_json_dict(C), indent=2, sort_keys=True)

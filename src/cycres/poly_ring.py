@@ -166,35 +166,36 @@ class OrderTower:
     Level k >= 1 is ordered through the differential columns of its basis
     in level k-1: a module monomial m*e_i maps to m * Lm(column_i), compared
     one level down, ties resolved by the larger basis index.  The comparison
-    is flattened at construction time into, per basis index, an accumulated
-    level-0 monomial and the path of basis indices met during the descent,
-    its own index last.  The tower owns the columns, their leading terms and
-    the degree shifts; every table is immutable after add_level, so
-    concurrent readers are safe.
+    is flattened at construction time into one int per basis index,
+    base = (acc << bits) + rank, from the level-0 monomial acc the descent
+    reaches and the rank of the list of basis indices it meets: integer
+    order on the keys (m << bits) + base[i] of x^m * e_i is the module
+    order.  The tower owns the columns, their leading terms and the degree
+    shifts; every table is immutable after add_level.
     """
 
     def __init__(self, ctx: GradedContext):
         self.ctx = ctx
-        self.acc = [[0]]            # acc[level][idx]: level-0 monomial
-        self.path = [[(0,)]]        # path[level][idx]: descent indices, idx last
+        self.bits = [0]             # bits[level]: width of the rank field
+        self.base = [[0]]           # base[level][idx]: key of x^0 * e_idx
         self.images = [None]        # images[level][idx]: column one level down
         self.lms = [None]           # lms[level][idx]: images[level][idx][0]
-        self.shifts = [[0]]         # shifts[level][idx]: degree of acc[level][idx]
+        self.shifts = [[0]]         # shifts[level][idx]: degree of its acc
 
     @property
     def levels(self):
-        return len(self.acc)
+        return len(self.base)
 
     def key(self, level, mono, idx):
-        """Sortable key for the module monomial x^mono * e_idx at a level."""
-        return (mono + self.acc[level][idx], self.path[level][idx])
+        """The int key of the module monomial x^mono * e_idx at a level."""
+        return (mono << self.bits[level]) + self.base[level][idx]
 
     def leading_module_term(self, elem, level):
         """(coefficient, monomial, basis index) of the largest term."""
         if not elem:
             raise ZeroElementError("leading term of zero module element")
-        acc, path = self.acc[level], self.path[level]
-        mono, idx = max(elem, key=lambda t: (t[0] + acc[t[1]], path[t[1]]))
+        bits, base = self.bits[level], self.base[level]
+        mono, idx = max(elem, key=lambda t: (t[0] << bits) + base[t[1]])
         return elem[mono, idx], mono, idx
 
     def add_level(self, elems):
@@ -208,57 +209,45 @@ class OrderTower:
         is refused.
         """
         level = self.levels - 1
-        below_acc, below_path = self.acc[level], self.path[level]
+        bits, below = self.bits[level], self.base[level]
         degree_of, guard = self.ctx.degree, self.ctx.guard
-        images, acc, path, shifts = [], [], [], []
+        images, tops, shifts = [], [], []
         for j, elem in enumerate(elems):
             keyed = sorted(
-                ((mono + below_acc[idx], below_path[idx], coeff, mono, idx)
+                (((mono << bits) + below[idx], coeff, mono, idx)
                  for (mono, idx), coeff in elem.items()),
                 reverse=True,
             )
             if not keyed:
                 raise ZeroElementError(f"zero differential column {j + 1} in degree {level + 1}")
             # keys order by degree first, so the first and last terms bound it
-            degree = degree_of(keyed[0][0])
-            if degree_of(keyed[-1][0]) != degree:
+            top, coeff = keyed[0][:2]
+            degree = degree_of(top >> bits)
+            if degree_of(keyed[-1][0] >> bits) != degree:
                 raise InternalError(
                     f"inhomogeneous differential column {j + 1} in degree {level + 1}"
                 )
-            column = tuple(term[2:] for term in keyed)
-            top, top_path, coeff, mono, p = keyed[0]
+            column = tuple(term[1:] for term in keyed)
             if coeff not in (1, -1):
                 raise InternalError(f"leading coefficient {coeff} of image {j + 1} is not a unit")
-            if -top & guard:
+            if -(top >> bits) & guard:
                 raise InternalError(
                     f"accumulated monomial of image {j + 1} in degree {level + 1} "
                     f"overflows {self.ctx.width}-bit fields"
                 )
             images.append(column)
-            acc.append(top)
-            path.append(top_path + (j,))
+            tops.append(top)
             shifts.append(degree)
-        self.acc.append(acc)
-        self.path.append(path)
+        up = (len(tops) - 1).bit_length()
+        base = [(top >> bits) << up for top in tops]
+        # j's list is its lead's list, then j: a stable sort by the lead's rank
+        for rank, j in enumerate(sorted(range(len(tops)), key=lambda j: tops[j] % (1 << bits))):
+            base[j] += rank
+        self.bits.append(up)
+        self.base.append(base)
         self.images.append(images)
         self.lms.append([column[0] for column in images])
         self.shifts.append(shifts)
-
-    def repacked(self, ctx: GradedContext):
-        """The same tower with every monomial packed for ``ctx`` instead."""
-        def move(mono):
-            return ctx.pack(self.ctx.unpack(mono))
-
-        out = OrderTower(ctx)
-        out.acc = [[move(m) for m in level] for level in self.acc]
-        out.path = self.path
-        out.images = [None] + [
-            [tuple((c, move(m), idx) for c, m, idx in column) for column in level]
-            for level in self.images[1:]
-        ]
-        out.lms = [None] + [[column[0] for column in level] for level in out.images[1:]]
-        out.shifts = self.shifts
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,11 @@ over Q.
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import InternalError
 from .graph_core import classify
 from .cyc_complex import (
-    ArrowTable,
     CycComplex,
     check_d_squared,
     check_leading_terms,
@@ -422,24 +421,21 @@ def verify_coverage_all(C: CycComplex):
 
 def monomials_of_degree(ctx: GradedContext, d):
     """All monomials with the given weighted degree, packed, in the order
-    of their exponent vectors read lexicographically."""
-    nu, n, w = ctx.nu, ctx.n, ctx.width
-    if max(d // v for v in nu) > ctx.cap:
-        raise InternalError(f"degree {d} does not fit {w}-bit fields")
-    out = []
-    top = d << ctx.shift
-
-    def rec(i, rem, low):
-        if i == n - 1:
-            if rem % nu[i] == 0:
-                out.append(top - low - ((rem // nu[i]) << (w * i)))
-            return
-        for e in range(rem // nu[i] + 1):
-            rec(i + 1, rem - e * nu[i], low + (e << (w * i)))
-
-    if d >= 0:
-        rec(0, d, 0)
-    return out
+    of their exponent vectors read lexicographically.  The caller makes
+    sure the packing holds degree d."""
+    if d < 0:
+        return []
+    nu, w = ctx.nu, ctx.width
+    # (degree left, packed exponents so far), one variable at a time
+    partial = [(d, 0)]
+    for i, v in enumerate(nu[:-1]):
+        partial = [
+            (rem - e * v, low + (e << (w * i)))
+            for rem, low in partial
+            for e in range(rem // v + 1)
+        ]
+    top, last, v = d << ctx.shift, w * (len(nu) - 1), nu[-1]
+    return [top - low - ((rem // v) << last) for rem, low in partial if rem % v == 0]
 
 
 def piece_index(C: CycComplex, k, d, mono_cache):
@@ -478,15 +474,14 @@ def graded_homology_oracle(C: CycComplex, d_max):
     Position 0 compares the rank of the first differential with the count of
     monomials inside the leading-term ideal of the degree-0 basis; higher
     positions compare kernel dimensions with the rank one step up.  Every
-    monomial of a piece has degree at most d_max; when the complex's packing
-    does not hold them, the oracle works on a copy packed wider.
+    monomial of a piece has degree at most d_max, so a d_max past the
+    complex's packing is refused before any piece is built.
     """
-    n = C.n
-    wide = GradedContext.holding(C.ctx.nu, d_max)
-    if wide.width > C.ctx.width:
-        C = replace(C, ctx=wide, tower=C.tower.repacked(wide), arrows=ArrowTable(C.L, wide))
+    n, ctx = C.n, C.ctx
+    if max(d_max // v for v in ctx.nu) > ctx.cap:
+        raise InternalError(f"degree {d_max} does not fit {ctx.width}-bit fields")
     lt_monos = [lt[1] for lt in C.tower.lms[1]]
-    divides = C.ctx.divides
+    divides = ctx.divides
     degrees = 0
     for d in range(d_max + 1):
         mono_cache = {}

@@ -220,14 +220,14 @@ def test_resolve_and_gb_render_the_stored_column_order(tmp_path, capsys, monkeyp
 
     g = graph_core.parse_digraph((INSTANCES / "k4.json").read_text())
     C = cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)))
-    expected = cyc_complex.export_json(C, indent=2)
+    expected = cyc_complex.export_json(C)
 
     def refuse(*args):
         raise AssertionError("OrderTower.key called after the build")
 
     monkeypatch.setattr(cyc_complex, "build_complex", lambda M: C)
     monkeypatch.setattr(OrderTower, "key", refuse)
-    assert cyc_complex.export_json(C, indent=2) == expected
+    assert cyc_complex.export_json(C) == expected
     out_path = tmp_path / "k4.json"
     assert run(capsys, "resolve", inst("k4.json"), "--out", str(out_path))[0] == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == RESOLVE_SHA256["k4"]
@@ -298,6 +298,37 @@ def test_verify_report_pinned_past_the_build_exponents(tmp_path, capsys, name):
         assert type(check.pop("millis")) is int
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == expected
+
+
+def test_homology_past_the_build_exponents(tmp_path, capsys):
+    path = tmp_path / "cycle3.json"
+    arcs = [{"from": v, "to": v % 3 + 1, "w": 1} for v in (1, 2, 3)]
+    path.write_text(json.dumps({"n": 3, "arcs": arcs}))
+    code, out, _ = run(capsys, "homology", str(path), "--max-degree", "40")
+    assert code == 0
+    assert "PASS  graded_homology (degrees=41)" in out
+    code, out, _ = run(capsys, "homology", str(path), "--max-degree", "40", "--format", "json")
+    assert code == 0
+    [check] = json.loads(out)["checks"]
+    assert (check["status"], check["counters"]) == ("pass", {"degrees": 41})
+
+
+def test_ten_vertices_exit_2_before_any_enumeration(tmp_path, capsys, monkeypatch):
+    from cycres import cyc_complex
+
+    def refuse(*args):
+        raise AssertionError("a basis was enumerated")
+
+    monkeypatch.setattr(cyc_complex, "enumerate_basis", refuse)
+    path = tmp_path / "cycle10.json"
+    arcs = [{"from": v, "to": v % 10 + 1, "w": 1} for v in range(1, 11)]
+    path.write_text(json.dumps({"n": 10, "arcs": arcs}))
+    code, out, _ = run(capsys, "classify", str(path))
+    assert code == 0 and out.startswith("ICB")
+    for command in ("resolve", "verify", "gb", "homology"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert "n = 10 has 14,174,522 basis elements" in err
 
 
 def test_resolve_byte_stable(tmp_path, capsys):

@@ -305,6 +305,35 @@ def test_build_complex_rejects_non_echelon():
         cc.build_complex(graph_core.laplacian(g))
 
 
+def test_build_packing_holds_an_explicit_oracle_degree():
+    # the unit 3-cycle needs exponents up to 15; asked for 40, the build
+    # packs wider and the complex reads the same
+    g = graph_core.digraph_from_matrix([[1, -1, 0], [0, 1, -1], [-1, 0, 1]])
+    M = graph_core.prepare(graph_core.laplacian(g))
+    narrow, wide = cc.build_complex(M), cc.build_complex(M, 40)
+    assert narrow.ctx.cap < 40 <= wide.ctx.cap
+    assert cc.build_complex(M, 15).ctx == narrow.ctx
+    assert cc.export_json(wide) == cc.export_json(narrow)
+
+
+def test_basis_size_counts_every_degree():
+    for n in range(1, 7):
+        assert cc.basis_size(n) == sum(len(cc.enumerate_basis(n, k)) for k in range(n))
+    assert [cc.basis_size(n) for n in (8, 9, 10)] == [94_586, 1_091_670, 14_174_522]
+
+
+def test_ten_vertices_are_refused_before_any_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a basis was enumerated")
+
+    monkeypatch.setattr(cc, "enumerate_basis", refuse)
+    g = graph_core.validate_digraph(10, [(v, v % 10 + 1, 1) for v in range(1, 11)])
+    L = graph_core.laplacian(g)
+    assert graph_core.classify(L) == "ICB"
+    with pytest.raises(ValidationError, match="n = 10 has 14,174,522 basis elements"):
+        cc.build_complex(graph_core.prepare(L))
+
+
 def test_shifts_are_homogeneous_degrees(generic4_complex):
     C = generic4_complex
     assert C.shifts[0] == [0]

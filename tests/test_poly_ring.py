@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import monomial_reference as ref
 from cycres import poly_ring as pr
 from cycres.errors import InternalError, ZeroElementError
+from tower_reference import TupleTower
 
 from conftest import (
     ECHELON6,
@@ -378,7 +379,7 @@ def test_stored_columns_are_strictly_decreasing(name):
             keys = [C.tower.key(k - 1, mono, idx) for _, mono, idx in column]
             assert all(a > b for a, b in zip(keys, keys[1:]))
             assert C.tower.lms[k][j] is column[0]
-            assert {C.ctx.degree(key[0]) for key in keys} == {C.shifts[k][j]}
+            assert {C.ctx.degree(key >> C.tower.bits[k - 1]) for key in keys} == {C.shifts[k][j]}
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +468,63 @@ def test_tower_leading_terms_agree_with_recursive_definition(k4_complex):
         for j, f in enumerate(C.diffs[level]):
             mono, idx = _rec_leading(C, level - 1, column_elem(f))
             assert C.tower.lms[level][j][1:] == (mono, idx)
+
+
+@pytest.mark.parametrize("name", ["k4", "echelon6", "weighted4"])
+def test_int_keys_order_column_terms_as_the_tuple_keys(name):
+    # the keys of one level are injective, so equal sorted orders mean that
+    # every pair of column terms compares the same way under both keys
+    C = complex_from_matrix(COMPLEX_ROWS[name])
+    old = TupleTower(C.tower.images)
+    for k in range(1, C.n):
+        terms = {(mono, idx) for column in C.diffs[k] for _, mono, idx in column}
+        keys = {t: C.tower.key(k - 1, *t) for t in terms}
+        assert all(type(key) is int for key in keys.values())
+        assert len(set(keys.values())) == len(terms)
+        assert sorted(terms, key=keys.get) == sorted(terms, key=lambda t: old.key(k - 1, *t))
+        assert [C.ctx.degree(a) for a in old.acc[k]] == C.shifts[k]
+
+
+def test_int_keys_rank_descents_whose_leads_are_out_of_order():
+    # on the cyclic complexes the leads never decrease along a level, so a
+    # rank is the basis index; here e[2,1] leads on e[1,2] and e[2,2] on
+    # e[1,1], so the ranks swap: both reach x1*x2, and the descent (1, 2, 1)
+    # beats (1, 1, 2)
+    ctx = pr.GradedContext(2, (1, 1), 3)
+    x1, x2 = ctx.variables
+    tower = pr.OrderTower(ctx)
+    tower.add_level([{(x1, 0): 1}, {(x2, 0): 1}])
+    tower.add_level([{(x1, 1): 1}, {(x2, 0): -1}])
+    old = TupleTower(tower.images)
+    assert old.path[2] == [(0, 1, 0), (0, 0, 1)]
+    assert tower.key(2, 0, 0) > tower.key(2, 0, 1)
+    for level in (1, 2):
+        terms = [(m, i) for m in (0, x1, x2, x1 + x2) for i in range(2)]
+        assert sorted(terms, key=lambda t: tower.key(level, *t)) == sorted(
+            terms, key=lambda t: old.key(level, *t)
+        )
+
+
+def test_int_keys_agree_with_the_tuple_keys_on_random_pairs(generic4_complex):
+    C = generic4_complex
+    old = TupleTower(C.tower.images)
+    rng = random.Random(31)
+    ties = 0
+    for level in (1, 2, 3):
+        r = len(C.bases[level])
+        acc = old.acc[level]
+        for _ in range(200):
+            m1, m2 = (C.ctx.pack([rng.randint(0, 4) for _ in range(4)]) for _ in range(2))
+            i, j = rng.randrange(r), rng.randrange(r)
+            pairs = [(m1, m2)]
+            # a pair whose level-0 monomials tie, so the paths decide
+            if C.ctx.divides(acc[j], m1 + acc[i]):
+                pairs.append((m1, m1 + acc[i] - acc[j]))
+                ties += 1
+            for a, b in pairs:
+                got = cmp(C.tower.key(level, a, i), C.tower.key(level, b, j))
+                assert got == cmp(old.key(level, a, i), old.key(level, b, j))
+    assert ties > 0
 
 
 def test_divide_at_level_one_standard_expressions(k4_complex):

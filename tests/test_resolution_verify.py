@@ -1,4 +1,6 @@
+import gc
 import random
+from itertools import product
 
 import pytest
 
@@ -10,6 +12,7 @@ from cycres.poly_ring import GradedContext, OrderTower, divide, elem_scale_term,
 
 from conftest import (
     ECHELON6,
+    INSTANCES,
     WEIGHTED4,
     P,
     column_elem,
@@ -22,6 +25,9 @@ from conftest import (
 
 
 K4_ROWS = [[3, -1, -1, -1], [-1, 3, -1, -1], [-1, -1, 3, -1], [-1, -1, -1, 3]]
+# the unit 3-cycle 1 -> 2 -> 3 -> 1
+CYCLE3 = [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]
+VERIFIABLE = ["cycle4", "cycle4_arcs", "echelon6", "k4", "weighted4", "weighted4_echelon"]
 
 
 def test_degree0_gb_k4(k4_complex):
@@ -335,10 +341,26 @@ def test_monomials_of_degree():
     assert rv.monomials_of_degree(ctx, 7) == [ctx.pack((2, 1))]
     ctx = GradedContext(3, (1, 1, 1), 3)
     assert rv.monomials_of_degree(ctx, 0) == [ctx.pack((0, 0, 0))]
-    # x1^4 of degree 4 needs more than 3-bit fields
+    # degree 3 fits 3-bit fields, in lexicographic order of the exponent
+    # vectors; the refusal of a degree past the fields is the oracle's
     assert len(rv.monomials_of_degree(ctx, 3)) == 10
-    with pytest.raises(InternalError, match="degree 4 does not fit 3-bit fields"):
-        rv.monomials_of_degree(ctx, 4)
+    lex = sorted(e for e in product(range(4), repeat=3) if sum(e) == 3)
+    assert rv.monomials_of_degree(ctx, 3) == [ctx.pack(e) for e in lex]
+    assert rv.monomials_of_degree(ctx, -1) == []
+
+
+def test_oracle_refuses_a_degree_past_the_packing_before_any_piece(monkeypatch):
+    C = complex_from_matrix(CYCLE3)
+    assert (C.ctx.width, C.ctx.cap) == (5, 15)
+    assert rv.graded_homology_oracle(C, 15) == (True, None, {"degrees": 16})
+
+    def refuse(*args):
+        raise AssertionError("a graded piece was built")
+
+    for name in ("monomials_of_degree", "piece_index", "graded_piece_rank"):
+        monkeypatch.setattr(rv, name, refuse)
+    with pytest.raises(InternalError, match="degree 16 does not fit 5-bit fields"):
+        rv.graded_homology_oracle(C, 16)
 
 
 def test_graded_pieces_vanish_at_degree_zero(k4_complex):
@@ -378,6 +400,23 @@ def test_hilbert_tail_k4(k4_complex):
         all_d = rv.monomials_of_degree(k4_complex.ctx, d)
         outside = [m for m in all_d if not any(divides(g, m) for g in lt)]
         assert len(outside) == 16
+
+
+def test_full_verify_leaves_no_reference_cycles():
+    # every object of a build and a full verify is freed by reference
+    # counting alone: nothing is left for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        for name in VERIFIABLE:
+            g = graph_core.parse_digraph((INSTANCES / f"{name}.json").read_text())
+            C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
+            passed = rv.full_verify(C).passed
+            del C
+            assert passed, name
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_full_verify_k4(k4_complex):
