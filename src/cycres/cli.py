@@ -77,15 +77,16 @@ def cmd_classify(args) -> int:
 def cmd_resolve(args) -> int:
     M = _prepare(args)
     C = cyc_complex.build_complex(M)
-    doc = cyc_complex.export_json(C)
     minimal, _ = cyc_complex.minimality_check(C)
     summary = f"ranks={list(C.ranks())} minimal={str(minimal).lower()}"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+            cyc_complex.export_json(C, fh)
+            fh.write("\n")
         print(summary)
     else:
-        print(doc)
+        cyc_complex.export_json(C, sys.stdout)
+        sys.stdout.write("\n")
         print(summary, file=sys.stderr)
     return EXIT_OK
 

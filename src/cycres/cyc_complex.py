@@ -261,21 +261,45 @@ def minimality_check(C: CycComplex):
     return True, None
 
 
-def to_json_dict(C: CycComplex):
-    return {
-        "n": C.n,
-        "nu": list(C.ctx.nu),
-        "ranks": list(C.ranks()),
-        "shifts": [list(level) for level in C.shifts],
-        "diffs": [
-            [
-                {"basis": j + 1, "poly": elem_str(f, k - 1, C.ctx)}
-                for j, f in enumerate(C.diffs[k])
-            ]
-            for k in range(1, C.n)
-        ],
-    }
+def _write_list(write, depth, items):
+    """Write a list at nesting depth `depth`, laid out as the json module
+    lays it out with indent=2.  An item is the JSON text of one value,
+    written at once with the separator before it, or an iterable of items,
+    written as a nested list."""
+    pad = "\n" + "  " * (depth + 1)
+    sep = "["
+    for item in items:
+        if isinstance(item, str):
+            write(sep + pad + item)
+        else:
+            write(sep + pad)
+            _write_list(write, depth + 1, item)
+        sep = ","
+    write("[]" if sep == "[" else "\n" + "  " * depth + "]")
 
 
-def export_json(C: CycComplex):
-    return json.dumps(to_json_dict(C), indent=2, sort_keys=True)
+def _column_entries(C: CycComplex, k):
+    """The JSON text of each column entry of level k, rendered when asked."""
+    pad = "\n" + "  " * 4
+    for j, f in enumerate(C.diffs[k], 1):
+        poly = json.dumps(elem_str(f, k - 1, C.ctx))
+        yield f'{{{pad}"basis": {j},{pad}"poly": {poly}\n      }}'
+
+
+def export_json(C: CycComplex, fh):
+    """Write the complex to the text stream fh as the JSON document
+    {"diffs", "n", "nu", "ranks", "shifts"}, laid out byte for byte as the
+    json module lays it out with indent=2 and sorted keys, with no trailing
+    newline.  Each column is rendered and written on its own, so the whole
+    document is never held in memory.
+    """
+    write = fh.write
+    write('{\n  "diffs": ')
+    _write_list(write, 1, (_column_entries(C, k) for k in range(1, C.n)))
+    write(f',\n  "n": {C.n},\n  "nu": ')
+    _write_list(write, 1, map(str, C.ctx.nu))
+    write(',\n  "ranks": ')
+    _write_list(write, 1, map(str, C.ranks()))
+    write(',\n  "shifts": ')
+    _write_list(write, 1, (map(str, level) for level in C.shifts))
+    write("\n}")

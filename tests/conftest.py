@@ -1,3 +1,4 @@
+import io
 import pathlib
 import random
 import sys
@@ -106,6 +107,13 @@ def generic4_matrix():
         for i in range(n)
     ]
     return graph_core.CBMatrix(n, tuple(tuple(r) for r in a))
+
+
+def export_text(C):
+    """The `resolve` document of C, as export_json streams it."""
+    buf = io.StringIO()
+    cyc_complex.export_json(C, buf)
+    return buf.getvalue()
 
 
 def complex_from_matrix(rows, omega=None):

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from cycres import cli
 
-from conftest import INSTANCES, parse_column
+from conftest import INSTANCES, export_text, parse_column
 
 
 def run(capsys, *args):
@@ -212,6 +214,41 @@ def test_resolve_output_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == RESOLVE_SHA256[name]
 
 
+@pytest.mark.parametrize("name", ["cycle4", "k4"])
+def test_resolve_prints_the_out_document_to_stdout(tmp_path, capsys, name):
+    code, out, err = run(capsys, "resolve", inst(f"{name}.json"))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RESOLVE_SHA256[name]
+    assert err.startswith("ranks=[1, 7, 12, 6] minimal=")
+    out_path = tmp_path / f"{name}.json"
+    code, summary, _ = run(capsys, "resolve", inst(f"{name}.json"), "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == out.encode("utf-8")
+    assert summary == err
+
+
+class ClosingPipe(io.StringIO):
+    """A stdout whose reader goes away after `limit` characters."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def write(self, text):
+        if self.tell() + len(text) > self.limit:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_resolve_into_a_closed_pipe_exits_2(capsys, monkeypatch):
+    pipe = ClosingPipe(2000)
+    monkeypatch.setattr(sys, "stdout", pipe)
+    code, _, err = run(capsys, "resolve", inst("k4.json"))
+    assert code == 2
+    assert err.splitlines() == ["error: [Errno 32] Broken pipe"]
+    assert 0 < len(pipe.getvalue()) <= 2000
+
+
 def test_resolve_and_gb_render_the_stored_column_order(tmp_path, capsys, monkeypatch):
     # the tower keys each term once, when it stores the column; export and
     # gb print the stored order and compute no key
@@ -220,14 +257,14 @@ def test_resolve_and_gb_render_the_stored_column_order(tmp_path, capsys, monkeyp
 
     g = graph_core.parse_digraph((INSTANCES / "k4.json").read_text())
     C = cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)))
-    expected = cyc_complex.export_json(C)
+    expected = export_text(C)
 
     def refuse(*args):
         raise AssertionError("OrderTower.key called after the build")
 
     monkeypatch.setattr(cyc_complex, "build_complex", lambda M: C)
     monkeypatch.setattr(OrderTower, "key", refuse)
-    assert cyc_complex.export_json(C) == expected
+    assert export_text(C) == expected
     out_path = tmp_path / "k4.json"
     assert run(capsys, "resolve", inst("k4.json"), "--out", str(out_path))[0] == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == RESOLVE_SHA256["k4"]

@@ -1,5 +1,6 @@
 import json
 import random
+import textwrap
 from functools import reduce
 from itertools import product
 from operator import or_
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partition_reference as ref
+from export_reference import to_json_dict
 from cycres import cyc_complex as cc
 from cycres import graph_core
 from cycres import resolution_verify as rv
@@ -17,11 +19,13 @@ from cycres.errors import InternalError, NotIrreducibleError, ValidationError
 from cycres.poly_ring import GradedContext
 from conftest import (
     ECHELON6,
+    INSTANCES,
     REDUCIBLE,
     WEIGHTED4,
     P,
     column_elem,
     complex_from_matrix,
+    export_text,
     generic4_matrix,
     parse_column,
     poly_elem,
@@ -313,7 +317,7 @@ def test_build_packing_holds_an_explicit_oracle_degree():
     narrow, wide = cc.build_complex(M), cc.build_complex(M, 40)
     assert narrow.ctx.cap < 40 <= wide.ctx.cap
     assert cc.build_complex(M, 15).ctx == narrow.ctx
-    assert cc.export_json(wide) == cc.export_json(narrow)
+    assert export_text(wide) == export_text(narrow)
 
 
 def test_basis_size_counts_every_degree():
@@ -463,7 +467,7 @@ def test_boundary_xn_marker():
 
 def test_export_round_trip(k4_complex):
     C = k4_complex
-    doc = json.loads(cc.export_json(C))
+    doc = json.loads(export_text(C))
     assert doc["n"] == 4
     assert doc["nu"] == [1, 1, 1, 1]
     assert doc["ranks"] == [1, 7, 12, 6]
@@ -476,7 +480,71 @@ def test_export_round_trip(k4_complex):
 
 
 def test_export_is_deterministic(k4_complex):
-    assert cc.export_json(k4_complex) == cc.export_json(k4_complex)
+    assert export_text(k4_complex) == export_text(k4_complex)
+
+
+def reference_text(C):
+    return json.dumps(to_json_dict(C), indent=2, sort_keys=True)
+
+
+# every bundled instance with a complex (reducible.json has none)
+RESOLVABLE = ["cycle4", "cycle4_arcs", "echelon6", "k4", "weighted4", "weighted4_echelon"]
+
+
+def bundled_complex(name):
+    g = graph_core.parse_digraph((INSTANCES / f"{name}.json").read_text())
+    return cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
+
+
+@pytest.mark.parametrize("name", RESOLVABLE)
+def test_export_matches_the_reference_document(name):
+    C = bundled_complex(name)
+    assert export_text(C) == reference_text(C)
+
+
+def test_export_matches_the_reference_document_on_random_instances():
+    # n = 2 gives a differential level of width 1; level 0 of the shifts
+    # always has width 1
+    widths = set()
+    for n in range(2, 7):
+        for seed in range(3):
+            g = random_icb_digraph(n, random.Random(seed))
+            C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
+            assert export_text(C) == reference_text(C), (n, seed)
+            widths.update(len(level) for level in C.diffs[1:])
+    assert 1 in widths
+
+
+def test_export_writes_empty_lists_as_json_does():
+    # no buildable complex has an empty list; these stand-ins have one at
+    # every depth the document streams
+    no_nu, one_nu = SimpleNamespace(nu=()), SimpleNamespace(nu=(1,))
+    for C in (
+        SimpleNamespace(n=1, ctx=no_nu, ranks=tuple, shifts=[[]], diffs=[]),
+        SimpleNamespace(n=2, ctx=one_nu, ranks=tuple, shifts=[], diffs=[None, []]),
+    ):
+        assert export_text(C) == reference_text(C)
+
+
+def test_export_streams_one_column_at_a_time(k4_complex):
+    # no write holds more than one column entry, and none is longer than
+    # the longest column entry or level of shifts as the document lays
+    # them out, with the separator before them
+    for C in (k4_complex, bundled_complex("echelon6")):
+        doc = to_json_dict(C)
+        entries = [
+            textwrap.indent(json.dumps(entry, indent=2), " " * 6)
+            for level in doc["diffs"]
+            for entry in level
+        ]
+        levels = [textwrap.indent(json.dumps(level, indent=2), " " * 4) for level in doc["shifts"]]
+        bound = 2 + max(map(len, entries + levels))
+        chunks = []
+        cc.export_json(C, SimpleNamespace(write=chunks.append))
+        assert "".join(chunks) == reference_text(C)
+        assert max(map(len, chunks)) <= bound
+        assert max(chunk.count('"poly"') for chunk in chunks) == 1
+        assert sum(chunk.count('"poly"') for chunk in chunks) == len(entries)
 
 
 # ---------------------------------------------------------------------------
