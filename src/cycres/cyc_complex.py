@@ -21,7 +21,6 @@ from .graph_core import CBMatrix, block_echelon_structure, classify
 from .poly_ring import (
     GradedContext,
     OrderTower,
-    elem_add_term,
     elem_combine,
     elem_str,
 )
@@ -107,23 +106,27 @@ def merge(p, s):
     return p[:s] + (p[s] | p[s + 1],) + p[s + 2 :]
 
 
-def boundary(p, arrows: ArrowTable, index_below):
-    """Image of a basis partition under the differential.
+def boundary(basis, arrows: ArrowTable, index_below):
+    """Images of one level's basis partitions under the differential.
 
     Each block is merged with its cyclic successor, with arrow-monomial
     coefficients and signs alternating from +1, except that the closing
     merge of the last block into the first is always -1.  ``index_below``
-    maps partitions with one block fewer to their basis position.
+    maps partitions with one block fewer to their basis position.  Column j
+    is the tuple of (coeff, monomial, basis index) terms of basis[j], one
+    per merge position; on an irreducible matrix no two of them share a
+    monomial and an index.
     """
-    k = len(p) - 1
+    k = len(basis[0]) - 1
     if k < 1:
         raise ValueError("boundary needs at least two blocks")
-    elem = {}
+    positions = []
     for s in range(k + 1):
-        mono = arrows[p[s], p[(s + 1) % (k + 1)]]
-        sign = -1 if s == k else (-1) ** s
-        elem_add_term(elem, index_below[merge(p, s)], sign, mono)
-    return elem
+        sign, t = (-1, 0) if s == k else ((-1) ** s, s + 1)
+        positions.append(
+            [(sign, arrows[p[s], p[t]], index_below[merge(p, s)]) for p in basis]
+        )
+    return list(zip(*positions))
 
 
 @dataclass
@@ -194,7 +197,7 @@ def build_complex(L: CBMatrix, degree=0) -> CycComplex:
     index = [{p: i for i, p in enumerate(b)} for b in bases]
     tower = OrderTower(ctx)
     for k in range(1, n):
-        tower.add_level([boundary(p, arrows, index[k - 1]) for p in bases[k]])
+        tower.add_level(boundary(bases[k], arrows, index[k - 1]))
     return CycComplex(L, ctx, mu, bases, index, tower, arrows)
 
 

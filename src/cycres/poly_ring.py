@@ -129,16 +129,6 @@ class GradedContext:
 # ---------------------------------------------------------------------------
 # module elements
 
-def elem_add_term(elem, idx, coeff, mono):
-    """elem += coeff * x^mono * e_idx, in place."""
-    key = (mono, idx)
-    c = elem.get(key, 0) + coeff
-    if c:
-        elem[key] = c
-    elif key in elem:
-        del elem[key]
-
-
 def elem_combine(acc, column, coeff, mono):
     """acc += coeff * x^mono * column, in place; coeff is nonzero."""
     get = acc.get
@@ -198,36 +188,39 @@ class OrderTower:
         mono, idx = max(elem, key=lambda t: (t[0] << bits) + base[t[1]])
         return elem[mono, idx], mono, idx
 
-    def add_level(self, elems):
+    def add_level(self, columns):
         """Append the order induced by the next level's differential columns.
 
-        ``elems`` are nonzero Elems of the current top level.  Each term,
-        read from its (monomial, basis index) key, is keyed once; each Elem
-        is stored as a column, its first term is its leading term, whose
-        coefficient must be +-1, and the degree part of its keys, which
-        must be one value, is its shift.  Nothing is appended when a column
-        is refused.
+        ``columns`` hold, per basis element of the next level, its image as
+        (coeff, monomial, basis index) terms of the current top level.  Each
+        term is keyed once and the terms are stored sorted by key, so a
+        column's first term is its leading term, whose coefficient must be
+        +-1; the degree part of its keys, which must be one value, is its
+        shift.  Nothing is appended when a column is refused: an empty one,
+        one with two terms on the same monomial and index, an inhomogeneous
+        one, a non-unit lead or an accumulated monomial past the fields.
         """
         level = self.levels - 1
         bits, below = self.bits[level], self.base[level]
         degree_of, guard = self.ctx.degree, self.ctx.guard
         images, tops, shifts = [], [], []
-        for j, elem in enumerate(elems):
-            keyed = sorted(
-                (((mono << bits) + below[idx], coeff, mono, idx)
-                 for (mono, idx), coeff in elem.items()),
-                reverse=True,
-            )
-            if not keyed:
+        for j, terms in enumerate(columns):
+            by_key = {(term[1] << bits) + below[term[2]]: term for term in terms}
+            if not by_key:
                 raise ZeroElementError(f"zero differential column {j + 1} in degree {level + 1}")
+            if len(by_key) != len(terms):
+                raise InternalError(
+                    f"repeated term in differential column {j + 1} in degree {level + 1}"
+                )
+            keys = sorted(by_key, reverse=True)
+            column = tuple([by_key[key] for key in keys])
             # keys order by degree first, so the first and last terms bound it
-            top, coeff = keyed[0][:2]
+            top, coeff = keys[0], column[0][0]
             degree = degree_of(top >> bits)
-            if degree_of(keyed[-1][0] >> bits) != degree:
+            if degree_of(keys[-1] >> bits) != degree:
                 raise InternalError(
                     f"inhomogeneous differential column {j + 1} in degree {level + 1}"
                 )
-            column = tuple(term[1:] for term in keyed)
             if coeff not in (1, -1):
                 raise InternalError(f"leading coefficient {coeff} of image {j + 1} is not a unit")
             if -(top >> bits) & guard:
@@ -324,6 +317,7 @@ def elem_str(column, level, ctx: GradedContext):
     if not column:
         return "0"
     text = ctx.text
+    suffix = f"·e[{level}," if level else None
     out = []
     for coeff, mono, idx in column:
         if not out:
@@ -331,8 +325,9 @@ def elem_str(column, level, ctx: GradedContext):
         else:
             sep = " + " if coeff > 0 else " - "
         term = text(mono)
-        c = abs(coeff)
-        if c != 1 or not term:
-            term = f"{c}*{term}" if term else str(c)
-        out.append(sep + term if level == 0 else f"{sep}{term}·e[{level},{idx + 1}]")
+        if coeff not in (1, -1):
+            term = f"{abs(coeff)}*{term}" if term else str(abs(coeff))
+        elif not term:
+            term = "1"
+        out.append(f"{sep}{term}{suffix}{idx + 1}]" if suffix else sep + term)
     return "".join(out)

@@ -10,7 +10,6 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from cycres import cyc_complex, graph_core  # noqa: E402
-from cycres.poly_ring import elem_add_term  # noqa: E402
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -82,6 +81,16 @@ def poly_elem(ctx, poly, idx=0):
     return {(mono, idx): coeff for mono, coeff in packed(ctx, poly).items()}
 
 
+def elem_add_term(elem, idx, coeff, mono):
+    """elem += coeff * x^mono * e_idx, in place."""
+    key = (mono, idx)
+    c = elem.get(key, 0) + coeff
+    if c:
+        elem[key] = c
+    elif key in elem:
+        del elem[key]
+
+
 def column_elem(column):
     """The Elem {(monomial, basis index): coeff} holding the terms of a
     stored column."""
@@ -89,6 +98,12 @@ def column_elem(column):
     for coeff, mono, idx in column:
         elem_add_term(elem, idx, coeff, mono)
     return elem
+
+
+def elem_terms(elem):
+    """The (coeff, monomial, basis index) terms of an Elem, as
+    OrderTower.add_level reads a column; the inverse of column_elem."""
+    return [(coeff, mono, idx) for (mono, idx), coeff in elem.items()]
 
 
 def k4_digraph():

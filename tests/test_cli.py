@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -134,6 +135,67 @@ def test_verify_require_minimal_fails_on_cycle(capsys):
     )
     assert code == 1
     assert "require_minimal" in out
+
+
+def test_main_runs_without_the_collector_and_gives_it_back(tmp_path, capsys, monkeypatch):
+    # each command runs with the cyclic collector off; main restores the
+    # caller's state whatever the exit code
+    seen = []
+    for name, command in list(cli.COMMANDS.items()):
+        def recording(args, command=command):
+            seen.append(gc.isenabled())
+            return command(args)
+        monkeypatch.setitem(cli.COMMANDS, name, recording)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 3, "arcs": 5}')
+    cases = [
+        (0, ["classify", inst("k4.json")]),
+        (2, ["resolve", str(bad)]),
+        (1, ["verify", inst("cycle4.json"), "--max-degree", "4", "--require-minimal"]),
+    ]
+    assert gc.isenabled()
+    for code, argv in cases:
+        assert run(capsys, *argv)[0] == code, argv
+        assert gc.isenabled(), argv
+    assert seen == [False, False, False]
+    with pytest.raises(SystemExit):
+        cli.main(["no-such-command", inst("k4.json")])
+    capsys.readouterr()
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert run(capsys, "classify", inst("k4.json"))[0] == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_commands_leave_no_reference_cycles(tmp_path, capsys, monkeypatch):
+    # what main runs without the collector must be freed by reference
+    # counting alone: nothing is left for gc.collect() on any bundled
+    # instance, whether the command succeeds or refuses it.  An argparse
+    # parser holds reference cycles of its own, one parser per process, so
+    # all runs here share one
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    out = str(tmp_path / "out.json")
+    gc.collect()
+    gc.disable()
+    try:
+        for path in sorted(INSTANCES.glob("*.json")):
+            for argv in (
+                ["resolve", str(path), "--out", out],
+                ["gb", str(path)],
+                ["homology", str(path)],
+                ["classify", str(path)],
+                ["classify", str(path), "--format", "json"],
+                ["verify", str(path), "--format", "json"],
+            ):
+                code = run(capsys, *argv)[0]
+                assert code == (3 if path.stem == "reducible" and argv[0] != "classify" else 0)
+                assert gc.collect() == 0, (path.name, argv)
+    finally:
+        gc.enable()
 
 
 def test_verify_runs_the_minimality_pass_once(capsys, monkeypatch):

@@ -25,6 +25,7 @@ from conftest import (
     P,
     column_elem,
     complex_from_matrix,
+    elem_add_term,
     export_text,
     generic4_matrix,
     parse_column,
@@ -272,6 +273,42 @@ def test_boundary_singletons_give_column_binomials(generic4_complex):
         plus = tuple(max(x, 0) for x in col)
         minus = tuple(max(-x, 0) for x in col)
         assert column_elem(f) == poly_elem(C.ctx, {plus: 1, minus: -1})
+
+
+def summed_boundary(p, arrows, index_below):
+    """The image of p as its merge terms summed into an Elem, the definition
+    that boundary's term tuples are checked against."""
+    k = len(p) - 1
+    elem = {}
+    for s in range(k + 1):
+        sign = -1 if s == k else (-1) ** s
+        mono = arrows[p[s], p[(s + 1) % (k + 1)]]
+        elem_add_term(elem, index_below[cc.merge(p, s)], sign, mono)
+    return elem
+
+
+def test_boundary_columns_sum_the_merge_terms():
+    # n = 2 has one level-1 column, whose two merges give the same partition
+    complexes = [bundled_complex(name) for name in RESOLVABLE] + [
+        cc.build_complex(graph_core.prepare(graph_core.laplacian(
+            random_icb_digraph(n, random.Random(seed))
+        )))
+        for n in range(2, 7)
+        for seed in range(3)
+    ]
+    for C in complexes:
+        with pytest.raises(ValueError):
+            cc.boundary(C.bases[0], C.arrows, {})
+        for k in range(1, C.n):
+            columns = cc.boundary(C.bases[k], C.arrows, C.index[k - 1])
+            assert len(columns) == len(C.bases[k]) == len(C.diffs[k])
+            for p, column, stored in zip(C.bases[k], columns, C.diffs[k]):
+                # one term per merge position: no two share a monomial and
+                # an index, so the sum cancels none of them
+                expected = summed_boundary(p, C.arrows, C.index[k - 1])
+                assert len(column) == len(expected) == k + 1
+                assert column_elem(column) == expected
+                assert column_elem(stored) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from conftest import (
     WEIGHTED4,
     column_elem,
     complex_from_matrix,
+    elem_add_term,
+    elem_terms,
     parse_column,
     parse_elem,
     poly_elem,
@@ -113,9 +115,9 @@ def test_an_exponent_past_the_fields_raises_and_never_aliases():
         ctx.pack((0, 0, 0))
     # the tower refuses an accumulated level-0 monomial past the fields
     tower = pr.OrderTower(ctx)
-    tower.add_level([poly_elem(ctx, {(3, 0, 0, 0): 1})])
+    tower.add_level([elem_terms(poly_elem(ctx, {(3, 0, 0, 0): 1}))])
     with pytest.raises(InternalError, match="overflows 3-bit fields"):
-        tower.add_level([poly_elem(ctx, {(1, 0, 0, 0): 1})])
+        tower.add_level([elem_terms(poly_elem(ctx, {(1, 0, 0, 0): 1}))])
     assert tower.levels == 2
 
 
@@ -231,7 +233,7 @@ def test_divide_random_standard_expressions(k4_complex):
         g = {}
         for _ in range(rng.randint(1, 4)):
             mono = C.ctx.pack([rng.randint(0, 3) for _ in range(4)])
-            pr.elem_add_term(g, 0, rng.choice([-2, -1, 1, 2]), mono)
+            elem_add_term(g, 0, rng.choice([-2, -1, 1, 2]), mono)
         q, r = pr.divide(g, C.tower, 0)
         assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
 
@@ -315,8 +317,8 @@ def test_combining_a_column_and_its_negative_leaves_nothing(k4_complex):
                 pr.elem_combine(acc, column, -1, 0)
                 assert acc == other and all(acc.values())
     elem = {}
-    pr.elem_add_term(elem, 3, 2, mono)
-    pr.elem_add_term(elem, 3, -2, mono)
+    elem_add_term(elem, 3, 2, mono)
+    elem_add_term(elem, 3, -2, mono)
     assert elem == {}
 
 
@@ -325,8 +327,8 @@ def test_combining_a_column_and_its_negative_leaves_nothing(k4_complex):
 
 def test_add_level_rejects_non_unit_leading_coefficient(k4_complex):
     C = k4_complex
-    g0 = [column_elem(f) for f in C.diffs[1]]
-    doubled = pr.elem_scale_term(g0[0], 2, 0)
+    g0 = list(C.diffs[1])
+    doubled = elem_terms(pr.elem_scale_term(column_elem(g0[0]), 2, 0))
     for images in ([doubled], g0 + [doubled]):
         tower = pr.OrderTower(C.ctx)
         with pytest.raises(InternalError):
@@ -336,16 +338,16 @@ def test_add_level_rejects_non_unit_leading_coefficient(k4_complex):
 
 def test_add_level_rejects_non_unit_leading_coefficient_at_any_position(k4_complex):
     C = k4_complex
-    g0 = [column_elem(f) for f in C.diffs[1]]
-    doubled = pr.elem_scale_term(g0[0], 2, 0)
+    g0 = list(C.diffs[1])
+    doubled = elem_terms(pr.elem_scale_term(column_elem(g0[0]), 2, 0))
     for images in ([doubled, g0[1]], [g0[1], doubled]):
         with pytest.raises(InternalError):
             pr.OrderTower(C.ctx).add_level(images)
     # one level up, inside the list of boundary columns
     tower = pr.OrderTower(C.ctx)
     tower.add_level(g0)
-    g1 = [column_elem(f) for f in C.diffs[2]]
-    doubled = pr.elem_scale_term(g1[3], -2, 0)
+    g1 = list(C.diffs[2])
+    doubled = elem_terms(pr.elem_scale_term(column_elem(g1[3]), -2, 0))
     with pytest.raises(InternalError):
         tower.add_level(g1[:3] + [doubled] + g1[4:])
     assert tower.levels == 2
@@ -355,17 +357,41 @@ def test_add_level_rejects_an_inhomogeneous_column(k4_complex):
     C = k4_complex
     tower = pr.OrderTower(C.ctx)
     with pytest.raises(InternalError, match="inhomogeneous differential column 1 in degree 1"):
-        tower.add_level([poly_elem(C.ctx, {(1, 0, 0, 0): 1, (0, 0, 0, 2): -1})])
+        tower.add_level([elem_terms(poly_elem(C.ctx, {(1, 0, 0, 0): 1, (0, 0, 0, 2): -1}))])
     assert tower.levels == 1
     with pytest.raises(ZeroElementError):
-        tower.add_level([{}])
+        tower.add_level([elem_terms({})])
     assert tower.levels == 1
     # one level up: a term on e[1,1] one degree too high in column 4
-    tower.add_level([column_elem(f) for f in C.diffs[1]])
+    tower.add_level(C.diffs[1])
     g1 = [column_elem(f) for f in C.diffs[2]]
-    pr.elem_add_term(g1[3], 0, 1, C.ctx.pack((0, 0, 0, 3)))
+    elem_add_term(g1[3], 0, 1, C.ctx.pack((0, 0, 0, 3)))
+    g1 = [elem_terms(elem) for elem in g1]
     with pytest.raises(InternalError, match="inhomogeneous differential column 4 in degree 2"):
         tower.add_level(g1)
+    assert tower.levels == 2
+
+
+def test_add_level_rejects_a_repeated_term(k4_complex):
+    # a column is fed as terms, not summed: two terms on one monomial and
+    # index are refused, whether their coefficients add up or cancel
+    C = k4_complex
+    g0 = list(C.diffs[1])
+    c, m, i = g0[1][1]
+    for extra in ((c, m, i), (-c, m, i)):
+        tower = pr.OrderTower(C.ctx)
+        with pytest.raises(
+            InternalError, match="repeated term in differential column 2 in degree 1"
+        ):
+            tower.add_level(g0[:1] + [g0[1] + (extra,)] + g0[2:])
+        assert tower.levels == 1
+    tower = pr.OrderTower(C.ctx)
+    tower.add_level(g0)
+    g1 = list(C.diffs[2])
+    with pytest.raises(
+        InternalError, match="repeated term in differential column 5 in degree 2"
+    ):
+        tower.add_level(g1[:4] + [g1[4] + g1[4][:1]] + g1[5:])
     assert tower.levels == 2
 
 
@@ -399,6 +425,34 @@ def test_elem_str_round_trip(k4_complex):
 def test_elem_str_level0_is_plain_polynomial(k4_complex):
     C = k4_complex
     assert pr.elem_str(C.diffs[1][0], 0, C.ctx) == "x1*x2*x3 - x4^3"
+
+
+def test_elem_str_pins_hand_built_columns():
+    # built columns only have coefficients +-1, so these are the only
+    # columns that reach the non-unit branch
+    ctx = pr.GradedContext(4, (1, 1, 1, 1), 4)
+    x1, x2, x3, x4 = ctx.variables
+    column = ((2, x1 + 2 * x3, 0), (-2, 0, 1), (1, 0, 2), (-1, x2, 0), (-2, x4, 3), (2, 0, 0))
+    assert pr.elem_str(column, 0, ctx) == "2*x1*x3^2 - 2 + 1 - x2 - 2*x4 + 2"
+    assert pr.elem_str(column, 1, ctx) == (
+        "2*x1*x3^2·e[1,1] - 2·e[1,2] + 1·e[1,3] - x2·e[1,1] - 2*x4·e[1,4] + 2·e[1,1]"
+    )
+    assert pr.elem_str(column, 12, ctx).endswith(" - 2*x4·e[12,4] + 2·e[12,1]")
+    for level, texts in (
+        (0, ["-2", "-1", "-x1 + 2", "2*x4^3", "1 - 1"]),
+        (2, ["-2·e[2,1]", "-1·e[2,5]", "-x1·e[2,1] + 2·e[2,3]", "2*x4^3·e[2,2]",
+             "1·e[2,1] - 1·e[2,2]"]),
+    ):
+        columns = [
+            ((-2, 0, 0),),
+            ((-1, 0, 4),),
+            ((-1, x1, 0), (2, 0, 2)),
+            ((2, 3 * x4, 1),),
+            ((1, 0, 0), (-1, 0, 1)),
+        ]
+        assert [pr.elem_str(f, level, ctx) for f in columns] == texts
+        for text, f in zip(texts, columns):
+            assert parse_column(text, ctx) == (f if level else tuple((c, m, 0) for c, m, _ in f))
 
 
 def test_elem_str_renders_each_distinct_monomial_once(monkeypatch):
@@ -493,8 +547,8 @@ def test_int_keys_rank_descents_whose_leads_are_out_of_order():
     ctx = pr.GradedContext(2, (1, 1), 3)
     x1, x2 = ctx.variables
     tower = pr.OrderTower(ctx)
-    tower.add_level([{(x1, 0): 1}, {(x2, 0): 1}])
-    tower.add_level([{(x1, 1): 1}, {(x2, 0): -1}])
+    tower.add_level([elem_terms({(x1, 0): 1}), elem_terms({(x2, 0): 1})])
+    tower.add_level([elem_terms({(x1, 1): 1}), elem_terms({(x2, 0): -1})])
     old = TupleTower(tower.images)
     assert old.path[2] == [(0, 1, 0), (0, 0, 1)]
     assert tower.key(2, 0, 0) > tower.key(2, 0, 1)
@@ -536,6 +590,6 @@ def test_divide_at_level_one_standard_expressions(k4_complex):
         for _ in range(rng.randint(1, 4)):
             idx = rng.randrange(7)
             mono = C.ctx.pack([rng.randint(0, 2) for _ in range(4)])
-            pr.elem_add_term(g, idx, rng.choice([-1, 1]), mono)
+            elem_add_term(g, idx, rng.choice([-1, 1]), mono)
         q, r = pr.divide(g, C.tower, 1)
         assert_standard_expression(g, g1, q, r, C.tower, 1)
