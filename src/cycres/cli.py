@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 """
 
 import argparse
+import functools
 import gc
 import json
 import sys
@@ -92,9 +93,17 @@ def cmd_resolve(args) -> int:
     return EXIT_OK
 
 
+def _build_for_oracle(args):
+    """The complex, packed for an explicit --max-degree, which is refused
+    before any oracle piece is built when a piece would be too wide."""
+    C = cyc_complex.build_complex(_prepare(args), args.d_max or 0)
+    if args.d_max is not None:
+        resolution_verify.refuse_oversized_oracle(C, args.d_max)
+    return C
+
+
 def cmd_verify(args) -> int:
-    M = _prepare(args)
-    C = cyc_complex.build_complex(M, args.d_max or 0)
+    C = _build_for_oracle(args)
     report = resolution_verify.full_verify(
         C, d_max=args.d_max, seed=args.seed, instance=args.input
     )
@@ -121,8 +130,7 @@ def cmd_gb(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    M = _prepare(args)
-    C = cyc_complex.build_complex(M, args.d_max or 0)
+    C = _build_for_oracle(args)
     d_max = resolution_verify.default_d_max(C) if args.d_max is None else args.d_max
     check = resolution_verify.run_check(
         "graded_homology", lambda: resolution_verify.graded_homology_oracle(C, d_max)
@@ -141,7 +149,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on the first call: a parser
+    holds reference cycles of its own, which a new parser per main call
+    would leave for the caller's collector."""
     ap = argparse.ArgumentParser(
         prog="cycres",
         description="Free resolutions of digraph lattice ideals, exactly verified.",

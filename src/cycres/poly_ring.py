@@ -15,10 +15,12 @@ Representation conventions (kept deliberately plain for speed):
 
 Elems are the mutable accumulators (division work and remainders, S-vectors,
 sampled ideal members); each differential column is stored once, as a
-column, by the order tower, so its first term is its leading term.  The
-quotients of a division form one Elem a level up, on the basis indices of
-the columns divided by.  Elements of the degree-0 ring live on basis
-index 0.
+column, by the order tower, so its first term is its leading term, and the
+leading term of an S-vector is read off its two columns without building
+it.  The quotients of a division form one Elem a level up, on the basis
+indices of the columns divided by; divisors are looked up by the support
+mask of the term to reduce, in the one table the tower builds lazily.
+Elements of the degree-0 ring live on basis index 0.
 The monomial order is the weighted reverse lexicographic order with positive
 integer weights nu: higher weighted degree wins, ties broken by the
 rightmost nonzero coordinate of the difference being negative.  Integer
@@ -52,8 +54,10 @@ class GradedContext:
     shift: int = field(init=False, repr=False)   # s = n * width
     mask: int = field(init=False, repr=False)    # the exponent part, 2^s - 1
     guard: int = field(init=False, repr=False)   # the top bit of every field
+    ones: int = field(init=False, repr=False)    # 2^(w-1) - 1 in every field
     variables: tuple = field(init=False, repr=False)  # x_1, ..., x_n packed
     _text: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _cofactors: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         w, n = self.width, len(self.nu)
@@ -63,6 +67,7 @@ class GradedContext:
         object.__setattr__(self, "shift", n * w)
         object.__setattr__(self, "mask", (1 << (n * w)) - 1)
         object.__setattr__(self, "guard", sum(1 << (w * i + w - 1) for i in range(n)))
+        object.__setattr__(self, "ones", self.guard - sum(1 << (w * i) for i in range(n)))
         object.__setattr__(self, "variables", tuple(
             (v << (n * w)) - (1 << (w * i)) for i, v in enumerate(self.nu)
         ))
@@ -99,19 +104,29 @@ class GradedContext:
         """True when x^a divides x^b: no field of b - a borrows."""
         return not (a - b) & self.guard
 
+    def support(self, mono):
+        """The guard bits of the fields where mono's exponent is nonzero:
+        x^a divides x^b only if support(a) lies inside support(b)."""
+        # a field e in [0, cap] plus cap carries into its guard bit iff e > 0
+        return ((-mono & self.mask) + self.ones) & self.guard
+
     def cofactor(self, a, b):
-        """x^lcm(a,b) / x^a, that is x^max(b - a, 0) field by field."""
-        guard, w = self.guard, self.width
-        # every field of t is 2^(w-1) + b_i - a_i in [1, 2^w - 1]: no borrow,
-        # and its guard bit is set exactly where b_i >= a_i
-        t = ((-b & self.mask) | guard) - (-a & self.mask)
-        keep = t & guard
-        low = t & (keep - (keep >> (w - 1)))
-        degree, rest, cap = 0, low, self.cap
-        for v in self.nu:
-            degree += v * (rest & cap)
-            rest >>= w
-        return (degree << self.shift) - low
+        """x^lcm(a,b) / x^a, that is x^max(b - a, 0) field by field; each
+        distinct pair of the context is computed once."""
+        out = self._cofactors.get((a, b))
+        if out is None:
+            guard, w = self.guard, self.width
+            # every field of t is 2^(w-1) + b_i - a_i in [1, 2^w - 1]: no
+            # borrow, and its guard bit is set exactly where b_i >= a_i
+            t = ((-b & self.mask) | guard) - (-a & self.mask)
+            keep = t & guard
+            low = t & (keep - (keep >> (w - 1)))
+            degree, rest, cap = 0, low, self.cap
+            for v in self.nu:
+                degree += v * (rest & cap)
+                rest >>= w
+            out = self._cofactors[a, b] = (degree << self.shift) - low
+        return out
 
     def text(self, mono):
         """x1*x3^2 style text of a monomial, "" for the unit; each distinct
@@ -161,7 +176,9 @@ class OrderTower:
     reaches and the rank of the list of basis indices it meets: integer
     order on the keys (m << bits) + base[i] of x^m * e_i is the module
     order.  The tower owns the columns, their leading terms and the degree
-    shifts; every table is immutable after add_level.
+    shifts; every table is immutable after add_level.  The one table built
+    lazily is the divisor table of a level (see divisors), on the first
+    division there; it reads only the leading terms, which add_level fixes.
     """
 
     def __init__(self, ctx: GradedContext):
@@ -171,6 +188,7 @@ class OrderTower:
         self.images = [None]        # images[level][idx]: column one level down
         self.lms = [None]           # lms[level][idx]: images[level][idx][0]
         self.shifts = [[0]]         # shifts[level][idx]: degree of its acc
+        self._divisors = {}         # level: its divisor table, on first use
 
     @property
     def levels(self):
@@ -187,6 +205,31 @@ class OrderTower:
         bits, base = self.bits[level], self.base[level]
         mono, idx = max(elem, key=lambda t: (t[0] << bits) + base[t[1]])
         return elem[mono, idx], mono, idx
+
+    def divisors(self, level):
+        """{(idx << shift) + support mask: the ascending positions j of the
+        columns in images[level + 1] whose leading term sits on e_idx with
+        its support inside that mask}, built on the first call per level.
+
+        A leading term divides x^m * e_idx only if it is listed under m's
+        support (see GradedContext.support), so these are the candidate
+        divisors in index order: each position is listed under every
+        superset of its support.
+        """
+        table = self._divisors.get(level)
+        if table is None:
+            ctx = self.ctx
+            table = self._divisors[level] = {}
+            for j, (_, mono, idx) in enumerate(self.lms[level + 1]):
+                inside = ctx.support(mono)
+                free = ctx.guard ^ inside
+                key, sub = (idx << ctx.shift) + inside, free
+                while True:
+                    table.setdefault(key + sub, []).append(j)
+                    if not sub:
+                        break
+                    sub = (sub - 1) & free
+        return table
 
     def add_level(self, columns):
         """Append the order induced by the next level's differential columns.
@@ -252,7 +295,8 @@ def divide(g, tower: OrderTower, level):
 
     The images are tower.images[level + 1].  At every step the current
     leading term is reduced by the lowest-index image whose stored leading
-    term divides it; irreducible leading terms move to the remainder.  The
+    term divides it, taken from the candidates tower.divisors lists under
+    its support; irreducible leading terms move to the remainder.  The
     quotient is one Elem a level up, {(monomial, i): q_i's coefficient}.
     Every leading coefficient is +-1, its own inverse, so all coefficients
     stay in Z.  The leading terms met strictly decrease, so each key of the
@@ -260,13 +304,15 @@ def divide(g, tower: OrderTower, level):
     """
     basis = tower.images[level + 1]
     basis_lts = tower.lms[level + 1]
-    guard = tower.ctx.guard
+    candidates = tower.divisors(level)
+    support, guard, shift = tower.ctx.support, tower.ctx.guard, tower.ctx.shift
     quotient, remainder = {}, {}
     work = dict(g)
     while work:
         coeff, mono, idx = tower.leading_module_term(work, level)
-        for bi, (bc, bm, bidx) in enumerate(basis_lts):
-            if bidx == idx and not (bm - mono) & guard:
+        for bi in candidates.get((idx << shift) + support(mono), ()):
+            bc, bm, _ = basis_lts[bi]
+            if not (bm - mono) & guard:
                 q = coeff * bc
                 qm = mono - bm
                 quotient[qm, bi] = q
@@ -288,6 +334,36 @@ def s_cofactor(tower: OrderTower, level, i, j):
     if ii != ij:
         return None
     return ci, tower.ctx.cofactor(mi, mj)
+
+
+def s_leading_key(tower: OrderTower, level, i, j, m_ji, m_ij):
+    """The int key of Lt(S) for S = m_ji*f_i - m_ij*f_j, the images f_i, f_j
+    in tower.images[level + 1] and their cofactors as s_cofactor gives them,
+    or None when S = 0.  S itself is not built.
+
+    Both columns are stored in strictly decreasing key order, and
+    multiplying by x^m adds m << bits to every key, so the two are walked
+    together from the top: the first key whose terms do not cancel is Lt(S).
+    """
+    bits, base = tower.bits[level], tower.base[level]
+    f_i, f_j = tower.images[level + 1][i], tower.images[level + 1][j]
+    (ci, mi), (cj, mj) = m_ji, m_ij
+    up_i, up_j = mi << bits, mj << bits
+    for (a, ma, ia), (b, mb, ib) in zip(f_i, f_j):
+        ka = up_i + (ma << bits) + base[ia]
+        kb = up_j + (mb << bits) + base[ib]
+        if ka != kb:
+            return max(ka, kb)
+        if ci * a != cj * b:
+            return ka
+    # every term of the shorter column cancelled: the longer one's next
+    # term leads, if there is one
+    common = min(len(f_i), len(f_j))
+    for column, up in ((f_i, up_i), (f_j, up_j)):
+        if len(column) > common:
+            _, mono, idx = column[common]
+            return up + (mono << bits) + base[idx]
+    return None
 
 
 def s_vector(tower: OrderTower, level, i, j):

@@ -11,9 +11,10 @@ over Q.
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import InternalError
+from .errors import InternalError, ValidationError
 from .graph_core import classify
 from .cyc_complex import (
     CycComplex,
@@ -30,6 +31,7 @@ from .poly_ring import (
     elem_combine,
     elem_scale_term,
     s_cofactor,
+    s_leading_key,
     s_vector,
 )
 
@@ -120,14 +122,13 @@ def s_poly_closed_form(C, D, complex_: CycComplex):
     return out, l_cd, l_dc
 
 
-def below_leading_term(tower, level, s, terms):
-    """True when s is zero or no x^mono * Lt(g_j), for (mono, j) in terms and
-    the columns g_j of tower.images[level + 1], lies above Lt(s): the bound
-    on every term of a standard expression of s."""
-    if not s:
+def below_leading_term(tower, level, s_key, terms):
+    """True when S is zero (s_key is None) or no x^mono * Lt(g_j), for
+    (mono, j) in terms and the columns g_j of tower.images[level + 1], lies
+    above Lt(S), whose key is s_key: the bound on every term of a standard
+    expression of S."""
+    if s_key is None:
         return True
-    _, s_mono, s_idx = tower.leading_module_term(s, level)
-    s_key = tower.key(level, s_mono, s_idx)
     lms = tower.lms[level + 1]
     return all(
         s_key >= tower.key(level, mono + lms[j][1], lms[j][2]) for mono, j in terms
@@ -155,7 +156,8 @@ def verify_degree0_gb(C: CycComplex):
                 (mono, C.index[1][piece, full ^ piece])
                 for mono, piece in ((l_cd, ci & ~cj), (l_dc, cj & ~ci)) if piece
             ]
-            if not below_leading_term(C.tower, 0, s, terms):
+            s_key = s_leading_key(C.tower, 0, i, j, m_ji, m_ij)
+            if not below_leading_term(C.tower, 0, s_key, terms):
                 return False, (
                     f"leading bound fails for C, D = {partition_str((ci, cj))}"
                 ), {"pairs": pairs}
@@ -327,17 +329,18 @@ def verify_tau_identity(C: CycComplex, k, e) -> tuple:
 
     Returns (ok, witness).  e is a basis partition with k+2 blocks.  The
     components at the merge partners i, j must be the cofactors of their
-    S-vector S, and the tail (the other components) must stay below Lt(S).
-    With those checked, "tail = S" is exactly d(de) = 0, which
+    S-vector S, and the tail (the other components) must stay below Lt(S),
+    which s_leading_key reads off the two stored columns without building
+    S.  With those checked, "tail = S" is exactly d(de) = 0, which
     check_d_squared proves, so the tail is not summed here.
     """
     i, j = tau_pair(C, k, e)
     if j >= i:
         return False, f"pair order violated for {partition_str(e)}"
-    sv = s_vector(C.tower, k - 1, i, j)
-    if sv is None:
+    m_ji = s_cofactor(C.tower, k - 1, i, j)
+    if m_ji is None:
         return False, f"no S-pair behind {partition_str(e)}"
-    s, m_ji, m_ij = sv
+    m_ij = s_cofactor(C.tower, k - 1, j, i)
     de = C.diffs[k + 1][C.index[k + 1][e]]
     sign = (-1) ** (k - 1)
     expect_ji = (sign, C.arrows[e[k], e[k + 1]])
@@ -351,7 +354,8 @@ def verify_tau_identity(C: CycComplex, k, e) -> tuple:
     # the tail writes S as a standard expression: it sums to S because
     # d(de) = 0 (check_d_squared), and each of its terms stays below Lt(S)
     tail = ((mono, idx) for _, mono, idx in de if idx not in (i, j))
-    if not below_leading_term(C.tower, k - 1, s, tail):
+    s_key = s_leading_key(C.tower, k - 1, i, j, m_ji, m_ij)
+    if not below_leading_term(C.tower, k - 1, s_key, tail):
         return False, f"standard-expression bound fails at {partition_str(e)}"
     return True, None
 
@@ -376,23 +380,24 @@ def verify_schreyer_coverage(C: CycComplex, k) -> tuple:
     """Retained generators biject with the next level's basis, with matching
     leading components; at the top level every quotient set must be empty."""
     n = C.n
-    above = C.bases[k + 1] if k + 1 < n else []
-    seen = {}
+    above, index = (C.bases[k + 1], C.index[k + 1]) if k + 1 < n else ([], {})
+    # one byte per basis element reached, not a dict of the images
+    seen = bytearray(len(above))
     total = 0
+    sign = (-1) ** (k - 1)
     for i, sources in quotient_sources(C, k):
         for j, retained in sources:
             if not retained:
                 continue
             h = rho_image(C, k, i, j)
-            if h in seen:
-                return False, f"rho images collide on {partition_str(h)}", total
-            if k + 1 >= n or h not in C.index[k + 1]:
+            hi = index.get(h)
+            if hi is None:
                 return False, f"rho image {partition_str(h)} not a basis element", total
-            seen[h] = (i, j)
+            if seen[hi]:
+                return False, f"rho images collide on {partition_str(h)}", total
+            seen[hi] = 1
             total += 1
-            hi = C.index[k + 1][h]
             lc, lm, lidx = C.tower.lms[k + 1][hi]
-            sign = (-1) ** (k - 1)
             m = s_cofactor(C.tower, k - 1, i, j)
             if m is None or lidx != i or lm != m[1] or abs(lc) != abs(m[0]) or m[0] != sign:
                 return False, (
@@ -401,7 +406,7 @@ def verify_schreyer_coverage(C: CycComplex, k) -> tuple:
                 ), total
     if len(above) != total:
         return False, f"generator count {total} != rank {len(above)}", total
-    if above and len(seen) != len(above):
+    if seen.count(0):
         return False, "rho images do not cover the next basis", total
     return True, None, total
 
@@ -524,8 +529,18 @@ def count_monomials(nu, d_top):
     return counts
 
 
+def piece_widths(C: CycComplex, d_top):
+    """Yield, for d = 0..d_top in turn, the number of columns of the widest
+    degree-d piece over levels 1..n-1, counted from the shifts alone."""
+    counts = count_monomials(C.ctx.nu, d_top)
+    levels = [Counter(C.shifts[k]).items() for k in range(1, C.n)]
+    for d in range(d_top + 1):
+        yield max(sum(m * counts[d - s] for s, m in level if s <= d) for level in levels)
+
+
 DEGREE_CAP = 12
 MAX_PIECE_COLS = 6000
+MAX_ORACLE_COLS = 250_000
 
 
 def default_d_max(C: CycComplex):
@@ -533,20 +548,36 @@ def default_d_max(C: CycComplex):
 
     Degrees whose graded pieces would exceed MAX_PIECE_COLS columns in some
     position are dropped from the default range; an explicit --max-degree
-    overrides this guard.
+    overrides this guard, within MAX_ORACLE_COLS (refuse_oversized_oracle).
     """
     bound = min(2 * max(C.shifts[C.n - 1]), DEGREE_CAP)
-    counts = count_monomials(C.ctx.nu, bound)
     safe = -1
-    for d in range(bound + 1):
-        widest = max(
-            sum(counts[d - s] for s in C.shifts[k] if s <= d)
-            for k in range(1, C.n)
-        )
+    for d, widest in enumerate(piece_widths(C, bound)):
         if widest > MAX_PIECE_COLS:
             break
         safe = d
     return max(safe, 0)
+
+
+def refuse_oversized_oracle(C: CycComplex, d_max):
+    """Raise ValidationError, before any piece is built, when an explicit
+    degree bound asks for a piece of more than MAX_ORACLE_COLS columns.
+
+    Each degree of the range is one more piece per level, and counting the
+    widths takes a list as long as the range, so a range of more degrees
+    than that budget is refused first.
+    """
+    if d_max > MAX_ORACLE_COLS:
+        raise ValidationError(
+            f"--max-degree {d_max} spans more degrees than the oracle's budget "
+            f"of {MAX_ORACLE_COLS:,}"
+        )
+    for d, widest in enumerate(piece_widths(C, d_max)):
+        if widest > MAX_ORACLE_COLS:
+            raise ValidationError(
+                f"--max-degree {d_max} needs a degree-{d} piece of {widest:,} columns, "
+                f"over the oracle's budget of {MAX_ORACLE_COLS:,}"
+            )
 
 
 def minimality_vs_completeness(C: CycComplex):

@@ -170,14 +170,13 @@ def test_main_runs_without_the_collector_and_gives_it_back(tmp_path, capsys, mon
         gc.enable()
 
 
-def test_commands_leave_no_reference_cycles(tmp_path, capsys, monkeypatch):
+def test_commands_leave_no_reference_cycles(tmp_path, capsys):
     # what main runs without the collector must be freed by reference
     # counting alone: nothing is left for gc.collect() on any bundled
-    # instance, whether the command succeeds or refuses it.  An argparse
-    # parser holds reference cycles of its own, one parser per process, so
-    # all runs here share one
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    # instance, whether the command succeeds or refuses it.  main parses
+    # with the one parser of the process; building it leaves argparse's own
+    # cycles once, collected here before the runs
+    cli.build_parser()
     out = str(tmp_path / "out.json")
     gc.collect()
     gc.disable()
@@ -428,6 +427,26 @@ def test_ten_vertices_exit_2_before_any_enumeration(tmp_path, capsys, monkeypatc
         code, out, err = run(capsys, command, str(path))
         assert (code, out) == (2, ""), command
         assert "n = 10 has 14,174,522 basis elements" in err
+
+
+def test_oversized_oracle_range_exits_2_before_any_piece(capsys, monkeypatch):
+    from cycres import resolution_verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check or an oracle piece ran")
+
+    monkeypatch.setattr(resolution_verify, "full_verify", refuse)
+    monkeypatch.setattr(resolution_verify, "graded_homology_oracle", refuse)
+    monkeypatch.setattr(resolution_verify, "piece_index", refuse)
+    cases = {
+        "60": "--max-degree 60 needs a degree-54 piece of 265,200 columns, "
+              "over the oracle's budget of 250,000",
+        "250001": "--max-degree 250001 spans more degrees than the oracle's budget of 250,000",
+    }
+    for d_max, message in cases.items():
+        for command in ("verify", "homology"):
+            code, out, err = run(capsys, command, inst("k4.json"), "--max-degree", d_max)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), (command, d_max)
 
 
 def test_resolve_byte_stable(tmp_path, capsys):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divide_reference
 import monomial_reference as ref
+from cycres import cyc_complex, graph_core
 from cycres import poly_ring as pr
 from cycres.errors import InternalError, ZeroElementError
 from tower_reference import TupleTower
@@ -16,9 +18,11 @@ from conftest import (
     complex_from_matrix,
     elem_add_term,
     elem_terms,
+    generic4_matrix,
     parse_column,
     parse_elem,
     poly_elem,
+    random_icb_digraph,
 )
 
 COMPLEX_ROWS = {
@@ -101,6 +105,22 @@ def test_packed_monomials_agree_with_the_tuple_reference(case):
     if ref.mono_divides(a, b):
         assert pb - pa == ctx.pack(ref.mono_div(b, a))
     assert ctx.cofactor(pa, pb) == ctx.pack(ref.mono_div(ref.mono_lcm(a, b), a))
+    # the support mask: the guard bit of every field with a nonzero exponent
+    w = ctx.width
+    assert ctx.support(pa) == sum(1 << (w * i + w - 1) for i, e in enumerate(a) if e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_cases())
+def test_memoised_cofactor_agrees_with_the_tuple_reference(case):
+    # a fresh context per example: the first call computes, every later
+    # call on the same pair reads the memo, and both agree with lcm(a, b) / a
+    ctx, a, b, c = case
+    pairs = [(a, b), (b, a), (a, c), (c, c), (a, b), (b, a), (a, c), (c, c)]
+    for x, y in pairs:
+        expected = ctx.pack(ref.mono_div(ref.mono_lcm(x, y), x))
+        assert ctx.cofactor(ctx.pack(x), ctx.pack(y)) == expected
+    assert len(ctx._cofactors) == len({(x, y) for x, y in pairs})
 
 
 def test_an_exponent_past_the_fields_raises_and_never_aliases():
@@ -559,6 +579,33 @@ def test_int_keys_rank_descents_whose_leads_are_out_of_order():
         )
 
 
+def test_s_leading_key_walks_past_a_column_that_cancels_entirely():
+    # columns of one cyclic level have one length; on hand-built columns of
+    # different lengths the shorter one can cancel term by term, and the
+    # longer one's next term is Lt(S), in either order of the pair
+    ctx = pr.GradedContext(2, (1, 1), 3)
+    x1, x2 = ctx.variables
+    tower = pr.OrderTower(ctx)
+    tower.add_level([
+        elem_terms({(2 * x1, 0): 1}),
+        elem_terms({(2 * x1, 0): 1, (x1 + x2, 0): 1, (2 * x2, 0): -1}),
+        elem_terms({(x1, 0): 1, (x2, 0): 1}),
+        elem_terms({(x1, 0): 1, (x2, 0): 1}),
+    ])
+    leads = {}
+    for i, j in [(0, 1), (1, 0), (2, 1), (1, 2), (2, 3), (0, 0)]:
+        s, m_ji, m_ij = pr.s_vector(tower, 0, i, j)
+        walked = pr.s_leading_key(tower, 0, i, j, m_ji, m_ij)
+        if s:
+            _, mono, idx = tower.leading_module_term(s, 0)
+            assert walked == tower.key(0, mono, idx), (i, j)
+            leads[i, j] = mono
+        else:
+            assert walked is None, (i, j)
+    # positions 1 and 2: S = f_1 - x1*f_2 = -x2^2, every term of x1*f_2 cancels
+    assert leads == {(0, 1): x1 + x2, (1, 0): x1 + x2, (2, 1): 2 * x2, (1, 2): 2 * x2}
+
+
 def test_int_keys_agree_with_the_tuple_keys_on_random_pairs(generic4_complex):
     C = generic4_complex
     old = TupleTower(C.tower.images)
@@ -593,3 +640,37 @@ def test_divide_at_level_one_standard_expressions(k4_complex):
             elem_add_term(g, idx, rng.choice([-1, 1]), mono)
         q, r = pr.divide(g, C.tower, 1)
         assert_standard_expression(g, g1, q, r, C.tower, 1)
+
+
+def _wide_complexes():
+    """Complexes packed for degree 40, so random terms with exponents up to 3
+    and everything a division makes from them fit the fields."""
+    rng = random.Random(5)
+    digraphs = [graph_core.digraph_from_matrix(COMPLEX_ROWS[name]) for name in sorted(COMPLEX_ROWS)]
+    digraphs += [random_icb_digraph(n, rng) for n in (4, 5)]
+    out = [cyc_complex.build_complex(graph_core.prepare(generic4_matrix()), 40)]
+    for g in digraphs:
+        out.append(cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)), 40))
+    return out
+
+
+def test_divide_agrees_with_the_linear_scan_reference():
+    # the support-mask candidates pick the same divisor at every step as the
+    # scan of all leading terms: same quotients and remainders, at levels 0
+    # and 1, on elements with coefficients +-1 and +-2
+    rng = random.Random(11)
+    remainders = quotients = 0
+    for C in _wide_complexes():
+        for level in (0, 1):
+            positions = len(C.bases[level])
+            for _ in range(40):
+                g = {}
+                for _ in range(rng.randint(1, 5)):
+                    mono = C.ctx.pack([rng.randint(0, 3) for _ in range(C.n)])
+                    elem_add_term(g, rng.randrange(positions), rng.choice([-2, -1, 1, 2]), mono)
+                got = pr.divide(g, C.tower, level)
+                assert got == divide_reference.divide(g, C.tower, level)
+                assert_standard_expression(g, C.diffs[level + 1], *got, C.tower, level)
+                quotients += bool(got[0])
+                remainders += bool(got[1])
+    assert quotients > 100 and remainders > 100

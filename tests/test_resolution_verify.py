@@ -7,8 +7,15 @@ import pytest
 from cycres import cyc_complex as cc
 from cycres import graph_core
 from cycres import resolution_verify as rv
-from cycres.errors import InternalError
-from cycres.poly_ring import GradedContext, OrderTower, divide, elem_scale_term, s_vector
+from cycres.errors import InternalError, ValidationError
+from cycres.poly_ring import (
+    GradedContext,
+    OrderTower,
+    divide,
+    elem_scale_term,
+    s_leading_key,
+    s_vector,
+)
 
 from conftest import (
     ECHELON6,
@@ -274,22 +281,52 @@ def test_tau_identity_catches_a_tail_term_above_the_s_vector():
 
 
 def test_tau_check_sums_no_column_image(k4_complex, monkeypatch):
-    # d∘d is summed only by check_d_squared: per element the tau check makes
-    # just the two elem_combine calls of its S-vector
+    # d∘d is summed only by check_d_squared, and Lt(S) is read off the two
+    # stored columns: the tau check combines no column and builds no S-vector
     from cycres import poly_ring
 
     calls = []
-    original = poly_ring.elem_combine
+    for name in ("elem_combine", "s_vector"):
+        original = getattr(poly_ring, name)
 
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
 
-    monkeypatch.setattr(poly_ring, "elem_combine", counting)
-    monkeypatch.setattr(rv, "elem_combine", counting)
+        monkeypatch.setattr(poly_ring, name, counting)
+        monkeypatch.setattr(rv, name, counting)
     ok, witness, counters = rv.verify_tau_identities(k4_complex)
     assert ok, witness
-    assert len(calls) == 2 * counters["elements"]
+    assert counters["elements"] == 18
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "case", VERIFIABLE + [(n, seed) for n in range(2, 7) for seed in range(3)], ids=str
+)
+def test_walked_s_leading_key_is_the_lead_of_the_built_s_vector(case):
+    # every degree-0 pair (i < j, as verify_degree0_gb takes them, and i = j,
+    # whose S is 0) and every tau pair: the key walked off the two stored
+    # columns is the key of the leading term of the S-vector built as a dict
+    if isinstance(case, str):
+        g = graph_core.parse_digraph((INSTANCES / f"{case}.json").read_text())
+    else:
+        g = random_icb_digraph(case[0], random.Random(case[1]))
+    C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
+    r1 = len(C.bases[1])
+    pairs = [(0, i, j) for i in range(r1) for j in range(i, r1)]
+    pairs += [(k - 1, *rv.tau_pair(C, k, e)) for k in range(1, C.n - 1) for e in C.bases[k + 1]]
+    zero = 0
+    for level, i, j in pairs:
+        s, m_ji, m_ij = s_vector(C.tower, level, i, j)
+        walked = s_leading_key(C.tower, level, i, j, m_ji, m_ij)
+        if s:
+            _, mono, idx = C.tower.leading_module_term(s, level)
+            assert walked == C.tower.key(level, mono, idx), (level, i, j)
+        else:
+            assert walked is None, (level, i, j)
+            zero += 1
+    assert zero >= r1
 
 
 def test_tau_identities_all(k4_complex, generic4_complex, cycle4_complex):
@@ -307,6 +344,22 @@ def test_schreyer_coverage_counts(k4_complex):
     assert ok and total == 6
     ok, witness, total = rv.verify_schreyer_coverage(C, 3)
     assert ok and total == 0  # empty quotient sets force an injective top map
+
+
+def test_schreyer_coverage_witnesses(k4_complex, monkeypatch):
+    # rho images sent to one basis element collide on the second generator;
+    # images off the next basis are named before any collision
+    C = k4_complex
+    first = C.bases[2][0]
+    monkeypatch.setattr(rv, "rho_image", lambda C, k, i, j: first)
+    assert rv.verify_schreyer_coverage(C, 1) == (
+        False, f"rho images collide on {rv.partition_str(first)}", 1
+    )
+    off = C.bases[1][0]
+    monkeypatch.setattr(rv, "rho_image", lambda C, k, i, j: off)
+    assert rv.verify_schreyer_coverage(C, 1) == (
+        False, f"rho image {rv.partition_str(off)} not a basis element", 0
+    )
 
 
 def test_distinct_images(k4_complex, cycle4_complex):
@@ -497,6 +550,38 @@ def test_report_json_shape(k4_complex):
     for check in doc["checks"]:
         assert check["status"] == "pass"
         assert {"name", "status", "millis"} <= set(check)
+
+
+# the widest oracle piece of the pinned wide runs, and of oracle-k5
+WIDEST_PIECES = {"k4": (20, 9792), "cycle3": (40, 2460), "k5": (13, 7980)}
+
+
+@pytest.mark.parametrize("name", sorted(WIDEST_PIECES))
+def test_piece_widths_count_the_oracle_pieces(name, monkeypatch):
+    # the widths counted from the shifts are the sizes of the pieces the
+    # oracle numbers, degree by degree; the budget admits a piece as wide
+    # as itself and refuses a wider one, naming it
+    d_max, widest = WIDEST_PIECES[name]
+    if name == "cycle3":
+        rows = CYCLE3
+    else:
+        n = int(name[1])
+        rows = [[n - 1 if i == j else -1 for j in range(n)] for i in range(n)]
+    g = graph_core.digraph_from_matrix(rows)
+    C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)), d_max)
+    widths = list(rv.piece_widths(C, d_max))
+    cache = {}
+    assert widths == [
+        max(len(rv.piece_index(C, k, d, cache)) for k in range(1, C.n))
+        for d in range(d_max + 1)
+    ]
+    assert max(widths) == widest
+    rv.refuse_oversized_oracle(C, d_max)
+    monkeypatch.setattr(rv, "MAX_ORACLE_COLS", widest)
+    rv.refuse_oversized_oracle(C, d_max)
+    monkeypatch.setattr(rv, "MAX_ORACLE_COLS", widest - 1)
+    with pytest.raises(ValidationError, match=f"piece of {widest:,} columns"):
+        rv.refuse_oversized_oracle(C, d_max)
 
 
 def test_default_d_max(k4_complex):
