@@ -6,13 +6,16 @@ canonical representative of the cyclic equivalence class).  A merge of two
 cyclic neighbours is the union of their masks and keeps the block holding n
 last, so nothing is ever rotated back into canonical form.  The free module
 in homological degree k has one basis element per partition into k+1
-blocks, enumerated in the size-reverse lexicographic order (srle): bigger
-blocks first, ties broken by the rightmost differing vertex.
+blocks, in the size-reverse lexicographic order (srle) of the blocks before
+the one holding n: bigger blocks first, ties broken by the rightmost
+differing vertex.  Each level is built by splitting the last block of every
+partition one level down, so merging a partition's last two blocks gives
+back the partition it was split from, and the partitions split from one
+partition are neighbours.
 """
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations
 from math import comb
 
 from . import intlinalg
@@ -35,41 +38,26 @@ def vertices(b):
     return out
 
 
-def srle_key(p, n):
-    # per block: bigger blocks first; ties: the largest element not shared
+def enumerate_basis(n):
+    """Every level's basis: bases[k] lists the partitions of {1..n} into k+1
+    blocks, canonical, in srle order.
+
+    srle order is lexicographic in the keys of the blocks before the one
+    holding n, so level k+1 is level k with each partition's last block split
+    in two, in order: the new block runs over the nonempty subsets of the
+    last block less n, in key order, and n keeps what is left.  Every block
+    is taken from one table, so equal blocks are one int object.
+    """
+    top = 1 << (n - 1)
+    block = list(range(2 * top))
+    # block key: bigger blocks first; ties: the largest vertex not shared
     # comes first, so the block's vertex bitmask counts against it
-    return tuple(-(b.bit_count() << n) - b for b in p)
-
-
-def _set_partitions(m, parts):
-    """All partitions of {1..m} into `parts` nonempty unordered blocks, as
-    lists of masks with the block holding m last."""
-    if parts == 1:
-        yield [(1 << m) - 1]
-        return
-    if m < parts:
-        return
-    top = 1 << (m - 1)
-    # m alone in a block, or joined to any block of a partition of {1..m-1}
-    for sub in _set_partitions(m - 1, parts - 1):
-        yield sub + [top]
-    for sub in _set_partitions(m - 1, parts):
-        for i in range(parts):
-            yield sub[:i] + sub[i + 1 :] + [sub[i] | top]
-
-
-def enumerate_basis(n, k):
-    """All partitions of {1..n} into k+1 blocks, canonical, in srle order."""
-    if not 1 <= k + 1 <= n:
-        raise ValueError(f"block count {k + 1} out of range for n={n}")
-    keyed = []
-    for *others, last in _set_partitions(n, k + 1):
-        # the last block is fixed, so the keys of the others order the
-        # partitions; they are computed once and permuted with the blocks
-        keys = srle_key(others, n)
-        keyed += zip(permutations(keys), (perm + (last,) for perm in permutations(others)))
-    keyed.sort()
-    return [p for _, p in keyed]
+    order = sorted(block[1:top], key=lambda b: -(b.bit_count() << n) - b)
+    splits = {t: [b for b in order if b & t == b] for t in block[top:]}
+    bases = [[(block[-1],)]]
+    for _ in range(1, n):
+        bases.append([p[:-1] + (b, block[p[-1] - b]) for p in bases[-1] for b in splits[p[-1]]])
+    return bases
 
 
 def arrow_monomial(I, J, L: CBMatrix, ctx: GradedContext):
@@ -134,7 +122,8 @@ class CycComplex:
     L: CBMatrix
     ctx: GradedContext
     mu: tuple
-    bases: list          # bases[k]: srle list of partitions, k = 0..n-1
+    bases: list          # bases[k]: partitions into k+1 blocks in srle order,
+                         # k = 0..n-1, split from bases[k-1] in its order
     index: list          # index[k]: partition -> position
     tower: OrderTower = field(repr=False)
     arrows: ArrowTable = field(repr=False)
@@ -193,7 +182,7 @@ def build_complex(L: CBMatrix, degree=0) -> CycComplex:
     nu = intlinalg.grading_vector(mu)
     ctx = GradedContext.holding(nu, max(degree_bound(L, nu), degree))
     arrows = ArrowTable(L, ctx)
-    bases = [enumerate_basis(n, k) for k in range(n)]
+    bases = enumerate_basis(n)
     index = [{p: i for i, p in enumerate(b)} for b in bases]
     tower = OrderTower(ctx)
     for k in range(1, n):

@@ -41,12 +41,11 @@ class CBMatrix:
 
     a[i][j] for i != j is the arc weight; a[i][i] is the diagonal (weighted
     out-degree).  The signed matrix entry is -a[i][j] off the diagonal.
-    cb_class / echelon / perm are filled in by classify() and prepare().
+    echelon / perm are filled in by prepare().
     """
 
     n: int
     a: tuple  # tuple of tuples, nonnegative ints
-    cb_class: str = None
     echelon: tuple = None
     perm: tuple = None
 
@@ -304,11 +303,10 @@ def block_echelon_structure(L: CBMatrix):
 def prepare(L: CBMatrix, omega: int = None) -> CBMatrix:
     """Permute an irreducible matrix into block echelon form.
 
-    Returns a copy with cb_class, echelon block sizes and the applied
-    permutation recorded.
+    Returns a copy with the echelon block sizes and the applied permutation
+    recorded.
     """
-    cls = classify(L)
-    if cls == "CB":
+    if classify(L) == "CB":
         raise NotIrreducibleError("matrix is reducible")
     perm = omega_delta_enumeration(L.digraph(), omega)
     M = permute_matrix(L, perm)
@@ -316,4 +314,4 @@ def prepare(L: CBMatrix, omega: int = None) -> CBMatrix:
     if structure is None:
         raise InternalError("enumeration did not produce echelon form")
     delta, sizes = structure
-    return CBMatrix(M.n, M.a, cb_class=cls, echelon=sizes, perm=perm)
+    return CBMatrix(M.n, M.a, echelon=sizes, perm=perm)

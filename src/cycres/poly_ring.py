@@ -172,18 +172,20 @@ class OrderTower:
     in level k-1: a module monomial m*e_i maps to m * Lm(column_i), compared
     one level down, ties resolved by the larger basis index.  The comparison
     is flattened at construction time into one int per basis index,
-    base = (acc << bits) + rank, from the level-0 monomial acc the descent
-    reaches and the rank of the list of basis indices it meets: integer
-    order on the keys (m << bits) + base[i] of x^m * e_i is the module
-    order.  The tower owns the columns, their leading terms and the degree
-    shifts; every table is immutable after add_level.  The one table built
-    lazily is the divisor table of a level (see divisors), on the first
-    division there; it reads only the leading terms, which add_level fixes.
+    base = (acc << bits) + idx, from the level-0 monomial acc the descent
+    reaches and the index itself: a level is accepted only if the basis
+    indices of its leading terms never fall along it, so the lists of indices
+    met on the way order as the indices do, and integer order on the keys
+    (m << bits) + base[i] of x^m * e_i is the module order.  The tower owns
+    the columns, their leading terms and the degree shifts; every table is
+    immutable after add_level.  The one table built lazily is the divisor
+    table of a level (see divisors), on the first division there; it reads
+    only the leading terms, which add_level fixes.
     """
 
     def __init__(self, ctx: GradedContext):
         self.ctx = ctx
-        self.bits = [0]             # bits[level]: width of the rank field
+        self.bits = [0]             # bits[level]: width of the index field
         self.base = [[0]]           # base[level][idx]: key of x^0 * e_idx
         self.images = [None]        # images[level][idx]: column one level down
         self.lms = [None]           # lms[level][idx]: images[level][idx][0]
@@ -239,14 +241,17 @@ class OrderTower:
         term is keyed once and the terms are stored sorted by key, so a
         column's first term is its leading term, whose coefficient must be
         +-1; the degree part of its keys, which must be one value, is its
-        shift.  Nothing is appended when a column is refused: an empty one,
-        one with two terms on the same monomial and index, an inhomogeneous
-        one, a non-unit lead or an accumulated monomial past the fields.
+        shift, and base[j] is its accumulated monomial above the index j.
+        Nothing is appended when a column is refused: an empty one, one with
+        two terms on the same monomial and index, an inhomogeneous one, a
+        non-unit lead, a lead on a lower basis index than the lead before it
+        or an accumulated monomial past the fields.
         """
         level = self.levels - 1
         bits, below = self.bits[level], self.base[level]
         degree_of, guard = self.ctx.degree, self.ctx.guard
         images, tops, shifts = [], [], []
+        target = 0
         for j, terms in enumerate(columns):
             by_key = {(term[1] << bits) + below[term[2]]: term for term in terms}
             if not by_key:
@@ -266,6 +271,12 @@ class OrderTower:
                 )
             if coeff not in (1, -1):
                 raise InternalError(f"leading coefficient {coeff} of image {j + 1} is not a unit")
+            if column[0][2] < target:
+                raise InternalError(
+                    f"leading term of differential column {j + 1} in degree {level + 1} "
+                    f"falls back to basis index {column[0][2] + 1}"
+                )
+            target = column[0][2]
             if -(top >> bits) & guard:
                 raise InternalError(
                     f"accumulated monomial of image {j + 1} in degree {level + 1} "
@@ -275,10 +286,7 @@ class OrderTower:
             tops.append(top)
             shifts.append(degree)
         up = (len(tops) - 1).bit_length()
-        base = [(top >> bits) << up for top in tops]
-        # j's list is its lead's list, then j: a stable sort by the lead's rank
-        for rank, j in enumerate(sorted(range(len(tops)), key=lambda j: tops[j] % (1 << bits))):
-            base[j] += rank
+        base = [((top >> bits) << up) + j for j, top in enumerate(tops)]
         self.bits.append(up)
         self.base.append(base)
         self.images.append(images)

@@ -245,13 +245,17 @@ def quotient_sources(C: CycComplex, k):
 
     The sources are the positions j < i with the same first k-1 blocks; j is
     retained when its k-th block contains that of i (two such blocks differ).
+    The positions with one prefix stand together, split from one partition
+    one level down (see cyc_complex.enumerate_basis), so only the current
+    run of them is kept.
     """
-    groups = {}
+    prefix, run = None, []
     for i, p in enumerate(C.bases[k]):
-        group = groups.setdefault(p[: k - 1], [])
+        if p[: k - 1] != prefix:
+            prefix, run = p[: k - 1], []
         ik = p[k - 1]
-        yield i, [(j, ik & ~jk == 0) for j, jk in group]
-        group.append((i, ik))
+        yield i, [(j, ik & ~jk == 0) for j, jk in run]
+        run.append((i, ik))
 
 
 def _readable(C: CycComplex, term):

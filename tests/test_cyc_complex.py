@@ -1,7 +1,7 @@
 import json
 import random
 import textwrap
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from operator import or_
 from types import SimpleNamespace
@@ -68,28 +68,51 @@ def brute_force_basis(n, k):
 # ---------------------------------------------------------------------------
 # srle order and bases
 
-def test_srle_compare_examples():
-    def key(p):
-        return cc.srle_key(p, 4)
+@lru_cache
+def basis_positions(n):
+    """position[k][p]: where the partition p stands in enumerate_basis(n)[k]."""
+    return [{p: i for i, p in enumerate(basis)} for basis in cc.enumerate_basis(n)]
 
-    assert key(P([1, 2, 3], [4])) < key(P([2, 3], [1, 4]))
-    assert key(P([3], [2], [1], [4])) < key(P([1], [2], [3], [4]))
+
+def test_srle_compare_examples():
+    def pos(p):
+        return basis_positions(4)[len(p) - 1][p]
+
+    def key(p):
+        return ref.srle_key(tuples(p), 4)
+
+    for lo, hi in [
+        (P([1, 2, 3], [4]), P([2, 3], [1, 4])),
+        (P([3], [2], [1], [4]), P([1], [2], [3], [4])),
+    ]:
+        assert pos(lo) < pos(hi)
+        assert key(lo) < key(hi)
     p = P([2], [1, 3], [4])
+    assert pos(p) == pos(P([2], [1, 3], [4]))
     assert key(p) == key(P([2], [1, 3], [4]))
+    assert pos(p) != pos(P([1], [2, 3], [4]))
     assert key(p) != key(P([1], [2, 3], [4]))
 
 
-def test_srle_int_keys_order_like_the_tuple_keys():
+def test_srle_enumeration_orders_like_the_tuple_keys():
     for n in range(1, 8):
-        for k in range(n):
-            basis = cc.enumerate_basis(n, k)
-            assert basis == sorted(basis, key=lambda p: ref.srle_key(tuples(p), n))
-            keys = [cc.srle_key(p, n) for p in basis]
+        for basis in cc.enumerate_basis(n):
+            keys = [ref.srle_key(tuples(p), n) for p in basis]
             assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+def test_enumerate_basis_matches_the_partition_reference():
+    # every level at once, against every set partition in every block order,
+    # sorted by the tuple key
+    for n in range(1, 9):
+        bases = cc.enumerate_basis(n)
+        assert len(bases) == n
+        for k, basis in enumerate(bases):
+            assert [tuples(p) for p in basis] == ref.enumerate_basis(n, k), (n, k)
+
+
 def test_enumerate_basis_n4_k1_full_listing():
-    got = cc.enumerate_basis(4, 1)
+    got = cc.enumerate_basis(4)[1]
     assert got == [
         P([1, 2, 3], [4]),
         P([2, 3], [1, 4]),
@@ -102,20 +125,20 @@ def test_enumerate_basis_n4_k1_full_listing():
 
 
 def test_enumerate_basis_n4_k3():
-    got = cc.enumerate_basis(4, 3)
+    got = cc.enumerate_basis(4)[3]
     assert len(got) == 6
     assert got[0] == P([3], [2], [1], [4])
     assert got[-1] == P([1], [2], [3], [4])
 
 
 def test_enumerate_basis_trivial():
-    assert cc.enumerate_basis(4, 0) == [P([1, 2, 3, 4])]
+    assert cc.enumerate_basis(4)[0] == [P([1, 2, 3, 4])]
+    assert cc.enumerate_basis(1) == [[P([1])]]
 
 
 def test_enumerate_basis_matches_brute_force_and_stirling():
     for n in range(3, 7):
-        for k in range(n):
-            basis = cc.enumerate_basis(n, k)
+        for k, basis in enumerate(cc.enumerate_basis(n)):
             expected = brute_force_basis(n, k)
             assert len(basis) == len(expected)
             assert {tuples(p) for p in basis} == expected
@@ -147,6 +170,29 @@ def test_merge_is_canonical_and_hits_the_basis(rows, k4_complex):
                 assert len(set(targets)) == k + 1
 
 
+def test_lead_targets_never_fall_and_siblings_stand_together():
+    # each partition is split from its parent, the partition with its last
+    # two blocks merged, which is its lead target; so along a level the
+    # targets never fall and the partitions with one parent form one run
+    def complexes():
+        for name in RESOLVABLE:
+            yield bundled_complex(name)
+        for n in range(2, 8):
+            g = random_icb_digraph(n, random.Random(n))
+            yield cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
+
+    for C in complexes():
+        for k in range(1, C.n):
+            basis = C.bases[k]
+            targets = [C.index[k - 1][cc.merge(p, k - 1)] for p in basis]
+            assert targets == [C.index[k - 1][p[: k - 1] + (p[k - 1] | p[k],)] for p in basis]
+            assert targets == sorted(targets)
+            assert targets == [idx for _, _, idx in C.tower.lms[k]]
+            prefixes = [p[: k - 1] for p in basis]
+            starts = [q for i, q in enumerate(prefixes) if i == 0 or q != prefixes[i - 1]]
+            assert len(starts) == len(set(starts)) == len(set(targets))
+
+
 @st.composite
 def partition_pairs(draw):
     """Two random canonical partitions of one {1..n}, n <= 7, into the same
@@ -175,10 +221,9 @@ def test_mask_operations_match_the_tuple_reference(case):
     # rho_image reads only the level-k basis
     C = SimpleNamespace(bases={k: [P(*p), P(*q)]})
     assert tuples(rv.rho_image(C, k, 0, 1)) == ref.rho_image(p, q, k)
-    assert (cc.srle_key(P(*p), n) < cc.srle_key(P(*q), n)) == (
-        ref.srle_key(p, n) < ref.srle_key(q, n)
-    )
-    assert (cc.srle_key(P(*p), n) == cc.srle_key(P(*q), n)) == (p == q)
+    position = basis_positions(n)[k]
+    assert (position[P(*p)] < position[P(*q)]) == (ref.srle_key(p, n) < ref.srle_key(q, n))
+    assert (position[P(*p)] == position[P(*q)]) == (p == q)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +404,7 @@ def test_build_packing_holds_an_explicit_oracle_degree():
 
 def test_basis_size_counts_every_degree():
     for n in range(1, 7):
-        assert cc.basis_size(n) == sum(len(cc.enumerate_basis(n, k)) for k in range(n))
+        assert cc.basis_size(n) == sum(map(len, cc.enumerate_basis(n)))
     assert [cc.basis_size(n) for n in (8, 9, 10)] == [94_586, 1_091_670, 14_174_522]
 
 

@@ -559,19 +559,28 @@ def test_int_keys_order_column_terms_as_the_tuple_keys(name):
         assert [C.ctx.degree(a) for a in old.acc[k]] == C.shifts[k]
 
 
-def test_int_keys_rank_descents_whose_leads_are_out_of_order():
-    # on the cyclic complexes the leads never decrease along a level, so a
-    # rank is the basis index; here e[2,1] leads on e[1,2] and e[2,2] on
-    # e[1,1], so the ranks swap: both reach x1*x2, and the descent (1, 2, 1)
-    # beats (1, 1, 2)
+def test_add_level_refuses_a_lead_that_falls_back():
+    # on the cyclic complexes each lead sits on its column's parent, so the
+    # leads never fall along a level and the basis index orders the descents;
+    # here e[2,1] leads on e[1,2] and e[2,2] on e[1,1]: both reach x1*x2 and
+    # the descent (1, 2, 1) beats (1, 1, 2), against the index order, so the
+    # level is refused and nothing is appended
     ctx = pr.GradedContext(2, (1, 1), 3)
     x1, x2 = ctx.variables
     tower = pr.OrderTower(ctx)
     tower.add_level([elem_terms({(x1, 0): 1}), elem_terms({(x2, 0): 1})])
-    tower.add_level([elem_terms({(x1, 1): 1}), elem_terms({(x2, 0): -1})])
-    old = TupleTower(tower.images)
+    columns = [elem_terms({(x1, 1): 1}), elem_terms({(x2, 0): -1})]
+    old = TupleTower([None, tower.images[1], columns])
     assert old.path[2] == [(0, 1, 0), (0, 0, 1)]
-    assert tower.key(2, 0, 0) > tower.key(2, 0, 1)
+    assert old.key(2, 0, 0) > old.key(2, 0, 1)
+    with pytest.raises(InternalError, match="column 2 in degree 2 falls back to basis index 1"):
+        tower.add_level(columns)
+    assert tower.levels == 2
+    assert [len(t) for t in (tower.bits, tower.images, tower.lms, tower.shifts)] == [2] * 4
+    # in the other order the leads rise, and the keys follow the descents
+    tower.add_level(columns[::-1])
+    old = TupleTower(tower.images)
+    assert old.path[2] == [(0, 0, 0), (0, 1, 1)]
     for level in (1, 2):
         terms = [(m, i) for m in (0, x1, x2, x1 + x2) for i in range(2)]
         assert sorted(terms, key=lambda t: tower.key(level, *t)) == sorted(
