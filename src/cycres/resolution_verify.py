@@ -122,17 +122,11 @@ def s_poly_closed_form(C, D, complex_: CycComplex):
     return out, l_cd, l_dc
 
 
-def below_leading_term(tower, level, s_key, terms):
-    """True when S is zero (s_key is None) or no x^mono * Lt(g_j), for
-    (mono, j) in terms and the columns g_j of tower.images[level + 1], lies
-    above Lt(S), whose key is s_key: the bound on every term of a standard
-    expression of S."""
-    if s_key is None:
-        return True
-    lms = tower.lms[level + 1]
-    return all(
-        s_key >= tower.key(level, mono + lms[j][1], lms[j][2]) for mono, j in terms
-    )
+def image_key(tower, level, mono, j):
+    """The key of x^mono * Lt(g_j), the leading term of the image of
+    x^mono * e_j under the columns g_j of tower.images[level + 1]."""
+    _, lm, idx = tower.lms[level + 1][j]
+    return tower.key(level, mono + lm, idx)
 
 
 def verify_degree0_gb(C: CycComplex):
@@ -152,12 +146,13 @@ def verify_degree0_gb(C: CycComplex):
                 return False, (
                     f"closed form mismatch for C, D = {partition_str((ci, cj))}"
                 ), {"pairs": pairs}
-            terms = [
-                (mono, C.index[1][piece, full ^ piece])
+            # S = l_cd * f_F - l_dc * f_G: the two leads differ, so the
+            # larger is Lt(S)
+            lead = max(
+                image_key(C.tower, 0, mono, C.index[1][piece, full ^ piece])
                 for mono, piece in ((l_cd, ci & ~cj), (l_dc, cj & ~ci)) if piece
-            ]
-            s_key = s_leading_key(C.tower, 0, i, j, m_ji, m_ij)
-            if not below_leading_term(C.tower, 0, s_key, terms):
+            )
+            if lead != s_leading_key(C.tower, 0, i, j, m_ji, m_ij):
                 return False, (
                     f"leading bound fails for C, D = {partition_str((ci, cj))}"
                 ), {"pairs": pairs}
@@ -331,11 +326,12 @@ def tau_pair(C: CycComplex, k, e):
 def verify_tau_identity(C: CycComplex, k, e) -> tuple:
     """Check that -boundary(e) is a syzygy recording a standard expression.
 
-    Returns (ok, witness).  e is a basis partition with k+2 blocks.  The
-    components at the merge partners i, j must be the cofactors of their
-    S-vector S, and the tail (the other components) must stay below Lt(S),
-    which s_leading_key reads off the two stored columns without building
-    S.  With those checked, "tail = S" is exactly d(de) = 0, which
+    Returns (ok, witness).  e is a basis partition with k+2 blocks.  Its
+    stored column must lead with the cofactor of merge partner i in their
+    S-vector S, hold that of partner j second and no other term on either,
+    and its first tail term must map one level down to Lt(S) exactly (read
+    off the two stored columns by s_leading_key); in the sorted column that
+    term bounds the rest.  "tail = S" is exactly d(de) = 0, which
     check_d_squared proves, so the tail is not summed here.
     """
     i, j = tau_pair(C, k, e)
@@ -351,15 +347,15 @@ def verify_tau_identity(C: CycComplex, k, e) -> tuple:
     expect_ij = (sign, C.arrows[e[k - 1], e[k]])
     if m_ji != expect_ji or m_ij != expect_ij:
         return False, f"m-coefficients differ at {partition_str(e)}"
-    if [(-c, m) for c, m, idx in de if idx == i] != [m_ji]:
+    on = [idx for _, _, idx in de]
+    if de[:1] != ((-m_ji[0], m_ji[1], i),) or on.count(i) != 1:
         return False, f"leading component mismatch at {partition_str(e)}"
-    if [(c, m) for c, m, idx in de if idx == j] != [m_ij]:
+    if de[1:2] != ((m_ij[0], m_ij[1], j),) or on.count(j) != 1:
         return False, f"second component mismatch at {partition_str(e)}"
     # the tail writes S as a standard expression: it sums to S because
-    # d(de) = 0 (check_d_squared), and each of its terms stays below Lt(S)
-    tail = ((mono, idx) for _, mono, idx in de if idx not in (i, j))
+    # d(de) = 0 (check_d_squared), and its first term leads it, at Lt(S)
     s_key = s_leading_key(C.tower, k - 1, i, j, m_ji, m_ij)
-    if not below_leading_term(C.tower, k - 1, s_key, tail):
+    if len(de) < 3 or image_key(C.tower, k - 1, de[2][1], de[2][2]) != s_key:
         return False, f"standard-expression bound fails at {partition_str(e)}"
     return True, None
 

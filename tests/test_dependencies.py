@@ -4,6 +4,9 @@ only the standard library and each other."""
 import ast
 import pathlib
 import sys
+from collections import Counter
+
+from test_trace_hooks import tracing_tables
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -21,3 +24,48 @@ def test_modules_import_only_the_standard_library_and_each_other():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
+
+
+def test_every_definition_is_used_by_the_package():
+    # ROADMAP: keep no helper that only its own test calls.  Every function,
+    # class and method of the package is read somewhere in the package
+    # outside its own body, or is wrapped by name by the benchmark's tracer,
+    # or is the console entry point; dunders are called by Python itself
+    tables = tracing_tables()
+    traced = {attr.split(".")[-1] for _, attr in tables["LAYER_FUNCTIONS"]}
+    traced |= set(tables["CHECK_FUNCTIONS"].values())
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def reads(tree):
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        )
+
+    def definitions(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, kinds):
+                yield f"{prefix}{child.name}", child
+                yield from definitions(child, f"{prefix}{child.name}.")
+            else:
+                yield from definitions(child, prefix)
+
+    trees = {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in sorted((ROOT / "src" / "cycres").glob("*.py"))
+    }
+    used = sum((reads(tree) for tree in trees.values()), Counter())
+    unused, count = [], 0
+    for stem, tree in trees.items():
+        for qualname, node in definitions(tree, f"{stem}."):
+            count += 1
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name in traced or qualname == "cli.main":
+                continue
+            if used[name] - reads(node)[name] <= 0:
+                unused.append(qualname)
+    assert count > 100
+    assert unused == []

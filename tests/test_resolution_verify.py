@@ -17,6 +17,7 @@ from cycres.poly_ring import (
     s_vector,
 )
 
+from standard_expression_reference import below_leading_term
 from conftest import (
     ECHELON6,
     INSTANCES,
@@ -280,6 +281,71 @@ def test_tau_identity_catches_a_tail_term_above_the_s_vector():
     )
 
 
+def test_tau_identity_catches_a_lowered_first_tail_term():
+    # x3^8 * e_1 lowered to x3^7 * e_1 keeps every tail term below Lt(S), so
+    # the all-terms bound holds, but the tail no longer leads at Lt(S)
+    C, k, e, i, j, col = _tau_target()
+    _, mono, idx = C.diffs[k + 1][col][2]
+    assert (C.ctx.unpack(mono), idx) == ((0, 0, 8, 0), 0)
+    x3 = C.ctx.pack((0, 0, 1, 0))
+    _replace_term(C, k + 1, col, lambda t: t[2] == idx, lambda t: (t[0], t[1] - x3, t[2]))
+    _, m_ji, m_ij = s_vector(C.tower, k - 1, i, j)
+    s_key = s_leading_key(C.tower, k - 1, i, j, m_ji, m_ij)
+    tail = [(mono, idx) for _, mono, idx in C.diffs[k + 1][col][2:]]
+    assert below_leading_term(C.tower, k - 1, s_key, tail)
+    assert rv.verify_tau_identity(C, k, e) == (
+        False, "standard-expression bound fails at (3,2,1,4)"
+    )
+
+
+def test_tau_identity_catches_a_column_cut_to_its_merge_partners():
+    # an empty tail meets the all-terms bound, but S is not zero
+    C, k, e, i, j, col = _tau_target()
+    C.diffs[k + 1][col] = C.diffs[k + 1][col][:2]
+    assert rv.verify_tau_identity(C, k, e) == (
+        False, "standard-expression bound fails at (3,2,1,4)"
+    )
+    # shorter columns fail with a witness too, not an IndexError
+    C.diffs[k + 1][col] = C.diffs[k + 1][col][:1]
+    assert rv.verify_tau_identity(C, k, e) == (
+        False, "second component mismatch at (3,2,1,4)"
+    )
+    C.diffs[k + 1][col] = ()
+    assert rv.verify_tau_identity(C, k, e) == (
+        False, "leading component mismatch at (3,2,1,4)"
+    )
+
+
+def test_tau_identity_catches_a_tail_term_moved_onto_the_leading_partner():
+    C, k, e, i, j, col = _tau_target()
+    _replace_term(C, k + 1, col, lambda t: t[2] not in (i, j), lambda t: (t[0], t[1], i))
+    assert rv.verify_tau_identity(C, k, e) == (
+        False, "leading component mismatch at (3,2,1,4)"
+    )
+
+
+def test_degree0_gb_catches_a_lowered_closed_form_lead(monkeypatch):
+    # x3^3 lowered to x3^2 in the tower's leading term of the generator of
+    # {3}: for C = {1,2,3}, D = {1,2} the closed-form term on it then leads
+    # below Lt(S), which the all-terms bound allows.  A lead that is not its
+    # column's first term would make the division loop, so it is stubbed
+    # out: this pins the lead equality alone
+    monkeypatch.setattr(rv, "divide", lambda g, tower, level: ({}, {}))
+    C = complex_from_matrix(K4_ROWS)
+    coeff, mono, idx = C.tower.lms[1][4]
+    assert C.ctx.unpack(mono) == (0, 0, 3, 0)
+    C.tower.lms[1][4] = (coeff, mono - C.ctx.pack((0, 0, 1, 0)), idx)
+    ci, cj = C.bases[1][0][0], C.bases[1][3][0]
+    assert (ci, cj) == P([1, 2, 3], [1, 2])
+    _, m_ji, m_ij = s_vector(C.tower, 0, 0, 3)
+    _, l_cd, _ = rv.s_poly_closed_form(ci, cj, C)
+    s_key = s_leading_key(C.tower, 0, 0, 3, m_ji, m_ij)
+    assert below_leading_term(C.tower, 0, s_key, [(l_cd, 4)])
+    assert rv.verify_degree0_gb(C) == (
+        False, "leading bound fails for C, D = (123,12)", {"pairs": 2}
+    )
+
+
 def test_tau_check_sums_no_column_image(k4_complex, monkeypatch):
     # d∘d is summed only by check_d_squared, and Lt(S) is read off the two
     # stored columns: the tau check combines no column and builds no S-vector
@@ -302,31 +368,64 @@ def test_tau_check_sums_no_column_image(k4_complex, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case", VERIFIABLE + [(n, seed) for n in range(2, 7) for seed in range(3)], ids=str
+    "case", VERIFIABLE + [(n, seed) for n in range(2, 8) for seed in range(3)], ids=str
 )
 def test_walked_s_leading_key_is_the_lead_of_the_built_s_vector(case):
     # every degree-0 pair (i < j, as verify_degree0_gb takes them, and i = j,
     # whose S is 0) and every tau pair: the key walked off the two stored
-    # columns is the key of the leading term of the S-vector built as a dict
+    # columns is the key of the leading term of the S-vector built as a dict.
+    # Each standard expression of S meets the all-terms bound of the
+    # reference, and its largest term is Lt(S): for i < j the larger of the
+    # two closed-form terms, for tau the first tail term, after the terms on
+    # i and j, with the one on j second
     if isinstance(case, str):
         g = graph_core.parse_digraph((INSTANCES / f"{case}.json").read_text())
     else:
         g = random_icb_digraph(case[0], random.Random(case[1]))
     C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
-    r1 = len(C.bases[1])
-    pairs = [(0, i, j) for i in range(r1) for j in range(i, r1)]
-    pairs += [(k - 1, *rv.tau_pair(C, k, e)) for k in range(1, C.n - 1) for e in C.bases[k + 1]]
-    zero = 0
-    for level, i, j in pairs:
-        s, m_ji, m_ij = s_vector(C.tower, level, i, j)
-        walked = s_leading_key(C.tower, level, i, j, m_ji, m_ij)
+    tower = C.tower
+
+    def walked_lead(level, i, j):
+        s, m_ji, m_ij = s_vector(tower, level, i, j)
+        walked = s_leading_key(tower, level, i, j, m_ji, m_ij)
         if s:
-            _, mono, idx = C.tower.leading_module_term(s, level)
-            assert walked == C.tower.key(level, mono, idx), (level, i, j)
+            _, mono, idx = tower.leading_module_term(s, level)
+            assert walked == tower.key(level, mono, idx), (level, i, j)
         else:
             assert walked is None, (level, i, j)
-            zero += 1
-    assert zero >= r1
+        return walked
+
+    def image_key(level, mono, j):
+        _, lm, idx = tower.lms[level + 1][j]
+        return tower.key(level, mono + lm, idx)
+
+    r1 = len(C.bases[1])
+    full = (1 << C.n) - 1
+    zero = 0
+    for i in range(r1):
+        for j in range(i, r1):
+            walked = walked_lead(0, i, j)
+            if i == j:
+                zero += walked is None
+                continue
+            ci, cj = C.bases[1][i][0], C.bases[1][j][0]
+            _, l_cd, l_dc = rv.s_poly_closed_form(ci, cj, C)
+            terms = [
+                (mono, C.index[1][piece, full ^ piece])
+                for mono, piece in ((l_cd, ci & ~cj), (l_dc, cj & ~ci)) if piece
+            ]
+            assert below_leading_term(tower, 0, walked, terms), (i, j)
+            assert max(image_key(0, *t) for t in terms) == walked, (i, j)
+    assert zero == r1
+    for k in range(1, C.n - 1):
+        for e in C.bases[k + 1]:
+            i, j = rv.tau_pair(C, k, e)
+            walked = walked_lead(k - 1, i, j)
+            de = C.diffs[k + 1][C.index[k + 1][e]]
+            tail = [(mono, idx) for _, mono, idx in de if idx not in (i, j)]
+            assert below_leading_term(tower, k - 1, walked, tail), e
+            assert de[1][2] == j, e
+            assert tail and image_key(k - 1, *tail[0]) == walked, e
 
 
 def test_tau_identities_all(k4_complex, generic4_complex, cycle4_complex):
