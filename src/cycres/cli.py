@@ -16,7 +16,7 @@ import sys
 
 from . import cyc_complex, graph_core, intlinalg, resolution_verify
 from .errors import CycresError, NotIrreducibleError, ValidationError
-from .poly_ring import elem_str
+from .poly_ring import elem_str, term_tails
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -124,7 +124,8 @@ def cmd_verify(args) -> int:
 def cmd_gb(args) -> int:
     M = _prepare(args)
     C = cyc_complex.build_complex(M)
-    lines = [elem_str(f, 0, C.ctx) for f in C.diffs[1]]
+    tails = term_tails(0, 1)
+    lines = [elem_str(f, tails, C.ctx) for f in C.diffs[1]]
     _emit(args, {"groebner_basis": lines}, "\n".join(lines))
     return EXIT_OK
 

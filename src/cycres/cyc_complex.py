@@ -11,11 +11,15 @@ the one holding n: bigger blocks first, ties broken by the rightmost
 differing vertex.  Each level is built by splitting the last block of every
 partition one level down, so merging a partition's last two blocks gives
 back the partition it was split from, and the partitions split from one
-partition are neighbours.
+partition are neighbours.  The build reads the position of every merge off
+that structure (merge_targets); only the checks merge partitions and look
+them up, which cross-checks those positions.
 """
 
-import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from math import comb
 
 from . import intlinalg
@@ -26,6 +30,7 @@ from .poly_ring import (
     OrderTower,
     elem_combine,
     elem_str,
+    term_tails,
 )
 
 
@@ -38,26 +43,88 @@ def vertices(b):
     return out
 
 
+def split_table(n):
+    """{t: the splits of t} for every block t holding n: the nonempty subsets
+    of t less n, in key order."""
+    top = 1 << (n - 1)
+    # block key: bigger blocks first; ties: the largest vertex not shared
+    # comes first, so the block's vertex bitmask counts against it
+    order = sorted(range(1, top), key=lambda b: -(b.bit_count() << n) - b)
+    return {t: [b for b in order if b & t == b] for t in range(top, 2 * top)}
+
+
 def enumerate_basis(n):
     """Every level's basis: bases[k] lists the partitions of {1..n} into k+1
     blocks, canonical, in srle order.
 
     srle order is lexicographic in the keys of the blocks before the one
     holding n, so level k+1 is level k with each partition's last block split
-    in two, in order: the new block runs over the nonempty subsets of the
-    last block less n, in key order, and n keeps what is left.  Every block
-    is taken from one table, so equal blocks are one int object.
+    in two, in order: the new block runs over the splits of the last block
+    (see split_table), and n keeps what is left.  Every block holding n is
+    taken from one table, so equal blocks are one int object.
     """
-    top = 1 << (n - 1)
-    block = list(range(2 * top))
-    # block key: bigger blocks first; ties: the largest vertex not shared
-    # comes first, so the block's vertex bitmask counts against it
-    order = sorted(block[1:top], key=lambda b: -(b.bit_count() << n) - b)
-    splits = {t: [b for b in order if b & t == b] for t in block[top:]}
+    splits = split_table(n)
+    block = list(range(1 << n))
     bases = [[(block[-1],)]]
     for _ in range(1, n):
         bases.append([p[:-1] + (b, block[p[-1] - b]) for p in bases[-1] for b in splits[p[-1]]])
     return bases
+
+
+def merge_targets(bases):
+    """For k = 1, 2, ..., yield level k's merge targets: targets[s][j] is
+    the position in bases[k-1] of merge(bases[k][j], s), s = 0..k.  No
+    merged partition is built and no partition is looked up.
+
+    Level k is level k-1 with each partition's last block split (see
+    enumerate_basis): the partitions split from bases[k-1][i] stand at
+    start[i]:start[i+1] of bases[k], in the order of the splits of its last
+    block.  Let p = bases[k][j] and P = merge(p, k-1), the partition p was
+    split from.  Each other merge of p was split from a merge of P, whose
+    position one level further down is already known, so its target is
+    that merge's start plus the rank of the split:
+      s < k-2  merge(P, s), which keeps P's last block: p's own rank among
+               its siblings;
+      s = k-2  merge(P, k-2), P's parent: the rank of p[k-2] | p[k-1] among
+               the splits of p[k-2] | p[k-1] | p[k];
+      s = k-1  P itself;
+      s = k    merge(P, k-1): the rank of p[k-1] among the splits of
+               p[0] | p[k-1] | p[k].
+    Every target is taken from one list of positions, so equal targets are
+    one int object on every level, and the generator keeps one level of
+    targets.
+    """
+    n = len(bases)
+    splits = split_table(n)
+    rank = {t: {b: r for r, b in enumerate(bs)} for t, bs in splits.items()}
+    at = list(range(max(map(len, bases))))
+    for k in range(1, n):
+        parents = bases[k - 1]
+        up = [i for i, P in zip(at, parents) for _ in splits[P[-1]]]
+        if k == 1:
+            targets = [up, up]
+        else:
+            below = targets
+            # merge(P, s) has as many splits as P, so they pair up in order
+            targets = [
+                [i for t in below[s] for i in at[start[t] : start[t + 1]]] for s in range(k - 2)
+            ]
+            targets.append([
+                at[start[t] + r[P[-2] | b]]
+                for t, P in zip(below[k - 2], parents)
+                for r in (rank[P[-2] | P[-1]],)
+                for b in splits[P[-1]]
+            ])
+            targets.append(up)
+            targets.append([
+                at[start[t] + r[b]]
+                for t, P in zip(below[k - 1], parents)
+                for r in (rank[P[0] | P[-1]],)
+                for b in splits[P[-1]]
+            ])
+            del below
+        start = list(accumulate([len(splits[P[-1]]) for P in parents], initial=0))
+        yield targets
 
 
 def arrow_monomial(I, J, L: CBMatrix, ctx: GradedContext):
@@ -94,16 +161,16 @@ def merge(p, s):
     return p[:s] + (p[s] | p[s + 1],) + p[s + 2 :]
 
 
-def boundary(basis, arrows: ArrowTable, index_below):
+def boundary(basis, arrows: ArrowTable, targets):
     """Images of one level's basis partitions under the differential.
 
     Each block is merged with its cyclic successor, with arrow-monomial
     coefficients and signs alternating from +1, except that the closing
-    merge of the last block into the first is always -1.  ``index_below``
-    maps partitions with one block fewer to their basis position.  Column j
-    is the tuple of (coeff, monomial, basis index) terms of basis[j], one
-    per merge position; on an irreducible matrix no two of them share a
-    monomial and an index.
+    merge of the last block into the first is always -1.  ``targets[s][j]``
+    is the basis position of merge(basis[j], s) one level down, as
+    merge_targets gives it.  Column j is the tuple of (coeff, monomial,
+    basis index) terms of basis[j], one per merge position; on an
+    irreducible matrix no two of them share a monomial and an index.
     """
     k = len(basis[0]) - 1
     if k < 1:
@@ -112,7 +179,7 @@ def boundary(basis, arrows: ArrowTable, index_below):
     for s in range(k + 1):
         sign, t = (-1, 0) if s == k else ((-1) ** s, s + 1)
         positions.append(
-            [(sign, arrows[p[s], p[t]], index_below[merge(p, s)]) for p in basis]
+            [(sign, arrows[p[s], p[t]], idx) for p, idx in zip(basis, targets[s])]
         )
     return list(zip(*positions))
 
@@ -124,9 +191,16 @@ class CycComplex:
     mu: tuple
     bases: list          # bases[k]: partitions into k+1 blocks in srle order,
                          # k = 0..n-1, split from bases[k-1] in its order
-    index: list          # index[k]: partition -> position
     tower: OrderTower = field(repr=False)
     arrows: ArrowTable = field(repr=False)
+
+    @cached_property
+    def index(self):
+        """index[k]: partition -> position in bases[k].  Built on first use,
+        by the checks; the build itself finds positions by merge_targets.
+        Every level takes its positions from one list."""
+        positions = list(range(max(map(len, self.bases))))
+        return [dict(zip(b, positions)) for b in self.bases]
 
     @property
     def n(self):
@@ -183,11 +257,10 @@ def build_complex(L: CBMatrix, degree=0) -> CycComplex:
     ctx = GradedContext.holding(nu, max(degree_bound(L, nu), degree))
     arrows = ArrowTable(L, ctx)
     bases = enumerate_basis(n)
-    index = [{p: i for i, p in enumerate(b)} for b in bases]
     tower = OrderTower(ctx)
-    for k in range(1, n):
-        tower.add_level(boundary(bases[k], arrows, index[k - 1]))
-    return CycComplex(L, ctx, mu, bases, index, tower, arrows)
+    for k, targets in enumerate(merge_targets(bases), 1):
+        tower.add_level(boundary(bases[k], arrows, targets))
+    return CycComplex(L, ctx, mu, bases, tower, arrows)
 
 
 def degree_bound(L: CBMatrix, nu):
@@ -271,11 +344,13 @@ def _write_list(write, depth, items):
 
 
 def _column_entries(C: CycComplex, k):
-    """The JSON text of each column entry of level k, rendered when asked."""
-    pad = "\n" + "  " * 4
+    """The JSON text of each column entry of level k, rendered when asked.
+    The term tails of the level below are built once, for this level."""
+    level = k - 1
+    tails = term_tails(level, len(C.diffs[level]) if level else 1)
+    head, mid, end = '{\n        "basis": ', ',\n        "poly": ', "\n      }"
     for j, f in enumerate(C.diffs[k], 1):
-        poly = json.dumps(elem_str(f, k - 1, C.ctx))
-        yield f'{{{pad}"basis": {j},{pad}"poly": {poly}\n      }}'
+        yield f"{head}{j}{mid}{encode_basestring_ascii(elem_str(f, tails, C.ctx))}{end}"
 
 
 def export_json(C: CycComplex, fh):

@@ -308,16 +308,27 @@ def divide(g, tower: OrderTower, level):
     quotient is one Elem a level up, {(monomial, i): q_i's coefficient}.
     Every leading coefficient is +-1, its own inverse, so all coefficients
     stay in Z.  The leading terms met strictly decrease, so each key of the
-    quotient and of the remainder is written once.
+    quotient and of the remainder is written once; a step that breaks this
+    (a stored leading term that is not its column's first term) raises
+    InternalError naming the level and the image divided by, instead of
+    looping.
     """
     basis = tower.images[level + 1]
     basis_lts = tower.lms[level + 1]
     candidates = tower.divisors(level)
     support, guard, shift = tower.ctx.support, tower.ctx.guard, tower.ctx.shift
+    bits, base = tower.bits[level], tower.base[level]
     quotient, remainder = {}, {}
     work = dict(g)
+    reduced = None  # the key of the term the last step reduced by image bi
     while work:
         coeff, mono, idx = tower.leading_module_term(work, level)
+        key = (mono << bits) + base[idx]
+        if reduced is not None and key >= reduced:
+            raise InternalError(
+                f"division at level {level} does not descend: image {bi + 1} "
+                f"left a leading term at or above the one it reduced"
+            )
         for bi in candidates.get((idx << shift) + support(mono), ()):
             bc, bm, _ = basis_lts[bi]
             if not (bm - mono) & guard:
@@ -325,10 +336,13 @@ def divide(g, tower: OrderTower, level):
                 qm = mono - bm
                 quotient[qm, bi] = q
                 elem_combine(work, basis[bi], -q, qm)
+                reduced = key
                 break
         else:
+            # moving the leading term away leaves only smaller ones
             remainder[mono, idx] = coeff
             del work[mono, idx]
+            reduced = None
     return quotient, remainder
 
 
@@ -393,25 +407,31 @@ def s_vector(tower: OrderTower, level, i, j):
 # ---------------------------------------------------------------------------
 # text format
 
-def elem_str(column, level, ctx: GradedContext):
-    """Render a column in its stored order, e[k,j] 1-based.
+def term_tails(level, size):
+    """The text that follows a term's monomial, by basis index, for ``size``
+    basis elements of a level: ·e[level,j], j 1-based.  Level 0 is the ring
+    itself, so its single basis element is left implicit."""
+    if not level:
+        return [""] * size
+    return [f"·e[{level},{j}]" for j in range(1, size + 1)]
 
-    Level 0 is the ring itself, so its single basis element is left implicit.
-    """
+
+def elem_str(column, tails, ctx: GradedContext):
+    """Render a column in its stored order, each term followed by
+    tails[basis index] (see term_tails)."""
     if not column:
         return "0"
-    text = ctx.text
-    suffix = f"·e[{level}," if level else None
+    # a monomial rendered before is read off the context's memo; the unit,
+    # whose text is "", always goes through ctx.text
+    rendered, text = ctx._text.get, ctx.text
     out = []
     for coeff, mono, idx in column:
-        if not out:
-            sep = "-" if coeff < 0 else ""
-        else:
-            sep = " + " if coeff > 0 else " - "
-        term = text(mono)
+        term = rendered(mono) or text(mono)
         if coeff not in (1, -1):
             term = f"{abs(coeff)}*{term}" if term else str(abs(coeff))
         elif not term:
             term = "1"
-        out.append(f"{sep}{term}{suffix}{idx + 1}]" if suffix else sep + term)
+        out.append(f"{' + ' if coeff > 0 else ' - '}{term}{tails[idx]}")
+    # the first term carries its sign alone
+    out[0] = out[0][3:] if column[0][0] > 0 else "-" + out[0][3:]
     return "".join(out)

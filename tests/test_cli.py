@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from cycres import cli
 
-from conftest import INSTANCES, export_text, parse_column
+from conftest import INSTANCES, export_text, parse_column, random_icb_digraph
 
 
 def run(capsys, *args):
@@ -273,6 +274,21 @@ def test_resolve_output_pinned(tmp_path, capsys, name):
     out_path = tmp_path / f"{name}.json"
     assert run(capsys, "resolve", inst(f"{name}.json"), "--out", str(out_path))[0] == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == RESOLVE_SHA256[name]
+
+
+# the same pin on random_icb_digraph(7, Random(2)), the seeded n = 7 instance
+# (9,366 basis elements, merges on every level up to k = 6)
+RESOLVE_N7_SEED2_SHA256 = "cbea3136a8e25d4a822887c95da7d4f73a1db55a65a1f60bd420bb71ba1d8b78"
+
+
+def test_resolve_output_pinned_on_the_seeded_n7_instance(tmp_path, capsys):
+    g = random_icb_digraph(7, random.Random(2))
+    path = tmp_path / "n7.json"
+    arcs = [{"from": a, "to": b, "w": w} for a, b, w in g.arcs]
+    path.write_text(json.dumps({"n": g.n, "arcs": arcs}))
+    out_path = tmp_path / "n7_resolved.json"
+    assert run(capsys, "resolve", str(path), "--out", str(out_path))[0] == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == RESOLVE_N7_SEED2_SHA256
 
 
 @pytest.mark.parametrize("name", ["cycle4", "k4"])

@@ -193,6 +193,40 @@ def test_lead_targets_never_fall_and_siblings_stand_together():
             assert len(starts) == len(set(starts)) == len(set(targets))
 
 
+def test_merge_targets_are_the_positions_of_the_merges():
+    # the offsets that build the columns, against merging every partition
+    # and looking the merge up
+    for n in range(2, 9):
+        bases = cc.enumerate_basis(n)
+        index = basis_positions(n)
+        levels = list(cc.merge_targets(bases))
+        assert len(levels) == n - 1
+        for k, targets in enumerate(levels, 1):
+            assert len(targets) == k + 1
+            for s, target in enumerate(targets):
+                assert target == [index[k - 1][cc.merge(p, s)] for p in bases[k]], (n, k, s)
+
+
+def test_the_build_and_export_look_up_no_partition(monkeypatch):
+    # resolve builds no merged partition and no partition -> index dict;
+    # the checks build the dicts on first use
+    calls = []
+    original = cc.merge
+
+    def counting(p, s):
+        calls.append((p, s))
+        return original(p, s)
+
+    monkeypatch.setattr(cc, "merge", counting)
+    C = bundled_complex("echelon6")
+    text = export_text(C)
+    assert calls == []
+    assert "index" not in vars(C)
+    assert text == reference_text(C)
+    assert C.index[2][C.bases[2][7]] == 7
+    assert "index" in vars(C)
+
+
 @st.composite
 def partition_pairs(draw):
     """Two random canonical partitions of one {1..n}, n <= 7, into the same
@@ -333,19 +367,19 @@ def summed_boundary(p, arrows, index_below):
 
 
 def test_boundary_columns_sum_the_merge_terms():
-    # n = 2 has one level-1 column, whose two merges give the same partition
+    # n = 2 has one level-1 column, whose two merges give the same partition;
+    # the n = 7 instance has merges s < k-2 on every level up to k = 6
     complexes = [bundled_complex(name) for name in RESOLVABLE] + [
         cc.build_complex(graph_core.prepare(graph_core.laplacian(
             random_icb_digraph(n, random.Random(seed))
         )))
-        for n in range(2, 7)
-        for seed in range(3)
+        for n, seed in [(n, seed) for n in range(2, 7) for seed in range(3)] + [(7, 2)]
     ]
     for C in complexes:
         with pytest.raises(ValueError):
             cc.boundary(C.bases[0], C.arrows, {})
-        for k in range(1, C.n):
-            columns = cc.boundary(C.bases[k], C.arrows, C.index[k - 1])
+        for k, targets in enumerate(cc.merge_targets(C.bases), 1):
+            columns = cc.boundary(C.bases[k], C.arrows, targets)
             assert len(columns) == len(C.bases[k]) == len(C.diffs[k])
             for p, column, stored in zip(C.bases[k], columns, C.diffs[k]):
                 # one term per merge position: no two share a monomial and

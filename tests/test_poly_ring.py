@@ -258,6 +258,29 @@ def test_divide_random_standard_expressions(k4_complex):
         assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
 
 
+def test_divide_refuses_a_lead_that_is_not_its_columns_first_term(monkeypatch):
+    # x3^3 lowered to x3^2 in the tower's leading term of the generator of
+    # {3}: subtracting its column then leaves the reduced term in place, so
+    # the leading terms stop decreasing and division must stop, not loop.
+    # A division that loops fails here after 1000 steps instead of hanging
+    steps = []
+    original = pr.elem_combine
+
+    def bounded(*args):
+        steps.append(1)
+        assert len(steps) < 1000, "division does not stop"
+        return original(*args)
+
+    monkeypatch.setattr(pr, "elem_combine", bounded)
+    C = complex_from_matrix(COMPLEX_ROWS["k4"])
+    coeff, mono, idx = C.tower.lms[1][4]
+    assert C.ctx.unpack(mono) == (0, 0, 3, 0)
+    C.tower.lms[1][4] = (coeff, mono - C.ctx.pack((0, 0, 1, 0)), idx)
+    s, _, _ = pr.s_vector(C.tower, 0, 0, 3)
+    with pytest.raises(InternalError, match=r"division at level 0 does not descend: image 5 "):
+        pr.divide(s, C.tower, 0)
+
+
 def test_divide_homogeneous_input_gives_homogeneous_parts(generic4_complex):
     C = generic4_complex
     for i, j in [(1, 0), (4, 2), (6, 5)]:
@@ -433,18 +456,18 @@ def test_stored_columns_are_strictly_decreasing(name):
 
 def test_elem_str_round_trip(k4_complex):
     C = k4_complex
-    assert pr.elem_str((), 0, C.ctx) == "0"
+    assert pr.elem_str((), pr.term_tails(0, 1), C.ctx) == "0"
     assert parse_elem("0", C.ctx) == {}
     assert parse_column("0", C.ctx) == ()
     for k in (1, 2, 3):
         for f in C.diffs[k]:
-            s = pr.elem_str(f, k - 1, C.ctx)
+            s = pr.elem_str(f, pr.term_tails(k - 1, len(C.bases[k - 1])), C.ctx)
             assert parse_column(s, C.ctx) == f
 
 
 def test_elem_str_level0_is_plain_polynomial(k4_complex):
     C = k4_complex
-    assert pr.elem_str(C.diffs[1][0], 0, C.ctx) == "x1*x2*x3 - x4^3"
+    assert pr.elem_str(C.diffs[1][0], pr.term_tails(0, 1), C.ctx) == "x1*x2*x3 - x4^3"
 
 
 def test_elem_str_pins_hand_built_columns():
@@ -453,11 +476,11 @@ def test_elem_str_pins_hand_built_columns():
     ctx = pr.GradedContext(4, (1, 1, 1, 1), 4)
     x1, x2, x3, x4 = ctx.variables
     column = ((2, x1 + 2 * x3, 0), (-2, 0, 1), (1, 0, 2), (-1, x2, 0), (-2, x4, 3), (2, 0, 0))
-    assert pr.elem_str(column, 0, ctx) == "2*x1*x3^2 - 2 + 1 - x2 - 2*x4 + 2"
-    assert pr.elem_str(column, 1, ctx) == (
+    assert pr.elem_str(column, pr.term_tails(0, 4), ctx) == "2*x1*x3^2 - 2 + 1 - x2 - 2*x4 + 2"
+    assert pr.elem_str(column, pr.term_tails(1, 4), ctx) == (
         "2*x1*x3^2·e[1,1] - 2·e[1,2] + 1·e[1,3] - x2·e[1,1] - 2*x4·e[1,4] + 2·e[1,1]"
     )
-    assert pr.elem_str(column, 12, ctx).endswith(" - 2*x4·e[12,4] + 2·e[12,1]")
+    assert pr.elem_str(column, pr.term_tails(12, 4), ctx).endswith(" - 2*x4·e[12,4] + 2·e[12,1]")
     for level, texts in (
         (0, ["-2", "-1", "-x1 + 2", "2*x4^3", "1 - 1"]),
         (2, ["-2·e[2,1]", "-1·e[2,5]", "-x1·e[2,1] + 2·e[2,3]", "2*x4^3·e[2,2]",
@@ -470,7 +493,7 @@ def test_elem_str_pins_hand_built_columns():
             ((2, 3 * x4, 1),),
             ((1, 0, 0), (-1, 0, 1)),
         ]
-        assert [pr.elem_str(f, level, ctx) for f in columns] == texts
+        assert [pr.elem_str(f, pr.term_tails(level, 5), ctx) for f in columns] == texts
         for text, f in zip(texts, columns):
             assert parse_column(text, ctx) == (f if level else tuple((c, m, 0) for c, m, _ in f))
 
@@ -487,13 +510,14 @@ def test_elem_str_renders_each_distinct_monomial_once(monkeypatch):
         return original(self, mono)
 
     monkeypatch.setattr(pr.GradedContext, "unpack", counting)
-    texts = [pr.elem_str(f, k - 1, C.ctx) for k in range(1, C.n) for f in C.diffs[k]]
+    tails = {k: pr.term_tails(k - 1, len(C.bases[k - 1])) for k in range(1, C.n)}
+    texts = [pr.elem_str(f, tails[k], C.ctx) for k in range(1, C.n) for f in C.diffs[k]]
     distinct = {m for k in range(1, C.n) for f in C.diffs[k] for _, m, _ in f}
     assert sorted(unpacked) == sorted(distinct)
-    assert [pr.elem_str(f, k - 1, C.ctx) for k in range(1, C.n) for f in C.diffs[k]] == texts
+    assert [pr.elem_str(f, tails[k], C.ctx) for k in range(1, C.n) for f in C.diffs[k]] == texts
     assert len(unpacked) == len(distinct)
     D = complex_from_matrix(COMPLEX_ROWS["echelon6"])
-    assert pr.elem_str(D.diffs[1][0], 0, D.ctx) == texts[0]
+    assert pr.elem_str(D.diffs[1][0], tails[1], D.ctx) == texts[0]
     assert len(unpacked) > len(distinct)
 
 
