@@ -94,11 +94,15 @@ def cmd_resolve(args) -> int:
 
 
 def _build_for_oracle(args):
-    """The complex, packed for an explicit --max-degree, which is refused
-    before any oracle piece is built when a piece would be too wide."""
-    C = cyc_complex.build_complex(_prepare(args), args.d_max or 0)
-    if args.d_max is not None:
-        resolution_verify.refuse_oversized_oracle(C, args.d_max)
+    """The complex, packed for an explicit --max-degree.  A bound spanning
+    too many degrees is refused before the build, and one needing too wide
+    a piece before any oracle piece is built."""
+    M = _prepare(args)
+    if args.d_max is None:
+        return cyc_complex.build_complex(M)
+    resolution_verify.refuse_oversized_span(args.d_max)
+    C = cyc_complex.build_complex(M, args.d_max)
+    resolution_verify.refuse_oversized_oracle(C, args.d_max)
     return C
 
 
@@ -113,7 +117,7 @@ def cmd_verify(args) -> int:
         if not minimal:
             report.checks.append(
                 resolution_verify.CheckResult(
-                    "require_minimal", False, f"non-minimal entry {witness}"
+                    "require_minimal", False, f"non-minimal entry {witness}", {}
                 )
             )
             ok = False

@@ -16,7 +16,6 @@ that structure (merge_targets); only the checks merge partitions and look
 them up, which cross-checks those positions.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
@@ -184,15 +183,20 @@ def boundary(basis, arrows: ArrowTable, targets):
     return list(zip(*positions))
 
 
-@dataclass
 class CycComplex:
-    L: CBMatrix
-    ctx: GradedContext
-    mu: tuple
-    bases: list          # bases[k]: partitions into k+1 blocks in srle order,
-                         # k = 0..n-1, split from bases[k-1] in its order
-    tower: OrderTower = field(repr=False)
-    arrows: ArrowTable = field(repr=False)
+    def __init__(
+        self, L: CBMatrix, ctx: GradedContext, mu, bases, tower: OrderTower, arrows: ArrowTable
+    ):
+        self.L = L
+        self.ctx = ctx
+        self.mu = mu
+        self.bases = bases      # bases[k]: partitions into k+1 blocks in srle order,
+                                # k = 0..n-1, split from bases[k-1] in its order
+        self.tower = tower
+        self.arrows = arrows
+        self.n = L.n
+        self.diffs = tower.images   # diffs[k]: the tower's columns, in degree k-1, k >= 1
+        self.shifts = tower.shifts  # shifts[k][j]: weighted degree of basis element j in degree k
 
     @cached_property
     def index(self):
@@ -201,20 +205,6 @@ class CycComplex:
         Every level takes its positions from one list."""
         positions = list(range(max(map(len, self.bases))))
         return [dict(zip(b, positions)) for b in self.bases]
-
-    @property
-    def n(self):
-        return self.L.n
-
-    @property
-    def diffs(self):
-        """diffs[k]: the tower's columns, in degree k-1, k >= 1."""
-        return self.tower.images
-
-    @property
-    def shifts(self):
-        """shifts[k][j]: weighted degree of basis element j in degree k."""
-        return self.tower.shifts
 
     def ranks(self):
         return tuple(len(b) for b in self.bases)

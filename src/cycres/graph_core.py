@@ -11,7 +11,6 @@ and zero row sums; such matrices are classified as
 """
 
 import json
-from dataclasses import dataclass
 
 from .errors import (
     InternalError,
@@ -22,10 +21,10 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class WeightedDigraph:
-    n: int
-    arcs: tuple  # of (source, target, weight), 1-based vertices
+    def __init__(self, n, arcs):
+        self.n = n
+        self.arcs = arcs  # tuple of (source, target, weight), 1-based vertices
 
     def out_weights(self):
         """n x n array w[i][j] = weight of arc i+1 -> j+1, zero if absent."""
@@ -35,7 +34,6 @@ class WeightedDigraph:
         return w
 
 
-@dataclass(frozen=True)
 class CBMatrix:
     """Laplacian-type matrix stored as nonnegative weights.
 
@@ -44,21 +42,19 @@ class CBMatrix:
     echelon / perm are filled in by prepare().
     """
 
-    n: int
-    a: tuple  # tuple of tuples, nonnegative ints
-    echelon: tuple = None
-    perm: tuple = None
-
-    def __post_init__(self):
-        a = self.a
-        for i in range(self.n):
+    def __init__(self, n, a, echelon=None, perm=None):
+        for i in range(n):
             if a[i][i] <= 0:
                 raise ValidationError(f"diagonal entry {i + 1} not positive")
-            if a[i][i] != sum(a[i][j] for j in range(self.n) if j != i):
+            if a[i][i] != sum(a[i][j] for j in range(n) if j != i):
                 raise ValidationError(f"row {i + 1} sum does not match diagonal")
-        for j in range(self.n):
-            if all(a[i][j] == 0 for i in range(self.n) if i != j):
+        for j in range(n):
+            if all(a[i][j] == 0 for i in range(n) if i != j):
                 raise ValidationError(f"column {j + 1} has no off-diagonal entry")
+        self.n = n
+        self.a = a  # tuple of tuples, nonnegative ints
+        self.echelon = echelon
+        self.perm = perm
 
     def signed_rows(self):
         """The actual integer matrix: diagonal positive, off-diagonal negated."""

@@ -30,12 +30,9 @@ larger basis index.  Exponent vectors are unpacked only to read input and
 to write text.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import InternalError, ZeroElementError
 
 
-@dataclass(frozen=True)
 class GradedContext:
     """The weights nu and the packing of monomials into ints.
 
@@ -47,30 +44,24 @@ class GradedContext:
     the exponent of x_n (smaller wins), then x_(n-1), and so on.
     """
 
-    n: int
-    nu: tuple  # positive integer weights, gcd 1
-    width: int
-    cap: int = field(init=False, repr=False)
-    shift: int = field(init=False, repr=False)   # s = n * width
-    mask: int = field(init=False, repr=False)    # the exponent part, 2^s - 1
-    guard: int = field(init=False, repr=False)   # the top bit of every field
-    ones: int = field(init=False, repr=False)    # 2^(w-1) - 1 in every field
-    variables: tuple = field(init=False, repr=False)  # x_1, ..., x_n packed
-    _text: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _cofactors: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        w, n = self.width, len(self.nu)
-        if n != self.n or w < 1:
-            raise InternalError(f"no packing of {n} weights into {w}-bit fields")
-        object.__setattr__(self, "cap", (1 << (w - 1)) - 1)
-        object.__setattr__(self, "shift", n * w)
-        object.__setattr__(self, "mask", (1 << (n * w)) - 1)
-        object.__setattr__(self, "guard", sum(1 << (w * i + w - 1) for i in range(n)))
-        object.__setattr__(self, "ones", self.guard - sum(1 << (w * i) for i in range(n)))
-        object.__setattr__(self, "variables", tuple(
-            (v << (n * w)) - (1 << (w * i)) for i, v in enumerate(self.nu)
-        ))
+    def __init__(self, n, nu, width):
+        w = width
+        if len(nu) != n or w < 1:
+            raise InternalError(f"no packing of {len(nu)} weights into {w}-bit fields")
+        self.n = n
+        self.nu = nu                    # positive integer weights, gcd 1
+        self.width = w
+        self.cap = (1 << (w - 1)) - 1
+        self.shift = n * w              # s = n * width
+        self.mask = (1 << (n * w)) - 1  # the exponent part, 2^s - 1
+        # the top bit of every field, and 2^(w-1) - 1 in every field
+        self.guard = sum(1 << (w * i + w - 1) for i in range(n))
+        self.ones = self.guard - sum(1 << (w * i) for i in range(n))
+        self.variables = tuple(         # x_1, ..., x_n packed
+            (v << (n * w)) - (1 << (w * i)) for i, v in enumerate(nu)
+        )
+        self._text = {}
+        self._cofactors = {}
 
     @classmethod
     def holding(cls, nu, degree):

@@ -12,7 +12,6 @@ over Q.
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import InternalError, ValidationError
 from .graph_core import classify
@@ -36,19 +35,19 @@ from .poly_ring import (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    witness: object = None
-    counters: dict = field(default_factory=dict)
-    millis: int = 0
+    def __init__(self, name, ok, witness, counters, millis=0):
+        self.name = name
+        self.ok = ok
+        self.witness = witness
+        self.counters = counters
+        self.millis = millis
 
 
-@dataclass
 class VerificationReport:
-    instance: str
-    checks: list = field(default_factory=list)
+    def __init__(self, instance, checks):
+        self.instance = instance
+        self.checks = checks
 
     @property
     def passed(self):
@@ -176,11 +175,12 @@ def verify_distinct_images(C: CycComplex):
     return True, None, {}
 
 
-def _random_poly(ctx, rng, terms=3, max_exp=2):
-    """A random nonzero ring element, an Elem on basis index 0."""
+def _random_poly(ctx, rng):
+    """A random nonzero ring element, an Elem on basis index 0, of at most
+    three terms with exponents at most 2."""
     poly = {}
-    for _ in range(terms):
-        mono = ctx.pack([rng.randint(0, max_exp) for _ in range(ctx.n)])
+    for _ in range(3):
+        mono = ctx.pack([rng.randint(0, 2) for _ in range(ctx.n)])
         coeff = rng.choice([1, -1]) * rng.randint(1, 3)
         if (mono, 0) in poly:
             continue
@@ -559,19 +559,22 @@ def default_d_max(C: CycComplex):
     return max(safe, 0)
 
 
-def refuse_oversized_oracle(C: CycComplex, d_max):
-    """Raise ValidationError, before any piece is built, when an explicit
-    degree bound asks for a piece of more than MAX_ORACLE_COLS columns.
-
-    Each degree of the range is one more piece per level, and counting the
-    widths takes a list as long as the range, so a range of more degrees
-    than that budget is refused first.
-    """
+def refuse_oversized_span(d_max):
+    """Raise ValidationError when a degree bound spans more degrees than
+    MAX_ORACLE_COLS.  Each degree of the range is one more piece per level,
+    and counting the widths takes a list as long as the range; the check
+    needs no complex, so it runs before the build."""
     if d_max > MAX_ORACLE_COLS:
         raise ValidationError(
             f"--max-degree {d_max} spans more degrees than the oracle's budget "
             f"of {MAX_ORACLE_COLS:,}"
         )
+
+
+def refuse_oversized_oracle(C: CycComplex, d_max):
+    """Raise ValidationError, before any piece is built, when an explicit
+    degree bound asks for a piece of more than MAX_ORACLE_COLS columns."""
+    refuse_oversized_span(d_max)
     for d, widest in enumerate(piece_widths(C, d_max)):
         if widest > MAX_ORACLE_COLS:
             raise ValidationError(

@@ -446,23 +446,27 @@ def test_ten_vertices_exit_2_before_any_enumeration(tmp_path, capsys, monkeypatc
 
 
 def test_oversized_oracle_range_exits_2_before_any_piece(capsys, monkeypatch):
-    from cycres import resolution_verify
+    from cycres import cyc_complex, resolution_verify
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a check or an oracle piece ran")
+        raise AssertionError("a check, an oracle piece or a build ran")
 
     monkeypatch.setattr(resolution_verify, "full_verify", refuse)
     monkeypatch.setattr(resolution_verify, "graded_homology_oracle", refuse)
     monkeypatch.setattr(resolution_verify, "piece_index", refuse)
-    cases = {
-        "60": "--max-degree 60 needs a degree-54 piece of 265,200 columns, "
-              "over the oracle's budget of 250,000",
-        "250001": "--max-degree 250001 spans more degrees than the oracle's budget of 250,000",
-    }
-    for d_max, message in cases.items():
+
+    def refused(d_max, message):
         for command in ("verify", "homology"):
             code, out, err = run(capsys, command, inst("k4.json"), "--max-degree", d_max)
             assert (code, out, err) == (2, "", f"error: {message}\n"), (command, d_max)
+
+    refused("60", "--max-degree 60 needs a degree-54 piece of 265,200 columns, "
+                  "over the oracle's budget of 250,000")
+    # a range spanning too many degrees is refused before the build
+    monkeypatch.setattr(cyc_complex, "build_complex", refuse)
+    for d_max in ("250001", "9" * 200):
+        refused(d_max, f"--max-degree {d_max} spans more degrees than the oracle's budget "
+                       "of 250,000")
 
 
 def test_resolve_byte_stable(tmp_path, capsys):

@@ -432,7 +432,9 @@ def test_build_packing_holds_an_explicit_oracle_degree():
     M = graph_core.prepare(graph_core.laplacian(g))
     narrow, wide = cc.build_complex(M), cc.build_complex(M, 40)
     assert narrow.ctx.cap < 40 <= wide.ctx.cap
-    assert cc.build_complex(M, 15).ctx == narrow.ctx
+    fifteen = cc.build_complex(M, 15).ctx
+    for attr in ("n", "nu", "width", "cap", "shift", "guard"):
+        assert getattr(fifteen, attr) == getattr(narrow.ctx, attr), attr
     assert export_text(wide) == export_text(narrow)
 
 

@@ -2,7 +2,9 @@
 only the standard library and each other."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 from collections import Counter
 
@@ -24,6 +26,17 @@ def test_modules_import_only_the_standard_library_and_each_other():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the records are plain classes, so starting the CLI pulls in none of
+    # the modules behind dataclasses (inspect, ast, dis, tokenize, ...)
+    probe = "import sys, cycres.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_every_definition_is_used_by_the_package():
