@@ -2,8 +2,9 @@
 
 Matrices are lists of rows of Python ints (arbitrary precision).
 Determinants use Bareiss elimination; ``rank_sparse`` is the rank over the
-rationals of {column: int} rows by a fraction-free row echelon.  Nothing
-here ever touches floating point or a fraction.
+rationals of {column: int} rows by a fraction-free row echelon that skips
+the gcd pass after a +-1 pivot.  Nothing here ever touches floating point
+or a fraction.
 """
 
 from math import gcd
@@ -86,12 +87,16 @@ def rank_sparse(rows):
     ``rows`` is an iterable of {column: int} dicts; they are not modified.
     Fraction-free row echelon: the pivot rows are kept by their smallest
     column.  Each incoming row is reduced by the pivot on its smallest
-    column (cross-multiplied, then divided by its gcd) until its smallest
-    column holds no pivot, when it becomes one, or it vanishes.
+    column until its smallest column holds no pivot, when it becomes one,
+    or it vanishes.  A +-1 pivot is its own inverse, so its multiple is
+    subtracted as it stands; any other pivot is cross-multiplied and the
+    row divided by its gcd.
     """
     pivots = {}
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
+        row = dict(row)
+        if 0 in row.values():
+            row = {c: v for c, v in row.items() if v}
         while row:
             c = min(row)
             pivot = pivots.get(c)
@@ -99,7 +104,10 @@ def rank_sparse(rows):
                 pivots[c] = row
                 break
             a, b = pivot[c], row[c]
-            if a != 1:
+            unit = a == 1 or a == -1
+            if unit:
+                b *= a
+            else:
                 for cc in row:
                     row[cc] *= a
             for cc, pv in pivot.items():
@@ -108,8 +116,9 @@ def rank_sparse(rows):
                     row[cc] = nv
                 else:
                     del row[cc]
-            g = gcd(*row.values())
-            if g > 1:
-                for cc in row:
-                    row[cc] //= g
+            if not unit:
+                g = gcd(*row.values())
+                if g > 1:
+                    for cc in row:
+                        row[cc] //= g
     return len(pivots)

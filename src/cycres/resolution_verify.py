@@ -3,10 +3,12 @@
 Each check returns (ok, witness, counters); on failure the witness names
 the first fault found.  full_verify is the one place that names and times
 the checks, chaining them into a VerificationReport of CheckResults without
-aborting early.  The exactness oracle at the end is deliberately independent of the
-machinery that produced the differentials: it assembles every graded piece
-as an explicit integer matrix and compares kernel dimensions with ranks
-over Q.
+aborting early.  The exactness oracle at the end assembles every graded
+piece as an explicit integer matrix and compares kernel dimensions with
+ranks over Q.  It reads the stored columns column by column, as the rows
+of the transpose, numbered in the module order one level down so that each
+column's pivot is its leading term; the order tower only picks those
+pivots, and a rank does not depend on anything the tower holds.
 """
 
 import random
@@ -443,68 +445,78 @@ def monomials_of_degree(ctx: GradedContext, d):
     return [top - low - ((rem // v) << last) for rem, low in partial if rem % v == 0]
 
 
-def piece_index(C: CycComplex, k, d, mono_cache):
-    """{(position, monomial): index} numbering the degree-d piece of level k.
+def cached_monomials(ctx: GradedContext, e, mono_cache):
+    """monomials_of_degree(ctx, e), kept in mono_cache by degree."""
+    monos = mono_cache.get(e)
+    if monos is None:
+        monos = mono_cache[e] = monomials_of_degree(ctx, e)
+    return monos
 
-    Positions go in basis order, each followed by the monomials of degree d
-    minus its shift; mono_cache holds the monomial lists by degree.
+
+def graded_piece_rank(C: CycComplex, k, d, mono_cache):
+    """Exact rank of the degree-d graded piece of the k-th differential.
+
+    Each column x^alpha * e_j of the piece is read straight off the stored
+    column C.diffs[k][j] as one {row id: coeff} dict, and the columns go to
+    rank_sparse as the rows of the transpose.  The row x^beta * e_p one
+    level down has id -(((beta + w_p) << b) + p), where w_p is the
+    accumulated monomial of e_p in the order tower and b is the width of
+    the position numbers of level k-1: on a consistent tower that is minus
+    the module-order key, so each column's smallest id is its leading
+    term, the pivot rank_sparse takes.  The position fills the low bits,
+    so distinct rows get distinct ids whatever the tower holds: the tower
+    only picks pivots and never changes a rank.  Repeated terms of a
+    column are summed.  Positions whose shift exceeds d have no column.
+    Returns (rank, number of columns).
     """
-    index = {}
-    for p, shift in enumerate(C.shifts[k]):
-        e = d - shift
-        if e not in mono_cache:
-            mono_cache[e] = monomials_of_degree(C.ctx, e)
-        for beta in mono_cache[e]:
-            index[(p, beta)] = len(index)
-    return index
-
-
-def graded_piece_rank(C: CycComplex, k, row_index, col_index):
-    """Exact rank of one graded piece of the k-th differential.
-
-    row_index and col_index are the piece_index maps of levels k-1 and k in
-    the same degree.  Returns (rank, number of columns).
-    """
-    rows = [dict() for _ in row_index]
-    for col, (j, alpha) in enumerate(col_index):
-        for coeff, mono, p in C.diffs[k][j]:
-            row = rows[row_index[(p, alpha + mono)]]
-            row[col] = row.get(col, 0) + coeff
-    return rank_sparse(rows), len(col_index)
+    shifts = C.shifts[k]
+    cols = []
+    if min(shifts) <= d:
+        base, bits = C.tower.base[k - 1], C.tower.bits[k - 1]
+        b = (len(C.shifts[k - 1]) - 1).bit_length()
+        for f, shift in zip(C.diffs[k], shifts):
+            if shift > d:
+                continue
+            terms = {}
+            for coeff, mono, p in f:
+                row = -(((mono + (base[p] >> bits)) << b) + p)
+                terms[row] = terms.get(row, 0) + coeff
+            terms = terms.items()
+            for alpha in cached_monomials(C.ctx, d - shift, mono_cache):
+                a = alpha << b
+                cols.append({row - a: coeff for row, coeff in terms})
+    return rank_sparse(cols), len(cols)
 
 
 def graded_homology_oracle(C: CycComplex, d_max):
     """Vanishing homology on every graded piece up to the degree bound.
 
     Position 0 compares the rank of the first differential with the count of
-    monomials inside the leading-term ideal of the degree-0 basis; higher
-    positions compare kernel dimensions with the rank one step up.  Every
-    monomial of a piece has degree at most d_max, so a d_max past the
-    complex's packing is refused before any piece is built.
+    monomials inside the leading-term ideal of the degree-0 basis, the union
+    of the degree-d multiples of each leading monomial; higher positions
+    compare kernel dimensions with the rank one step up.  Every monomial of
+    a piece has degree at most d_max, so a d_max past the complex's packing
+    is refused before any piece is built.
     """
     n, ctx = C.n, C.ctx
     if max(d_max // v for v in ctx.nu) > ctx.cap:
         raise InternalError(f"degree {d_max} does not fit {ctx.width}-bit fields")
-    lt_monos = [lt[1] for lt in C.tower.lms[1]]
-    divides = ctx.divides
+    leads = [(lt[1], ctx.degree(lt[1])) for lt in C.tower.lms[1]]
     degrees = 0
     for d in range(d_max + 1):
         mono_cache = {}
-        # level 0 is one generator of degree 0: this caches all of degree d
-        below = piece_index(C, 0, d, mono_cache)
         ranks = {n: 0}
         cols = {}
         for k in range(1, n):
-            level = piece_index(C, k, d, mono_cache)
-            ranks[k], cols[k] = graded_piece_rank(C, k, below, level)
-            below = level
-        in_lt = sum(
-            1 for m in mono_cache[d] if any(divides(g, m) for g in lt_monos)
-        )
-        if ranks[1] != in_lt:
+            ranks[k], cols[k] = graded_piece_rank(C, k, d, mono_cache)
+        in_lt = set()
+        for g, e in leads:
+            if e <= d:
+                in_lt.update([g + m for m in cached_monomials(ctx, d - e, mono_cache)])
+        if ranks[1] != len(in_lt):
             return False, (
                 f"degree {d}: rank {ranks[1]} of the first map, "
-                f"{in_lt} monomials in the leading-term ideal"
+                f"{len(in_lt)} monomials in the leading-term ideal"
             ), {"degrees": degrees}
         for k in range(1, n):
             if cols[k] - ranks[k] != ranks[k + 1]:

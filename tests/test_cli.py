@@ -453,7 +453,8 @@ def test_oversized_oracle_range_exits_2_before_any_piece(capsys, monkeypatch):
 
     monkeypatch.setattr(resolution_verify, "full_verify", refuse)
     monkeypatch.setattr(resolution_verify, "graded_homology_oracle", refuse)
-    monkeypatch.setattr(resolution_verify, "piece_index", refuse)
+    monkeypatch.setattr(resolution_verify, "graded_piece_rank", refuse)
+    monkeypatch.setattr(resolution_verify, "rank_sparse", refuse)
 
     def refused(d_max, message):
         for command in ("verify", "homology"):

@@ -173,6 +173,22 @@ def test_rank_sparse_matches_dense(nrows, ncols, nbase, data):
     assert sparse == before
 
 
+def test_rank_sparse_after_a_unit_pivot_leaves_a_common_factor():
+    # the unit pivot on column 0 leaves the second row as {1: 2, 2: 4},
+    # with no gcd pass; that row becomes the non-unit pivot of column 1,
+    # and the third row is cross-multiplied by it and divided by its gcd
+    for third, expected in (({1: 1, 2: 4}, 3), ({1: 1, 2: 2}, 2), ({1: 3, 2: 6}, 2)):
+        sparse = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 3, 2: 5}, third]
+        before = [dict(row) for row in sparse]
+        dense = [[row.get(c, 0) for c in range(3)] for row in sparse]
+        assert intlinalg.rank_sparse(sparse) == linalg_reference.rank(dense) == expected
+        assert sparse == before
+    # a -1 pivot subtracts its negated multiple
+    assert intlinalg.rank_sparse([{0: -1, 1: 2}, {0: 3, 1: -6}, {0: 2, 1: 1}]) == 2
+    # stored zeros are no entries, so never a pivot
+    assert intlinalg.rank_sparse([{0: 0, 1: 2}, {1: 1, 0: 0}, {0: 0}]) == 1
+
+
 def test_no_package_module_imports_fractions():
     # one coefficient type: Python int; the Fraction references live in tests
     import ast

@@ -17,6 +17,8 @@ from cycres.poly_ring import (
     s_vector,
 )
 
+import linalg_reference
+import oracle_reference
 from standard_expression_reference import below_leading_term
 from conftest import (
     ECHELON6,
@@ -509,7 +511,7 @@ def test_oracle_refuses_a_degree_past_the_packing_before_any_piece(monkeypatch):
     def refuse(*args):
         raise AssertionError("a graded piece was built")
 
-    for name in ("monomials_of_degree", "piece_index", "graded_piece_rank"):
+    for name in ("monomials_of_degree", "graded_piece_rank", "rank_sparse"):
         monkeypatch.setattr(rv, name, refuse)
     with pytest.raises(InternalError, match="degree 16 does not fit 5-bit fields"):
         rv.graded_homology_oracle(C, 16)
@@ -517,12 +519,10 @@ def test_oracle_refuses_a_degree_past_the_packing_before_any_piece(monkeypatch):
 
 def test_graded_pieces_vanish_at_degree_zero(k4_complex):
     cache = {}
-    below = rv.piece_index(k4_complex, 0, 0, cache)
     for k in range(1, 4):
-        level = rv.piece_index(k4_complex, k, 0, cache)
-        rank, ncols = rv.graded_piece_rank(k4_complex, k, below, level)
+        rank, ncols = rv.graded_piece_rank(k4_complex, k, 0, cache)
         assert ncols == 0 and rank == 0
-        below = level
+    assert cache == {}
 
 
 def test_homology_oracle_k4_small_degrees(k4_complex):
@@ -532,15 +532,19 @@ def test_homology_oracle_k4_small_degrees(k4_complex):
 
 
 def test_homology_oracle_catches_corruption():
-    C = complex_from_matrix(K4_ROWS)
     # erase one differential column: the complex property survives trivially
-    # at that column but exactness fails in its degrees
-    C.diffs[3] = C.diffs[3][:5]
-    C.bases[3] = C.bases[3][:5]
-    C.shifts[3] = C.shifts[3][:5]
-    ok, witness, _ = rv.graded_homology_oracle(C, 6)
-    assert not ok
-    assert witness.startswith("homology at position")
+    # at that column but exactness fails in its degrees, on a scrambled
+    # tower too (scrambled_tower, below)
+    for scramble in (False, True):
+        C = complex_from_matrix(K4_ROWS)
+        if scramble:
+            scrambled_tower(C, 2)
+        C.diffs[3] = C.diffs[3][:5]
+        C.bases[3] = C.bases[3][:5]
+        C.shifts[3] = C.shifts[3][:5]
+        ok, witness, _ = rv.graded_homology_oracle(C, 6)
+        assert not ok
+        assert witness.startswith("homology at position")
 
 
 def test_hilbert_tail_k4(k4_complex):
@@ -669,10 +673,19 @@ def test_piece_widths_count_the_oracle_pieces(name, monkeypatch):
     g = graph_core.digraph_from_matrix(rows)
     C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)), d_max)
     widths = list(rv.piece_widths(C, d_max))
-    cache = {}
+    pieces = []
+    graded_piece_rank = rv.graded_piece_rank
+
+    def recording(C, k, d, mono_cache):
+        result = graded_piece_rank(C, k, d, mono_cache)
+        pieces.append((d, result[1]))
+        return result
+
+    monkeypatch.setattr(rv, "graded_piece_rank", recording)
+    assert rv.graded_homology_oracle(C, d_max) == (True, None, {"degrees": d_max + 1})
+    assert len(pieces) == (d_max + 1) * (C.n - 1)
     assert widths == [
-        max(len(rv.piece_index(C, k, d, cache)) for k in range(1, C.n))
-        for d in range(d_max + 1)
+        max(ncols for degree, ncols in pieces if degree == d) for d in range(d_max + 1)
     ]
     assert max(widths) == widest
     rv.refuse_oversized_oracle(C, d_max)
@@ -696,11 +709,43 @@ def test_random_icb_instances_fully_verify():
         assert report.passed, report.to_text()
 
 
+def dense_piece(C, k, d):
+    """The degree-d piece of the k-th differential as dense rows, numbered
+    as oracle_reference.piece_index numbers them, with repeated terms of a
+    column summed; and its number of columns."""
+    row_ids = {}
+    for p in range(len(C.shifts[k - 1])):
+        for beta in rv.monomials_of_degree(C.ctx, d - C.shifts[k - 1][p]):
+            row_ids[(p, beta)] = len(row_ids)
+    assert oracle_reference.piece_index(C, k - 1, d, {}) == row_ids
+    cols = []
+    for j, f in enumerate(C.diffs[k]):
+        for alpha in rv.monomials_of_degree(C.ctx, d - C.shifts[k][j]):
+            col = [0] * len(row_ids)
+            for coeff, mono, p in f:
+                col[row_ids[(p, alpha + mono)]] += coeff
+            cols.append(col)
+    return [list(row) for row in zip(*cols)] if cols else [], len(cols)
+
+
+def assert_pieces_match_the_references(C, d_max):
+    # column-wise pieces, the row-wise reference and dense elimination over
+    # Q agree on every piece up to d_max; returns the nonempty pieces seen
+    nonempty = 0
+    for d in range(d_max + 1):
+        cache = {}
+        for k in range(1, C.n):
+            dense, ncols = dense_piece(C, k, d)
+            piece = rv.graded_piece_rank(C, k, d, cache)
+            assert piece == oracle_reference.graded_piece_rank(C, k, d), (k, d)
+            assert piece == (linalg_reference.rank(dense), ncols), (k, d)
+            nonempty += ncols > 0
+    return nonempty
+
+
 def test_graded_piece_ranks_match_dense_oracle():
     # same matrices, assembled densely and ranked by fraction-free
     # elimination over Q, for a random weighted instance and K4
-    from linalg_reference import rank
-
     rng = random.Random(31)
     instances = [
         cc.build_complex(
@@ -709,25 +754,72 @@ def test_graded_piece_ranks_match_dense_oracle():
         complex_from_matrix(K4_ROWS),
     ]
     for C in instances:
-        for d in range(0, 7):
-            cache = {}
-            below = rv.piece_index(C, 0, d, cache)
-            for k in range(1, C.n):
-                level = rv.piece_index(C, k, d, cache)
-                sparse_rank, ncols = rv.graded_piece_rank(C, k, below, level)
-                row_ids = {}
-                for p in range(len(C.bases[k - 1])):
-                    for beta in rv.monomials_of_degree(C.ctx, d - C.shifts[k - 1][p]):
-                        row_ids[(p, beta)] = len(row_ids)
-                assert below == row_ids
-                below = level
-                cols = []
-                for j, f in enumerate(C.diffs[k]):
-                    for alpha in rv.monomials_of_degree(C.ctx, d - C.shifts[k][j]):
-                        col = [0] * len(row_ids)
-                        for coeff, mono, p in f:
-                            col[row_ids[(p, alpha + mono)]] = int(coeff)
-                        cols.append(col)
-                assert len(cols) == ncols
-                dense = [list(row) for row in zip(*cols)] if cols else []
-                assert sparse_rank == rank(dense)
+        assert_pieces_match_the_references(C, 6)
+
+
+# the widest piece the reference comparison assembles densely
+REFERENCE_PIECE_COLS = 120
+
+
+def reference_instances():
+    for name in VERIFIABLE:
+        g = graph_core.parse_digraph((INSTANCES / f"{name}.json").read_text())
+        yield pytest.param(g, id=name)
+    # unit arc weights keep the shifts, and so the first pieces, small
+    rng = random.Random(5)
+    for n in (4, 5):
+        for i in range(3):
+            yield pytest.param(random_icb_digraph(n, rng, max_weight=1), id=f"random{n}.{i}")
+
+
+@pytest.mark.parametrize("g", list(reference_instances()))
+def test_piece_ranks_match_the_row_wise_reference(g):
+    C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
+    d_max = -1
+    for d, widest in enumerate(rv.piece_widths(C, 40)):
+        if widest > REFERENCE_PIECE_COLS:
+            break
+        d_max = d
+    assert d_max >= 2
+    assert assert_pieces_match_the_references(C, d_max) > 0
+
+
+def test_repeated_terms_of_a_column_are_summed():
+    # a column holding one term twice is one with that term doubled, and a
+    # term repeated with the opposite sign cancels it; either raises this
+    # piece's rank from 42 to 44
+    C = complex_from_matrix(K4_ROWS)
+    d = C.shifts[2][0] + 1
+    assert rv.graded_piece_rank(C, 2, d, {}) == (42, 48)
+    f = C.diffs[2][0]
+    for repeat in (f[-1], (-f[-1][0],) + f[-1][1:]):
+        C.diffs[2][0] = f + (repeat,)
+        dense, ncols = dense_piece(C, 2, d)
+        piece = rv.graded_piece_rank(C, 2, d, {})
+        assert piece == (linalg_reference.rank(dense), ncols) == (44, 48)
+        assert piece == oracle_reference.graded_piece_rank(C, 2, d)
+
+
+def scrambled_tower(C, seed):
+    # overwrite every level's keys with random ints, most of them shared by
+    # many positions and some negative, so that no key tells two apart
+    rng = random.Random(seed)
+    for level in C.tower.base:
+        level[:] = [rng.choice((0, -3, 7, 1 << 61)) for _ in level]
+
+
+@pytest.mark.parametrize("rows, d_max", [(K4_ROWS, 8), (WEIGHTED4, 14)], ids=["k4", "weighted4"])
+def test_oracle_reads_the_tower_only_to_pick_pivots(rows, d_max):
+    # the same pieces, ranks and verdict whatever the tower's keys hold
+    C = complex_from_matrix(rows)
+    before = [
+        [rv.graded_piece_rank(C, k, d, {}) for k in range(1, C.n)] for d in range(d_max + 1)
+    ]
+    result = rv.graded_homology_oracle(C, d_max)
+    assert result == (True, None, {"degrees": d_max + 1})
+    scrambled_tower(C, 1)
+    assert rv.graded_homology_oracle(C, d_max) == result
+    assert before == [
+        [rv.graded_piece_rank(C, k, d, {}) for k in range(1, C.n)] for d in range(d_max + 1)
+    ]
+
