@@ -170,12 +170,23 @@ def boundary(basis, arrows: ArrowTable, targets):
     merge_targets gives it.  Column j is the tuple of (coeff, monomial,
     basis index) terms of basis[j], one per merge position; on an
     irreducible matrix no two of them share a monomial and an index.
+
+    The terms come in the order s = k-1, ..., 0, k, which is the module
+    order one level down on the complexes built here, so the order tower
+    only checks it (OrderTower.add_level).  For s < k, the arrow monomial
+    of the merge times the accumulated monomial of its target is acc(p),
+    the product over l of arrow(p[l], the blocks after l), the same for
+    every s; those terms therefore tie on the level-0 monomial and order by
+    target position, which rises with s (merge(p, s) has the bigger block
+    at position s, so it comes first in srle order).  The closing merge
+    s = k has come last in every column of every instance swept; a column
+    where it does not is sorted by the tower instead.
     """
     k = len(basis[0]) - 1
     if k < 1:
         raise ValueError("boundary needs at least two blocks")
     positions = []
-    for s in range(k + 1):
+    for s in (*range(k - 1, -1, -1), k):
         sign, t = (-1, 0) if s == k else ((-1) ** s, s + 1)
         positions.append(
             [(sign, arrows[p[s], p[t]], idx) for p, idx in zip(basis, targets[s])]
@@ -335,12 +346,18 @@ def _write_list(write, depth, items):
 
 def _column_entries(C: CycComplex, k):
     """The JSON text of each column entry of level k, rendered when asked.
-    The term tails of the level below are built once, for this level."""
+    The term tails of the level below are built and JSON-escaped once, for
+    this level; the term texts are plain ASCII with no quote or backslash,
+    and JSON escapes character by character, so quoting the rendered poly
+    is the same as escaping it."""
     level = k - 1
     tails = term_tails(level, len(C.diffs[level]) if level else 1)
-    head, mid, end = '{\n        "basis": ', ',\n        "poly": ', "\n      }"
+    # in place, so the level's tails are held once
+    for i, tail in enumerate(tails):
+        tails[i] = encode_basestring_ascii(tail)[1:-1]
+    head, mid, end = '{\n        "basis": ', ',\n        "poly": "', '"\n      }'
     for j, f in enumerate(C.diffs[k], 1):
-        yield f"{head}{j}{mid}{encode_basestring_ascii(elem_str(f, tails, C.ctx))}{end}"
+        yield f"{head}{j}{mid}{elem_str(f, tails, C.ctx)}{end}"
 
 
 def export_json(C: CycComplex, fh):
@@ -348,7 +365,9 @@ def export_json(C: CycComplex, fh):
     {"diffs", "n", "nu", "ranks", "shifts"}, laid out byte for byte as the
     json module lays it out with indent=2 and sorted keys, with no trailing
     newline.  Each column is rendered and written on its own, so the whole
-    document is never held in memory.
+    document is never held in memory.  A column's poly is rendered by
+    elem_str with its level's suffixes already JSON-escaped and quoted as
+    it stands (see _column_entries), so no text is escaped twice.
     """
     write = fh.write
     write('{\n  "diffs": ')

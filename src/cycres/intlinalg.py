@@ -9,7 +9,7 @@ or a fraction.
 
 from math import gcd
 
-from .errors import DimensionError, NotIrreducibleError
+from .errors import DimensionError, InternalError, NotIrreducibleError
 
 
 def _check_square(m):
@@ -90,7 +90,8 @@ def rank_sparse(rows):
     column until its smallest column holds no pivot, when it becomes one,
     or it vanishes.  A +-1 pivot is its own inverse, so its multiple is
     subtracted as it stands; any other pivot is cross-multiplied and the
-    row divided by its gcd.
+    row divided by its gcd.  A reduction that leaves its pivot column in
+    the row raises InternalError instead of looping on that column.
     """
     pivots = {}
     for row in rows:
@@ -116,6 +117,11 @@ def rank_sparse(rows):
                     row[cc] = nv
                 else:
                     del row[cc]
+            if c in row:
+                raise InternalError(
+                    f"sparse elimination does not progress: the pivot on column {c} "
+                    f"left that column in the row it reduced"
+                )
             if not unit:
                 g = gcd(*row.values())
                 if g > 1:

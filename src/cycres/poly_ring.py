@@ -15,11 +15,13 @@ Representation conventions (kept deliberately plain for speed):
 
 Elems are the mutable accumulators (division work and remainders, S-vectors,
 sampled ideal members); each differential column is stored once, as a
-column, by the order tower, so its first term is its leading term, and the
-leading term of an S-vector is read off its two columns without building
-it.  The quotients of a division form one Elem a level up, on the basis
-indices of the columns divided by; divisors are looked up by the support
-mask of the term to reduce, in the one table the tower builds lazily.
+column, by the order tower, which checks the order the build gives its
+terms in and sorts only a column given in another order.  So a column's
+first term is its leading term, and the leading term of an S-vector is read
+off its two columns without building it.  The quotients of a division form
+one Elem a level up, on the basis indices of the columns divided by;
+divisors are looked up by the support mask of the term to reduce, in the
+one table the tower builds lazily.
 Elements of the degree-0 ring live on basis index 0.
 The monomial order is the weighted reverse lexicographic order with positive
 integer weights nu: higher weighted degree wins, ties broken by the
@@ -27,8 +29,12 @@ rightmost nonzero coordinate of the difference being negative.  Integer
 order on packed monomials is exactly that order.  Module orders are induced
 level by level through a fixed list of images, with ties broken by the
 larger basis index.  Exponent vectors are unpacked only to read input and
-to write text.
+to write text; the text of each signed term is rendered once per context
+(TermText) and joined with per-level basis suffixes by elem_str.
 """
+
+from operator import gt
+from weakref import ref
 
 from .errors import InternalError, ZeroElementError
 
@@ -62,6 +68,7 @@ class GradedContext:
         )
         self._text = {}
         self._cofactors = {}
+        self.terms = TermText(self)
 
     @classmethod
     def holding(cls, nu, degree):
@@ -129,6 +136,27 @@ class GradedContext:
                 for v, e in enumerate(self.unpack(mono))
                 if e
             )
+        return out
+
+
+class TermText(dict):
+    """The text of each signed term c*x^m of one context by (c, m), with the
+    separator before it: " + x1*x3^2", " - 2*x4", " + 1".  Each is rendered
+    once, when first asked for.  The context holds this table, so the table
+    holds the context weakly and leaves no reference cycle."""
+
+    def __init__(self, ctx: GradedContext):
+        super().__init__()
+        self.ctx = ref(ctx)
+
+    def __missing__(self, term):
+        coeff, mono = term
+        text = self.ctx().text(mono)
+        if coeff not in (1, -1):
+            text = f"{abs(coeff)}*{text}" if text else str(abs(coeff))
+        elif not text:
+            text = "1"
+        out = self[term] = f"{' + ' if coeff > 0 else ' - '}{text}"
         return out
 
 
@@ -228,15 +256,17 @@ class OrderTower:
         """Append the order induced by the next level's differential columns.
 
         ``columns`` hold, per basis element of the next level, its image as
-        (coeff, monomial, basis index) terms of the current top level.  Each
-        term is keyed once and the terms are stored sorted by key, so a
-        column's first term is its leading term, whose coefficient must be
-        +-1; the degree part of its keys, which must be one value, is its
-        shift, and base[j] is its accumulated monomial above the index j.
-        Nothing is appended when a column is refused: an empty one, one with
-        two terms on the same monomial and index, an inhomogeneous one, a
-        non-unit lead, a lead on a lower basis index than the lead before it
-        or an accumulated monomial past the fields.
+        a sequence of (coeff, monomial, basis index) terms of the current
+        top level.  Each term is keyed once.  A column whose keys already
+        strictly decrease, as boundary emits them, is stored as the tuple of
+        its terms, given tuple and all; any other column is sorted by key.
+        Either way a column's first term is its leading term, whose
+        coefficient must be +-1; the degree part of its keys, which must be
+        one value, is its shift, and base[j] is its accumulated monomial
+        above the index j.  Nothing is appended when a column is refused: an
+        empty one, one with two terms on the same monomial and index, an
+        inhomogeneous one, a non-unit lead, a lead on a lower basis index
+        than the lead before it or an accumulated monomial past the fields.
         """
         level = self.levels - 1
         bits, below = self.bits[level], self.base[level]
@@ -244,15 +274,20 @@ class OrderTower:
         images, tops, shifts = [], [], []
         target = 0
         for j, terms in enumerate(columns):
-            by_key = {(term[1] << bits) + below[term[2]]: term for term in terms}
-            if not by_key:
+            keys = [(mono << bits) + below[idx] for _, mono, idx in terms]
+            if not keys:
                 raise ZeroElementError(f"zero differential column {j + 1} in degree {level + 1}")
-            if len(by_key) != len(terms):
-                raise InternalError(
-                    f"repeated term in differential column {j + 1} in degree {level + 1}"
-                )
-            keys = sorted(by_key, reverse=True)
-            column = tuple([by_key[key] for key in keys])
+            if all(map(gt, keys, keys[1:])):
+                # strictly decreasing keys also rule out a repeated term
+                column = tuple(terms)
+            else:
+                by_key = dict(zip(keys, terms))
+                if len(by_key) != len(keys):
+                    raise InternalError(
+                        f"repeated term in differential column {j + 1} in degree {level + 1}"
+                    )
+                keys.sort(reverse=True)
+                column = tuple([by_key[key] for key in keys])
             # keys order by degree first, so the first and last terms bound it
             top, coeff = keys[0], column[0][0]
             degree = degree_of(top >> bits)
@@ -408,21 +443,13 @@ def term_tails(level, size):
 
 
 def elem_str(column, tails, ctx: GradedContext):
-    """Render a column in its stored order, each term followed by
-    tails[basis index] (see term_tails)."""
+    """Render a column in its stored order, each term's text (ctx.terms)
+    followed by tails[basis index] (see term_tails)."""
     if not column:
         return "0"
-    # a monomial rendered before is read off the context's memo; the unit,
-    # whose text is "", always goes through ctx.text
-    rendered, text = ctx._text.get, ctx.text
-    out = []
+    terms, out = ctx.terms, []
     for coeff, mono, idx in column:
-        term = rendered(mono) or text(mono)
-        if coeff not in (1, -1):
-            term = f"{abs(coeff)}*{term}" if term else str(abs(coeff))
-        elif not term:
-            term = "1"
-        out.append(f"{' + ' if coeff > 0 else ' - '}{term}{tails[idx]}")
+        out += terms[coeff, mono], tails[idx]
+    text = "".join(out)
     # the first term carries its sign alone
-    out[0] = out[0][3:] if column[0][0] > 0 else "-" + out[0][3:]
-    return "".join(out)
+    return text[3:] if column[0][0] > 0 else "-" + text[3:]

@@ -3,7 +3,7 @@ import random
 import textwrap
 from functools import lru_cache, reduce
 from itertools import product
-from operator import or_
+from operator import is_, or_
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +16,7 @@ from cycres import cyc_complex as cc
 from cycres import graph_core
 from cycres import resolution_verify as rv
 from cycres.errors import InternalError, NotIrreducibleError, ValidationError
-from cycres.poly_ring import GradedContext
+from cycres.poly_ring import GradedContext, OrderTower
 from conftest import (
     ECHELON6,
     INSTANCES,
@@ -366,16 +366,23 @@ def summed_boundary(p, arrows, index_below):
     return elem
 
 
-def test_boundary_columns_sum_the_merge_terms():
-    # n = 2 has one level-1 column, whose two merges give the same partition;
-    # the n = 7 instance has merges s < k-2 on every level up to k = 6
-    complexes = [bundled_complex(name) for name in RESOLVABLE] + [
+@lru_cache(maxsize=None)
+def swept_complexes():
+    """The bundled complexes and random_icb_digraph(n, Random(seed)) for
+    n = 2..7 and seeds 0..2: n = 2 has one level-1 column, whose two merges
+    give the same partition; n = 7 has merges s < k-2 on every level up to
+    k = 6."""
+    return [bundled_complex(name) for name in RESOLVABLE] + [
         cc.build_complex(graph_core.prepare(graph_core.laplacian(
             random_icb_digraph(n, random.Random(seed))
         )))
-        for n, seed in [(n, seed) for n in range(2, 7) for seed in range(3)] + [(7, 2)]
+        for n in range(2, 8)
+        for seed in range(3)
     ]
-    for C in complexes:
+
+
+def test_boundary_columns_sum_the_merge_terms():
+    for C in swept_complexes():
         with pytest.raises(ValueError):
             cc.boundary(C.bases[0], C.arrows, {})
         for k, targets in enumerate(cc.merge_targets(C.bases), 1):
@@ -388,6 +395,23 @@ def test_boundary_columns_sum_the_merge_terms():
                 assert len(column) == len(expected) == k + 1
                 assert column_elem(column) == expected
                 assert column_elem(stored) == expected
+
+
+def test_boundary_hands_the_tower_its_columns_in_module_order():
+    # the terms come as s = k-1, ..., 0, k, which is the stored order term
+    # for term, so the tower keeps each given tuple and sorts none
+    for C in swept_complexes():
+        tower = OrderTower(C.ctx)
+        for k, targets in enumerate(cc.merge_targets(C.bases), 1):
+            columns = cc.boundary(C.bases[k], C.arrows, targets)
+            assert columns == C.diffs[k], (C.ctx.nu, k)
+            for p, column in zip(C.bases[k], columns):
+                order = [*range(k - 1, -1, -1), k]
+                assert [idx for _, _, idx in column] == [
+                    C.index[k - 1][cc.merge(p, s)] for s in order
+                ]
+            tower.add_level(columns)
+            assert all(map(is_, tower.images[k], columns))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycres import graph_core, intlinalg
-from cycres.errors import DimensionError, NotIrreducibleError
+from cycres.errors import DimensionError, InternalError, NotIrreducibleError
 
 import linalg_reference
 from conftest import REDUCIBLE, WEIGHTED4, WEIGHTED4_ECHELON, k4_digraph
@@ -187,6 +187,35 @@ def test_rank_sparse_after_a_unit_pivot_leaves_a_common_factor():
     assert intlinalg.rank_sparse([{0: -1, 1: 2}, {0: 3, 1: -6}, {0: 2, 1: 1}]) == 2
     # stored zeros are no entries, so never a pivot
     assert intlinalg.rank_sparse([{0: 0, 1: 2}, {1: 1, 0: 0}, {0: 0}]) == 1
+
+
+class FalseUnit(int):
+    """An int that passes for 1 in the unit test of rank_sparse, so that a
+    reduction by it subtracts the wrong multiple; multiplying by it is
+    counted, and a run past 1000 products fails instead of hanging."""
+
+    products = 0
+
+    def __eq__(self, other):
+        return other == 1 or int(self) == other
+
+    __hash__ = int.__hash__
+
+    def __rmul__(self, other):
+        FalseUnit.products += 1
+        assert FalseUnit.products < 1000, "rank_sparse does not stop"
+        return other * int(self)
+
+
+def test_rank_sparse_refuses_a_step_that_keeps_its_pivot_column():
+    # the pivot 2 on column 0 is taken for a unit: the second row's entry
+    # 1 becomes 1 - 2*2 = -3, not 0, and reducing again would go on forever
+    FalseUnit.products = 0
+    rows = [{0: FalseUnit(2), 1: 1}, {0: 1, 1: 1}]
+    with pytest.raises(InternalError, match="pivot on column 0 left that column in the row"):
+        intlinalg.rank_sparse(rows)
+    # one step: the multiplier times the pivot, then times its entry
+    assert FalseUnit.products == 2
 
 
 def test_no_package_module_imports_fractions():

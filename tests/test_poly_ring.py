@@ -1,4 +1,6 @@
 import random
+from itertools import permutations
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from tower_reference import TupleTower
 
 from conftest import (
     ECHELON6,
+    INSTANCES,
     WEIGHTED4,
     column_elem,
     complex_from_matrix,
@@ -438,6 +441,28 @@ def test_add_level_rejects_a_repeated_term(k4_complex):
     assert tower.levels == 2
 
 
+@pytest.mark.parametrize("name", ["k4", "echelon6"])
+def test_add_level_sorts_columns_given_in_any_order(name):
+    # boundary hands the tower its columns in module order; the same terms
+    # in every other order take the sorting path and give the same level
+    C = complex_from_matrix(COMPLEX_ROWS[name])
+    for k in range(1, C.n):
+        for order in permutations(range(k + 1)):
+            tower = pr.OrderTower(C.ctx)
+            for table in ("bits", "base", "images", "lms", "shifts"):
+                setattr(tower, table, getattr(C.tower, table)[:k])
+            columns = [tuple(f[i] for i in order) for f in C.diffs[k]]
+            tower.add_level(columns)
+            assert tower.images[k] == C.diffs[k], order
+            assert tower.lms[k] == C.tower.lms[k]
+            assert tower.base[k] == C.tower.base[k]
+            assert tower.bits[k] == C.tower.bits[k]
+            assert tower.shifts[k] == C.shifts[k]
+            # only a column given in module order is stored as given
+            given = order == tuple(range(k + 1))
+            assert all((a is b) == given for a, b in zip(tower.images[k], columns))
+
+
 @pytest.mark.parametrize("name", ["k4", "echelon6", "weighted4"])
 def test_stored_columns_are_strictly_decreasing(name):
     C = complex_from_matrix(COMPLEX_ROWS[name])
@@ -519,6 +544,27 @@ def test_elem_str_renders_each_distinct_monomial_once(monkeypatch):
     D = complex_from_matrix(COMPLEX_ROWS["echelon6"])
     assert pr.elem_str(D.diffs[1][0], tails[1], D.ctx) == texts[0]
     assert len(unpacked) > len(distinct)
+
+
+def test_elem_str_with_escaped_tails_is_the_escaped_text():
+    # export_json renders with its tails JSON-escaped once per level and
+    # quotes the result; JSON escapes character by character, so that is the
+    # escaped rendering, for every column of the verifiable bundled
+    # instances and the seeded n = 7 instance
+    graphs = [
+        graph_core.parse_digraph((INSTANCES / f"{name}.json").read_text())
+        for name in ("cycle4", "cycle4_arcs", "echelon6", "k4", "weighted4", "weighted4_echelon")
+    ] + [random_icb_digraph(7, random.Random(2))]
+    for g in graphs:
+        C = cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)))
+        for k in range(1, C.n):
+            tails = pr.term_tails(k - 1, len(C.bases[k - 1]))
+            escaped = [encode_basestring_ascii(tail)[1:-1] for tail in tails]
+            assert k == 1 or escaped != tails
+            for f in C.diffs[k]:
+                assert '"' + pr.elem_str(f, escaped, C.ctx) + '"' == encode_basestring_ascii(
+                    pr.elem_str(f, tails, C.ctx)
+                )
 
 
 # ---------------------------------------------------------------------------
