@@ -108,9 +108,7 @@ def _build_for_oracle(args):
 
 def cmd_verify(args) -> int:
     C = _build_for_oracle(args)
-    report = resolution_verify.full_verify(
-        C, d_max=args.d_max, seed=args.seed, instance=args.input
-    )
+    report = resolution_verify.full_verify(C, d_max=args.d_max, instance=args.input)
     ok = report.passed
     if args.require_minimal:
         minimal, witness = cyc_complex.minimality_check(C)
@@ -170,7 +168,8 @@ def build_parser():
     ap.add_argument("--max-degree", type=int, default=None, dest="d_max",
                     help="degree bound for the homology oracle")
     ap.add_argument("--format", choices=["text", "json"], default="text", dest="fmt")
-    ap.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="accepted and ignored: every check is deterministic")
     ap.add_argument("--require-minimal", action="store_true")
     ap.add_argument("--out", default=None, help="output path for resolve")
     return ap

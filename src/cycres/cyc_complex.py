@@ -271,13 +271,11 @@ def degree_bound(L: CBMatrix, nu):
     A homogeneous column's shift is the degree of a product of arrow
     monomials on disjoint vertex sets, so every shift, tower accumulator
     and stored term has degree at most D = sum_i nu_i L_ii.  Verification
-    multiplies two such monomials (S-vectors, cofactors, keys of tail terms)
-    and multiplies degree-0 generators by random monomials with exponents
-    up to 2 and then by x_n; division never raises a degree.  Hence
-    2*D + 3*sum(nu), past the oracle's default range (at most 2*D).
+    multiplies at most two such monomials (S-vectors, cofactors, keys of
+    tail terms), and division never raises a degree.  Hence 2*D, which also
+    holds the oracle's default range (at most twice the top shift).
     """
-    D = sum(w * L.a[i][i] for i, w in enumerate(nu))
-    return 2 * D + 3 * sum(nu)
+    return 2 * sum(w * L.a[i][i] for i, w in enumerate(nu))
 
 
 def check_d_squared(C: CycComplex):

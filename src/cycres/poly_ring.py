@@ -13,12 +13,12 @@ Representation conventions (kept deliberately plain for speed):
     column     tuple of (coeff, monomial, basis index) terms, strictly
                decreasing in the module order one level down
 
-Elems are the mutable accumulators (division work and remainders, S-vectors,
-sampled ideal members); each differential column is stored once, as a
-column, by the order tower, which checks the order the build gives its
-terms in and sorts only a column given in another order.  So a column's
-first term is its leading term, and the leading term of an S-vector is read
-off its two columns without building it.  The quotients of a division form
+Elems are the mutable accumulators (division work and remainders,
+S-vectors); each differential column is stored once, as a column, by the
+order tower, which checks the order the build gives its terms in and sorts
+only a column given in another order.  So a column's first term is its
+leading term, and the leading term of an S-vector is read off its two
+columns without building it.  The quotients of a division form
 one Elem a level up, on the basis indices of the columns divided by;
 divisors are looked up by the support mask of the term to reduce, in the
 one table the tower builds lazily.
@@ -173,11 +173,6 @@ def elem_combine(acc, column, coeff, mono):
             acc[key] = total
         else:
             del acc[key]
-
-
-def elem_scale_term(elem, coeff, mono):
-    """coeff * x^mono * elem as a new Elem; coeff is nonzero."""
-    return {(mono + m, idx): coeff * c for (m, idx), c in elem.items()}
 
 
 # ---------------------------------------------------------------------------

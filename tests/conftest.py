@@ -2,6 +2,7 @@ import io
 import pathlib
 import random
 import sys
+from functools import lru_cache
 
 import pytest
 
@@ -100,6 +101,11 @@ def column_elem(column):
     return elem
 
 
+def elem_scale_term(elem, coeff, mono):
+    """coeff * x^mono * elem as a new Elem; coeff is nonzero."""
+    return {(mono + m, idx): coeff * c for (m, idx), c in elem.items()}
+
+
 def elem_terms(elem):
     """The (coeff, monomial, basis index) terms of an Elem, as
     OrderTower.add_level reads a column; the inverse of column_elem."""
@@ -134,6 +140,30 @@ def export_text(C):
 def complex_from_matrix(rows, omega=None):
     g = graph_core.digraph_from_matrix(rows)
     return cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g), omega))
+
+
+# every bundled instance with a complex (reducible.json has none)
+RESOLVABLE = ["cycle4", "cycle4_arcs", "echelon6", "k4", "weighted4", "weighted4_echelon"]
+
+
+def bundled_complex(name):
+    g = graph_core.parse_digraph((INSTANCES / f"{name}.json").read_text())
+    return cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)))
+
+
+@lru_cache(maxsize=None)
+def swept_complexes():
+    """The bundled complexes and random_icb_digraph(n, Random(seed)) for
+    n = 2..7 and seeds 0..2: n = 2 has one level-1 column, whose two merges
+    give the same partition; n = 7 has merges s < k-2 on every level up to
+    k = 6."""
+    return [bundled_complex(name) for name in RESOLVABLE] + [
+        cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(
+            random_icb_digraph(n, random.Random(seed))
+        )))
+        for n in range(2, 8)
+        for seed in range(3)
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -16,13 +16,14 @@ from cycres import cyc_complex as cc
 from cycres import graph_core
 from cycres import resolution_verify as rv
 from cycres.errors import InternalError, NotIrreducibleError, ValidationError
-from cycres.poly_ring import GradedContext, OrderTower
+from cycres.poly_ring import GradedContext, OrderTower, s_vector
 from conftest import (
     ECHELON6,
-    INSTANCES,
     REDUCIBLE,
     WEIGHTED4,
     P,
+    RESOLVABLE,
+    bundled_complex,
     column_elem,
     complex_from_matrix,
     elem_add_term,
@@ -31,6 +32,7 @@ from conftest import (
     parse_column,
     poly_elem,
     random_icb_digraph,
+    swept_complexes,
     tuples,
 )
 
@@ -366,21 +368,6 @@ def summed_boundary(p, arrows, index_below):
     return elem
 
 
-@lru_cache(maxsize=None)
-def swept_complexes():
-    """The bundled complexes and random_icb_digraph(n, Random(seed)) for
-    n = 2..7 and seeds 0..2: n = 2 has one level-1 column, whose two merges
-    give the same partition; n = 7 has merges s < k-2 on every level up to
-    k = 6."""
-    return [bundled_complex(name) for name in RESOLVABLE] + [
-        cc.build_complex(graph_core.prepare(graph_core.laplacian(
-            random_icb_digraph(n, random.Random(seed))
-        )))
-        for n in range(2, 8)
-        for seed in range(3)
-    ]
-
-
 def test_boundary_columns_sum_the_merge_terms():
     for C in swept_complexes():
         with pytest.raises(ValueError):
@@ -450,16 +437,37 @@ def test_build_complex_rejects_non_echelon():
 
 
 def test_build_packing_holds_an_explicit_oracle_degree():
-    # the unit 3-cycle needs exponents up to 15; asked for 40, the build
-    # packs wider and the complex reads the same
+    # the unit 3-cycle (D = 3) needs exponents up to 2*D = 6, in 4-bit
+    # fields; asked for 40, the build packs wider and the complex reads
+    # the same
     g = graph_core.digraph_from_matrix([[1, -1, 0], [0, 1, -1], [-1, 0, 1]])
     M = graph_core.prepare(graph_core.laplacian(g))
     narrow, wide = cc.build_complex(M), cc.build_complex(M, 40)
+    assert (narrow.ctx.width, narrow.ctx.cap) == (4, 7)
     assert narrow.ctx.cap < 40 <= wide.ctx.cap
-    fifteen = cc.build_complex(M, 15).ctx
+    seven = cc.build_complex(M, 7).ctx
     for attr in ("n", "nu", "width", "cap", "shift", "guard"):
-        assert getattr(fifteen, attr) == getattr(narrow.ctx, attr), attr
+        assert getattr(seven, attr) == getattr(narrow.ctx, attr), attr
     assert export_text(wide) == export_text(narrow)
+
+
+def test_degree_bound_holds_every_shift_and_degree0_s_vector():
+    # every shift is at most D = sum_i nu_i L_ii, and every term of every
+    # degree-0 S-vector, a product of two monomials of degree at most D,
+    # has degree at most degree_bound = 2*D and fits its fields
+    for C in swept_complexes():
+        nu, ctx = C.ctx.nu, C.ctx
+        D = sum(w * C.L.a[i][i] for i, w in enumerate(nu))
+        bound = cc.degree_bound(C.L, nu)
+        assert bound == 2 * D
+        assert max(max(level) for level in C.shifts) <= D
+        r1 = len(C.diffs[1])
+        for i in range(r1):
+            for j in range(i + 1, r1):
+                s, _, _ = s_vector(C.tower, 0, i, j)
+                for mono, _ in s:
+                    assert ctx.degree(mono) <= bound
+                    assert not (-mono & ctx.mask) & ctx.guard
 
 
 def test_basis_size_counts_every_degree():
@@ -627,15 +635,6 @@ def test_export_is_deterministic(k4_complex):
 
 def reference_text(C):
     return json.dumps(to_json_dict(C), indent=2, sort_keys=True)
-
-
-# every bundled instance with a complex (reducible.json has none)
-RESOLVABLE = ["cycle4", "cycle4_arcs", "echelon6", "k4", "weighted4", "weighted4_echelon"]
-
-
-def bundled_complex(name):
-    g = graph_core.parse_digraph((INSTANCES / f"{name}.json").read_text())
-    return cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
 
 
 @pytest.mark.parametrize("name", RESOLVABLE)

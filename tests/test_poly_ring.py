@@ -20,6 +20,7 @@ from conftest import (
     column_elem,
     complex_from_matrix,
     elem_add_term,
+    elem_scale_term,
     elem_terms,
     generic4_matrix,
     parse_column,
@@ -374,7 +375,7 @@ def test_combining_a_column_and_its_negative_leaves_nothing(k4_complex):
 def test_add_level_rejects_non_unit_leading_coefficient(k4_complex):
     C = k4_complex
     g0 = list(C.diffs[1])
-    doubled = elem_terms(pr.elem_scale_term(column_elem(g0[0]), 2, 0))
+    doubled = elem_terms(elem_scale_term(column_elem(g0[0]), 2, 0))
     for images in ([doubled], g0 + [doubled]):
         tower = pr.OrderTower(C.ctx)
         with pytest.raises(InternalError):
@@ -385,7 +386,7 @@ def test_add_level_rejects_non_unit_leading_coefficient(k4_complex):
 def test_add_level_rejects_non_unit_leading_coefficient_at_any_position(k4_complex):
     C = k4_complex
     g0 = list(C.diffs[1])
-    doubled = elem_terms(pr.elem_scale_term(column_elem(g0[0]), 2, 0))
+    doubled = elem_terms(elem_scale_term(column_elem(g0[0]), 2, 0))
     for images in ([doubled, g0[1]], [g0[1], doubled]):
         with pytest.raises(InternalError):
             pr.OrderTower(C.ctx).add_level(images)
@@ -393,7 +394,7 @@ def test_add_level_rejects_non_unit_leading_coefficient_at_any_position(k4_compl
     tower = pr.OrderTower(C.ctx)
     tower.add_level(g0)
     g1 = list(C.diffs[2])
-    doubled = elem_terms(pr.elem_scale_term(column_elem(g1[3]), -2, 0))
+    doubled = elem_terms(elem_scale_term(column_elem(g1[3]), -2, 0))
     with pytest.raises(InternalError):
         tower.add_level(g1[:3] + [doubled] + g1[4:])
     assert tower.levels == 2
@@ -577,8 +578,8 @@ def _rec_compare(C, level, m1, i, m2, j):
     if level == 0:
         ctx = C.ctx
         return cmp(ref.wrlo_key(ctx.unpack(m1), ctx.nu), ref.wrlo_key(ctx.unpack(m2), ctx.nu))
-    lt1 = _rec_leading(C, level - 1, pr.elem_scale_term(column_elem(C.diffs[level][i]), 1, m1))
-    lt2 = _rec_leading(C, level - 1, pr.elem_scale_term(column_elem(C.diffs[level][j]), 1, m2))
+    lt1 = _rec_leading(C, level - 1, elem_scale_term(column_elem(C.diffs[level][i]), 1, m1))
+    lt2 = _rec_leading(C, level - 1, elem_scale_term(column_elem(C.diffs[level][j]), 1, m2))
     c = _rec_compare(C, level - 1, lt1[0], lt1[1], lt2[0], lt2[1])
     if c:
         return c

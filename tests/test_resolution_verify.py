@@ -12,7 +12,6 @@ from cycres.poly_ring import (
     GradedContext,
     OrderTower,
     divide,
-    elem_scale_term,
     s_leading_key,
     s_vector,
 )
@@ -27,9 +26,11 @@ from conftest import (
     P,
     column_elem,
     complex_from_matrix,
+    elem_scale_term,
     generic4_matrix,
     poly_elem,
     random_icb_digraph,
+    swept_complexes,
     tuples,
 )
 
@@ -84,12 +85,25 @@ def test_s_poly_closed_form_nested(generic4_complex):
     assert s == elem_scale_term(column_elem(f7), -1, l_dc)
 
 
-def test_colon_stability_k4(k4_complex):
-    ok, witness, counters = rv.verify_colon_stability(k4_complex, seed=1)
-    assert ok, witness
-    assert counters["trials"] == rv.COLON_TRIALS
-    # no leading term involves the last variable
-    assert all(k4_complex.ctx.unpack(lt[1])[3] == 0 for lt in k4_complex.tower.lms[1])
+def test_colon_stability_examines_every_degree0_leading_term():
+    for C in swept_complexes():
+        ok, witness, counters = rv.verify_colon_stability(C)
+        assert ok, witness
+        assert counters == {"leading_terms": 2 ** (C.n - 1) - 1}
+        # no leading term involves the last variable
+        assert all(C.ctx.unpack(lt[1])[-1] == 0 for lt in C.tower.lms[1])
+
+
+@pytest.mark.parametrize("pos", [0, 3, 6])
+def test_colon_stability_fails_on_a_leading_term_with_the_last_variable(pos):
+    # x4 times the tower's leading term of generator pos + 1 of K4: the
+    # first such term is the witness, and the terms before it were examined
+    C = complex_from_matrix(K4_ROWS)
+    coeff, mono, idx = C.tower.lms[1][pos]
+    C.tower.lms[1][pos] = (coeff, mono + C.ctx.pack((0, 0, 0, 1)), idx)
+    assert rv.verify_colon_stability(C) == (
+        False, f"x4 divides leading term of generator {pos + 1}", {"leading_terms": pos + 1}
+    )
 
 
 def test_colon_manual_member_and_nonmember(k4_complex):
@@ -505,16 +519,16 @@ def test_monomials_of_degree():
 
 def test_oracle_refuses_a_degree_past_the_packing_before_any_piece(monkeypatch):
     C = complex_from_matrix(CYCLE3)
-    assert (C.ctx.width, C.ctx.cap) == (5, 15)
-    assert rv.graded_homology_oracle(C, 15) == (True, None, {"degrees": 16})
+    assert (C.ctx.width, C.ctx.cap) == (4, 7)
+    assert rv.graded_homology_oracle(C, 7) == (True, None, {"degrees": 8})
 
     def refuse(*args):
         raise AssertionError("a graded piece was built")
 
     for name in ("monomials_of_degree", "graded_piece_rank", "rank_sparse"):
         monkeypatch.setattr(rv, name, refuse)
-    with pytest.raises(InternalError, match="degree 16 does not fit 5-bit fields"):
-        rv.graded_homology_oracle(C, 16)
+    with pytest.raises(InternalError, match="degree 8 does not fit 4-bit fields"):
+        rv.graded_homology_oracle(C, 8)
 
 
 def test_graded_pieces_vanish_at_degree_zero(k4_complex):
