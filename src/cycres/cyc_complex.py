@@ -20,6 +20,7 @@ from functools import cached_property
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from math import comb
+from operator import gt
 
 from . import intlinalg
 from .errors import InternalError, NotIrreducibleError, ValidationError
@@ -168,19 +169,22 @@ def boundary(basis, arrows: ArrowTable, targets):
     merge of the last block into the first is always -1.  ``targets[s][j]``
     is the basis position of merge(basis[j], s) one level down, as
     merge_targets gives it.  Column j is the tuple of (coeff, monomial,
-    basis index) terms of basis[j], one per merge position; on an
-    irreducible matrix no two of them share a monomial and an index.
+    basis index) terms of basis[j], one per merge position.
 
-    The terms come in the order s = k-1, ..., 0, k, which is the module
-    order one level down on the complexes built here, so the order tower
-    only checks it (OrderTower.add_level).  For s < k, the arrow monomial
-    of the merge times the accumulated monomial of its target is acc(p),
-    the product over l of arrow(p[l], the blocks after l), the same for
-    every s; those terms therefore tie on the level-0 monomial and order by
-    target position, which rises with s (merge(p, s) has the bigger block
-    at position s, so it comes first in srle order).  The closing merge
-    s = k has come last in every column of every instance swept; a column
-    where it does not is sorted by the tower instead.
+    The terms come in the order s = k-1, ..., 0, k, strictly decreasing in
+    the module order one level down, so the tower stores them as given and
+    the leading_term_formula check keys them all.  Proof, by induction over
+    the levels: the columns below lead with their merge s = k-1, so e_q's
+    descent reaches acc(q), the product over l of arrow(q[l], the blocks
+    after l).  For s < k each term reaches acc(p), so they order by target
+    position, which rises with s (merge(p, s) has the bigger block at s: it
+    comes first in srle order).  s = k reaches T = arrow(p[k], p[0]) *
+    acc(merge(p, k)) = acc(p) * arrow(V - p[0], p[0]) / arrow(p[0], V - p[0]).
+    Block echelon form numbers the vertices by falling BFS distance from n,
+    so the BFS parent r of the vertex c of p[0] nearest to n, nearer than
+    all of p[0], is off p[0] and above it, and its arc into c makes T larger
+    at r.  So the highest vertex where T and acc(p) differ is off p[0] and
+    larger in T: T < acc(p) in weighted revlex.
     """
     k = len(basis[0]) - 1
     if k < 1:
@@ -196,11 +200,10 @@ def boundary(basis, arrows: ArrowTable, targets):
 
 class CycComplex:
     def __init__(
-        self, L: CBMatrix, ctx: GradedContext, mu, bases, tower: OrderTower, arrows: ArrowTable
+        self, L: CBMatrix, ctx: GradedContext, bases, tower: OrderTower, arrows: ArrowTable
     ):
         self.L = L
         self.ctx = ctx
-        self.mu = mu
         self.bases = bases      # bases[k]: partitions into k+1 blocks in srle order,
                                 # k = 0..n-1, split from bases[k-1] in its order
         self.tower = tower
@@ -237,8 +240,9 @@ def build_complex(L: CBMatrix, degree=0) -> CycComplex:
     """Assemble bases, differentials, degree shifts and the order tower.
 
     The matrix must be irreducible and already in block echelon form (use
-    graph_core.prepare to reach it); homogeneity of every differential
-    column is checked by the order tower.  The packing also holds
+    graph_core.prepare to reach it); the order tower checks each column's
+    first and last terms for homogeneity, check_leading_terms the order
+    that makes them bound the rest.  The packing also holds
     ``degree``, an explicit oracle bound.  n > MAX_VERTICES is refused.
     """
     cls = classify(L)
@@ -253,15 +257,14 @@ def build_complex(L: CBMatrix, degree=0) -> CycComplex:
         raise ValidationError(
             f"n = {n} has {basis_size(n):,} basis elements; at most n = {MAX_VERTICES} is built"
         )
-    mu = intlinalg.adjugate_row(L.signed_rows())
-    nu = intlinalg.grading_vector(mu)
+    nu = intlinalg.grading_vector(intlinalg.adjugate_row(L.signed_rows()))
     ctx = GradedContext.holding(nu, max(degree_bound(L, nu), degree))
     arrows = ArrowTable(L, ctx)
     bases = enumerate_basis(n)
     tower = OrderTower(ctx)
     for k, targets in enumerate(merge_targets(bases), 1):
         tower.add_level(boundary(bases[k], arrows, targets))
-    return CycComplex(L, ctx, mu, bases, tower, arrows)
+    return CycComplex(L, ctx, bases, tower, arrows)
 
 
 def degree_bound(L: CBMatrix, nu):
@@ -295,18 +298,19 @@ def check_d_squared(C: CycComplex):
     return True, None, {}
 
 
-def leading_term_formula(C: CycComplex, k, j):
-    """Predicted leading term of the j-th differential column in degree k."""
-    p = C.bases[k][j]
-    idx = C.index[k - 1][merge(p, k - 1)]
-    return ((-1) ** (k - 1), C.arrows[p[-2], p[-1]], idx)
-
-
 def check_leading_terms(C: CycComplex):
-    """Every differential column's maximal term matches the closed formula."""
+    """Every differential column's keys strictly decrease one level down,
+    as boundary's docstring proves (the build keys only a column's first
+    and last terms, so this also rules out a repeated term and makes every
+    column homogeneous), and its first term matches the closed formula."""
     for k in range(1, C.n):
-        for j in range(len(C.bases[k])):
-            if C.tower.lms[k][j] != leading_term_formula(C, k, j):
+        bits, base, sign = C.tower.bits[k - 1], C.tower.base[k - 1], (-1) ** (k - 1)
+        for j, (p, f) in enumerate(zip(C.bases[k], C.diffs[k])):
+            keys = [(mono << bits) + base[idx] for _, mono, idx in f]
+            if not all(map(gt, keys, keys[1:])):
+                return False, f"column {j + 1} in degree {k} is not in module order", {}
+            lead = (sign, C.arrows[p[-2], p[-1]], C.index[k - 1][merge(p, k - 1)])
+            if C.tower.lms[k][j] != lead:
                 return False, f"formula mismatch on column {j + 1} in degree {k}", {}
     return True, None, {}
 

@@ -15,10 +15,11 @@ Representation conventions (kept deliberately plain for speed):
 
 Elems are the mutable accumulators (division work and remainders,
 S-vectors); each differential column is stored once, as a column, by the
-order tower, which checks the order the build gives its terms in and sorts
-only a column given in another order.  So a column's first term is its
-leading term, and the leading term of an S-vector is read off its two
-columns without building it.  The quotients of a division form
+order tower, in the order the build gives its terms in, which
+cyc_complex.boundary proves strictly decreasing and the
+leading_term_formula check verifies term by term.  So a column's first
+term is its leading term, and the leading term of an S-vector is read off
+its two columns without building it.  The quotients of a division form
 one Elem a level up, on the basis indices of the columns divided by;
 divisors are looked up by the support mask of the term to reduce, in the
 one table the tower builds lazily.
@@ -33,7 +34,6 @@ to write text; the text of each signed term is rendered once per context
 (TermText) and joined with per-level basis suffixes by elem_str.
 """
 
-from operator import gt
 from weakref import ref
 
 from .errors import InternalError, ZeroElementError
@@ -252,53 +252,44 @@ class OrderTower:
 
         ``columns`` hold, per basis element of the next level, its image as
         a sequence of (coeff, monomial, basis index) terms of the current
-        top level.  Each term is keyed once.  A column whose keys already
-        strictly decrease, as boundary emits them, is stored as the tuple of
-        its terms, given tuple and all; any other column is sorted by key.
-        Either way a column's first term is its leading term, whose
-        coefficient must be +-1; the degree part of its keys, which must be
-        one value, is its shift, and base[j] is its accumulated monomial
-        above the index j.  Nothing is appended when a column is refused: an
-        empty one, one with two terms on the same monomial and index, an
-        inhomogeneous one, a non-unit lead, a lead on a lower basis index
-        than the lead before it or an accumulated monomial past the fields.
+        top level, in strictly decreasing module order as boundary emits
+        them (its docstring proves the order; the leading_term_formula check
+        keys every term).  Each column is stored as given, as a tuple, and
+        only its first and last terms are keyed.  The first is its leading
+        term, whose coefficient must be +-1; the degree of the level-0
+        monomial it reaches is the shift, and that monomial is base[j] above
+        the index j.  The last must reach the same degree, so that in that
+        order the two bound every term.  Nothing is appended when a column
+        is refused: an empty one, one whose first and last terms differ in
+        degree, a non-unit lead, a lead on a lower basis index than the lead
+        before it or an accumulated monomial past the fields.
         """
         level = self.levels - 1
         bits, below = self.bits[level], self.base[level]
         degree_of, guard = self.ctx.degree, self.ctx.guard
         images, tops, shifts = [], [], []
         target = 0
-        for j, terms in enumerate(columns):
-            keys = [(mono << bits) + below[idx] for _, mono, idx in terms]
-            if not keys:
+        for j, column in enumerate(columns):
+            if not column:
                 raise ZeroElementError(f"zero differential column {j + 1} in degree {level + 1}")
-            if all(map(gt, keys, keys[1:])):
-                # strictly decreasing keys also rule out a repeated term
-                column = tuple(terms)
-            else:
-                by_key = dict(zip(keys, terms))
-                if len(by_key) != len(keys):
-                    raise InternalError(
-                        f"repeated term in differential column {j + 1} in degree {level + 1}"
-                    )
-                keys.sort(reverse=True)
-                column = tuple([by_key[key] for key in keys])
-            # keys order by degree first, so the first and last terms bound it
-            top, coeff = keys[0], column[0][0]
-            degree = degree_of(top >> bits)
-            if degree_of(keys[-1] >> bits) != degree:
+            column = tuple(column)
+            (coeff, mono, idx), (_, last, at) = column[0], column[-1]
+            # the level-0 monomials the first and last terms reach
+            top = mono + (below[idx] >> bits)
+            degree = degree_of(top)
+            if degree_of(last + (below[at] >> bits)) != degree:
                 raise InternalError(
                     f"inhomogeneous differential column {j + 1} in degree {level + 1}"
                 )
             if coeff not in (1, -1):
                 raise InternalError(f"leading coefficient {coeff} of image {j + 1} is not a unit")
-            if column[0][2] < target:
+            if idx < target:
                 raise InternalError(
                     f"leading term of differential column {j + 1} in degree {level + 1} "
-                    f"falls back to basis index {column[0][2] + 1}"
+                    f"falls back to basis index {idx + 1}"
                 )
-            target = column[0][2]
-            if -(top >> bits) & guard:
+            target = idx
+            if -top & guard:
                 raise InternalError(
                     f"accumulated monomial of image {j + 1} in degree {level + 1} "
                     f"overflows {self.ctx.width}-bit fields"
@@ -307,7 +298,7 @@ class OrderTower:
             tops.append(top)
             shifts.append(degree)
         up = (len(tops) - 1).bit_length()
-        base = [((top >> bits) << up) + j for j, top in enumerate(tops)]
+        base = [(top << up) + j for j, top in enumerate(tops)]
         self.bits.append(up)
         self.base.append(base)
         self.images.append(images)
@@ -384,9 +375,10 @@ def s_leading_key(tower: OrderTower, level, i, j, m_ji, m_ij):
     in tower.images[level + 1] and their cofactors as s_cofactor gives them,
     or None when S = 0.  S itself is not built.
 
-    Both columns are stored in strictly decreasing key order, and
-    multiplying by x^m adds m << bits to every key, so the two are walked
-    together from the top: the first key whose terms do not cancel is Lt(S).
+    Both columns are stored in strictly decreasing key order (the
+    leading_term_formula check proves it), and multiplying by x^m adds
+    m << bits to every key, so the two are walked together from the top:
+    the first key whose terms do not cancel is Lt(S).
     """
     bits, base = tower.bits[level], tower.base[level]
     f_i, f_j = tower.images[level + 1][i], tower.images[level + 1][j]

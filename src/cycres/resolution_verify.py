@@ -290,9 +290,10 @@ def verify_tau_identity(C: CycComplex, k, e) -> tuple:
     stored column must lead with the cofactor of merge partner i in their
     S-vector S, hold that of partner j second and no other term on either,
     and its first tail term must map one level down to Lt(S) exactly (read
-    off the two stored columns by s_leading_key); in the sorted column that
-    term bounds the rest.  "tail = S" is exactly d(de) = 0, which
-    check_d_squared proves, so the tail is not summed here.
+    off the two stored columns by s_leading_key); the column's keys strictly
+    decrease (the leading_term_formula check), so that term bounds the
+    rest.  "tail = S" is exactly d(de) = 0, which check_d_squared proves,
+    so the tail is not summed here.
     """
     i, j = tau_pair(C, k, e)
     if j >= i:
@@ -451,7 +452,8 @@ def graded_homology_oracle(C: CycComplex, d_max):
 
     Position 0 compares the rank of the first differential with the count of
     monomials inside the leading-term ideal of the degree-0 basis, the union
-    of the degree-d multiples of each leading monomial; higher positions
+    of the degree-d multiples of each leading monomial, the larger monomial
+    of each degree-0 column, read off the column itself; higher positions
     compare kernel dimensions with the rank one step up.  Every monomial of
     a piece has degree at most d_max, so a d_max past the complex's packing
     is refused before any piece is built.
@@ -459,7 +461,7 @@ def graded_homology_oracle(C: CycComplex, d_max):
     n, ctx = C.n, C.ctx
     if max(d_max // v for v in ctx.nu) > ctx.cap:
         raise InternalError(f"degree {d_max} does not fit {ctx.width}-bit fields")
-    leads = [(lt[1], ctx.degree(lt[1])) for lt in C.tower.lms[1]]
+    leads = [(g, ctx.degree(g)) for g in (max(m for _, m, _ in f) for f in C.diffs[1])]
     degrees = 0
     for d in range(d_max + 1):
         mono_cache = {}

@@ -386,8 +386,10 @@ def test_boundary_columns_sum_the_merge_terms():
 
 def test_boundary_hands_the_tower_its_columns_in_module_order():
     # the terms come as s = k-1, ..., 0, k, which is the stored order term
-    # for term, so the tower keeps each given tuple and sorts none
+    # for term, and the tower keeps each given tuple; the leading_term_formula
+    # check confirms that every column's keys strictly decrease
     for C in swept_complexes():
+        assert cc.check_leading_terms(C) == (True, None, {}), C.ctx.nu
         tower = OrderTower(C.ctx)
         for k, targets in enumerate(cc.merge_targets(C.bases), 1):
             columns = cc.boundary(C.bases[k], C.arrows, targets)
@@ -399,6 +401,32 @@ def test_boundary_hands_the_tower_its_columns_in_module_order():
                 ]
             tower.add_level(columns)
             assert all(map(is_, tower.images[k], columns))
+
+
+def test_the_closing_merge_reaches_a_smaller_monomial():
+    # the lemma of boundary's docstring, from the weights alone: for every
+    # partition p, T = arrow(p[k], p[0]) * acc(merge(p, k)) and acc(p) first
+    # differ, from the highest vertex down, off p[0], where T is larger;
+    # so T < acc(p) in weighted revlex and the merge s = k comes last
+    for C in swept_complexes():
+        n, a = C.n, C.L.a
+
+        def acc(blocks):
+            exps = [0] * n
+            for l, block in enumerate(blocks):
+                after = [u - 1 for b in blocks[l + 1 :] for u in cc.vertices(b)]
+                for v in cc.vertices(block):
+                    exps[v - 1] += sum(a[v - 1][u] for u in after)
+            return exps
+
+        for k in range(1, n):
+            for p in C.bases[k]:
+                T = acc(cc.merge(p, k))
+                for v in cc.vertices(p[k]):
+                    T[v - 1] += sum(a[v - 1][u - 1] for u in cc.vertices(p[0]))
+                A = acc(p)
+                top = max(v for v in range(n) if T[v] != A[v])
+                assert not p[0] >> top & 1 and T[top] > A[top], (C.ctx.nu, p)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +617,7 @@ def test_minimality_weighted_complete_graph():
 
 def test_leading_terms_match_formula(k4_complex, generic4_complex, cycle4_complex):
     for C in (k4_complex, generic4_complex, cycle4_complex):
-        assert cc.check_leading_terms(C)
+        assert cc.check_leading_terms(C) == (True, None, {})
 
 
 def test_boundary_xn_marker():

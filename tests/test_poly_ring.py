@@ -10,6 +10,7 @@ import divide_reference
 import monomial_reference as ref
 from cycres import cyc_complex, graph_core
 from cycres import poly_ring as pr
+from cycres import resolution_verify as rv
 from cycres.errors import InternalError, ZeroElementError
 from tower_reference import TupleTower
 
@@ -419,49 +420,55 @@ def test_add_level_rejects_an_inhomogeneous_column(k4_complex):
     assert tower.levels == 2
 
 
-def test_add_level_rejects_a_repeated_term(k4_complex):
-    # a column is fed as terms, not summed: two terms on one monomial and
-    # index are refused, whether their coefficients add up or cancel
-    C = k4_complex
-    g0 = list(C.diffs[1])
-    c, m, i = g0[1][1]
-    for extra in ((c, m, i), (-c, m, i)):
-        tower = pr.OrderTower(C.ctx)
-        with pytest.raises(
-            InternalError, match="repeated term in differential column 2 in degree 1"
-        ):
-            tower.add_level(g0[:1] + [g0[1] + (extra,)] + g0[2:])
-        assert tower.levels == 1
+def stored_as_given(C, k, column):
+    """True when add_level, on a copy of C's tower up to level k - 1, stores
+    ``column``, the one column of a new level k, as given."""
     tower = pr.OrderTower(C.ctx)
-    tower.add_level(g0)
-    g1 = list(C.diffs[2])
-    with pytest.raises(
-        InternalError, match="repeated term in differential column 5 in degree 2"
-    ):
-        tower.add_level(g1[:4] + [g1[4] + g1[4][:1]] + g1[5:])
-    assert tower.levels == 2
+    for table in ("bits", "base", "images", "lms", "shifts"):
+        setattr(tower, table, getattr(C.tower, table)[:k])
+    tower.add_level([column])
+    return tower.images[k][0] is column and tower.lms[k][0] is column[0]
+
+
+def test_a_repeated_term_is_stored_and_fails_leading_terms():
+    # a column is fed as terms, not summed, and stored as given: two terms
+    # on one monomial and index, whether their coefficients add up or
+    # cancel, are found by the leading_term_formula check, not the build
+    diffs = complex_from_matrix(COMPLEX_ROWS["k4"]).diffs
+    for k, j, term in ((1, 1, diffs[1][1][1]), (2, 4, diffs[2][4][0])):
+        for extra in (term, (-term[0],) + term[1:]):
+            column = diffs[k][j] + (extra,)
+            C = complex_from_matrix(COMPLEX_ROWS["k4"])
+            assert stored_as_given(C, k, column)
+            C.diffs[k][j] = column
+            witness = f"column {j + 1} in degree {k} is not in module order"
+            assert cyc_complex.check_leading_terms(C) == (False, witness, {})
+            check = rv.full_verify(C).checks[1]
+            assert (check.name, check.ok, check.witness) == (
+                "leading_term_formula", False, witness
+            )
 
 
 @pytest.mark.parametrize("name", ["k4", "echelon6"])
-def test_add_level_sorts_columns_given_in_any_order(name):
-    # boundary hands the tower its columns in module order; the same terms
-    # in every other order take the sorting path and give the same level
+def test_columns_in_any_other_order_are_stored_and_fail_leading_terms(name):
+    # boundary hands the tower its columns in module order, and the tower
+    # stores whatever order it is given; every other order of the terms of
+    # a column, at every level, fails the leading_term_formula check, whose
+    # witness names the column and degree
     C = complex_from_matrix(COMPLEX_ROWS[name])
+    assert cyc_complex.check_leading_terms(C) == (True, None, {})
     for k in range(1, C.n):
-        for order in permutations(range(k + 1)):
-            tower = pr.OrderTower(C.ctx)
-            for table in ("bits", "base", "images", "lms", "shifts"):
-                setattr(tower, table, getattr(C.tower, table)[:k])
-            columns = [tuple(f[i] for i in order) for f in C.diffs[k]]
-            tower.add_level(columns)
-            assert tower.images[k] == C.diffs[k], order
-            assert tower.lms[k] == C.tower.lms[k]
-            assert tower.base[k] == C.tower.base[k]
-            assert tower.bits[k] == C.tower.bits[k]
-            assert tower.shifts[k] == C.shifts[k]
-            # only a column given in module order is stored as given
-            given = order == tuple(range(k + 1))
-            assert all((a is b) == given for a, b in zip(tower.images[k], columns))
+        for turn, order in enumerate(permutations(range(k + 1))):
+            j = turn % len(C.diffs[k])
+            stored = C.diffs[k][j]
+            column = tuple(stored[i] for i in order)
+            assert stored_as_given(C, k, column)
+            C.diffs[k][j] = column
+            expected = (True, None, {}) if order == tuple(range(k + 1)) else (
+                False, f"column {j + 1} in degree {k} is not in module order", {}
+            )
+            assert cyc_complex.check_leading_terms(C) == expected, order
+            C.diffs[k][j] = stored
 
 
 @pytest.mark.parametrize("name", ["k4", "echelon6", "weighted4"])

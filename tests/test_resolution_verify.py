@@ -831,6 +831,9 @@ def test_oracle_reads_the_tower_only_to_pick_pivots(rows, d_max):
     ]
     result = rv.graded_homology_oracle(C, d_max)
     assert result == (True, None, {"degrees": d_max + 1})
+    # position 0 reads each degree-0 lead off its column, not the tower
+    C.tower.lms[1][:] = [f[-1] for f in C.diffs[1]]
+    assert rv.graded_homology_oracle(C, d_max) == result
     scrambled_tower(C, 1)
     assert rv.graded_homology_oracle(C, d_max) == result
     assert before == [
