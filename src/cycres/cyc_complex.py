@@ -310,7 +310,7 @@ def check_leading_terms(C: CycComplex):
             if not all(map(gt, keys, keys[1:])):
                 return False, f"column {j + 1} in degree {k} is not in module order", {}
             lead = (sign, C.arrows[p[-2], p[-1]], C.index[k - 1][merge(p, k - 1)])
-            if C.tower.lms[k][j] != lead:
+            if f[0] != lead:
                 return False, f"formula mismatch on column {j + 1} in degree {k}", {}
     return True, None, {}
 

@@ -191,18 +191,18 @@ class OrderTower:
     indices of its leading terms never fall along it, so the lists of indices
     met on the way order as the indices do, and integer order on the keys
     (m << bits) + base[i] of x^m * e_i is the module order.  The tower owns
-    the columns, their leading terms and the degree shifts; every table is
-    immutable after add_level.  The one table built lazily is the divisor
-    table of a level (see divisors), on the first division there; it reads
-    only the leading terms, which add_level fixes.
+    the columns and the degree shifts.  Each column is kept as boundary
+    emits it, strictly decreasing, so its first term is its leading term
+    and the one record of it.  Every table is immutable after add_level.
+    The one table built lazily is the divisor table of a level (see
+    divisors), on the first division there; it reads the first terms.
     """
 
     def __init__(self, ctx: GradedContext):
         self.ctx = ctx
         self.bits = [0]             # bits[level]: width of the index field
         self.base = [[0]]           # base[level][idx]: key of x^0 * e_idx
-        self.images = [None]        # images[level][idx]: column one level down
-        self.lms = [None]           # lms[level][idx]: images[level][idx][0]
+        self.images = [None]        # images[level][idx]: column one level down, lead first
         self.shifts = [[0]]         # shifts[level][idx]: degree of its acc
         self._divisors = {}         # level: its divisor table, on first use
 
@@ -224,8 +224,8 @@ class OrderTower:
 
     def divisors(self, level):
         """{(idx << shift) + support mask: the ascending positions j of the
-        columns in images[level + 1] whose leading term sits on e_idx with
-        its support inside that mask}, built on the first call per level.
+        columns in images[level + 1] whose first term (the leading term) is
+        on e_idx with its support inside that mask}, built on first use.
 
         A leading term divides x^m * e_idx only if it is listed under m's
         support (see GradedContext.support), so these are the candidate
@@ -236,7 +236,7 @@ class OrderTower:
         if table is None:
             ctx = self.ctx
             table = self._divisors[level] = {}
-            for j, (_, mono, idx) in enumerate(self.lms[level + 1]):
+            for j, (_, mono, idx) in enumerate(f[0] for f in self.images[level + 1]):
                 inside = ctx.support(mono)
                 free = ctx.guard ^ inside
                 key, sub = (idx << ctx.shift) + inside, free
@@ -302,7 +302,6 @@ class OrderTower:
         self.bits.append(up)
         self.base.append(base)
         self.images.append(images)
-        self.lms.append([column[0] for column in images])
         self.shifts.append(shifts)
 
 
@@ -314,19 +313,18 @@ def divide(g, tower: OrderTower, level):
     g = sum q_i * image_i + remainder at a level.
 
     The images are tower.images[level + 1].  At every step the current
-    leading term is reduced by the lowest-index image whose stored leading
-    term divides it, taken from the candidates tower.divisors lists under
-    its support; irreducible leading terms move to the remainder.  The
-    quotient is one Elem a level up, {(monomial, i): q_i's coefficient}.
-    Every leading coefficient is +-1, its own inverse, so all coefficients
-    stay in Z.  The leading terms met strictly decrease, so each key of the
-    quotient and of the remainder is written once; a step that breaks this
-    (a stored leading term that is not its column's first term) raises
-    InternalError naming the level and the image divided by, instead of
-    looping.
+    leading term is reduced by the lowest-index image whose leading term,
+    its first, divides it, taken from the candidates tower.divisors lists
+    under its support; irreducible leading terms move to the remainder.
+    The quotient is one Elem a level up, {(monomial, i): q_i's
+    coefficient}.  Every leading coefficient is +-1, its own inverse, so
+    all coefficients stay in Z.  The leading terms met strictly decrease,
+    so each key of the quotient and of the remainder is written once; a
+    step that breaks this (a column whose first term is not its largest)
+    raises InternalError naming the level and the image divided by,
+    instead of looping.
     """
     basis = tower.images[level + 1]
-    basis_lts = tower.lms[level + 1]
     candidates = tower.divisors(level)
     support, guard, shift = tower.ctx.support, tower.ctx.guard, tower.ctx.shift
     bits, base = tower.bits[level], tower.base[level]
@@ -342,7 +340,7 @@ def divide(g, tower: OrderTower, level):
                 f"left a leading term at or above the one it reduced"
             )
         for bi in candidates.get((idx << shift) + support(mono), ()):
-            bc, bm, _ = basis_lts[bi]
+            bc, bm, _ = basis[bi][0]
             if not (bm - mono) & guard:
                 q = coeff * bc
                 qm = mono - bm
@@ -363,8 +361,8 @@ def s_cofactor(tower: OrderTower, level, i, j):
     in tower.images[level + 1], or None when their leading terms sit on
     different basis elements (the least common multiple is zero).
     """
-    ci, mi, ii = tower.lms[level + 1][i]
-    _, mj, ij = tower.lms[level + 1][j]
+    ci, mi, ii = tower.images[level + 1][i][0]
+    _, mj, ij = tower.images[level + 1][j][0]
     if ii != ij:
         return None
     return ci, tower.ctx.cofactor(mi, mj)

@@ -10,13 +10,12 @@ def divide(g, tower, level):
     """(quotient, remainder) of g by tower.images[level + 1], each step
     reducing by the lowest-index image whose leading term divides."""
     basis = tower.images[level + 1]
-    basis_lts = tower.lms[level + 1]
     guard = tower.ctx.guard
     quotient, remainder = {}, {}
     work = dict(g)
     while work:
         coeff, mono, idx = tower.leading_module_term(work, level)
-        for bi, (bc, bm, bidx) in enumerate(basis_lts):
+        for bi, (bc, bm, bidx) in enumerate(f[0] for f in basis):
             if bidx == idx and not (bm - mono) & guard:
                 q = coeff * bc
                 qm = mono - bm

@@ -11,7 +11,7 @@ def below_leading_term(tower, level, s_key, terms):
     expression of S."""
     if s_key is None:
         return True
-    lms = tower.lms[level + 1]
+    leads = [f[0] for f in tower.images[level + 1]]
     return all(
-        s_key >= tower.key(level, mono + lms[j][1], lms[j][2]) for mono, j in terms
+        s_key >= tower.key(level, mono + leads[j][1], leads[j][2]) for mono, j in terms
     )

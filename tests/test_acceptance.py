@@ -164,7 +164,7 @@ def test_k4_hilbert_tail():
     C = cyc_complex.build_complex(
         graph_core.prepare(graph_core.laplacian(k4_digraph()))
     )
-    lt = [m[1] for m in C.tower.lms[1]]
+    lt = [f[0][1] for f in C.diffs[1]]
     ok = True
     for d in range(6, 13):
         monos = rv.monomials_of_degree(C.ctx, d)

@@ -189,7 +189,7 @@ def test_lead_targets_never_fall_and_siblings_stand_together():
             targets = [C.index[k - 1][cc.merge(p, k - 1)] for p in basis]
             assert targets == [C.index[k - 1][p[: k - 1] + (p[k - 1] | p[k],)] for p in basis]
             assert targets == sorted(targets)
-            assert targets == [idx for _, _, idx in C.tower.lms[k]]
+            assert targets == [f[0][2] for f in C.diffs[k]]
             prefixes = [p[: k - 1] for p in basis]
             starts = [q for i, q in enumerate(prefixes) if i == 0 or q != prefixes[i - 1]]
             assert len(starts) == len(set(starts)) == len(set(targets))
@@ -571,7 +571,9 @@ def test_d_squared_witness_names_the_corrupted_column():
 def test_leading_terms_witness_names_the_first_mismatch():
     C = complex_from_matrix([[3, -1, -1, -1], [-1, 3, -1, -1],
                              [-1, -1, 3, -1], [-1, -1, -1, 3]])
-    C.tower.lms[2][6] = C.tower.lms[2][7]
+    # a flipped sign keeps the column in module order
+    (c, m, idx), *rest = C.diffs[2][6]
+    C.diffs[2][6] = ((-c, m, idx), *rest)
     assert cc.check_leading_terms(C) == (
         False, "formula mismatch on column 7 in degree 2", {}
     )

@@ -183,7 +183,7 @@ def test_leading_module_term_of_degree0_images(weighted4_echelon_complex):
     # in echelon form every subset binomial leads with its positive part
     C = weighted4_echelon_complex
     for j, p in enumerate(C.bases[1]):
-        coeff, mono, idx = C.tower.lms[1][j]
+        coeff, mono, idx = C.diffs[1][j][0]
         from cycres.cyc_complex import arrow_monomial
 
         assert idx == 0
@@ -264,9 +264,10 @@ def test_divide_random_standard_expressions(k4_complex):
 
 
 def test_divide_refuses_a_lead_that_is_not_its_columns_first_term(monkeypatch):
-    # x3^3 lowered to x3^2 in the tower's leading term of the generator of
-    # {3}: subtracting its column then leaves the reduced term in place, so
-    # the leading terms stop decreasing and division must stop, not loop.
+    # the generator of {3}, x3^3 - x1*x2*x4, stored reversed: division takes
+    # x1*x2*x4 for its leading term, subtracting the column then leaves
+    # x3^3 above the reduced term, so the leading terms stop decreasing and
+    # division must stop, not loop.
     # A division that loops fails here after 1000 steps instead of hanging
     steps = []
     original = pr.elem_combine
@@ -278,9 +279,8 @@ def test_divide_refuses_a_lead_that_is_not_its_columns_first_term(monkeypatch):
 
     monkeypatch.setattr(pr, "elem_combine", bounded)
     C = complex_from_matrix(COMPLEX_ROWS["k4"])
-    coeff, mono, idx = C.tower.lms[1][4]
-    assert C.ctx.unpack(mono) == (0, 0, 3, 0)
-    C.tower.lms[1][4] = (coeff, mono - C.ctx.pack((0, 0, 1, 0)), idx)
+    assert [C.ctx.unpack(m) for _, m, _ in C.diffs[1][4]] == [(0, 0, 3, 0), (1, 1, 0, 1)]
+    C.diffs[1][4] = C.diffs[1][4][::-1]
     s, _, _ = pr.s_vector(C.tower, 0, 0, 3)
     with pytest.raises(InternalError, match=r"division at level 0 does not descend: image 5 "):
         pr.divide(s, C.tower, 0)
@@ -316,7 +316,7 @@ def test_s_vector_nested_subsets_generic(generic4_complex):
     s, m_ji, m_ij = pr.s_vector(C.tower, 0, 1, 0)
     assert m_ji == (1, x1_a14)
     lt = C.tower.leading_module_term(s, 0)
-    lcm_key = C.tower.key(0, x1_a14 + C.tower.lms[1][1][1], 0)
+    lcm_key = C.tower.key(0, x1_a14 + C.diffs[1][1][0][1], 0)
     assert C.tower.key(0, lt[1], lt[2]) < lcm_key
 
 
@@ -341,7 +341,7 @@ def test_s_vector_drops_below_lcm_k4_pairs(k4_complex, i, j):
     C = k4_complex
     s, m_ji, m_ij = pr.s_vector(C.tower, 0, i, j)
     ctx = C.ctx
-    lcm = ctx.pack(ref.mono_lcm(ctx.unpack(C.tower.lms[1][i][1]), ctx.unpack(C.tower.lms[1][j][1])))
+    lcm = ctx.pack(ref.mono_lcm(ctx.unpack(C.diffs[1][i][0][1]), ctx.unpack(C.diffs[1][j][0][1])))
     if s:
         _, sm, si = C.tower.leading_module_term(s, 0)
         assert C.tower.key(0, sm, si) < C.tower.key(0, lcm, 0)
@@ -424,10 +424,10 @@ def stored_as_given(C, k, column):
     """True when add_level, on a copy of C's tower up to level k - 1, stores
     ``column``, the one column of a new level k, as given."""
     tower = pr.OrderTower(C.ctx)
-    for table in ("bits", "base", "images", "lms", "shifts"):
+    for table in ("bits", "base", "images", "shifts"):
         setattr(tower, table, getattr(C.tower, table)[:k])
     tower.add_level([column])
-    return tower.images[k][0] is column and tower.lms[k][0] is column[0]
+    return tower.images[k][0] is column
 
 
 def test_a_repeated_term_is_stored_and_fails_leading_terms():
@@ -475,12 +475,11 @@ def test_columns_in_any_other_order_are_stored_and_fail_leading_terms(name):
 def test_stored_columns_are_strictly_decreasing(name):
     C = complex_from_matrix(COMPLEX_ROWS[name])
     for k in range(1, C.n):
-        assert len(C.tower.lms[k]) == len(C.diffs[k]) == len(C.bases[k])
+        assert len(C.diffs[k]) == len(C.bases[k])
         for j, column in enumerate(C.diffs[k]):
             assert type(column) is tuple
             keys = [C.tower.key(k - 1, mono, idx) for _, mono, idx in column]
             assert all(a > b for a, b in zip(keys, keys[1:]))
-            assert C.tower.lms[k][j] is column[0]
             assert {C.ctx.degree(key >> C.tower.bits[k - 1]) for key in keys} == {C.shifts[k][j]}
 
 
@@ -619,7 +618,7 @@ def test_tower_leading_terms_agree_with_recursive_definition(k4_complex):
     for level in (1, 2, 3):
         for j, f in enumerate(C.diffs[level]):
             mono, idx = _rec_leading(C, level - 1, column_elem(f))
-            assert C.tower.lms[level][j][1:] == (mono, idx)
+            assert f[0][1:] == (mono, idx)
 
 
 @pytest.mark.parametrize("name", ["k4", "echelon6", "weighted4"])
@@ -654,7 +653,7 @@ def test_add_level_refuses_a_lead_that_falls_back():
     with pytest.raises(InternalError, match="column 2 in degree 2 falls back to basis index 1"):
         tower.add_level(columns)
     assert tower.levels == 2
-    assert [len(t) for t in (tower.bits, tower.images, tower.lms, tower.shifts)] == [2] * 4
+    assert [len(t) for t in (tower.bits, tower.images, tower.shifts)] == [2] * 3
     # in the other order the leads rise, and the keys follow the descents
     tower.add_level(columns[::-1])
     old = TupleTower(tower.images)
