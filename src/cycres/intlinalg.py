@@ -1,10 +1,10 @@
 """Exact integer linear algebra.
 
 Matrices are lists of rows of Python ints (arbitrary precision).
-Determinants use Bareiss elimination; ``rank_sparse`` is the rank over the
-rationals of {column: int} rows by a fraction-free row echelon that skips
-the gcd pass after a +-1 pivot.  Nothing here ever touches floating point
-or a fraction.
+``adjugate_row`` solves one system by Bareiss elimination; ``rank_sparse``
+is the rank over the rationals of {column: int} rows by a fraction-free row
+echelon that skips the gcd pass after a +-1 pivot.  Nothing here ever
+touches floating point or a fraction.
 """
 
 from math import gcd
@@ -19,52 +19,60 @@ def _check_square(m):
     return n
 
 
-def det(m):
-    """Determinant of a square integer matrix by fraction-free elimination.
-
-    Bareiss one-step elimination: every intermediate entry is a minor of the
-    input, so the arithmetic stays in the integers.
-    """
-    n = _check_square(m)
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def minor(m, i, j):
-    """Submatrix with row i and column j removed (0-based)."""
-    return [
-        [row[c] for c in range(len(row)) if c != j]
-        for r, row in enumerate(m)
-        if r != i
-    ]
-
-
 def adjugate_row(m):
-    """The row (|L_{1,1}|, ..., |L_{n,n}|) of principal (n-1)-minors.
+    """The row (|L_{1,1}|, ..., |L_{n,n}|) of principal (n-1)-minors of a
+    square integer matrix L with zero row sums, by one fraction-free
+    elimination.
 
-    For a Laplacian-type matrix with zero row sums all rows of the adjugate
-    agree, so this single row carries the whole adjugate; the diagonal
-    cofactor signs are +1.
+    L times its adjugate is det(L) * I = 0, so every column of the adjugate
+    lies in the kernel of L, which holds the all-ones vector: all rows of
+    the adjugate agree, and that row mu, its diagonal, has mu * L = 0.  So
+    with mu_k = |L_{k,k}| nonzero, the other entries are the one solution
+    of the transposed (n-1)-system sum_{i != k} mu_i L_{i,j} = -mu_k L_{k,j},
+    j != k, whose determinant is mu_k: Bareiss elimination gives mu_k, and
+    back substitution with exact division gives the rest, all in Z.  The
+    anchor k is the last index first; when every principal minor vanishes,
+    L has rank below n-1 and its adjugate is zero.
     """
     n = _check_square(m)
-    return tuple(det(minor(m, i, i)) for i in range(n))
+    for k in reversed(range(n)):
+        row = _anchored_kernel_row(m, k)
+        if row is not None:
+            return row
+    return (0,) * n
+
+
+def _anchored_kernel_row(m, k):
+    """The mu of adjugate_row from the anchor mu_k = |L_{k,k}|, or None
+    when that minor is 0."""
+    others = [i for i in range(len(m)) if i != k]
+    size = len(others)
+    # column j of L on the other indices, then the right-hand side -L_{k,j}
+    a = [[m[i][j] for i in others] + [-m[k][j]] for j in others]
+    sign = prev = 1
+    for c in range(size):
+        p = next((r for r in range(c, size) if a[r][c]), None)
+        if p is None:
+            return None
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            sign = -sign
+        top = a[c]
+        pivot = top[c]
+        # Bareiss: every entry stays a minor of the system, the division exact
+        for r in range(c + 1, size):
+            row, f = a[r], a[r][c]
+            row[c:] = [(pivot * x - f * y) // prev for x, y in zip(row[c:], top[c:])]
+        prev = pivot
+    det = sign * prev
+    # the rows are combinations of the system's, so the triangle holds the
+    # solution times det, which is integral (Cramer), and each division is exact
+    mu = [0] * size
+    for i in reversed(range(size)):
+        row = a[i]
+        mu[i] = (det * row[size] - sum(row[j] * mu[j] for j in range(i + 1, size))) // row[i]
+    mu.insert(k, det)
+    return tuple(mu)
 
 
 def grading_vector(mu):

@@ -19,10 +19,10 @@ order tower, in the order the build gives its terms in, which
 cyc_complex.boundary proves strictly decreasing and the
 leading_term_formula check verifies term by term.  So a column's first
 term is its leading term, and the leading term of an S-vector is read off
-its two columns without building it.  The quotients of a division form
-one Elem a level up, on the basis indices of the columns divided by;
-divisors are looked up by the support mask of the term to reduce, in the
-one table the tower builds lazily.
+its two columns without building it.  Only the degree-0 Groebner check
+divides, and it reads nothing but the remainder of a degree-0 element by
+the degree-0 columns; the divisors are looked up by the support mask of
+the term to reduce, in a table that check builds once (divisor_table).
 Elements of the degree-0 ring live on basis index 0.
 The monomial order is the weighted reverse lexicographic order with positive
 integer weights nu: higher weighted degree wins, ties broken by the
@@ -193,9 +193,8 @@ class OrderTower:
     (m << bits) + base[i] of x^m * e_i is the module order.  The tower owns
     the columns and the degree shifts.  Each column is kept as boundary
     emits it, strictly decreasing, so its first term is its leading term
-    and the one record of it.  Every table is immutable after add_level.
-    The one table built lazily is the divisor table of a level (see
-    divisors), on the first division there; it reads the first terms.
+    and the one record of it.  Every table is immutable once add_level
+    returns.
     """
 
     def __init__(self, ctx: GradedContext):
@@ -204,7 +203,6 @@ class OrderTower:
         self.base = [[0]]           # base[level][idx]: key of x^0 * e_idx
         self.images = [None]        # images[level][idx]: column one level down, lead first
         self.shifts = [[0]]         # shifts[level][idx]: degree of its acc
-        self._divisors = {}         # level: its divisor table, on first use
 
     @property
     def levels(self):
@@ -213,39 +211,6 @@ class OrderTower:
     def key(self, level, mono, idx):
         """The int key of the module monomial x^mono * e_idx at a level."""
         return (mono << self.bits[level]) + self.base[level][idx]
-
-    def leading_module_term(self, elem, level):
-        """(coefficient, monomial, basis index) of the largest term."""
-        if not elem:
-            raise ZeroElementError("leading term of zero module element")
-        bits, base = self.bits[level], self.base[level]
-        mono, idx = max(elem, key=lambda t: (t[0] << bits) + base[t[1]])
-        return elem[mono, idx], mono, idx
-
-    def divisors(self, level):
-        """{(idx << shift) + support mask: the ascending positions j of the
-        columns in images[level + 1] whose first term (the leading term) is
-        on e_idx with its support inside that mask}, built on first use.
-
-        A leading term divides x^m * e_idx only if it is listed under m's
-        support (see GradedContext.support), so these are the candidate
-        divisors in index order: each position is listed under every
-        superset of its support.
-        """
-        table = self._divisors.get(level)
-        if table is None:
-            ctx = self.ctx
-            table = self._divisors[level] = {}
-            for j, (_, mono, idx) in enumerate(f[0] for f in self.images[level + 1]):
-                inside = ctx.support(mono)
-                free = ctx.guard ^ inside
-                key, sub = (idx << ctx.shift) + inside, free
-                while True:
-                    table.setdefault(key + sub, []).append(j)
-                    if not sub:
-                        break
-                    sub = (sub - 1) & free
-        return table
 
     def add_level(self, columns):
         """Append the order induced by the next level's differential columns.
@@ -308,52 +273,70 @@ class OrderTower:
 # ---------------------------------------------------------------------------
 # division and S-vectors
 
-def divide(g, tower: OrderTower, level):
-    """(quotient, remainder) of the standard expression
-    g = sum q_i * image_i + remainder at a level.
+def divisor_table(tower: OrderTower):
+    """{support mask: the ascending positions j of the degree-0 columns
+    tower.images[1] whose first term (the leading term) has its support
+    inside that mask}.
 
-    The images are tower.images[level + 1].  At every step the current
-    leading term is reduced by the lowest-index image whose leading term,
-    its first, divides it, taken from the candidates tower.divisors lists
-    under its support; irreducible leading terms move to the remainder.
-    The quotient is one Elem a level up, {(monomial, i): q_i's
-    coefficient}.  Every leading coefficient is +-1, its own inverse, so
-    all coefficients stay in Z.  The leading terms met strictly decrease,
-    so each key of the quotient and of the remainder is written once; a
-    step that breaks this (a column whose first term is not its largest)
-    raises InternalError naming the level and the image divided by,
-    instead of looping.
+    A leading monomial divides x^m only if it is listed under m's support
+    (see GradedContext.support), so these are the candidate divisors in
+    index order: each position is listed under every superset of its
+    support.  Every term of degree 0 sits on basis index 0, so the mask
+    alone is the key.
     """
-    basis = tower.images[level + 1]
-    candidates = tower.divisors(level)
-    support, guard, shift = tower.ctx.support, tower.ctx.guard, tower.ctx.shift
-    bits, base = tower.bits[level], tower.base[level]
-    quotient, remainder = {}, {}
+    ctx = tower.ctx
+    table = {}
+    for j, column in enumerate(tower.images[1]):
+        inside = ctx.support(column[0][1])
+        free = sub = ctx.guard ^ inside
+        while True:
+            table.setdefault(inside + sub, []).append(j)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    return table
+
+
+def divide(g, tower: OrderTower, table):
+    """The remainder of the degree-0 element g on division by the degree-0
+    columns tower.images[1], whose candidate divisors ``table`` lists as
+    divisor_table(tower) builds it.
+
+    At level 0 the module key of a term is its monomial, so the leading
+    term of the work is max(work).  At every step it is reduced by the
+    lowest-index column whose leading term, its first, divides it, taken
+    from the candidates listed under its support; an irreducible leading
+    term moves to the remainder.  Every leading coefficient is +-1, its own
+    inverse, so all coefficients stay in Z.  The leading terms met strictly
+    decrease, so each key of the remainder is written once; a step that
+    breaks this (a column whose first term is not its largest) raises
+    InternalError naming the column divided by, instead of looping.
+    """
+    basis = tower.images[1]
+    support, guard = tower.ctx.support, tower.ctx.guard
+    remainder = {}
     work = dict(g)
-    reduced = None  # the key of the term the last step reduced by image bi
+    reduced = None  # the monomial the last step reduced by column bi
     while work:
-        coeff, mono, idx = tower.leading_module_term(work, level)
-        key = (mono << bits) + base[idx]
-        if reduced is not None and key >= reduced:
+        lead = max(work)
+        mono, coeff = lead[0], work[lead]
+        if reduced is not None and mono >= reduced:
             raise InternalError(
-                f"division at level {level} does not descend: image {bi + 1} "
+                f"division at level 0 does not descend: image {bi + 1} "
                 f"left a leading term at or above the one it reduced"
             )
-        for bi in candidates.get((idx << shift) + support(mono), ()):
+        for bi in table.get(support(mono), ()):
             bc, bm, _ = basis[bi][0]
             if not (bm - mono) & guard:
-                q = coeff * bc
-                qm = mono - bm
-                quotient[qm, bi] = q
-                elem_combine(work, basis[bi], -q, qm)
-                reduced = key
+                elem_combine(work, basis[bi], -coeff * bc, mono - bm)
+                reduced = mono
                 break
         else:
             # moving the leading term away leaves only smaller ones
-            remainder[mono, idx] = coeff
-            del work[mono, idx]
+            remainder[lead] = coeff
+            del work[lead]
             reduced = None
-    return quotient, remainder
+    return remainder
 
 
 def s_cofactor(tower: OrderTower, level, i, j):

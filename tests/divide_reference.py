@@ -1,9 +1,11 @@
-"""Division by a linear scan of the leading terms: the form that the
-support-mask candidates of poly_ring.divide replace, kept as the reference
-it is tested against (as monomial_reference keeps exponent tuples).
+"""Division by a linear scan of the leading terms, at any level and with
+its quotient: the form that the support-mask candidates of poly_ring.divide
+replace, kept as the reference that divide's remainders are tested against
+(as monomial_reference keeps exponent tuples).
 """
 
 from cycres.poly_ring import elem_combine
+from tower_reference import leading_module_term
 
 
 def divide(g, tower, level):
@@ -14,7 +16,7 @@ def divide(g, tower, level):
     quotient, remainder = {}, {}
     work = dict(g)
     while work:
-        coeff, mono, idx = tower.leading_module_term(work, level)
+        coeff, mono, idx = leading_module_term(tower, work, level)
         for bi, (bc, bm, bidx) in enumerate(f[0] for f in basis):
             if bidx == idx and not (bm - mono) & guard:
                 q = coeff * bc

@@ -1,21 +1,71 @@
 """Dense reference linear algebra for the tests.
 
-The adjugate by the cofactor formula and the rank by dense elimination over
-``Fraction``: slow, but simple enough to trust as oracles for the integer
-routines of ``cycres.intlinalg``.
+Determinants by Bareiss elimination, the adjugate row by one determinant
+per principal minor (O(n^4): the form that the single elimination of
+``cycres.intlinalg.adjugate_row`` replaces), the full adjugate by the
+cofactor formula and the rank by dense elimination over ``Fraction``:
+slow, but simple enough to trust as oracles for the integer routines of
+``cycres.intlinalg``.
 """
 
 from fractions import Fraction
 
 from cycres.errors import DimensionError
-from cycres.intlinalg import det, minor
+
+
+def _check_square(m):
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise DimensionError("square matrix required")
+    return n
+
+
+def det(m):
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    Bareiss one-step elimination: every intermediate entry is a minor of the
+    input, so the arithmetic stays in the integers.
+    """
+    n = _check_square(m)
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def minor(m, i, j):
+    """Submatrix with row i and column j removed (0-based)."""
+    return [
+        [row[c] for c in range(len(row)) if c != j]
+        for r, row in enumerate(m)
+        if r != i
+    ]
+
+
+def adjugate_row(m):
+    """(|L_{1,1}|, ..., |L_{n,n}|), one determinant per principal minor."""
+    n = _check_square(m)
+    return tuple(det(minor(m, i, i)) for i in range(n))
 
 
 def adjugate(m):
     """Full adjugate by the cofactor formula (O(n^5))."""
-    n = len(m)
-    if n == 0 or any(len(row) != n for row in m):
-        raise DimensionError("square matrix required")
+    n = _check_square(m)
     return [
         [(-1) ** (i + j) * det(minor(m, j, i)) for j in range(n)]
         for i in range(n)

@@ -9,7 +9,14 @@ from cycres import graph_core, intlinalg
 from cycres.errors import DimensionError, InternalError, NotIrreducibleError
 
 import linalg_reference
-from conftest import REDUCIBLE, WEIGHTED4, WEIGHTED4_ECHELON, k4_digraph
+from conftest import (
+    INSTANCES,
+    REDUCIBLE,
+    WEIGHTED4,
+    WEIGHTED4_ECHELON,
+    k4_digraph,
+    random_icb_digraph,
+)
 
 
 def cofactor_det(m):
@@ -20,7 +27,7 @@ def cofactor_det(m):
     total = 0
     for j in range(n):
         if m[0][j]:
-            total += (-1) ** j * m[0][j] * cofactor_det(intlinalg.minor(m, 0, j))
+            total += (-1) ** j * m[0][j] * cofactor_det(linalg_reference.minor(m, 0, j))
     return total
 
 
@@ -33,22 +40,24 @@ K4_LAPLACIAN = [
 
 
 def test_det_1x1():
-    assert intlinalg.det([[5]]) == 5
+    assert linalg_reference.det([[5]]) == 5
 
 
 def test_det_k4_principal_minor():
     m = [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]
     assert cofactor_det(m) == 16
-    assert intlinalg.det(m) == 16
+    assert linalg_reference.det(m) == 16
 
 
 def test_det_repeated_row():
-    assert intlinalg.det([[1, 2, 3], [1, 2, 3], [0, 1, 4]]) == 0
+    assert linalg_reference.det([[1, 2, 3], [1, 2, 3], [0, 1, 4]]) == 0
 
 
 def test_det_non_square():
     with pytest.raises(DimensionError):
-        intlinalg.det([[1, 2, 3], [4, 5, 6]])
+        linalg_reference.det([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(DimensionError):
+        intlinalg.adjugate_row([[1, -1], [1, -1, 0]])
 
 
 def test_det_matches_cofactor_oracle_randomized():
@@ -56,7 +65,7 @@ def test_det_matches_cofactor_oracle_randomized():
     for _ in range(120):
         n = rng.randint(1, 5)
         m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert intlinalg.det(m) == cofactor_det(m)
+        assert linalg_reference.det(m) == cofactor_det(m)
 
 
 def test_full_adjugate_identity_randomized():
@@ -64,7 +73,7 @@ def test_full_adjugate_identity_randomized():
     for _ in range(25):
         m = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
         adj = linalg_reference.adjugate(m)
-        d = intlinalg.det(m)
+        d = linalg_reference.det(m)
         prod = [
             [sum(m[i][k] * adj[k][j] for k in range(4)) for j in range(4)]
             for i in range(4)
@@ -82,7 +91,44 @@ def test_adjugate_row_k4():
     assert mu == (16, 16, 16, 16)
     # oracle: each entry is the principal minor determinant
     for i in range(4):
-        assert mu[i] == cofactor_det(intlinalg.minor(K4_LAPLACIAN, i, i))
+        assert mu[i] == cofactor_det(linalg_reference.minor(K4_LAPLACIAN, i, i))
+
+
+def test_adjugate_row_agrees_with_the_per_minor_reference():
+    # one elimination against one determinant per principal minor: on the
+    # bundled instances (the reducible one included), on random strongly
+    # connected Laplacians, and on random zero-row-sum matrices, where
+    # the last principal minor or the whole adjugate may vanish
+    matrices = [
+        graph_core.laplacian(graph_core.parse_digraph(path.read_text())).signed_rows()
+        for path in sorted(INSTANCES.glob("*.json"))
+    ]
+    rng = random.Random(17)
+    for _ in range(60):
+        g = random_icb_digraph(rng.randint(2, 8), rng, extra=rng.randint(0, 12))
+        matrices.append(graph_core.laplacian(g).signed_rows())
+    for _ in range(120):
+        n = rng.randint(2, 6)
+        rows = [[rng.choice([0, 0, -1, 1, -2, 3]) for _ in range(n)] for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] -= sum(row)
+        matrices.append(rows)
+    anchored_elsewhere = 0
+    for m in matrices:
+        expected = linalg_reference.adjugate_row(m)
+        assert intlinalg.adjugate_row(m) == expected, m
+        anchored_elsewhere += expected[-1] == 0 and any(expected)
+    assert anchored_elsewhere > 0
+
+
+def test_adjugate_row_of_a_long_directed_cycle():
+    # each vertex of the 240-cycle roots one spanning arborescence; the
+    # per-minor form takes minutes here, one elimination well under a second
+    n = 240
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i], rows[i][(i + 1) % n] = 1, -1
+    assert intlinalg.adjugate_row(rows) == (1,) * n
 
 
 def test_grading_vector_examples():

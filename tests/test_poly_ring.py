@@ -12,7 +12,7 @@ from cycres import cyc_complex, graph_core
 from cycres import poly_ring as pr
 from cycres import resolution_verify as rv
 from cycres.errors import InternalError, ZeroElementError
-from tower_reference import TupleTower
+from tower_reference import TupleTower, leading_module_term
 
 from conftest import (
     ECHELON6,
@@ -157,12 +157,12 @@ def test_leading_term_poly():
     ctx = pr.GradedContext(4, (1, 1, 1, 1), 4)
     tower = pr.OrderTower(ctx)
     f = poly_elem(ctx, {(1, 1, 1, 0): 1, (0, 0, 0, 3): -1})
-    assert tower.leading_module_term(f, 0) == (1, ctx.pack((1, 1, 1, 0)), 0)
-    assert tower.leading_module_term(poly_elem(ctx, {(2, 0, 0, 0): 5}), 0) == (
+    assert leading_module_term(tower, f, 0) == (1, ctx.pack((1, 1, 1, 0)), 0)
+    assert leading_module_term(tower, poly_elem(ctx, {(2, 0, 0, 0): 5}), 0) == (
         5, ctx.pack((2, 0, 0, 0)), 0
     )
     with pytest.raises(ZeroElementError):
-        tower.leading_module_term({}, 0)
+        leading_module_term(tower, {}, 0)
 
 
 def test_module_compare_k4_example(k4_complex):
@@ -199,21 +199,29 @@ def assert_standard_expression(g, basis, quotient, remainder, tower, level):
         pr.elem_combine(recomposed, basis[i], coeff, mono)
     assert recomposed == g
     if g:
-        _, gm, gi = tower.leading_module_term(g, level)
+        _, gm, gi = leading_module_term(tower, g, level)
         gkey = tower.key(level, gm, gi)
         for mono, i in quotient:
-            _, bm, bi = tower.leading_module_term(column_elem(basis[i]), level)
+            _, bm, bi = leading_module_term(tower, column_elem(basis[i]), level)
             assert gkey >= tower.key(level, mono + bm, bi)
-    basis_lts = [tower.leading_module_term(column_elem(b), level) for b in basis]
+    basis_lts = [leading_module_term(tower, column_elem(b), level) for b in basis]
     for mono, idx in remainder:
         for _, bm, bi in basis_lts:
             assert not (bi == idx and tower.ctx.divides(bm, mono))
 
 
+def divided(g, tower):
+    """(quotient, remainder) of the reference division at level 0, whose
+    remainder pr.divide must give as well."""
+    q, r = divide_reference.divide(g, tower, 0)
+    assert pr.divide(g, tower, pr.divisor_table(tower)) == r
+    return q, r
+
+
 def test_divide_basis_element_is_exact(k4_complex):
     C = k4_complex
     g0 = C.diffs[1]
-    q, r = pr.divide(column_elem(g0[3]), C.tower, 0)
+    q, r = divided(column_elem(g0[3]), C.tower)
     assert r == {}
     # the unit on position 4 and nothing on any other position
     assert q == poly_elem(C.ctx, {(0, 0, 0, 0): 1}, 3)
@@ -223,7 +231,7 @@ def test_divide_k4_s_pair_reduces_to_zero(k4_complex):
     C = k4_complex
     g0 = C.diffs[1]
     s, _, _ = pr.s_vector(C.tower, 0, 1, 0)
-    q, r = pr.divide(s, C.tower, 0)
+    q, r = divided(s, C.tower)
     assert r == {}
     assert_standard_expression(s, g0, q, r, C.tower, 0)
 
@@ -231,7 +239,7 @@ def test_divide_k4_s_pair_reduces_to_zero(k4_complex):
 def test_divide_coprime_leading_terms_leave_remainder(k4_complex):
     C = k4_complex
     g = poly_elem(C.ctx, {(0, 0, 0, 2): 1})  # x4^2: no leading term divides it
-    q, r = pr.divide(g, C.tower, 0)
+    q, r = divided(g, C.tower)
     assert r == g
     assert q == {}
     assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
@@ -242,13 +250,24 @@ def test_divide_prefers_lowest_index_divisor(k4_complex):
     # x1^2*x2^2 (position 4 in srle order) first, pinning the whole run
     C = k4_complex
     g = poly_elem(C.ctx, {(3, 3, 0, 0): 1})
-    q, r = pr.divide(g, C.tower, 0)
+    q, r = divided(g, C.tower)
     assert q == {
         **poly_elem(C.ctx, {(1, 1, 0, 0): 1}, 3),
         **poly_elem(C.ctx, {(0, 0, 1, 2): 1}, 0),
     }
     assert r == poly_elem(C.ctx, {(0, 0, 1, 5): 1})
     assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
+    # the K4 columns are a Groebner basis, so any choice leaves that
+    # remainder.  x1^2 - x3^2 and x1*x2 - x3^2 are not one: x1^2*x2 keeps
+    # x2*x3^2 after the first and x1*x3^2 after the second
+    ctx = pr.GradedContext(3, (1, 1, 1), 4)
+    x1, x2, x3 = ctx.variables
+    tower = pr.OrderTower(ctx)
+    tower.add_level([
+        elem_terms({(2 * x1, 0): 1, (2 * x3, 0): -1}),
+        elem_terms({(x1 + x2, 0): 1, (2 * x3, 0): -1}),
+    ])
+    assert divided({(2 * x1 + x2, 0): 1}, tower) == ({(x2, 0): 1}, {(x2 + 2 * x3, 0): 1})
 
 
 def test_divide_random_standard_expressions(k4_complex):
@@ -259,7 +278,7 @@ def test_divide_random_standard_expressions(k4_complex):
         for _ in range(rng.randint(1, 4)):
             mono = C.ctx.pack([rng.randint(0, 3) for _ in range(4)])
             elem_add_term(g, 0, rng.choice([-2, -1, 1, 2]), mono)
-        q, r = pr.divide(g, C.tower, 0)
+        q, r = divided(g, C.tower)
         assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
 
 
@@ -283,7 +302,7 @@ def test_divide_refuses_a_lead_that_is_not_its_columns_first_term(monkeypatch):
     C.diffs[1][4] = C.diffs[1][4][::-1]
     s, _, _ = pr.s_vector(C.tower, 0, 0, 3)
     with pytest.raises(InternalError, match=r"division at level 0 does not descend: image 5 "):
-        pr.divide(s, C.tower, 0)
+        pr.divide(s, C.tower, pr.divisor_table(C.tower))
 
 
 def test_divide_homogeneous_input_gives_homogeneous_parts(generic4_complex):
@@ -295,7 +314,7 @@ def test_divide_homogeneous_input_gives_homogeneous_parts(generic4_complex):
         assert {idx for _, idx in s} == {0}
         degs = {C.ctx.degree(m) for m, _ in s}
         assert len(degs) == 1
-        q, r = pr.divide(s, C.tower, 0)
+        q, r = divided(s, C.tower)
         assert r == {}
         d = degs.pop()
         assert all(C.ctx.degree(m) + C.shifts[1][i] == d for m, i in q)
@@ -315,7 +334,7 @@ def test_s_vector_nested_subsets_generic(generic4_complex):
     x1_a14 = C.ctx.pack((a14, 0, 0, 0))
     s, m_ji, m_ij = pr.s_vector(C.tower, 0, 1, 0)
     assert m_ji == (1, x1_a14)
-    lt = C.tower.leading_module_term(s, 0)
+    lt = leading_module_term(C.tower, s, 0)
     lcm_key = C.tower.key(0, x1_a14 + C.diffs[1][1][0][1], 0)
     assert C.tower.key(0, lt[1], lt[2]) < lcm_key
 
@@ -343,7 +362,7 @@ def test_s_vector_drops_below_lcm_k4_pairs(k4_complex, i, j):
     ctx = C.ctx
     lcm = ctx.pack(ref.mono_lcm(ctx.unpack(C.diffs[1][i][0][1]), ctx.unpack(C.diffs[1][j][0][1])))
     if s:
-        _, sm, si = C.tower.leading_module_term(s, 0)
+        _, sm, si = leading_module_term(C.tower, s, 0)
         assert C.tower.key(0, sm, si) < C.tower.key(0, lcm, 0)
 
 
@@ -683,7 +702,7 @@ def test_s_leading_key_walks_past_a_column_that_cancels_entirely():
         s, m_ji, m_ij = pr.s_vector(tower, 0, i, j)
         walked = pr.s_leading_key(tower, 0, i, j, m_ji, m_ij)
         if s:
-            _, mono, idx = tower.leading_module_term(s, 0)
+            _, mono, idx = leading_module_term(tower, s, 0)
             assert walked == tower.key(0, mono, idx), (i, j)
             leads[i, j] = mono
         else:
@@ -714,20 +733,6 @@ def test_int_keys_agree_with_the_tuple_keys_on_random_pairs(generic4_complex):
     assert ties > 0
 
 
-def test_divide_at_level_one_standard_expressions(k4_complex):
-    C = k4_complex
-    rng = random.Random(9)
-    g1 = C.diffs[2]
-    for _ in range(15):
-        g = {}
-        for _ in range(rng.randint(1, 4)):
-            idx = rng.randrange(7)
-            mono = C.ctx.pack([rng.randint(0, 2) for _ in range(4)])
-            elem_add_term(g, idx, rng.choice([-1, 1]), mono)
-        q, r = pr.divide(g, C.tower, 1)
-        assert_standard_expression(g, g1, q, r, C.tower, 1)
-
-
 def _wide_complexes():
     """Complexes packed for degree 40, so random terms with exponents up to 3
     and everything a division makes from them fit the fields."""
@@ -742,21 +747,21 @@ def _wide_complexes():
 
 def test_divide_agrees_with_the_linear_scan_reference():
     # the support-mask candidates pick the same divisor at every step as the
-    # scan of all leading terms: same quotients and remainders, at levels 0
-    # and 1, on elements with coefficients +-1 and +-2
+    # scan of all leading terms: the same remainders at level 0, on elements
+    # with coefficients +-1 and +-2, which the reference's quotients
+    # complete to standard expressions
     rng = random.Random(11)
     remainders = quotients = 0
     for C in _wide_complexes():
-        for level in (0, 1):
-            positions = len(C.bases[level])
-            for _ in range(40):
-                g = {}
-                for _ in range(rng.randint(1, 5)):
-                    mono = C.ctx.pack([rng.randint(0, 3) for _ in range(C.n)])
-                    elem_add_term(g, rng.randrange(positions), rng.choice([-2, -1, 1, 2]), mono)
-                got = pr.divide(g, C.tower, level)
-                assert got == divide_reference.divide(g, C.tower, level)
-                assert_standard_expression(g, C.diffs[level + 1], *got, C.tower, level)
-                quotients += bool(got[0])
-                remainders += bool(got[1])
+        table = pr.divisor_table(C.tower)
+        for _ in range(80):
+            g = {}
+            for _ in range(rng.randint(1, 5)):
+                mono = C.ctx.pack([rng.randint(0, 3) for _ in range(C.n)])
+                elem_add_term(g, 0, rng.choice([-2, -1, 1, 2]), mono)
+            q, r = divide_reference.divide(g, C.tower, 0)
+            assert pr.divide(g, C.tower, table) == r
+            assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
+            quotients += bool(q)
+            remainders += bool(r)
     assert quotients > 100 and remainders > 100

@@ -10,8 +10,8 @@ from cycres import resolution_verify as rv
 from cycres.errors import InternalError, ValidationError
 from cycres.poly_ring import (
     GradedContext,
-    OrderTower,
     divide,
+    divisor_table,
     s_leading_key,
     s_vector,
 )
@@ -19,6 +19,7 @@ from cycres.poly_ring import (
 import linalg_reference
 import oracle_reference
 from standard_expression_reference import below_leading_term
+from tower_reference import leading_module_term
 from conftest import (
     ECHELON6,
     INSTANCES,
@@ -45,6 +46,25 @@ def test_degree0_gb_k4(k4_complex):
     ok, witness, counters = rv.verify_degree0_gb(k4_complex)
     assert ok, witness
     assert counters["pairs"] == 21
+
+
+def test_degree0_gb_reports_a_nonzero_remainder(monkeypatch):
+    # no correct complex leaves a remainder, so division is stubbed to leave
+    # x1 behind on the third pair, C = {1,2,3}, D = {1,2}: that pair is
+    # counted, and every division reads the one table the check built
+    C = complex_from_matrix(K4_ROWS)
+    tables = []
+
+    def leaves_x1(s, tower, table):
+        tables.append(table)
+        rem = divide(s, tower, table)
+        return rem if len(tables) != 3 else {**rem, (C.ctx.variables[0], 0): 1}
+
+    monkeypatch.setattr(rv, "divide", leaves_x1)
+    assert rv.verify_degree0_gb(C) == (
+        False, "nonzero remainder for C, D = (123,12)", {"pairs": 3}
+    )
+    assert len(tables) == 3 and all(t is tables[0] for t in tables)
 
 
 def test_partition_str_on_hand_written_partitions():
@@ -113,17 +133,17 @@ def test_colon_manual_member_and_nonmember(k4_complex):
     g0 = C.diffs[1]
     t = C.ctx.pack((0, 0, 0, 1))
     tg = elem_scale_term(column_elem(g0[0]), 1, t)
-    _, rem = divide(tg, C.tower, 0)
-    assert rem == {}
+    table = divisor_table(C.tower)
+    assert divide(tg, C.tower, table) == {}
     h = poly_elem(C.ctx, {(1, 0, 0, 0): 1})  # x1 alone is not in the ideal
-    _, rem_h = divide(h, C.tower, 0)
-    assert rem_h
-    _, rem_th = divide(elem_scale_term(h, 1, t), C.tower, 0)
-    assert rem_th
+    assert divide(h, C.tower, table)
+    assert divide(elem_scale_term(h, 1, t), C.tower, table)
 
 
 def quotients_at(C, k, i):
-    return rv.module_quotients(C, k, i, dict(rv.quotient_sources(C, k))[i])
+    gens, witness = rv.module_quotients(C, k, i, dict(rv.quotient_sources(C, k))[i])
+    assert witness is None, witness
+    return gens
 
 
 def test_module_quotients_worked_example_level1(generic4_complex):
@@ -416,7 +436,7 @@ def test_walked_s_leading_key_is_the_lead_of_the_built_s_vector(case):
         s, m_ji, m_ij = s_vector(tower, level, i, j)
         walked = s_leading_key(tower, level, i, j, m_ji, m_ij)
         if s:
-            _, mono, idx = tower.leading_module_term(s, level)
+            _, mono, idx = leading_module_term(tower, s, level)
             assert walked == tower.key(level, mono, idx), (level, i, j)
         else:
             assert walked is None, (level, i, j)
@@ -665,21 +685,50 @@ def test_full_verify_calls_checks_by_module_name(k4_complex, monkeypatch):
 @pytest.mark.parametrize("rows", [K4_ROWS, ECHELON6], ids=["k4", "echelon6"])
 def test_column_leading_terms_are_computed_only_by_the_tower(rows, monkeypatch):
     # each column is stored with its leading term first; verification reads
-    # it there and never derives one again
+    # it there and never derives one again: the only leading terms taken by
+    # max are those division takes of the elements it divides, and no
+    # stored column is among them
     C = complex_from_matrix(rows)
     columns = {id(f) for level in C.diffs[1:] for f in level}
     seen = []
-    original = OrderTower.leading_module_term
 
-    def recording(self, elem, level):
-        seen.append(elem)
-        return original(self, elem, level)
+    def recording(g, tower, table):
+        seen.append(g)
+        return divide(g, tower, table)
 
-    monkeypatch.setattr(OrderTower, "leading_module_term", recording)
+    monkeypatch.setattr(rv, "divide", recording)
     report = rv.full_verify(C, d_max=2)
     assert report.passed, report.to_text()
     assert seen
-    assert not [elem for elem in seen if id(elem) in columns]
+    assert not [g for g in seen if id(g) in columns]
+
+
+def tower_shape(tower):
+    """Each attribute of an OrderTower: the object itself, its length and
+    the lengths of its per-level lists."""
+    return {
+        name: (value, *(
+            (len(value), [len(v) for v in value if isinstance(v, list)])
+            if isinstance(value, list) else ()
+        ))
+        for name, value in vars(tower).items()
+    }
+
+
+@pytest.mark.parametrize("rows", [K4_ROWS, ECHELON6], ids=["k4", "echelon6"])
+def test_full_verify_leaves_the_tower_as_built(rows):
+    # every table of the tower is complete once add_level returns: a full
+    # verification divides, walks S-pairs and ranks pieces, and adds to no
+    # table, replaces none and adds none
+    C = complex_from_matrix(rows)
+    before = tower_shape(C.tower)
+    report = rv.full_verify(C, d_max=2)
+    assert report.passed, report.to_text()
+    after = tower_shape(C.tower)
+    assert after.keys() == before.keys()
+    for name, (value, *lengths) in before.items():
+        assert after[name][0] is value, name
+        assert after[name][1:] == tuple(lengths), name
 
 
 def test_report_json_shape(k4_complex):

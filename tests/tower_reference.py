@@ -1,12 +1,27 @@
 """The module order as the tuple key (acc + mono, path): the flattened form
 the int tower keys replace, kept as the reference they are tested against
-(as monomial_reference keeps the exponent-tuple monomials).
+(as monomial_reference keeps the exponent-tuple monomials).  Also the
+leading term of any module element at any level, by the tower's int keys:
+the package reads each column's leading term off its first term and takes
+the leading term of a degree-0 element as a bare max, so only the tests
+need it in general.
 
 Per level and basis index, acc is the level-0 monomial met at the end of
 the descent through leading terms and path is the tuple of basis indices
 met on the way, the index itself last.  Both are rebuilt here from the
 terms of the columns alone, each column's leading term chosen by this key.
 """
+
+from cycres.errors import ZeroElementError
+
+
+def leading_module_term(tower, elem, level):
+    """(coefficient, monomial, basis index) of the largest term of an Elem
+    at a level of an OrderTower."""
+    if not elem:
+        raise ZeroElementError("leading term of zero module element")
+    mono, idx = max(elem, key=lambda t: tower.key(level, *t))
+    return elem[mono, idx], mono, idx
 
 
 class TupleTower:
