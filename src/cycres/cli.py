@@ -4,8 +4,9 @@ Subcommands: classify | resolve | verify | gb | homology.  Inputs are UTF-8
 JSON documents, either {"matrix": [[..]]} (signed Laplacian, takes
 precedence) or {"n": .., "arcs": [{"from":., "to":., "w":.}, ..]}.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 class error (matrix not irreducible where required).
+Exit codes: 0 success, 1 verification failure (or InternalError), 2 invalid
+input (ValidationError), 3 class error (NotIrreducibleError: matrix not
+irreducible where required).
 """
 
 import argparse
@@ -15,7 +16,7 @@ import json
 import sys
 
 from . import cyc_complex, graph_core, intlinalg, resolution_verify
-from .errors import CycresError, NotIrreducibleError, ValidationError
+from .errors import InternalError, NotIrreducibleError, ValidationError
 from .poly_ring import elem_str, term_tails
 
 EXIT_OK = 0
@@ -194,10 +195,9 @@ def main(argv=None) -> int:
 
 def _run(argv):
     args = build_parser().parse_args(argv)
-    if args.d_max is not None and args.d_max < 0:
-        print("error: --max-degree must be nonnegative", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
+        if args.d_max is not None and args.d_max < 0:
+            raise ValidationError("--max-degree must be nonnegative")
         return COMMANDS[args.command](args)
     except NotIrreducibleError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -205,7 +205,7 @@ def _run(argv):
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except CycresError as e:
+    except InternalError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
 

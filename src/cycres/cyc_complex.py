@@ -188,7 +188,7 @@ def boundary(basis, arrows: ArrowTable, targets):
     """
     k = len(basis[0]) - 1
     if k < 1:
-        raise ValueError("boundary needs at least two blocks")
+        raise InternalError("boundary needs at least two blocks")
     positions = []
     for s in (*range(k - 1, -1, -1), k):
         sign, t = (-1, 0) if s == k else ((-1) ** s, s + 1)

@@ -12,13 +12,7 @@ and zero row sums; such matrices are classified as
 
 import json
 
-from .errors import (
-    InternalError,
-    NotIrreducibleError,
-    NotStronglyConnectedError,
-    TooSmallError,
-    ValidationError,
-)
+from .errors import InternalError, NotIrreducibleError, ValidationError
 
 
 class WeightedDigraph:
@@ -82,7 +76,7 @@ def validate_digraph(n, arcs):
     if not _is_int(n):
         raise ValidationError(f"vertex count {n!r} is not an integer")
     if n < 3:
-        raise TooSmallError(f"need at least 3 vertices, got {n}")
+        raise ValidationError(f"need at least 3 vertices, got {n}")
     seen = set()
     for s, t, w in arcs:
         if not (_is_int(s) and _is_int(t) and _is_int(w)):
@@ -178,12 +172,7 @@ def laplacian(g: WeightedDigraph) -> CBMatrix:
 def is_strongly_connected(g: WeightedDigraph) -> bool:
     """Every vertex is reached from vertex n and reaches it."""
     reverse = WeightedDigraph(g.n, tuple((t, s, w) for s, t, w in g.arcs))
-    try:
-        unweighted_distance(g, g.n)
-        unweighted_distance(reverse, g.n)
-    except NotStronglyConnectedError:
-        return False
-    return True
+    return None not in unweighted_distance(g, g.n) + unweighted_distance(reverse, g.n)
 
 
 def classify(L: CBMatrix) -> str:
@@ -197,7 +186,8 @@ def classify(L: CBMatrix) -> str:
 
 
 def unweighted_distance(g: WeightedDigraph, omega: int):
-    """Directed BFS distances (ignoring weights) from omega to every vertex."""
+    """Directed BFS distances (ignoring weights) from omega to every vertex,
+    None for a vertex omega does not reach."""
     n = g.n
     adj = [[] for _ in range(n + 1)]
     for s, t, _ in g.arcs:
@@ -213,9 +203,6 @@ def unweighted_distance(g: WeightedDigraph, omega: int):
                     dist[u] = dist[v] + 1
                     nxt.append(u)
         queue = nxt
-    for v in range(1, n + 1):
-        if dist[v] is None:
-            raise NotStronglyConnectedError(f"vertex {v} unreachable from {omega}")
     return tuple(dist[1:])
 
 
@@ -232,7 +219,8 @@ def omega_delta_enumeration(g: WeightedDigraph, omega: int = None):
     if not 1 <= omega <= n:
         raise ValidationError(f"omega {omega} out of range 1..{n}")
     dist = unweighted_distance(g, omega)
-    delta = max(dist)
+    if None in dist:
+        raise NotIrreducibleError(f"vertex {dist.index(None) + 1} unreachable from {omega}")
     order = sorted(
         (v for v in range(1, n + 1) if v != omega),
         key=lambda v: (-dist[v - 1], v),
@@ -265,10 +253,8 @@ def block_echelon_structure(L: CBMatrix):
     L[I_{j+1}, I_j] nonzero.
     """
     n = L.n
-    g = L.digraph()
-    try:
-        dist = unweighted_distance(g, n)
-    except NotStronglyConnectedError:
+    dist = unweighted_distance(L.digraph(), n)
+    if None in dist:
         return None
     delta = max(dist)
     blocks = []

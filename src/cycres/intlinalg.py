@@ -9,13 +9,13 @@ touches floating point or a fraction.
 
 from math import gcd
 
-from .errors import DimensionError, InternalError, NotIrreducibleError
+from .errors import InternalError, NotIrreducibleError, ValidationError
 
 
 def _check_square(m):
     n = len(m)
     if n == 0 or any(len(row) != n for row in m):
-        raise DimensionError("square matrix required")
+        raise ValidationError("square matrix required")
     return n
 
 

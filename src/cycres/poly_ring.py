@@ -36,7 +36,7 @@ to write text; the text of each signed term is rendered once per context
 
 from weakref import ref
 
-from .errors import InternalError, ZeroElementError
+from .errors import InternalError
 
 
 class GradedContext:
@@ -236,7 +236,7 @@ class OrderTower:
         target = 0
         for j, column in enumerate(columns):
             if not column:
-                raise ZeroElementError(f"zero differential column {j + 1} in degree {level + 1}")
+                raise InternalError(f"zero differential column {j + 1} in degree {level + 1}")
             column = tuple(column)
             (coeff, mono, idx), (_, last, at) = column[0], column[-1]
             # the level-0 monomials the first and last terms reach

@@ -10,13 +10,11 @@ slow, but simple enough to trust as oracles for the integer routines of
 
 from fractions import Fraction
 
-from cycres.errors import DimensionError
-
 
 def _check_square(m):
     n = len(m)
     if n == 0 or any(len(row) != n for row in m):
-        raise DimensionError("square matrix required")
+        raise ValueError("square matrix required")
     return n
 
 
@@ -79,7 +77,7 @@ def rank(m):
     rows = [[Fraction(x) for x in row] for row in m]
     ncols = len(rows[0])
     if any(len(row) != ncols for row in rows):
-        raise DimensionError("ragged matrix")
+        raise ValueError("ragged matrix")
     r = 0
     for c in range(ncols):
         pivot_row = None

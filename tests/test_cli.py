@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycres import cli
+from cycres.errors import InternalError, NotIrreducibleError, ValidationError
 
 from conftest import INSTANCES, export_text, parse_column, random_icb_digraph
 
@@ -257,6 +258,25 @@ def test_omega_out_of_range_exits_2(capsys):
     code, _, err = run(capsys, "classify", inst("k4.json"), "--omega", "7")
     assert code == 2
     assert "omega" in err
+
+
+def test_negative_max_degree_exits_2_for_every_command(capsys):
+    for command in sorted(cli.COMMANDS):
+        code, out, err = run(capsys, command, inst("k4.json"), "--max-degree", "-1")
+        assert (code, out, err) == (2, "", "error: --max-degree must be nonnegative\n"), command
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(ValidationError, 2), (NotIrreducibleError, 3), (InternalError, 1)],
+    ids=["ValidationError", "NotIrreducibleError", "InternalError"],
+)
+def test_each_error_class_has_one_exit_code(capsys, monkeypatch, error, code):
+    def raising(args):
+        raise error("stubbed refusal")
+
+    monkeypatch.setitem(cli.COMMANDS, "classify", raising)
+    assert run(capsys, "classify", inst("k4.json")) == (code, "", "error: stubbed refusal\n")
 
 
 # sha256 of `cycres resolve <instance> --out`, pinned before the move from

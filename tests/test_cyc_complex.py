@@ -370,7 +370,7 @@ def summed_boundary(p, arrows, index_below):
 
 def test_boundary_columns_sum_the_merge_terms():
     for C in swept_complexes():
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalError, match="boundary needs at least two blocks"):
             cc.boundary(C.bases[0], C.arrows, {})
         for k, targets in enumerate(cc.merge_targets(C.bases), 1):
             columns = cc.boundary(C.bases[k], C.arrows, targets)

@@ -82,3 +82,25 @@ def test_every_definition_is_used_by_the_package():
                 unused.append(qualname)
     assert count > 100
     assert unused == []
+
+
+def test_every_raise_builds_the_error_of_one_exit_code():
+    # the CLI maps each error class to one exit code (ValidationError 2,
+    # NotIrreducibleError 3, InternalError 1), so every raise in the package
+    # builds one of those three, or re-raises
+    allowed = {"ValidationError", "NotIrreducibleError", "InternalError"}
+    wrong, count = [], 0
+    for path in sorted((ROOT / "src" / "cycres").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            count += 1
+            exc = node.exc
+            if not (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+                    and exc.func.id in allowed):
+                wrong.append(f"{path.name}:{node.lineno}")
+    assert count > 40
+    assert wrong == []
+    errors = ast.parse((ROOT / "src" / "cycres" / "errors.py").read_text())
+    classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    assert sorted(classes) == sorted({"CycresError", *allowed})

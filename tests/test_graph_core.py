@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycres import graph_core
-from cycres.errors import (
-    NotStronglyConnectedError,
-    TooSmallError,
-    ValidationError,
-)
+from cycres.errors import NotIrreducibleError, ValidationError
 
 import linalg_reference
 from conftest import (
@@ -50,7 +46,7 @@ def test_parse_rejects_loop():
 
 
 def test_parse_rejects_small_n():
-    with pytest.raises(TooSmallError):
+    with pytest.raises(ValidationError, match="need at least 3 vertices, got 2"):
         graph_core.parse_digraph(arcs_doc(2, [(1, 2, 1), (2, 1, 1)]))
 
 
@@ -141,9 +137,11 @@ def test_unweighted_distance():
 
 
 def test_unweighted_distance_unreachable():
+    # vertices 1 and 2 have no arc into 3 or 4
     g = graph_core.digraph_from_matrix(REDUCIBLE)
-    with pytest.raises(NotStronglyConnectedError):
-        graph_core.unweighted_distance(g, 1)
+    assert graph_core.unweighted_distance(g, 1) == (0, 1, None, None)
+    with pytest.raises(NotIrreducibleError, match="vertex 3 unreachable from 1"):
+        graph_core.omega_delta_enumeration(g, 1)
 
 
 def test_omega_delta_enumeration_examples():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycres import graph_core, intlinalg
-from cycres.errors import DimensionError, InternalError, NotIrreducibleError
+from cycres.errors import InternalError, NotIrreducibleError, ValidationError
 
 import linalg_reference
 from conftest import (
@@ -54,9 +54,9 @@ def test_det_repeated_row():
 
 
 def test_det_non_square():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="square matrix required"):
         linalg_reference.det([[1, 2, 3], [4, 5, 6]])
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError, match="square matrix required"):
         intlinalg.adjugate_row([[1, -1], [1, -1, 0]])
 
 

@@ -11,7 +11,7 @@ import monomial_reference as ref
 from cycres import cyc_complex, graph_core
 from cycres import poly_ring as pr
 from cycres import resolution_verify as rv
-from cycres.errors import InternalError, ZeroElementError
+from cycres.errors import InternalError
 from tower_reference import TupleTower, leading_module_term
 
 from conftest import (
@@ -161,7 +161,7 @@ def test_leading_term_poly():
     assert leading_module_term(tower, poly_elem(ctx, {(2, 0, 0, 0): 5}), 0) == (
         5, ctx.pack((2, 0, 0, 0)), 0
     )
-    with pytest.raises(ZeroElementError):
+    with pytest.raises(ValueError, match="leading term of zero module element"):
         leading_module_term(tower, {}, 0)
 
 
@@ -426,7 +426,7 @@ def test_add_level_rejects_an_inhomogeneous_column(k4_complex):
     with pytest.raises(InternalError, match="inhomogeneous differential column 1 in degree 1"):
         tower.add_level([elem_terms(poly_elem(C.ctx, {(1, 0, 0, 0): 1, (0, 0, 0, 2): -1}))])
     assert tower.levels == 1
-    with pytest.raises(ZeroElementError):
+    with pytest.raises(InternalError, match="zero differential column 1 in degree 1"):
         tower.add_level([elem_terms({})])
     assert tower.levels == 1
     # one level up: a term on e[1,1] one degree too high in column 4

@@ -912,3 +912,19 @@ def test_oracle_reads_the_tower_only_to_pick_pivots(rows, d_max):
         [rv.graded_piece_rank(C, k, d, {}) for k in range(1, C.n)] for d in range(d_max + 1)
     ]
 
+
+
+def test_oracle_fails_where_d_squared_still_holds():
+    # multiply echelon6's first top-level column by x1 and raise its shift
+    # by nu_1: d∘d stays 0, but the image of the level below no longer
+    # fills the kernel at position 4 from degree 6 on, on any tower
+    C = complex_from_matrix(ECHELON6)
+    assert rv.graded_homology_oracle(C, 6) == (True, None, {"degrees": 7})
+    top, x1 = C.n - 1, C.ctx.variables[0]
+    C.diffs[top][0] = tuple((coeff, mono + x1, idx) for coeff, mono, idx in C.diffs[top][0])
+    C.shifts[top][0] += C.ctx.nu[0]
+    assert rv.check_d_squared(C) == (True, None, {})
+    failed = (False, "homology at position 4, degree 6: kernel 1294, image 1293", {"degrees": 6})
+    assert rv.graded_homology_oracle(C, 6) == failed
+    scrambled_tower(C, 1)
+    assert rv.graded_homology_oracle(C, 6) == failed

@@ -12,14 +12,12 @@ met on the way, the index itself last.  Both are rebuilt here from the
 terms of the columns alone, each column's leading term chosen by this key.
 """
 
-from cycres.errors import ZeroElementError
-
 
 def leading_module_term(tower, elem, level):
     """(coefficient, monomial, basis index) of the largest term of an Elem
     at a level of an OrderTower."""
     if not elem:
-        raise ZeroElementError("leading term of zero module element")
+        raise ValueError("leading term of zero module element")
     mono, idx = max(elem, key=lambda t: tower.key(level, *t))
     return elem[mono, idx], mono, idx
 
