@@ -8,6 +8,11 @@ and zero row sums; such matrices are classified as
     CB   -- the general case,
     ICB  -- additionally irreducible (digraph strongly connected),
     PCB  -- all off-diagonal weights positive (digraph strongly complete).
+
+Input is validated at the parse boundary (validate_digraph,
+digraph_from_matrix), so every Laplacian built here, and every relabelling
+of one, has these properties; CBMatrix stores what it is given.  Questions
+about the graph are answered by BFS over the matrix rows.
 """
 
 import json
@@ -37,14 +42,6 @@ class CBMatrix:
     """
 
     def __init__(self, n, a, echelon=None, perm=None):
-        for i in range(n):
-            if a[i][i] <= 0:
-                raise ValidationError(f"diagonal entry {i + 1} not positive")
-            if a[i][i] != sum(a[i][j] for j in range(n) if j != i):
-                raise ValidationError(f"row {i + 1} sum does not match diagonal")
-        for j in range(n):
-            if all(a[i][j] == 0 for i in range(n) if i != j):
-                raise ValidationError(f"column {j + 1} has no off-diagonal entry")
         self.n = n
         self.a = a  # tuple of tuples, nonnegative ints
         self.echelon = echelon
@@ -56,15 +53,6 @@ class CBMatrix:
             [self.a[i][i] if i == j else -self.a[i][j] for j in range(self.n)]
             for i in range(self.n)
         ]
-
-    def digraph(self):
-        arcs = tuple(
-            (i + 1, j + 1, self.a[i][j])
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j and self.a[i][j] > 0
-        )
-        return WeightedDigraph(self.n, arcs)
 
 
 def _is_int(x):
@@ -143,7 +131,9 @@ def parse_digraph(text):
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    # ValueError covers JSONDecodeError and an integer literal longer than
+    # the interpreter's int-string digit limit
+    except (ValueError, RecursionError) as e:
         raise ValidationError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ValidationError("top-level JSON must be an object")
@@ -169,10 +159,10 @@ def laplacian(g: WeightedDigraph) -> CBMatrix:
     return CBMatrix(g.n, tuple(tuple(row) for row in w))
 
 
-def is_strongly_connected(g: WeightedDigraph) -> bool:
+def is_strongly_connected(L: CBMatrix) -> bool:
     """Every vertex is reached from vertex n and reaches it."""
-    reverse = WeightedDigraph(g.n, tuple((t, s, w) for s, t, w in g.arcs))
-    return None not in unweighted_distance(g, g.n) + unweighted_distance(reverse, g.n)
+    reverse = tuple(zip(*L.a))
+    return None not in unweighted_distance(L.a, L.n) + unweighted_distance(reverse, L.n)
 
 
 def classify(L: CBMatrix) -> str:
@@ -180,45 +170,42 @@ def classify(L: CBMatrix) -> str:
     n = L.n
     if all(L.a[i][j] > 0 for i in range(n) for j in range(n) if i != j):
         return "PCB"
-    if is_strongly_connected(L.digraph()):
+    if is_strongly_connected(L):
         return "ICB"
     return "CB"
 
 
-def unweighted_distance(g: WeightedDigraph, omega: int):
+def unweighted_distance(a, omega: int):
     """Directed BFS distances (ignoring weights) from omega to every vertex,
-    None for a vertex omega does not reach."""
-    n = g.n
-    adj = [[] for _ in range(n + 1)]
-    for s, t, _ in g.arcs:
-        adj[s].append(t)
-    dist = [None] * (n + 1)
-    dist[omega] = 0
-    queue = [omega]
+    None for a vertex omega does not reach.  a holds the weight rows: there
+    is an arc i -> j wherever a[i-1][j-1] > 0."""
+    dist = [None] * len(a)
+    dist[omega - 1] = 0
+    queue = [omega - 1]
     while queue:
         nxt = []
         for v in queue:
-            for u in adj[v]:
-                if dist[u] is None:
+            for u, w in enumerate(a[v]):
+                if w > 0 and dist[u] is None:
                     dist[u] = dist[v] + 1
                     nxt.append(u)
         queue = nxt
-    return tuple(dist[1:])
+    return tuple(dist)
 
 
-def omega_delta_enumeration(g: WeightedDigraph, omega: int = None):
+def omega_delta_enumeration(L: CBMatrix, omega: int = None):
     """Relabelling that sorts vertices by decreasing distance from omega.
 
     Returns perm with perm[v-1] = new index of vertex v (1-based); omega
     becomes vertex n, vertices at equal distance keep their original
     relative order.
     """
-    n = g.n
+    n = L.n
     if omega is None:
         omega = n
     if not 1 <= omega <= n:
         raise ValidationError(f"omega {omega} out of range 1..{n}")
-    dist = unweighted_distance(g, omega)
+    dist = unweighted_distance(L.a, omega)
     if None in dist:
         raise NotIrreducibleError(f"vertex {dist.index(None) + 1} unreachable from {omega}")
     order = sorted(
@@ -245,41 +232,23 @@ def permute_matrix(L: CBMatrix, perm) -> CBMatrix:
 
 
 def block_echelon_structure(L: CBMatrix):
-    """Block sizes (q_1, ..., q_delta) if L is in block echelon form, else None.
+    """(delta, (q_1, ..., q_delta)) if L is in block echelon form, else None.
 
-    The only candidate blocks are the distance classes from the last vertex
-    (farthest class first); the matrix conditions are then checked directly:
-    L[I_i, I_j] = 0 for j <= delta-1, i >= j+2, and every column of
-    L[I_{j+1}, I_j] nonzero.
+    L is in block echelon form exactly when a BFS from vertex n reaches
+    every vertex and the distances weakly fall along 1..n-1.  The blocks
+    I_1, ..., I_delta are then the distance classes, farthest first, and
+    I_{delta+1} = {n}.  The form's matrix conditions hold for these blocks
+    without a check:
+    - an arc r -> c gives dist(c) <= dist(r) + 1, so L[I_i, I_j] = 0 for
+      i >= j+2;
+    - each vertex at distance d >= 1 has a BFS parent at distance d-1 with
+      an arc into it, so every column of L[I_{j+1}, I_j] is nonzero.
     """
-    n = L.n
-    dist = unweighted_distance(L.digraph(), n)
-    if None in dist:
+    dist = unweighted_distance(L.a, L.n)
+    if None in dist or any(dist[v] < dist[v + 1] for v in range(L.n - 2)):
         return None
-    delta = max(dist)
-    blocks = []
-    pos = 0
-    for i in range(1, delta + 1):
-        cls = [v for v in range(1, n) if dist[v - 1] == delta + 1 - i]
-        if cls != list(range(pos + 1, pos + 1 + len(cls))):
-            return None
-        blocks.append(cls)
-        pos += len(cls)
-    if pos != n - 1:
-        return None
-    blocks.append([n])
-    a = L.a
-    for j in range(delta - 1):
-        for i in range(j + 2, delta + 1):
-            for r in blocks[i]:
-                for c in blocks[j]:
-                    if a[r - 1][c - 1] != 0:
-                        return None
-    for j in range(delta):
-        for c in blocks[j]:
-            if all(a[r - 1][c - 1] == 0 for r in blocks[j + 1]):
-                return None
-    return (delta, tuple(len(b) for b in blocks[:delta]))
+    delta = dist[0]
+    return (delta, tuple(dist.count(d) for d in range(delta, 0, -1)))
 
 
 def prepare(L: CBMatrix, omega: int = None) -> CBMatrix:
@@ -290,10 +259,9 @@ def prepare(L: CBMatrix, omega: int = None) -> CBMatrix:
     """
     if classify(L) == "CB":
         raise NotIrreducibleError("matrix is reducible")
-    perm = omega_delta_enumeration(L.digraph(), omega)
+    perm = omega_delta_enumeration(L, omega)
     M = permute_matrix(L, perm)
     structure = block_echelon_structure(M)
     if structure is None:
         raise InternalError("enumeration did not produce echelon form")
-    delta, sizes = structure
-    return CBMatrix(M.n, M.a, echelon=sizes, perm=perm)
+    return CBMatrix(M.n, M.a, echelon=structure[1], perm=perm)

@@ -109,6 +109,11 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         b"\xff\xfe{}",  # not UTF-8
         b"[" * 100000 + b"]" * 100000,  # nested past the recursion limit
     ]
+    # a weight one digit past the int-string digit limit (0: no limit)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        text = json.dumps({"n": 3, "arcs": [dict(arcs[0], w=0)] + arcs[1:]})
+        contents.append(text.replace('"w": 0', '"w": ' + "9" * (digits + 1)).encode())
     for data in contents:
         bad.write_bytes(data)
         code, _, err = run(capsys, "classify", str(bad))

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cycres import graph_core
 from cycres.errors import NotIrreducibleError, ValidationError
 
+import graph_reference
 import linalg_reference
 from conftest import (
     CYCLE4,
@@ -129,28 +131,27 @@ def test_is_strongly_complete():
 
 
 def test_unweighted_distance():
-    assert graph_core.unweighted_distance(k4_digraph(), 4) == (1, 1, 1, 0)
+    assert graph_core.unweighted_distance(graph_core.laplacian(k4_digraph()).a, 4) == (1, 1, 1, 0)
     g = graph_core.validate_digraph(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1)])
-    assert graph_core.unweighted_distance(g, 4) == (1, 2, 3, 0)
+    assert graph_core.unweighted_distance(graph_core.laplacian(g).a, 4) == (1, 2, 3, 0)
     gp = graph_core.digraph_from_matrix(WEIGHTED4_ECHELON)
-    assert max(graph_core.unweighted_distance(gp, 4)) == 3
+    assert max(graph_core.unweighted_distance(graph_core.laplacian(gp).a, 4)) == 3
 
 
 def test_unweighted_distance_unreachable():
     # vertices 1 and 2 have no arc into 3 or 4
-    g = graph_core.digraph_from_matrix(REDUCIBLE)
-    assert graph_core.unweighted_distance(g, 1) == (0, 1, None, None)
+    L = graph_core.laplacian(graph_core.digraph_from_matrix(REDUCIBLE))
+    assert graph_core.unweighted_distance(L.a, 1) == (0, 1, None, None)
     with pytest.raises(NotIrreducibleError, match="vertex 3 unreachable from 1"):
-        graph_core.omega_delta_enumeration(g, 1)
+        graph_core.omega_delta_enumeration(L, 1)
 
 
 def test_omega_delta_enumeration_examples():
-    gp = graph_core.digraph_from_matrix(WEIGHTED4_ECHELON)
-    assert graph_core.omega_delta_enumeration(gp) == (1, 2, 3, 4)
-    assert graph_core.omega_delta_enumeration(k4_digraph()) == (1, 2, 3, 4)
-    gl = graph_core.digraph_from_matrix(WEIGHTED4)
-    assert graph_core.omega_delta_enumeration(gl, 4) == (2, 1, 3, 4)
-    L = graph_core.laplacian(gl)
+    Lp = graph_core.laplacian(graph_core.digraph_from_matrix(WEIGHTED4_ECHELON))
+    assert graph_core.omega_delta_enumeration(Lp) == (1, 2, 3, 4)
+    assert graph_core.omega_delta_enumeration(graph_core.laplacian(k4_digraph())) == (1, 2, 3, 4)
+    L = graph_core.laplacian(graph_core.digraph_from_matrix(WEIGHTED4))
+    assert graph_core.omega_delta_enumeration(L, 4) == (2, 1, 3, 4)
     M = graph_core.permute_matrix(L, (2, 1, 3, 4))
     assert M.signed_rows() == WEIGHTED4_ECHELON
 
@@ -187,21 +188,6 @@ def random_cb_digraph(n, rng):
     )
 
 
-def reachability_closure(g):
-    n = g.n
-    reach = [[i == j for j in range(n)] for i in range(n)]
-    for s, t, _ in g.arcs:
-        reach[s - 1][t - 1] = True
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                row_i, row_k = reach[i], reach[k]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return all(all(row) for row in reach)
-
-
 def test_classification_matches_reachability_closure():
     rng = random.Random(99)
     hits = {"CB": 0, "ICB": 0, "PCB": 0}
@@ -209,7 +195,7 @@ def test_classification_matches_reachability_closure():
         g = random_cb_digraph(rng.randint(3, 6), rng)
         cls = graph_core.classify(graph_core.laplacian(g))
         hits[cls] += 1
-        assert (cls in ("ICB", "PCB")) == reachability_closure(g)
+        assert (cls in ("ICB", "PCB")) == graph_reference.reachability_closure(g.n, g.arcs)
     assert hits["CB"] > 0 and hits["ICB"] > 0
 
 
@@ -237,8 +223,8 @@ def test_strong_connectivity_matches_reachability_closure(case):
         g = graph_core.WeightedDigraph(
             n, tuple((s, t, w) for (s, t), w in sorted(weights.items()))
         )
-        connected = reachability_closure(g)
-        assert graph_core.is_strongly_connected(g) == connected
+        connected = graph_reference.reachability_closure(g.n, g.arcs)
+        assert graph_core.is_strongly_connected(graph_core.laplacian(g)) == connected
     # closed has no sink and no source, so it has a Laplacian to classify
     expected = "PCB" if len(closed) == n * (n - 1) else "ICB" if connected else "CB"
     assert graph_core.classify(graph_core.laplacian(g)) == expected
@@ -259,12 +245,40 @@ def test_icb_rows_independent_and_enumeration_reaches_echelon():
         delta, sizes = structure
         assert sum(sizes) == n - 1
         # echelon blocks coincide with the distance classes
-        dist = graph_core.unweighted_distance(M.digraph(), n)
+        dist = graph_core.unweighted_distance(M.a, n)
         pos = 0
         for i, q in enumerate(sizes, start=1):
             block = list(range(pos + 1, pos + 1 + q))
             assert all(dist[v - 1] == delta + 1 - i for v in block)
             pos += q
+
+
+def test_block_echelon_structure_matches_the_cell_by_cell_reference():
+    # the form read off one BFS against the matrix conditions checked cell
+    # by cell: on random digraphs, reducible and irreducible, on a random
+    # relabelling of each, and on the prepared form for every omega
+    rng = random.Random(26)
+    hits = Counter()
+    for _ in range(400):
+        n = rng.randint(3, 7)
+        L = graph_core.laplacian(random_cb_digraph(n, rng))
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        cls = graph_core.classify(L)
+        for M in (L, graph_core.permute_matrix(L, tuple(order))):
+            structure = graph_core.block_echelon_structure(M)
+            assert structure == graph_reference.block_echelon_structure(M)
+            hits[cls, structure is not None] += 1
+        if cls == "CB":
+            continue
+        for omega in range(1, n + 1):
+            M = graph_core.prepare(L, omega)
+            structure = graph_core.block_echelon_structure(M)
+            assert structure == graph_reference.block_echelon_structure(M)
+            assert structure[1] == M.echelon
+    # both verdicts met on both kinds: a reducible matrix is in the form
+    # when n reaches every vertex
+    assert {("CB", False), ("CB", True), ("ICB", False), ("ICB", True)} <= set(hits)
 
 
 def test_rightmost_coordinate_of_column_sums_is_negative():

@@ -16,6 +16,7 @@ from cycres.poly_ring import (
     s_vector,
 )
 
+import graph_reference
 import linalg_reference
 import oracle_reference
 from standard_expression_reference import below_leading_term
@@ -647,6 +648,35 @@ def test_full_verify_k4(k4_complex):
         "minimality_vs_completeness",
         "graded_homology",
     ]
+
+
+def test_every_strongly_connected_shape_on_four_vertices():
+    # all 83 shapes (1,606 labelled digraphs; OEIS A035512, A003030), with
+    # unit weights and with one seeded weighting each
+    labelled, shapes = graph_reference.strongly_connected_shapes(4)
+    assert (labelled, len(shapes)) == (1606, 83)
+    complete_arcs = tuple((s, t) for s in range(1, 5) for t in range(1, 5) if s != t)
+    rng = random.Random(4)
+    minimal = []
+    for arcs in shapes:
+        complete = arcs == complete_arcs
+        for weights in ([1] * len(arcs), [rng.randint(1, 3) for _ in arcs]):
+            g = graph_core.validate_digraph(4, [(s, t, w) for (s, t), w in zip(arcs, weights)])
+            L = graph_core.laplacian(g)
+            # every shape is strongly connected by the reachability closure
+            assert graph_core.classify(L) == ("PCB" if complete else "ICB")
+            for omega in range(1, 5):
+                M = graph_core.prepare(L, omega)
+                assert graph_reference.block_echelon_structure(M)[1] == M.echelon
+            # M is now the form at omega = n
+            report = rv.full_verify(cc.build_complex(M))
+            assert report.passed and len(report.checks) == 10, (arcs, weights)
+            check = report.checks[-2]
+            assert check.name == "minimality_vs_completeness"
+            if check.witness is None:
+                minimal.append(arcs)
+    # only the complete digraph, under both of its weightings
+    assert minimal == [complete_arcs, complete_arcs]
 
 
 def test_full_verify_cycle4(cycle4_complex):
