@@ -68,11 +68,16 @@ def cmd_classify(args) -> int:
         "blocks": list(M.echelon),
         "perm": list(M.perm),
     }
-    text = (
-        f"{cls}, mu={tuple(mu)}, nu={tuple(nu)}, "
-        f"echelon={'yes' if already else 'no'}, delta={delta}, "
-        f"blocks={tuple(M.echelon)}, perm={tuple(M.perm)}"
-    )
+    try:
+        # the same ints go into the JSON document, so this also covers
+        # --format json, before anything is printed
+        text = (
+            f"{cls}, mu={tuple(mu)}, nu={tuple(nu)}, "
+            f"echelon={'yes' if already else 'no'}, delta={delta}, "
+            f"blocks={tuple(M.echelon)}, perm={tuple(M.perm)}"
+        )
+    except ValueError as e:  # past the int-string digit limit
+        raise ValidationError(f"mu has too many digits to print: {e}") from e
     _emit(args, payload, text)
     return EXIT_OK
 

@@ -3,12 +3,21 @@
 Each check returns (ok, witness, counters); on failure the witness names
 the first fault found.  full_verify is the one place that names and times
 the checks, chaining them into a VerificationReport of CheckResults without
-aborting early.  The exactness oracle at the end assembles every graded
-piece as an explicit integer matrix and compares kernel dimensions with
-ranks over Q.  It reads the stored columns column by column, as the rows
-of the transpose, numbered in the module order one level down so that each
-column's pivot is its leading term; the order tower only picks those
-pivots, and a rank does not depend on anything the tower holds.
+aborting early.  The exactness oracle at the end first proves exactness
+from the leads of the stored columns, taken in the order (beta + w_p, then
+p) of the rows x^beta * e_p one level down, which is sound whatever the
+order tower holds: L_(k,d) + L_(k+1,d) = dim F_(k,d), for the counts L of
+distinct leads, makes position k exact in degree d, and one identity of
+truncated K-polynomials per level checks that in every degree up to the
+bound.  Only +-1 leads are counted, so the proof holds over every field;
+position 0 follows from the identity at position 1.  From the lowest degree
+d0 where the count falls short, the oracle assembles every graded piece as
+an explicit integer matrix and compares kernel dimensions with ranks over
+Q.  It reads the stored columns column by column, as the rows of the
+transpose, numbered in that same order so that each column's pivot is its
+leading term; the tower only picks those pivots, and a rank does not
+depend on anything it holds.  Either way the verdict rests on the
+d_squared check: equal dimensions prove exactness only where d∘d = 0.
 """
 
 import time
@@ -450,25 +459,176 @@ def graded_piece_rank(C: CycComplex, k, d, mono_cache):
     return rank_sparse(cols), len(cols)
 
 
-def graded_homology_oracle(C: CycComplex, d_max):
-    """Vanishing homology on every graded piece up to the degree bound.
+def minimal_generators(ctx: GradedContext, monos):
+    """The minimal generators of the monomial ideal the monos generate, as
+    an ascending tuple.  Integer order puts every divisor of a monomial
+    before it (the degree decides first), so each monomial is kept when no
+    kept one divides it."""
+    divides, kept = ctx.divides, []
+    for m in sorted(set(monos)):
+        if not any(divides(g, m) for g in kept):
+            kept.append(m)
+    return tuple(kept)
 
-    Position 0 compares the rank of the first differential with the count of
-    monomials inside the leading-term ideal of the degree-0 basis, the union
-    of the degree-d multiples of each leading monomial, the larger monomial
-    of each degree-0 column, read off the column itself; higher positions
-    compare kernel dimensions with the rank one step up.  Equal dimensions
-    prove exactness only because the image lies inside the kernel, that is
-    d∘d = 0: the verdict rests on the d_squared check.  Every monomial of a
-    piece has degree at most d_max, so a d_max past the complex's packing
-    is refused before any piece is built.
+
+def k_polynomial(ctx: GradedContext, gens, top, memo):
+    """Coefficients 0..top of the K-polynomial of S/J, the Hilbert series of
+    S/J times prod_i (1 - t^nu_i), for J with the minimal generators gens,
+    an ascending tuple: () is J = 0, and (0,), the unit, is J = S.
+
+    A generator of degree above top changes no coefficient up to top, so
+    it is dropped.  Pairwise coprime generators g give prod (1 - t^deg g),
+    which is 0 for the unit.  Otherwise a variable x_i in the most
+    generators is the pivot:
+        K(S/J) = K(S/(J + x_i)) + t^nu_i K(S/(J : x_i))
+    (Bigatti, JPAA 1997), where K(S/(J + x_i)) = (1 - t^nu_i) K(S/J') for
+    J' generated by the generators x_i does not divide.  memo holds every
+    K met, by (gens, top).
+    """
+    if top < 0:
+        return []
+    degree, support = ctx.degree, ctx.support
+    gens = tuple(g for g in gens if degree(g) <= top)
+    out = memo.get((gens, top))
+    if out is not None:
+        return out
+    out = [0] * (top + 1)
+    masks = [support(g) for g in gens]
+    union = shared = 0
+    for mask in masks:
+        shared |= mask & union
+        union |= mask
+    if not shared:
+        out[0] = 1
+        for g in gens:
+            e = degree(g)
+            for d in range(top, e - 1, -1):
+                out[d] -= out[d - e]
+    else:
+        # the variable in the most generators; some two share it
+        w = ctx.width
+        i = max(
+            (i for i in range(ctx.n) if shared >> (w * i + w - 1) & 1),
+            key=lambda i: sum(mask >> (w * i + w - 1) & 1 for mask in masks),
+        )
+        bit, x, v = 1 << (w * i + w - 1), ctx.variables[i], ctx.nu[i]
+        rest = k_polynomial(
+            ctx, tuple(g for g, mask in zip(gens, masks) if not mask & bit), top, memo
+        )
+        colon = minimal_generators(
+            ctx, [g - x if mask & bit else g for g, mask in zip(gens, masks)]
+        )
+        for d in range(top + 1):
+            out[d] = rest[d] - (rest[d - v] if d >= v else 0)
+        for d, c in enumerate(k_polynomial(ctx, colon, top - v, memo), v):
+            out[d] += c
+    memo[gens, top] = out
+    return out
+
+
+def lead_ideals(C: CycComplex, k, d_max):
+    """{p: J_p}: the minimal generators of the monomial ideal J_p of the
+    leads on e_p of the columns of d_(k+1) whose shift is at most d_max, for
+    each level-k position p with one.
+
+    A column's lead is its largest summed nonzero term in the order of
+    graded_piece_rank's rows, (beta + w_p, then p).  It counts only when its
+    coefficient is +-1 and its degree is the column's shift: a column left
+    out lowers the count the identity checks, never raises it.  Columns of
+    higher shift cannot reach degree d_max - s_p, where K_p is cut.
+    """
+    ideals = {}
+    if k + 1 == C.n:
+        return ideals
+    base, bits, shifts = C.tower.base[k], C.tower.bits[k], C.shifts[k]
+    b = (len(shifts) - 1).bit_length()
+    degree = C.ctx.degree
+    for f, shift in zip(C.diffs[k + 1], C.shifts[k + 1]):
+        if shift > d_max:
+            continue
+        terms = {}
+        for coeff, mono, p in f:
+            key = ((mono + (base[p] >> bits)) << b) + p
+            terms[key] = terms.get(key, 0) + coeff
+        key = max((key for key, coeff in terms.items() if coeff), default=None)
+        if key is None or terms[key] not in (1, -1):
+            continue
+        p = key & ((1 << b) - 1)
+        mono = (key >> b) - (base[p] >> bits)
+        if degree(mono) + shifts[p] == shift:
+            ideals.setdefault(p, []).append(mono)
+    return {p: minimal_generators(C.ctx, monos) for p, monos in ideals.items()}
+
+
+def quotient_series(C: CycComplex, k, d_max, memo):
+    """Coefficients 0..d_max of sum_p t^(s_p) K_p over the level-k positions
+    p, K_p the K-polynomial of S/J_p (lead_ideals): the Hilbert series of
+    F_k / N_(k+1) times prod_i (1 - t^nu_i), where N_(k+1) is the monomial
+    submodule the leads of d_(k+1) generate."""
+    ideals = lead_ideals(C, k, d_max)
+    out = [0] * (d_max + 1)
+    met = Counter((ideals.get(p, ()), s) for p, s in enumerate(C.shifts[k]) if s <= d_max)
+    for (gens, s), m in met.items():
+        for d, c in enumerate(k_polynomial(C.ctx, gens, d_max - s, memo), s):
+            out[d] += m * c
+    return out
+
+
+def graded_homology_oracle(C: CycComplex, d_max):
+    """Vanishing homology on every graded piece up to the degree bound:
+    proved from the leads of the stored columns, and by elimination from
+    the lowest degree where their count falls short.
+
+    The count.  graded_piece_rank orders the rows x^beta * e_p one level
+    down by (beta + w_p, then p); multiplying by x^alpha keeps that order,
+    whatever the tower holds, so the lead of x^alpha * f is x^alpha times
+    the lead of f, and columns with distinct leads are independent.  So
+    L_(k,d), the number of distinct leads in the degree-d piece of d_k, is
+    the degree-d dimension of the monomial submodule N_k the leads generate,
+    and at most the rank.  With d∘d = 0, rank d_k + rank d_(k+1) is at most
+    dim F_(k,d); so L_(k,d) + L_(k+1,d) = dim F_(k,d) proves position k
+    exact in degree d.  For every degree up to d_max at once that is one
+    identity of K-polynomials per level k = 1..n-1 (quotient_series):
+        sum_(p in level k) t^s_p K_p = sum_(q in level k-1) t^s_q (1 - K_q)
+    mod t^(d_max+1).  Only leads with coefficient +-1 are counted
+    (lead_ideals), so the proof holds over every field.  At position 1 it
+    also gives rank d_1 = L_(1,d), the count of monomials in the ideal of
+    the degree-0 leads, which is what elimination compares at position 0.
+    On a correct complex the columns are a Groebner basis of their image
+    in the Schreyer order (the frames of Erocal-Motsak-Schreyer-Steenpass),
+    and the identity is expected to hold.
+
+    Elimination.  From the lowest degree d0 where the identity fails at
+    some position, every piece is ranked over Q (graded_piece_rank).
+    Position 0 compares the rank of the first differential with the count
+    of monomials inside the leading-term ideal of the degree-0 basis, the
+    union of the degree-d multiples of the larger monomial of each degree-0
+    column, read off the column itself; higher positions compare kernel
+    dimensions with the rank one step up.  The degrees below d0 count as
+    checked, so verdict, witness and counter are those of elimination in
+    every degree.
+
+    Either way, equal dimensions prove exactness only because the image
+    lies inside the kernel, that is d∘d = 0: the verdict rests on the
+    d_squared check.  Every monomial of a piece has degree at most d_max,
+    so a d_max past the complex's packing is refused before any piece is
+    built.
     """
     n, ctx = C.n, C.ctx
     if max(d_max // v for v in ctx.nu) > ctx.cap:
         raise InternalError(f"degree {d_max} does not fit {ctx.width}-bit fields")
+    memo = {}
+    quotients = [quotient_series(C, k, d_max, memo) for k in range(n)]
+    short = d_max + 1
+    for k in range(1, n):
+        free = Counter(C.shifts[k - 1])
+        for d in range(short):
+            if quotients[k][d] + quotients[k - 1][d] != free[d]:
+                short = d
+                break
     leads = [(g, ctx.degree(g)) for g in (max(m for _, m, _ in f) for f in C.diffs[1])]
-    degrees = 0
-    for d in range(d_max + 1):
+    degrees = short
+    for d in range(short, d_max + 1):
         mono_cache = {}
         ranks = {n: 0}
         cols = {}

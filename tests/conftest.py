@@ -142,6 +142,14 @@ def complex_from_matrix(rows, omega=None):
     return cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g), omega))
 
 
+def scrambled_tower(C, seed):
+    """Overwrite every level's keys with random ints, most of them shared by
+    many positions and some negative, so that no key tells two apart."""
+    rng = random.Random(seed)
+    for level in C.tower.base:
+        level[:] = [rng.choice((0, -3, 7, 1 << 61)) for _ in level]
+
+
 # every bundled instance with a complex (reducible.json has none)
 RESOLVABLE = ["cycle4", "cycle4_arcs", "echelon6", "k4", "weighted4", "weighted4_echelon"]
 

@@ -121,6 +121,24 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         assert err.startswith("error: "), err
 
 
+def test_classify_refuses_a_mu_past_the_digit_limit(tmp_path, capsys):
+    # each weight fits the int-string digit limit, but mu, a product of two
+    # weights, does not: exit 2 with one error line in both formats, and
+    # nothing on stdout (0: no limit)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:
+        return
+    w = 10 ** (digits * 3 // 4)
+    arcs = [{"from": 1, "to": 2, "w": w + 1}, {"from": 2, "to": 3, "w": w + 3},
+            {"from": 3, "to": 1, "w": 1}]
+    path = tmp_path / "cycle3.json"
+    path.write_text(json.dumps({"n": 3, "arcs": arcs}))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "classify", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: mu has too many digits") and err.count("\n") == 1, err
+
+
 def test_verify_k4(capsys):
     code, out, _ = run(capsys, "verify", inst("k4.json"), "--max-degree", "6")
     assert code == 0

@@ -17,6 +17,7 @@ from cycres.poly_ring import (
 )
 
 import graph_reference
+import lead_ideal_reference
 import linalg_reference
 import oracle_reference
 from standard_expression_reference import below_leading_term
@@ -26,12 +27,14 @@ from conftest import (
     INSTANCES,
     WEIGHTED4,
     P,
+    bundled_complex,
     column_elem,
     complex_from_matrix,
     elem_scale_term,
     generic4_matrix,
     poly_elem,
     random_icb_digraph,
+    scrambled_tower,
     swept_complexes,
     tuples,
 )
@@ -591,7 +594,7 @@ def test_homology_oracle_k4_small_degrees(k4_complex):
 def test_homology_oracle_catches_corruption():
     # erase one differential column: the complex property survives trivially
     # at that column but exactness fails in its degrees, on a scrambled
-    # tower too (scrambled_tower, below)
+    # tower too (conftest.scrambled_tower)
     for scramble in (False, True):
         C = complex_from_matrix(K4_ROWS)
         if scramble:
@@ -602,6 +605,141 @@ def test_homology_oracle_catches_corruption():
         ok, witness, _ = rv.graded_homology_oracle(C, 6)
         assert not ok
         assert witness.startswith("homology at position")
+
+
+def oracle_pieces(monkeypatch):
+    """Record the (level, degree) of every graded_piece_rank call and the
+    row count of every rank_sparse call the oracle makes."""
+    pieces, ranks = [], []
+    graded_piece_rank, rank_sparse = rv.graded_piece_rank, rv.rank_sparse
+
+    def recording_piece(C, k, d, mono_cache):
+        pieces.append((k, d))
+        return graded_piece_rank(C, k, d, mono_cache)
+
+    def recording_rank(rows):
+        ranks.append(len(rows))
+        return rank_sparse(rows)
+
+    monkeypatch.setattr(rv, "graded_piece_rank", recording_piece)
+    monkeypatch.setattr(rv, "rank_sparse", recording_rank)
+    return pieces, ranks
+
+
+def k5_complex(d_max):
+    g = graph_core.digraph_from_matrix([[4 if i == j else -1 for j in range(5)] for i in range(5)])
+    return cc.build_complex(graph_core.prepare(graph_core.laplacian(g)), d_max)
+
+
+@pytest.mark.parametrize("name", VERIFIABLE + ["k5"])
+def test_identity_builds_no_piece(name, monkeypatch):
+    # on the towers as built the leads count every rank: no piece is built
+    # or ranked, on K5 to degree 13 (oracle-k5) and on the verifiable
+    # bundled instances over their default range
+    if name == "k5":
+        C, d_max = k5_complex(13), 13
+    else:
+        C = bundled_complex(name)
+        d_max = rv.default_d_max(C)
+    pieces, ranks = oracle_pieces(monkeypatch)
+    assert rv.graded_homology_oracle(C, d_max) == (True, None, {"degrees": d_max + 1})
+    assert pieces == ranks == []
+
+
+def lead_count_instances():
+    for name in VERIFIABLE:
+        yield pytest.param(name, id=name)
+    for n in (4, 5):
+        for seed in range(3):
+            yield pytest.param((n, seed), id=f"random{n}.{seed}")
+
+
+@pytest.mark.parametrize("which", list(lead_count_instances()))
+def test_lead_counts_match_the_k_polynomial_sums(which):
+    # sum_p t^s_p K_p over level k, divided by prod (1 - t^nu_i), is the
+    # Hilbert series of F_k / N_(k+1): in every degree up to the bound it
+    # is dim F_(k,d) - L_(k+1,d), the brute-force count of distinct leads
+    if isinstance(which, str):
+        C = bundled_complex(which)
+        d_max = rv.default_d_max(C)
+    else:
+        n, seed = which
+        g = random_icb_digraph(n, random.Random(1000 * n + seed))
+        C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
+        d_max = min(rv.default_d_max(C), 10)
+    counts = rv.count_monomials(C.ctx.nu, d_max)
+    memo = {}
+    for k in range(C.n):
+        series = rv.quotient_series(C, k, d_max, memo)
+        for d in range(d_max + 1):
+            above = lead_ideal_reference.lead_count(C, k + 1, d) if k + 1 < C.n else 0
+            quotient = sum(series[e] * counts[d - e] for e in range(d + 1))
+            assert quotient == lead_ideal_reference.free_rank(C, k, d) - above, (k, d)
+    assert lead_ideal_reference.short_degree(C, d_max) is None
+
+
+def test_k_polynomial_counts_standard_monomials():
+    # K(S/J) is the count of monomials outside J, degree by degree, times
+    # prod (1 - t^nu_i): checked on the unit ideal (K = 0, whatever else
+    # generates it), the zero ideal (K = 1) and random weighted ideals
+    ctx = GradedContext(3, (1, 2, 3), 5)
+    x1, x2, x3 = ctx.variables
+    assert rv.k_polynomial(ctx, (0,), 6, {}) == [0] * 7
+    assert rv.k_polynomial(ctx, rv.minimal_generators(ctx, [x1, 0, x2 + x3]), 6, {}) == [0] * 7
+    assert rv.k_polynomial(ctx, (), 4, {}) == [1, 0, 0, 0, 0]
+    assert rv.k_polynomial(ctx, (x1,), 3, {}) == [1, -1, 0, 0]
+    assert rv.k_polynomial(ctx, (x1,), -1, {}) == []
+    # (x1^2, x1*x2): 1 - t^2 - t^3 + t^4
+    assert rv.k_polynomial(ctx, (2 * x1, x1 + x2), 5, {}) == [1, 0, -1, -1, 1, 0]
+    rng = random.Random(8)
+    top = 12
+    below = [rv.monomials_of_degree(ctx, d) for d in range(top + 1)]
+    memo = {}
+    for _ in range(60):
+        gens = [
+            ctx.pack([rng.randrange(4) for _ in range(3)]) for _ in range(rng.randrange(1, 6))
+        ]
+        minimal = rv.minimal_generators(ctx, gens)
+        assert all(any(ctx.divides(m, g) for m in minimal) for g in gens)
+        assert not any(ctx.divides(a, b) for a in minimal for b in minimal if a != b)
+        outside = [
+            sum(1 for m in monos if not any(ctx.divides(g, m) for g in gens)) for monos in below
+        ]
+        # K = (outside series) * prod (1 - t^nu_i), cut at top
+        k_poly = outside[:]
+        for v in ctx.nu:
+            for d in range(top, v - 1, -1):
+                k_poly[d] -= k_poly[d - v]
+        assert rv.k_polynomial(ctx, minimal, top, memo) == k_poly, gens
+
+
+@pytest.mark.parametrize("name, d_max, short", [("k5", 13, 8), ("echelon6", 5, 3)])
+def test_tie_break_by_monomial_sends_the_count_to_elimination(name, d_max, short, monkeypatch):
+    # leads taken with ties of beta + w_p broken by the monomial, not the
+    # position, are still a sound count, but not the Schreyer order the
+    # columns were built in: it falls short, and elimination gives the
+    # verdict the identity gives
+    C = k5_complex(d_max) if name == "k5" else bundled_complex(name)
+    monkeypatch.setattr(rv, "lead_ideals", lead_ideal_reference.monomial_tie_break_ideals)
+    pieces, _ = oracle_pieces(monkeypatch)
+    assert rv.graded_homology_oracle(C, d_max) == (True, None, {"degrees": d_max + 1})
+    assert min(d for _, d in pieces) == short
+    assert lead_ideal_reference.short_degree(C, d_max, "monomial") == short
+
+
+def test_a_lead_that_is_not_a_unit_goes_to_elimination(monkeypatch):
+    # doubling one top-level column of K4 keeps d∘d = 0 and the ranks over
+    # Q, but its lead, 2 times a monomial, proves nothing over a field of
+    # characteristic 2: it is not counted, the identity falls short at the
+    # column's degree 6, and elimination from there passes as it does over Q
+    C = complex_from_matrix(K4_ROWS)
+    top = C.n - 1
+    C.diffs[top][0] = tuple((2 * coeff, mono, idx) for coeff, mono, idx in C.diffs[top][0])
+    assert rv.check_d_squared(C) == (True, None, {})
+    assert C.shifts[top][0] == 6
+    pieces, ranks = oracle_pieces(monkeypatch)
+    assert rv.graded_homology_oracle(C, 8) == (True, None, {"degrees": 9})
+    assert min(d for _, d in pieces) == 6 and len(pieces) == 9 and len(ranks) == 9
 
 
 def test_hilbert_tail_k4(k4_complex):
@@ -770,16 +908,19 @@ def test_report_json_shape(k4_complex):
         assert {"name", "status", "millis"} <= set(check)
 
 
-# the widest oracle piece of the pinned wide runs, and of oracle-k5
-WIDEST_PIECES = {"k4": (20, 9792), "cycle3": (40, 2460), "k5": (13, 7980)}
+# the widest oracle piece of the pinned wide runs, and of oracle-k5, and
+# the degree from which the lead count falls short on scrambled_tower(C, 0)
+WIDEST_PIECES = {"k4": (20, 9792, 6), "cycle3": (40, 2460, 2), "k5": (13, 7980, 8)}
 
 
 @pytest.mark.parametrize("name", sorted(WIDEST_PIECES))
 def test_piece_widths_count_the_oracle_pieces(name, monkeypatch):
     # the widths counted from the shifts are the sizes of the pieces the
     # oracle numbers, degree by degree; the budget admits a piece as wide
-    # as itself and refuses a wider one, naming it
-    d_max, widest = WIDEST_PIECES[name]
+    # as itself and refuses a wider one, naming it.  On a scrambled tower
+    # the oracle eliminates every degree from the first short one; the
+    # pieces below it are numbered directly
+    d_max, widest, short = WIDEST_PIECES[name]
     if name == "cycle3":
         rows = CYCLE3
     else:
@@ -787,8 +928,11 @@ def test_piece_widths_count_the_oracle_pieces(name, monkeypatch):
         rows = [[n - 1 if i == j else -1 for j in range(n)] for i in range(n)]
     g = graph_core.digraph_from_matrix(rows)
     C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)), d_max)
+    scrambled_tower(C, 0)
     widths = list(rv.piece_widths(C, d_max))
-    pieces = []
+    pieces = [
+        (d, rv.graded_piece_rank(C, k, d, {})[1]) for d in range(short) for k in range(1, C.n)
+    ]
     graded_piece_rank = rv.graded_piece_rank
 
     def recording(C, k, d, mono_cache):
@@ -799,6 +943,7 @@ def test_piece_widths_count_the_oracle_pieces(name, monkeypatch):
     monkeypatch.setattr(rv, "graded_piece_rank", recording)
     assert rv.graded_homology_oracle(C, d_max) == (True, None, {"degrees": d_max + 1})
     assert len(pieces) == (d_max + 1) * (C.n - 1)
+    assert [d for d, _ in pieces[short * (C.n - 1) :: C.n - 1]] == list(range(short, d_max + 1))
     assert widths == [
         max(ncols for degree, ncols in pieces if degree == d) for d in range(d_max + 1)
     ]
@@ -915,14 +1060,6 @@ def test_repeated_terms_of_a_column_are_summed():
         assert piece == oracle_reference.graded_piece_rank(C, 2, d)
 
 
-def scrambled_tower(C, seed):
-    # overwrite every level's keys with random ints, most of them shared by
-    # many positions and some negative, so that no key tells two apart
-    rng = random.Random(seed)
-    for level in C.tower.base:
-        level[:] = [rng.choice((0, -3, 7, 1 << 61)) for _ in level]
-
-
 @pytest.mark.parametrize("rows, d_max", [(K4_ROWS, 8), (WEIGHTED4, 14)], ids=["k4", "weighted4"])
 def test_oracle_reads_the_tower_only_to_pick_pivots(rows, d_max):
     # the same pieces, ranks and verdict whatever the tower's keys hold
@@ -944,7 +1081,7 @@ def test_oracle_reads_the_tower_only_to_pick_pivots(rows, d_max):
 
 
 
-def test_oracle_fails_where_d_squared_still_holds():
+def test_oracle_fails_where_d_squared_still_holds(monkeypatch):
     # multiply echelon6's first top-level column by x1 and raise its shift
     # by nu_1: d∘d stays 0, but the image of the level below no longer
     # fills the kernel at position 4 from degree 6 on, on any tower
@@ -955,6 +1092,11 @@ def test_oracle_fails_where_d_squared_still_holds():
     C.shifts[top][0] += C.ctx.nu[0]
     assert rv.check_d_squared(C) == (True, None, {})
     failed = (False, "homology at position 4, degree 6: kernel 1294, image 1293", {"degrees": 6})
+    # the lead count first falls short there too, so only degree 6 is
+    # eliminated
+    assert lead_ideal_reference.short_degree(C, 6) == 6
+    pieces, _ = oracle_pieces(monkeypatch)
     assert rv.graded_homology_oracle(C, 6) == failed
+    assert pieces == [(k, 6) for k in range(1, C.n)]
     scrambled_tower(C, 1)
     assert rv.graded_homology_oracle(C, 6) == failed
