@@ -132,8 +132,7 @@ def cmd_verify(args) -> int:
 def cmd_gb(args) -> int:
     M = _prepare(args)
     C = cyc_complex.build_complex(M)
-    tails = term_tails(0, 1)
-    lines = [elem_str(f, tails, C.ctx) for f in C.diffs[1]]
+    lines = list(elem_str(C.positions[1], term_tails(0, 1), C.ctx))
     _emit(args, {"groebner_basis": lines}, "\n".join(lines))
     return EXIT_OK
 

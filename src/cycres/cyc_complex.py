@@ -17,10 +17,10 @@ them up, which cross-checks those positions.
 """
 
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, count
 from json.encoder import encode_basestring_ascii
 from math import comb
-from operator import gt
+from operator import gt, itemgetter
 
 from . import intlinalg
 from .errors import InternalError, NotIrreducibleError, ValidationError
@@ -162,24 +162,29 @@ def merge(p, s):
 
 
 def boundary(basis, arrows: ArrowTable, targets):
-    """Images of one level's basis partitions under the differential.
+    """Images of one level's basis partitions under the differential, as
+    the level's term positions.
 
     Each block is merged with its cyclic successor, with arrow-monomial
     coefficients and signs alternating from +1, except that the closing
     merge of the last block into the first is always -1.  ``targets[s][j]``
     is the basis position of merge(basis[j], s) one level down, as
-    merge_targets gives it.  Column j is the tuple of (coeff, monomial,
-    basis index) terms of basis[j], one per merge position.
+    merge_targets gives it.  The position of merge s is (coeffs, monos,
+    targets[s]): that merge's term of every column at once, its sign one
+    shared tuple per sign, monos[j] the arrow monomial of basis[j] from
+    block s into its successor, and the targets list stored as given.
+    Column j is entry j of each position, in the order of the positions.
 
-    The terms come in the order s = k-1, ..., 0, k, strictly decreasing in
-    the module order one level down, so the tower stores them as given and
-    the leading_term_formula check keys them all.  Proof, by induction over
-    the levels: the columns below lead with their merge s = k-1, so e_q's
-    descent reaches acc(q), the product over l of arrow(q[l], the blocks
-    after l).  For s < k each term reaches acc(p), so they order by target
-    position, which rises with s (merge(p, s) has the bigger block at s: it
-    comes first in srle order).  s = k reaches T = arrow(p[k], p[0]) *
-    acc(merge(p, k)) = acc(p) * arrow(V - p[0], p[0]) / arrow(p[0], V - p[0]).
+    The positions come in the order s = k-1, ..., 0, k, strictly decreasing
+    in the module order one level down, so the tower stores them as given
+    and the leading_term_formula check keys every term.  Proof, by
+    induction over the levels: the columns below lead with their merge
+    s = k-1, so e_q's descent reaches acc(q), the product over l of
+    arrow(q[l], the blocks after l).  For s < k each term reaches acc(p),
+    so they order by target position, which rises with s (merge(p, s) has
+    the bigger block at s: it comes first in srle order).  s = k reaches
+    T = arrow(p[k], p[0]) * acc(merge(p, k))
+      = acc(p) * arrow(V - p[0], p[0]) / arrow(p[0], V - p[0]).
     Block echelon form numbers the vertices by falling BFS distance from n,
     so the BFS parent r of the vertex c of p[0] nearest to n, nearer than
     all of p[0], is off p[0] and above it, and its arc into c makes T larger
@@ -189,13 +194,13 @@ def boundary(basis, arrows: ArrowTable, targets):
     k = len(basis[0]) - 1
     if k < 1:
         raise InternalError("boundary needs at least two blocks")
+    signs = {1: (1,) * len(basis), -1: (-1,) * len(basis)}
     positions = []
     for s in (*range(k - 1, -1, -1), k):
         sign, t = (-1, 0) if s == k else ((-1) ** s, s + 1)
-        positions.append(
-            [(sign, arrows[p[s], p[t]], idx) for p, idx in zip(basis, targets[s])]
-        )
-    return list(zip(*positions))
+        monos = list(map(arrows.__getitem__, map(itemgetter(s, t), basis)))
+        positions.append((signs[sign], monos, targets[s]))
+    return positions
 
 
 class CycComplex:
@@ -209,8 +214,15 @@ class CycComplex:
         self.tower = tower
         self.arrows = arrows
         self.n = L.n
-        self.diffs = tower.images   # diffs[k]: the tower's columns, in degree k-1, k >= 1
+        self.positions = tower.positions  # positions[k]: d_k as term positions, k >= 1
         self.shifts = tower.shifts  # shifts[k][j]: weighted degree of basis element j in degree k
+
+    @property
+    def diffs(self):
+        """diffs[k][j]: the column of basis element j in degree k-1, k >= 1,
+        derived from the positions by the tower on first use (the checks
+        read columns; resolve and gb read the positions)."""
+        return self.tower.images
 
     @cached_property
     def index(self):
@@ -320,12 +332,17 @@ def minimality_check(C: CycComplex):
 
     Otherwise returns (False, (k, source index, target index, coefficient))
     for the first offending entry: lowest k, then source, then target.
+    Reads the term positions: a constant term is a monomial 0.
     """
     for k in range(1, C.n):
-        for j, f in enumerate(C.diffs[k]):
-            constants = [(p, coeff) for coeff, mono, p in f if mono == 0]
-            if constants:
-                return False, (k, j, *min(constants))
+        level = C.positions[k]
+        sources = [monos.index(0) for _, monos, _ in level if 0 in monos]
+        if sources:
+            j = min(sources)
+            constants = [
+                (targets[j], coeffs[j]) for coeffs, monos, targets in level if monos[j] == 0
+            ]
+            return False, (k, j, *min(constants))
     return True, None
 
 
@@ -346,30 +363,41 @@ def _write_list(write, depth, items):
     write("[]" if sep == "[" else "\n" + "  " * depth + "]")
 
 
+def _list_text(depth, items):
+    """The JSON text of a list of JSON texts at nesting depth `depth`, laid
+    out as _write_list writes it, for writing at once."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+# the "·e[" that opens every term tail of level >= 1, JSON-escaped
+TAIL_PREFIX = encode_basestring_ascii("·e[")[1:-1]
+
+
 def _column_entries(C: CycComplex, k):
     """The JSON text of each column entry of level k, rendered when asked.
-    The term tails of the level below are built and JSON-escaped once, for
-    this level; the term texts are plain ASCII with no quote or backslash,
-    and JSON escapes character by character, so quoting the rendered poly
-    is the same as escaping it."""
+    The term tails of the level below are built once for this level, with
+    their "·e[" prefix JSON-escaped once; the term texts are plain ASCII
+    with no quote or backslash, and JSON escapes character by character, so
+    the rendered poly is its own JSON-escaped text."""
     level = k - 1
-    tails = term_tails(level, len(C.diffs[level]) if level else 1)
-    # in place, so the level's tails are held once
-    for i, tail in enumerate(tails):
-        tails[i] = encode_basestring_ascii(tail)[1:-1]
-    head, mid, end = '{\n        "basis": ', ',\n        "poly": "', '"\n      }'
-    for j, f in enumerate(C.diffs[k], 1):
-        yield f"{head}{j}{mid}{elem_str(f, tails, C.ctx)}{end}"
+    tails = term_tails(level, len(C.bases[level]) if level else 1, TAIL_PREFIX)
+    entry = '{{\n        "basis": {},\n        "poly": "{}"\n      }}'.format
+    return map(entry, count(1), elem_str(C.positions[k], tails, C.ctx))
 
 
 def export_json(C: CycComplex, fh):
     """Write the complex to the text stream fh as the JSON document
     {"diffs", "n", "nu", "ranks", "shifts"}, laid out byte for byte as the
     json module lays it out with indent=2 and sorted keys, with no trailing
-    newline.  Each column is rendered and written on its own, so the whole
-    document is never held in memory.  A column's poly is rendered by
-    elem_str with its level's suffixes already JSON-escaped and quoted as
-    it stands (see _column_entries), so no text is escaped twice.
+    newline.  Each column is rendered from the term positions and written
+    on its own, and each level of shifts in one write, so neither the
+    whole document nor a level of column texts is ever held in memory, and
+    no column is derived.  A column's poly is rendered by elem_str with its
+    level's suffixes already JSON-escaped and quoted as it stands (see
+    _column_entries), so no text is escaped twice.
     """
     write = fh.write
     write('{\n  "diffs": ')
@@ -379,5 +407,5 @@ def export_json(C: CycComplex, fh):
     write(',\n  "ranks": ')
     _write_list(write, 1, map(str, C.ranks()))
     write(',\n  "shifts": ')
-    _write_list(write, 1, (map(str, level) for level in C.shifts))
+    _write_list(write, 1, (_list_text(2, list(map(str, level))) for level in C.shifts))
     write("\n}")

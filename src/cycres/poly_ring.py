@@ -10,16 +10,22 @@ Representation conventions (kept deliberately plain for speed):
                is K(a) + K(b), x^a / x^b is K(a) - K(b), the unit is 0
     Elem       dict {(monomial, basis index): int}, one entry per term
                c * x^m * e_i, no zero coefficient stored
+    position   (coeffs, monos, targets): term i of every column of one
+               level at once, coeffs[j] * x^monos[j] * e_targets[j] in
+               column j; a level is its positions, in term order
     column     tuple of (coeff, monomial, basis index) terms, strictly
-               decreasing in the module order one level down
+               decreasing in the module order one level down: entry j
+               of each position
 
 Elems are the mutable accumulators (division work and remainders,
-S-vectors); each differential column is stored once, as a column, by the
-order tower, in the order the build gives its terms in, which
+S-vectors).  The differential is stored once, as each level's positions,
+by the order tower, in the order the build gives its terms in, which
 cyc_complex.boundary proves strictly decreasing and the
-leading_term_formula check verifies term by term.  So a column's first
-term is its leading term, and the leading term of an S-vector is read off
-its two columns without building it.  Only the degree-0 Groebner check
+leading_term_formula check verifies term by term; the tower derives the
+columns from them when a check first reads one, and the text output
+(elem_str) reads the positions.  So a column's first term is its leading
+term, and the leading term of an S-vector is read off its two columns
+without building it.  Only the degree-0 Groebner check
 divides, and it reads nothing but the remainder of a degree-0 element by
 the degree-0 columns; the divisors are looked up by the support mask of
 the term to reduce, in a table that check builds once (divisor_table).
@@ -31,9 +37,13 @@ order on packed monomials is exactly that order.  Module orders are induced
 level by level through a fixed list of images, with ties broken by the
 larger basis index.  Exponent vectors are unpacked only to read input and
 to write text; the text of each signed term is rendered once per context
-(TermText) and joined with per-level basis suffixes by elem_str.
+(TermText) and joined with per-level basis suffixes by elem_str, one
+column at a time.
 """
 
+from functools import cached_property
+from itertools import compress, count, repeat
+from operator import add, and_, lshift, lt, ne, neg, rshift
 from weakref import ref
 
 from .errors import InternalError
@@ -191,83 +201,108 @@ class OrderTower:
     indices of its leading terms never fall along it, so the lists of indices
     met on the way order as the indices do, and integer order on the keys
     (m << bits) + base[i] of x^m * e_i is the module order.  The tower owns
-    the columns and the degree shifts.  Each column is kept as boundary
-    emits it, strictly decreasing, so its first term is its leading term
-    and the one record of it.  Every table is immutable once add_level
-    returns.
+    the differential, stored as each level's term positions, and the degree
+    shifts.  Each column is kept in the order boundary emits its terms,
+    strictly decreasing, so its first term is its leading term and the one
+    record of it.  Every table is immutable once add_level returns; the
+    columns (images) are derived from the positions when first read.
     """
 
     def __init__(self, ctx: GradedContext):
         self.ctx = ctx
         self.bits = [0]             # bits[level]: width of the index field
         self.base = [[0]]           # base[level][idx]: key of x^0 * e_idx
-        self.images = [None]        # images[level][idx]: column one level down, lead first
+        self.positions = [None]     # positions[level]: (coeffs, monos, targets) per term position
         self.shifts = [[0]]         # shifts[level][idx]: degree of its acc
 
     @property
     def levels(self):
         return len(self.base)
 
+    @cached_property
+    def images(self):
+        """images[level][idx]: the column of basis element idx one level
+        down, a tuple of (coeff, monomial, basis index) terms, lead first.
+        Derived from the positions by one zip on first use and kept until
+        the next add_level; only the checks read columns."""
+        return [None] + [
+            list(zip(*[zip(*position) for position in level])) for level in self.positions[1:]
+        ]
+
     def key(self, level, mono, idx):
         """The int key of the module monomial x^mono * e_idx at a level."""
         return (mono << self.bits[level]) + self.base[level][idx]
 
-    def add_level(self, columns):
-        """Append the order induced by the next level's differential columns.
+    def add_level(self, positions):
+        """Append the order induced by the next level's differential.
 
-        ``columns`` hold, per basis element of the next level, its image as
-        a sequence of (coeff, monomial, basis index) terms of the current
-        top level, in strictly decreasing module order as boundary emits
-        them (its docstring proves the order; the leading_term_formula check
-        keys every term).  Each column is stored as given, as a tuple, and
-        only its first and last terms are keyed.  The first is its leading
-        term, whose coefficient must be +-1; the degree of the level-0
-        monomial it reaches is the shift, and that monomial is base[j] above
-        the index j.  The last must reach the same degree, so that in that
-        order the two bound every term.  Nothing is appended when a column
-        is refused: an empty one, one whose first and last terms differ in
-        degree, a non-unit lead, a lead on a lower basis index than the lead
-        before it or an accumulated monomial past the fields.
+        ``positions`` hold the next level's columns as term positions, as
+        boundary gives them: position i is (coeffs, monos, targets), and
+        term i of column j is coeffs[i] * x^monos[i][j] * e_targets[i][j]
+        on the current top level.  Every column's terms come in strictly
+        decreasing module order (boundary's docstring proves it; the
+        leading_term_formula check keys every term).  The positions are
+        stored as given and only the first and last are keyed, a whole list
+        at a time.  The first holds the leading terms, whose coefficients
+        must be +-1; the degree of the level-0 monomial each reaches is its
+        column's shift, and that monomial is base[j] above the index j.  The
+        last must reach the same degrees, so that in that order the two
+        bound every term.  Nothing is appended when the level is refused:
+        no position (a zero column), positions of unequal lengths, or a
+        column whose first and last terms differ in degree, with a non-unit
+        lead, with a lead on a lower basis index than the lead before it or
+        with an accumulated monomial past the fields; the lowest such
+        column is named, and of its faults the first in that order.
         """
         level = self.levels - 1
-        bits, below = self.bits[level], self.base[level]
-        degree_of, guard = self.ctx.degree, self.ctx.guard
-        images, tops, shifts = [], [], []
-        target = 0
-        for j, column in enumerate(columns):
-            if not column:
-                raise InternalError(f"zero differential column {j + 1} in degree {level + 1}")
-            column = tuple(column)
-            (coeff, mono, idx), (_, last, at) = column[0], column[-1]
-            # the level-0 monomials the first and last terms reach
-            top = mono + (below[idx] >> bits)
-            degree = degree_of(top)
-            if degree_of(last + (below[at] >> bits)) != degree:
+        if not positions:
+            raise InternalError(f"zero differential column 1 in degree {level + 1}")
+        if len({len(seq) for position in positions for seq in position}) != 1:
+            raise InternalError(f"term positions of unequal lengths in degree {level + 1}")
+        ctx = self.ctx
+        acc = list(map(rshift, self.base[level], repeat(self.bits[level])))
+        (coeffs, monos, targets), (_, last, at) = positions[0], positions[-1]
+        # the level-0 monomials the first and last terms reach, and degrees
+        tops = list(map(add, monos, map(acc.__getitem__, targets)))
+        ends = map(add, last, map(acc.__getitem__, at))
+        # ctx.degree, ceil(mono / 2^shift), as (mono + mask) >> shift
+        shifts = list(map(rshift, map(add, tops, repeat(ctx.mask)), repeat(ctx.shift)))
+        degrees = map(rshift, map(add, ends, repeat(ctx.mask)), repeat(ctx.shift))
+        inhomogeneous = first(map(ne, shifts, degrees))
+        non_unit = first(map(ne, map(abs, coeffs), repeat(1)))
+        falls_back = first(map(lt, targets[1:], targets), 1)
+        overflow = first(map(and_, map(neg, tops), repeat(ctx.guard)))
+        faults = [j for j in (inhomogeneous, non_unit, falls_back, overflow) if j is not None]
+        if faults:
+            j = min(faults)
+            if j == inhomogeneous:
                 raise InternalError(
                     f"inhomogeneous differential column {j + 1} in degree {level + 1}"
                 )
-            if coeff not in (1, -1):
-                raise InternalError(f"leading coefficient {coeff} of image {j + 1} is not a unit")
-            if idx < target:
+            if j == non_unit:
+                raise InternalError(
+                    f"leading coefficient {coeffs[j]} of image {j + 1} is not a unit"
+                )
+            if j == falls_back:
                 raise InternalError(
                     f"leading term of differential column {j + 1} in degree {level + 1} "
-                    f"falls back to basis index {idx + 1}"
+                    f"falls back to basis index {targets[j] + 1}"
                 )
-            target = idx
-            if -top & guard:
-                raise InternalError(
-                    f"accumulated monomial of image {j + 1} in degree {level + 1} "
-                    f"overflows {self.ctx.width}-bit fields"
-                )
-            images.append(column)
-            tops.append(top)
-            shifts.append(degree)
+            raise InternalError(
+                f"accumulated monomial of image {j + 1} in degree {level + 1} "
+                f"overflows {ctx.width}-bit fields"
+            )
         up = (len(tops) - 1).bit_length()
-        base = [(top << up) + j for j, top in enumerate(tops)]
         self.bits.append(up)
-        self.base.append(base)
-        self.images.append(images)
+        self.base.append(list(map(add, map(lshift, tops, repeat(up)), count())))
+        self.positions.append(positions)
         self.shifts.append(shifts)
+        self.__dict__.pop("images", None)
+
+
+def first(flags, start=0):
+    """The position of the first true flag, counted from ``start``, or None."""
+    return next(compress(count(start), flags), None)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +379,9 @@ def s_cofactor(tower: OrderTower, level, i, j):
     in tower.images[level + 1], or None when their leading terms sit on
     different basis elements (the least common multiple is zero).
     """
-    ci, mi, ii = tower.images[level + 1][i][0]
-    _, mj, ij = tower.images[level + 1][j][0]
+    images = tower.images[level + 1]
+    ci, mi, ii = images[i][0]
+    _, mj, ij = images[j][0]
     if ii != ij:
         return None
     return ci, tower.ctx.cofactor(mi, mj)
@@ -362,7 +398,8 @@ def s_leading_key(tower: OrderTower, level, i, j, m_ji, m_ij):
     the first key whose terms do not cancel is Lt(S).
     """
     bits, base = tower.bits[level], tower.base[level]
-    f_i, f_j = tower.images[level + 1][i], tower.images[level + 1][j]
+    images = tower.images[level + 1]
+    f_i, f_j = images[i], images[j]
     (ci, mi), (cj, mj) = m_ji, m_ij
     up_i, up_j = mi << bits, mj << bits
     for (a, ma, ia), (b, mb, ib) in zip(f_i, f_j):
@@ -401,23 +438,43 @@ def s_vector(tower: OrderTower, level, i, j):
 # ---------------------------------------------------------------------------
 # text format
 
-def term_tails(level, size):
+def term_tails(level, size, prefix="·e["):
     """The text that follows a term's monomial, by basis index, for ``size``
-    basis elements of a level: ·e[level,j], j 1-based.  Level 0 is the ring
-    itself, so its single basis element is left implicit."""
+    basis elements of a level: ·e[level,j], j 1-based, with ``prefix`` in
+    place of "·e[" (export_json passes it JSON-escaped).  Level 0 is the
+    ring itself, so its single basis element is left implicit."""
     if not level:
         return [""] * size
-    return [f"·e[{level},{j}]" for j in range(1, size + 1)]
+    head = f"{prefix}{level},"
+    return [f"{head}{j}]" for j in range(1, size + 1)]
 
 
-def elem_str(column, tails, ctx: GradedContext):
-    """Render a column in its stored order, each term's text (ctx.terms)
-    followed by tails[basis index] (see term_tails)."""
-    if not column:
-        return "0"
-    terms, out = ctx.terms, []
-    for coeff, mono, idx in column:
-        out += terms[coeff, mono], tails[idx]
-    text = "".join(out)
-    # the first term carries its sign alone
-    return text[3:] if column[0][0] > 0 else "-" + text[3:]
+def elem_str(positions, tails, ctx: GradedContext):
+    """The texts of one level's columns, given as its term positions (see
+    OrderTower.add_level), as an iterator that renders each column when it
+    is asked for: each term's text (ctx.terms) followed by tails[basis
+    index] (see term_tails), in the stored order.  Each position looks its
+    text up once per distinct monomial when it carries one coefficient, as
+    every built position does, and per term otherwise; the first term
+    carries its sign alone."""
+    terms, parts = ctx.terms, []
+    for i, (coeffs, monos, targets) in enumerate(positions):
+        signs = set(coeffs)
+        if len(signs) == 1:
+            (coeff,) = signs
+            text = {mono: terms[coeff, mono] for mono in set(monos)}
+            if not i:
+                text = {mono: lead_text(t) for mono, t in text.items()}
+            texts = map(text.__getitem__, monos)
+        else:
+            texts = map(terms.__getitem__, zip(coeffs, monos))
+            if not i:
+                texts = map(lead_text, texts)
+        parts += texts, map(tails.__getitem__, targets)
+    return map("".join, zip(*parts))
+
+
+def lead_text(text):
+    """A term's text (TermText) as the first of its column: the sign alone,
+    " - " as "-" and " + " dropped."""
+    return text[3:] if text[1] == "+" else "-" + text[3:]

@@ -353,7 +353,9 @@ def verify_schreyer_coverage(C: CycComplex, k) -> tuple:
     leading components; at the top level every quotient set must be empty.
     Counts the generators matched."""
     n = C.n
-    above, index = (C.bases[k + 1], C.index[k + 1]) if k + 1 < n else ([], {})
+    above, index, columns = (
+        (C.bases[k + 1], C.index[k + 1], C.diffs[k + 1]) if k + 1 < n else ([], {}, [])
+    )
     # one byte per basis element reached, not a dict of the images
     seen = bytearray(len(above))
     total = 0
@@ -371,7 +373,7 @@ def verify_schreyer_coverage(C: CycComplex, k) -> tuple:
                 return False, f"rho images collide on {partition_str(h)}", {"generators": total}
             seen[hi] = 1
             total += 1
-            lc, lm, lidx = C.diffs[k + 1][hi][0]
+            lc, lm, lidx = columns[hi][0]
             m = s_cofactor(C.tower, k - 1, i, j)
             if m is None or lidx != i or lm != m[1] or abs(lc) != abs(m[0]) or m[0] != sign:
                 return False, (

@@ -107,9 +107,18 @@ def elem_scale_term(elem, coeff, mono):
 
 
 def elem_terms(elem):
-    """The (coeff, monomial, basis index) terms of an Elem, as
-    OrderTower.add_level reads a column; the inverse of column_elem."""
+    """The (coeff, monomial, basis index) terms of an Elem, in its order;
+    the inverse of column_elem."""
     return [(coeff, mono, idx) for (mono, idx), coeff in elem.items()]
+
+
+def column_positions(columns):
+    """The term positions (coeffs, monos, targets) of columns of equal
+    length, as OrderTower.add_level and elem_str read a level: position i
+    holds term i of every column."""
+    columns = [tuple(column) for column in columns]
+    assert len({len(column) for column in columns}) <= 1, "columns of unequal lengths"
+    return [tuple(zip(*terms)) for terms in zip(*columns)]
 
 
 def k4_digraph():

@@ -1,10 +1,26 @@
-"""The `resolve` document as one dict: the form ``cyc_complex.export_json``
-streams, kept as the reference it is tested against.  Laid out by
+"""The `resolve` document as one dict, rendered column by column from the
+derived columns: the form ``cyc_complex.export_json`` streams from the term
+positions, kept as the reference it is tested against, so that the two
+cross-check the positions against the columns.  Laid out by
 ``json.dumps(to_json_dict(C), indent=2, sort_keys=True)`` it is the text
 the streamed export must write, byte for byte.
 """
 
-from cycres.poly_ring import elem_str, term_tails
+from cycres.poly_ring import term_tails
+
+
+def column_str(column, tails, ctx):
+    """Render one column, a sequence of (coeff, monomial, basis index)
+    terms, in its stored order: each term's text (ctx.terms) followed by
+    tails[basis index] (see term_tails), the first term with its sign
+    alone; "0" for no term."""
+    if not column:
+        return "0"
+    terms, out = ctx.terms, []
+    for coeff, mono, idx in column:
+        out += terms[coeff, mono], tails[idx]
+    text = "".join(out)
+    return text[3:] if column[0][0] > 0 else "-" + text[3:]
 
 
 def to_json_dict(C):
@@ -15,7 +31,7 @@ def to_json_dict(C):
         "shifts": [list(level) for level in C.shifts],
         "diffs": [
             [
-                {"basis": j + 1, "poly": elem_str(f, tails, C.ctx)}
+                {"basis": j + 1, "poly": column_str(f, tails, C.ctx)}
                 for j, f in enumerate(C.diffs[k])
             ]
             for k in range(1, C.n)

@@ -92,7 +92,7 @@ def test_four_cycle_non_minimality():
     ok = True
     g = graph_core.digraph_from_matrix(CYCLE4)
     C = cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)))
-    images = [elem_str(f, term_tails(0, 1), C.ctx) for f in C.diffs[1]]
+    images = list(elem_str(C.positions[1], term_tails(0, 1), C.ctx))
     ok &= images == CYCLE4_GOLDEN_IMAGES
     report = rv.full_verify(C, instance="cycle4")
     ok &= report.passed

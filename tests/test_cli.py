@@ -614,3 +614,37 @@ def test_fuzz_classify_and_verify_exit_codes(tmp_path_factory, doc):
     path.write_text(json.dumps(doc))
     assert cli.main(["classify", str(path)]) in (0, 2, 3)
     assert cli.main(["verify", str(path), "--max-degree", "2"]) in (0, 2, 3)
+
+
+def test_resolve_and_gb_match_the_column_reference(tmp_path, capsys):
+    # resolve and gb render the term positions; the reference renders the
+    # columns the tower derives from them, column by column, so the two
+    # cross-check positions against columns: the six verifiable bundled
+    # instances, K5 with unit weights and seeded n = 4..7
+    from cycres import cyc_complex, graph_core
+    from cycres.poly_ring import term_tails
+    from export_reference import column_str, to_json_dict
+
+    paths = [INSTANCES / f"{name}.json" for name in (
+        "cycle4", "cycle4_arcs", "echelon6", "k4", "weighted4", "weighted4_echelon"
+    )]
+    digraphs = [graph_core.validate_digraph(
+        5, [(i, j, 1) for i in range(1, 6) for j in range(1, 6) if i != j]
+    )] + [random_icb_digraph(n, random.Random(2)) for n in range(4, 8)]
+    for i, g in enumerate(digraphs):
+        paths.append(tmp_path / f"instance{i}.json")
+        paths[-1].write_text(json.dumps(
+            {"n": g.n, "arcs": [{"from": a, "to": b, "w": w} for a, b, w in g.arcs]}
+        ))
+    out = tmp_path / "complex.json"
+    for path in paths:
+        g = graph_core.parse_digraph(path.read_text())
+        C = cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)))
+        assert run(capsys, "resolve", str(path), "--out", str(out))[0] == 0
+        reference = json.dumps(to_json_dict(C), indent=2, sort_keys=True) + "\n"
+        assert out.read_text(encoding="utf-8") == reference, path.name
+        lines = [column_str(f, term_tails(0, 1), C.ctx) for f in C.diffs[1]]
+        code, text, _ = run(capsys, "gb", str(path))
+        assert code == 0 and text == "\n".join(lines) + "\n", path.name
+        code, text, _ = run(capsys, "gb", str(path), "--format", "json")
+        assert code == 0 and json.loads(text) == {"groebner_basis": lines}, path.name

@@ -3,7 +3,7 @@ import random
 import textwrap
 from functools import lru_cache, reduce
 from itertools import product
-from operator import is_, or_
+from operator import or_
 from types import SimpleNamespace
 
 import pytest
@@ -229,6 +229,18 @@ def test_the_build_and_export_look_up_no_partition(monkeypatch):
     assert "index" in vars(C)
 
 
+def test_resolve_derives_no_columns():
+    # resolve builds, checks minimality and exports from the term
+    # positions: no column is derived until a check reads one
+    complexes = [bundled_complex(name) for name in RESOLVABLE]
+    complexes += [cc.build_complex(C.L) for C in swept_complexes()[-3:]]
+    for C in complexes:
+        cc.minimality_check(C)
+        export_text(C)
+        assert "images" not in vars(C.tower)
+        assert C.diffs is C.tower.images is vars(C.tower)["images"]
+
+
 @st.composite
 def partition_pairs(draw):
     """Two random canonical partitions of one {1..n}, n <= 7, into the same
@@ -358,7 +370,7 @@ def test_boundary_singletons_give_column_binomials(generic4_complex):
 
 def summed_boundary(p, arrows, index_below):
     """The image of p as its merge terms summed into an Elem, the definition
-    that boundary's term tuples are checked against."""
+    that boundary's term positions are checked against."""
     k = len(p) - 1
     elem = {}
     for s in range(k + 1):
@@ -368,39 +380,58 @@ def summed_boundary(p, arrows, index_below):
     return elem
 
 
+def position_columns(positions):
+    """Column j of a level's term positions: entry j of every position."""
+    return list(zip(*[zip(*position) for position in positions]))
+
+
 def test_boundary_columns_sum_the_merge_terms():
+    # boundary's positions, and the columns the tower derives from them,
+    # against merging every partition and looking the merge up
     for C in swept_complexes():
         with pytest.raises(InternalError, match="boundary needs at least two blocks"):
             cc.boundary(C.bases[0], C.arrows, {})
         for k, targets in enumerate(cc.merge_targets(C.bases), 1):
-            columns = cc.boundary(C.bases[k], C.arrows, targets)
+            positions = cc.boundary(C.bases[k], C.arrows, targets)
+            # k + 1 positions, each one coefficient, monomial and target per
+            # basis element, its signs one shared tuple
+            assert len(positions) == k + 1
+            for coeffs, monos, position_targets in positions:
+                assert type(coeffs) is tuple and len(set(coeffs)) == 1
+                assert len(coeffs) == len(monos) == len(position_targets) == len(C.bases[k])
+            assert len({id(coeffs) for coeffs, _, _ in positions}) == 2
+            columns = position_columns(positions)
             assert len(columns) == len(C.bases[k]) == len(C.diffs[k])
             for p, column, stored in zip(C.bases[k], columns, C.diffs[k]):
                 # one term per merge position: no two share a monomial and
                 # an index, so the sum cancels none of them
                 expected = summed_boundary(p, C.arrows, C.index[k - 1])
-                assert len(column) == len(expected) == k + 1
+                assert len(column) == len(stored) == len(expected) == k + 1
                 assert column_elem(column) == expected
                 assert column_elem(stored) == expected
 
 
 def test_boundary_hands_the_tower_its_columns_in_module_order():
-    # the terms come as s = k-1, ..., 0, k, which is the stored order term
-    # for term, and the tower keeps each given tuple; the leading_term_formula
-    # check confirms that every column's keys strictly decrease
+    # the positions come as s = k-1, ..., 0, k, which is the stored order
+    # term for term, and the tower keeps the given positions; the
+    # leading_term_formula check confirms that every column's keys
+    # strictly decrease
     for C in swept_complexes():
         assert cc.check_leading_terms(C) == (True, None, {}), C.ctx.nu
         tower = OrderTower(C.ctx)
         for k, targets in enumerate(cc.merge_targets(C.bases), 1):
-            columns = cc.boundary(C.bases[k], C.arrows, targets)
+            positions = cc.boundary(C.bases[k], C.arrows, targets)
+            columns = position_columns(positions)
             assert columns == C.diffs[k], (C.ctx.nu, k)
             for p, column in zip(C.bases[k], columns):
                 order = [*range(k - 1, -1, -1), k]
                 assert [idx for _, _, idx in column] == [
                     C.index[k - 1][cc.merge(p, s)] for s in order
                 ]
-            tower.add_level(columns)
-            assert all(map(is_, tower.images[k], columns))
+            tower.add_level(positions)
+            assert tower.positions[k] is positions
+            assert "images" not in vars(tower)
+        assert tower.images[1:] == C.diffs[1:]
 
 
 def test_the_closing_merge_reaches_a_smaller_monomial():
@@ -689,10 +720,12 @@ def test_export_matches_the_reference_document_on_random_instances():
 def test_export_writes_empty_lists_as_json_does():
     # no buildable complex has an empty list; these stand-ins have one at
     # every depth the document streams
-    no_nu, one_nu = SimpleNamespace(nu=()), SimpleNamespace(nu=(1,))
+    no_nu, one_nu = SimpleNamespace(nu=(), terms={}), SimpleNamespace(nu=(1,), terms={})
     for C in (
-        SimpleNamespace(n=1, ctx=no_nu, ranks=tuple, shifts=[[]], diffs=[]),
-        SimpleNamespace(n=2, ctx=one_nu, ranks=tuple, shifts=[], diffs=[None, []]),
+        SimpleNamespace(n=1, ctx=no_nu, ranks=tuple, shifts=[[]], diffs=[], positions=[]),
+        SimpleNamespace(
+            n=2, ctx=one_nu, ranks=tuple, shifts=[], diffs=[None, []], positions=[None, []]
+        ),
     ):
         assert export_text(C) == reference_text(C)
 

@@ -12,6 +12,7 @@ from cycres import cyc_complex, graph_core
 from cycres import poly_ring as pr
 from cycres import resolution_verify as rv
 from cycres.errors import InternalError
+from export_reference import column_str
 from tower_reference import TupleTower, leading_module_term
 
 from conftest import (
@@ -19,6 +20,7 @@ from conftest import (
     INSTANCES,
     WEIGHTED4,
     column_elem,
+    column_positions,
     complex_from_matrix,
     elem_add_term,
     elem_scale_term,
@@ -140,9 +142,9 @@ def test_an_exponent_past_the_fields_raises_and_never_aliases():
         ctx.pack((0, 0, 0))
     # the tower refuses an accumulated level-0 monomial past the fields
     tower = pr.OrderTower(ctx)
-    tower.add_level([elem_terms(poly_elem(ctx, {(3, 0, 0, 0): 1}))])
+    tower.add_level(column_positions([elem_terms(poly_elem(ctx, {(3, 0, 0, 0): 1}))]))
     with pytest.raises(InternalError, match="overflows 3-bit fields"):
-        tower.add_level([elem_terms(poly_elem(ctx, {(1, 0, 0, 0): 1}))])
+        tower.add_level(column_positions([elem_terms(poly_elem(ctx, {(1, 0, 0, 0): 1}))]))
     assert tower.levels == 2
 
 
@@ -263,10 +265,10 @@ def test_divide_prefers_lowest_index_divisor(k4_complex):
     ctx = pr.GradedContext(3, (1, 1, 1), 4)
     x1, x2, x3 = ctx.variables
     tower = pr.OrderTower(ctx)
-    tower.add_level([
+    tower.add_level(column_positions([
         elem_terms({(2 * x1, 0): 1, (2 * x3, 0): -1}),
         elem_terms({(x1 + x2, 0): 1, (2 * x3, 0): -1}),
-    ])
+    ]))
     assert divided({(2 * x1 + x2, 0): 1}, tower) == ({(x2, 0): 1}, {(x2 + 2 * x3, 0): 1})
 
 
@@ -399,7 +401,7 @@ def test_add_level_rejects_non_unit_leading_coefficient(k4_complex):
     for images in ([doubled], g0 + [doubled]):
         tower = pr.OrderTower(C.ctx)
         with pytest.raises(InternalError):
-            tower.add_level(images)
+            tower.add_level(column_positions(images))
         assert tower.levels == 1
 
 
@@ -408,15 +410,15 @@ def test_add_level_rejects_non_unit_leading_coefficient_at_any_position(k4_compl
     g0 = list(C.diffs[1])
     doubled = elem_terms(elem_scale_term(column_elem(g0[0]), 2, 0))
     for images in ([doubled, g0[1]], [g0[1], doubled]):
-        with pytest.raises(InternalError):
-            pr.OrderTower(C.ctx).add_level(images)
-    # one level up, inside the list of boundary columns
+        with pytest.raises(InternalError, match="leading coefficient 2 of image"):
+            pr.OrderTower(C.ctx).add_level(column_positions(images))
+    # one level up, inside the positions of the boundary columns
     tower = pr.OrderTower(C.ctx)
-    tower.add_level(g0)
+    tower.add_level(column_positions(g0))
     g1 = list(C.diffs[2])
     doubled = elem_terms(elem_scale_term(column_elem(g1[3]), -2, 0))
-    with pytest.raises(InternalError):
-        tower.add_level(g1[:3] + [doubled] + g1[4:])
+    with pytest.raises(InternalError, match="leading coefficient 2 of image 4 is not a unit"):
+        tower.add_level(column_positions(g1[:3] + [doubled] + g1[4:]))
     assert tower.levels == 2
 
 
@@ -424,35 +426,69 @@ def test_add_level_rejects_an_inhomogeneous_column(k4_complex):
     C = k4_complex
     tower = pr.OrderTower(C.ctx)
     with pytest.raises(InternalError, match="inhomogeneous differential column 1 in degree 1"):
-        tower.add_level([elem_terms(poly_elem(C.ctx, {(1, 0, 0, 0): 1, (0, 0, 0, 2): -1}))])
+        tower.add_level(column_positions(
+            [elem_terms(poly_elem(C.ctx, {(1, 0, 0, 0): 1, (0, 0, 0, 2): -1}))]
+        ))
     assert tower.levels == 1
     with pytest.raises(InternalError, match="zero differential column 1 in degree 1"):
-        tower.add_level([elem_terms({})])
+        tower.add_level(column_positions([elem_terms({})]))
     assert tower.levels == 1
-    # one level up: a term on e[1,1] one degree too high in column 4
-    tower.add_level(C.diffs[1])
-    g1 = [column_elem(f) for f in C.diffs[2]]
-    elem_add_term(g1[3], 0, 1, C.ctx.pack((0, 0, 0, 3)))
-    g1 = [elem_terms(elem) for elem in g1]
+    # one level up: the last term of column 4 on e[1,1], one degree too high
+    tower.add_level(C.positions[1])
+    g1 = list(C.diffs[2])
+    g1[3] = g1[3][:-1] + ((1, C.ctx.pack((0, 0, 0, 3)), 0),)
     with pytest.raises(InternalError, match="inhomogeneous differential column 4 in degree 2"):
-        tower.add_level(g1)
+        tower.add_level(column_positions(g1))
     assert tower.levels == 2
+    # positions of unequal lengths: a ragged level, whose columns zip
+    # would cut short, is refused before anything is keyed
+    ragged = [tuple(position) for position in C.positions[2]]
+    ragged[1] = (ragged[1][0], ragged[1][1], ragged[1][2][:-1])
+    with pytest.raises(InternalError, match="term positions of unequal lengths in degree 2"):
+        tower.add_level(ragged)
+    assert tower.levels == 2
+
+
+def test_add_level_names_the_lowest_refused_column(k4_complex):
+    # a level with faults in several columns names the lowest of them, and
+    # of that column's faults the first of: inhomogeneous, non-unit lead,
+    # falling lead, overflow
+    C = k4_complex
+    g0 = list(C.diffs[1])
+    x4 = C.ctx.variables[3]
+    lead, (c, m, idx) = g0[5]
+    tilted = (lead, (c, m + x4, idx))
+    doubled = ((2, *lead[1:]), (c, m, idx))
+    both = ((2, *lead[1:]), (c, m + x4, idx))
+    for third, sixth, witness in (
+        (doubled, tilted, "leading coefficient 2 of image 3"),
+        (tilted, doubled, "inhomogeneous differential column 3 in degree 1"),
+        (both, g0[5], "inhomogeneous differential column 3 in degree 1"),
+    ):
+        columns = g0[:2] + [third] + g0[3:5] + [sixth, g0[6]]
+        with pytest.raises(InternalError, match=witness):
+            pr.OrderTower(C.ctx).add_level(column_positions(columns))
 
 
 def stored_as_given(C, k, column):
     """True when add_level, on a copy of C's tower up to level k - 1, stores
-    ``column``, the one column of a new level k, as given."""
+    the positions of ``column``, the one column of a new level k, as given,
+    and derives the column back from them."""
     tower = pr.OrderTower(C.ctx)
-    for table in ("bits", "base", "images", "shifts"):
+    for table in ("bits", "base", "positions", "shifts"):
         setattr(tower, table, getattr(C.tower, table)[:k])
-    tower.add_level([column])
-    return tower.images[k][0] is column
+    positions = column_positions([column])
+    tower.add_level(positions)
+    return tower.positions[k] is positions and tower.images[k] == [column]
 
 
 def test_a_repeated_term_is_stored_and_fails_leading_terms():
-    # a column is fed as terms, not summed, and stored as given: two terms
-    # on one monomial and index, whether their coefficients add up or
-    # cancel, are found by the leading_term_formula check, not the build
+    # a column is fed as term positions, not summed, and stored as given:
+    # two terms on one monomial and index, whether their coefficients add up
+    # or cancel, are found by the leading_term_formula check, not the build.
+    # A level's columns have one length, so the column with the extra term
+    # is handed to the tower as a level of its own, and put among the other
+    # columns by corrupting the derived columns
     diffs = complex_from_matrix(COMPLEX_ROWS["k4"]).diffs
     for k, j, term in ((1, 1, diffs[1][1][1]), (2, 4, diffs[2][4][0])):
         for extra in (term, (-term[0],) + term[1:]):
@@ -507,31 +543,41 @@ def test_stored_columns_are_strictly_decreasing(name):
 
 def test_elem_str_round_trip(k4_complex):
     C = k4_complex
-    assert pr.elem_str((), pr.term_tails(0, 1), C.ctx) == "0"
+    assert list(pr.elem_str([], pr.term_tails(0, 1), C.ctx)) == []
+    assert column_str((), pr.term_tails(0, 1), C.ctx) == "0"
     assert parse_elem("0", C.ctx) == {}
     assert parse_column("0", C.ctx) == ()
     for k in (1, 2, 3):
-        for f in C.diffs[k]:
-            s = pr.elem_str(f, pr.term_tails(k - 1, len(C.bases[k - 1])), C.ctx)
+        tails = pr.term_tails(k - 1, len(C.bases[k - 1]))
+        texts = list(pr.elem_str(C.positions[k], tails, C.ctx))
+        assert len(texts) == len(C.diffs[k])
+        for s, f in zip(texts, C.diffs[k]):
             assert parse_column(s, C.ctx) == f
+            assert s == column_str(f, tails, C.ctx)
 
 
 def test_elem_str_level0_is_plain_polynomial(k4_complex):
     C = k4_complex
-    assert pr.elem_str(C.diffs[1][0], pr.term_tails(0, 1), C.ctx) == "x1*x2*x3 - x4^3"
+    assert next(pr.elem_str(C.positions[1], pr.term_tails(0, 1), C.ctx)) == "x1*x2*x3 - x4^3"
 
 
 def test_elem_str_pins_hand_built_columns():
     # built columns only have coefficients +-1, so these are the only
-    # columns that reach the non-unit branch
+    # columns that reach the non-unit branch; each is a level of its own
     ctx = pr.GradedContext(4, (1, 1, 1, 1), 4)
     x1, x2, x3, x4 = ctx.variables
+
+    def rendered(columns, tails):
+        texts = list(pr.elem_str(column_positions(columns), tails, ctx))
+        assert texts == [column_str(f, tails, ctx) for f in columns]
+        return texts
+
     column = ((2, x1 + 2 * x3, 0), (-2, 0, 1), (1, 0, 2), (-1, x2, 0), (-2, x4, 3), (2, 0, 0))
-    assert pr.elem_str(column, pr.term_tails(0, 4), ctx) == "2*x1*x3^2 - 2 + 1 - x2 - 2*x4 + 2"
-    assert pr.elem_str(column, pr.term_tails(1, 4), ctx) == (
+    assert rendered([column], pr.term_tails(0, 4)) == ["2*x1*x3^2 - 2 + 1 - x2 - 2*x4 + 2"]
+    assert rendered([column], pr.term_tails(1, 4)) == [
         "2*x1*x3^2·e[1,1] - 2·e[1,2] + 1·e[1,3] - x2·e[1,1] - 2*x4·e[1,4] + 2·e[1,1]"
-    )
-    assert pr.elem_str(column, pr.term_tails(12, 4), ctx).endswith(" - 2*x4·e[12,4] + 2·e[12,1]")
+    ]
+    assert rendered([column], pr.term_tails(12, 4))[0].endswith(" - 2*x4·e[12,4] + 2·e[12,1]")
     for level, texts in (
         (0, ["-2", "-1", "-x1 + 2", "2*x4^3", "1 - 1"]),
         (2, ["-2·e[2,1]", "-1·e[2,5]", "-x1·e[2,1] + 2·e[2,3]", "2*x4^3·e[2,2]",
@@ -544,15 +590,36 @@ def test_elem_str_pins_hand_built_columns():
             ((2, 3 * x4, 1),),
             ((1, 0, 0), (-1, 0, 1)),
         ]
-        assert [pr.elem_str(f, pr.term_tails(level, 5), ctx) for f in columns] == texts
+        tails = pr.term_tails(level, 5)
+        assert [text for f in columns for text in rendered([f], tails)] == texts
         for text, f in zip(texts, columns):
             assert parse_column(text, ctx) == (f if level else tuple((c, m, 0) for c, m, _ in f))
+        # the columns of one length as one level: its positions carry
+        # several coefficients each, and render term by term
+        assert rendered([columns[2], columns[4]], tails) == [texts[2], texts[4]]
+        assert rendered(columns[:2] + columns[3:4], tails) == texts[:2] + texts[3:4]
+    assert rendered([column, column[::-1]], pr.term_tails(0, 4))[1] == (
+        "2 - 2*x4 - x2 + 1 - 2 + 2*x1*x3^2"
+    )
+
+
+class CountingTerms(dict):
+    """A context's term texts that count each lookup."""
+
+    def __init__(self, terms):
+        super().__init__(terms)
+        self.terms, self.lookups = terms, 0
+
+    def __getitem__(self, term):
+        self.lookups += 1
+        return self.terms[term]
 
 
 def test_elem_str_renders_each_distinct_monomial_once(monkeypatch):
     # text is kept per context: a second rendering unpacks nothing, and a
-    # fresh complex renders its own monomials again
-    C = complex_from_matrix(COMPLEX_ROWS["echelon6"])
+    # fresh complex renders its own monomials again.  Each position looks
+    # its text up once per distinct monomial
+    C = complex_from_matrix(ECHELON6)
     unpacked = []
     original = pr.GradedContext.unpack
 
@@ -560,23 +627,35 @@ def test_elem_str_renders_each_distinct_monomial_once(monkeypatch):
         unpacked.append(mono)
         return original(self, mono)
 
+    def rendered(C):
+        return [
+            text for k in range(1, C.n) for text in pr.elem_str(C.positions[k], tails[k], C.ctx)
+        ]
+
     monkeypatch.setattr(pr.GradedContext, "unpack", counting)
     tails = {k: pr.term_tails(k - 1, len(C.bases[k - 1])) for k in range(1, C.n)}
-    texts = [pr.elem_str(f, tails[k], C.ctx) for k in range(1, C.n) for f in C.diffs[k]]
-    distinct = {m for k in range(1, C.n) for f in C.diffs[k] for _, m, _ in f}
+    texts = rendered(C)
+    distinct = {m for k in range(1, C.n) for _, monos, _ in C.positions[k] for m in monos}
     assert sorted(unpacked) == sorted(distinct)
-    assert [pr.elem_str(f, tails[k], C.ctx) for k in range(1, C.n) for f in C.diffs[k]] == texts
+    C.ctx.terms = CountingTerms(C.ctx.terms)
+    assert rendered(C) == texts
+    assert C.ctx.terms.lookups == sum(
+        len(set(monos)) for k in range(1, C.n) for _, monos, _ in C.positions[k]
+    )
+    assert texts == [
+        column_str(f, tails[k], C.ctx) for k in range(1, C.n) for f in C.diffs[k]
+    ]
     assert len(unpacked) == len(distinct)
-    D = complex_from_matrix(COMPLEX_ROWS["echelon6"])
-    assert pr.elem_str(D.diffs[1][0], tails[1], D.ctx) == texts[0]
+    D = complex_from_matrix(ECHELON6)
+    assert next(pr.elem_str(D.positions[1], tails[1], D.ctx)) == texts[0]
     assert len(unpacked) > len(distinct)
 
 
 def test_elem_str_with_escaped_tails_is_the_escaped_text():
-    # export_json renders with its tails JSON-escaped once per level and
-    # quotes the result; JSON escapes character by character, so that is the
-    # escaped rendering, for every column of the verifiable bundled
-    # instances and the seeded n = 7 instance
+    # export_json renders with the tails' prefix JSON-escaped once per
+    # level and quotes the result; JSON escapes character by character, so
+    # that is the escaped rendering, for every column of the verifiable
+    # bundled instances and the seeded n = 7 instance
     graphs = [
         graph_core.parse_digraph((INSTANCES / f"{name}.json").read_text())
         for name in ("cycle4", "cycle4_arcs", "echelon6", "k4", "weighted4", "weighted4_echelon")
@@ -584,13 +663,15 @@ def test_elem_str_with_escaped_tails_is_the_escaped_text():
     for g in graphs:
         C = cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)))
         for k in range(1, C.n):
-            tails = pr.term_tails(k - 1, len(C.bases[k - 1]))
-            escaped = [encode_basestring_ascii(tail)[1:-1] for tail in tails]
+            size = len(C.bases[k - 1])
+            tails = pr.term_tails(k - 1, size)
+            escaped = pr.term_tails(k - 1, size, cyc_complex.TAIL_PREFIX)
+            assert escaped == [encode_basestring_ascii(tail)[1:-1] for tail in tails]
             assert k == 1 or escaped != tails
-            for f in C.diffs[k]:
-                assert '"' + pr.elem_str(f, escaped, C.ctx) + '"' == encode_basestring_ascii(
-                    pr.elem_str(f, tails, C.ctx)
-                )
+            plain = pr.elem_str(C.positions[k], tails, C.ctx)
+            for text, f in zip(pr.elem_str(C.positions[k], escaped, C.ctx), C.diffs[k]):
+                assert '"' + text + '"' == encode_basestring_ascii(next(plain))
+                assert text == column_str(f, escaped, C.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -664,17 +745,17 @@ def test_add_level_refuses_a_lead_that_falls_back():
     ctx = pr.GradedContext(2, (1, 1), 3)
     x1, x2 = ctx.variables
     tower = pr.OrderTower(ctx)
-    tower.add_level([elem_terms({(x1, 0): 1}), elem_terms({(x2, 0): 1})])
+    tower.add_level(column_positions([elem_terms({(x1, 0): 1}), elem_terms({(x2, 0): 1})]))
     columns = [elem_terms({(x1, 1): 1}), elem_terms({(x2, 0): -1})]
     old = TupleTower([None, tower.images[1], columns])
     assert old.path[2] == [(0, 1, 0), (0, 0, 1)]
     assert old.key(2, 0, 0) > old.key(2, 0, 1)
     with pytest.raises(InternalError, match="column 2 in degree 2 falls back to basis index 1"):
-        tower.add_level(columns)
+        tower.add_level(column_positions(columns))
     assert tower.levels == 2
-    assert [len(t) for t in (tower.bits, tower.images, tower.shifts)] == [2] * 3
+    assert [len(t) for t in (tower.bits, tower.positions, tower.shifts)] == [2] * 3
     # in the other order the leads rise, and the keys follow the descents
-    tower.add_level(columns[::-1])
+    tower.add_level(column_positions(columns[::-1]))
     old = TupleTower(tower.images)
     assert old.path[2] == [(0, 0, 0), (0, 1, 1)]
     for level in (1, 2):
@@ -685,18 +766,22 @@ def test_add_level_refuses_a_lead_that_falls_back():
 
 
 def test_s_leading_key_walks_past_a_column_that_cancels_entirely():
-    # columns of one cyclic level have one length; on hand-built columns of
+    # columns of one level have one length; on hand-built columns of
     # different lengths the shorter one can cancel term by term, and the
-    # longer one's next term is Lt(S), in either order of the pair
+    # longer one's next term is Lt(S), in either order of the pair.  The
+    # tower keys only first and last terms, so it is handed those, and
+    # the derived columns are corrupted into the ragged ones
     ctx = pr.GradedContext(2, (1, 1), 3)
     x1, x2 = ctx.variables
     tower = pr.OrderTower(ctx)
-    tower.add_level([
+    columns = [
         elem_terms({(2 * x1, 0): 1}),
         elem_terms({(2 * x1, 0): 1, (x1 + x2, 0): 1, (2 * x2, 0): -1}),
         elem_terms({(x1, 0): 1, (x2, 0): 1}),
         elem_terms({(x1, 0): 1, (x2, 0): 1}),
-    ])
+    ]
+    tower.add_level(column_positions([(f[0], f[-1]) for f in columns]))
+    tower.images[1][:] = [tuple(f) for f in columns]
     leads = {}
     for i, j in [(0, 1), (1, 0), (2, 1), (1, 2), (2, 3), (0, 0)]:
         s, m_ji, m_ij = pr.s_vector(tower, 0, i, j)

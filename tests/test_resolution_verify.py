@@ -887,8 +887,12 @@ def tower_shape(tower):
 def test_full_verify_leaves_the_tower_as_built(rows):
     # every table of the tower is complete once add_level returns: a full
     # verification divides, walks S-pairs and ranks pieces, and adds to no
-    # table, replaces none and adds none
+    # table, replaces none and adds none.  The columns are derived from the
+    # positions on first read, here before the verification, which reads
+    # those same lists
     C = complex_from_matrix(rows)
+    assert "images" not in vars(C.tower)
+    C.diffs
     before = tower_shape(C.tower)
     report = rv.full_verify(C, d_max=2)
     assert report.passed, report.to_text()
