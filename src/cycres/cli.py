@@ -100,16 +100,12 @@ def cmd_resolve(args) -> int:
 
 
 def _build_for_oracle(args):
-    """The complex, packed for an explicit --max-degree.  A bound spanning
-    too many degrees is refused before the build, and one needing too wide
-    a piece before any oracle piece is built."""
+    """The complex, packed for an explicit --max-degree; a bound spanning
+    too many degrees is refused before the build."""
     M = _prepare(args)
-    if args.d_max is None:
-        return cyc_complex.build_complex(M)
-    resolution_verify.refuse_oversized_span(args.d_max)
-    C = cyc_complex.build_complex(M, args.d_max)
-    resolution_verify.refuse_oversized_oracle(C, args.d_max)
-    return C
+    if args.d_max is not None:
+        resolution_verify.refuse_oversized_span(args.d_max)
+    return cyc_complex.build_complex(M, args.d_max or 0)
 
 
 def cmd_verify(args) -> int:
@@ -139,9 +135,8 @@ def cmd_gb(args) -> int:
 
 def cmd_homology(args) -> int:
     C = _build_for_oracle(args)
-    d_max = resolution_verify.default_d_max(C) if args.d_max is None else args.d_max
     check = resolution_verify.run_check(
-        "graded_homology", lambda: resolution_verify.graded_homology_oracle(C, d_max)
+        "graded_homology", lambda: resolution_verify.graded_homology_oracle(C, args.d_max)
     )
     report = resolution_verify.VerificationReport(args.input, [check])
     _emit(args, report.to_json_dict(), report.to_text())
@@ -171,7 +166,7 @@ def build_parser():
     ap.add_argument("--omega", type=int, default=None,
                     help="distinguished vertex for the distance enumeration (default: n)")
     ap.add_argument("--max-degree", type=int, default=None, dest="d_max",
-                    help="degree bound for the homology oracle")
+                    help="degree bound for the homology oracle (default: every degree)")
     ap.add_argument("--format", choices=["text", "json"], default="text", dest="fmt")
     ap.add_argument("--seed", type=int, default=0,
                     help="accepted and ignored: every check is deterministic")

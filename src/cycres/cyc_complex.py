@@ -287,8 +287,9 @@ def degree_bound(L: CBMatrix, nu):
     monomials on disjoint vertex sets, so every shift, tower accumulator
     and stored term has degree at most D = sum_i nu_i L_ii.  Verification
     multiplies at most two such monomials (S-vectors, cofactors, keys of
-    tail terms), and division never raises a degree.  Hence 2*D, which also
-    holds the oracle's default range (at most twice the top shift).
+    tail terms), and division never raises a degree.  Hence 2*D.  The
+    oracle's lead identity only divides stored monomials; its graded
+    pieces need the packing to hold an explicit degree bound as well.
     """
     return 2 * sum(w * L.a[i][i] for i, w in enumerate(nu))
 

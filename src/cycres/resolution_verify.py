@@ -3,25 +3,17 @@
 Each check returns (ok, witness, counters); on failure the witness names
 the first fault found.  full_verify is the one place that names and times
 the checks, chaining them into a VerificationReport of CheckResults without
-aborting early.  The exactness oracle at the end first proves exactness
-from the leads of the stored columns, taken in the order (beta + w_p, then
-p) of the rows x^beta * e_p one level down, which is sound whatever the
-order tower holds: L_(k,d) + L_(k+1,d) = dim F_(k,d), for the counts L of
-distinct leads, makes position k exact in degree d, and one identity of
-truncated K-polynomials per level checks that in every degree up to the
-bound.  Only +-1 leads are counted, so the proof holds over every field;
-position 0 follows from the identity at position 1.  From the lowest degree
-d0 where the count falls short, the oracle assembles every graded piece as
-an explicit integer matrix and compares kernel dimensions with ranks over
-Q.  It reads the stored columns column by column, as the rows of the
-transpose, numbered in that same order so that each column's pivot is its
-leading term; the tower only picks those pivots, and a rank does not
-depend on anything it holds.  Either way the verdict rests on the
-d_squared check: equal dimensions prove exactness only where d∘d = 0.
+aborting early.  The exactness oracle at the end (graded_homology_oracle)
+proves exactness in every degree from the leads of the stored columns, by
+one identity of K-polynomials per level, and under a degree bound ranks
+graded pieces over Q from the lowest degree where the lead count falls
+short.  Either way its verdict rests on the d_squared check: equal
+dimensions prove exactness only where d∘d = 0.
 """
 
 import time
 from collections import Counter
+from operator import mul
 
 from .errors import InternalError, ValidationError
 from .graph_core import classify
@@ -528,10 +520,18 @@ def k_polynomial(ctx: GradedContext, gens, top, memo):
     return out
 
 
+def lcm_degree(ctx: GradedContext, gens):
+    """The degree of the least common multiple of the monomials gens: no
+    coefficient of the K-polynomial of S/J lies above it (Taylor's
+    resolution of J has its last shift there)."""
+    return sum(map(mul, ctx.nu, map(max, zip(*map(ctx.unpack, gens)))))
+
+
 def lead_ideals(C: CycComplex, k, d_max):
     """{p: J_p}: the minimal generators of the monomial ideal J_p of the
-    leads on e_p of the columns of d_(k+1) whose shift is at most d_max, for
-    each level-k position p with one.
+    leads on e_p of the columns of d_(k+1), for each level-k position p
+    with one; under a degree bound d_max, of the columns whose shift is at
+    most d_max.
 
     A column's lead is its largest summed nonzero term in the order of
     graded_piece_rank's rows, (beta + w_p, then p).  It counts only when its
@@ -546,7 +546,7 @@ def lead_ideals(C: CycComplex, k, d_max):
     b = (len(shifts) - 1).bit_length()
     degree = C.ctx.degree
     for f, shift in zip(C.diffs[k + 1], C.shifts[k + 1]):
-        if shift > d_max:
+        if d_max is not None and shift > d_max:
             continue
         terms = {}
         for coeff, mono, p in f:
@@ -563,23 +563,30 @@ def lead_ideals(C: CycComplex, k, d_max):
 
 
 def quotient_series(C: CycComplex, k, d_max, memo):
-    """Coefficients 0..d_max of sum_p t^(s_p) K_p over the level-k positions
-    p, K_p the K-polynomial of S/J_p (lead_ideals): the Hilbert series of
-    F_k / N_(k+1) times prod_i (1 - t^nu_i), where N_(k+1) is the monomial
-    submodule the leads of d_(k+1) generate."""
+    """{d: c}: the coefficients of sum_p t^(s_p) K_p over the level-k
+    positions p, K_p the K-polynomial of S/J_p (lead_ideals), all of them,
+    or those of degree at most d_max: the Hilbert series of F_k / N_(k+1)
+    times prod_i (1 - t^nu_i), where N_(k+1) is the monomial submodule the
+    leads of d_(k+1) generate.  Each K_p is cut at deg lcm(J_p), past which
+    it has no coefficient; the sum is a dict by degree, as most degrees of
+    its span hold nothing."""
     ideals = lead_ideals(C, k, d_max)
-    out = [0] * (d_max + 1)
-    met = Counter((ideals.get(p, ()), s) for p, s in enumerate(C.shifts[k]) if s <= d_max)
-    for (gens, s), m in met.items():
-        for d, c in enumerate(k_polynomial(C.ctx, gens, d_max - s, memo), s):
-            out[d] += m * c
+    out = Counter()
+    for (gens, s), m in Counter(
+        (ideals.get(p, ()), s) for p, s in enumerate(C.shifts[k]) if d_max is None or s <= d_max
+    ).items():
+        top = lcm_degree(C.ctx, gens)
+        top = top if d_max is None else min(top, d_max - s)
+        for d, c in enumerate(k_polynomial(C.ctx, gens, top, memo), s):
+            if c:
+                out[d] += m * c
     return out
 
 
 def graded_homology_oracle(C: CycComplex, d_max):
-    """Vanishing homology on every graded piece up to the degree bound:
-    proved from the leads of the stored columns, and by elimination from
-    the lowest degree where their count falls short.
+    """Vanishing homology on every graded piece, proved from the leads of
+    the stored columns; under a degree bound d_max, up to d_max, and by
+    elimination from the lowest degree where their count falls short.
 
     The count.  graded_piece_rank orders the rows x^beta * e_p one level
     down by (beta + w_p, then p); multiplying by x^alpha keeps that order,
@@ -589,48 +596,73 @@ def graded_homology_oracle(C: CycComplex, d_max):
     the degree-d dimension of the monomial submodule N_k the leads generate,
     and at most the rank.  With d∘d = 0, rank d_k + rank d_(k+1) is at most
     dim F_(k,d); so L_(k,d) + L_(k+1,d) = dim F_(k,d) proves position k
-    exact in degree d.  For every degree up to d_max at once that is one
-    identity of K-polynomials per level k = 1..n-1 (quotient_series):
-        sum_(p in level k) t^s_p K_p = sum_(q in level k-1) t^s_q (1 - K_q)
-    mod t^(d_max+1).  Only leads with coefficient +-1 are counted
-    (lead_ideals), so the proof holds over every field.  At position 1 it
-    also gives rank d_1 = L_(1,d), the count of monomials in the ideal of
-    the degree-0 leads, which is what elimination compares at position 0.
-    On a correct complex the columns are a Groebner basis of their image
-    in the Schreyer order (the frames of Erocal-Motsak-Schreyer-Steenpass),
-    and the identity is expected to hold.
+    exact in degree d.  For every degree at once that is one identity of
+    K-polynomials per level k = 1..n-1 (quotient_series):
+        sum_(p in level k) t^s_p K_p = sum_(q in level k-1) t^s_q (1 - K_q);
+    dividing by prod_i (1 - t^nu_i) keeps the lowest degree where the two
+    sides differ, and the difference there.  Only leads with coefficient
+    +-1 are counted (lead_ideals), so the proof holds over every field.  At
+    position 1 it also gives rank d_1 = L_(1,d), the count of monomials in
+    the ideal of the degree-0 leads, which is what elimination compares at
+    position 0.  On a correct complex the columns are a Groebner basis of
+    their image in the Schreyer order (the frames of
+    Erocal-Motsak-Schreyer-Steenpass), and the identity holds.  With no
+    bound the whole identity is the verdict: it passes with "degrees" one
+    past its highest nonzero coefficient, or fails at the lowest degree,
+    and there the lowest position, where the count falls short; on the
+    tower as built the columns are then not a Groebner basis of their
+    image, and the proof would not hold over every field.
 
-    Elimination.  From the lowest degree d0 where the identity fails at
-    some position, every piece is ranked over Q (graded_piece_rank).
-    Position 0 compares the rank of the first differential with the count
-    of monomials inside the leading-term ideal of the degree-0 basis, the
-    union of the degree-d multiples of the larger monomial of each degree-0
-    column, read off the column itself; higher positions compare kernel
-    dimensions with the rank one step up.  The degrees below d0 count as
-    checked, so verdict, witness and counter are those of elimination in
-    every degree.
+    Elimination.  Under a bound the identity is cut at t^(d_max+1), and
+    from the lowest degree d0 where it fails, every piece is ranked over Q
+    (graded_piece_rank).  Position 0 compares the rank of the first
+    differential with the count of monomials inside the leading-term ideal
+    of the degree-0 basis, the union of the degree-d multiples of the
+    larger monomial of each degree-0 column, read off the column itself;
+    higher positions compare kernel dimensions with the rank one step up.
+    The degrees below d0 count as checked, so verdict, witness and counter
+    are those of elimination in every degree.  A d_max past the complex's
+    packing, and a piece of degree d0..d_max wider than MAX_ORACLE_COLS
+    columns, are refused before any piece is built.
 
     Either way, equal dimensions prove exactness only because the image
     lies inside the kernel, that is d∘d = 0: the verdict rests on the
-    d_squared check.  Every monomial of a piece has degree at most d_max,
-    so a d_max past the complex's packing is refused before any piece is
-    built.
+    d_squared check.
     """
     n, ctx = C.n, C.ctx
-    if max(d_max // v for v in ctx.nu) > ctx.cap:
-        raise InternalError(f"degree {d_max} does not fit {ctx.width}-bit fields")
     memo = {}
     quotients = [quotient_series(C, k, d_max, memo) for k in range(n)]
-    short = d_max + 1
+    shorts = []
     for k in range(1, n):
-        free = Counter(C.shifts[k - 1])
-        for d in range(short):
-            if quotients[k][d] + quotients[k - 1][d] != free[d]:
-                short = d
-                break
+        # Counter.update and subtract keep zero and negative counts
+        excess = Counter(quotients[k])
+        excess.update(quotients[k - 1])
+        excess.subtract(s for s in C.shifts[k - 1] if d_max is None or s <= d_max)
+        shorts += [(d, k, c) for d, c in excess.items() if c]
+    if d_max is None:
+        if not shorts:
+            top = max(d for series in quotients for d, c in series.items() if c)
+            return True, None, {"degrees": top + 1}
+        d, k, excess = min(shorts)
+        counts = count_monomials(ctx.nu, d)
+        dim = sum(counts[d - s] for s in C.shifts[k] if s <= d)
+        return False, (
+            f"lead count at position {k}, degree {d}: "
+            f"{dim - excess} distinct unit leads for dimension {dim}"
+        ), {"degrees": d}
+    d0 = min(shorts)[0] if shorts else d_max + 1
+    if d0 <= d_max:
+        if max(d_max // v for v in ctx.nu) > ctx.cap:
+            raise InternalError(f"degree {d_max} does not fit {ctx.width}-bit fields")
+        for d, widest in piece_widths(C, d0, d_max):
+            if widest > MAX_ORACLE_COLS:
+                raise ValidationError(
+                    f"--max-degree {d_max} needs a degree-{d} piece of {widest:,} columns, "
+                    f"over the oracle's budget of {MAX_ORACLE_COLS:,}"
+                )
     leads = [(g, ctx.degree(g)) for g in (max(m for _, m, _ in f) for f in C.diffs[1])]
-    degrees = short
-    for d in range(short, d_max + 1):
+    degrees = d0
+    for d in range(d0, d_max + 1):
         mono_cache = {}
         ranks = {n: 0}
         cols = {}
@@ -655,9 +687,6 @@ def graded_homology_oracle(C: CycComplex, d_max):
     return True, None, {"degrees": degrees}
 
 
-# ---------------------------------------------------------------------------
-# driver
-
 def count_monomials(nu, d_top):
     """counts[d] = number of exponent vectors of weighted degree d."""
     counts = [0] * (d_top + 1)
@@ -668,35 +697,21 @@ def count_monomials(nu, d_top):
     return counts
 
 
-def piece_widths(C: CycComplex, d_top):
-    """Yield, for d = 0..d_top in turn, the number of columns of the widest
-    degree-d piece over levels 1..n-1, counted from the shifts alone."""
-    counts = count_monomials(C.ctx.nu, d_top)
+def piece_widths(C: CycComplex, d_lo, d_hi):
+    """Yield (d, the number of columns of the widest degree-d piece over
+    levels 1..n-1) for d = d_lo..d_hi in turn, counted from the shifts
+    alone."""
+    counts = count_monomials(C.ctx.nu, d_hi)
     levels = [Counter(C.shifts[k]).items() for k in range(1, C.n)]
-    for d in range(d_top + 1):
-        yield max(sum(m * counts[d - s] for s, m in level if s <= d) for level in levels)
+    for d in range(d_lo, d_hi + 1):
+        yield d, max(sum(m * counts[d - s] for s, m in level if s <= d) for level in levels)
 
 
-DEGREE_CAP = 12
-MAX_PIECE_COLS = 6000
 MAX_ORACLE_COLS = 250_000
 
 
-def default_d_max(C: CycComplex):
-    """Degree bound for the exactness oracle: twice the top shift, capped.
-
-    Degrees whose graded pieces would exceed MAX_PIECE_COLS columns in some
-    position are dropped from the default range; an explicit --max-degree
-    overrides this guard, within MAX_ORACLE_COLS (refuse_oversized_oracle).
-    """
-    bound = min(2 * max(C.shifts[C.n - 1]), DEGREE_CAP)
-    safe = -1
-    for d, widest in enumerate(piece_widths(C, bound)):
-        if widest > MAX_PIECE_COLS:
-            break
-        safe = d
-    return max(safe, 0)
-
+# ---------------------------------------------------------------------------
+# driver
 
 def refuse_oversized_span(d_max):
     """Raise ValidationError when a degree bound spans more degrees than
@@ -708,18 +723,6 @@ def refuse_oversized_span(d_max):
             f"--max-degree {d_max} spans more degrees than the oracle's budget "
             f"of {MAX_ORACLE_COLS:,}"
         )
-
-
-def refuse_oversized_oracle(C: CycComplex, d_max):
-    """Raise ValidationError, before any piece is built, when an explicit
-    degree bound asks for a piece of more than MAX_ORACLE_COLS columns."""
-    refuse_oversized_span(d_max)
-    for d, widest in enumerate(piece_widths(C, d_max)):
-        if widest > MAX_ORACLE_COLS:
-            raise ValidationError(
-                f"--max-degree {d_max} needs a degree-{d} piece of {widest:,} columns, "
-                f"over the oracle's budget of {MAX_ORACLE_COLS:,}"
-            )
 
 
 def minimality_vs_completeness(C: CycComplex):
@@ -744,8 +747,6 @@ def full_verify(C: CycComplex, d_max=None, instance="") -> VerificationReport:
     Each check function is looked up by its module-level name when it runs,
     so a wrapper put in its place (a profiler's span) is the one called.
     """
-    if d_max is None:
-        d_max = default_d_max(C)
     checks = [
         ("d_squared", lambda: check_d_squared(C)),
         ("leading_term_formula", lambda: check_leading_terms(C)),

@@ -13,14 +13,15 @@ formed; the degree-d dimension of the lead submodule N_k is just counted.
 from cycres.resolution_verify import minimal_generators, monomials_of_degree
 
 
-def lead_count(C, k, d, tie_break=None):
+def lead_count(C, k, d, tie_break=None, units=False):
     """L_(k,d) over the degree-d piece of d_k.
 
     The row x^beta * e_p one level down is ordered by (beta + w_p, then p),
     w_p the accumulated monomial of e_p in the order tower.  With
     ``tie_break="monomial"``, equal beta + w_p are ordered by beta instead
     of p: a sound order too, but not the Schreyer order the columns were
-    built in.
+    built in.  With ``units``, only leads with coefficient +-1 count, as in
+    the oracle: a lead 2*x^m proves nothing over a field of characteristic 2.
     """
     base, bits = C.tower.base[k - 1], C.tower.bits[k - 1]
     b = (len(C.shifts[k - 1]) - 1).bit_length()
@@ -38,7 +39,7 @@ def lead_count(C, k, d, tie_break=None):
                     row = (alpha + mono + w, p)
                 terms[row] = terms.get(row, 0) + coeff
             lead = max((row for row, coeff in terms.items() if coeff), default=None)
-            if lead is not None:
+            if lead is not None and (not units or terms[lead] in (1, -1)):
                 leads.add(lead)
     return len(leads)
 

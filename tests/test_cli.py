@@ -397,18 +397,18 @@ def test_resolve_and_gb_render_the_stored_column_order(tmp_path, capsys, monkeyp
 
 
 # sha256 of the `cycres verify --format json` report with its "instance"
-# field and every "millis" field removed, keys sorted.  Re-pinned when
-# colon_stability's counter became the number of leading terms examined:
-# with that counter set back to {"trials": 8}, each report hashed to the
-# pin of the code before differential columns were stored in module order
-# (same verdicts, other counters and witness text).
+# field and every "millis" field removed, keys sorted.  Re-pinned when the
+# default run came to check the complete lead identity: with
+# graded_homology's "degrees" set back to that of the old default degree
+# range (cycle4 7, echelon6 6, k4 13, weighted4 13), each report hashed to
+# its previous pin (same verdicts, every other counter and witness equal).
 VERIFY_SHA256 = {
-    "cycle4": "d1166efaa33d4de4e4513f3fc2a6bd806875e211eb03d274102d1f56760fa9ca",
-    "cycle4_arcs": "d1166efaa33d4de4e4513f3fc2a6bd806875e211eb03d274102d1f56760fa9ca",
-    "echelon6": "8d270d6f55a1b82ce366fb0a6889763b5e7c0cb57a30113ce5812d77d7c51753",
-    "k4": "81f11baa1d7513ba325e867b0011cc42c8295f703ab47229f4ba5d4e84179261",
-    "weighted4": "b020fefb6e7a97f4aa030947ceecedafac3c807349389df5043c0705714634e2",
-    "weighted4_echelon": "b020fefb6e7a97f4aa030947ceecedafac3c807349389df5043c0705714634e2",
+    "cycle4": "b5c78945035cc7ddbf63ea563f123c5af083715df035de068ad8f0c1510f52e9",
+    "cycle4_arcs": "b5c78945035cc7ddbf63ea563f123c5af083715df035de068ad8f0c1510f52e9",
+    "echelon6": "bca5a2625f63f533e38f63bd981fd3933a99e786dd8265d5601485b4285b4cc3",
+    "k4": "7666655f2ac9da1fd387e442004481d064345bf6938bd120a799fd8432a21aeb",
+    "weighted4": "a187e948ae3bf4a6b0f6715e09637b19d49a75b038fb831fbf2011d2d54716c2",
+    "weighted4_echelon": "a187e948ae3bf4a6b0f6715e09637b19d49a75b038fb831fbf2011d2d54716c2",
 }
 
 
@@ -503,22 +503,45 @@ def test_ten_vertices_exit_2_before_any_enumeration(tmp_path, capsys, monkeypatc
         assert "n = 10 has 14,174,522 basis elements" in err
 
 
-def test_oversized_oracle_range_exits_2_before_any_piece(capsys, monkeypatch):
-    from cycres import cyc_complex, resolution_verify
+def refuse_pieces(monkeypatch):
+    from cycres import resolution_verify
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a check, an oracle piece or a build ran")
+        raise AssertionError("an oracle piece was built")
 
-    monkeypatch.setattr(resolution_verify, "full_verify", refuse)
-    monkeypatch.setattr(resolution_verify, "graded_homology_oracle", refuse)
     monkeypatch.setattr(resolution_verify, "graded_piece_rank", refuse)
     monkeypatch.setattr(resolution_verify, "rank_sparse", refuse)
+    return refuse
+
+
+def test_the_lead_identity_proves_k4_to_degree_60_without_a_piece(capsys, monkeypatch):
+    # the degree-54 piece would hold 265,200 columns, but the identity
+    # holds to degree 60, so no piece is built and no budget applies
+    refuse_pieces(monkeypatch)
+    for command in ("verify", "homology"):
+        code, out, _ = run(capsys, command, inst("k4.json"), "--max-degree", "60", "--format", "json")
+        assert code == 0, command
+        [check] = [c for c in json.loads(out)["checks"] if c["name"] == "graded_homology"]
+        assert (check["status"], check["counters"]) == ("pass", {"degrees": 61}), command
+
+
+def test_oversized_oracle_range_exits_2_before_any_piece(capsys, monkeypatch):
+    import lead_ideal_reference
+    from cycres import cyc_complex, resolution_verify
+
+    refuse = refuse_pieces(monkeypatch)
 
     def refused(d_max, message):
         for command in ("verify", "homology"):
             code, out, err = run(capsys, command, inst("k4.json"), "--max-degree", d_max)
             assert (code, out, err) == (2, "", f"error: {message}\n"), (command, d_max)
 
+    # leads taken with ties broken by monomial fall short on K4, so the
+    # oracle would eliminate every degree from there to 60: the widest of
+    # those pieces is refused before the first is built
+    monkeypatch.setattr(
+        resolution_verify, "lead_ideals", lead_ideal_reference.monomial_tie_break_ideals
+    )
     refused("60", "--max-degree 60 needs a degree-54 piece of 265,200 columns, "
                   "over the oracle's budget of 250,000")
     # a range spanning too many degrees is refused before the build

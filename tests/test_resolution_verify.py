@@ -564,6 +564,9 @@ def test_monomials_of_degree():
 
 
 def test_oracle_refuses_a_degree_past_the_packing_before_any_piece(monkeypatch):
+    # only pieces need the packing: the identity proves the unit 3-cycle
+    # past its 4-bit fields, and on a scrambled tower, where the count
+    # falls short from degree 2, elimination is refused before any piece
     C = complex_from_matrix(CYCLE3)
     assert (C.ctx.width, C.ctx.cap) == (4, 7)
     assert rv.graded_homology_oracle(C, 7) == (True, None, {"degrees": 8})
@@ -573,6 +576,8 @@ def test_oracle_refuses_a_degree_past_the_packing_before_any_piece(monkeypatch):
 
     for name in ("monomials_of_degree", "graded_piece_rank", "rank_sparse"):
         monkeypatch.setattr(rv, name, refuse)
+    assert rv.graded_homology_oracle(C, 40) == (True, None, {"degrees": 41})
+    scrambled_tower(C, 0)
     with pytest.raises(InternalError, match="degree 8 does not fit 4-bit fields"):
         rv.graded_homology_oracle(C, 8)
 
@@ -633,16 +638,20 @@ def k5_complex(d_max):
 
 @pytest.mark.parametrize("name", VERIFIABLE + ["k5"])
 def test_identity_builds_no_piece(name, monkeypatch):
-    # on the towers as built the leads count every rank: no piece is built
-    # or ranked, on K5 to degree 13 (oracle-k5) and on the verifiable
-    # bundled instances over their default range
-    if name == "k5":
-        C, d_max = k5_complex(13), 13
-    else:
-        C = bundled_complex(name)
-        d_max = rv.default_d_max(C)
+    # on the towers as built the leads count every rank in every degree:
+    # with no bound the identity is checked whole, up to the top shift
+    # (echelon6 7, weighted4 36), where brute-force lead counts agree; and
+    # on K5 to degree 13 (oracle-k5).  No piece is built or ranked
+    C = k5_complex(13) if name == "k5" else bundled_complex(name)
+    top = max(max(level) for level in C.shifts)
     pieces, ranks = oracle_pieces(monkeypatch)
-    assert rv.graded_homology_oracle(C, d_max) == (True, None, {"degrees": d_max + 1})
+    assert rv.graded_homology_oracle(C, None) == (True, None, {"degrees": top + 1})
+    assert lead_ideal_reference.short_degree(C, top) is None
+    report = rv.full_verify(C)
+    assert report.passed, report.to_text()
+    assert report.checks[-1].counters == {"degrees": top + 1}
+    if name == "k5":
+        assert rv.graded_homology_oracle(C, 13) == (True, None, {"degrees": 14})
     assert pieces == ranks == []
 
 
@@ -654,35 +663,51 @@ def lead_count_instances():
             yield pytest.param((n, seed), id=f"random{n}.{seed}")
 
 
+# the random instances' identities reach degrees 65 to 291; brute force
+# counts their leads to this degree (at degree 177, random5.1 takes 19 s)
+RANDOM_LEAD_COUNT_DEGREE = 60
+
+
 @pytest.mark.parametrize("which", list(lead_count_instances()))
 def test_lead_counts_match_the_k_polynomial_sums(which):
     # sum_p t^s_p K_p over level k, divided by prod (1 - t^nu_i), is the
-    # Hilbert series of F_k / N_(k+1): in every degree up to the bound it
-    # is dim F_(k,d) - L_(k+1,d), the brute-force count of distinct leads
+    # Hilbert series of F_k / N_(k+1): in every degree it is
+    # dim F_(k,d) - L_(k+1,d), the brute-force count of distinct leads,
+    # checked through the identity's top degree on the bundled instances.
+    # Cut at a bound, the series is the complete one cut there
     if isinstance(which, str):
         C = bundled_complex(which)
-        d_max = rv.default_d_max(C)
     else:
         n, seed = which
         g = random_icb_digraph(n, random.Random(1000 * n + seed))
         C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
-        d_max = min(rv.default_d_max(C), 10)
-    counts = rv.count_monomials(C.ctx.nu, d_max)
+    ok, _, counters = rv.graded_homology_oracle(C, None)
+    top = counters["degrees"] - 1
+    assert ok and top == max(max(level) for level in C.shifts)
+    if not isinstance(which, str):
+        top = min(top, RANDOM_LEAD_COUNT_DEGREE)
+    counts = rv.count_monomials(C.ctx.nu, top)
     memo = {}
     for k in range(C.n):
-        series = rv.quotient_series(C, k, d_max, memo)
-        for d in range(d_max + 1):
+        series = rv.quotient_series(C, k, None, memo)
+        for d in range(top + 1):
             above = lead_ideal_reference.lead_count(C, k + 1, d) if k + 1 < C.n else 0
             quotient = sum(series[e] * counts[d - e] for e in range(d + 1))
             assert quotient == lead_ideal_reference.free_rank(C, k, d) - above, (k, d)
-    assert lead_ideal_reference.short_degree(C, d_max) is None
+        cut = rv.quotient_series(C, k, top // 2, {})
+        assert {d: c for d, c in cut.items() if c} == {
+            d: c for d, c in series.items() if c and d <= top // 2
+        }
+    assert lead_ideal_reference.short_degree(C, top) is None
 
 
 def test_k_polynomial_counts_standard_monomials():
     # K(S/J) is the count of monomials outside J, degree by degree, times
     # prod (1 - t^nu_i): checked on the unit ideal (K = 0, whatever else
-    # generates it), the zero ideal (K = 1) and random weighted ideals
-    ctx = GradedContext(3, (1, 2, 3), 5)
+    # generates it), the zero ideal (K = 1) and random weighted ideals.
+    # Every coefficient above deg lcm(J) is zero (Taylor's resolution of J
+    # ends there), so the oracle's cut at that degree loses nothing
+    ctx = GradedContext(3, (1, 2, 3), 6)
     x1, x2, x3 = ctx.variables
     assert rv.k_polynomial(ctx, (0,), 6, {}) == [0] * 7
     assert rv.k_polynomial(ctx, rv.minimal_generators(ctx, [x1, 0, x2 + x3]), 6, {}) == [0] * 7
@@ -691,8 +716,11 @@ def test_k_polynomial_counts_standard_monomials():
     assert rv.k_polynomial(ctx, (x1,), -1, {}) == []
     # (x1^2, x1*x2): 1 - t^2 - t^3 + t^4
     assert rv.k_polynomial(ctx, (2 * x1, x1 + x2), 5, {}) == [1, 0, -1, -1, 1, 0]
+    assert rv.lcm_degree(ctx, ()) == rv.lcm_degree(ctx, (0,)) == 0
+    assert rv.lcm_degree(ctx, (2 * x1, x1 + x2)) == 4
     rng = random.Random(8)
-    top = 12
+    # past every lcm of the ideals drawn, at most x1^3 x2^3 x3^3 (degree 18)
+    top = 24
     below = [rv.monomials_of_degree(ctx, d) for d in range(top + 1)]
     memo = {}
     for _ in range(60):
@@ -711,6 +739,14 @@ def test_k_polynomial_counts_standard_monomials():
             for d in range(top, v - 1, -1):
                 k_poly[d] -= k_poly[d - v]
         assert rv.k_polynomial(ctx, minimal, top, memo) == k_poly, gens
+        lcm = rv.lcm_degree(ctx, minimal)
+        # the lowest degree of a monomial every generator divides
+        assert lcm == min(
+            d for d, monos in enumerate(below)
+            if any(all(ctx.divides(g, m) for g in minimal) for m in monos)
+        )
+        assert k_poly[lcm + 1 :] == [0] * (top - lcm), gens
+        assert rv.k_polynomial(ctx, minimal, lcm, memo) == k_poly[: lcm + 1], gens
 
 
 @pytest.mark.parametrize("name, d_max, short", [("k5", 13, 8), ("echelon6", 5, 3)])
@@ -732,11 +768,9 @@ def test_a_lead_that_is_not_a_unit_goes_to_elimination(monkeypatch):
     # Q, but its lead, 2 times a monomial, proves nothing over a field of
     # characteristic 2: it is not counted, the identity falls short at the
     # column's degree 6, and elimination from there passes as it does over Q
-    C = complex_from_matrix(K4_ROWS)
-    top = C.n - 1
-    C.diffs[top][0] = tuple((2 * coeff, mono, idx) for coeff, mono, idx in C.diffs[top][0])
+    C = k4_doubled()
     assert rv.check_d_squared(C) == (True, None, {})
-    assert C.shifts[top][0] == 6
+    assert C.shifts[C.n - 1][0] == 6
     pieces, ranks = oracle_pieces(monkeypatch)
     assert rv.graded_homology_oracle(C, 8) == (True, None, {"degrees": 9})
     assert min(d for _, d in pieces) == 6 and len(pieces) == 9 and len(ranks) == 9
@@ -788,9 +822,14 @@ def test_full_verify_k4(k4_complex):
     ]
 
 
-def test_every_strongly_connected_shape_on_four_vertices():
+def test_every_strongly_connected_shape_on_four_vertices(monkeypatch):
     # all 83 shapes (1,606 labelled digraphs; OEIS A035512, A003030), with
-    # unit weights and with one seeded weighting each
+    # unit weights and with one seeded weighting each; the lead identity
+    # proves every degree of each, so no oracle piece is built
+    def refuse(*args):
+        raise AssertionError("an oracle piece was built")
+
+    monkeypatch.setattr(rv, "graded_piece_rank", refuse)
     labelled, shapes = graph_reference.strongly_connected_shapes(4)
     assert (labelled, len(shapes)) == (1606, 83)
     complete_arcs = tuple((s, t) for s in range(1, 5) for t in range(1, 5) if s != t)
@@ -807,8 +846,11 @@ def test_every_strongly_connected_shape_on_four_vertices():
                 M = graph_core.prepare(L, omega)
                 assert graph_reference.block_echelon_structure(M)[1] == M.echelon
             # M is now the form at omega = n
-            report = rv.full_verify(cc.build_complex(M))
+            C = cc.build_complex(M)
+            report = rv.full_verify(C)
             assert report.passed and len(report.checks) == 10, (arcs, weights)
+            top = max(max(level) for level in C.shifts)
+            assert report.checks[-1].counters == {"degrees": top + 1}, (arcs, weights)
             check = report.checks[-2]
             assert check.name == "minimality_vs_completeness"
             if check.witness is None:
@@ -920,10 +962,10 @@ WIDEST_PIECES = {"k4": (20, 9792, 6), "cycle3": (40, 2460, 2), "k5": (13, 7980, 
 @pytest.mark.parametrize("name", sorted(WIDEST_PIECES))
 def test_piece_widths_count_the_oracle_pieces(name, monkeypatch):
     # the widths counted from the shifts are the sizes of the pieces the
-    # oracle numbers, degree by degree; the budget admits a piece as wide
-    # as itself and refuses a wider one, naming it.  On a scrambled tower
-    # the oracle eliminates every degree from the first short one; the
-    # pieces below it are numbered directly
+    # oracle numbers, degree by degree.  On a scrambled tower the oracle
+    # eliminates every degree from the first short one (the pieces below
+    # it are numbered directly), and its budget admits a piece as wide as
+    # itself and refuses a wider one, naming it, before any piece is built
     d_max, widest, short = WIDEST_PIECES[name]
     if name == "cycle3":
         rows = CYCLE3
@@ -933,7 +975,8 @@ def test_piece_widths_count_the_oracle_pieces(name, monkeypatch):
     g = graph_core.digraph_from_matrix(rows)
     C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)), d_max)
     scrambled_tower(C, 0)
-    widths = list(rv.piece_widths(C, d_max))
+    widths = list(rv.piece_widths(C, 0, d_max))
+    assert list(rv.piece_widths(C, short, d_max)) == widths[short:]
     pieces = [
         (d, rv.graded_piece_rank(C, k, d, {})[1]) for d in range(short) for k in range(1, C.n)
     ]
@@ -945,23 +988,19 @@ def test_piece_widths_count_the_oracle_pieces(name, monkeypatch):
         return result
 
     monkeypatch.setattr(rv, "graded_piece_rank", recording)
+    monkeypatch.setattr(rv, "MAX_ORACLE_COLS", widest)
     assert rv.graded_homology_oracle(C, d_max) == (True, None, {"degrees": d_max + 1})
     assert len(pieces) == (d_max + 1) * (C.n - 1)
     assert [d for d, _ in pieces[short * (C.n - 1) :: C.n - 1]] == list(range(short, d_max + 1))
     assert widths == [
-        max(ncols for degree, ncols in pieces if degree == d) for d in range(d_max + 1)
+        (d, max(ncols for degree, ncols in pieces if degree == d)) for d in range(d_max + 1)
     ]
-    assert max(widths) == widest
-    rv.refuse_oversized_oracle(C, d_max)
-    monkeypatch.setattr(rv, "MAX_ORACLE_COLS", widest)
-    rv.refuse_oversized_oracle(C, d_max)
+    assert max(w for _, w in widths) == widest
+    del pieces[:]
     monkeypatch.setattr(rv, "MAX_ORACLE_COLS", widest - 1)
     with pytest.raises(ValidationError, match=f"piece of {widest:,} columns"):
-        rv.refuse_oversized_oracle(C, d_max)
-
-
-def test_default_d_max(k4_complex):
-    assert rv.default_d_max(k4_complex) == 12
+        rv.graded_homology_oracle(C, d_max)
+    assert pieces == []
 
 
 def test_random_icb_instances_fully_verify():
@@ -969,8 +1008,9 @@ def test_random_icb_instances_fully_verify():
     for _ in range(3):
         g = random_icb_digraph(4, rng)
         C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
-        report = rv.full_verify(C, d_max=min(rv.default_d_max(C), 8))
+        report = rv.full_verify(C)
         assert report.passed, report.to_text()
+        assert report.checks[-1].counters == {"degrees": max(C.shifts[-1]) + 1}
 
 
 def dense_piece(C, k, d):
@@ -1040,7 +1080,7 @@ def reference_instances():
 def test_piece_ranks_match_the_row_wise_reference(g):
     C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
     d_max = -1
-    for d, widest in enumerate(rv.piece_widths(C, 40)):
+    for d, widest in rv.piece_widths(C, 0, 40):
         if widest > REFERENCE_PIECE_COLS:
             break
         d_max = d
@@ -1089,11 +1129,10 @@ def test_oracle_fails_where_d_squared_still_holds(monkeypatch):
     # multiply echelon6's first top-level column by x1 and raise its shift
     # by nu_1: d∘d stays 0, but the image of the level below no longer
     # fills the kernel at position 4 from degree 6 on, on any tower
-    C = complex_from_matrix(ECHELON6)
-    assert rv.graded_homology_oracle(C, 6) == (True, None, {"degrees": 7})
-    top, x1 = C.n - 1, C.ctx.variables[0]
-    C.diffs[top][0] = tuple((coeff, mono + x1, idx) for coeff, mono, idx in C.diffs[top][0])
-    C.shifts[top][0] += C.ctx.nu[0]
+    assert rv.graded_homology_oracle(complex_from_matrix(ECHELON6), 6) == (
+        True, None, {"degrees": 7}
+    )
+    C = echelon6_times_x1()
     assert rv.check_d_squared(C) == (True, None, {})
     failed = (False, "homology at position 4, degree 6: kernel 1294, image 1293", {"degrees": 6})
     # the lead count first falls short there too, so only degree 6 is
@@ -1104,3 +1143,52 @@ def test_oracle_fails_where_d_squared_still_holds(monkeypatch):
     assert pieces == [(k, 6) for k in range(1, C.n)]
     scrambled_tower(C, 1)
     assert rv.graded_homology_oracle(C, 6) == failed
+
+
+def echelon6_times_x1():
+    """echelon6 with its first top-level column multiplied by x1 and its
+    shift raised by nu_1: d∘d stays 0, but position 4 is not exact in
+    degree 6."""
+    C = complex_from_matrix(ECHELON6)
+    top, x1 = C.n - 1, C.ctx.variables[0]
+    C.diffs[top][0] = tuple((coeff, mono + x1, idx) for coeff, mono, idx in C.diffs[top][0])
+    C.shifts[top][0] += C.ctx.nu[0]
+    return C
+
+
+def k4_doubled():
+    """K4 with its first top-level column doubled: exact over Q, but over
+    F_2 that column is zero, and positions 2 and 3 are not exact in its
+    degree 6."""
+    C = complex_from_matrix(K4_ROWS)
+    top = C.n - 1
+    C.diffs[top][0] = tuple((2 * coeff, mono, idx) for coeff, mono, idx in C.diffs[top][0])
+    return C
+
+
+@pytest.mark.parametrize("mutate, short, witness", [
+    (echelon6_times_x1, [4], "position 4, degree 6: 4928 distinct unit leads for dimension 4929"),
+    (k4_doubled, [2, 3], "position 2, degree 6: 47 distinct unit leads for dimension 48"),
+], ids=["echelon6_times_x1", "k4_doubled"])
+def test_the_complete_identity_fails_where_the_count_falls_short(mutate, short, witness,
+                                                                  monkeypatch):
+    # with no bound a short count is the verdict: it names the lowest
+    # degree and, there, the lowest position where the unit leads fall
+    # short, the brute-force counts agree, and no piece is built
+    C = mutate()
+    assert rv.check_d_squared(C) == (True, None, {})
+    pieces, ranks = oracle_pieces(monkeypatch)
+    assert rv.graded_homology_oracle(C, None) == (
+        False, f"lead count at {witness}", {"degrees": 6}
+    )
+    assert pieces == ranks == []
+    counts = {
+        d: [lead_ideal_reference.lead_count(C, k, d, units=True) for k in range(1, C.n)] + [0]
+        for d in range(7)
+    }
+    for d, count in counts.items():
+        assert [
+            k for k in range(1, C.n)
+            if count[k - 1] + count[k] != lead_ideal_reference.free_rank(C, k, d)
+        ] == (short if d == 6 else []), d
+
