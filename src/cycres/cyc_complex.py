@@ -169,11 +169,11 @@ def boundary(basis, arrows: ArrowTable, targets):
     coefficients and signs alternating from +1, except that the closing
     merge of the last block into the first is always -1.  ``targets[s][j]``
     is the basis position of merge(basis[j], s) one level down, as
-    merge_targets gives it.  The position of merge s is (coeffs, monos,
-    targets[s]): that merge's term of every column at once, its sign one
-    shared tuple per sign, monos[j] the arrow monomial of basis[j] from
-    block s into its successor, and the targets list stored as given.
-    Column j is entry j of each position, in the order of the positions.
+    merge_targets gives it.  The position of merge s is (sign, monos,
+    targets[s]): that merge's term of every column at once, its one sign
+    the int +-1 above, monos[j] the arrow monomial of basis[j] from block s
+    into its successor, and the targets list stored as given.  Column j is
+    entry j of each position, in the order of the positions.
 
     The positions come in the order s = k-1, ..., 0, k, strictly decreasing
     in the module order one level down, so the tower stores them as given
@@ -194,12 +194,11 @@ def boundary(basis, arrows: ArrowTable, targets):
     k = len(basis[0]) - 1
     if k < 1:
         raise InternalError("boundary needs at least two blocks")
-    signs = {1: (1,) * len(basis), -1: (-1,) * len(basis)}
     positions = []
     for s in (*range(k - 1, -1, -1), k):
         sign, t = (-1, 0) if s == k else ((-1) ** s, s + 1)
         monos = list(map(arrows.__getitem__, map(itemgetter(s, t), basis)))
-        positions.append((signs[sign], monos, targets[s]))
+        positions.append((sign, monos, targets[s]))
     return positions
 
 
@@ -333,7 +332,8 @@ def minimality_check(C: CycComplex):
 
     Otherwise returns (False, (k, source index, target index, coefficient))
     for the first offending entry: lowest k, then source, then target.
-    Reads the term positions: a constant term is a monomial 0.
+    Reads the term positions: a constant term is a monomial 0, and its
+    coefficient is its position's sign.
     """
     for k in range(1, C.n):
         level = C.positions[k]
@@ -341,7 +341,7 @@ def minimality_check(C: CycComplex):
         if sources:
             j = min(sources)
             constants = [
-                (targets[j], coeffs[j]) for coeffs, monos, targets in level if monos[j] == 0
+                (targets[j], sign) for sign, monos, targets in level if monos[j] == 0
             ]
             return False, (k, j, *min(constants))
     return True, None

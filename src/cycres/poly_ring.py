@@ -1,8 +1,8 @@
 """Graded polynomial arithmetic and induced module orders.
 
 The lattice ideal lives in Q[x], but every computation here stays in Z:
-every differential coefficient is +-1 and the order tower refuses any other
-leading coefficient, so division and S-vectors never produce a fraction.
+every differential term carries the sign +-1 of its position, and the order
+tower refuses any other, so division and S-vectors never produce a fraction.
 
 Representation conventions (kept deliberately plain for speed):
 
@@ -10,9 +10,10 @@ Representation conventions (kept deliberately plain for speed):
                is K(a) + K(b), x^a / x^b is K(a) - K(b), the unit is 0
     Elem       dict {(monomial, basis index): int}, one entry per term
                c * x^m * e_i, no zero coefficient stored
-    position   (coeffs, monos, targets): term i of every column of one
-               level at once, coeffs[j] * x^monos[j] * e_targets[j] in
-               column j; a level is its positions, in term order
+    position   (sign, monos, targets): term i of every column of one
+               level at once, sign * x^monos[j] * e_targets[j] in column
+               j, with sign the one +-1 of that merge; a level is its
+               positions, in term order
     column     tuple of (coeff, monomial, basis index) terms, strictly
                decreasing in the module order one level down: entry j
                of each position
@@ -36,15 +37,14 @@ rightmost nonzero coordinate of the difference being negative.  Integer
 order on packed monomials is exactly that order.  Module orders are induced
 level by level through a fixed list of images, with ties broken by the
 larger basis index.  Exponent vectors are unpacked only to read input and
-to write text; the text of each signed term is rendered once per context
-(TermText) and joined with per-level basis suffixes by elem_str, one
-column at a time.
+to write text; the text of each monomial is rendered once per context
+(GradedContext.text), and elem_str joins it, once per position, with the
+position's sign and the per-level basis suffixes, one column at a time.
 """
 
 from functools import cached_property
 from itertools import compress, count, repeat
 from operator import add, and_, lshift, lt, ne, neg, rshift
-from weakref import ref
 
 from .errors import InternalError
 
@@ -78,7 +78,6 @@ class GradedContext:
         )
         self._text = {}
         self._cofactors = {}
-        self.terms = TermText(self)
 
     @classmethod
     def holding(cls, nu, degree):
@@ -149,27 +148,6 @@ class GradedContext:
         return out
 
 
-class TermText(dict):
-    """The text of each signed term c*x^m of one context by (c, m), with the
-    separator before it: " + x1*x3^2", " - 2*x4", " + 1".  Each is rendered
-    once, when first asked for.  The context holds this table, so the table
-    holds the context weakly and leaves no reference cycle."""
-
-    def __init__(self, ctx: GradedContext):
-        super().__init__()
-        self.ctx = ref(ctx)
-
-    def __missing__(self, term):
-        coeff, mono = term
-        text = self.ctx().text(mono)
-        if coeff not in (1, -1):
-            text = f"{abs(coeff)}*{text}" if text else str(abs(coeff))
-        elif not text:
-            text = "1"
-        out = self[term] = f"{' + ' if coeff > 0 else ' - '}{text}"
-        return out
-
-
 # ---------------------------------------------------------------------------
 # module elements
 
@@ -201,18 +179,19 @@ class OrderTower:
     indices of its leading terms never fall along it, so the lists of indices
     met on the way order as the indices do, and integer order on the keys
     (m << bits) + base[i] of x^m * e_i is the module order.  The tower owns
-    the differential, stored as each level's term positions, and the degree
-    shifts.  Each column is kept in the order boundary emits its terms,
-    strictly decreasing, so its first term is its leading term and the one
-    record of it.  Every table is immutable once add_level returns; the
-    columns (images) are derived from the positions when first read.
+    the differential, stored as each level's term positions, one sign
+    +-1 per position, and the degree shifts.  Each column is kept in the
+    order boundary emits its terms, strictly decreasing, so its first term
+    is its leading term and the one record of it.  Every table is immutable
+    once add_level returns; the columns (images) are derived from the
+    positions when first read.
     """
 
     def __init__(self, ctx: GradedContext):
         self.ctx = ctx
         self.bits = [0]             # bits[level]: width of the index field
         self.base = [[0]]           # base[level][idx]: key of x^0 * e_idx
-        self.positions = [None]     # positions[level]: (coeffs, monos, targets) per term position
+        self.positions = [None]     # positions[level]: (sign, monos, targets) per term position
         self.shifts = [[0]]         # shifts[level][idx]: degree of its acc
 
     @property
@@ -222,11 +201,13 @@ class OrderTower:
     @cached_property
     def images(self):
         """images[level][idx]: the column of basis element idx one level
-        down, a tuple of (coeff, monomial, basis index) terms, lead first.
-        Derived from the positions by one zip on first use and kept until
-        the next add_level; only the checks read columns."""
+        down, a tuple of (coeff, monomial, basis index) terms, lead first,
+        each coefficient its position's sign.  Derived from the positions
+        by one zip on first use and kept until the next add_level; only the
+        checks read columns."""
         return [None] + [
-            list(zip(*[zip(*position) for position in level])) for level in self.positions[1:]
+            list(zip(*[zip(repeat(sign), monos, targets) for sign, monos, targets in level]))
+            for level in self.positions[1:]
         ]
 
     def key(self, level, mono, idx):
@@ -237,31 +218,38 @@ class OrderTower:
         """Append the order induced by the next level's differential.
 
         ``positions`` hold the next level's columns as term positions, as
-        boundary gives them: position i is (coeffs, monos, targets), and
-        term i of column j is coeffs[i] * x^monos[i][j] * e_targets[i][j]
-        on the current top level.  Every column's terms come in strictly
-        decreasing module order (boundary's docstring proves it; the
-        leading_term_formula check keys every term).  The positions are
-        stored as given and only the first and last are keyed, a whole list
-        at a time.  The first holds the leading terms, whose coefficients
-        must be +-1; the degree of the level-0 monomial each reaches is its
-        column's shift, and that monomial is base[j] above the index j.  The
-        last must reach the same degrees, so that in that order the two
+        boundary gives them: position i is (sign, monos, targets), and
+        term i of column j is sign * x^monos[j] * e_targets[j] on the
+        current top level.  Every sign must be +-1, so every coefficient
+        of the differential, leads included, is a unit.  Every column's
+        terms come in strictly decreasing module order (boundary's
+        docstring proves it; the leading_term_formula check keys every
+        term).  The positions are stored as given and only the first and
+        last are keyed, a whole list at a time.  The first holds the
+        leading terms; the degree of the level-0 monomial each reaches is
+        its column's shift, and that monomial is base[j] above the index j.
+        The last must reach the same degrees, so that in that order the two
         bound every term.  Nothing is appended when the level is refused:
-        no position (a zero column), positions of unequal lengths, or a
-        column whose first and last terms differ in degree, with a non-unit
-        lead, with a lead on a lower basis index than the lead before it or
-        with an accumulated monomial past the fields; the lowest such
-        column is named, and of its faults the first in that order.
+        no position (a zero column), positions of unequal lengths or the
+        lowest position with a sign other than +-1, named before anything
+        is keyed; or a column whose first and last terms differ in degree,
+        with a lead on a lower basis index than the lead before it or with
+        an accumulated monomial past the fields, the lowest such column
+        named, and of its faults the first in that order.
         """
         level = self.levels - 1
         if not positions:
             raise InternalError(f"zero differential column 1 in degree {level + 1}")
-        if len({len(seq) for position in positions for seq in position}) != 1:
+        if len({len(seq) for position in positions for seq in position[1:]}) != 1:
             raise InternalError(f"term positions of unequal lengths in degree {level + 1}")
+        for i, (sign, _, _) in enumerate(positions):
+            if sign not in (1, -1):
+                raise InternalError(
+                    f"sign {sign} of term position {i + 1} in degree {level + 1} is not a unit"
+                )
         ctx = self.ctx
         acc = list(map(rshift, self.base[level], repeat(self.bits[level])))
-        (coeffs, monos, targets), (_, last, at) = positions[0], positions[-1]
+        (_, monos, targets), (_, last, at) = positions[0], positions[-1]
         # the level-0 monomials the first and last terms reach, and degrees
         tops = list(map(add, monos, map(acc.__getitem__, targets)))
         ends = map(add, last, map(acc.__getitem__, at))
@@ -269,19 +257,14 @@ class OrderTower:
         shifts = list(map(rshift, map(add, tops, repeat(ctx.mask)), repeat(ctx.shift)))
         degrees = map(rshift, map(add, ends, repeat(ctx.mask)), repeat(ctx.shift))
         inhomogeneous = first(map(ne, shifts, degrees))
-        non_unit = first(map(ne, map(abs, coeffs), repeat(1)))
         falls_back = first(map(lt, targets[1:], targets), 1)
         overflow = first(map(and_, map(neg, tops), repeat(ctx.guard)))
-        faults = [j for j in (inhomogeneous, non_unit, falls_back, overflow) if j is not None]
+        faults = [j for j in (inhomogeneous, falls_back, overflow) if j is not None]
         if faults:
             j = min(faults)
             if j == inhomogeneous:
                 raise InternalError(
                     f"inhomogeneous differential column {j + 1} in degree {level + 1}"
-                )
-            if j == non_unit:
-                raise InternalError(
-                    f"leading coefficient {coeffs[j]} of image {j + 1} is not a unit"
                 )
             if j == falls_back:
                 raise InternalError(
@@ -452,29 +435,14 @@ def term_tails(level, size, prefix="·e["):
 def elem_str(positions, tails, ctx: GradedContext):
     """The texts of one level's columns, given as its term positions (see
     OrderTower.add_level), as an iterator that renders each column when it
-    is asked for: each term's text (ctx.terms) followed by tails[basis
-    index] (see term_tails), in the stored order.  Each position looks its
-    text up once per distinct monomial when it carries one coefficient, as
-    every built position does, and per term otherwise; the first term
-    carries its sign alone."""
-    terms, parts = ctx.terms, []
-    for i, (coeffs, monos, targets) in enumerate(positions):
-        signs = set(coeffs)
-        if len(signs) == 1:
-            (coeff,) = signs
-            text = {mono: terms[coeff, mono] for mono in set(monos)}
-            if not i:
-                text = {mono: lead_text(t) for mono, t in text.items()}
-            texts = map(text.__getitem__, monos)
-        else:
-            texts = map(terms.__getitem__, zip(coeffs, monos))
-            if not i:
-                texts = map(lead_text, texts)
-        parts += texts, map(tails.__getitem__, targets)
+    is asked for: each term as its position's sign, its monomial's text
+    (ctx.text, "1" for the unit) and tails[basis index] (see term_tails),
+    in the stored order.  Each position renders its sign and monomial once
+    per distinct monomial; the first position carries its sign alone,
+    "-" or nothing, and the others " - " or " + "."""
+    parts = []
+    for i, (sign, monos, targets) in enumerate(positions):
+        head = (" + " if sign > 0 else " - ") if i else ("" if sign > 0 else "-")
+        text = {mono: head + (ctx.text(mono) or "1") for mono in set(monos)}
+        parts += map(text.__getitem__, monos), map(tails.__getitem__, targets)
     return map("".join, zip(*parts))
-
-
-def lead_text(text):
-    """A term's text (TermText) as the first of its column: the sign alone,
-    " - " as "-" and " + " dropped."""
-    return text[3:] if text[1] == "+" else "-" + text[3:]

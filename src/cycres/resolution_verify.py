@@ -342,8 +342,10 @@ def rho_image(C: CycComplex, k, i, j):
 
 def verify_schreyer_coverage(C: CycComplex, k) -> tuple:
     """Retained generators biject with the next level's basis, with matching
-    leading components; at the top level every quotient set must be empty.
-    Counts the generators matched."""
+    leading components: the image column leads on e_i with the cofactor's
+    monomial and the opposite of its coefficient, the sign one level up.
+    At the top level every quotient set must be empty.  Counts the
+    generators matched."""
     n = C.n
     above, index, columns = (
         (C.bases[k + 1], C.index[k + 1], C.diffs[k + 1]) if k + 1 < n else ([], {}, [])
@@ -367,7 +369,7 @@ def verify_schreyer_coverage(C: CycComplex, k) -> tuple:
             total += 1
             lc, lm, lidx = columns[hi][0]
             m = s_cofactor(C.tower, k - 1, i, j)
-            if m is None or lidx != i or lm != m[1] or abs(lc) != abs(m[0]) or m[0] != sign:
+            if m is None or lidx != i or lm != m[1] or lc != -m[0] or m[0] != sign:
                 return False, (
                     f"leading component of {partition_str(h)} does not match "
                     f"generator ({j + 1},{i + 1})"

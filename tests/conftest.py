@@ -113,12 +113,18 @@ def elem_terms(elem):
 
 
 def column_positions(columns):
-    """The term positions (coeffs, monos, targets) of columns of equal
+    """The term positions (sign, monos, targets) of columns of equal
     length, as OrderTower.add_level and elem_str read a level: position i
-    holds term i of every column."""
+    holds term i of every column, and the one coefficient those terms
+    share as its sign; any int, so that a refused sign can be fed too."""
     columns = [tuple(column) for column in columns]
     assert len({len(column) for column in columns}) <= 1, "columns of unequal lengths"
-    return [tuple(zip(*terms)) for terms in zip(*columns)]
+    positions = []
+    for i, terms in enumerate(zip(*columns)):
+        coeffs, monos, targets = zip(*terms)
+        assert len(set(coeffs)) == 1, f"position {i + 1} holds coefficients {set(coeffs)}"
+        positions.append((coeffs[0], monos, targets))
+    return positions
 
 
 def k4_digraph():

@@ -11,14 +11,18 @@ from cycres.poly_ring import term_tails
 
 def column_str(column, tails, ctx):
     """Render one column, a sequence of (coeff, monomial, basis index)
-    terms, in its stored order: each term's text (ctx.terms) followed by
-    tails[basis index] (see term_tails), the first term with its sign
-    alone; "0" for no term."""
+    terms, in its stored order: each term's sign, |coeff| unless it is 1,
+    its monomial's text (ctx.text) and tails[basis index] (see term_tails),
+    the first term with its sign alone; "0" for no term.  Any int
+    coefficient renders, and "*" joins it to a monomial: -2*x4, 2, 1."""
     if not column:
         return "0"
-    terms, out = ctx.terms, []
+    out = []
     for coeff, mono, idx in column:
-        out += terms[coeff, mono], tails[idx]
+        text = ctx.text(mono)
+        if abs(coeff) != 1:
+            text = f"{abs(coeff)}*{text}" if text else str(abs(coeff))
+        out += " + " if coeff > 0 else " - ", text or "1", tails[idx]
     text = "".join(out)
     return text[3:] if column[0][0] > 0 else "-" + text[3:]
 

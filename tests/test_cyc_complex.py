@@ -381,8 +381,13 @@ def summed_boundary(p, arrows, index_below):
 
 
 def position_columns(positions):
-    """Column j of a level's term positions: entry j of every position."""
-    return list(zip(*[zip(*position) for position in positions]))
+    """Column j of a level's term positions: the sign and entry j of every
+    position."""
+    width = len(positions[0][1])
+    return [
+        tuple((sign, monos[j], targets[j]) for sign, monos, targets in positions)
+        for j in range(width)
+    ]
 
 
 def test_boundary_columns_sum_the_merge_terms():
@@ -393,13 +398,16 @@ def test_boundary_columns_sum_the_merge_terms():
             cc.boundary(C.bases[0], C.arrows, {})
         for k, targets in enumerate(cc.merge_targets(C.bases), 1):
             positions = cc.boundary(C.bases[k], C.arrows, targets)
-            # k + 1 positions, each one coefficient, monomial and target per
-            # basis element, its signs one shared tuple
+            # k + 1 positions, each one int sign +-1 and a monomial and a
+            # target per basis element: merge s = k-1, ..., 0 alternates
+            # from +1, the closing merge is -1
             assert len(positions) == k + 1
-            for coeffs, monos, position_targets in positions:
-                assert type(coeffs) is tuple and len(set(coeffs)) == 1
-                assert len(coeffs) == len(monos) == len(position_targets) == len(C.bases[k])
-            assert len({id(coeffs) for coeffs, _, _ in positions}) == 2
+            for sign, monos, position_targets in positions:
+                assert type(sign) is int and sign in (1, -1)
+                assert len(monos) == len(position_targets) == len(C.bases[k])
+            assert [sign for sign, _, _ in positions] == [
+                (-1) ** s for s in range(k - 1, -1, -1)
+            ] + [-1]
             columns = position_columns(positions)
             assert len(columns) == len(C.bases[k]) == len(C.diffs[k])
             for p, column, stored in zip(C.bases[k], columns, C.diffs[k]):
@@ -720,7 +728,7 @@ def test_export_matches_the_reference_document_on_random_instances():
 def test_export_writes_empty_lists_as_json_does():
     # no buildable complex has an empty list; these stand-ins have one at
     # every depth the document streams
-    no_nu, one_nu = SimpleNamespace(nu=(), terms={}), SimpleNamespace(nu=(1,), terms={})
+    no_nu, one_nu = SimpleNamespace(nu=()), SimpleNamespace(nu=(1,))
     for C in (
         SimpleNamespace(n=1, ctx=no_nu, ranks=tuple, shifts=[[]], diffs=[], positions=[]),
         SimpleNamespace(

@@ -392,34 +392,49 @@ def test_combining_a_column_and_its_negative_leaves_nothing(k4_complex):
 
 
 # ---------------------------------------------------------------------------
-# integer coefficients: building the tower refuses a non-unit leading term
+# integer coefficients: building the tower refuses a sign other than +-1
 
 def test_add_level_rejects_non_unit_leading_coefficient(k4_complex):
     C = k4_complex
     g0 = list(C.diffs[1])
-    doubled = elem_terms(elem_scale_term(column_elem(g0[0]), 2, 0))
-    for images in ([doubled], g0 + [doubled]):
+    for images in ([g0[0]], g0):
+        doubled = [elem_terms(elem_scale_term(column_elem(f), 2, 0)) for f in images]
         tower = pr.OrderTower(C.ctx)
-        with pytest.raises(InternalError):
-            tower.add_level(column_positions(images))
+        with pytest.raises(InternalError, match="sign 2 of term position 1 in degree 1"):
+            tower.add_level(column_positions(doubled))
         assert tower.levels == 1
 
 
-def test_add_level_rejects_non_unit_leading_coefficient_at_any_position(k4_complex):
+def with_sign(positions, i, sign):
+    """The term positions with position i's sign replaced."""
+    positions = list(positions)
+    positions[i] = (sign, *positions[i][1:])
+    return positions
+
+
+def test_add_level_refuses_a_sign_other_than_plus_or_minus_one(k4_complex):
+    # a position carries one sign, that of every term it holds; any sign
+    # but +-1, at the lead position or at a tail position, is named with
+    # its degree and nothing is appended
     C = k4_complex
-    g0 = list(C.diffs[1])
-    doubled = elem_terms(elem_scale_term(column_elem(g0[0]), 2, 0))
-    for images in ([doubled, g0[1]], [g0[1], doubled]):
-        with pytest.raises(InternalError, match="leading coefficient 2 of image"):
-            pr.OrderTower(C.ctx).add_level(column_positions(images))
-    # one level up, inside the positions of the boundary columns
-    tower = pr.OrderTower(C.ctx)
-    tower.add_level(column_positions(g0))
-    g1 = list(C.diffs[2])
-    doubled = elem_terms(elem_scale_term(column_elem(g1[3]), -2, 0))
-    with pytest.raises(InternalError, match="leading coefficient 2 of image 4 is not a unit"):
-        tower.add_level(column_positions(g1[:3] + [doubled] + g1[4:]))
-    assert tower.levels == 2
+    for bad in (2, -2):
+        for i in (0, 1):
+            tower = pr.OrderTower(C.ctx)
+            with pytest.raises(
+                InternalError, match=f"sign {bad} of term position {i + 1} in degree 1 is not a unit"
+            ):
+                tower.add_level(with_sign(C.positions[1], i, bad))
+            assert tower.levels == 1
+        # one level up, at the lead position and at the closing merge
+        tower = pr.OrderTower(C.ctx)
+        tower.add_level(C.positions[1])
+        for i in (0, 2):
+            with pytest.raises(
+                InternalError, match=f"sign {bad} of term position {i + 1} in degree 2 is not a unit"
+            ):
+                tower.add_level(with_sign(C.positions[2], i, bad))
+            assert tower.levels == 2
+            assert [len(t) for t in (tower.bits, tower.base, tower.positions, tower.shifts)] == [2] * 4
 
 
 def test_add_level_rejects_an_inhomogeneous_column(k4_complex):
@@ -436,7 +451,7 @@ def test_add_level_rejects_an_inhomogeneous_column(k4_complex):
     # one level up: the last term of column 4 on e[1,1], one degree too high
     tower.add_level(C.positions[1])
     g1 = list(C.diffs[2])
-    g1[3] = g1[3][:-1] + ((1, C.ctx.pack((0, 0, 0, 3)), 0),)
+    g1[3] = g1[3][:-1] + ((-1, C.ctx.pack((0, 0, 0, 3)), 0),)
     with pytest.raises(InternalError, match="inhomogeneous differential column 4 in degree 2"):
         tower.add_level(column_positions(g1))
     assert tower.levels == 2
@@ -451,23 +466,34 @@ def test_add_level_rejects_an_inhomogeneous_column(k4_complex):
 
 def test_add_level_names_the_lowest_refused_column(k4_complex):
     # a level with faults in several columns names the lowest of them, and
-    # of that column's faults the first of: inhomogeneous, non-unit lead,
-    # falling lead, overflow
+    # of that column's faults the first of: inhomogeneous, falling lead,
+    # overflow.  On degree 2 of K4 the leads sit on e[1,2], e[1,3], e[1,4],
+    # ...; a copy of column 1 as column 3 leads on e[1,2], below the lead
+    # before it, and a last term times x4 tilts a column
     C = k4_complex
-    g0 = list(C.diffs[1])
+    g1 = list(C.diffs[2])
     x4 = C.ctx.variables[3]
-    lead, (c, m, idx) = g0[5]
-    tilted = (lead, (c, m + x4, idx))
-    doubled = ((2, *lead[1:]), (c, m, idx))
-    both = ((2, *lead[1:]), (c, m + x4, idx))
+
+    def tilt(f):
+        c, m, idx = f[-1]
+        return f[:-1] + ((c, m + x4, idx),)
+
+    falls = "leading term of differential column 3 in degree 2 falls back to basis index 2"
     for third, sixth, witness in (
-        (doubled, tilted, "leading coefficient 2 of image 3"),
-        (tilted, doubled, "inhomogeneous differential column 3 in degree 1"),
-        (both, g0[5], "inhomogeneous differential column 3 in degree 1"),
+        (tilt(g1[2]), g1[0], "inhomogeneous differential column 3 in degree 2"),
+        (g1[0], tilt(g1[5]), falls),
+        (tilt(g1[0]), g1[5], "inhomogeneous differential column 3 in degree 2"),
     ):
-        columns = g0[:2] + [third] + g0[3:5] + [sixth, g0[6]]
+        columns = g1[:2] + [third] + g1[3:5] + [sixth] + g1[6:]
+        tower = pr.OrderTower(C.ctx)
+        tower.add_level(C.positions[1])
         with pytest.raises(InternalError, match=witness):
-            pr.OrderTower(C.ctx).add_level(column_positions(columns))
+            tower.add_level(column_positions(columns))
+        assert tower.levels == 2
+        # a sign other than +-1 is named before any column is keyed
+        with pytest.raises(InternalError, match="sign 2 of term position 3 in degree 2"):
+            tower.add_level(with_sign(column_positions(columns), 2, 2))
+        assert tower.levels == 2
 
 
 def stored_as_given(C, k, column):
@@ -562,8 +588,9 @@ def test_elem_str_level0_is_plain_polynomial(k4_complex):
 
 
 def test_elem_str_pins_hand_built_columns():
-    # built columns only have coefficients +-1, so these are the only
-    # columns that reach the non-unit branch; each is a level of its own
+    # a level's positions carry one sign each, +-1 as add_level requires;
+    # each column is a level of its own, and the last levels hold two
+    # columns whose positions are shared
     ctx = pr.GradedContext(4, (1, 1, 1, 1), 4)
     x1, x2, x3, x4 = ctx.variables
 
@@ -572,53 +599,72 @@ def test_elem_str_pins_hand_built_columns():
         assert texts == [column_str(f, tails, ctx) for f in columns]
         return texts
 
-    column = ((2, x1 + 2 * x3, 0), (-2, 0, 1), (1, 0, 2), (-1, x2, 0), (-2, x4, 3), (2, 0, 0))
-    assert rendered([column], pr.term_tails(0, 4)) == ["2*x1*x3^2 - 2 + 1 - x2 - 2*x4 + 2"]
+    column = ((1, x1 + 2 * x3, 0), (-1, 0, 1), (1, 0, 2), (-1, x2, 0), (-1, x4, 3), (1, 0, 0))
+    assert rendered([column], pr.term_tails(0, 4)) == ["x1*x3^2 - 1 + 1 - x2 - x4 + 1"]
     assert rendered([column], pr.term_tails(1, 4)) == [
-        "2*x1*x3^2·e[1,1] - 2·e[1,2] + 1·e[1,3] - x2·e[1,1] - 2*x4·e[1,4] + 2·e[1,1]"
+        "x1*x3^2·e[1,1] - 1·e[1,2] + 1·e[1,3] - x2·e[1,1] - x4·e[1,4] + 1·e[1,1]"
     ]
-    assert rendered([column], pr.term_tails(12, 4))[0].endswith(" - 2*x4·e[12,4] + 2·e[12,1]")
+    assert rendered([column], pr.term_tails(12, 4))[0].endswith(" - x4·e[12,4] + 1·e[12,1]")
     for level, texts in (
-        (0, ["-2", "-1", "-x1 + 2", "2*x4^3", "1 - 1"]),
-        (2, ["-2·e[2,1]", "-1·e[2,5]", "-x1·e[2,1] + 2·e[2,3]", "2*x4^3·e[2,2]",
-             "1·e[2,1] - 1·e[2,2]"]),
+        (0, ["-1", "-x1 + 1", "x4^3", "1 - 1", "-1 + x1"]),
+        (2, ["-1·e[2,5]", "-x1·e[2,1] + 1·e[2,3]", "x4^3·e[2,2]", "1·e[2,1] - 1·e[2,2]",
+             "-1·e[2,5] + x1·e[2,1]"]),
     ):
         columns = [
-            ((-2, 0, 0),),
             ((-1, 0, 4),),
-            ((-1, x1, 0), (2, 0, 2)),
-            ((2, 3 * x4, 1),),
+            ((-1, x1, 0), (1, 0, 2)),
+            ((1, 3 * x4, 1),),
             ((1, 0, 0), (-1, 0, 1)),
+            ((-1, 0, 4), (1, x1, 0)),
         ]
         tails = pr.term_tails(level, 5)
         assert [text for f in columns for text in rendered([f], tails)] == texts
         for text, f in zip(texts, columns):
             assert parse_column(text, ctx) == (f if level else tuple((c, m, 0) for c, m, _ in f))
-        # the columns of one length as one level: its positions carry
-        # several coefficients each, and render term by term
-        assert rendered([columns[2], columns[4]], tails) == [texts[2], texts[4]]
-        assert rendered(columns[:2] + columns[3:4], tails) == texts[:2] + texts[3:4]
-    assert rendered([column, column[::-1]], pr.term_tails(0, 4))[1] == (
-        "2 - 2*x4 - x2 + 1 - 2 + 2*x1*x3^2"
+        # the columns of one length as one level: one sign per position
+        assert rendered([columns[1], columns[4]], tails) == [texts[1], texts[4]]
+        assert rendered([columns[0], columns[0]], tails) == texts[:1] * 2
+
+
+def test_column_str_renders_any_coefficient():
+    # the reference renderer writes |coeff| before the monomial when it is
+    # not 1, joined by "*", and parse_column reads every such text back
+    ctx = pr.GradedContext(4, (1, 1, 1, 1), 4)
+    x1, x2, x3, x4 = ctx.variables
+
+    def rendered(column, tails):
+        text = column_str(column, tails, ctx)
+        level = tails[0] != ""
+        assert parse_column(text, ctx) == (
+            column if level else tuple((c, m, 0) for c, m, _ in column)
+        )
+        return text
+
+    column = ((2, x1 + 2 * x3, 0), (-2, 0, 1), (1, 0, 2), (-1, x2, 0), (-2, x4, 3), (2, 0, 0))
+    assert rendered(column, pr.term_tails(0, 4)) == "2*x1*x3^2 - 2 + 1 - x2 - 2*x4 + 2"
+    assert rendered(column, pr.term_tails(1, 4)) == (
+        "2*x1*x3^2·e[1,1] - 2·e[1,2] + 1·e[1,3] - x2·e[1,1] - 2*x4·e[1,4] + 2·e[1,1]"
     )
-
-
-class CountingTerms(dict):
-    """A context's term texts that count each lookup."""
-
-    def __init__(self, terms):
-        super().__init__(terms)
-        self.terms, self.lookups = terms, 0
-
-    def __getitem__(self, term):
-        self.lookups += 1
-        return self.terms[term]
+    assert rendered(column, pr.term_tails(12, 4)).endswith(" - 2*x4·e[12,4] + 2·e[12,1]")
+    assert rendered(column[::-1], pr.term_tails(0, 4)) == "2 - 2*x4 - x2 + 1 - 2 + 2*x1*x3^2"
+    for level, texts in (
+        (0, ["-2", "-x1 + 2", "2*x4^3", "-3*x2 - 1"]),
+        (2, ["-2·e[2,1]", "-x1·e[2,1] + 2·e[2,3]", "2*x4^3·e[2,2]", "-3*x2·e[2,4] - 1·e[2,5]"]),
+    ):
+        columns = [
+            ((-2, 0, 0),),
+            ((-1, x1, 0), (2, 0, 2)),
+            ((2, 3 * x4, 1),),
+            ((-3, x2, 3), (-1, 0, 4)),
+        ]
+        tails = pr.term_tails(level, 5)
+        assert [rendered(f, tails) for f in columns] == texts
 
 
 def test_elem_str_renders_each_distinct_monomial_once(monkeypatch):
     # text is kept per context: a second rendering unpacks nothing, and a
-    # fresh complex renders its own monomials again.  Each position looks
-    # its text up once per distinct monomial
+    # fresh complex renders its own monomials again.  Each position asks
+    # ctx.text once per distinct monomial it holds
     C = complex_from_matrix(ECHELON6)
     unpacked = []
     original = pr.GradedContext.unpack
@@ -634,14 +680,16 @@ def test_elem_str_renders_each_distinct_monomial_once(monkeypatch):
 
     monkeypatch.setattr(pr.GradedContext, "unpack", counting)
     tails = {k: pr.term_tails(k - 1, len(C.bases[k - 1])) for k in range(1, C.n)}
+    asked = []
+    text = C.ctx.text
+    monkeypatch.setattr(C.ctx, "text", lambda mono: asked.append(mono) or text(mono))
     texts = rendered(C)
     distinct = {m for k in range(1, C.n) for _, monos, _ in C.positions[k] for m in monos}
     assert sorted(unpacked) == sorted(distinct)
-    C.ctx.terms = CountingTerms(C.ctx.terms)
+    per_position = sum(len(set(monos)) for k in range(1, C.n) for _, monos, _ in C.positions[k])
+    assert len(asked) == per_position > len(distinct)
     assert rendered(C) == texts
-    assert C.ctx.terms.lookups == sum(
-        len(set(monos)) for k in range(1, C.n) for _, monos, _ in C.positions[k]
-    )
+    assert len(asked) == 2 * per_position
     assert texts == [
         column_str(f, tails[k], C.ctx) for k in range(1, C.n) for f in C.diffs[k]
     ]
@@ -741,12 +789,13 @@ def test_add_level_refuses_a_lead_that_falls_back():
     # leads never fall along a level and the basis index orders the descents;
     # here e[2,1] leads on e[1,2] and e[2,2] on e[1,1]: both reach x1*x2 and
     # the descent (1, 2, 1) beats (1, 1, 2), against the index order, so the
-    # level is refused and nothing is appended
+    # level is refused and nothing is appended.  Both leads carry the sign
+    # of their one position, +1
     ctx = pr.GradedContext(2, (1, 1), 3)
     x1, x2 = ctx.variables
     tower = pr.OrderTower(ctx)
     tower.add_level(column_positions([elem_terms({(x1, 0): 1}), elem_terms({(x2, 0): 1})]))
-    columns = [elem_terms({(x1, 1): 1}), elem_terms({(x2, 0): -1})]
+    columns = [elem_terms({(x1, 1): 1}), elem_terms({(x2, 0): 1})]
     old = TupleTower([None, tower.images[1], columns])
     assert old.path[2] == [(0, 1, 0), (0, 0, 1)]
     assert old.key(2, 0, 0) > old.key(2, 0, 1)
@@ -769,8 +818,9 @@ def test_s_leading_key_walks_past_a_column_that_cancels_entirely():
     # columns of one level have one length; on hand-built columns of
     # different lengths the shorter one can cancel term by term, and the
     # longer one's next term is Lt(S), in either order of the pair.  The
-    # tower keys only first and last terms, so it is handed those, and
-    # the derived columns are corrupted into the ragged ones
+    # tower keys only first and last terms, so it is handed the leading
+    # terms, one position of sign +1, and the derived columns are corrupted
+    # into the ragged ones
     ctx = pr.GradedContext(2, (1, 1), 3)
     x1, x2 = ctx.variables
     tower = pr.OrderTower(ctx)
@@ -780,7 +830,7 @@ def test_s_leading_key_walks_past_a_column_that_cancels_entirely():
         elem_terms({(x1, 0): 1, (x2, 0): 1}),
         elem_terms({(x1, 0): 1, (x2, 0): 1}),
     ]
-    tower.add_level(column_positions([(f[0], f[-1]) for f in columns]))
+    tower.add_level(column_positions([f[:1] for f in columns]))
     tower.images[1][:] = [tuple(f) for f in columns]
     leads = {}
     for i, j in [(0, 1), (1, 0), (2, 1), (1, 2), (2, 3), (0, 0)]:

@@ -510,6 +510,23 @@ def test_schreyer_coverage_witnesses(k4_complex, monkeypatch):
     )
 
 
+def test_schreyer_coverage_compares_the_lead_coefficient_exactly():
+    # the image column of a retained generator leads with the opposite of
+    # its cofactor's coefficient, the sign one level up; a lead with its
+    # sign flipped has the same absolute value and is still refused
+    for k, j, h, generator, count in ((1, 0, "(23,1,4)", "(1,2)", 1),
+                                      (1, 11, "(1,2,34)", "(4,7)", 12),
+                                      (2, 5, "(1,2,3,4)", "(10,12)", 6)):
+        C = complex_from_matrix(K4_ROWS)
+        assert rv.partition_str(C.bases[k + 1][j]) == h
+        (c, m, i), *rest = C.diffs[k + 1][j]
+        C.diffs[k + 1][j] = ((-c, m, i), *rest)
+        assert rv.verify_schreyer_coverage(C, k) == (
+            False, f"leading component of {h} does not match generator {generator}",
+            {"generators": count},
+        )
+
+
 def test_schreyer_coverage_counts_the_basis_above():
     # a partition in the next basis that no retained generator maps to: the
     # images are distinct and match, but too few to cover that basis
