@@ -17,10 +17,10 @@ them up, which cross-checks those positions.
 """
 
 from functools import cached_property
-from itertools import accumulate, count
+from itertools import accumulate, compress, count, repeat
 from json.encoder import encode_basestring_ascii
 from math import comb
-from operator import gt, itemgetter
+from operator import add, itemgetter, le, lshift, ne, or_
 
 from . import intlinalg
 from .errors import InternalError, NotIrreducibleError, ValidationError
@@ -28,8 +28,8 @@ from .graph_core import CBMatrix, block_echelon_structure, classify
 from .poly_ring import (
     GradedContext,
     OrderTower,
-    elem_combine,
     elem_str,
+    first,
     term_tails,
 )
 
@@ -203,6 +203,13 @@ def boundary(basis, arrows: ArrowTable, targets):
 
 
 class CycComplex:
+    """The built complex: bases, differential, degree shifts and the order
+    tower that holds them.  d_k is kept only as the tower stores it, its
+    term positions: column j of d_k is entry j of each position of
+    positions[k].  No level is kept as columns; the build, the export and
+    every check read the positions, a whole list at a time or entry j of
+    the few they need."""
+
     def __init__(
         self, L: CBMatrix, ctx: GradedContext, bases, tower: OrderTower, arrows: ArrowTable
     ):
@@ -215,13 +222,6 @@ class CycComplex:
         self.n = L.n
         self.positions = tower.positions  # positions[k]: d_k as term positions, k >= 1
         self.shifts = tower.shifts  # shifts[k][j]: weighted degree of basis element j in degree k
-
-    @property
-    def diffs(self):
-        """diffs[k][j]: the column of basis element j in degree k-1, k >= 1,
-        derived from the positions by the tower on first use (the checks
-        read columns; resolve and gb read the positions)."""
-        return self.tower.images
 
     @cached_property
     def index(self):
@@ -293,19 +293,73 @@ def degree_bound(L: CBMatrix, nu):
     return 2 * sum(w * L.a[i][i] for i, w in enumerate(nu))
 
 
+def composite(level, below, a, b):
+    """Position a of a level followed by position b of the level below at
+    its target, for every column at once: (sign, monos, targets) of the
+    term that merge a and then merge b give in each column's image."""
+    sign, monos, targets = level[a]
+    sign_b, monos_b, targets_b = below[b]
+    return (
+        sign * sign_b,
+        list(map(add, monos, map(monos_b.__getitem__, targets))),
+        list(map(targets_b.__getitem__, targets)),
+    )
+
+
+def composed_column(level, below, j):
+    """The image one level further down of column j of a level, given with
+    the level below as term positions, summed term by term: {(monomial,
+    basis index): coefficient}, no zero coefficient kept."""
+    image = {}
+    for sign, monos, targets in level:
+        mono, t = monos[j], targets[j]
+        for sign_b, monos_b, targets_b in below:
+            key = (mono + monos_b[t], targets_b[t])
+            total = image.get(key, 0) + sign * sign_b
+            if total:
+                image[key] = total
+            else:
+                del image[key]
+    return image
+
+
 def check_d_squared(C: CycComplex):
     """Direct composition of consecutive differentials is zero.
 
-    This is the one place that sums a column's whole image one level down;
-    the tau check relies on it.
+    The paper's cancellation has a fixed shape: three neighbouring blocks
+    merge in two orders, and two disjoint merges in either order, so the
+    composite (a, b), position a of d_k followed by position b of d_(k-1)
+    (see composite), meets composite (b + 1, a) with the opposite sign, for
+    every a <= b < k in stored order.  These k(k+1)/2 pairs cover each of
+    the k(k+1) composites once, and are compared as whole lists: where a
+    pair is equal with opposite signs, its terms cancel in every column, so
+    a level whose pairs all hold has d∘d = 0 column by column.  A column
+    where some pair differs (every column, for a pair of equal signs or a
+    level of another length) is summed term by term (composed_column),
+    lowest first, and the first nonzero one is the witness; a column that
+    cancels some other way passes.
+
+    This is the one place that sums a column's image one level down; the
+    tau check relies on it.
     """
     for k in range(2, C.n):
-        below = C.diffs[k - 1]
-        for j, f in enumerate(C.diffs[k]):
-            image = {}
-            for coeff, mono, idx in f:
-                elem_combine(image, below[idx], coeff, mono)
-            if image:
+        level, below = C.positions[k], C.positions[k - 1]
+        width = len(level[0][1])
+        if len(level) != k + 1 or len(below) != k:
+            suspects = range(width)
+        else:
+            suspects = set()
+            for b in range(k):
+                for a in range(b + 1):
+                    sign, monos, targets = composite(level, below, a, b)
+                    partner, monos_p, targets_p = composite(level, below, b + 1, a)
+                    if sign != -partner:
+                        suspects.update(range(width))
+                    elif monos != monos_p or targets != targets_p:
+                        suspects.update(compress(count(), map(ne, monos, monos_p)))
+                        suspects.update(compress(count(), map(ne, targets, targets_p)))
+        for j in sorted(suspects):
+            if composed_column(level, below, j):
                 return False, f"composition nonzero on column {j + 1} in degree {k}", {}
     return True, None, {}
 
@@ -314,16 +368,36 @@ def check_leading_terms(C: CycComplex):
     """Every differential column's keys strictly decrease one level down,
     as boundary's docstring proves (the build keys only a column's first
     and last terms, so this also rules out a repeated term and makes every
-    column homogeneous), and its first term matches the closed formula."""
+    column homogeneous), and its first term matches the closed formula.
+
+    Each position is keyed once, a whole list at a time, and consecutive
+    key lists compared; the closed-formula lead of each column is the
+    merge of its last two blocks, looked up.  The witness is the lowest
+    column with either fault, a fault of order first.
+    """
     for k in range(1, C.n):
-        bits, base, sign = C.tower.bits[k - 1], C.tower.base[k - 1], (-1) ** (k - 1)
-        for j, (p, f) in enumerate(zip(C.bases[k], C.diffs[k])):
-            keys = [(mono << bits) + base[idx] for _, mono, idx in f]
-            if not all(map(gt, keys, keys[1:])):
-                return False, f"column {j + 1} in degree {k} is not in module order", {}
-            lead = (sign, C.arrows[p[-2], p[-1]], C.index[k - 1][merge(p, k - 1)])
-            if f[0] != lead:
-                return False, f"formula mismatch on column {j + 1} in degree {k}", {}
+        bits, base = C.tower.bits[k - 1], C.tower.base[k - 1]
+        level = C.positions[k]
+        unordered, upper = None, None
+        for _, monos, targets in level:
+            keys = map(add, map(lshift, monos, repeat(bits)), map(base.__getitem__, targets))
+            keys = list(keys)
+            if upper is not None:
+                j = first(map(le, upper, keys))
+                if j is not None and (unordered is None or j < unordered):
+                    unordered = j
+            upper = keys
+        sign, monos, targets = level[0]
+        basis = C.bases[k]
+        leads = map(C.arrows.__getitem__, map(itemgetter(-2, -1), basis))
+        merged = map(C.index[k - 1].__getitem__, map(merge, basis, repeat(k - 1)))
+        mismatch = 0 if sign != (-1) ** (k - 1) else first(
+            map(or_, map(ne, monos, leads), map(ne, targets, merged))
+        )
+        if unordered is not None and (mismatch is None or unordered <= mismatch):
+            return False, f"column {unordered + 1} in degree {k} is not in module order", {}
+        if mismatch is not None:
+            return False, f"formula mismatch on column {mismatch + 1} in degree {k}", {}
     return True, None, {}
 
 

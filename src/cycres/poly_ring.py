@@ -13,23 +13,27 @@ Representation conventions (kept deliberately plain for speed):
     position   (sign, monos, targets): term i of every column of one
                level at once, sign * x^monos[j] * e_targets[j] in column
                j, with sign the one +-1 of that merge; a level is its
-               positions, in term order
+               positions, in term order, all of one length
     column     tuple of (coeff, monomial, basis index) terms, strictly
                decreasing in the module order one level down: entry j
-               of each position
+               of each position, built one at a time (column), or
+               all of level 1 at once (OrderTower.binomials)
 
 Elems are the mutable accumulators (division work and remainders,
 S-vectors).  The differential is stored once, as each level's positions,
 by the order tower, in the order the build gives its terms in, which
 cyc_complex.boundary proves strictly decreasing and the
-leading_term_formula check verifies term by term; the tower derives the
-columns from them when a check first reads one, and the text output
-(elem_str) reads the positions.  So a column's first term is its leading
+leading_term_formula check verifies position by position.  The checks read
+the positions a whole list at a time, or entry j of the few they need, and
+so does the text output (elem_str).  Only S-vectors and division combine
+whole columns: an S-vector builds its two from the positions, and
+division reads level 1, the only level the tower derives as columns (its
+binomials).  So a column's first term is its leading
 term, and the leading term of an S-vector is read off its two columns
-without building it.  Only the degree-0 Groebner check
-divides, and it reads nothing but the remainder of a degree-0 element by
-the degree-0 columns; the divisors are looked up by the support mask of
-the term to reduce, in a table that check builds once (divisor_table).
+without building it.  Only the degree-0 Groebner check divides, and it
+reads nothing but the remainder of a degree-0 element by the degree-0
+columns; the divisors are looked up by the support mask of the term to
+reduce, in a table that check builds once (divisor_table).
 Elements of the degree-0 ring live on basis index 0.
 The monomial order is the weighted reverse lexicographic order with positive
 integer weights nu: higher weighted degree wins, ties broken by the
@@ -183,8 +187,9 @@ class OrderTower:
     +-1 per position, and the degree shifts.  Each column is kept in the
     order boundary emits its terms, strictly decreasing, so its first term
     is its leading term and the one record of it.  Every table is immutable
-    once add_level returns; the columns (images) are derived from the
-    positions when first read.
+    once add_level returns.  Every position of a level has one length,
+    and column j is entry j of each (see column).  Only level 1 is derived
+    as columns, its binomials, for division, when first read.
     """
 
     def __init__(self, ctx: GradedContext):
@@ -199,16 +204,15 @@ class OrderTower:
         return len(self.base)
 
     @cached_property
-    def images(self):
-        """images[level][idx]: the column of basis element idx one level
-        down, a tuple of (coeff, monomial, basis index) terms, lead first,
-        each coefficient its position's sign.  Derived from the positions
-        by one zip on first use and kept until the next add_level; only the
-        checks read columns."""
-        return [None] + [
-            list(zip(*[zip(repeat(sign), monos, targets) for sign, monos, targets in level]))
-            for level in self.positions[1:]
-        ]
+    def binomials(self):
+        """binomials[j]: the column of level-1 basis element j, a degree-0
+        binomial, as a tuple of (coeff, monomial, 0) terms, lead first.
+        Derived from the positions by one zip on first use and kept until
+        the next add_level: division combines these columns at every step,
+        and no level above is derived."""
+        return list(zip(*[
+            zip(repeat(sign), monos, targets) for sign, monos, targets in self.positions[1]
+        ]))
 
     def key(self, level, mono, idx):
         """The int key of the module monomial x^mono * e_idx at a level."""
@@ -280,7 +284,7 @@ class OrderTower:
         self.base.append(list(map(add, map(lshift, tops, repeat(up)), count())))
         self.positions.append(positions)
         self.shifts.append(shifts)
-        self.__dict__.pop("images", None)
+        self.__dict__.pop("binomials", None)
 
 
 def first(flags, start=0):
@@ -291,9 +295,15 @@ def first(flags, start=0):
 # ---------------------------------------------------------------------------
 # division and S-vectors
 
+def column(positions, j):
+    """Column j of a level given as its term positions: its (coeff,
+    monomial, basis index) terms, entry j of each position, in order."""
+    return tuple((sign, monos[j], targets[j]) for sign, monos, targets in positions)
+
+
 def divisor_table(tower: OrderTower):
     """{support mask: the ascending positions j of the degree-0 columns
-    tower.images[1] whose first term (the leading term) has its support
+    tower.binomials whose first term (the leading term) has its support
     inside that mask}.
 
     A leading monomial divides x^m only if it is listed under m's support
@@ -304,7 +314,7 @@ def divisor_table(tower: OrderTower):
     """
     ctx = tower.ctx
     table = {}
-    for j, column in enumerate(tower.images[1]):
+    for j, column in enumerate(tower.binomials):
         inside = ctx.support(column[0][1])
         free = sub = ctx.guard ^ inside
         while True:
@@ -317,7 +327,7 @@ def divisor_table(tower: OrderTower):
 
 def divide(g, tower: OrderTower, table):
     """The remainder of the degree-0 element g on division by the degree-0
-    columns tower.images[1], whose candidate divisors ``table`` lists as
+    columns tower.binomials, whose candidate divisors ``table`` lists as
     divisor_table(tower) builds it.
 
     At level 0 the module key of a term is its monomial, so the leading
@@ -330,7 +340,7 @@ def divide(g, tower: OrderTower, table):
     breaks this (a column whose first term is not its largest) raises
     InternalError naming the column divided by, instead of looping.
     """
-    basis = tower.images[1]
+    basis = tower.binomials
     support, guard = tower.ctx.support, tower.ctx.guard
     remainder = {}
     work = dict(g)
@@ -358,63 +368,57 @@ def divide(g, tower: OrderTower, table):
 
 
 def s_cofactor(tower: OrderTower, level, i, j):
-    """m_ji = Lc(f_i) * LCM(Lm f_i, Lm f_j) / Lm f_i for the images f_i, f_j
-    in tower.images[level + 1], or None when their leading terms sit on
-    different basis elements (the least common multiple is zero).
+    """m_ji = Lc(f_i) * LCM(Lm f_i, Lm f_j) / Lm f_i for the columns f_i, f_j
+    of tower.positions[level + 1], or None when their leading terms sit on
+    different basis elements (the least common multiple is zero).  Reads
+    entries i and j of the first position, which holds the leading terms.
     """
-    images = tower.images[level + 1]
-    ci, mi, ii = images[i][0]
-    _, mj, ij = images[j][0]
-    if ii != ij:
+    sign, monos, targets = tower.positions[level + 1][0]
+    if targets[i] != targets[j]:
         return None
-    return ci, tower.ctx.cofactor(mi, mj)
+    return sign, tower.ctx.cofactor(monos[i], monos[j])
 
 
 def s_leading_key(tower: OrderTower, level, i, j, m_ji, m_ij):
-    """The int key of Lt(S) for S = m_ji*f_i - m_ij*f_j, the images f_i, f_j
-    in tower.images[level + 1] and their cofactors as s_cofactor gives them,
-    or None when S = 0.  S itself is not built.
+    """The int key of Lt(S) for S = m_ji*f_i - m_ij*f_j, the columns f_i, f_j
+    of tower.positions[level + 1] and their cofactors as s_cofactor gives
+    them, or None when S = 0.  S itself is not built.
 
     Both columns are stored in strictly decreasing key order (the
     leading_term_formula check proves it), and multiplying by x^m adds
-    m << bits to every key, so the two are walked together from the top:
-    the first key whose terms do not cancel is Lt(S).
+    m << bits to every key, so entries i and j of the positions are walked
+    together from the top: the first key whose terms do not cancel is
+    Lt(S).  Every column of a level has one term per position, and the two
+    terms at a position share its sign, so they cancel exactly when their
+    keys and cofactor coefficients are equal; no column has a term left
+    over when the other runs out, and S = 0 when every term cancels.
     """
     bits, base = tower.bits[level], tower.base[level]
-    images = tower.images[level + 1]
-    f_i, f_j = images[i], images[j]
     (ci, mi), (cj, mj) = m_ji, m_ij
     up_i, up_j = mi << bits, mj << bits
-    for (a, ma, ia), (b, mb, ib) in zip(f_i, f_j):
-        ka = up_i + (ma << bits) + base[ia]
-        kb = up_j + (mb << bits) + base[ib]
+    for _, monos, targets in tower.positions[level + 1]:
+        ka = up_i + (monos[i] << bits) + base[targets[i]]
+        kb = up_j + (monos[j] << bits) + base[targets[j]]
         if ka != kb:
             return max(ka, kb)
-        if ci * a != cj * b:
+        if ci != cj:
             return ka
-    # every term of the shorter column cancelled: the longer one's next
-    # term leads, if there is one
-    common = min(len(f_i), len(f_j))
-    for column, up in ((f_i, up_i), (f_j, up_j)):
-        if len(column) > common:
-            _, mono, idx = column[common]
-            return up + (mono << bits) + base[idx]
     return None
 
 
 def s_vector(tower: OrderTower, level, i, j):
     """(S, m_ji, m_ij) with S = m_ji*f_i - m_ij*f_j cancelling the leading
-    terms of the images f_i, f_j (cofactors as in s_cofactor), or None when
-    those sit on different basis elements.
+    terms of the columns f_i, f_j of tower.positions[level + 1] (cofactors
+    as in s_cofactor), or None when those sit on different basis elements.
     """
     m_ji = s_cofactor(tower, level, i, j)
     if m_ji is None:
         return None
     m_ij = s_cofactor(tower, level, j, i)
-    images = tower.images[level + 1]
+    positions = tower.positions[level + 1]
     s = {}
-    elem_combine(s, images[i], m_ji[0], m_ji[1])
-    elem_combine(s, images[j], -m_ij[0], m_ij[1])
+    elem_combine(s, column(positions, i), m_ji[0], m_ji[1])
+    elem_combine(s, column(positions, j), -m_ij[0], m_ij[1])
     return s, m_ji, m_ij
 
 

@@ -13,7 +13,8 @@ dimensions prove exactness only where d∘d = 0.
 
 import time
 from collections import Counter
-from operator import mul
+from itertools import repeat
+from operator import add, eq, lshift, mul, rshift
 
 from .errors import InternalError, ValidationError
 from .graph_core import classify
@@ -114,25 +115,25 @@ def s_poly_closed_form(C, D, complex_: CycComplex):
     l_cd = _arrow_plus(E, G, F, complex_) + arrows[F, G] + arrows[V, D]
     l_dc = _arrow_plus(E, F, G, complex_) + arrows[G, F] + arrows[V, C]
     out = {}
+    binomials = complex_.tower.binomials
     if F:
-        fF = complex_.diffs[1][complex_.index[1][F, full ^ F]]
-        elem_combine(out, fF, 1, l_cd)
+        elem_combine(out, binomials[complex_.index[1][F, full ^ F]], 1, l_cd)
     if G:
-        fG = complex_.diffs[1][complex_.index[1][G, full ^ G]]
-        elem_combine(out, fG, -1, l_dc)
+        elem_combine(out, binomials[complex_.index[1][G, full ^ G]], -1, l_dc)
     return out, l_cd, l_dc
 
 
 def image_key(tower, level, mono, j):
     """The key of x^mono * Lt(g_j), the leading term of the image of
-    x^mono * e_j under the columns g_j of tower.images[level + 1]."""
-    _, lm, idx = tower.images[level + 1][j][0]
-    return tower.key(level, mono + lm, idx)
+    x^mono * e_j under the columns g_j of tower.positions[level + 1]: entry
+    j of their first position."""
+    _, monos, targets = tower.positions[level + 1][0]
+    return tower.key(level, mono + monos[j], targets[j])
 
 
 def verify_degree0_gb(C: CycComplex):
     """Buchberger criterion plus the closed-form S-polynomial identity."""
-    r1 = len(C.diffs[1])
+    r1 = len(C.bases[1])
     full = (1 << C.n) - 1
     table = divisor_table(C.tower)
     pairs = 0
@@ -168,10 +169,15 @@ def verify_degree0_gb(C: CycComplex):
 
 
 def verify_distinct_images(C: CycComplex):
-    """Differential images of basis elements are pairwise distinct, per level."""
+    """Differential images of basis elements are pairwise distinct, per level.
+
+    The terms of a level at one position share its sign, so two columns are
+    equal exactly when their entries are, position by position: each column
+    is compared as the tuple of its monomials and targets."""
     for k in range(1, C.n):
         seen = {}
-        for j, f in enumerate(C.diffs[k]):
+        entries = zip(*[seq for _, monos, targets in C.positions[k] for seq in (monos, targets)])
+        for j, f in enumerate(entries):
             if f in seen:
                 return False, f"equal images at level {k}: {seen[f] + 1}, {j + 1}", {}
             seen[f] = j
@@ -189,10 +195,11 @@ def verify_colon_stability(C: CycComplex):
     """
     n, ctx = C.n, C.ctx
     xn = ctx.pack([0] * (n - 1) + [1])
-    for j, f in enumerate(C.diffs[1], 1):
-        if ctx.divides(xn, f[0][1]):
+    leads = C.positions[1][0][1]
+    for j, lead in enumerate(leads, 1):
+        if ctx.divides(xn, lead):
             return False, f"x{n} divides leading term of generator {j}", {"leading_terms": j}
-    return True, None, {"leading_terms": len(C.diffs[1])}
+    return True, None, {"leading_terms": len(leads)}
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +269,8 @@ def verify_module_quotients(C: CycComplex):
         # target, so no pair across prefixes has one if every position shares
         # the prefix of the first position with its target.
         first = {}
-        for i, f in enumerate(C.diffs[k]):
-            j = first.setdefault(f[0][2], i)
+        for i, target in enumerate(C.positions[k][0][2]):
+            j = first.setdefault(target, i)
             if C.bases[k][j][: k - 1] != C.bases[k][i][: k - 1]:
                 return False, (
                     f"nonzero quotient across different prefixes at level {k}: "
@@ -289,16 +296,18 @@ def tau_pair(C: CycComplex, k, e):
 def verify_tau_identity(C: CycComplex, k, pos) -> tuple:
     """Check that -boundary(e) is a syzygy recording a standard expression.
 
-    Returns (ok, witness).  e = C.bases[k + 1][pos] has k+2 blocks.  Its
-    stored column must lead with the cofactor of merge partner i in their
-    S-vector S, hold that of partner j second and no other term on either,
-    and its first tail term must map one level down to Lt(S) exactly (read
-    off the two stored columns by s_leading_key); the column's keys strictly
-    decrease (the leading_term_formula check), so that term bounds the
-    rest.  "tail = S" is exactly d(de) = 0, which check_d_squared proves,
-    so the tail is not summed here.
+    Returns (ok, witness).  e = C.bases[k + 1][pos] has k+2 blocks, and
+    its column de is entry pos of the k+2 positions of its level.  de must
+    lead with the cofactor of merge partner i in their S-vector S, hold
+    that of partner j second and no other term on either, and its first
+    tail term, at the third position, must map one level down to Lt(S)
+    exactly (read off the two stored columns by s_leading_key); the
+    column's keys strictly decrease (the leading_term_formula check), so
+    that term bounds the rest.  Every column of the level has k+2 >= 3
+    terms, so a tail term is always there.  "tail = S" is exactly
+    d(de) = 0, which check_d_squared proves, so the tail is not summed here.
     """
-    e, de = C.bases[k + 1][pos], C.diffs[k + 1][pos]
+    e, level = C.bases[k + 1][pos], C.positions[k + 1]
     i, j = tau_pair(C, k, e)
     if j >= i:
         return False, f"pair order violated for {partition_str(e)}"
@@ -311,15 +320,16 @@ def verify_tau_identity(C: CycComplex, k, pos) -> tuple:
     expect_ij = (sign, C.arrows[e[k - 1], e[k]])
     if m_ji != expect_ji or m_ij != expect_ij:
         return False, f"m-coefficients differ at {partition_str(e)}"
-    on = [idx for _, _, idx in de]
-    if de[:1] != ((-m_ji[0], m_ji[1], i),) or on.count(i) != 1:
+    on = [targets[pos] for _, _, targets in level]
+    (lead_sign, leads, _), (second_sign, seconds, _), (_, tails, _) = level[:3]
+    if (lead_sign, leads[pos], on[0]) != (-m_ji[0], m_ji[1], i) or on.count(i) != 1:
         return False, f"leading component mismatch at {partition_str(e)}"
-    if de[1:2] != ((m_ij[0], m_ij[1], j),) or on.count(j) != 1:
+    if (second_sign, seconds[pos], on[1]) != (m_ij[0], m_ij[1], j) or on.count(j) != 1:
         return False, f"second component mismatch at {partition_str(e)}"
     # the tail writes S as a standard expression: it sums to S because
     # d(de) = 0 (check_d_squared), and its first term leads it, at Lt(S)
     s_key = s_leading_key(C.tower, k - 1, i, j, m_ji, m_ij)
-    if len(de) < 3 or image_key(C.tower, k - 1, de[2][1], de[2][2]) != s_key:
+    if image_key(C.tower, k - 1, tails[pos], on[2]) != s_key:
         return False, f"standard-expression bound fails at {partition_str(e)}"
     return True, None
 
@@ -347,8 +357,10 @@ def verify_schreyer_coverage(C: CycComplex, k) -> tuple:
     At the top level every quotient set must be empty.  Counts the
     generators matched."""
     n = C.n
-    above, index, columns = (
-        (C.bases[k + 1], C.index[k + 1], C.diffs[k + 1]) if k + 1 < n else ([], {}, [])
+    # the leading terms of the next level's columns: its first position
+    above, index, (lc, leads, on) = (
+        (C.bases[k + 1], C.index[k + 1], C.positions[k + 1][0])
+        if k + 1 < n else ([], {}, (None, [], []))
     )
     # one byte per basis element reached, not a dict of the images
     seen = bytearray(len(above))
@@ -367,9 +379,8 @@ def verify_schreyer_coverage(C: CycComplex, k) -> tuple:
                 return False, f"rho images collide on {partition_str(h)}", {"generators": total}
             seen[hi] = 1
             total += 1
-            lc, lm, lidx = columns[hi][0]
             m = s_cofactor(C.tower, k - 1, i, j)
-            if m is None or lidx != i or lm != m[1] or lc != -m[0] or m[0] != sign:
+            if m is None or on[hi] != i or leads[hi] != m[1] or lc != -m[0] or m[0] != sign:
                 return False, (
                     f"leading component of {partition_str(h)} does not match "
                     f"generator ({j + 1},{i + 1})"
@@ -423,16 +434,16 @@ def cached_monomials(ctx: GradedContext, e, mono_cache):
 def graded_piece_rank(C: CycComplex, k, d, mono_cache):
     """Exact rank of the degree-d graded piece of the k-th differential.
 
-    Each column x^alpha * e_j of the piece is read straight off the stored
-    column C.diffs[k][j] as one {row id: coeff} dict, and the columns go to
-    rank_sparse as the rows of the transpose.  The row x^beta * e_p one
-    level down has id -(((beta + w_p) << b) + p), where w_p is the
-    accumulated monomial of e_p in the order tower and b is the width of
-    the position numbers of level k-1: on a consistent tower that is minus
-    the module-order key, so each column's smallest id is its leading
-    term, the pivot rank_sparse takes.  The position fills the low bits,
-    so distinct rows get distinct ids whatever the tower holds: the tower
-    only picks pivots and never changes a rank.  Repeated terms of a
+    Each column x^alpha * e_j of the piece is read straight off entry j of
+    the term positions C.positions[k] as one {row id: coeff} dict, and the
+    columns go to rank_sparse as the rows of the transpose.  The row
+    x^beta * e_p one level down has id -(((beta + w_p) << b) + p), where
+    w_p is the accumulated monomial of e_p in the order tower and b is the
+    width of the position numbers of level k-1: on a consistent tower that
+    is minus the module-order key, so each column's smallest id is its
+    leading term, the pivot rank_sparse takes.  The position fills the low
+    bits, so distinct rows get distinct ids whatever the tower holds: the
+    tower only picks pivots and never changes a rank.  Repeated terms of a
     column are summed.  Positions whose shift exceeds d have no column.
     Returns (rank, number of columns).
     """
@@ -441,13 +452,15 @@ def graded_piece_rank(C: CycComplex, k, d, mono_cache):
     if min(shifts) <= d:
         base, bits = C.tower.base[k - 1], C.tower.bits[k - 1]
         b = (len(C.shifts[k - 1]) - 1).bit_length()
-        for f, shift in zip(C.diffs[k], shifts):
+        level = C.positions[k]
+        for j, shift in enumerate(shifts):
             if shift > d:
                 continue
             terms = {}
-            for coeff, mono, p in f:
-                row = -(((mono + (base[p] >> bits)) << b) + p)
-                terms[row] = terms.get(row, 0) + coeff
+            for sign, monos, targets in level:
+                p = targets[j]
+                row = -(((monos[j] + (base[p] >> bits)) << b) + p)
+                terms[row] = terms.get(row, 0) + sign
             terms = terms.items()
             for alpha in cached_monomials(C.ctx, d - shift, mono_cache):
                 a = alpha << b
@@ -540,6 +553,12 @@ def lead_ideals(C: CycComplex, k, d_max):
     coefficient is +-1 and its degree is the column's shift: a column left
     out lowers the count the identity checks, never raises it.  Columns of
     higher shift cannot reach degree d_max - s_p, where K_p is cut.
+
+    Each position is keyed in that order a whole list at a time, and each
+    column's lead is the largest of its keys.  Where that maximum occurs
+    once, it is the lead, with its position's sign, +-1 (add_level refuses
+    any other); only a column where it occurs more than once is summed.
+    Equal sets of leads have one set of minimal generators, found once.
     """
     ideals = {}
     if k + 1 == C.n:
@@ -547,21 +566,45 @@ def lead_ideals(C: CycComplex, k, d_max):
     base, bits, shifts = C.tower.base[k], C.tower.bits[k], C.shifts[k]
     b = (len(shifts) - 1).bit_length()
     degree = C.ctx.degree
-    for f, shift in zip(C.diffs[k + 1], C.shifts[k + 1]):
-        if d_max is not None and shift > d_max:
-            continue
+    level, above = C.positions[k + 1], C.shifts[k + 1]
+    cols = range(len(above)) if d_max is None else [
+        j for j, shift in enumerate(above) if shift <= d_max
+    ]
+    acc = list(map(rshift, base, repeat(bits)))
+    keylists = []
+    for _, monos, targets in level:
+        if d_max is not None:
+            monos, targets = map(monos.__getitem__, cols), list(map(targets.__getitem__, cols))
+        beta = map(add, monos, map(acc.__getitem__, targets))
+        keylists.append(list(map(add, map(lshift, beta, repeat(b)), targets)))
+    leads = list(map(max, *keylists))
+    hits = [0] * len(leads)
+    for keys in keylists:
+        hits = list(map(add, hits, map(eq, keys, leads)))
+    for i in [i for i, h in enumerate(hits) if h > 1]:
         terms = {}
-        for coeff, mono, p in f:
-            key = ((mono + (base[p] >> bits)) << b) + p
-            terms[key] = terms.get(key, 0) + coeff
+        for keys, (sign, _, _) in zip(keylists, level):
+            terms[keys[i]] = terms.get(keys[i], 0) + sign
         key = max((key for key, coeff in terms.items() if coeff), default=None)
-        if key is None or terms[key] not in (1, -1):
+        leads[i] = key if key is not None and terms[key] in (1, -1) else None
+    # the key lists, one per position, are the bulk of this level's
+    # memory: freed before the leads are decoded into new monomials
+    del keylists
+    mask = (1 << b) - 1
+    for key, shift in zip(leads, map(above.__getitem__, cols)):
+        if key is None:
             continue
-        p = key & ((1 << b) - 1)
-        mono = (key >> b) - (base[p] >> bits)
+        p = key & mask
+        mono = (key >> b) - acc[p]
         if degree(mono) + shifts[p] == shift:
             ideals.setdefault(p, []).append(mono)
-    return {p: minimal_generators(C.ctx, monos) for p, monos in ideals.items()}
+    minimal = {}
+    for p, monos in ideals.items():
+        found = frozenset(monos)
+        if found not in minimal:
+            minimal[found] = minimal_generators(C.ctx, found)
+        ideals[p] = minimal[found]
+    return ideals
 
 
 def quotient_series(C: CycComplex, k, d_max, memo):
@@ -662,7 +705,7 @@ def graded_homology_oracle(C: CycComplex, d_max):
                     f"--max-degree {d_max} needs a degree-{d} piece of {widest:,} columns, "
                     f"over the oracle's budget of {MAX_ORACLE_COLS:,}"
                 )
-    leads = [(g, ctx.degree(g)) for g in (max(m for _, m, _ in f) for f in C.diffs[1])]
+    leads = [(g, ctx.degree(g)) for g in map(max, *(monos for _, monos, _ in C.positions[1]))]
     degrees = d0
     for d in range(d0, d_max + 1):
         mono_cache = {}

@@ -3,6 +3,7 @@ import pathlib
 import random
 import sys
 from functools import lru_cache
+from itertools import repeat
 
 import pytest
 
@@ -125,6 +126,52 @@ def column_positions(columns):
         assert len(set(coeffs)) == 1, f"position {i + 1} holds coefficients {set(coeffs)}"
         positions.append((coeffs[0], monos, targets))
     return positions
+
+
+def columns(holder, k):
+    """The columns of level k of a complex or an order tower, zipped from
+    its term positions: column j is the tuple of (sign, monomial, basis
+    index) terms, entry j of each position in order.  The package derives
+    no level above 1 as columns; this is the reference its whole-list
+    readings of the positions are tested against."""
+    return list(zip(*[
+        zip(repeat(sign), monos, targets) for sign, monos, targets in holder.positions[k]
+    ]))
+
+
+def set_entry(holder, k, i, j, mono=None, target=None):
+    """Put mono and target in place of entry j of position i of level k of
+    a complex or an order tower, in copies of that position's lists (the
+    build shares target lists between positions and levels); None keeps
+    the stored entry.  A fault injected here is term i of column j; at
+    level 1 the tower's binomials are derived again when next read."""
+    if k == 1:
+        forget_binomials(holder)
+    level = holder.positions[k]
+    sign, monos, targets = level[i]
+    monos, targets = list(monos), list(targets)
+    if mono is not None:
+        monos[j] = mono
+    if target is not None:
+        targets[j] = target
+    level[i] = (sign, monos, targets)
+
+
+def forget_binomials(holder):
+    """Drop the level-1 columns the order tower of a complex (or the tower
+    itself) derived, as add_level does, so that they are derived again
+    from positions changed since."""
+    vars(getattr(holder, "tower", holder)).pop("binomials", None)
+
+
+def swap_entries(holder, k, j, a, b):
+    """Exchange entries j of positions a and b of level k: column j holds
+    its terms a and b in each other's place, each with the sign of the
+    position it now stands at."""
+    level = holder.positions[k]
+    (_, monos_a, targets_a), (_, monos_b, targets_b) = level[a], level[b]
+    set_entry(holder, k, a, j, monos_b[j], targets_b[j])
+    set_entry(holder, k, b, j, monos_a[j], targets_a[j])
 
 
 def k4_digraph():

@@ -4,14 +4,15 @@ replace, kept as the reference that divide's remainders are tested against
 (as monomial_reference keeps exponent tuples).
 """
 
+from conftest import columns
 from cycres.poly_ring import elem_combine
 from tower_reference import leading_module_term
 
 
 def divide(g, tower, level):
-    """(quotient, remainder) of g by tower.images[level + 1], each step
+    """(quotient, remainder) of g by columns(tower, level + 1), each step
     reducing by the lowest-index image whose leading term divides."""
-    basis = tower.images[level + 1]
+    basis = columns(tower, level + 1)
     guard = tower.ctx.guard
     quotient, remainder = {}, {}
     work = dict(g)

@@ -6,6 +6,7 @@ cross-check the positions against the columns.  Laid out by
 the streamed export must write, byte for byte.
 """
 
+from conftest import columns
 from cycres.poly_ring import term_tails
 
 
@@ -36,11 +37,11 @@ def to_json_dict(C):
         "diffs": [
             [
                 {"basis": j + 1, "poly": column_str(f, tails, C.ctx)}
-                for j, f in enumerate(C.diffs[k])
+                for j, f in enumerate(columns(C, k))
             ]
             for k in range(1, C.n)
             # the tail table is sized from the columns that read it
-            for width in [1 + max((t[2] for f in C.diffs[k] for t in f), default=0)]
+            for width in [1 + max((t[2] for f in columns(C, k) for t in f), default=0)]
             for tails in [term_tails(k - 1, width)]
         ],
     }

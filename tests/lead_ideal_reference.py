@@ -10,6 +10,7 @@ the pivot ``rank_sparse`` takes.  No lead ideal, colon or K-polynomial is
 formed; the degree-d dimension of the lead submodule N_k is just counted.
 """
 
+from conftest import columns
 from cycres.resolution_verify import minimal_generators, monomials_of_degree
 
 
@@ -26,7 +27,7 @@ def lead_count(C, k, d, tie_break=None, units=False):
     base, bits = C.tower.base[k - 1], C.tower.bits[k - 1]
     b = (len(C.shifts[k - 1]) - 1).bit_length()
     leads = set()
-    for f, shift in zip(C.diffs[k], C.shifts[k]):
+    for f, shift in zip(columns(C, k), C.shifts[k]):
         if shift > d:
             continue
         for alpha in monomials_of_degree(C.ctx, d - shift):
@@ -70,7 +71,7 @@ def monomial_tie_break_ideals(C, k, d_max):
     if k + 1 == C.n:
         return ideals
     base, bits = C.tower.base[k], C.tower.bits[k]
-    for f, shift in zip(C.diffs[k + 1], C.shifts[k + 1]):
+    for f, shift in zip(columns(C, k + 1), C.shifts[k + 1]):
         if shift > d_max:
             continue
         terms = {}

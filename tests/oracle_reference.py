@@ -8,6 +8,7 @@ rows.  It reads no order tower, so its ranks and column counts are the ones
 the package's column-wise assembly must reproduce.
 """
 
+from conftest import columns
 from cycres.intlinalg import rank_sparse
 from cycres.resolution_verify import monomials_of_degree
 
@@ -35,8 +36,9 @@ def graded_piece_rank(C, k, d):
     cache = {}
     row_index, col_index = piece_index(C, k - 1, d, cache), piece_index(C, k, d, cache)
     rows = [dict() for _ in row_index]
+    level = columns(C, k)
     for col, (j, alpha) in enumerate(col_index):
-        for coeff, mono, p in C.diffs[k][j]:
+        for coeff, mono, p in level[j]:
             row = rows[row_index[(p, alpha + mono)]]
             row[col] = row.get(col, 0) + coeff
     return rank_sparse(rows), len(col_index)

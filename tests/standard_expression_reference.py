@@ -6,12 +6,11 @@ it is tested against (as divide_reference keeps the linear scan).
 
 def below_leading_term(tower, level, s_key, terms):
     """True when S is zero (s_key is None) or no x^mono * Lt(g_j), for
-    (mono, j) in terms and the columns g_j of tower.images[level + 1], lies
-    above Lt(S), whose key is s_key: the bound on every term of a standard
-    expression of S."""
+    (mono, j) in terms and the columns g_j of tower.positions[level + 1],
+    whose leading terms are entry j of the first position, lies above Lt(S),
+    whose key is s_key: the bound on every term of a standard expression of
+    S."""
     if s_key is None:
         return True
-    leads = [f[0] for f in tower.images[level + 1]]
-    return all(
-        s_key >= tower.key(level, mono + leads[j][1], leads[j][2]) for mono, j in terms
-    )
+    _, monos, targets = tower.positions[level + 1][0]
+    return all(s_key >= tower.key(level, mono + monos[j], targets[j]) for mono, j in terms)

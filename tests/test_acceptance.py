@@ -17,6 +17,7 @@ from conftest import (
     WEIGHTED4,
     WEIGHTED4_ECHELON,
     column_elem,
+    columns,
     k4_digraph,
     parse_elem,
     random_icb_digraph,
@@ -56,7 +57,7 @@ def test_k4_golden_run():
         graph_core.prepare(graph_core.laplacian(k4_digraph()))
     )
     ok &= C.ranks() == (1, 7, 12, 6)
-    gb = [column_elem(C.diffs[1][j]) for j in range(7)]
+    gb = [column_elem(columns(C, 1)[j]) for j in range(7)]
     golden = [parse_elem(s, C.ctx) for s in K4_GOLDEN_GB]
     ok &= gb == golden  # srle order
     ok &= {frozenset(p.items()) for p in gb} == {frozenset(p.items()) for p in golden}
@@ -99,7 +100,7 @@ def test_four_cycle_non_minimality():
     minimal, witness = cyc_complex.minimality_check(C)
     ok &= minimal is False
     k, j, p, coeff = witness
-    ok &= abs(coeff) == 1 and column_elem(C.diffs[k][j])[0, p] == coeff
+    ok &= abs(coeff) == 1 and column_elem(columns(C, k)[j])[0, p] == coeff
     verdict("four-cycle-non-minimality", ok)
 
 
@@ -118,7 +119,7 @@ def test_reducible_rejection(capsys):
 def _verify_instance(C):
     assert sum((-1) ** k * r for k, r in enumerate(C.ranks())) == 0
     for k in range(1, C.n):
-        for j, f in enumerate(C.diffs[k]):
+        for j, f in enumerate(columns(C, k)):
             for _, mono, p in f:
                 assert C.ctx.degree(mono) + C.shifts[k - 1][p] == C.shifts[k][j]
     d_max = min(10, 2 * max(C.shifts[C.n - 1]))
@@ -164,7 +165,7 @@ def test_k4_hilbert_tail():
     C = cyc_complex.build_complex(
         graph_core.prepare(graph_core.laplacian(k4_digraph()))
     )
-    lt = [f[0][1] for f in C.diffs[1]]
+    lt = [f[0][1] for f in columns(C, 1)]
     ok = True
     for d in range(6, 13):
         monos = rv.monomials_of_degree(C.ctx, d)

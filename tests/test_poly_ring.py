@@ -21,6 +21,7 @@ from conftest import (
     WEIGHTED4,
     column_elem,
     column_positions,
+    columns,
     complex_from_matrix,
     elem_add_term,
     elem_scale_term,
@@ -30,6 +31,8 @@ from conftest import (
     parse_elem,
     poly_elem,
     random_icb_digraph,
+    set_entry,
+    swap_entries,
 )
 
 COMPLEX_ROWS = {
@@ -185,7 +188,7 @@ def test_leading_module_term_of_degree0_images(weighted4_echelon_complex):
     # in echelon form every subset binomial leads with its positive part
     C = weighted4_echelon_complex
     for j, p in enumerate(C.bases[1]):
-        coeff, mono, idx = C.diffs[1][j][0]
+        coeff, mono, idx = columns(C, 1)[j][0]
         from cycres.cyc_complex import arrow_monomial
 
         assert idx == 0
@@ -222,7 +225,7 @@ def divided(g, tower):
 
 def test_divide_basis_element_is_exact(k4_complex):
     C = k4_complex
-    g0 = C.diffs[1]
+    g0 = columns(C, 1)
     q, r = divided(column_elem(g0[3]), C.tower)
     assert r == {}
     # the unit on position 4 and nothing on any other position
@@ -231,7 +234,7 @@ def test_divide_basis_element_is_exact(k4_complex):
 
 def test_divide_k4_s_pair_reduces_to_zero(k4_complex):
     C = k4_complex
-    g0 = C.diffs[1]
+    g0 = columns(C, 1)
     s, _, _ = pr.s_vector(C.tower, 0, 1, 0)
     q, r = divided(s, C.tower)
     assert r == {}
@@ -244,7 +247,7 @@ def test_divide_coprime_leading_terms_leave_remainder(k4_complex):
     q, r = divided(g, C.tower)
     assert r == g
     assert q == {}
-    assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
+    assert_standard_expression(g, columns(C, 1), q, r, C.tower, 0)
 
 
 def test_divide_prefers_lowest_index_divisor(k4_complex):
@@ -258,7 +261,7 @@ def test_divide_prefers_lowest_index_divisor(k4_complex):
         **poly_elem(C.ctx, {(0, 0, 1, 2): 1}, 0),
     }
     assert r == poly_elem(C.ctx, {(0, 0, 1, 5): 1})
-    assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
+    assert_standard_expression(g, columns(C, 1), q, r, C.tower, 0)
     # the K4 columns are a Groebner basis, so any choice leaves that
     # remainder.  x1^2 - x3^2 and x1*x2 - x3^2 are not one: x1^2*x2 keeps
     # x2*x3^2 after the first and x1*x3^2 after the second
@@ -281,14 +284,15 @@ def test_divide_random_standard_expressions(k4_complex):
             mono = C.ctx.pack([rng.randint(0, 3) for _ in range(4)])
             elem_add_term(g, 0, rng.choice([-2, -1, 1, 2]), mono)
         q, r = divided(g, C.tower)
-        assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
+        assert_standard_expression(g, columns(C, 1), q, r, C.tower, 0)
 
 
 def test_divide_refuses_a_lead_that_is_not_its_columns_first_term(monkeypatch):
-    # the generator of {3}, x3^3 - x1*x2*x4, stored reversed: division takes
-    # x1*x2*x4 for its leading term, subtracting the column then leaves
-    # x3^3 above the reduced term, so the leading terms stop decreasing and
-    # division must stop, not loop.
+    # the generator of {3}, x3^3 - x1*x2*x4, with its two monomials
+    # exchanged between the positions: division takes x1*x2*x4 for its
+    # leading term, subtracting the column then leaves x3^3 above the
+    # reduced term, so the leading terms stop decreasing and division must
+    # stop, not loop.
     # A division that loops fails here after 1000 steps instead of hanging
     steps = []
     original = pr.elem_combine
@@ -300,8 +304,8 @@ def test_divide_refuses_a_lead_that_is_not_its_columns_first_term(monkeypatch):
 
     monkeypatch.setattr(pr, "elem_combine", bounded)
     C = complex_from_matrix(COMPLEX_ROWS["k4"])
-    assert [C.ctx.unpack(m) for _, m, _ in C.diffs[1][4]] == [(0, 0, 3, 0), (1, 1, 0, 1)]
-    C.diffs[1][4] = C.diffs[1][4][::-1]
+    assert [C.ctx.unpack(m) for _, m, _ in columns(C, 1)[4]] == [(0, 0, 3, 0), (1, 1, 0, 1)]
+    swap_entries(C, 1, 4, 0, 1)
     s, _, _ = pr.s_vector(C.tower, 0, 0, 3)
     with pytest.raises(InternalError, match=r"division at level 0 does not descend: image 5 "):
         pr.divide(s, C.tower, pr.divisor_table(C.tower))
@@ -337,7 +341,7 @@ def test_s_vector_nested_subsets_generic(generic4_complex):
     s, m_ji, m_ij = pr.s_vector(C.tower, 0, 1, 0)
     assert m_ji == (1, x1_a14)
     lt = leading_module_term(C.tower, s, 0)
-    lcm_key = C.tower.key(0, x1_a14 + C.diffs[1][1][0][1], 0)
+    lcm_key = C.tower.key(0, x1_a14 + columns(C, 1)[1][0][1], 0)
     assert C.tower.key(0, lt[1], lt[2]) < lcm_key
 
 
@@ -362,7 +366,8 @@ def test_s_vector_drops_below_lcm_k4_pairs(k4_complex, i, j):
     C = k4_complex
     s, m_ji, m_ij = pr.s_vector(C.tower, 0, i, j)
     ctx = C.ctx
-    lcm = ctx.pack(ref.mono_lcm(ctx.unpack(C.diffs[1][i][0][1]), ctx.unpack(C.diffs[1][j][0][1])))
+    leads = [f[0][1] for f in columns(C, 1)]
+    lcm = ctx.pack(ref.mono_lcm(ctx.unpack(leads[i]), ctx.unpack(leads[j])))
     if s:
         _, sm, si = leading_module_term(C.tower, s, 0)
         assert C.tower.key(0, sm, si) < C.tower.key(0, lcm, 0)
@@ -372,9 +377,9 @@ def test_combining_a_column_and_its_negative_leaves_nothing(k4_complex):
     # cancelled terms are deleted, so no zero coefficient is left behind
     C = k4_complex
     mono = C.ctx.pack((1, 0, 2, 0))
-    other = column_elem(C.diffs[1][2])
+    other = column_elem(columns(C, 1)[2])
     for k in (1, 2, 3):
-        for column in C.diffs[k]:
+        for column in columns(C, k):
             acc = {}
             pr.elem_combine(acc, column, -1, mono)
             assert acc == {(mono + m, idx): -c for c, m, idx in column}
@@ -396,7 +401,7 @@ def test_combining_a_column_and_its_negative_leaves_nothing(k4_complex):
 
 def test_add_level_rejects_non_unit_leading_coefficient(k4_complex):
     C = k4_complex
-    g0 = list(C.diffs[1])
+    g0 = list(columns(C, 1))
     for images in ([g0[0]], g0):
         doubled = [elem_terms(elem_scale_term(column_elem(f), 2, 0)) for f in images]
         tower = pr.OrderTower(C.ctx)
@@ -450,7 +455,7 @@ def test_add_level_rejects_an_inhomogeneous_column(k4_complex):
     assert tower.levels == 1
     # one level up: the last term of column 4 on e[1,1], one degree too high
     tower.add_level(C.positions[1])
-    g1 = list(C.diffs[2])
+    g1 = list(columns(C, 2))
     g1[3] = g1[3][:-1] + ((-1, C.ctx.pack((0, 0, 0, 3)), 0),)
     with pytest.raises(InternalError, match="inhomogeneous differential column 4 in degree 2"):
         tower.add_level(column_positions(g1))
@@ -471,7 +476,7 @@ def test_add_level_names_the_lowest_refused_column(k4_complex):
     # ...; a copy of column 1 as column 3 leads on e[1,2], below the lead
     # before it, and a last term times x4 tilts a column
     C = k4_complex
-    g1 = list(C.diffs[2])
+    g1 = list(columns(C, 2))
     x4 = C.ctx.variables[3]
 
     def tilt(f):
@@ -484,44 +489,48 @@ def test_add_level_names_the_lowest_refused_column(k4_complex):
         (g1[0], tilt(g1[5]), falls),
         (tilt(g1[0]), g1[5], "inhomogeneous differential column 3 in degree 2"),
     ):
-        columns = g1[:2] + [third] + g1[3:5] + [sixth] + g1[6:]
+        level = g1[:2] + [third] + g1[3:5] + [sixth] + g1[6:]
         tower = pr.OrderTower(C.ctx)
         tower.add_level(C.positions[1])
         with pytest.raises(InternalError, match=witness):
-            tower.add_level(column_positions(columns))
+            tower.add_level(column_positions(level))
         assert tower.levels == 2
         # a sign other than +-1 is named before any column is keyed
         with pytest.raises(InternalError, match="sign 2 of term position 3 in degree 2"):
-            tower.add_level(with_sign(column_positions(columns), 2, 2))
+            tower.add_level(with_sign(column_positions(level), 2, 2))
         assert tower.levels == 2
 
 
 def stored_as_given(C, k, column):
     """True when add_level, on a copy of C's tower up to level k - 1, stores
     the positions of ``column``, the one column of a new level k, as given,
-    and derives the column back from them."""
+    and the column zips back from them."""
     tower = pr.OrderTower(C.ctx)
     for table in ("bits", "base", "positions", "shifts"):
         setattr(tower, table, getattr(C.tower, table)[:k])
     positions = column_positions([column])
     tower.add_level(positions)
-    return tower.positions[k] is positions and tower.images[k] == [column]
+    return tower.positions[k] is positions and columns(tower, k) == [column]
 
 
 def test_a_repeated_term_is_stored_and_fails_leading_terms():
     # a column is fed as term positions, not summed, and stored as given:
     # two terms on one monomial and index, whether their coefficients add up
     # or cancel, are found by the leading_term_formula check, not the build.
-    # A level's columns have one length, so the column with the extra term
-    # is handed to the tower as a level of its own, and put among the other
-    # columns by corrupting the derived columns
-    diffs = complex_from_matrix(COMPLEX_ROWS["k4"]).diffs
-    for k, j, term in ((1, 1, diffs[1][1][1]), (2, 4, diffs[2][4][0])):
+    # A column with an extra term is handed to the tower as a level of its
+    # own.  Among the other columns of its level, where every column has
+    # one length, the repeated term takes the place of a later term of the
+    # same column: at a position of the opposite sign it cancels, at one of
+    # its own sign it adds up.  Degree 2 of K4 has the signs -, +, -
+    built = complex_from_matrix(COMPLEX_ROWS["k4"])
+    for k, j, i, places in ((1, 1, 0, (1,)), (2, 4, 0, (1, 2))):
+        term = columns(built, k)[j][i]
         for extra in (term, (-term[0],) + term[1:]):
-            column = diffs[k][j] + (extra,)
+            assert stored_as_given(built, k, columns(built, k)[j] + (extra,))
+        for place in places:
             C = complex_from_matrix(COMPLEX_ROWS["k4"])
-            assert stored_as_given(C, k, column)
-            C.diffs[k][j] = column
+            set_entry(C, k, place, j, *term[1:])
+            assert columns(C, k)[j][place] == (C.positions[k][place][0], *term[1:])
             witness = f"column {j + 1} in degree {k} is not in module order"
             assert cyc_complex.check_leading_terms(C) == (False, witness, {})
             check = rv.full_verify(C).checks[1]
@@ -535,29 +544,33 @@ def test_columns_in_any_other_order_are_stored_and_fail_leading_terms(name):
     # boundary hands the tower its columns in module order, and the tower
     # stores whatever order it is given; every other order of the terms of
     # a column, at every level, fails the leading_term_formula check, whose
-    # witness names the column and degree
+    # witness names the column and degree.  In a level of the complex the
+    # terms of column j are put in that order by moving entry j of each
+    # position; the check keys the entries, whatever the signs
     C = complex_from_matrix(COMPLEX_ROWS[name])
     assert cyc_complex.check_leading_terms(C) == (True, None, {})
     for k in range(1, C.n):
+        level = list(C.positions[k])
         for turn, order in enumerate(permutations(range(k + 1))):
-            j = turn % len(C.diffs[k])
-            stored = C.diffs[k][j]
+            j = turn % len(C.bases[k])
+            stored = columns(C, k)[j]
             column = tuple(stored[i] for i in order)
             assert stored_as_given(C, k, column)
-            C.diffs[k][j] = column
+            for i, (_, mono, target) in enumerate(column):
+                set_entry(C, k, i, j, mono, target)
             expected = (True, None, {}) if order == tuple(range(k + 1)) else (
                 False, f"column {j + 1} in degree {k} is not in module order", {}
             )
             assert cyc_complex.check_leading_terms(C) == expected, order
-            C.diffs[k][j] = stored
+            C.positions[k][:] = level
 
 
 @pytest.mark.parametrize("name", ["k4", "echelon6", "weighted4"])
 def test_stored_columns_are_strictly_decreasing(name):
     C = complex_from_matrix(COMPLEX_ROWS[name])
     for k in range(1, C.n):
-        assert len(C.diffs[k]) == len(C.bases[k])
-        for j, column in enumerate(C.diffs[k]):
+        assert len(columns(C, k)) == len(C.bases[k])
+        for j, column in enumerate(columns(C, k)):
             assert type(column) is tuple
             keys = [C.tower.key(k - 1, mono, idx) for _, mono, idx in column]
             assert all(a > b for a, b in zip(keys, keys[1:]))
@@ -576,8 +589,8 @@ def test_elem_str_round_trip(k4_complex):
     for k in (1, 2, 3):
         tails = pr.term_tails(k - 1, len(C.bases[k - 1]))
         texts = list(pr.elem_str(C.positions[k], tails, C.ctx))
-        assert len(texts) == len(C.diffs[k])
-        for s, f in zip(texts, C.diffs[k]):
+        assert len(texts) == len(columns(C, k))
+        for s, f in zip(texts, columns(C, k)):
             assert parse_column(s, C.ctx) == f
             assert s == column_str(f, tails, C.ctx)
 
@@ -691,7 +704,7 @@ def test_elem_str_renders_each_distinct_monomial_once(monkeypatch):
     assert rendered(C) == texts
     assert len(asked) == 2 * per_position
     assert texts == [
-        column_str(f, tails[k], C.ctx) for k in range(1, C.n) for f in C.diffs[k]
+        column_str(f, tails[k], C.ctx) for k in range(1, C.n) for f in columns(C, k)
     ]
     assert len(unpacked) == len(distinct)
     D = complex_from_matrix(ECHELON6)
@@ -717,13 +730,19 @@ def test_elem_str_with_escaped_tails_is_the_escaped_text():
             assert escaped == [encode_basestring_ascii(tail)[1:-1] for tail in tails]
             assert k == 1 or escaped != tails
             plain = pr.elem_str(C.positions[k], tails, C.ctx)
-            for text, f in zip(pr.elem_str(C.positions[k], escaped, C.ctx), C.diffs[k]):
+            for text, f in zip(pr.elem_str(C.positions[k], escaped, C.ctx), columns(C, k)):
                 assert '"' + text + '"' == encode_basestring_ascii(next(plain))
                 assert text == column_str(f, escaped, C.ctx)
 
 
 # ---------------------------------------------------------------------------
 # the flattened tower keys agree with the recursive order definition
+
+def tower_columns(tower):
+    """Every level's columns, zipped from the tower's positions, as
+    TupleTower reads them; level 0 has none."""
+    return [None] + [columns(tower, k) for k in range(1, tower.levels)]
+
 
 def _rec_compare(C, level, m1, i, m2, j):
     """Induced-order comparison straight from the definition: map both
@@ -732,8 +751,8 @@ def _rec_compare(C, level, m1, i, m2, j):
     if level == 0:
         ctx = C.ctx
         return cmp(ref.wrlo_key(ctx.unpack(m1), ctx.nu), ref.wrlo_key(ctx.unpack(m2), ctx.nu))
-    lt1 = _rec_leading(C, level - 1, elem_scale_term(column_elem(C.diffs[level][i]), 1, m1))
-    lt2 = _rec_leading(C, level - 1, elem_scale_term(column_elem(C.diffs[level][j]), 1, m2))
+    lt1 = _rec_leading(C, level - 1, elem_scale_term(column_elem(columns(C, level)[i]), 1, m1))
+    lt2 = _rec_leading(C, level - 1, elem_scale_term(column_elem(columns(C, level)[j]), 1, m2))
     c = _rec_compare(C, level - 1, lt1[0], lt1[1], lt2[0], lt2[1])
     if c:
         return c
@@ -764,7 +783,7 @@ def test_tower_keys_agree_with_recursive_definition(generic4_complex):
 def test_tower_leading_terms_agree_with_recursive_definition(k4_complex):
     C = k4_complex
     for level in (1, 2, 3):
-        for j, f in enumerate(C.diffs[level]):
+        for j, f in enumerate(columns(C, level)):
             mono, idx = _rec_leading(C, level - 1, column_elem(f))
             assert f[0][1:] == (mono, idx)
 
@@ -774,9 +793,9 @@ def test_int_keys_order_column_terms_as_the_tuple_keys(name):
     # the keys of one level are injective, so equal sorted orders mean that
     # every pair of column terms compares the same way under both keys
     C = complex_from_matrix(COMPLEX_ROWS[name])
-    old = TupleTower(C.tower.images)
+    old = TupleTower(tower_columns(C.tower))
     for k in range(1, C.n):
-        terms = {(mono, idx) for column in C.diffs[k] for _, mono, idx in column}
+        terms = {(mono, idx) for column in columns(C, k) for _, mono, idx in column}
         keys = {t: C.tower.key(k - 1, *t) for t in terms}
         assert all(type(key) is int for key in keys.values())
         assert len(set(keys.values())) == len(terms)
@@ -795,17 +814,17 @@ def test_add_level_refuses_a_lead_that_falls_back():
     x1, x2 = ctx.variables
     tower = pr.OrderTower(ctx)
     tower.add_level(column_positions([elem_terms({(x1, 0): 1}), elem_terms({(x2, 0): 1})]))
-    columns = [elem_terms({(x1, 1): 1}), elem_terms({(x2, 0): 1})]
-    old = TupleTower([None, tower.images[1], columns])
+    above = [elem_terms({(x1, 1): 1}), elem_terms({(x2, 0): 1})]
+    old = TupleTower([None, columns(tower, 1), above])
     assert old.path[2] == [(0, 1, 0), (0, 0, 1)]
     assert old.key(2, 0, 0) > old.key(2, 0, 1)
     with pytest.raises(InternalError, match="column 2 in degree 2 falls back to basis index 1"):
-        tower.add_level(column_positions(columns))
+        tower.add_level(column_positions(above))
     assert tower.levels == 2
     assert [len(t) for t in (tower.bits, tower.positions, tower.shifts)] == [2] * 3
     # in the other order the leads rise, and the keys follow the descents
-    tower.add_level(column_positions(columns[::-1]))
-    old = TupleTower(tower.images)
+    tower.add_level(column_positions(above[::-1]))
+    old = TupleTower(tower_columns(tower))
     assert old.path[2] == [(0, 0, 0), (0, 1, 1)]
     for level in (1, 2):
         terms = [(m, i) for m in (0, x1, x2, x1 + x2) for i in range(2)]
@@ -814,26 +833,24 @@ def test_add_level_refuses_a_lead_that_falls_back():
         )
 
 
-def test_s_leading_key_walks_past_a_column_that_cancels_entirely():
-    # columns of one level have one length; on hand-built columns of
-    # different lengths the shorter one can cancel term by term, and the
-    # longer one's next term is Lt(S), in either order of the pair.  The
-    # tower keys only first and last terms, so it is handed the leading
-    # terms, one position of sign +1, and the derived columns are corrupted
-    # into the ragged ones
-    ctx = pr.GradedContext(2, (1, 1), 3)
+def test_s_leading_key_walks_past_positions_that_cancel():
+    # every column of a level has one term per position, and the two terms
+    # at a position share its sign: on hand-built columns of one level the
+    # walk passes the positions where the pair's terms cancel, and the
+    # first where they do not gives Lt(S), in either order of the pair; a
+    # pair that cancels at every position has S = 0.  The positions carry
+    # the signs +, +, -, and each column's terms strictly decrease
+    ctx = pr.GradedContext(2, (1, 1), 4)
     x1, x2 = ctx.variables
     tower = pr.OrderTower(ctx)
-    columns = [
-        elem_terms({(2 * x1, 0): 1}),
-        elem_terms({(2 * x1, 0): 1, (x1 + x2, 0): 1, (2 * x2, 0): -1}),
-        elem_terms({(x1, 0): 1, (x2, 0): 1}),
-        elem_terms({(x1, 0): 1, (x2, 0): 1}),
-    ]
-    tower.add_level(column_positions([f[:1] for f in columns]))
-    tower.images[1][:] = [tuple(f) for f in columns]
+    tower.add_level(column_positions([
+        ((1, 3 * x1, 0), (1, 2 * x1 + x2, 0), (-1, 3 * x2, 0)),
+        ((1, 3 * x1, 0), (1, 2 * x1 + x2, 0), (-1, x1 + 2 * x2, 0)),
+        ((1, 3 * x1, 0), (1, x1 + 2 * x2, 0), (-1, 3 * x2, 0)),
+        ((1, 2 * x1 + x2, 0), (1, x1 + 2 * x2, 0), (-1, 3 * x2, 0)),
+    ]))
     leads = {}
-    for i, j in [(0, 1), (1, 0), (2, 1), (1, 2), (2, 3), (0, 0)]:
+    for i, j in [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 3), (0, 0)]:
         s, m_ji, m_ij = pr.s_vector(tower, 0, i, j)
         walked = pr.s_leading_key(tower, 0, i, j, m_ji, m_ij)
         if s:
@@ -842,13 +859,18 @@ def test_s_leading_key_walks_past_a_column_that_cancels_entirely():
             leads[i, j] = mono
         else:
             assert walked is None, (i, j)
-    # positions 1 and 2: S = f_1 - x1*f_2 = -x2^2, every term of x1*f_2 cancels
-    assert leads == {(0, 1): x1 + x2, (1, 0): x1 + x2, (2, 1): 2 * x2, (1, 2): 2 * x2}
+    # f_0 - f_1 = x1*x2^2 - x2^3: the first two positions cancel and the
+    # third leads; f_0 - f_2 and f_1 - f_2 lead at the second position with
+    # x1^2*x2, and x2*f_2 - x1*f_3 with x1^2*x2^2 after its leads cancel
+    assert leads == {
+        (0, 1): x1 + 2 * x2, (1, 0): x1 + 2 * x2, (0, 2): 2 * x1 + x2, (2, 0): 2 * x1 + x2,
+        (1, 2): 2 * x1 + x2, (2, 3): 2 * x1 + 2 * x2,
+    }
 
 
 def test_int_keys_agree_with_the_tuple_keys_on_random_pairs(generic4_complex):
     C = generic4_complex
-    old = TupleTower(C.tower.images)
+    old = TupleTower(tower_columns(C.tower))
     rng = random.Random(31)
     ties = 0
     for level in (1, 2, 3):
@@ -896,7 +918,7 @@ def test_divide_agrees_with_the_linear_scan_reference():
                 elem_add_term(g, 0, rng.choice([-2, -1, 1, 2]), mono)
             q, r = divide_reference.divide(g, C.tower, 0)
             assert pr.divide(g, C.tower, table) == r
-            assert_standard_expression(g, C.diffs[1], q, r, C.tower, 0)
+            assert_standard_expression(g, columns(C, 1), q, r, C.tower, 0)
             quotients += bool(q)
             remainders += bool(r)
     assert quotients > 100 and remainders > 100

@@ -29,12 +29,15 @@ from conftest import (
     P,
     bundled_complex,
     column_elem,
+    columns,
     complex_from_matrix,
     elem_scale_term,
+    forget_binomials,
     generic4_matrix,
     poly_elem,
     random_icb_digraph,
     scrambled_tower,
+    set_entry,
     swept_complexes,
     tuples,
 )
@@ -89,14 +92,32 @@ def test_degree0_gb_witness_renders_the_subsets_like_partitions(pos, witness):
     # generator pos + 1 of K4 corrupted breaks the pair C = {1,2,3},
     # D = {1,2}: x1 times the head of the generator of D takes the
     # S-polynomial off the closed form, and the generator of C - D = {3}
-    # stored reversed keeps it on the closed form but fails the bound on its
-    # leading term
+    # stored with its smaller monomial first keeps it on the closed form
+    # but fails the bound on its leading term
     C = complex_from_matrix(K4_ROWS)
     if pos == 3:
         _times_head(C, 1, pos, (1, 0, 0, 0))
     else:
-        C.diffs[1][pos] = C.diffs[1][pos][::-1]
+        _smaller_monomial_first(C, pos)
     assert rv.verify_degree0_gb(C) == (False, witness, {"pairs": 2})
+
+
+def _smaller_monomial_first(C, j):
+    # degree-0 generator j, x^a - x^b, stored with x^b first and the same
+    # polynomial: a column has one term per position, so after the level's
+    # positions of signs +, - come two more of signs -, +.  Column j holds
+    # b, b, b, a there, and every other column a, b, b, b, so the last
+    # three cancel to -x^b
+    (sign, leads, on), (last_sign, lasts, at) = C.positions[1]
+    assert (sign, last_sign) == (1, -1)
+    first = list(leads)
+    first[j] = lasts[j]
+    closing = list(lasts)
+    closing[j] = leads[j]
+    forget_binomials(C)
+    C.positions[1][:] = [
+        (sign, first, on), (last_sign, lasts, at), (last_sign, lasts, at), (sign, closing, at)
+    ]
 
 
 def test_s_poly_closed_form_nested(generic4_complex):
@@ -108,7 +129,7 @@ def test_s_poly_closed_form_nested(generic4_complex):
     formula, l_cd, l_dc = rv.s_poly_closed_form(*P([2, 3], [1, 2, 3]), C)
     assert s == formula
     assert l_dc == C.ctx.pack((0, 0, 0, a[3][1] + a[3][2]))
-    f7 = C.diffs[1][6]
+    f7 = columns(C, 1)[6]
     assert s == elem_scale_term(column_elem(f7), -1, l_dc)
 
 
@@ -118,7 +139,7 @@ def test_colon_stability_examines_every_degree0_leading_term():
         assert ok, witness
         assert counters == {"leading_terms": 2 ** (C.n - 1) - 1}
         # no leading term involves the last variable
-        assert all(C.ctx.unpack(f[0][1])[-1] == 0 for f in C.diffs[1])
+        assert all(C.ctx.unpack(f[0][1])[-1] == 0 for f in columns(C, 1))
 
 
 @pytest.mark.parametrize("pos", [0, 3, 6])
@@ -134,7 +155,7 @@ def test_colon_stability_fails_on_a_leading_term_with_the_last_variable(pos):
 
 def test_colon_manual_member_and_nonmember(k4_complex):
     C = k4_complex
-    g0 = C.diffs[1]
+    g0 = columns(C, 1)
     t = C.ctx.pack((0, 0, 0, 1))
     tg = elem_scale_term(column_elem(g0[0]), 1, t)
     table = divisor_table(C.tower)
@@ -221,7 +242,7 @@ def test_module_quotients_catch_a_target_across_prefixes():
     assert C.bases[k][0][: k - 1] != C.bases[k][i][: k - 1]
     ok, witness, _ = rv.verify_module_quotients(C)
     assert ok, witness
-    target = C.diffs[k][0][0][2]
+    target = columns(C, k)[0][0][2]
     _change_head(C, k, i, lambda t: (t[0], t[1], target))
     ok, witness, _ = rv.verify_module_quotients(C)
     assert not ok
@@ -233,7 +254,7 @@ def test_module_quotients_witness_spells_out_exponents():
     # column no longer matches the closed formula, and the witness shows
     # both as exponent vectors
     C = complex_from_matrix(K4_ROWS)
-    assert C.ctx.unpack(C.diffs[1][4][0][1]) == (0, 0, 3, 0)
+    assert C.ctx.unpack(columns(C, 1)[4][0][1]) == (0, 0, 3, 0)
     _times_head(C, 1, 4, (1, 0, 0, 0))
     assert rv.verify_module_quotients(C) == (
         False,
@@ -252,7 +273,7 @@ def test_tau_identity_worked_examples(generic4_complex):
     pos1 = C.index[2][e1]
     ok, witness = rv.verify_tau_identity(C, 1, pos1)
     assert ok, witness
-    de = column_elem(C.diffs[2][pos1])
+    de = column_elem(columns(C, 2)[pos1])
     # -tau leads with +x1^a14
     on_i = {t: c for t, c in de.items() if t[1] == i}
     assert on_i == poly_elem(C.ctx, {(a[0][3], 0, 0, 0): -1}, i)
@@ -266,7 +287,7 @@ def test_tau_identity_worked_examples(generic4_complex):
     pos2 = C.index[3][e2]
     ok, witness = rv.verify_tau_identity(C, 2, pos2)
     assert ok, witness
-    de2 = column_elem(C.diffs[3][pos2])
+    de2 = column_elem(columns(C, 3)[pos2])
     # m^2_{4,5} = -x1^a14
     on_i2 = {t: c for t, c in de2.items() if t[1] == i2}
     assert on_i2 == poly_elem(C.ctx, {(a[0][3], 0, 0, 0): 1}, i2)
@@ -283,15 +304,18 @@ def _tau_target(k=2, e=P([3], [2], [1], [4])):
 
 
 def _replace_term(C, level, col, which, change):
-    column = C.diffs[level][col]
+    # the first term of the stored column that `which` picks replaced by
+    # change(term), which keeps the sign of the term's position
+    column = columns(C, level)[col]
     pos = next(n for n, term in enumerate(column) if which(term))
-    C.diffs[level][col] = column[:pos] + (change(column[pos]),) + column[pos + 1 :]
+    coeff, mono, idx = change(column[pos])
+    assert coeff == column[pos][0], "a term takes the sign of its position"
+    set_entry(C, level, pos, col, mono, idx)
 
 
 def _change_head(C, level, col, change):
     # the stored column with change(term) in place of its first term
-    head, *rest = C.diffs[level][col]
-    C.diffs[level][col] = (change(head), *rest)
+    _replace_term(C, level, col, lambda term: True, change)
 
 
 def _times_head(C, level, col, exps):
@@ -299,24 +323,28 @@ def _times_head(C, level, col, exps):
 
 
 def test_tau_identity_catches_a_wrong_m_coefficient():
-    # the head of f_j with the wrong sign gives the S-pair a cofactor that
-    # the closed formula does not predict
+    # the head of f_j times x1 gives the S-pair a cofactor that the closed
+    # formula does not predict
     C, k, i, j, col = _tau_target()
-    _change_head(C, k, j, lambda t: (-t[0], t[1], t[2]))
+    _times_head(C, k, j, (1, 0, 0, 0))
     assert rv.verify_tau_identity(C, k, col) == (False, "m-coefficients differ at (3,2,1,4)")
 
 
 def test_tau_identity_catches_a_wrong_leading_component():
+    # the term on partner i times x1
     C, k, i, j, col = _tau_target()
-    _replace_term(C, k + 1, col, lambda t: t[2] == i, lambda t: (-t[0], t[1], t[2]))
+    x1 = C.ctx.variables[0]
+    _replace_term(C, k + 1, col, lambda t: t[2] == i, lambda t: (t[0], t[1] + x1, t[2]))
     assert rv.verify_tau_identity(C, k, col) == (
         False, "leading component mismatch at (3,2,1,4)"
     )
 
 
 def test_tau_identity_catches_a_wrong_second_component():
+    # the term on partner j times x1
     C, k, i, j, col = _tau_target()
-    _replace_term(C, k + 1, col, lambda t: t[2] == j, lambda t: (-t[0], t[1], t[2]))
+    x1 = C.ctx.variables[0]
+    _replace_term(C, k + 1, col, lambda t: t[2] == j, lambda t: (t[0], t[1] + x1, t[2]))
     assert rv.verify_tau_identity(C, k, col) == (
         False, "second component mismatch at (3,2,1,4)"
     )
@@ -325,7 +353,7 @@ def test_tau_identity_catches_a_wrong_second_component():
 def test_tau_identity_catches_a_tail_term_above_the_s_vector():
     # a tail term raised by x1^10 lies above every term of S
     C, k, i, j, col = _tau_target()
-    assert [t for t in C.diffs[k + 1][col] if t[2] not in (i, j)]
+    assert [t for t in columns(C, k + 1)[col] if t[2] not in (i, j)]
     _replace_term(
         C, k + 1, col, lambda t: t[2] not in (i, j),
         lambda t: (t[0], t[1] + C.ctx.pack((10, 0, 0, 0)), t[2]),
@@ -339,34 +367,32 @@ def test_tau_identity_catches_a_lowered_first_tail_term():
     # x3^8 * e_1 lowered to x3^7 * e_1 keeps every tail term below Lt(S), so
     # the all-terms bound holds, but the tail no longer leads at Lt(S)
     C, k, i, j, col = _tau_target()
-    _, mono, idx = C.diffs[k + 1][col][2]
+    _, mono, idx = columns(C, k + 1)[col][2]
     assert (C.ctx.unpack(mono), idx) == ((0, 0, 8, 0), 0)
     x3 = C.ctx.pack((0, 0, 1, 0))
     _replace_term(C, k + 1, col, lambda t: t[2] == idx, lambda t: (t[0], t[1] - x3, t[2]))
     _, m_ji, m_ij = s_vector(C.tower, k - 1, i, j)
     s_key = s_leading_key(C.tower, k - 1, i, j, m_ji, m_ij)
-    tail = [(mono, idx) for _, mono, idx in C.diffs[k + 1][col][2:]]
+    tail = [(mono, idx) for _, mono, idx in columns(C, k + 1)[col][2:]]
     assert below_leading_term(C.tower, k - 1, s_key, tail)
     assert rv.verify_tau_identity(C, k, col) == (
         False, "standard-expression bound fails at (3,2,1,4)"
     )
 
 
-def test_tau_identity_catches_a_column_cut_to_its_merge_partners():
-    # an empty tail meets the all-terms bound, but S is not zero
+def test_tau_identity_leaves_a_cancelled_tail_to_d_squared():
+    # every column of a level has one term per position, so no column is
+    # cut to its merge partners; the nearest fault is a tail that sums to
+    # zero: its last term, at a position of the opposite sign, repeats its
+    # first.  The first tail term still maps to Lt(S), so the tau check
+    # passes, and d_squared, which proves tail = S, names the column
     C, k, i, j, col = _tau_target()
-    C.diffs[k + 1][col] = C.diffs[k + 1][col][:2]
-    assert rv.verify_tau_identity(C, k, col) == (
-        False, "standard-expression bound fails at (3,2,1,4)"
-    )
-    # shorter columns fail with a witness too, not an IndexError
-    C.diffs[k + 1][col] = C.diffs[k + 1][col][:1]
-    assert rv.verify_tau_identity(C, k, col) == (
-        False, "second component mismatch at (3,2,1,4)"
-    )
-    C.diffs[k + 1][col] = ()
-    assert rv.verify_tau_identity(C, k, col) == (
-        False, "leading component mismatch at (3,2,1,4)"
+    (_, _, first, last) = C.positions[k + 1]
+    assert first[0] == -last[0] == 1
+    set_entry(C, k + 1, 3, col, first[1][col], first[2][col])
+    assert rv.verify_tau_identity(C, k, col) == (True, None)
+    assert cc.check_d_squared(C) == (
+        False, f"composition nonzero on column {col + 1} in degree {k + 1}", {}
     )
 
 
@@ -379,13 +405,16 @@ def test_tau_identity_catches_a_tail_term_moved_onto_the_leading_partner():
 
 
 def test_degree0_gb_catches_a_lowered_closed_form_lead():
-    # the generator of {3}, x3^3 - x1*x2*x4, stored reversed: for
-    # C = {1,2,3}, D = {1,2} the closed-form term on it then leads below
-    # Lt(S), which the all-terms bound allows.  The check returns on the
-    # lead equality before it divides
+    # the generator of {3}, x3^3 - x1*x2*x4, stored with x1*x2*x4 first:
+    # for C = {1,2,3}, D = {1,2} the closed-form term on it then leads
+    # below Lt(S), which the all-terms bound allows.  The check returns on
+    # the lead equality before it divides
     C = complex_from_matrix(K4_ROWS)
-    assert [C.ctx.unpack(m) for _, m, _ in C.diffs[1][4]] == [(0, 0, 3, 0), (1, 1, 0, 1)]
-    C.diffs[1][4] = C.diffs[1][4][::-1]
+    assert [C.ctx.unpack(m) for _, m, _ in columns(C, 1)[4]] == [(0, 0, 3, 0), (1, 1, 0, 1)]
+    _smaller_monomial_first(C, 4)
+    assert column_elem(columns(C, 1)[4]) == column_elem(
+        columns(complex_from_matrix(K4_ROWS), 1)[4]
+    )
     ci, cj = C.bases[1][0][0], C.bases[1][3][0]
     assert (ci, cj) == P([1, 2, 3], [1, 2])
     _, m_ji, m_ij = s_vector(C.tower, 0, 0, 3)
@@ -435,6 +464,7 @@ def test_walked_s_leading_key_is_the_lead_of_the_built_s_vector(case):
         g = random_icb_digraph(case[0], random.Random(case[1]))
     C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
     tower = C.tower
+    levels = [None] + [columns(C, k) for k in range(1, C.n)]
 
     def walked_lead(level, i, j):
         s, m_ji, m_ij = s_vector(tower, level, i, j)
@@ -447,7 +477,7 @@ def test_walked_s_leading_key_is_the_lead_of_the_built_s_vector(case):
         return walked
 
     def image_key(level, mono, j):
-        _, lm, idx = tower.images[level + 1][j][0]
+        _, lm, idx = levels[level + 1][j][0]
         return tower.key(level, mono + lm, idx)
 
     r1 = len(C.bases[1])
@@ -472,7 +502,7 @@ def test_walked_s_leading_key_is_the_lead_of_the_built_s_vector(case):
         for e in C.bases[k + 1]:
             i, j = rv.tau_pair(C, k, e)
             walked = walked_lead(k - 1, i, j)
-            de = C.diffs[k + 1][C.index[k + 1][e]]
+            de = levels[k + 1][C.index[k + 1][e]]
             tail = [(mono, idx) for _, mono, idx in de if idx not in (i, j)]
             assert below_leading_term(tower, k - 1, walked, tail), e
             assert de[1][2] == j, e
@@ -513,14 +543,22 @@ def test_schreyer_coverage_witnesses(k4_complex, monkeypatch):
 def test_schreyer_coverage_compares_the_lead_coefficient_exactly():
     # the image column of a retained generator leads with the opposite of
     # its cofactor's coefficient, the sign one level up; a lead with its
-    # sign flipped has the same absolute value and is still refused
-    for k, j, h, generator, count in ((1, 0, "(23,1,4)", "(1,2)", 1),
-                                      (1, 11, "(1,2,34)", "(4,7)", 12),
-                                      (2, 5, "(1,2,3,4)", "(10,12)", 6)):
+    # sign flipped has the same absolute value and is still refused.  The
+    # sign is its position's, shared by every column of the level, so the
+    # first generator matched is named.  A lead monomial times x1 is
+    # refused on its own column, however late it is matched
+    for k, flip, j, h, generator, count in ((1, True, 0, "(23,1,4)", "(1,2)", 1),
+                                            (2, True, 0, "(3,2,1,4)", "(4,5)", 1),
+                                            (1, False, 0, "(23,1,4)", "(1,2)", 1),
+                                            (1, False, 11, "(1,2,34)", "(4,7)", 12),
+                                            (2, False, 5, "(1,2,3,4)", "(10,12)", 6)):
         C = complex_from_matrix(K4_ROWS)
         assert rv.partition_str(C.bases[k + 1][j]) == h
-        (c, m, i), *rest = C.diffs[k + 1][j]
-        C.diffs[k + 1][j] = ((-c, m, i), *rest)
+        sign, monos, targets = C.positions[k + 1][0]
+        if flip:
+            C.positions[k + 1][0] = (-sign, monos, targets)
+        else:
+            set_entry(C, k + 1, 0, j, mono=monos[j] + C.ctx.variables[0])
         assert rv.verify_schreyer_coverage(C, k) == (
             False, f"leading component of {h} does not match generator {generator}",
             {"generators": count},
@@ -546,14 +584,14 @@ def test_distinct_images(k4_complex, cycle4_complex):
 
 
 def test_minimal_gb_divisibility(k4_complex, cycle4_complex):
-    k4_leads = [f[0][1] for f in k4_complex.diffs[1]]
+    k4_leads = [f[0][1] for f in columns(k4_complex, 1)]
     assert not any(
         k4_complex.ctx.divides(a, b)
         for i, a in enumerate(k4_leads)
         for j, b in enumerate(k4_leads)
         if i != j
     )
-    cyc_leads = [f[0][1] for f in cycle4_complex.diffs[1]]
+    cyc_leads = [f[0][1] for f in columns(cycle4_complex, 1)]
     assert any(
         cycle4_complex.ctx.divides(a, b)
         for i, a in enumerate(cyc_leads)
@@ -621,7 +659,9 @@ def test_homology_oracle_catches_corruption():
         C = complex_from_matrix(K4_ROWS)
         if scramble:
             scrambled_tower(C, 2)
-        C.diffs[3] = C.diffs[3][:5]
+        C.positions[3][:] = [
+            (sign, monos[:5], targets[:5]) for sign, monos, targets in C.positions[3]
+        ]
         C.bases[3] = C.bases[3][:5]
         C.shifts[3] = C.shifts[3][:5]
         ok, witness, _ = rv.graded_homology_oracle(C, 6)
@@ -796,7 +836,7 @@ def test_a_lead_that_is_not_a_unit_goes_to_elimination(monkeypatch):
 def test_hilbert_tail_k4(k4_complex):
     # frozen via the monomial-counting oracle: 16 standard monomials per
     # degree once the degree passes the generator range
-    lt = [f[0][1] for f in k4_complex.diffs[1]]
+    lt = [f[0][1] for f in columns(k4_complex, 1)]
     divides = k4_complex.ctx.divides
     for d in range(6, 13):
         all_d = rv.monomials_of_degree(k4_complex.ctx, d)
@@ -883,12 +923,12 @@ def test_full_verify_cycle4(cycle4_complex):
 
 
 def test_full_verify_flags_corruption():
-    # the flipped term is in the tail of the tau element behind column 1;
+    # the term times x1 is in the tail of the tau element behind column 1;
     # the tau check leaves the tail's sum to d_squared, which must catch it
     C = complex_from_matrix(K4_ROWS)
-    coeff, mono, idx = C.diffs[2][0][-1]
+    _, mono, idx = columns(C, 2)[0][-1]
     assert idx not in rv.tau_pair(C, 1, C.bases[2][0])
-    C.diffs[2][0] = C.diffs[2][0][:-1] + ((-coeff, mono, idx),)
+    set_entry(C, 2, 2, 0, mono=mono + C.ctx.variables[0])
     report = rv.full_verify(C, d_max=4, instance="corrupted")
     assert not report.passed
     failed = {c.name: c.witness for c in report.checks if not c.ok}
@@ -913,10 +953,9 @@ def test_full_verify_calls_checks_by_module_name(k4_complex, monkeypatch):
 def test_column_leading_terms_are_computed_only_by_the_tower(rows, monkeypatch):
     # each column is stored with its leading term first; verification reads
     # it there and never derives one again: the only leading terms taken by
-    # max are those division takes of the elements it divides, and no
-    # stored column is among them
+    # max are those division takes of the elements it divides, each an
+    # S-vector summed into an Elem, and no column is among them
     C = complex_from_matrix(rows)
-    columns = {id(f) for level in C.diffs[1:] for f in level}
     seen = []
 
     def recording(g, tower, table):
@@ -927,7 +966,7 @@ def test_column_leading_terms_are_computed_only_by_the_tower(rows, monkeypatch):
     report = rv.full_verify(C, d_max=2)
     assert report.passed, report.to_text()
     assert seen
-    assert not [g for g in seen if id(g) in columns]
+    assert all(type(g) is dict for g in seen)
 
 
 def tower_shape(tower):
@@ -946,12 +985,12 @@ def tower_shape(tower):
 def test_full_verify_leaves_the_tower_as_built(rows):
     # every table of the tower is complete once add_level returns: a full
     # verification divides, walks S-pairs and ranks pieces, and adds to no
-    # table, replaces none and adds none.  The columns are derived from the
-    # positions on first read, here before the verification, which reads
-    # those same lists
+    # table, replaces none and adds none.  The degree-0 columns are derived
+    # from the positions on first read, here before the verification, which
+    # reads those same lists; no other level is derived
     C = complex_from_matrix(rows)
-    assert "images" not in vars(C.tower)
-    C.diffs
+    assert "binomials" not in vars(C.tower)
+    C.tower.binomials
     before = tower_shape(C.tower)
     report = rv.full_verify(C, d_max=2)
     assert report.passed, report.to_text()
@@ -1040,7 +1079,7 @@ def dense_piece(C, k, d):
             row_ids[(p, beta)] = len(row_ids)
     assert oracle_reference.piece_index(C, k - 1, d, {}) == row_ids
     cols = []
-    for j, f in enumerate(C.diffs[k]):
+    for j, f in enumerate(columns(C, k)):
         for alpha in rv.monomials_of_degree(C.ctx, d - C.shifts[k][j]):
             col = [0] * len(row_ids)
             for coeff, mono, p in f:
@@ -1108,13 +1147,17 @@ def test_piece_ranks_match_the_row_wise_reference(g):
 def test_repeated_terms_of_a_column_are_summed():
     # a column holding one term twice is one with that term doubled, and a
     # term repeated with the opposite sign cancels it; either raises this
-    # piece's rank from 42 to 44
+    # piece's rank from 42 to 44.  Degree 2 has the signs -, +, -: the lead
+    # of column 1 put in place of its last term doubles, in place of its
+    # second term it cancels
     C = complex_from_matrix(K4_ROWS)
     d = C.shifts[2][0] + 1
     assert rv.graded_piece_rank(C, 2, d, {}) == (42, 48)
-    f = C.diffs[2][0]
-    for repeat in (f[-1], (-f[-1][0],) + f[-1][1:]):
-        C.diffs[2][0] = f + (repeat,)
+    level = list(C.positions[2])
+    _, mono, target = columns(C, 2)[0][0]
+    for place in (2, 1):
+        C.positions[2][:] = level
+        set_entry(C, 2, place, 0, mono, target)
         dense, ncols = dense_piece(C, 2, d)
         piece = rv.graded_piece_rank(C, 2, d, {})
         assert piece == (linalg_reference.rank(dense), ncols) == (44, 48)
@@ -1131,8 +1174,12 @@ def test_oracle_reads_the_tower_only_to_pick_pivots(rows, d_max):
     result = rv.graded_homology_oracle(C, d_max)
     assert result == (True, None, {"degrees": d_max + 1})
     # position 0 takes the larger monomial of each degree-0 column, in
-    # whatever order the column holds its two terms
-    C.diffs[1][:] = [f[::-1] for f in C.diffs[1]]
+    # whatever order the column holds its two terms: the two positions
+    # exchange their entries, each keeping its sign, so every column is
+    # negated and holds its smaller monomial first
+    (lead_sign, leads, on), (last_sign, lasts, at) = C.positions[1]
+    forget_binomials(C)
+    C.positions[1][:] = [(lead_sign, lasts, at), (last_sign, leads, on)]
     assert rv.graded_homology_oracle(C, d_max) == result
     scrambled_tower(C, 1)
     assert rv.graded_homology_oracle(C, d_max) == result
@@ -1168,7 +1215,8 @@ def echelon6_times_x1():
     degree 6."""
     C = complex_from_matrix(ECHELON6)
     top, x1 = C.n - 1, C.ctx.variables[0]
-    C.diffs[top][0] = tuple((coeff, mono + x1, idx) for coeff, mono, idx in C.diffs[top][0])
+    for i, (_, mono, _) in enumerate(columns(C, top)[0]):
+        set_entry(C, top, i, 0, mono=mono + x1)
     C.shifts[top][0] += C.ctx.nu[0]
     return C
 
@@ -1176,10 +1224,17 @@ def echelon6_times_x1():
 def k4_doubled():
     """K4 with its first top-level column doubled: exact over Q, but over
     F_2 that column is zero, and positions 2 and 3 are not exact in its
-    degree 6."""
+    degree 6.  A column has one term per position, so the top level, with
+    the signs +, -, +, -, gets four more positions of those signs: in the
+    first column they repeat its terms, in every other column the first
+    two hold one term and the last two another, and each pair cancels."""
     C = complex_from_matrix(K4_ROWS)
-    top = C.n - 1
-    C.diffs[top][0] = tuple((2 * coeff, mono, idx) for coeff, mono, idx in C.diffs[top][0])
+    level = C.positions[C.n - 1]
+    assert [sign for sign, _, _ in level] == [1, -1, 1, -1]
+    level += [
+        (sign, monos[:1] + level[i & 2][1][1:], targets[:1] + level[i & 2][2][1:])
+        for i, (sign, monos, targets) in enumerate(level)
+    ]
     return C
 
 
