@@ -14,7 +14,7 @@ dimensions prove exactness only where d∘d = 0.
 import time
 from collections import Counter
 from itertools import repeat
-from operator import add, eq, lshift, mul, rshift
+from operator import add, eq, lshift, rshift
 
 from .errors import InternalError, ValidationError
 from .graph_core import classify
@@ -480,39 +480,43 @@ def minimal_generators(ctx: GradedContext, monos):
     return tuple(kept)
 
 
-def k_polynomial(ctx: GradedContext, gens, top, memo):
-    """Coefficients 0..top of the K-polynomial of S/J, the Hilbert series of
-    S/J times prod_i (1 - t^nu_i), for J with the minimal generators gens,
-    an ascending tuple: () is J = 0, and (0,), the unit, is J = S.
+def add_shifted(out, poly, e, c=1):
+    """out += c * t^e * poly, for polynomials kept as {degree: coeff} dicts
+    with no zero coefficient; returns out."""
+    for d, a in poly.items():
+        a = out.get(d + e, 0) + c * a
+        if a:
+            out[d + e] = a
+        else:
+            del out[d + e]
+    return out
 
-    A generator of degree above top changes no coefficient up to top, so
-    it is dropped.  Pairwise coprime generators g give prod (1 - t^deg g),
-    which is 0 for the unit.  Otherwise a variable x_i in the most
-    generators is the pivot:
+
+def k_polynomial(ctx: GradedContext, gens, memo):
+    """{degree: coeff}, no coefficient zero: the K-polynomial of S/J, the
+    Hilbert series of S/J times prod_i (1 - t^nu_i), for J with the minimal
+    generators gens, an ascending tuple: () is J = 0, and (0,), the unit,
+    is J = S.
+
+    Pairwise coprime generators g give prod (1 - t^deg g), which is 0 for
+    the unit.  Otherwise a variable x_i in the most generators is the pivot:
         K(S/J) = K(S/(J + x_i)) + t^nu_i K(S/(J : x_i))
     (Bigatti, JPAA 1997), where K(S/(J + x_i)) = (1 - t^nu_i) K(S/J') for
     J' generated by the generators x_i does not divide.  memo holds every
-    K met, by (gens, top).
+    K met, by gens.
     """
-    if top < 0:
-        return []
-    degree, support = ctx.degree, ctx.support
-    gens = tuple(g for g in gens if degree(g) <= top)
-    out = memo.get((gens, top))
+    out = memo.get(gens)
     if out is not None:
         return out
-    out = [0] * (top + 1)
-    masks = [support(g) for g in gens]
+    masks = [ctx.support(g) for g in gens]
     union = shared = 0
     for mask in masks:
         shared |= mask & union
         union |= mask
     if not shared:
-        out[0] = 1
+        out = {0: 1}
         for g in gens:
-            e = degree(g)
-            for d in range(top, e - 1, -1):
-                out[d] -= out[d - e]
+            out = add_shifted(dict(out), out, ctx.degree(g), -1)
     else:
         # the variable in the most generators; some two share it
         w = ctx.width
@@ -522,24 +526,15 @@ def k_polynomial(ctx: GradedContext, gens, top, memo):
         )
         bit, x, v = 1 << (w * i + w - 1), ctx.variables[i], ctx.nu[i]
         rest = k_polynomial(
-            ctx, tuple(g for g, mask in zip(gens, masks) if not mask & bit), top, memo
+            ctx, tuple(g for g, mask in zip(gens, masks) if not mask & bit), memo
         )
         colon = minimal_generators(
             ctx, [g - x if mask & bit else g for g, mask in zip(gens, masks)]
         )
-        for d in range(top + 1):
-            out[d] = rest[d] - (rest[d - v] if d >= v else 0)
-        for d, c in enumerate(k_polynomial(ctx, colon, top - v, memo), v):
-            out[d] += c
-    memo[gens, top] = out
+        out = add_shifted(dict(rest), rest, v, -1)
+        add_shifted(out, k_polynomial(ctx, colon, memo), v)
+    memo[gens] = out
     return out
-
-
-def lcm_degree(ctx: GradedContext, gens):
-    """The degree of the least common multiple of the monomials gens: no
-    coefficient of the K-polynomial of S/J lies above it (Taylor's
-    resolution of J has its last shift there)."""
-    return sum(map(mul, ctx.nu, map(max, zip(*map(ctx.unpack, gens)))))
 
 
 def lead_ideals(C: CycComplex, k, d_max):
@@ -552,7 +547,8 @@ def lead_ideals(C: CycComplex, k, d_max):
     graded_piece_rank's rows, (beta + w_p, then p).  It counts only when its
     coefficient is +-1 and its degree is the column's shift: a column left
     out lowers the count the identity checks, never raises it.  Columns of
-    higher shift cannot reach degree d_max - s_p, where K_p is cut.
+    higher shift change no coefficient at or below d_max, where the series
+    is cut.
 
     Each position is keyed in that order a whole list at a time, and each
     column's lead is the largest of its keys.  Where that maximum occurs
@@ -608,24 +604,19 @@ def lead_ideals(C: CycComplex, k, d_max):
 
 
 def quotient_series(C: CycComplex, k, d_max, memo):
-    """{d: c}: the coefficients of sum_p t^(s_p) K_p over the level-k
-    positions p, K_p the K-polynomial of S/J_p (lead_ideals), all of them,
-    or those of degree at most d_max: the Hilbert series of F_k / N_(k+1)
-    times prod_i (1 - t^nu_i), where N_(k+1) is the monomial submodule the
-    leads of d_(k+1) generate.  Each K_p is cut at deg lcm(J_p), past which
-    it has no coefficient; the sum is a dict by degree, as most degrees of
-    its span hold nothing."""
+    """{d: c}, no coefficient zero: the coefficients of sum_p t^(s_p) K_p
+    over the level-k positions p, K_p the K-polynomial of S/J_p
+    (lead_ideals), all of them, or those of degree at most d_max: the
+    Hilbert series of F_k / N_(k+1) times prod_i (1 - t^nu_i), where
+    N_(k+1) is the monomial submodule the leads of d_(k+1) generate.  Each
+    distinct (J_p, s_p) is added once, times the positions it covers."""
     ideals = lead_ideals(C, k, d_max)
-    out = Counter()
+    out = {}
     for (gens, s), m in Counter(
         (ideals.get(p, ()), s) for p, s in enumerate(C.shifts[k]) if d_max is None or s <= d_max
     ).items():
-        top = lcm_degree(C.ctx, gens)
-        top = top if d_max is None else min(top, d_max - s)
-        for d, c in enumerate(k_polynomial(C.ctx, gens, top, memo), s):
-            if c:
-                out[d] += m * c
-    return out
+        add_shifted(out, k_polynomial(C.ctx, gens, memo), s, m)
+    return out if d_max is None else {d: c for d, c in out.items() if d <= d_max}
 
 
 def graded_homology_oracle(C: CycComplex, d_max):
@@ -686,7 +677,7 @@ def graded_homology_oracle(C: CycComplex, d_max):
         shorts += [(d, k, c) for d, c in excess.items() if c]
     if d_max is None:
         if not shorts:
-            top = max(d for series in quotients for d, c in series.items() if c)
+            top = max(d for series in quotients for d in series)
             return True, None, {"degrees": top + 1}
         d, k, excess = min(shorts)
         counts = count_monomials(ctx.nu, d)

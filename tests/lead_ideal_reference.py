@@ -8,6 +8,10 @@ of ``resolution_verify.graded_piece_rank``, repeated terms summed, and its
 lead is its largest key with a nonzero coefficient: the smallest row id,
 the pivot ``rank_sparse`` takes.  No lead ideal, colon or K-polynomial is
 formed; the degree-d dimension of the lead submodule N_k is just counted.
+
+``k_polynomial(ctx, gens, top, memo)`` is the dense reference for the
+sparse ``resolution_verify.k_polynomial``: the same pivot recursion on a
+list of coefficients 0..top.
 """
 
 from conftest import columns
@@ -81,3 +85,58 @@ def monomial_tie_break_ideals(C, k, d_max):
         _, mono, p = max(key for key, coeff in terms.items() if coeff)
         ideals.setdefault(p, []).append(mono)
     return {p: minimal_generators(C.ctx, monos) for p, monos in ideals.items()}
+
+
+def k_polynomial(ctx, gens, top, memo):
+    """Coefficients 0..top of the K-polynomial of S/J, the Hilbert series of
+    S/J times prod_i (1 - t^nu_i), for J with the minimal generators gens,
+    an ascending tuple: () is J = 0, and (0,), the unit, is J = S.
+
+    A generator of degree above top changes no coefficient up to top, so
+    it is dropped.  Pairwise coprime generators g give prod (1 - t^deg g),
+    which is 0 for the unit.  Otherwise a variable x_i in the most
+    generators is the pivot:
+        K(S/J) = K(S/(J + x_i)) + t^nu_i K(S/(J : x_i))
+    (Bigatti, JPAA 1997), where K(S/(J + x_i)) = (1 - t^nu_i) K(S/J') for
+    J' generated by the generators x_i does not divide.  memo holds every
+    K met, by (gens, top).
+    """
+    if top < 0:
+        return []
+    degree, support = ctx.degree, ctx.support
+    gens = tuple(g for g in gens if degree(g) <= top)
+    out = memo.get((gens, top))
+    if out is not None:
+        return out
+    out = [0] * (top + 1)
+    masks = [support(g) for g in gens]
+    union = shared = 0
+    for mask in masks:
+        shared |= mask & union
+        union |= mask
+    if not shared:
+        out[0] = 1
+        for g in gens:
+            e = degree(g)
+            for d in range(top, e - 1, -1):
+                out[d] -= out[d - e]
+    else:
+        # the variable in the most generators; some two share it
+        w = ctx.width
+        i = max(
+            (i for i in range(ctx.n) if shared >> (w * i + w - 1) & 1),
+            key=lambda i: sum(mask >> (w * i + w - 1) & 1 for mask in masks),
+        )
+        bit, x, v = 1 << (w * i + w - 1), ctx.variables[i], ctx.nu[i]
+        rest = k_polynomial(
+            ctx, tuple(g for g, mask in zip(gens, masks) if not mask & bit), top, memo
+        )
+        colon = minimal_generators(
+            ctx, [g - x if mask & bit else g for g, mask in zip(gens, masks)]
+        )
+        for d in range(top + 1):
+            out[d] = rest[d] - (rest[d - v] if d >= v else 0)
+        for d, c in enumerate(k_polynomial(ctx, colon, top - v, memo), v):
+            out[d] += c
+    memo[gens, top] = out
+    return out

@@ -749,37 +749,34 @@ def test_lead_counts_match_the_k_polynomial_sums(which):
         series = rv.quotient_series(C, k, None, memo)
         for d in range(top + 1):
             above = lead_ideal_reference.lead_count(C, k + 1, d) if k + 1 < C.n else 0
-            quotient = sum(series[e] * counts[d - e] for e in range(d + 1))
+            quotient = sum(series.get(e, 0) * counts[d - e] for e in range(d + 1))
             assert quotient == lead_ideal_reference.free_rank(C, k, d) - above, (k, d)
         cut = rv.quotient_series(C, k, top // 2, {})
-        assert {d: c for d, c in cut.items() if c} == {
-            d: c for d, c in series.items() if c and d <= top // 2
-        }
+        assert cut == {d: c for d, c in series.items() if d <= top // 2}
     assert lead_ideal_reference.short_degree(C, top) is None
 
 
 def test_k_polynomial_counts_standard_monomials():
     # K(S/J) is the count of monomials outside J, degree by degree, times
     # prod (1 - t^nu_i): checked on the unit ideal (K = 0, whatever else
-    # generates it), the zero ideal (K = 1) and random weighted ideals.
-    # Every coefficient above deg lcm(J) is zero (Taylor's resolution of J
-    # ends there), so the oracle's cut at that degree loses nothing
+    # generates it), the zero ideal (K = 1) and random weighted ideals,
+    # against the brute-force count and the dense reference.  No zero
+    # coefficient is stored, and none lies above the lowest degree of a
+    # common multiple of the generators (Taylor's resolution of J ends
+    # there), so the complete K needs no cut
     ctx = GradedContext(3, (1, 2, 3), 6)
     x1, x2, x3 = ctx.variables
-    assert rv.k_polynomial(ctx, (0,), 6, {}) == [0] * 7
-    assert rv.k_polynomial(ctx, rv.minimal_generators(ctx, [x1, 0, x2 + x3]), 6, {}) == [0] * 7
-    assert rv.k_polynomial(ctx, (), 4, {}) == [1, 0, 0, 0, 0]
-    assert rv.k_polynomial(ctx, (x1,), 3, {}) == [1, -1, 0, 0]
-    assert rv.k_polynomial(ctx, (x1,), -1, {}) == []
+    assert rv.k_polynomial(ctx, (0,), {}) == {}
+    assert rv.k_polynomial(ctx, rv.minimal_generators(ctx, [x1, 0, x2 + x3]), {}) == {}
+    assert rv.k_polynomial(ctx, (), {}) == {0: 1}
+    assert rv.k_polynomial(ctx, (x1,), {}) == {0: 1, 1: -1}
     # (x1^2, x1*x2): 1 - t^2 - t^3 + t^4
-    assert rv.k_polynomial(ctx, (2 * x1, x1 + x2), 5, {}) == [1, 0, -1, -1, 1, 0]
-    assert rv.lcm_degree(ctx, ()) == rv.lcm_degree(ctx, (0,)) == 0
-    assert rv.lcm_degree(ctx, (2 * x1, x1 + x2)) == 4
+    assert rv.k_polynomial(ctx, (2 * x1, x1 + x2), {}) == {0: 1, 2: -1, 3: -1, 4: 1}
     rng = random.Random(8)
     # past every lcm of the ideals drawn, at most x1^3 x2^3 x3^3 (degree 18)
     top = 24
     below = [rv.monomials_of_degree(ctx, d) for d in range(top + 1)]
-    memo = {}
+    memo, reference_memo = {}, {}
     for _ in range(60):
         gens = [
             ctx.pack([rng.randrange(4) for _ in range(3)]) for _ in range(rng.randrange(1, 6))
@@ -795,15 +792,35 @@ def test_k_polynomial_counts_standard_monomials():
         for v in ctx.nu:
             for d in range(top, v - 1, -1):
                 k_poly[d] -= k_poly[d - v]
-        assert rv.k_polynomial(ctx, minimal, top, memo) == k_poly, gens
-        lcm = rv.lcm_degree(ctx, minimal)
+        assert lead_ideal_reference.k_polynomial(ctx, minimal, top, reference_memo) == k_poly
+        sparse = rv.k_polynomial(ctx, minimal, memo)
+        assert 0 not in sparse.values(), gens
+        assert sparse == {d: c for d, c in enumerate(k_poly) if c}, gens
         # the lowest degree of a monomial every generator divides
-        assert lcm == min(
+        lcm = min(
             d for d, monos in enumerate(below)
             if any(all(ctx.divides(g, m) for g in minimal) for m in monos)
         )
-        assert k_poly[lcm + 1 :] == [0] * (top - lcm), gens
-        assert rv.k_polynomial(ctx, minimal, lcm, memo) == k_poly[: lcm + 1], gens
+        assert max(sparse, default=0) <= lcm, gens
+
+
+@pytest.mark.parametrize("which", ["echelon6", (6, 1)], ids=["echelon6", "random6.1"])
+def test_a_shared_memo_is_read_not_grown_on_a_second_pass(which):
+    # the memo holds one K-polynomial per generator set: a second pass over
+    # every level with the same memo computes none, and every series is the
+    # one the first pass gave
+    if isinstance(which, str):
+        C = bundled_complex(which)
+    else:
+        n, seed = which
+        g = random_icb_digraph(n, random.Random(1000 * n + seed))
+        C = cc.build_complex(graph_core.prepare(graph_core.laplacian(g)))
+    memo = {}
+    first = [rv.quotient_series(C, k, None, memo) for k in range(C.n)]
+    size = len(memo)
+    assert size > 1
+    assert [rv.quotient_series(C, k, None, memo) for k in range(C.n)] == first
+    assert len(memo) == size
 
 
 @pytest.mark.parametrize("name, d_max, short", [("k5", 13, 8), ("echelon6", 5, 3)])
