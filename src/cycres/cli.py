@@ -170,8 +170,9 @@ def build_parser():
     ap.add_argument("--format", choices=["text", "json"], default="text", dest="fmt")
     ap.add_argument("--seed", type=int, default=0,
                     help="accepted and ignored: every check is deterministic")
-    ap.add_argument("--require-minimal", action="store_true")
-    ap.add_argument("--out", default=None, help="output path for resolve")
+    ap.add_argument("--require-minimal", action="store_true",
+                    help="verify only: fail unless the complex is minimal")
+    ap.add_argument("--out", default=None, help="resolve only: output path")
     return ap
 
 
@@ -197,6 +198,14 @@ def _run(argv):
     try:
         if args.d_max is not None and args.d_max < 0:
             raise ValidationError("--max-degree must be nonnegative")
+        # a flag that only one subcommand reads is refused by the others,
+        # which would otherwise ignore it and exit 0
+        for flag, given, command in (
+            ("--require-minimal", args.require_minimal, "verify"),
+            ("--out", args.out is not None, "resolve"),
+        ):
+            if given and args.command != command:
+                raise ValidationError(f"{flag} applies to {command} only")
         return COMMANDS[args.command](args)
     except NotIrreducibleError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,9 +12,9 @@ dimensions prove exactness only where d∘d = 0.
 """
 
 import time
-from collections import Counter
-from itertools import repeat
-from operator import add, eq, lshift, rshift
+from collections import Counter, deque
+from itertools import compress, count, islice, repeat
+from operator import add, eq, ge, gt, is_, itemgetter, lshift, ne, not_, or_, rshift, sub
 
 from .errors import InternalError, ValidationError
 from .graph_core import classify
@@ -32,6 +32,7 @@ from .poly_ring import (
     divide,
     divisor_table,
     elem_combine,
+    first,
     s_cofactor,
     s_leading_key,
     s_vector,
@@ -205,22 +206,36 @@ def verify_colon_stability(C: CycComplex):
 # ---------------------------------------------------------------------------
 # module quotients and Schreyer structure
 
-def quotient_sources(C: CycComplex, k):
-    """Yield (i, [(j, retained), ...]) for every level-k position i in order.
+def sibling_runs(C: CycComplex, k):
+    """The sibling runs of two positions or more of level k, as ranges of
+    its positions in order, found from the prefixes p[:k-1] of its
+    partitions p, two neighbours at a time.  Each level is built by
+    splitting the last block of every partition one level down (see
+    cyc_complex.enumerate_basis), so the positions split from one
+    partition stand together, and they are the positions with its first
+    k-1 blocks.  A position alone in its run has no source (see
+    quotient_sources), so it has no quotient and no retained pair."""
+    basis, prefix = C.bases[k], itemgetter(slice(0, k - 1))
+    splits = map(ne, map(prefix, islice(basis, 1, None)), map(prefix, basis))
+    starts = [0, *compress(count(1), splits), len(basis)]
+    stops = starts[1:]
+    return list(compress(map(range, starts, stops), map(gt, map(sub, stops, starts), repeat(1))))
 
-    The sources are the positions j < i with the same first k-1 blocks; j is
-    retained when its k-th block contains that of i (two such blocks differ).
-    The positions with one prefix stand together, split from one partition
-    one level down (see cyc_complex.enumerate_basis), so only the current
-    run of them is kept.
+
+def quotient_sources(C: CycComplex, k, run):
+    """Yield (i, [(j, retained), ...]) for every level-k position i of a
+    sibling run (see sibling_runs), in order.
+
+    The sources are the positions j < i of the run, those with the same
+    first k-1 blocks; j is retained when its k-th block contains that of i
+    (two such blocks differ).  The sources of each position depend on the
+    run's k-th blocks alone, and the quotients at them (module_quotients)
+    on the run's last two blocks and stored leads: see
+    verify_module_quotients for the run key this gives.
     """
-    prefix, run = None, []
-    for i, p in enumerate(C.bases[k]):
-        if p[: k - 1] != prefix:
-            prefix, run = p[: k - 1], []
-        ik = p[k - 1]
-        yield i, [(j, ik & ~jk == 0) for j, jk in run]
-        run.append((i, ik))
+    blocks = [C.bases[k][i][k - 1] for i in run]
+    for m, (i, ik) in enumerate(zip(run, blocks)):
+        yield i, [(j, ik & ~jk == 0) for j, jk in zip(run, blocks[:m])]
 
 
 def _readable(C: CycComplex, term):
@@ -263,29 +278,58 @@ def module_quotients(C: CycComplex, k, i, sources):
 
 
 def verify_module_quotients(C: CycComplex):
-    count = 0
+    """module_quotients at every position, one sibling run at a time, with
+    no nonzero quotient across prefixes and none at a position whose last
+    block is {n} alone.  Counts the generators.
+
+    The quotients at the positions of a run read nothing but the run's last
+    two blocks (the closed formula, which sources are retained, the last
+    block), its stored leads and their targets, and the level's sign.  So
+    once the leads of a run sit on one target, checked for every run, the
+    run key (the tuple of its last-two-block pairs, the tuple of its lead
+    monomials) fixes every quotient of the run up to the shift of its
+    positions: a run whose key an earlier run of the level had passes as
+    that one did, with as many generators, and only the first run of each
+    key is computed.  The memo is exact, and small: on a correct complex
+    the key follows from the last block the run was split from, so a level
+    has at most 2^(n-1) keys, and n = 7 computes 9,333 of its 18,303
+    generators.  A run with leads on two targets is computed, and fails
+    there (no cofactor).
+    """
+    total, alone = 0, 1 << (C.n - 1)
     for k in range(1, C.n):
+        basis, prefix = C.bases[k], itemgetter(slice(0, k - 1))
+        _, leads, targets = C.positions[k][0]
         # A quotient is nonzero exactly when the two leading terms share a
         # target, so no pair across prefixes has one if every position shares
         # the prefix of the first position with its target.
-        first = {}
-        for i, target in enumerate(C.positions[k][0][2]):
-            j = first.setdefault(target, i)
-            if C.bases[k][j][: k - 1] != C.bases[k][i][: k - 1]:
-                return False, (
-                    f"nonzero quotient across different prefixes at level {k}: "
-                    f"{j + 1}, {i + 1}"
-                ), {"generators": count}
-        for i, sources in quotient_sources(C, k):
-            gens, witness = module_quotients(C, k, i, sources)
-            if witness is not None:
-                return False, witness, {"generators": count}
-            count += len(gens)
-            if C.bases[k][i][k] == 1 << (C.n - 1) and gens:
-                return False, (
-                    f"expected empty quotient set at level {k}, index {i + 1}"
-                ), {"generators": count}
-    return True, None, {"generators": count}
+        owners = map(basis.__getitem__, map({}.setdefault, targets, count()))
+        i = first(map(ne, map(prefix, owners), map(prefix, basis)))
+        if i is not None:
+            return False, (
+                f"nonzero quotient across different prefixes at level {k}: "
+                f"{targets.index(targets[i]) + 1}, {i + 1}"
+            ), {"generators": total}
+        last_two, seen = itemgetter(slice(k - 1, None)), {}
+        for run in sibling_runs(C, k):
+            a, b = run.start, run.stop
+            key = (tuple(map(last_two, basis[a:b])), tuple(leads[a:b]))
+            gens = seen.get(key) if len(set(targets[a:b])) == 1 else None
+            if gens is None:
+                gens = 0
+                for i, sources in quotient_sources(C, k, run):
+                    found, witness = module_quotients(C, k, i, sources)
+                    if witness is not None:
+                        return False, witness, {"generators": total + gens}
+                    gens += len(found)
+                    if basis[i][k] == alone and found:
+                        return False, (
+                            f"expected empty quotient set at level {k}, index {i + 1}"
+                        ), {"generators": total + gens}
+                # a run on two targets has failed above: every run kept has one
+                seen[key] = gens
+            total += gens
+    return True, None, {"generators": total}
 
 
 def tau_pair(C: CycComplex, k, e):
@@ -334,15 +378,93 @@ def verify_tau_identity(C: CycComplex, k, pos) -> tuple:
     return True, None
 
 
+def verify_tau_level(C: CycComplex, k):
+    """verify_tau_identity for every element of level k + 1, a whole list
+    at a time: (ok, witness, {"elements": the elements passed}).
+
+    Each comparison of verify_tau_identity is made for every element at
+    once.  The merge partners I and J come from merge and the index, not
+    from the build's merge_targets; the cofactors m_ji and m_ij from the
+    leads of level k, which must share a target.  Positions 0 and 1 of the
+    element's column are compared with them (sign, monomial, target), and
+    no later position may hold i or j.  Lt(S) is walked for every element
+    at once by s_leading_key's rule, one position of level k at a time, for
+    the elements whose terms have cancelled at every position before: both
+    cofactors carry the sign of level k's first position, so two terms
+    cancel exactly when their keys are equal.  The key it ends on is
+    compared with that of the image of the first tail term, at position 2.
+    An element fails verify_tau_identity exactly when some comparison flags
+    it; the flagged elements are walked by verify_tau_identity, lowest
+    first, and the first that fails names the witness.
+    """
+    basis, level = C.bases[k + 1], C.positions[k + 1]
+    index, arrows, cofactor = C.index[k], C.arrows, C.ctx.cofactor
+    I = list(map(index.__getitem__, map(merge, basis, repeat(k))))
+    J = list(map(index.__getitem__, map(merge, basis, repeat(k - 1))))
+    sign, monos, targets = C.positions[k][0]
+    m_ji = list(map(cofactor, map(monos.__getitem__, I), map(monos.__getitem__, J)))
+    m_ij = list(map(cofactor, map(monos.__getitem__, J), map(monos.__getitem__, I)))
+    (lead_sign, leads, on_i), (second_sign, seconds, on_j), (_, tails, on_tail) = level[:3]
+    flags = [
+        map(ge, J, I),
+        map(ne, map(targets.__getitem__, I), map(targets.__getitem__, J)),
+        map(ne, m_ji, map(arrows.__getitem__, map(itemgetter(k, k + 1), basis))),
+        map(ne, m_ij, map(arrows.__getitem__, map(itemgetter(k - 1, k), basis))),
+        map(ne, leads, m_ji),
+        map(ne, on_i, I),
+        map(ne, seconds, m_ij),
+        map(ne, on_j, J),
+    ]
+    for _, _, on in level[2:]:
+        flags += [map(eq, on, I), map(eq, on, J)]
+    # Lt(S) for S = m_ji * f_i - m_ij * f_j, keyed one level down: x^m
+    # times term t of column c of level k has the key
+    # ((m + monos_t[c]) << bits) + base[targets_t[c]]
+    bits, base = C.tower.bits[k - 1], C.tower.base[k - 1]
+
+    def keys(ms, ts, m, c):
+        terms = map(lshift, map(add, m, map(ms.__getitem__, c)), repeat(bits))
+        return map(add, terms, map(base.__getitem__, map(ts.__getitem__, c)))
+
+    s_keys = [None] * len(basis)
+    walking = [range(len(basis)), I, J, m_ji, m_ij]
+    for _, ms, ts in C.positions[k]:
+        elems, ii, jj, mi, mj = walking
+        cancel = list(map(eq, keys(ms, ts, mi, ii), keys(ms, ts, mj, jj)))
+        if all(cancel):
+            continue
+        ended = map(max, keys(ms, ts, mi, ii), keys(ms, ts, mj, jj))
+        for e, key in compress(zip(elems, ended), map(not_, cancel)):
+            s_keys[e] = key
+        walking = [list(compress(seq, cancel)) for seq in walking]
+        if not walking[0]:
+            break
+    flags.append(map(ne, keys(monos, targets, tails, on_tail), s_keys))
+    sign_k = (-1) ** (k - 1)
+    if (sign, lead_sign, second_sign) != (sign_k, -sign_k, sign_k):
+        suspects = range(len(basis))
+    else:
+        suspects = sorted({e for flag in flags for e in compress(count(), flag)})
+    for pos in suspects:
+        ok, witness = verify_tau_identity(C, k, pos)
+        if not ok:
+            return False, witness, {"elements": pos}
+    return True, None, {"elements": len(basis)}
+
+
 def verify_tau_identities(C: CycComplex):
-    count = 0
+    """verify_tau_identity for every element of levels 2..n-1, a level at a
+    time (verify_tau_level), lowest level first.  Counts the elements
+    passed: on a failure, those of the levels below and those of its
+    level before the witness, as an element by element walk counts them.
+    """
+    total = 0
     for k in range(1, C.n - 1):
-        for pos in range(len(C.bases[k + 1])):
-            ok, witness = verify_tau_identity(C, k, pos)
-            if not ok:
-                return False, witness, {"elements": count}
-            count += 1
-    return True, None, {"elements": count}
+        ok, witness, counters = verify_tau_level(C, k)
+        total += counters["elements"]
+        if not ok:
+            return False, witness, {"elements": total}
+    return True, None, {"elements": total}
 
 
 def rho_image(C: CycComplex, k, i, j):
@@ -355,36 +477,75 @@ def verify_schreyer_coverage(C: CycComplex, k) -> tuple:
     leading components: the image column leads on e_i with the cofactor's
     monomial and the opposite of its coefficient, the sign one level up.
     At the top level every quotient set must be empty.  Counts the
-    generators matched."""
+    generators matched.
+
+    The retained pairs (j, i) are taken from the sibling runs in order, and
+    each is sent to its rho image and looked up on its own; the leading
+    components are then compared for all pairs at once, up to the first
+    image off the basis or met twice.  The witness is the first pair that
+    fails, and at one pair an image off the basis comes first, then one met
+    twice, then a leading component."""
     n = C.n
     # the leading terms of the next level's columns: its first position
     above, index, (lc, leads, on) = (
         (C.bases[k + 1], C.index[k + 1], C.positions[k + 1][0])
         if k + 1 < n else ([], {}, (None, [], []))
     )
-    # one byte per basis element reached, not a dict of the images
-    seen = bytearray(len(above))
-    total = 0
-    sign = (-1) ** (k - 1)
-    for i, sources in quotient_sources(C, k):
-        for j, retained in sources:
-            if not retained:
-                continue
-            h = rho_image(C, k, i, j)
-            hi = index.get(h)
-            if hi is None:
-                witness = f"rho image {partition_str(h)} not a basis element"
-                return False, witness, {"generators": total}
-            if seen[hi]:
-                return False, f"rho images collide on {partition_str(h)}", {"generators": total}
-            seen[hi] = 1
-            total += 1
-            m = s_cofactor(C.tower, k - 1, i, j)
-            if m is None or on[hi] != i or leads[hi] != m[1] or lc != -m[0] or m[0] != sign:
-                return False, (
-                    f"leading component of {partition_str(h)} does not match "
-                    f"generator ({j + 1},{i + 1})"
-                ), {"generators": total}
+    # the retained pairs, as machine ints (a level can hold hundreds of
+    # thousands; the module is loaded by the one check that needs it);
+    # those of a run, as offsets into it, depend on its k-th blocks alone,
+    # so they are found once for each tuple of them
+    from array import array
+
+    I, J, offsets = array("q"), array("q"), {}
+    blocks = list(map(itemgetter(k - 1), C.bases[k]))
+    for run in sibling_runs(C, k):
+        a = run.start
+        key = tuple(blocks[a:run.stop])
+        pairs = offsets.get(key)
+        if pairs is None:
+            kept = [
+                (i - a, j - a)
+                for i, sources in quotient_sources(C, k, run)
+                for j, retained in sources
+                if retained
+            ]
+            pairs = offsets[key] = [d for d, _ in kept], [d for _, d in kept]
+        I.extend(map(add, pairs[0], repeat(a)))
+        J.extend(map(add, pairs[1], repeat(a)))
+    reached = list(map(index.get, map(rho_image, repeat(C), repeat(k), I, J)))
+    off = first(map(is_, reached, repeat(None)))
+    if off is not None:
+        del reached[off:]
+    # one byte per basis element above marks the images met (deque with
+    # no room only runs the map); fewer marks than images means a repeat,
+    # the first image whose first position is not its own
+    met, twice = bytearray(len(above)), None
+    deque(map(met.__setitem__, reached, repeat(1)), maxlen=0)
+    if met.count(1) < len(reached):
+        twice = first(map(ne, map({}.setdefault, reached, count()), count()))
+        del reached[twice:]
+    sign, monos, targets = C.positions[k][0]
+    if reached and (lc, sign) != (-sign, (-1) ** (k - 1)):
+        wrong = 0
+    else:
+        cofactors = map(C.ctx.cofactor, map(monos.__getitem__, I), map(monos.__getitem__, J))
+        no_pair = map(ne, map(targets.__getitem__, I), map(targets.__getitem__, J))
+        off_i = map(ne, map(on.__getitem__, reached), I)
+        off_lead = map(ne, map(leads.__getitem__, reached), cofactors)
+        wrong = first(map(or_, map(or_, no_pair, off_i), off_lead))
+    if wrong is not None:
+        h = partition_str(rho_image(C, k, I[wrong], J[wrong]))
+        return False, (
+            f"leading component of {h} does not match generator ({J[wrong] + 1},{I[wrong] + 1})"
+        ), {"generators": wrong + 1}
+    if twice is not None:
+        h = partition_str(rho_image(C, k, I[twice], J[twice]))
+        return False, f"rho images collide on {h}", {"generators": twice}
+    if off is not None:
+        h = partition_str(rho_image(C, k, I[off], J[off]))
+        return False, f"rho image {h} not a basis element", {"generators": off}
+    total = len(I)
     # every image counted is distinct, so as many as the basis above cover it
     if total != len(above):
         return False, f"generator count {total} != rank {len(above)}", {"generators": total}

@@ -289,6 +289,25 @@ def test_negative_max_degree_exits_2_for_every_command(capsys):
         assert (code, out, err) == (2, "", "error: --max-degree must be nonnegative\n"), command
 
 
+def test_flags_of_one_subcommand_are_refused_by_the_others(tmp_path, capsys):
+    # --require-minimal is read by verify and --out by resolve alone; any
+    # other command refuses them with exit 2 and one error line, before it
+    # reads the input or writes a file.  --seed parses everywhere
+    out_path = tmp_path / "out.json"
+    for command in sorted(cli.COMMANDS):
+        for flag, only, args in (
+            ("--require-minimal", "verify", ["--require-minimal"]),
+            ("--out", "resolve", ["--out", str(out_path)]),
+        ):
+            if command == only:
+                continue
+            assert run(capsys, command, inst("echelon6.json"), *args) == (
+                2, "", f"error: {flag} applies to {only} only\n"
+            ), command
+    assert not out_path.exists()
+    assert run(capsys, "gb", inst("k4.json"), "--seed", "3")[0] == 0
+
+
 @pytest.mark.parametrize(
     "error, code",
     [(ValidationError, 2), (NotIrreducibleError, 3), (InternalError, 1)],

@@ -1,6 +1,7 @@
 import gc
+from collections import Counter
 import random
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 
@@ -12,6 +13,7 @@ from cycres.poly_ring import (
     GradedContext,
     divide,
     divisor_table,
+    s_cofactor,
     s_leading_key,
     s_vector,
 )
@@ -165,8 +167,18 @@ def test_colon_manual_member_and_nonmember(k4_complex):
     assert divide(elem_scale_term(h, 1, t), C.tower, table)
 
 
+def level_sources(C, k):
+    # the sources of every level-k position in a run of two or more, run by
+    # run, in order
+    return [
+        source
+        for run in rv.sibling_runs(C, k)
+        for source in rv.quotient_sources(C, k, run)
+    ]
+
+
 def quotients_at(C, k, i):
-    gens, witness = rv.module_quotients(C, k, i, dict(rv.quotient_sources(C, k))[i])
+    gens, witness = rv.module_quotients(C, k, i, dict(level_sources(C, k)).get(i, []))
     assert witness is None, witness
     return gens
 
@@ -198,7 +210,7 @@ def test_module_quotients_worked_example_level2(generic4_complex):
 def test_module_quotients_empty_when_last_block_is_n(generic4_complex):
     C = generic4_complex
     assert C.bases[1][0] == P([1, 2, 3], [4])
-    assert dict(rv.quotient_sources(C, 1))[0] == []
+    assert dict(level_sources(C, 1))[0] == []
     gens = quotients_at(C, 1, 1)
     assert all(not pruned for *_, pruned in gens)
 
@@ -219,20 +231,34 @@ QUOTIENT_INSTANCES = {
 }
 
 
+def _sources_by_scan(C, k):
+    # the sources of every level-k position by a scan of all pairs: the
+    # positions before it with its first k-1 blocks, retained when their
+    # k-th block holds its own
+    basis = C.bases[k]
+    return [
+        (i, [
+            (j, set(tuples(basis[j])[k - 1]) > set(tuples(p)[k - 1]))
+            for j in range(i)
+            if basis[j][: k - 1] == p[: k - 1]
+        ])
+        for i, p in enumerate(basis)
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(QUOTIENT_INSTANCES))
 def test_quotient_sources_match_all_pairs_scan(name):
     C = QUOTIENT_INSTANCES[name]()
     for k in range(1, C.n):
         basis = C.bases[k]
-        expected = [
-            (i, [
-                (j, set(tuples(basis[j])[k - 1]) > set(tuples(p)[k - 1]))
-                for j in range(i)
-                if basis[j][: k - 1] == p[: k - 1]
-            ])
-            for i, p in enumerate(basis)
-        ]
-        assert list(rv.quotient_sources(C, k)) == expected
+        expected = _sources_by_scan(C, k)
+        # the runs are the groups of neighbours with one prefix; a position
+        # alone in its group has no sources, and its run is not listed
+        groups = [list(g) for _, g in groupby(range(len(basis)), key=lambda i: basis[i][: k - 1])]
+        runs = rv.sibling_runs(C, k)
+        assert [list(run) for run in runs] == [g for g in groups if len(g) > 1]
+        found = dict(level_sources(C, k))
+        assert [(i, found.get(i, [])) for i in range(len(basis))] == expected
 
 
 def test_module_quotients_catch_a_target_across_prefixes():
@@ -262,6 +288,122 @@ def test_module_quotients_witness_spells_out_exponents():
         "direct (1, (0, 1, 0, 0)), formula (1, (1, 1, 0, 0))",
         {"generators": 6},
     )
+
+
+def _module_quotients_pair_by_pair(C):
+    # the module_quotients check with no run memo: every position's
+    # quotients computed from all its sources, position by position
+    total, alone = 0, 1 << (C.n - 1)
+    for k in range(1, C.n):
+        owner = {}
+        for i, target in enumerate(C.positions[k][0][2]):
+            j = owner.setdefault(target, i)
+            if C.bases[k][j][: k - 1] != C.bases[k][i][: k - 1]:
+                return False, (
+                    f"nonzero quotient across different prefixes at level {k}: {j + 1}, {i + 1}"
+                ), {"generators": total}
+        for (i, sources), p in zip(_sources_by_scan(C, k), C.bases[k]):
+            gens, witness = rv.module_quotients(C, k, i, sources)
+            if witness is not None:
+                return False, witness, {"generators": total}
+            total += len(gens)
+            if p[k] == alone and gens:
+                return False, (
+                    f"expected empty quotient set at level {k}, index {i + 1}"
+                ), {"generators": total}
+    return True, None, {"generators": total}
+
+
+def _run_key(C, k, run):
+    # the key verify_module_quotients memoises a run's quotients by
+    a, b = run.start, run.stop
+    return tuple(p[k - 1 :] for p in C.bases[k][a:b]), tuple(C.positions[k][0][1][a:b])
+
+
+def _repeated_run(C):
+    # the first run of a level whose key an earlier run of that level had:
+    # its level, the first run with the key and itself
+    for k in range(1, C.n):
+        first_of = {}
+        for run in rv.sibling_runs(C, k):
+            earlier = first_of.setdefault(_run_key(C, k, run), run)
+            if earlier is not run:
+                return k, earlier, run
+    raise AssertionError("no repeated run")
+
+
+def _pair_in(witness, run):
+    # the 0-based positions of the pair a closed-formula witness names,
+    # both inside the run
+    j, i = map(int, witness.split("pair (")[1].split(")")[0].split(","))
+    return j - 1 in run and i - 1 in run
+
+
+def _reverse_run(C, k, run):
+    # the run's partitions and leads stored in the opposite order: every
+    # lead stays its own partition's, on the one target, but no later
+    # k-th block lies inside an earlier one, so no source is retained
+    a, b = run.start, run.stop
+    C.bases[k][a:b] = C.bases[k][a:b][::-1]
+    sign, leads, targets = C.positions[k][0]
+    C.positions[k][0] = (sign, leads[:a] + leads[a:b][::-1] + leads[b:], targets)
+
+
+@pytest.mark.parametrize("name", ["echelon6", "random6"])
+def test_a_lead_changed_in_a_repeated_run_is_not_read_from_the_memo(name):
+    # a run whose last blocks an earlier run of its level had, the key
+    # memoised, with one lead times x1: the run is computed, and the
+    # witness and counter are those of the check without the memo
+    C = QUOTIENT_INSTANCES[name]()
+    k, earlier, run = _repeated_run(C)
+    assert [p[k - 1 :] for p in C.bases[k][run.start : run.stop]] == [
+        p[k - 1 :] for p in C.bases[k][earlier.start : earlier.stop]
+    ]
+    i = run.start + 1
+    set_entry(C, k, 0, i, mono=C.positions[k][0][1][i] + C.ctx.variables[0])
+    expected = _module_quotients_pair_by_pair(C)
+    assert not expected[0] and expected[1].startswith(f"closed formula mismatch at level {k}")
+    assert _pair_in(expected[1], run)
+    assert rv.verify_module_quotients(C) == expected
+
+
+@pytest.mark.parametrize("name", ["echelon6", "random6"])
+def test_a_repeated_run_on_two_targets_fails_with_no_cofactor(name):
+    # the last lead of a repeated run moved to a partition with nothing
+    # split from it: the run key is unchanged, no target is shared across
+    # prefixes, and the run fails as it does without the memo, on the
+    # first pair it splits, whose cofactor is None
+    C = QUOTIENT_INSTANCES[name]()
+    k, _, run = _repeated_run(C)
+    key = _run_key(C, k, run)
+    targets = C.positions[k][0][2]
+    free = min(set(range(len(C.bases[k - 1]))) - set(targets))
+    set_entry(C, k, 0, run.stop - 1, target=free)
+    assert _run_key(C, k, run) == key
+    expected = _module_quotients_pair_by_pair(C)
+    assert not expected[0] and "direct None" in expected[1]
+    assert _pair_in(expected[1], run) and f",{run.stop})" in expected[1]
+    assert rv.verify_module_quotients(C) == expected
+
+
+@pytest.mark.parametrize("which", ["first", "repeated"])
+@pytest.mark.parametrize("name", ["echelon6", "random6"])
+def test_a_pruned_generator_left_undivided_fails_in_any_run(name, which):
+    # a run stored in reverse retains no source, so its first pruned
+    # generator is divisible by no retained one; whether the run is the
+    # first with its key or one the memo would have read, the check names
+    # it with the counter of the check without the memo
+    C = QUOTIENT_INSTANCES[name]()
+    k, earlier, repeated = _repeated_run(C)
+    run = earlier if which == "first" else repeated
+    _reverse_run(C, k, run)
+    expected = _module_quotients_pair_by_pair(C)
+    assert expected[:2] == (
+        False,
+        f"superfluous generator {run.start + 1} at level {k} not divisible by a "
+        f"retained one (target {run.start + 2})",
+    )
+    assert rv.verify_module_quotients(C) == expected
 
 
 def test_tau_identity_worked_examples(generic4_complex):
@@ -516,6 +658,67 @@ def test_tau_identities_all(k4_complex, generic4_complex, cycle4_complex):
         assert counters["elements"] == sum(len(b) for b in C.bases[2:])
 
 
+def _tau_faults(C, k, pos):
+    # each fault in turn put into column pos of level k + 1, yielding its
+    # name while it is in, and undone after: the lead or the second
+    # monomial times x1, a target moved to the next basis element, the
+    # leading partner i repeated at a later position, and a tail monomial
+    # times x1.  The later position runs over the tail as pos does, and
+    # the moved target over every position
+    level = C.positions[k + 1]
+    x1 = C.ctx.variables[0]
+    i, _ = rv.tau_pair(C, k, C.bases[k + 1][pos])
+    moved, later = pos % len(level), 2 + pos % (len(level) - 2)
+    for name, t, seq, value in (
+        ("lead times x1", 0, 1, level[0][1][pos] + x1),
+        ("second times x1", 1, 1, level[1][1][pos] + x1),
+        ("target moved", moved, 2, (level[moved][2][pos] + 1) % len(C.bases[k])),
+        ("i repeated", later, 2, i),
+        ("tail times x1", later, 1, level[later][1][pos] + x1),
+    ):
+        entries = level[t][seq]
+        entries[pos], stored = value, entries[pos]
+        yield name
+        entries[pos] = stored
+
+
+@pytest.mark.parametrize(
+    "case", VERIFIABLE + [(n, seed) for n in range(3, 7) for seed in range(10)], ids=str
+)
+def test_tau_level_names_the_first_failing_element(case):
+    # every fault of _tau_faults at every element of every level, the last
+    # element of the last level included: the whole-list level check names
+    # the witness and the count of the first element verify_tau_identity
+    # fails, or passes with them all.  A fault in column pos of level k + 1
+    # changes nothing another element reads (each reads its own column and
+    # level k), and on the built complex every element passes, so that
+    # first element is pos when it fails and none fails otherwise
+    if isinstance(case, str):
+        C = bundled_complex(case)
+    else:
+        C = cc.build_complex(graph_core.prepare(graph_core.laplacian(
+            random_icb_digraph(case[0], random.Random(case[1])))))
+    faults = Counter()
+    for k in range(1, C.n - 1):
+        # private lists: the build shares target lists between positions
+        C.positions[k + 1][:] = [(s, list(m), list(t)) for s, m, t in C.positions[k + 1]]
+        width = len(C.bases[k + 1])
+        assert rv.verify_tau_level(C, k) == (True, None, {"elements": width})
+        for pos in range(width):
+            for name in _tau_faults(C, k, pos):
+                ok, witness = rv.verify_tau_identity(C, k, pos)
+                expected = (True, None, {"elements": width}) if ok else (
+                    False, witness, {"elements": pos}
+                )
+                assert rv.verify_tau_level(C, k) == expected, (k, pos, name)
+                faults[name, ok] += 1
+        assert rv.verify_tau_level(C, k) == (True, None, {"elements": width})
+    assert (k, pos) == (C.n - 2, len(C.bases[C.n - 1]) - 1)
+    # every fault but a later tail term or target is caught everywhere
+    assert not any(ok for (name, ok) in faults if name in ("lead times x1", "second times x1"))
+    assert faults["i repeated", True] == 0
+
+
 def test_schreyer_coverage_counts(k4_complex):
     C = k4_complex
     assert rv.verify_schreyer_coverage(C, 1) == (True, None, {"generators": 12})
@@ -563,6 +766,55 @@ def test_schreyer_coverage_compares_the_lead_coefficient_exactly():
             False, f"leading component of {h} does not match generator {generator}",
             {"generators": count},
         )
+
+
+def _schreyer_coverage_pair_by_pair(C, k):
+    # the coverage check with no memo of retained offsets: every retained
+    # pair of every run, one at a time, in order
+    above, index, (lc, leads, on) = (
+        (C.bases[k + 1], C.index[k + 1], C.positions[k + 1][0])
+        if k + 1 < C.n else ([], {}, (None, [], []))
+    )
+    seen, total = set(), 0
+    for i, sources in _sources_by_scan(C, k):
+        for j in (j for j, retained in sources if retained):
+            h = rv.rho_image(C, k, i, j)
+            hi = index.get(h)
+            if hi is None:
+                return False, f"rho image {rv.partition_str(h)} not a basis element", {
+                    "generators": total
+                }
+            if hi in seen:
+                return False, f"rho images collide on {rv.partition_str(h)}", {"generators": total}
+            seen.add(hi)
+            total += 1
+            m = s_cofactor(C.tower, k - 1, i, j)
+            if m is None or (on[hi], leads[hi], lc, m[0]) != (i, m[1], -m[0], (-1) ** (k - 1)):
+                return False, (
+                    f"leading component of {rv.partition_str(h)} does not match "
+                    f"generator ({j + 1},{i + 1})"
+                ), {"generators": total}
+    if total != len(above):
+        return False, f"generator count {total} != rank {len(above)}", {"generators": total}
+    return True, None, {"generators": total}
+
+
+@pytest.mark.parametrize("which", ["first", "repeated"])
+@pytest.mark.parametrize("name", ["echelon6", "random6"])
+def test_schreyer_coverage_takes_each_runs_own_retained_pairs(name, which):
+    # a run stored in reverse retains no source, though a run of the same
+    # length and shape retains some: the check reads the run's own blocks,
+    # and fails as it does pair by pair
+    C = QUOTIENT_INSTANCES[name]()
+    k, earlier, repeated = _repeated_run(C)
+    assert all(
+        rv.verify_schreyer_coverage(C, level) == _schreyer_coverage_pair_by_pair(C, level)
+        for level in range(1, C.n)
+    )
+    _reverse_run(C, k, earlier if which == "first" else repeated)
+    expected = _schreyer_coverage_pair_by_pair(C, k)
+    assert not expected[0]
+    assert rv.verify_schreyer_coverage(C, k) == expected
 
 
 def test_schreyer_coverage_counts_the_basis_above():
