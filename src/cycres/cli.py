@@ -166,7 +166,8 @@ def build_parser():
     ap.add_argument("--omega", type=int, default=None,
                     help="distinguished vertex for the distance enumeration (default: n)")
     ap.add_argument("--max-degree", type=int, default=None, dest="d_max",
-                    help="degree bound for the homology oracle (default: every degree)")
+                    help="verify and homology only: degree bound for the homology "
+                         "oracle (default: every degree)")
     ap.add_argument("--format", choices=["text", "json"], default="text", dest="fmt")
     ap.add_argument("--seed", type=int, default=0,
                     help="accepted and ignored: every check is deterministic")
@@ -198,14 +199,15 @@ def _run(argv):
     try:
         if args.d_max is not None and args.d_max < 0:
             raise ValidationError("--max-degree must be nonnegative")
-        # a flag that only one subcommand reads is refused by the others,
+        # a flag that only some subcommands read is refused by the others,
         # which would otherwise ignore it and exit 0
-        for flag, given, command in (
-            ("--require-minimal", args.require_minimal, "verify"),
-            ("--out", args.out is not None, "resolve"),
+        for flag, given, commands in (
+            ("--require-minimal", args.require_minimal, ("verify",)),
+            ("--out", args.out is not None, ("resolve",)),
+            ("--max-degree", args.d_max is not None, ("verify", "homology")),
         ):
-            if given and args.command != command:
-                raise ValidationError(f"{flag} applies to {command} only")
+            if given and args.command not in commands:
+                raise ValidationError(f"{flag} applies to {' and '.join(commands)} only")
         return COMMANDS[args.command](args)
     except NotIrreducibleError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -332,72 +332,34 @@ def verify_module_quotients(C: CycComplex):
     return True, None, {"generators": total}
 
 
-def tau_pair(C: CycComplex, k, e):
-    """The two merge partners whose S-vector the boundary of e represents."""
-    return C.index[k][merge(e, k)], C.index[k][merge(e, k - 1)]
-
-
-def verify_tau_identity(C: CycComplex, k, pos) -> tuple:
-    """Check that -boundary(e) is a syzygy recording a standard expression.
-
-    Returns (ok, witness).  e = C.bases[k + 1][pos] has k+2 blocks, and
-    its column de is entry pos of the k+2 positions of its level.  de must
-    lead with the cofactor of merge partner i in their S-vector S, hold
-    that of partner j second and no other term on either, and its first
-    tail term, at the third position, must map one level down to Lt(S)
-    exactly (read off the two stored columns by s_leading_key); the
-    column's keys strictly decrease (the leading_term_formula check), so
-    that term bounds the rest.  Every column of the level has k+2 >= 3
-    terms, so a tail term is always there.  "tail = S" is exactly
-    d(de) = 0, which check_d_squared proves, so the tail is not summed here.
-    """
-    e, level = C.bases[k + 1][pos], C.positions[k + 1]
-    i, j = tau_pair(C, k, e)
-    if j >= i:
-        return False, f"pair order violated for {partition_str(e)}"
-    m_ji = s_cofactor(C.tower, k - 1, i, j)
-    if m_ji is None:
-        return False, f"no S-pair behind {partition_str(e)}"
-    m_ij = s_cofactor(C.tower, k - 1, j, i)
-    sign = (-1) ** (k - 1)
-    expect_ji = (sign, C.arrows[e[k], e[k + 1]])
-    expect_ij = (sign, C.arrows[e[k - 1], e[k]])
-    if m_ji != expect_ji or m_ij != expect_ij:
-        return False, f"m-coefficients differ at {partition_str(e)}"
-    on = [targets[pos] for _, _, targets in level]
-    (lead_sign, leads, _), (second_sign, seconds, _), (_, tails, _) = level[:3]
-    if (lead_sign, leads[pos], on[0]) != (-m_ji[0], m_ji[1], i) or on.count(i) != 1:
-        return False, f"leading component mismatch at {partition_str(e)}"
-    if (second_sign, seconds[pos], on[1]) != (m_ij[0], m_ij[1], j) or on.count(j) != 1:
-        return False, f"second component mismatch at {partition_str(e)}"
-    # the tail writes S as a standard expression: it sums to S because
-    # d(de) = 0 (check_d_squared), and its first term leads it, at Lt(S)
-    s_key = s_leading_key(C.tower, k - 1, i, j, m_ji, m_ij)
-    if image_key(C.tower, k - 1, tails[pos], on[2]) != s_key:
-        return False, f"standard-expression bound fails at {partition_str(e)}"
-    return True, None
-
-
 def verify_tau_level(C: CycComplex, k):
-    """verify_tau_identity for every element of level k + 1, a whole list
+    """Check that every element of level k + 1 is a τ-syzygy, a whole list
     at a time: (ok, witness, {"elements": the elements passed}).
 
-    Each comparison of verify_tau_identity is made for every element at
-    once.  The merge partners I and J come from merge and the index, not
-    from the build's merge_targets; the cofactors m_ji and m_ij from the
-    leads of level k, which must share a target.  Positions 0 and 1 of the
-    element's column are compared with them (sign, monomial, target), and
-    no later position may hold i or j.  Lt(S) is walked for every element
-    at once by s_leading_key's rule, one position of level k at a time, for
-    the elements whose terms have cancelled at every position before: both
-    cofactors carry the sign of level k's first position, so two terms
-    cancel exactly when their keys are equal.  The key it ends on is
-    compared with that of the image of the first tail term, at position 2.
-    An element fails verify_tau_identity exactly when some comparison flags
-    it; the flagged elements are walked by verify_tau_identity, lowest
-    first, and the first that fails names the witness.
+    The column de of an element e (k+2 blocks) must be minus a syzygy that
+    records a standard expression of the S-vector S = m_ji*f_i - m_ij*f_j
+    of its merge partners, the columns f_i, f_j of level k.  I and J come
+    from merge and the index, not from the build's merge_targets, and must
+    order J < I; the cofactors m_ji, m_ij from the leads of level k, which
+    must share a target, and they must equal their arrow monomials under
+    the sign (-1)^(k-1) of level k's first position.  Position 0 of de must
+    hold -m_ji on I and position 1 m_ij on J, and no other position either
+    partner.  Lt(S) is walked for every element at once by s_leading_key's
+    rule, one position of level k at a time, for the elements whose terms
+    have cancelled at every position before: both cofactors carry that
+    sign, so two terms cancel exactly when their keys are equal.  The first
+    tail term, at position 2 (every column has k+2 >= 3 terms), must map one
+    level down to Lt(S) exactly; the column's keys strictly decrease (the
+    leading_term_formula check), so it bounds the rest.  "tail = S" is exactly d(de) = 0, which check_d_squared
+    proves, so the tail is not summed here.
+
+    Each comparison flags the elements it fails, as a whole list, and a
+    sign fault flags them all.  The flags fall into six fault classes, in
+    the order above; the witness is the lowest element any class flags,
+    named by the first class whose own first flag is that element.
     """
     basis, level = C.bases[k + 1], C.positions[k + 1]
+    width = len(basis)
     index, arrows, cofactor = C.index[k], C.arrows, C.ctx.cofactor
     I = list(map(index.__getitem__, map(merge, basis, repeat(k))))
     J = list(map(index.__getitem__, map(merge, basis, repeat(k - 1))))
@@ -405,18 +367,6 @@ def verify_tau_level(C: CycComplex, k):
     m_ji = list(map(cofactor, map(monos.__getitem__, I), map(monos.__getitem__, J)))
     m_ij = list(map(cofactor, map(monos.__getitem__, J), map(monos.__getitem__, I)))
     (lead_sign, leads, on_i), (second_sign, seconds, on_j), (_, tails, on_tail) = level[:3]
-    flags = [
-        map(ge, J, I),
-        map(ne, map(targets.__getitem__, I), map(targets.__getitem__, J)),
-        map(ne, m_ji, map(arrows.__getitem__, map(itemgetter(k, k + 1), basis))),
-        map(ne, m_ij, map(arrows.__getitem__, map(itemgetter(k - 1, k), basis))),
-        map(ne, leads, m_ji),
-        map(ne, on_i, I),
-        map(ne, seconds, m_ij),
-        map(ne, on_j, J),
-    ]
-    for _, _, on in level[2:]:
-        flags += [map(eq, on, I), map(eq, on, J)]
     # Lt(S) for S = m_ji * f_i - m_ij * f_j, keyed one level down: x^m
     # times term t of column c of level k has the key
     # ((m + monos_t[c]) << bits) + base[targets_t[c]]
@@ -426,8 +376,8 @@ def verify_tau_level(C: CycComplex, k):
         terms = map(lshift, map(add, m, map(ms.__getitem__, c)), repeat(bits))
         return map(add, terms, map(base.__getitem__, map(ts.__getitem__, c)))
 
-    s_keys = [None] * len(basis)
-    walking = [range(len(basis)), I, J, m_ji, m_ij]
+    s_keys = [None] * width
+    walking = [range(width), I, J, m_ji, m_ij]
     for _, ms, ts in C.positions[k]:
         elems, ii, jj, mi, mj = walking
         cancel = list(map(eq, keys(ms, ts, mi, ii), keys(ms, ts, mj, jj)))
@@ -439,24 +389,45 @@ def verify_tau_level(C: CycComplex, k):
         walking = [list(compress(seq, cancel)) for seq in walking]
         if not walking[0]:
             break
-    flags.append(map(ne, keys(monos, targets, tails, on_tail), s_keys))
-    sign_k = (-1) ** (k - 1)
-    if (sign, lead_sign, second_sign) != (sign_k, -sign_k, sign_k):
-        suspects = range(len(basis))
-    else:
-        suspects = sorted({e for flag in flags for e in compress(count(), flag)})
-    for pos in suspects:
-        ok, witness = verify_tau_identity(C, k, pos)
-        if not ok:
-            return False, witness, {"elements": pos}
-    return True, None, {"elements": len(basis)}
+    classes = [
+        ("pair order violated for", [map(ge, J, I)]),
+        ("no S-pair behind", [
+            map(ne, map(targets.__getitem__, I), map(targets.__getitem__, J)),
+        ]),
+        ("m-coefficients differ at", [
+            repeat(sign != (-1) ** (k - 1), width),
+            map(ne, m_ji, map(arrows.__getitem__, map(itemgetter(k, k + 1), basis))),
+            map(ne, m_ij, map(arrows.__getitem__, map(itemgetter(k - 1, k), basis))),
+        ]),
+        ("leading component mismatch at", [
+            repeat(lead_sign != -sign, width),
+            map(ne, leads, m_ji),
+            map(ne, on_i, I),
+            *(map(eq, on, I) for _, _, on in level[1:]),
+        ]),
+        ("second component mismatch at", [
+            repeat(second_sign != sign, width),
+            map(ne, seconds, m_ij),
+            map(ne, on_j, J),
+            *(map(eq, on, J) for _, _, on in level[2:]),
+        ]),
+        ("standard-expression bound fails at", [
+            map(ne, keys(monos, targets, tails, on_tail), s_keys),
+        ]),
+    ]
+    # min keeps the first of equal positions, so the earliest class names it
+    found = [(pos, name) for name, flags in classes
+             for pos in map(first, flags) if pos is not None]
+    if found:
+        pos, name = min(found, key=itemgetter(0))
+        return False, f"{name} {partition_str(basis[pos])}", {"elements": pos}
+    return True, None, {"elements": width}
 
 
 def verify_tau_identities(C: CycComplex):
-    """verify_tau_identity for every element of levels 2..n-1, a level at a
-    time (verify_tau_level), lowest level first.  Counts the elements
-    passed: on a failure, those of the levels below and those of its
-    level before the witness, as an element by element walk counts them.
+    """verify_tau_level for levels 2..n-1, lowest level first.  Counts the
+    elements passed: on a failure, those of the levels below and those of
+    its level before the witness.
     """
     total = 0
     for k in range(1, C.n - 1):

@@ -1,7 +1,12 @@
-"""The all-terms bound on a standard expression: the check that the
-single key equality of resolution_verify replaces, kept as the reference
-it is tested against (as divide_reference keeps the linear scan).
+"""References for the standard-expression checks of resolution_verify: the
+all-terms bound on a standard expression, which the single key equality
+replaces (as divide_reference keeps the linear scan), and the τ check of
+one element at a time, which the whole-list verify_tau_level replaces.
 """
+
+from cycres.cyc_complex import merge
+from cycres.poly_ring import s_cofactor, s_leading_key
+from cycres.resolution_verify import image_key, partition_str
 
 
 def below_leading_term(tower, level, s_key, terms):
@@ -14,3 +19,45 @@ def below_leading_term(tower, level, s_key, terms):
         return True
     _, monos, targets = tower.positions[level + 1][0]
     return all(s_key >= tower.key(level, mono + monos[j], targets[j]) for mono, j in terms)
+
+
+def tau_pair(C, k, e):
+    """The two merge partners whose S-vector the boundary of e represents."""
+    return C.index[k][merge(e, k)], C.index[k][merge(e, k - 1)]
+
+
+def verify_tau_identity(C, k, pos):
+    """Check that -boundary(e) is a syzygy recording a standard expression,
+    for the one element e = C.bases[k + 1][pos]: (ok, witness).
+
+    e has k+2 blocks, and its column de is entry pos of the k+2 positions
+    of its level.  de must lead with the cofactor of merge partner i in
+    their S-vector S, hold that of partner j second and no other term on
+    either, and its first tail term, at the third position, must map one
+    level down to Lt(S) exactly (read off the two stored columns by
+    s_leading_key).  The comparisons are made in that order, and the first
+    that fails names the witness.
+    """
+    e, level = C.bases[k + 1][pos], C.positions[k + 1]
+    i, j = tau_pair(C, k, e)
+    if j >= i:
+        return False, f"pair order violated for {partition_str(e)}"
+    m_ji = s_cofactor(C.tower, k - 1, i, j)
+    if m_ji is None:
+        return False, f"no S-pair behind {partition_str(e)}"
+    m_ij = s_cofactor(C.tower, k - 1, j, i)
+    sign = (-1) ** (k - 1)
+    expect_ji = (sign, C.arrows[e[k], e[k + 1]])
+    expect_ij = (sign, C.arrows[e[k - 1], e[k]])
+    if m_ji != expect_ji or m_ij != expect_ij:
+        return False, f"m-coefficients differ at {partition_str(e)}"
+    on = [targets[pos] for _, _, targets in level]
+    (lead_sign, leads, _), (second_sign, seconds, _), (_, tails, _) = level[:3]
+    if (lead_sign, leads[pos], on[0]) != (-m_ji[0], m_ji[1], i) or on.count(i) != 1:
+        return False, f"leading component mismatch at {partition_str(e)}"
+    if (second_sign, seconds[pos], on[1]) != (m_ij[0], m_ij[1], j) or on.count(j) != 1:
+        return False, f"second component mismatch at {partition_str(e)}"
+    s_key = s_leading_key(C.tower, k - 1, i, j, m_ji, m_ij)
+    if image_key(C.tower, k - 1, tails[pos], on[2]) != s_key:
+        return False, f"standard-expression bound fails at {partition_str(e)}"
+    return True, None

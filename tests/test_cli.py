@@ -290,16 +290,18 @@ def test_negative_max_degree_exits_2_for_every_command(capsys):
 
 
 def test_flags_of_one_subcommand_are_refused_by_the_others(tmp_path, capsys):
-    # --require-minimal is read by verify and --out by resolve alone; any
-    # other command refuses them with exit 2 and one error line, before it
-    # reads the input or writes a file.  --seed parses everywhere
+    # --require-minimal is read by verify and --out by resolve alone, and
+    # --max-degree by verify and homology; any other command refuses them
+    # with exit 2 and one error line, before it reads the input or writes a
+    # file.  --seed parses everywhere
     out_path = tmp_path / "out.json"
     for command in sorted(cli.COMMANDS):
         for flag, only, args in (
             ("--require-minimal", "verify", ["--require-minimal"]),
             ("--out", "resolve", ["--out", str(out_path)]),
+            ("--max-degree", "verify and homology", ["--max-degree", "5"]),
         ):
-            if command == only:
+            if command in only.split(" and "):
                 continue
             assert run(capsys, command, inst("echelon6.json"), *args) == (
                 2, "", f"error: {flag} applies to {only} only\n"

@@ -28,6 +28,26 @@ def test_modules_import_only_the_standard_library_and_each_other():
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
 
 
+def test_every_imported_name_is_read_in_its_module():
+    # a name that a package module imports is read in that module, so a
+    # name that goes takes its import with it
+    unread, count = [], 0
+    for path in sorted((ROOT / "src" / "cycres").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    count += 1
+                    if (alias.asname or alias.name.split(".")[0]) not in read:
+                        unread.append(f"{path.name}: {alias.name}")
+    assert count > 50
+    assert unread == []
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # the records are plain classes, so starting the CLI pulls in none of
     # the modules behind dataclasses (inspect, ast, dis, tokenize, ...)

@@ -22,7 +22,7 @@ import graph_reference
 import lead_ideal_reference
 import linalg_reference
 import oracle_reference
-from standard_expression_reference import below_leading_term
+from standard_expression_reference import below_leading_term, tau_pair, verify_tau_identity
 from tower_reference import leading_module_term
 from conftest import (
     ECHELON6,
@@ -410,10 +410,10 @@ def test_tau_identity_worked_examples(generic4_complex):
     C = generic4_complex
     a = C.L.a
     e1 = P([2, 3], [1], [4])
-    i, j = rv.tau_pair(C, 1, e1)
+    i, j = tau_pair(C, 1, e1)
     assert (C.bases[1][i], C.bases[1][j]) == (P([2, 3], [1, 4]), P([1, 2, 3], [4]))
     pos1 = C.index[2][e1]
-    ok, witness = rv.verify_tau_identity(C, 1, pos1)
+    ok, witness = verify_tau_identity(C, 1, pos1)
     assert ok, witness
     de = column_elem(columns(C, 2)[pos1])
     # -tau leads with +x1^a14
@@ -421,13 +421,13 @@ def test_tau_identity_worked_examples(generic4_complex):
     assert on_i == poly_elem(C.ctx, {(a[0][3], 0, 0, 0): -1}, i)
 
     e2 = P([3], [2], [1], [4])
-    i2, j2 = rv.tau_pair(C, 2, e2)
+    i2, j2 = tau_pair(C, 2, e2)
     assert (C.bases[2][i2], C.bases[2][j2]) == (
         P([3], [2], [1, 4]),
         P([3], [1, 2], [4]),
     )
     pos2 = C.index[3][e2]
-    ok, witness = rv.verify_tau_identity(C, 2, pos2)
+    ok, witness = verify_tau_identity(C, 2, pos2)
     assert ok, witness
     de2 = column_elem(columns(C, 3)[pos2])
     # m^2_{4,5} = -x1^a14
@@ -439,10 +439,17 @@ def _tau_target(k=2, e=P([3], [2], [1], [4])):
     # a fresh generic4 complex to corrupt, the tau element e at level k, its
     # merge partners and its position
     C = cc.build_complex(graph_core.prepare(generic4_matrix()))
-    i, j = rv.tau_pair(C, k, e)
+    i, j = tau_pair(C, k, e)
     col = C.index[k + 1][e]
-    assert rv.verify_tau_identity(C, k, col) == (True, None)
+    assert verify_tau_identity(C, k, col) == (True, None)
     return C, k, i, j, col
+
+
+def _caught(C, k, col, witness):
+    # the element of col fails with witness, and the whole-list level
+    # check names it with the same witness, the elements before it passed
+    assert verify_tau_identity(C, k, col) == (False, witness)
+    assert rv.verify_tau_level(C, k) == (False, witness, {"elements": col})
 
 
 def _replace_term(C, level, col, which, change):
@@ -469,7 +476,7 @@ def test_tau_identity_catches_a_wrong_m_coefficient():
     # formula does not predict
     C, k, i, j, col = _tau_target()
     _times_head(C, k, j, (1, 0, 0, 0))
-    assert rv.verify_tau_identity(C, k, col) == (False, "m-coefficients differ at (3,2,1,4)")
+    _caught(C, k, col, "m-coefficients differ at (3,2,1,4)")
 
 
 def test_tau_identity_catches_a_wrong_leading_component():
@@ -477,9 +484,7 @@ def test_tau_identity_catches_a_wrong_leading_component():
     C, k, i, j, col = _tau_target()
     x1 = C.ctx.variables[0]
     _replace_term(C, k + 1, col, lambda t: t[2] == i, lambda t: (t[0], t[1] + x1, t[2]))
-    assert rv.verify_tau_identity(C, k, col) == (
-        False, "leading component mismatch at (3,2,1,4)"
-    )
+    _caught(C, k, col, "leading component mismatch at (3,2,1,4)")
 
 
 def test_tau_identity_catches_a_wrong_second_component():
@@ -487,9 +492,7 @@ def test_tau_identity_catches_a_wrong_second_component():
     C, k, i, j, col = _tau_target()
     x1 = C.ctx.variables[0]
     _replace_term(C, k + 1, col, lambda t: t[2] == j, lambda t: (t[0], t[1] + x1, t[2]))
-    assert rv.verify_tau_identity(C, k, col) == (
-        False, "second component mismatch at (3,2,1,4)"
-    )
+    _caught(C, k, col, "second component mismatch at (3,2,1,4)")
 
 
 def test_tau_identity_catches_a_tail_term_above_the_s_vector():
@@ -500,9 +503,7 @@ def test_tau_identity_catches_a_tail_term_above_the_s_vector():
         C, k + 1, col, lambda t: t[2] not in (i, j),
         lambda t: (t[0], t[1] + C.ctx.pack((10, 0, 0, 0)), t[2]),
     )
-    assert rv.verify_tau_identity(C, k, col) == (
-        False, "standard-expression bound fails at (3,2,1,4)"
-    )
+    _caught(C, k, col, "standard-expression bound fails at (3,2,1,4)")
 
 
 def test_tau_identity_catches_a_lowered_first_tail_term():
@@ -517,9 +518,7 @@ def test_tau_identity_catches_a_lowered_first_tail_term():
     s_key = s_leading_key(C.tower, k - 1, i, j, m_ji, m_ij)
     tail = [(mono, idx) for _, mono, idx in columns(C, k + 1)[col][2:]]
     assert below_leading_term(C.tower, k - 1, s_key, tail)
-    assert rv.verify_tau_identity(C, k, col) == (
-        False, "standard-expression bound fails at (3,2,1,4)"
-    )
+    _caught(C, k, col, "standard-expression bound fails at (3,2,1,4)")
 
 
 def test_tau_identity_leaves_a_cancelled_tail_to_d_squared():
@@ -532,7 +531,8 @@ def test_tau_identity_leaves_a_cancelled_tail_to_d_squared():
     (_, _, first, last) = C.positions[k + 1]
     assert first[0] == -last[0] == 1
     set_entry(C, k + 1, 3, col, first[1][col], first[2][col])
-    assert rv.verify_tau_identity(C, k, col) == (True, None)
+    assert verify_tau_identity(C, k, col) == (True, None)
+    assert rv.verify_tau_level(C, k) == (True, None, {"elements": len(C.bases[k + 1])})
     assert cc.check_d_squared(C) == (
         False, f"composition nonzero on column {col + 1} in degree {k + 1}", {}
     )
@@ -541,8 +541,18 @@ def test_tau_identity_leaves_a_cancelled_tail_to_d_squared():
 def test_tau_identity_catches_a_tail_term_moved_onto_the_leading_partner():
     C, k, i, j, col = _tau_target()
     _replace_term(C, k + 1, col, lambda t: t[2] not in (i, j), lambda t: (t[0], t[1], i))
-    assert rv.verify_tau_identity(C, k, col) == (
-        False, "leading component mismatch at (3,2,1,4)"
+    _caught(C, k, col, "leading component mismatch at (3,2,1,4)")
+
+
+def test_tau_identities_count_the_elements_before_a_level3_witness():
+    # a fault at level 3 stops the check there: it counts every element of
+    # level 2, which passed, and those of level 3 before the witness
+    C, k, i, j, col = _tau_target(e=P([2], [1], [3], [4]))
+    assert (k + 1, col, len(C.bases[2])) == (3, 3, 12)
+    x1 = C.ctx.variables[0]
+    _replace_term(C, k + 1, col, lambda t: t[2] == j, lambda t: (t[0], t[1] + x1, t[2]))
+    assert rv.verify_tau_identities(C) == (
+        False, "second component mismatch at (2,1,3,4)", {"elements": 12 + 3}
     )
 
 
@@ -642,7 +652,7 @@ def test_walked_s_leading_key_is_the_lead_of_the_built_s_vector(case):
     assert zero == r1
     for k in range(1, C.n - 1):
         for e in C.bases[k + 1]:
-            i, j = rv.tau_pair(C, k, e)
+            i, j = tau_pair(C, k, e)
             walked = walked_lead(k - 1, i, j)
             de = levels[k + 1][C.index[k + 1][e]]
             tail = [(mono, idx) for _, mono, idx in de if idx not in (i, j)]
@@ -667,7 +677,7 @@ def _tau_faults(C, k, pos):
     # the moved target over every position
     level = C.positions[k + 1]
     x1 = C.ctx.variables[0]
-    i, _ = rv.tau_pair(C, k, C.bases[k + 1][pos])
+    i, _ = tau_pair(C, k, C.bases[k + 1][pos])
     moved, later = pos % len(level), 2 + pos % (len(level) - 2)
     for name, t, seq, value in (
         ("lead times x1", 0, 1, level[0][1][pos] + x1),
@@ -706,7 +716,7 @@ def test_tau_level_names_the_first_failing_element(case):
         assert rv.verify_tau_level(C, k) == (True, None, {"elements": width})
         for pos in range(width):
             for name in _tau_faults(C, k, pos):
-                ok, witness = rv.verify_tau_identity(C, k, pos)
+                ok, witness = verify_tau_identity(C, k, pos)
                 expected = (True, None, {"elements": width}) if ok else (
                     False, witness, {"elements": pos}
                 )
@@ -717,6 +727,49 @@ def test_tau_level_names_the_first_failing_element(case):
     # every fault but a later tail term or target is caught everywhere
     assert not any(ok for (name, ok) in faults if name in ("lead times x1", "second times x1"))
     assert faults["i repeated", True] == 0
+
+
+def _tau_level_reference(C, k):
+    # verify_tau_identity at every element of level k + 1 in turn, stopping
+    # at the first that fails, with the elements before it counted
+    for pos in range(len(C.bases[k + 1])):
+        ok, witness = verify_tau_identity(C, k, pos)
+        if not ok:
+            return False, witness, {"elements": pos}
+    return True, None, {"elements": len(C.bases[k + 1])}
+
+
+@pytest.mark.parametrize(
+    "case", VERIFIABLE + [(n, seed) for n in range(3, 7) for seed in range(10)], ids=str
+)
+def test_tau_level_names_the_first_sign_fault(case):
+    # the sign of level k's first position, and of level k + 1's positions
+    # 0 and 1, flipped in turn: each fails every element, so the first
+    # element is the witness, as the reference names it.  Position 2's
+    # sign is d_squared's to check (tail = S), so its flip passes here
+    if isinstance(case, str):
+        C = bundled_complex(case)
+    else:
+        C = cc.build_complex(graph_core.prepare(graph_core.laplacian(
+            random_icb_digraph(case[0], random.Random(case[1])))))
+    for k in range(1, C.n - 1):
+        e = rv.partition_str(C.bases[k + 1][0])
+        for level, t, witness in (
+            (k, 0, f"m-coefficients differ at {e}"),
+            (k + 1, 0, f"leading component mismatch at {e}"),
+            (k + 1, 1, f"second component mismatch at {e}"),
+            (k + 1, 2, None),
+        ):
+            positions = C.positions[level]
+            stored = positions[t]
+            positions[t] = (-stored[0], *stored[1:])
+            expected = _tau_level_reference(C, k)
+            if witness is None:
+                assert expected == (True, None, {"elements": len(C.bases[k + 1])})
+            else:
+                assert expected == (False, witness, {"elements": 0}), (k, level, t)
+            assert rv.verify_tau_level(C, k) == expected, (k, level, t)
+            positions[t] = stored
 
 
 def test_schreyer_coverage_counts(k4_complex):
@@ -1196,7 +1249,7 @@ def test_full_verify_flags_corruption():
     # the tau check leaves the tail's sum to d_squared, which must catch it
     C = complex_from_matrix(K4_ROWS)
     _, mono, idx = columns(C, 2)[0][-1]
-    assert idx not in rv.tau_pair(C, 1, C.bases[2][0])
+    assert idx not in tau_pair(C, 1, C.bases[2][0])
     set_entry(C, 2, 2, 0, mono=mono + C.ctx.variables[0])
     report = rv.full_verify(C, d_max=4, instance="corrupted")
     assert not report.passed
