@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
 def cmd_gb(args) -> int:
     M = _prepare(args)
     C = cyc_complex.build_complex(M)
-    lines = list(elem_str(C.positions[1], term_tails(0, 1), C.ctx))
+    lines = list(map("".join, zip(*elem_str(C.positions[1], term_tails(0, 1), C.ctx))))
     _emit(args, {"groebner_basis": lines}, "\n".join(lines))
     return EXIT_OK
 

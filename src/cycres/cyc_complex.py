@@ -16,8 +16,8 @@ that structure (merge_targets); only the checks merge partitions and look
 them up, which cross-checks those positions.
 """
 
-from functools import cached_property
-from itertools import accumulate, compress, count, repeat
+from functools import cached_property, partial
+from itertools import accumulate, chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import add, itemgetter, le, lshift, ne, or_
@@ -90,9 +90,11 @@ def merge_targets(bases):
       s = k-1  P itself;
       s = k    merge(P, k-1): the rank of p[k-1] among the splits of
                p[0] | p[k-1] | p[k].
-    Every target is taken from one list of positions, so equal targets are
-    one int object on every level, and the generator keeps one level of
-    targets.
+    The siblings of every partition one level down are sliced once per
+    level (kids), so each target list for s < k-2 is the siblings of the
+    parent's targets, chained a whole list at a time.  Every target is
+    taken from one list of positions, so equal targets are one int object
+    on every level, and the generator keeps one level of targets.
     """
     n = len(bases)
     splits = split_table(n)
@@ -105,9 +107,12 @@ def merge_targets(bases):
             targets = [up, up]
         else:
             below = targets
-            # merge(P, s) has as many splits as P, so they pair up in order
+            # kids[t]: the positions in bases[k-1] of the partitions split
+            # from bases[k-2][t]; merge(P, s) has as many splits as P, so
+            # they pair up in order
+            kids = [at[a:b] for a, b in zip(start, start[1:])]
             targets = [
-                [i for t in below[s] for i in at[start[t] : start[t + 1]]] for s in range(k - 2)
+                list(chain.from_iterable(map(kids.__getitem__, below[s]))) for s in range(k - 2)
             ]
             targets.append([
                 at[start[t] + r[P[-2] | b]]
@@ -122,7 +127,7 @@ def merge_targets(bases):
                 for r in (rank[P[0] | P[-1]],)
                 for b in splits[P[-1]]
             ])
-            del below
+            del below, kids
         start = list(accumulate([len(splits[P[-1]]) for P in parents], initial=0))
         yield targets
 
@@ -161,7 +166,7 @@ def merge(p, s):
     return p[:s] + (p[s] | p[s + 1],) + p[s + 2 :]
 
 
-def boundary(basis, arrows: ArrowTable, targets):
+def boundary(basis, arrows: ArrowTable, targets, below):
     """Images of one level's basis partitions under the differential, as
     the level's term positions.
 
@@ -169,11 +174,20 @@ def boundary(basis, arrows: ArrowTable, targets):
     coefficients and signs alternating from +1, except that the closing
     merge of the last block into the first is always -1.  ``targets[s][j]``
     is the basis position of merge(basis[j], s) one level down, as
-    merge_targets gives it.  The position of merge s is (sign, monos,
+    merge_targets gives it, and ``below`` is that level's positions, as
+    this function gave them.  The position of merge s is (sign, monos,
     targets[s]): that merge's term of every column at once, its one sign
     the int +-1 above, monos[j] the arrow monomial of basis[j] from block s
     into its successor, and the targets list stored as given.  Column j is
     entry j of each position, in the order of the positions.
+
+    For s < k-2 the monomials are copied from the parent, a whole list at a
+    time: blocks s and s+1 of p = basis[j] are blocks s and s+1 of the
+    partition it was split from, merge(p, k-1), which stands at
+    targets[k-1][j] one level down, so p's arrow monomial of merge s is
+    entry targets[k-1][j] of that level's position of merge s,
+    below[k-2-s].  Only the merges s >= k-2, which read the split block,
+    look up the arrow table.
 
     The positions come in the order s = k-1, ..., 0, k, strictly decreasing
     in the module order one level down, so the tower stores them as given
@@ -197,7 +211,10 @@ def boundary(basis, arrows: ArrowTable, targets):
     positions = []
     for s in (*range(k - 1, -1, -1), k):
         sign, t = (-1, 0) if s == k else ((-1) ** s, s + 1)
-        monos = list(map(arrows.__getitem__, map(itemgetter(s, t), basis)))
+        if s < k - 2:
+            monos = list(map(below[k - 2 - s][1].__getitem__, targets[k - 1]))
+        else:
+            monos = list(map(arrows.__getitem__, map(itemgetter(s, t), basis)))
         positions.append((sign, monos, targets[s]))
     return positions
 
@@ -274,7 +291,7 @@ def build_complex(L: CBMatrix, degree=0) -> CycComplex:
     bases = enumerate_basis(n)
     tower = OrderTower(ctx)
     for k, targets in enumerate(merge_targets(bases), 1):
-        tower.add_level(boundary(bases[k], arrows, targets))
+        tower.add_level(boundary(bases[k], arrows, targets, tower.positions[k - 1]))
     return CycComplex(L, ctx, bases, tower, arrows)
 
 
@@ -424,8 +441,8 @@ def minimality_check(C: CycComplex):
 def _write_list(write, depth, items):
     """Write a list at nesting depth `depth`, laid out as the json module
     lays it out with indent=2.  An item is the JSON text of one value,
-    written at once with the separator before it, or an iterable of items,
-    written as a nested list."""
+    written at once with the separator before it, or a function that
+    writes a nested list, called with write after the separator."""
     pad = "\n" + "  " * (depth + 1)
     sep = "["
     for item in items:
@@ -433,7 +450,7 @@ def _write_list(write, depth, items):
             write(sep + pad + item)
         else:
             write(sep + pad)
-            _write_list(write, depth + 1, item)
+            item(write)
         sep = ","
     write("[]" if sep == "[" else "\n" + "  " * depth + "]")
 
@@ -449,34 +466,55 @@ def _list_text(depth, items):
 
 # the "·e[" that opens every term tail of level >= 1, JSON-escaped
 TAIL_PREFIX = encode_basestring_ascii("·e[")[1:-1]
+# the JSON text around a column entry of a level in "diffs", at its depth:
+# the opening of the first entry and of each later one, up to the basis
+# number; the poly key after the number; the close after the poly's text
+ENTRY_OPEN = '[\n      {\n        "basis": ', ',\n      {\n        "basis": '
+POLY_OPEN = ',\n        "poly": "'
+ENTRY_CLOSE = '"\n      }'
 
 
-def _column_entries(C: CycComplex, k):
-    """The JSON text of each column entry of level k, rendered when asked.
-    The term tails of the level below are built once for this level, with
-    their "·e[" prefix JSON-escaped once; the term texts are plain ASCII
-    with no quote or backslash, and JSON escapes character by character, so
-    the rendered poly is its own JSON-escaped text."""
+def _write_columns(C: CycComplex, k, write):
+    """Write level k's list of column entries, as _write_list would write
+    it at its depth in "diffs", one write per column: the entry's opening,
+    its basis number, the poly key, the pieces of its poly as elem_str
+    gives them and its close, zipped and joined once.  The term tails of
+    the level below are built once for this level, with their "·e[" prefix
+    JSON-escaped once; the term texts are plain ASCII with no quote or
+    backslash, and JSON escapes character by character, so the joined
+    poly is its own JSON-escaped text."""
+    positions = C.positions[k]
+    width = len(positions[0][1]) if positions else 0
+    if not width:
+        write("[]")
+        return
     level = k - 1
     tails = term_tails(level, len(C.bases[level]) if level else 1, TAIL_PREFIX)
-    entry = '{{\n        "basis": {},\n        "poly": "{}"\n      }}'.format
-    return map(entry, count(1), elem_str(C.positions[k], tails, C.ctx))
+    entries = zip(
+        chain(ENTRY_OPEN[:1], repeat(ENTRY_OPEN[1])),
+        map(str, range(1, width + 1)),
+        repeat(POLY_OPEN),
+        *elem_str(positions, tails, C.ctx),
+        repeat(ENTRY_CLOSE),
+    )
+    for entry in map("".join, entries):
+        write(entry)
+    write("\n    ]")
 
 
 def export_json(C: CycComplex, fh):
     """Write the complex to the text stream fh as the JSON document
     {"diffs", "n", "nu", "ranks", "shifts"}, laid out byte for byte as the
     json module lays it out with indent=2 and sorted keys, with no trailing
-    newline.  Each column is rendered from the term positions and written
-    on its own, and each level of shifts in one write, so neither the
-    whole document nor a level of column texts is ever held in memory, and
-    no column is derived.  A column's poly is rendered by elem_str with its
-    level's suffixes already JSON-escaped and quoted as it stands (see
-    _column_entries), so no text is escaped twice.
+    newline.  Each column entry is joined from the term positions' pieces
+    and written on its own (see _write_columns), and each level of shifts
+    in one write, so neither the whole document nor a level of column
+    texts is ever held in memory, no column is derived and no text is
+    escaped twice.
     """
     write = fh.write
     write('{\n  "diffs": ')
-    _write_list(write, 1, (_column_entries(C, k) for k in range(1, C.n)))
+    _write_list(write, 1, (partial(_write_columns, C, k) for k in range(1, C.n)))
     write(f',\n  "n": {C.n},\n  "nu": ')
     _write_list(write, 1, map(str, C.ctx.nu))
     write(',\n  "ranks": ')

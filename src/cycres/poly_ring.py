@@ -42,8 +42,9 @@ order on packed monomials is exactly that order.  Module orders are induced
 level by level through a fixed list of images, with ties broken by the
 larger basis index.  Exponent vectors are unpacked only to read input and
 to write text; the text of each monomial is rendered once per context
-(GradedContext.text), and elem_str joins it, once per position, with the
-position's sign and the per-level basis suffixes, one column at a time.
+(GradedContext.text) and prefixed with a position's sign once per
+position; elem_str hands out a level's term texts and basis suffixes as
+pieces, and its caller joins each column's pieces once.
 """
 
 from functools import cached_property
@@ -437,16 +438,20 @@ def term_tails(level, size, prefix="·e["):
 
 
 def elem_str(positions, tails, ctx: GradedContext):
-    """The texts of one level's columns, given as its term positions (see
-    OrderTower.add_level), as an iterator that renders each column when it
-    is asked for: each term as its position's sign, its monomial's text
-    (ctx.text, "1" for the unit) and tails[basis index] (see term_tails),
-    in the stored order.  Each position renders its sign and monomial once
-    per distinct monomial; the first position carries its sign alone,
-    "-" or nothing, and the others " - " or " + "."""
+    """The pieces of one level's column texts, given as its term positions
+    (see OrderTower.add_level): a list of two iterators per position, the
+    text of each column's term there and its tail, so that column j's text
+    is the join of entry j of every piece, in order, rendered when asked
+    for.  Each term renders as its position's sign, its monomial's text
+    (ctx.text, "1" for the unit) and then tails[basis index] (see
+    term_tails), in the stored order.  Each position renders its sign and
+    monomial once per distinct monomial; the first position carries its
+    sign alone, "-" or nothing, and the others " - " or " + ".  The caller
+    zips the pieces with whatever surrounds each text, so a column is
+    joined once."""
     parts = []
     for i, (sign, monos, targets) in enumerate(positions):
         head = (" + " if sign > 0 else " - ") if i else ("" if sign > 0 else "-")
         text = {mono: head + (ctx.text(mono) or "1") for mono in set(monos)}
         parts += map(text.__getitem__, monos), map(tails.__getitem__, targets)
-    return map("".join, zip(*parts))
+    return parts

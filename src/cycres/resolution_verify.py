@@ -174,14 +174,26 @@ def verify_distinct_images(C: CycComplex):
 
     The terms of a level at one position share its sign, so two columns are
     equal exactly when their entries are, position by position: each column
-    is compared as the tuple of its monomials and targets."""
+    is compared as the tuple of its monomials and targets.  Only the hash
+    of each tuple is kept, mapped to the column's position, or to the list
+    of positions whose tuples share it; a column whose hash is held is
+    compared exactly with each of those, and the witness is the first
+    column equal to an earlier one, with that one."""
     for k in range(1, C.n):
+        seqs = [seq for _, monos, targets in C.positions[k] for seq in (monos, targets)]
         seen = {}
-        entries = zip(*[seq for _, monos, targets in C.positions[k] for seq in (monos, targets)])
-        for j, f in enumerate(entries):
-            if f in seen:
-                return False, f"equal images at level {k}: {seen[f] + 1}, {j + 1}", {}
-            seen[f] = j
+        for j, f in enumerate(zip(*seqs)):
+            h = hash(f)
+            held = seen.get(h)
+            if held is None:
+                seen[h] = j
+                continue
+            if type(held) is int:
+                held = seen[h] = [held]
+            for i in held:
+                if f == tuple(seq[i] for seq in seqs):
+                    return False, f"equal images at level {k}: {i + 1}, {j + 1}", {}
+            held.append(j)
     return True, None, {}
 
 

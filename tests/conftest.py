@@ -12,6 +12,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from cycres import cyc_complex, graph_core  # noqa: E402
+from cycres.poly_ring import elem_str  # noqa: E402
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -126,6 +127,12 @@ def column_positions(columns):
         assert len(set(coeffs)) == 1, f"position {i + 1} holds coefficients {set(coeffs)}"
         positions.append((coeffs[0], monos, targets))
     return positions
+
+
+def column_texts(positions, tails, ctx):
+    """The texts of a level's columns from its term positions: column j's
+    text is the join of entry j of every piece elem_str gives."""
+    return list(map("".join, zip(*elem_str(positions, tails, ctx))))
 
 
 def columns(holder, k):
@@ -283,9 +290,9 @@ def _parse_term(text, ctx):
 
 
 def parse_column(text, ctx):
-    """Inverse of poly_ring.elem_str: the (coeff, mono, idx) terms in text
-    order, monomials packed for ctx (level information is discarded; level 0
-    gives index 0).
+    """Inverse of a column's text (see column_texts): the (coeff, mono,
+    idx) terms in text order, monomials packed for ctx (level information
+    is discarded; level 0 gives index 0).
     """
     if text.strip() == "0":
         return ()

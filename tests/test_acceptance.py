@@ -9,7 +9,7 @@ import time
 
 from cycres import cli, cyc_complex, graph_core, intlinalg
 from cycres import resolution_verify as rv
-from cycres.poly_ring import elem_str, term_tails
+from cycres.poly_ring import term_tails
 
 from conftest import (
     CYCLE4,
@@ -17,6 +17,7 @@ from conftest import (
     WEIGHTED4,
     WEIGHTED4_ECHELON,
     column_elem,
+    column_texts,
     columns,
     k4_digraph,
     parse_elem,
@@ -93,7 +94,7 @@ def test_four_cycle_non_minimality():
     ok = True
     g = graph_core.digraph_from_matrix(CYCLE4)
     C = cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)))
-    images = list(elem_str(C.positions[1], term_tails(0, 1), C.ctx))
+    images = column_texts(C.positions[1], term_tails(0, 1), C.ctx)
     ok &= images == CYCLE4_GOLDEN_IMAGES
     report = rv.full_verify(C, instance="cycle4")
     ok &= report.passed

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partition_reference as ref
+from boundary_reference import lookup_boundary
 from export_reference import to_json_dict
 from cycres import cyc_complex as cc
 from cycres import graph_core
@@ -406,9 +407,9 @@ def test_boundary_columns_sum_the_merge_terms():
     # against merging every partition and looking the merge up
     for C in swept_complexes():
         with pytest.raises(InternalError, match="boundary needs at least two blocks"):
-            cc.boundary(C.bases[0], C.arrows, {})
+            cc.boundary(C.bases[0], C.arrows, {}, None)
         for k, targets in enumerate(cc.merge_targets(C.bases), 1):
-            positions = cc.boundary(C.bases[k], C.arrows, targets)
+            positions = cc.boundary(C.bases[k], C.arrows, targets, C.positions[k - 1])
             # k + 1 positions, each one int sign +-1 and a monomial and a
             # target per basis element: merge s = k-1, ..., 0 alternates
             # from +1, the closing merge is -1
@@ -439,7 +440,7 @@ def test_boundary_hands_the_tower_its_columns_in_module_order():
         assert cc.check_leading_terms(C) == (True, None, {}), C.ctx.nu
         tower = OrderTower(C.ctx)
         for k, targets in enumerate(cc.merge_targets(C.bases), 1):
-            positions = cc.boundary(C.bases[k], C.arrows, targets)
+            positions = cc.boundary(C.bases[k], C.arrows, targets, tower.positions[k - 1])
             built = position_columns(positions)
             assert built == columns(C, k), (C.ctx.nu, k)
             for p, column in zip(C.bases[k], built):
@@ -450,6 +451,43 @@ def test_boundary_hands_the_tower_its_columns_in_module_order():
             tower.add_level(positions)
             assert tower.positions[k] is positions
             assert columns(tower, k) == built
+
+
+def test_boundary_equals_the_arrow_table_lookup():
+    # the build copies the monomials of the merges s < k-2 from the level
+    # below; the reference looks every monomial up in the arrow table, and
+    # each target is found here by merging and looking the merge up
+    for C in swept_complexes():
+        for k in range(1, C.n):
+            basis = C.bases[k]
+            targets = [[C.index[k - 1][cc.merge(p, s)] for p in basis] for s in range(k + 1)]
+            assert C.positions[k] == lookup_boundary(basis, C.arrows, targets), (C.ctx.nu, k)
+
+
+def test_boundary_copies_the_parent_monomials_from_the_level_below():
+    # one monomial of the parent t's position of merge s < k-2 altered one
+    # level down: at merge s exactly t's children follow it, and every
+    # other entry of every position is the built one
+    for C in swept_complexes():
+        for k, targets in enumerate(cc.merge_targets(C.bases), 1):
+            built, below = C.positions[k], C.positions[k - 1]
+            for s in range(k - 2):
+                i = k - 2 - s  # merge s's position one level down
+                for t in {targets[k - 1][0], targets[k - 1][-1]}:
+                    sign, monos, parents = below[i]
+                    altered = list(monos)
+                    altered[t] += C.ctx.variables[0]
+                    mutated = [*below[:i], (sign, altered, parents), *below[i + 1 :]]
+                    positions = cc.boundary(C.bases[k], C.arrows, targets, mutated)
+                    children = [j for j, parent in enumerate(targets[k - 1]) if parent == t]
+                    assert children
+                    moved = positions[i + 1][1]
+                    assert [
+                        j for j, (a, b) in enumerate(zip(moved, built[i + 1][1])) if a != b
+                    ] == children
+                    assert {moved[j] for j in children} == {altered[t]}
+                    assert positions[: i + 1] == built[: i + 1]
+                    assert positions[i + 2 :] == built[i + 2 :]
 
 
 def test_the_closing_merge_reaches_a_smaller_monomial():

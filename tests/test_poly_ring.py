@@ -21,6 +21,7 @@ from conftest import (
     WEIGHTED4,
     column_elem,
     column_positions,
+    column_texts,
     columns,
     complex_from_matrix,
     elem_add_term,
@@ -582,22 +583,43 @@ def test_stored_columns_are_strictly_decreasing(name):
 
 def test_elem_str_round_trip(k4_complex):
     C = k4_complex
-    assert list(pr.elem_str([], pr.term_tails(0, 1), C.ctx)) == []
+    assert pr.elem_str([], pr.term_tails(0, 1), C.ctx) == []
+    assert column_texts([], pr.term_tails(0, 1), C.ctx) == []
     assert column_str((), pr.term_tails(0, 1), C.ctx) == "0"
     assert parse_elem("0", C.ctx) == {}
     assert parse_column("0", C.ctx) == ()
     for k in (1, 2, 3):
         tails = pr.term_tails(k - 1, len(C.bases[k - 1]))
-        texts = list(pr.elem_str(C.positions[k], tails, C.ctx))
+        texts = column_texts(C.positions[k], tails, C.ctx)
         assert len(texts) == len(columns(C, k))
         for s, f in zip(texts, columns(C, k)):
             assert parse_column(s, C.ctx) == f
             assert s == column_str(f, tails, C.ctx)
 
 
+def test_elem_str_gives_each_position_two_lazy_pieces(k4_complex):
+    # level k's pieces are 2 * (k + 1) iterators, position i's term texts
+    # (its sign and monomial) and then their tails, entry j of each
+    # belonging to column j; nothing is rendered into a column until read
+    C = k4_complex
+    for k in range(1, C.n):
+        tails = pr.term_tails(k - 1, len(C.bases[k - 1]))
+        pieces = pr.elem_str(C.positions[k], tails, C.ctx)
+        assert len(pieces) == 2 * (k + 1) == 2 * len(C.positions[k])
+        assert all(iter(piece) is piece for piece in pieces)
+        entries = list(zip(*pieces))
+        assert len(entries) == len(columns(C, k))
+        for entry, f in zip(entries, columns(C, k)):
+            assert len(entry) == 2 * (k + 1)
+            for i, (coeff, mono, idx) in enumerate(f):
+                sign = (" + " if coeff > 0 else " - ") if i else ("" if coeff > 0 else "-")
+                assert entry[2 * i] == sign + (C.ctx.text(mono) or "1")
+                assert entry[2 * i + 1] == tails[idx]
+
+
 def test_elem_str_level0_is_plain_polynomial(k4_complex):
     C = k4_complex
-    assert next(pr.elem_str(C.positions[1], pr.term_tails(0, 1), C.ctx)) == "x1*x2*x3 - x4^3"
+    assert column_texts(C.positions[1], pr.term_tails(0, 1), C.ctx)[0] == "x1*x2*x3 - x4^3"
 
 
 def test_elem_str_pins_hand_built_columns():
@@ -608,7 +630,7 @@ def test_elem_str_pins_hand_built_columns():
     x1, x2, x3, x4 = ctx.variables
 
     def rendered(columns, tails):
-        texts = list(pr.elem_str(column_positions(columns), tails, ctx))
+        texts = column_texts(column_positions(columns), tails, ctx)
         assert texts == [column_str(f, tails, ctx) for f in columns]
         return texts
 
@@ -688,7 +710,7 @@ def test_elem_str_renders_each_distinct_monomial_once(monkeypatch):
 
     def rendered(C):
         return [
-            text for k in range(1, C.n) for text in pr.elem_str(C.positions[k], tails[k], C.ctx)
+            text for k in range(1, C.n) for text in column_texts(C.positions[k], tails[k], C.ctx)
         ]
 
     monkeypatch.setattr(pr.GradedContext, "unpack", counting)
@@ -708,7 +730,7 @@ def test_elem_str_renders_each_distinct_monomial_once(monkeypatch):
     ]
     assert len(unpacked) == len(distinct)
     D = complex_from_matrix(ECHELON6)
-    assert next(pr.elem_str(D.positions[1], tails[1], D.ctx)) == texts[0]
+    assert column_texts(D.positions[1], tails[1], D.ctx)[0] == texts[0]
     assert len(unpacked) > len(distinct)
 
 
@@ -729,8 +751,8 @@ def test_elem_str_with_escaped_tails_is_the_escaped_text():
             escaped = pr.term_tails(k - 1, size, cyc_complex.TAIL_PREFIX)
             assert escaped == [encode_basestring_ascii(tail)[1:-1] for tail in tails]
             assert k == 1 or escaped != tails
-            plain = pr.elem_str(C.positions[k], tails, C.ctx)
-            for text, f in zip(pr.elem_str(C.positions[k], escaped, C.ctx), columns(C, k)):
+            plain = iter(column_texts(C.positions[k], tails, C.ctx))
+            for text, f in zip(column_texts(C.positions[k], escaped, C.ctx), columns(C, k)):
                 assert '"' + text + '"' == encode_basestring_ascii(next(plain))
                 assert text == column_str(f, escaped, C.ctx)
 

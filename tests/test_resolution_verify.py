@@ -2,6 +2,7 @@ import gc
 from collections import Counter
 import random
 from itertools import groupby, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +30,7 @@ from conftest import (
     INSTANCES,
     WEIGHTED4,
     P,
+    RESOLVABLE,
     bundled_complex,
     column_elem,
     columns,
@@ -886,6 +888,53 @@ def test_schreyer_coverage_counts_the_basis_above():
 def test_distinct_images(k4_complex, cycle4_complex):
     assert rv.verify_distinct_images(k4_complex)[0]
     assert rv.verify_distinct_images(cycle4_complex)[0]
+
+
+def first_equal_pair(holder, k):
+    """The lowest column of level k equal to an earlier one, and that one,
+    found by a dict of whole columns; None when the columns are distinct."""
+    seen = {}
+    for j, f in enumerate(columns(holder, k)):
+        if f in seen:
+            return seen[f], j
+        seen[f] = j
+    return None
+
+
+def test_distinct_images_name_the_first_equal_pair(monkeypatch):
+    # equal columns injected into a copy of one level: the witness is the
+    # lowest column equal to an earlier one, with that one.  With every
+    # hash equal, each column is compared exactly with every earlier one,
+    # and the verdicts and witnesses are the same
+    complexes = [bundled_complex(name) for name in RESOLVABLE]
+    for constant in (False, True):
+        if constant:
+            monkeypatch.setattr(rv, "hash", lambda f: 0, raising=False)
+        for C in complexes:
+            assert rv.verify_distinct_images(C) == (True, None, {})
+            for k in range(1, C.n):
+                w = len(C.bases[k])
+                if w < 4:
+                    continue
+                for pairs, witness in (
+                    ([(0, w - 1)], (0, w - 1)),
+                    ([(w - 2, w - 1)], (w - 2, w - 1)),
+                    ([(1, w - 1), (0, 2)], (0, 2)),
+                    ([(0, 2), (0, 3)], (0, 2)),
+                    ([(2, 3), (1, 2)], (1, 2)),
+                ):
+                    positions = [
+                        [(sign, list(monos), list(targets)) for sign, monos, targets in level]
+                        for level in C.positions[1:]
+                    ]
+                    D = SimpleNamespace(n=C.n, positions=[None, *positions])
+                    for _, monos, targets in D.positions[k]:
+                        for i, j in pairs:
+                            monos[j], targets[j] = monos[i], targets[i]
+                    assert first_equal_pair(D, k) == witness
+                    assert rv.verify_distinct_images(D) == (
+                        False, f"equal images at level {k}: {witness[0] + 1}, {witness[1] + 1}", {}
+                    ), (C.ctx.nu, k, pairs)
 
 
 def test_minimal_gb_divisibility(k4_complex, cycle4_complex):
