@@ -13,7 +13,8 @@ dimensions prove exactness only where d∘d = 0.
 
 import time
 from collections import Counter, deque
-from itertools import compress, count, islice, repeat
+from functools import partial
+from itertools import compress, count, islice, repeat, starmap, tee
 from operator import add, eq, ge, gt, is_, itemgetter, lshift, ne, not_, or_, rshift, sub
 
 from .errors import InternalError, ValidationError
@@ -104,63 +105,66 @@ def _arrow_plus(A, B, Cs, C: CycComplex):
 
 
 def s_poly_closed_form(C, D, complex_: CycComplex):
-    """The S-polynomial of the two subset binomials, by the set-splitting identity.
+    """(S, l_cd, l_dc, heads): the S-polynomial of the two subset binomials
+    by the set-splitting identity, S = l_cd * f_F - l_dc * f_G, its two
+    monomial coefficients, and the leading terms of its pieces l_cd * f_F
+    and l_dc * f_G, as (monomial, basis index) pairs.
 
     Splits the subsets into E = C&D, F = C-E, G = D-E, V = complement of the
-    union, and combines the degree-0 binomials of F and G with explicit
-    monomial coefficients.  Entirely bypasses leading-term computations.
+    union, and combines the degree-0 binomials f_F and f_G of F and G, each
+    looked up once, with explicit monomial coefficients; a piece whose
+    subset is empty is left out.  The heads are read off the first terms of
+    the two stored columns, with no leading-term computation.
     """
-    arrows = complex_.arrows
+    arrows, binomials = complex_.arrows, complex_.tower.binomials
     full = (1 << complex_.n) - 1
     E, F, G, V = C & D, C & ~D, D & ~C, full & ~(C | D)
     l_cd = _arrow_plus(E, G, F, complex_) + arrows[F, G] + arrows[V, D]
     l_dc = _arrow_plus(E, F, G, complex_) + arrows[G, F] + arrows[V, C]
-    out = {}
-    binomials = complex_.tower.binomials
-    if F:
-        elem_combine(out, binomials[complex_.index[1][F, full ^ F]], 1, l_cd)
-    if G:
-        elem_combine(out, binomials[complex_.index[1][G, full ^ G]], -1, l_dc)
-    return out, l_cd, l_dc
-
-
-def image_key(tower, level, mono, j):
-    """The key of x^mono * Lt(g_j), the leading term of the image of
-    x^mono * e_j under the columns g_j of tower.positions[level + 1]: entry
-    j of their first position."""
-    _, monos, targets = tower.positions[level + 1][0]
-    return tower.key(level, mono + monos[j], targets[j])
+    out, heads = {}, []
+    for piece, mono, coeff in ((F, l_cd, 1), (G, l_dc, -1)):
+        if piece:
+            f = binomials[complex_.index[1][piece, full ^ piece]]
+            elem_combine(out, f, coeff, mono)
+            _, lm, idx = f[0]
+            heads.append((mono + lm, idx))
+    return out, l_cd, l_dc, heads
 
 
 def verify_degree0_gb(C: CycComplex):
-    """Buchberger criterion plus the closed-form S-polynomial identity."""
-    r1 = len(C.bases[1])
-    full = (1 << C.n) - 1
-    table = divisor_table(C.tower)
+    """Buchberger criterion plus the closed-form S-polynomial identity.
+
+    For every pair i < j of level 1 the S-vector S of the stored columns
+    must equal the closed form (s_poly_closed_form); the two closed-form
+    pieces lead on different monomials, so the larger of their leading
+    terms must be Lt(S), walked off the two columns (s_leading_key); and
+    S must divide to remainder 0 by the degree-0 columns.  A division that
+    does not descend (a column whose first term is not its largest) fails
+    the pair it divides, as a remainder would.  Counts the pairs divided.
+    """
+    tower, blocks = C.tower, [p[0] for p in C.bases[1]]
+    table, key = divisor_table(tower), partial(tower.key, 0)
     pairs = 0
-    for i in range(r1):
-        for j in range(i + 1, r1):
-            ci, cj = C.bases[1][i][0], C.bases[1][j][0]
-            sv = s_vector(C.tower, 0, i, j)
+    for i, ci in enumerate(blocks):
+        for j in range(i + 1, len(blocks)):
+            cj = blocks[j]
+            sv = s_vector(tower, 0, i, j)
             if sv is None:
                 return False, f"no S-pair for ({i + 1},{j + 1})", {"pairs": pairs}
             s, m_ji, m_ij = sv
-            formula, l_cd, l_dc = s_poly_closed_form(ci, cj, C)
+            formula, _, _, heads = s_poly_closed_form(ci, cj, C)
             if s != formula:
                 return False, (
                     f"closed form mismatch for C, D = {partition_str((ci, cj))}"
                 ), {"pairs": pairs}
-            # S = l_cd * f_F - l_dc * f_G: the two leads differ, so the
-            # larger is Lt(S)
-            lead = max(
-                image_key(C.tower, 0, mono, C.index[1][piece, full ^ piece])
-                for mono, piece in ((l_cd, ci & ~cj), (l_dc, cj & ~ci)) if piece
-            )
-            if lead != s_leading_key(C.tower, 0, i, j, m_ji, m_ij):
+            if max(starmap(key, heads)) != s_leading_key(tower, 0, i, j, m_ji, m_ij):
                 return False, (
                     f"leading bound fails for C, D = {partition_str((ci, cj))}"
                 ), {"pairs": pairs}
-            rem = divide(s, C.tower, table)
+            try:
+                rem = divide(s, tower, table)
+            except InternalError as err:
+                return False, f"{err}, for C, D = {partition_str((ci, cj))}", {"pairs": pairs}
             pairs += 1
             if rem:
                 return False, (
@@ -265,13 +269,14 @@ def module_quotients(C: CycComplex, k, i, sources):
     closed product formula; a pruned generator (its source is not retained)
     must be divisible by a retained one.
     """
-    ik, ik1 = C.bases[k][i][k - 1 :]
+    basis, tower, arrows = C.bases[k], C.tower, C.arrows
+    ik, ik1 = basis[i][k - 1 :]
     sign = (-1) ** (k - 1)
     gens = []
     for j, retained in sources:
-        jk, jk1 = C.bases[k][j][k - 1 :]
-        direct = s_cofactor(C.tower, k - 1, i, j)
-        expected = (sign, _arrow_plus(jk & ik, jk1, ik1, C) + C.arrows[jk & ik1, jk1])
+        jk, jk1 = basis[j][k - 1 :]
+        direct = s_cofactor(tower, k - 1, i, j)
+        expected = (sign, _arrow_plus(jk & ik, jk1, ik1, C) + arrows[jk & ik1, jk1])
         if direct != expected:
             return None, (
                 f"closed formula mismatch at level {k}, pair ({j + 1},{i + 1}): "
@@ -281,7 +286,7 @@ def module_quotients(C: CycComplex, k, i, sources):
     kept = [m for _, _, m, pruned in gens if not pruned]
     divides = C.ctx.divides
     for j, _, mono, pruned in gens:
-        if pruned and not any(divides(m, mono) for m in kept):
+        if pruned and not any(map(divides, kept, repeat(mono))):
             return None, (
                 f"superfluous generator {j + 1} at level {k} not divisible "
                 f"by a retained one (target {i + 1})"
@@ -296,22 +301,25 @@ def verify_module_quotients(C: CycComplex):
 
     The quotients at the positions of a run read nothing but the run's last
     two blocks (the closed formula, which sources are retained, the last
-    block), its stored leads and their targets, and the level's sign.  So
-    once the leads of a run sit on one target, checked for every run, the
-    run key (the tuple of its last-two-block pairs, the tuple of its lead
+    block), its stored leads and their targets, and whether the sign of
+    its level's first position is (-1)^(k-1).  So once the leads of a run
+    sit on one target, checked for every run, the run key (that sign
+    test, the tuple of its last-two-block pairs, the tuple of its lead
     monomials) fixes every quotient of the run up to the shift of its
-    positions: a run whose key an earlier run of the level had passes as
-    that one did, with as many generators, and only the first run of each
-    key is computed.  The memo is exact, and small: on a correct complex
-    the key follows from the last block the run was split from, so a level
-    has at most 2^(n-1) keys, and n = 7 computes 9,333 of its 18,303
-    generators.  A run with leads on two targets is computed, and fails
-    there (no cofactor).
+    positions, whatever its level: a run whose key an earlier run had, on
+    its own level or one below, passes as that one did, with as many
+    generators, and only the first run of each key is computed, in one
+    memo for the whole check.  The memo is exact, and small: on a correct
+    complex the key follows from the last block the run was split from,
+    which recurs on every level, so the check has at most 2^(n-1) keys,
+    and n = 7 computes 6,783 of its 18,303 generators.  A run with leads
+    on two targets is computed, and fails there (no cofactor), and so does
+    every run of a level whose sign is wrong.
     """
-    total, alone = 0, 1 << (C.n - 1)
+    total, alone, seen = 0, 1 << (C.n - 1), {}
     for k in range(1, C.n):
         basis, prefix = C.bases[k], itemgetter(slice(0, k - 1))
-        _, leads, targets = C.positions[k][0]
+        sign, leads, targets = C.positions[k][0]
         # A quotient is nonzero exactly when the two leading terms share a
         # target, so no pair across prefixes has one if every position shares
         # the prefix of the first position with its target.
@@ -322,10 +330,10 @@ def verify_module_quotients(C: CycComplex):
                 f"nonzero quotient across different prefixes at level {k}: "
                 f"{targets.index(targets[i]) + 1}, {i + 1}"
             ), {"generators": total}
-        last_two, seen = itemgetter(slice(k - 1, None)), {}
+        last_two, signed = itemgetter(slice(k - 1, None)), sign == (-1) ** (k - 1)
         for run in sibling_runs(C, k):
             a, b = run.start, run.stop
-            key = (tuple(map(last_two, basis[a:b])), tuple(leads[a:b]))
+            key = (signed, tuple(map(last_two, basis[a:b])), tuple(leads[a:b]))
             gens = seen.get(key) if len(set(targets[a:b])) == 1 else None
             if gens is None:
                 gens = 0
@@ -359,11 +367,18 @@ def verify_tau_level(C: CycComplex, k):
     partner.  Lt(S) is walked for every element at once by s_leading_key's
     rule, one position of level k at a time, for the elements whose terms
     have cancelled at every position before: both cofactors carry that
-    sign, so two terms cancel exactly when their keys are equal.  The first
+    sign, so two terms cancel exactly when their keys are equal.  Each
+    element still walking is keyed once at a position.  At position 0 the
+    leads times their cofactors are one monomial, the lcm, so they cancel
+    wherever they share a target, and only the flags are kept; an element
+    whose leads do not cancel is keyed again.  From position 1 on the two
+    keys go to the comparison and to max in the same pass, and the larger
+    is kept whether or not they cancel, until the element stops.  The first
     tail term, at position 2 (every column has k+2 >= 3 terms), must map one
     level down to Lt(S) exactly; the column's keys strictly decrease (the
-    leading_term_formula check), so it bounds the rest.  "tail = S" is exactly d(de) = 0, which check_d_squared
-    proves, so the tail is not summed here.
+    leading_term_formula check), so it bounds the rest.  "tail = S" is
+    exactly d(de) = 0, which check_d_squared proves, so the tail is not
+    summed here.
 
     Each comparison flags the elements it fails, as a whole list, and a
     sign fault flags them all.  The flags fall into six fault classes, in
@@ -390,17 +405,32 @@ def verify_tau_level(C: CycComplex, k):
 
     s_keys = [None] * width
     walking = [range(width), I, J, m_ji, m_ij]
-    for _, ms, ts in C.positions[k]:
+    for t, (_, ms, ts) in enumerate(C.positions[k]):
         elems, ii, jj, mi, mj = walking
-        cancel = list(map(eq, keys(ms, ts, mi, ii), keys(ms, ts, mj, jj)))
-        if all(cancel):
-            continue
-        ended = map(max, keys(ms, ts, mi, ii), keys(ms, ts, mj, jj))
-        for e, key in compress(zip(elems, ended), map(not_, cancel)):
-            s_keys[e] = key
-        walking = [list(compress(seq, cancel)) for seq in walking]
-        if not walking[0]:
+        a, b = keys(ms, ts, mi, ii), keys(ms, ts, mj, jj)
+        if t:
+            # each element keyed once: tee hands each key to eq and to max
+            # in step, and the larger goes to s_keys, cancelled or not
+            (a, a2), (b, b2) = tee(a), tee(b)
+            ended = map(s_keys.__setitem__, elems, map(max, a2, b2))
+            cancel = bytearray(map(itemgetter(0), zip(map(eq, a, b), ended)))
+        else:
+            # m_ji * Lm f_i and m_ij * Lm f_j are one monomial, the lcm, so
+            # the leads cancel wherever they share a target: only the flags
+            # are kept, and an element whose leads do not is keyed again
+            cancel = bytearray(map(eq, a, b))
+            if not all(cancel):
+                ended = map(max, keys(ms, ts, mi, ii), keys(ms, ts, mj, jj))
+                for e, key in compress(zip(elems, ended), map(not_, cancel)):
+                    s_keys[e] = key
+        if not any(cancel):
             break
+        if not all(cancel):
+            walking = [list(compress(seq, cancel)) for seq in walking]
+    else:
+        # S = 0 for an element whose terms cancel at every position
+        for e in walking[0]:
+            s_keys[e] = None
     classes = [
         ("pair order violated for", [map(ge, J, I)]),
         ("no S-pair behind", [

@@ -6,7 +6,15 @@ one element at a time, which the whole-list verify_tau_level replaces.
 
 from cycres.cyc_complex import merge
 from cycres.poly_ring import s_cofactor, s_leading_key
-from cycres.resolution_verify import image_key, partition_str
+from cycres.resolution_verify import partition_str
+
+
+def image_key(tower, level, mono, j):
+    """The key of x^mono * Lt(g_j), the leading term of the image of
+    x^mono * e_j under the columns g_j of tower.positions[level + 1]: entry
+    j of their first position."""
+    _, monos, targets = tower.positions[level + 1][0]
+    return tower.key(level, mono + monos[j], targets[j])
 
 
 def below_leading_term(tower, level, s_key, terms):

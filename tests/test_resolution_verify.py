@@ -23,6 +23,8 @@ import graph_reference
 import lead_ideal_reference
 import linalg_reference
 import oracle_reference
+from degree0_reference import verify_degree0_gb_by_pair
+from quotient_reference import run_key, verify_module_quotients_by_level
 from standard_expression_reference import below_leading_term, tau_pair, verify_tau_identity
 from tower_reference import leading_module_term
 from conftest import (
@@ -130,11 +132,13 @@ def test_s_poly_closed_form_nested(generic4_complex):
     C = generic4_complex
     a = C.L.a
     s, m_ji, m_ij = s_vector(C.tower, 0, 1, 0)
-    formula, l_cd, l_dc = rv.s_poly_closed_form(*P([2, 3], [1, 2, 3]), C)
+    formula, l_cd, l_dc, heads = rv.s_poly_closed_form(*P([2, 3], [1, 2, 3]), C)
     assert s == formula
     assert l_dc == C.ctx.pack((0, 0, 0, a[3][1] + a[3][2]))
     f7 = columns(C, 1)[6]
     assert s == elem_scale_term(column_elem(f7), -1, l_dc)
+    # the one piece's head is read off its stored column
+    assert heads == [(l_dc + f7[0][1], f7[0][2])]
 
 
 def test_colon_stability_examines_every_degree0_leading_term():
@@ -316,19 +320,13 @@ def _module_quotients_pair_by_pair(C):
     return True, None, {"generators": total}
 
 
-def _run_key(C, k, run):
-    # the key verify_module_quotients memoises a run's quotients by
-    a, b = run.start, run.stop
-    return tuple(p[k - 1 :] for p in C.bases[k][a:b]), tuple(C.positions[k][0][1][a:b])
-
-
 def _repeated_run(C):
     # the first run of a level whose key an earlier run of that level had:
     # its level, the first run with the key and itself
     for k in range(1, C.n):
         first_of = {}
         for run in rv.sibling_runs(C, k):
-            earlier = first_of.setdefault(_run_key(C, k, run), run)
+            earlier = first_of.setdefault(run_key(C, k, run), run)
             if earlier is not run:
                 return k, earlier, run
     raise AssertionError("no repeated run")
@@ -377,11 +375,11 @@ def test_a_repeated_run_on_two_targets_fails_with_no_cofactor(name):
     # first pair it splits, whose cofactor is None
     C = QUOTIENT_INSTANCES[name]()
     k, _, run = _repeated_run(C)
-    key = _run_key(C, k, run)
+    key = run_key(C, k, run)
     targets = C.positions[k][0][2]
     free = min(set(range(len(C.bases[k - 1]))) - set(targets))
     set_entry(C, k, 0, run.stop - 1, target=free)
-    assert _run_key(C, k, run) == key
+    assert run_key(C, k, run) == key
     expected = _module_quotients_pair_by_pair(C)
     assert not expected[0] and "direct None" in expected[1]
     assert _pair_in(expected[1], run) and f",{run.stop})" in expected[1]
@@ -406,6 +404,91 @@ def test_a_pruned_generator_left_undivided_fails_in_any_run(name, which):
         f"retained one (target {run.start + 2})",
     )
     assert rv.verify_module_quotients(C) == expected
+
+
+def _run_met_below(C):
+    # the first run of a level whose run key a run of a lower level had:
+    # its level and the run.  The cross-level memo reads its quotients
+    met = set()
+    for k in range(1, C.n):
+        runs = rv.sibling_runs(C, k)
+        for run in runs:
+            if run_key(C, k, run) in met:
+                return k, run
+        met.update(run_key(C, k, run) for run in runs)
+    raise AssertionError("no run met on a lower level")
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_INSTANCES))
+def test_a_flipped_level_sign_fails_as_with_a_memo_per_level(name):
+    # the sign of level k's first position flipped, for every k >= 2 in
+    # turn: the first run of the level fails on its closed formula, as the
+    # check with a memo per level finds, although runs of the level have
+    # keys of blocks and leads that a lower level met and passed
+    C = QUOTIENT_INSTANCES[name]()
+    hits = 0
+    for k in range(2, C.n):
+        runs = rv.sibling_runs(C, k)
+        below = {
+            run_key(C, low, run) for low in range(1, k) for run in rv.sibling_runs(C, low)
+        }
+        hits += any(run_key(C, k, run) in below for run in runs)
+        positions = C.positions[k]
+        stored = positions[0]
+        positions[0] = (-stored[0], *stored[1:])
+        expected = verify_module_quotients_by_level(C)
+        if runs:
+            assert not expected[0] and expected[1].startswith(
+                f"closed formula mismatch at level {k}, pair ({runs[0].start + 1},"
+            ), (k, expected)
+        assert rv.verify_module_quotients(C) == expected, k
+        positions[0] = stored
+    assert rv.verify_module_quotients(C) == (True, None, verify_module_quotients_by_level(C)[2])
+    # no run of n = 4 recurs on a higher level
+    assert hits if C.n > 4 else not hits
+
+
+@pytest.mark.parametrize("name", ["echelon6", "random6"])
+def test_a_lead_changed_in_a_run_met_below_is_not_read_from_the_memo(name):
+    # a run whose key a lower level met, with one lead times x1: the run is
+    # computed, and the witness and counter are those of the check with a
+    # memo per level
+    C = QUOTIENT_INSTANCES[name]()
+    k, run = _run_met_below(C)
+    assert k >= 2
+    i = run.start + 1
+    set_entry(C, k, 0, i, mono=C.positions[k][0][1][i] + C.ctx.variables[0])
+    expected = verify_module_quotients_by_level(C)
+    assert not expected[0] and expected[1].startswith(f"closed formula mismatch at level {k}")
+    assert _pair_in(expected[1], run)
+    assert rv.verify_module_quotients(C) == expected
+
+
+@pytest.mark.parametrize("name", ["echelon6", "random6"])
+def test_each_run_key_is_computed_once_for_all_levels(name, monkeypatch):
+    # the positions whose quotients are computed are those of the first run
+    # of each key over all levels, lowest level first, and there are fewer
+    # of them than with a memo per level; the verdict and counter are the
+    # same
+    C = QUOTIENT_INSTANCES[name]()
+    computed = []
+    original = rv.module_quotients
+
+    def recording(C, k, i, sources):
+        computed.append((k, i))
+        return original(C, k, i, sources)
+
+    monkeypatch.setattr(rv, "module_quotients", recording)
+    result = rv.verify_module_quotients(C)
+    assert result == verify_module_quotients_by_level(C) and result[0]
+    firsts, per_level = {}, 0
+    for k in range(1, C.n):
+        runs = rv.sibling_runs(C, k)
+        per_level += sum(len(run) for run in {run_key(C, k, run): run for run in runs}.values())
+        for run in runs:
+            firsts.setdefault(run_key(C, k, run), (k, run))
+    assert computed == [(k, i) for k, run in firsts.values() for i in run]
+    assert len(computed) < per_level
 
 
 def test_tau_identity_worked_examples(generic4_complex):
@@ -572,11 +655,85 @@ def test_degree0_gb_catches_a_lowered_closed_form_lead():
     ci, cj = C.bases[1][0][0], C.bases[1][3][0]
     assert (ci, cj) == P([1, 2, 3], [1, 2])
     _, m_ji, m_ij = s_vector(C.tower, 0, 0, 3)
-    _, l_cd, _ = rv.s_poly_closed_form(ci, cj, C)
+    _, l_cd, _, _ = rv.s_poly_closed_form(ci, cj, C)
     s_key = s_leading_key(C.tower, 0, 0, 3, m_ji, m_ij)
     assert below_leading_term(C.tower, 0, s_key, [(l_cd, 4)])
     assert rv.verify_degree0_gb(C) == (
         False, "leading bound fails for C, D = (123,12)", {"pairs": 2}
+    )
+
+
+DEGREE0_CASES = {
+    **{name: lambda name=name: bundled_complex(name) for name in RESOLVABLE},
+    "r5s0": lambda: cc.build_complex(graph_core.prepare(graph_core.laplacian(
+        random_icb_digraph(5, random.Random(0))))),
+}
+
+
+def _degree0_faults(C):
+    # each fault in turn put into column j of level 1, for every j, yielding
+    # (j, its name) while it is in, and undone after: the lead or the tail
+    # (the second monomial) times x1, and the target of either moved to the
+    # next basis element, one past level 0's only one
+    level, x1 = C.positions[1], C.ctx.variables[0]
+    for j in range(len(C.bases[1])):
+        for name, t, change in (
+            ("lead times x1", 0, {"mono": level[0][1][j] + x1}),
+            ("tail times x1", 1, {"mono": level[1][1][j] + x1}),
+            ("lead target moved", 0, {"target": level[0][2][j] + 1}),
+            ("tail target moved", 1, {"target": level[1][2][j] + 1}),
+        ):
+            stored = level[t]
+            set_entry(C, 1, t, j, **change)
+            yield j, name
+            level[t] = stored
+            forget_binomials(C)
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE0_CASES))
+def test_degree0_gb_names_the_witness_of_the_per_pair_walk(name):
+    # every fault of _degree0_faults at every level-1 column: the check,
+    # which looks each closed-form piece up once, names the witness and
+    # counter of the per-pair reference, which looks each up twice.  Where
+    # the reference raises out of divide, the check fails that pair
+    C = DEGREE0_CASES[name]()
+    assert rv.verify_degree0_gb(C) == verify_degree0_gb_by_pair(C)
+    outcomes = Counter()
+    for j, fault in _degree0_faults(C):
+        got = rv.verify_degree0_gb(C)
+        try:
+            expected = verify_degree0_gb_by_pair(C)
+        except InternalError as err:
+            assert not got[0] and got[1].startswith(f"{err}, for C, D = ("), (j, fault, got)
+            outcomes[fault, "raised"] += 1
+            continue
+        assert got == expected, (j, fault)
+        outcomes[fault, expected[0]] += 1
+    assert rv.verify_degree0_gb(C) == verify_degree0_gb_by_pair(C)
+    # every fault fails
+    assert {ok for _, ok in outcomes} <= {False, "raised"}
+
+
+@pytest.mark.parametrize("name, column", [
+    ("cycle4", 5), ("weighted4", 4), ("weighted4", 6), ("r5s0", 6), ("r5s0", 12),
+])
+def test_a_division_that_does_not_descend_fails_degree0_in_the_report(name, column):
+    # the tail of a level-1 binomial times x1 lies above its lead, so a
+    # division by it does not descend: the per-pair reference raises out of
+    # divide, and full_verify gives its report of every check, in which
+    # degree0_groebner fails on the pair it was dividing
+    C = DEGREE0_CASES[name]()
+    j = column - 1
+    set_entry(C, 1, 1, j, mono=C.positions[1][1][1][j] + C.ctx.variables[0])
+    with pytest.raises(InternalError, match=f"does not descend: image {column} "):
+        verify_degree0_gb_by_pair(C)
+    report = rv.full_verify(C)
+    assert len(report.checks) == 10 and not report.passed
+    [check] = [c for c in report.checks if c.name == "degree0_groebner"]
+    assert not check.ok
+    assert check.witness.startswith(
+        f"division at level 0 does not descend: image {column} left a leading term "
+        "at or above the one it reduced, for C, D = ("
     )
 
 
@@ -644,13 +801,14 @@ def test_walked_s_leading_key_is_the_lead_of_the_built_s_vector(case):
                 zero += walked is None
                 continue
             ci, cj = C.bases[1][i][0], C.bases[1][j][0]
-            _, l_cd, l_dc = rv.s_poly_closed_form(ci, cj, C)
+            _, l_cd, l_dc, heads = rv.s_poly_closed_form(ci, cj, C)
             terms = [
                 (mono, C.index[1][piece, full ^ piece])
                 for mono, piece in ((l_cd, ci & ~cj), (l_dc, cj & ~ci)) if piece
             ]
             assert below_leading_term(tower, 0, walked, terms), (i, j)
             assert max(image_key(0, *t) for t in terms) == walked, (i, j)
+            assert max(tower.key(0, *head) for head in heads) == walked, (i, j)
     assert zero == r1
     for k in range(1, C.n - 1):
         for e in C.bases[k + 1]:
