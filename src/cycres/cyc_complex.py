@@ -385,12 +385,14 @@ def check_leading_terms(C: CycComplex):
     """Every differential column's keys strictly decrease one level down,
     as boundary's docstring proves (the build keys only a column's first
     and last terms, so this also rules out a repeated term and makes every
-    column homogeneous), and its first term matches the closed formula.
+    column homogeneous), and on level 1 its first term matches the closed
+    formula: sign +1, the arrow monomial of its two blocks, on level 0's
+    one basis element.  Above level 1 the lead is the τ check's
+    (resolution_verify.verify_tau_level).
 
     Each position is keyed once, a whole list at a time, and consecutive
-    key lists compared; the closed-formula lead of each column is the
-    merge of its last two blocks, looked up.  The witness is the lowest
-    column with either fault, a fault of order first.
+    key lists compared.  The witness is the lowest column with either
+    fault, a fault of order first.
     """
     for k in range(1, C.n):
         bits, base = C.tower.bits[k - 1], C.tower.base[k - 1]
@@ -404,13 +406,13 @@ def check_leading_terms(C: CycComplex):
                 if j is not None and (unordered is None or j < unordered):
                     unordered = j
             upper = keys
-        sign, monos, targets = level[0]
-        basis = C.bases[k]
-        leads = map(C.arrows.__getitem__, map(itemgetter(-2, -1), basis))
-        merged = map(C.index[k - 1].__getitem__, map(merge, basis, repeat(k - 1)))
-        mismatch = 0 if sign != (-1) ** (k - 1) else first(
-            map(or_, map(ne, monos, leads), map(ne, targets, merged))
-        )
+        mismatch = None
+        if k == 1:
+            sign, monos, targets = level[0]
+            leads = map(C.arrows.__getitem__, C.bases[1])
+            mismatch = 0 if sign != 1 else first(
+                map(or_, map(ne, monos, leads), map(ne, targets, repeat(0)))
+            )
         if unordered is not None and (mismatch is None or unordered <= mismatch):
             return False, f"column {unordered + 1} in degree {k} is not in module order", {}
         if mismatch is not None:

@@ -15,7 +15,7 @@ import time
 from collections import Counter, deque
 from functools import partial
 from itertools import compress, count, islice, repeat, starmap, tee
-from operator import add, eq, ge, gt, is_, itemgetter, lshift, ne, not_, or_, rshift, sub
+from operator import add, eq, ge, gt, is_, itemgetter, lshift, ne, not_, rshift, sub
 
 from .errors import InternalError, ValidationError
 from .graph_core import classify
@@ -384,6 +384,14 @@ def verify_tau_level(C: CycComplex, k):
     sign fault flags them all.  The flags fall into six fault classes, in
     the order above; the witness is the lowest element any class flags,
     named by the first class whose own first flag is that element.
+
+    This check owns the lead of every column above level 1: its sign, its
+    target I and its monomial m_ji, with m_ji the closed formula's arrow
+    monomial and I found by merge and the index, not by the build.
+    Neither leading_term_formula (level 1 only) nor schreyer_coverage
+    compares it again: the rho image of a retained pair (j, i) merges back
+    to i and j, so once coverage has shown rho a bijection, its lead
+    comparison would be this one.
     """
     basis, level = C.bases[k + 1], C.positions[k + 1]
     width = len(basis)
@@ -486,24 +494,17 @@ def rho_image(C: CycComplex, k, i, j):
 
 
 def verify_schreyer_coverage(C: CycComplex, k) -> tuple:
-    """Retained generators biject with the next level's basis, with matching
-    leading components: the image column leads on e_i with the cofactor's
-    monomial and the opposite of its coefficient, the sign one level up.
-    At the top level every quotient set must be empty.  Counts the
-    generators matched.
+    """Retained generators biject with the next level's basis: no rho image
+    is off the basis or met twice, and there are as many as the basis has
+    elements.  At the top level every quotient set must be empty.  Counts
+    the generators matched.  The lead of each image is verify_tau_level's
+    to compare: rho(i, j) has the τ pair (i, j).
 
     The retained pairs (j, i) are taken from the sibling runs in order, and
-    each is sent to its rho image and looked up on its own; the leading
-    components are then compared for all pairs at once, up to the first
-    image off the basis or met twice.  The witness is the first pair that
-    fails, and at one pair an image off the basis comes first, then one met
-    twice, then a leading component."""
-    n = C.n
-    # the leading terms of the next level's columns: its first position
-    above, index, (lc, leads, on) = (
-        (C.bases[k + 1], C.index[k + 1], C.positions[k + 1][0])
-        if k + 1 < n else ([], {}, (None, [], []))
-    )
+    each is sent to its rho image and looked up on its own.  The witness is
+    the first pair that fails, and at one pair an image off the basis comes
+    first, then one met twice."""
+    above, index = (C.bases[k + 1], C.index[k + 1]) if k + 1 < C.n else ([], {})
     # the retained pairs, as machine ints (a level can hold hundreds of
     # thousands; the module is loaded by the one check that needs it);
     # those of a run, as offsets into it, depend on its k-th blocks alone,
@@ -533,26 +534,10 @@ def verify_schreyer_coverage(C: CycComplex, k) -> tuple:
     # one byte per basis element above marks the images met (deque with
     # no room only runs the map); fewer marks than images means a repeat,
     # the first image whose first position is not its own
-    met, twice = bytearray(len(above)), None
+    met = bytearray(len(above))
     deque(map(met.__setitem__, reached, repeat(1)), maxlen=0)
     if met.count(1) < len(reached):
         twice = first(map(ne, map({}.setdefault, reached, count()), count()))
-        del reached[twice:]
-    sign, monos, targets = C.positions[k][0]
-    if reached and (lc, sign) != (-sign, (-1) ** (k - 1)):
-        wrong = 0
-    else:
-        cofactors = map(C.ctx.cofactor, map(monos.__getitem__, I), map(monos.__getitem__, J))
-        no_pair = map(ne, map(targets.__getitem__, I), map(targets.__getitem__, J))
-        off_i = map(ne, map(on.__getitem__, reached), I)
-        off_lead = map(ne, map(leads.__getitem__, reached), cofactors)
-        wrong = first(map(or_, map(or_, no_pair, off_i), off_lead))
-    if wrong is not None:
-        h = partition_str(rho_image(C, k, I[wrong], J[wrong]))
-        return False, (
-            f"leading component of {h} does not match generator ({J[wrong] + 1},{I[wrong] + 1})"
-        ), {"generators": wrong + 1}
-    if twice is not None:
         h = partition_str(rho_image(C, k, I[twice], J[twice]))
         return False, f"rho images collide on {h}", {"generators": twice}
     if off is not None:

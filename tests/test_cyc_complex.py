@@ -834,15 +834,27 @@ def test_d_squared_witness_names_the_corrupted_column():
 
 
 def test_leading_terms_witness_names_the_first_mismatch():
-    C = complex_from_matrix([[3, -1, -1, -1], [-1, 3, -1, -1],
-                             [-1, -1, 3, -1], [-1, -1, -1, 3]])
-    # the lead of column 7 times x1 stays above the terms after it, so the
-    # column stays in module order
+    # a lead times x1 stays above the terms after it, so the column stays
+    # in module order.  On level 1 the closed formula is this check's, and
+    # the fault names the column
+    rows = [[3, -1, -1, -1], [-1, 3, -1, -1], [-1, -1, 3, -1], [-1, -1, -1, 3]]
+    C = complex_from_matrix(rows)
+    _, mono, _ = columns(C, 1)[3][0]
+    set_entry(C, 1, 0, 3, mono=mono + C.ctx.variables[0])
+    assert cc.check_leading_terms(C) == (
+        False, "formula mismatch on column 4 in degree 1", {}
+    )
+    assert not rv.full_verify(C).passed
+    # above level 1 the τ check owns the lead: the same fault in column 7
+    # of degree 2 passes here, fails there and fails the report
+    C = complex_from_matrix(rows)
     _, mono, _ = columns(C, 2)[6][0]
     set_entry(C, 2, 0, 6, mono=mono + C.ctx.variables[0])
-    assert cc.check_leading_terms(C) == (
-        False, "formula mismatch on column 7 in degree 2", {}
+    assert cc.check_leading_terms(C) == (True, None, {})
+    assert rv.verify_tau_level(C, 1) == (
+        False, "leading component mismatch at (2,13,4)", {"elements": 6}
     )
+    assert not rv.full_verify(C).passed
 
 
 def test_first_differential_image_in_kernel_of_projection(k4_complex):

@@ -14,7 +14,6 @@ from cycres.poly_ring import (
     GradedContext,
     divide,
     divisor_table,
-    s_cofactor,
     s_leading_key,
     s_vector,
 )
@@ -831,10 +830,11 @@ def test_tau_identities_all(k4_complex, generic4_complex, cycle4_complex):
 def _tau_faults(C, k, pos):
     # each fault in turn put into column pos of level k + 1, yielding its
     # name while it is in, and undone after: the lead or the second
-    # monomial times x1, a target moved to the next basis element, the
-    # leading partner i repeated at a later position, and a tail monomial
-    # times x1.  The later position runs over the tail as pos does, and
-    # the moved target over every position
+    # monomial times x1, a target moved to the next basis element (named
+    # apart at positions 0 and 1, the merge partners), the leading partner
+    # i repeated at a later position, and a tail monomial times x1.  The
+    # later position runs over the tail as pos does, and the moved target
+    # over every position
     level = C.positions[k + 1]
     x1 = C.ctx.variables[0]
     i, _ = tau_pair(C, k, C.bases[k + 1][pos])
@@ -842,7 +842,8 @@ def _tau_faults(C, k, pos):
     for name, t, seq, value in (
         ("lead times x1", 0, 1, level[0][1][pos] + x1),
         ("second times x1", 1, 1, level[1][1][pos] + x1),
-        ("target moved", moved, 2, (level[moved][2][pos] + 1) % len(C.bases[k])),
+        ("partner target moved" if moved < 2 else "target moved", moved, 2,
+         (level[moved][2][pos] + 1) % len(C.bases[k])),
         ("i repeated", later, 2, i),
         ("tail times x1", later, 1, level[later][1][pos] + x1),
     ):
@@ -884,8 +885,12 @@ def test_tau_level_names_the_first_failing_element(case):
                 faults[name, ok] += 1
         assert rv.verify_tau_level(C, k) == (True, None, {"elements": width})
     assert (k, pos) == (C.n - 2, len(C.bases[C.n - 1]) - 1)
-    # every fault but a later tail term or target is caught everywhere
-    assert not any(ok for (name, ok) in faults if name in ("lead times x1", "second times x1"))
+    # every fault but a later tail term or target is caught everywhere; a
+    # lead's target moved off I is this check's to catch, since
+    # schreyer_coverage reads no lead
+    caught = ("lead times x1", "second times x1", "partner target moved")
+    assert not any(ok for (name, ok) in faults if name in caught)
+    assert faults["partner target moved", False] > 0
     assert faults["i repeated", True] == 0
 
 
@@ -956,18 +961,19 @@ def test_schreyer_coverage_witnesses(k4_complex, monkeypatch):
     )
 
 
-def test_schreyer_coverage_compares_the_lead_coefficient_exactly():
-    # the image column of a retained generator leads with the opposite of
-    # its cofactor's coefficient, the sign one level up; a lead with its
-    # sign flipped has the same absolute value and is still refused.  The
-    # sign is its position's, shared by every column of the level, so the
-    # first generator matched is named.  A lead monomial times x1 is
-    # refused on its own column, however late it is matched
-    for k, flip, j, h, generator, count in ((1, True, 0, "(23,1,4)", "(1,2)", 1),
-                                            (2, True, 0, "(3,2,1,4)", "(4,5)", 1),
-                                            (1, False, 0, "(23,1,4)", "(1,2)", 1),
-                                            (1, False, 11, "(1,2,34)", "(4,7)", 12),
-                                            (2, False, 5, "(1,2,3,4)", "(10,12)", 6)):
+def test_schreyer_coverage_leaves_the_lead_to_the_tau_check():
+    # the lead of a rho image is the τ check's to compare: coverage reads
+    # only where the images fall, and passes with its full count, while
+    # the τ level above names the element.  A lead with its sign flipped
+    # has the same absolute value and is still refused; the sign is its
+    # position's, shared by every column of the level, so the first
+    # element is named.  A lead monomial times x1 is refused on its own
+    # column, however late it stands
+    for k, flip, j, h, count in ((1, True, 0, "(23,1,4)", 12),
+                                 (2, True, 0, "(3,2,1,4)", 6),
+                                 (1, False, 0, "(23,1,4)", 12),
+                                 (1, False, 11, "(1,2,34)", 12),
+                                 (2, False, 5, "(1,2,3,4)", 6)):
         C = complex_from_matrix(K4_ROWS)
         assert rv.partition_str(C.bases[k + 1][j]) == h
         sign, monos, targets = C.positions[k + 1][0]
@@ -975,19 +981,32 @@ def test_schreyer_coverage_compares_the_lead_coefficient_exactly():
             C.positions[k + 1][0] = (-sign, monos, targets)
         else:
             set_entry(C, k + 1, 0, j, mono=monos[j] + C.ctx.variables[0])
-        assert rv.verify_schreyer_coverage(C, k) == (
-            False, f"leading component of {h} does not match generator {generator}",
-            {"generators": count},
+        assert rv.verify_schreyer_coverage(C, k) == (True, None, {"generators": count})
+        assert rv.verify_tau_level(C, k) == (
+            False, f"leading component mismatch at {h}", {"elements": j}
         )
+
+
+def test_every_retained_pair_is_the_tau_pair_of_its_rho_image():
+    # p = bases[k][i] and q = bases[k][j] share their first k - 1 blocks
+    # and p's k-th block lies inside q's, so rho(i, j) merges back to p at
+    # its last two blocks and to q at the two before: coverage's bijection
+    # hands every image's lead to the τ comparison of the pair (i, j)
+    pairs = 0
+    for C in swept_complexes():
+        for k in range(1, C.n - 1):
+            for run in rv.sibling_runs(C, k):
+                for i, sources in rv.quotient_sources(C, k, run):
+                    for j in (j for j, retained in sources if retained):
+                        assert tau_pair(C, k, rv.rho_image(C, k, i, j)) == (i, j)
+                        pairs += 1
+    assert pairs == 32658
 
 
 def _schreyer_coverage_pair_by_pair(C, k):
     # the coverage check with no memo of retained offsets: every retained
     # pair of every run, one at a time, in order
-    above, index, (lc, leads, on) = (
-        (C.bases[k + 1], C.index[k + 1], C.positions[k + 1][0])
-        if k + 1 < C.n else ([], {}, (None, [], []))
-    )
+    above, index = (C.bases[k + 1], C.index[k + 1]) if k + 1 < C.n else ([], {})
     seen, total = set(), 0
     for i, sources in _sources_by_scan(C, k):
         for j in (j for j, retained in sources if retained):
@@ -1001,12 +1020,6 @@ def _schreyer_coverage_pair_by_pair(C, k):
                 return False, f"rho images collide on {rv.partition_str(h)}", {"generators": total}
             seen.add(hi)
             total += 1
-            m = s_cofactor(C.tower, k - 1, i, j)
-            if m is None or (on[hi], leads[hi], lc, m[0]) != (i, m[1], -m[0], (-1) ** (k - 1)):
-                return False, (
-                    f"leading component of {rv.partition_str(h)} does not match "
-                    f"generator ({j + 1},{i + 1})"
-                ), {"generators": total}
     if total != len(above):
         return False, f"generator count {total} != rank {len(above)}", {"generators": total}
     return True, None, {"generators": total}
