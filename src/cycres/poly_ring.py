@@ -14,23 +14,20 @@ Representation conventions (kept deliberately plain for speed):
                level at once, sign * x^monos[j] * e_targets[j] in column
                j, with sign the one +-1 of that merge; a level is its
                positions, in term order, all of one length
-    column     tuple of (coeff, monomial, basis index) terms, strictly
-               decreasing in the module order one level down: entry j
-               of each position, built one at a time (column), or
-               all of level 1 at once (OrderTower.binomials)
+    column     column j of a level is entry j of each of its positions,
+               in order, strictly decreasing in the module order one
+               level down; no column is built as a tuple
 
 Elems are the mutable accumulators (division work and remainders,
 S-vectors).  The differential is stored once, as each level's positions,
 by the order tower, in the order the build gives its terms in, which
 cyc_complex.boundary proves strictly decreasing and the
-leading_term_formula check verifies position by position.  The checks read
-the positions a whole list at a time, or entry j of the few they need, and
-so does the text output (elem_str).  Only S-vectors and division combine
-whole columns: an S-vector builds its two from the positions, and
-division reads level 1, the only level the tower derives as columns (its
-binomials).  So a column's first term is its leading
-term, and the leading term of an S-vector is read off its two columns
-without building it.  Only the degree-0 Groebner check divides, and it
+leading_term_formula check verifies position by position, so a column's
+first term is its leading term.  The checks read the positions a whole
+list at a time, or entry j of the few they need, and so does the text
+output (elem_str).  Only S-vectors and division combine whole columns,
+and elem_combine adds column j straight off a level's positions: no level
+is derived as columns.  Only the degree-0 Groebner check divides, and it
 reads nothing but the remainder of a degree-0 element by the degree-0
 columns; the divisors are looked up by the support mask of the term to
 reduce, in a table that check builds once (divisor_table).
@@ -47,7 +44,6 @@ position; elem_str hands out a level's term texts and basis suffixes as
 pieces, and its caller joins each column's pieces once.
 """
 
-from functools import cached_property
 from itertools import compress, count, repeat
 from operator import add, and_, lshift, lt, ne, neg, rshift
 
@@ -156,12 +152,13 @@ class GradedContext:
 # ---------------------------------------------------------------------------
 # module elements
 
-def elem_combine(acc, column, coeff, mono):
-    """acc += coeff * x^mono * column, in place; coeff is nonzero."""
+def elem_combine(acc, positions, j, coeff, mono):
+    """acc += coeff * x^mono * column j of a level given as its term
+    positions (entry j of each), in place; coeff is nonzero."""
     get = acc.get
-    for c, m, idx in column:
-        key = (mono + m, idx)
-        total = get(key, 0) + coeff * c
+    for sign, monos, targets in positions:
+        key = (mono + monos[j], targets[j])
+        total = get(key, 0) + coeff * sign
         if total:
             acc[key] = total
         else:
@@ -189,8 +186,8 @@ class OrderTower:
     order boundary emits its terms, strictly decreasing, so its first term
     is its leading term and the one record of it.  Every table is immutable
     once add_level returns.  Every position of a level has one length,
-    and column j is entry j of each (see column).  Only level 1 is derived
-    as columns, its binomials, for division, when first read.
+    and column j is entry j of each; no level is derived as columns, and
+    division and S-vectors read level 1's positions too (elem_combine).
     """
 
     def __init__(self, ctx: GradedContext):
@@ -203,21 +200,6 @@ class OrderTower:
     @property
     def levels(self):
         return len(self.base)
-
-    @cached_property
-    def binomials(self):
-        """binomials[j]: the column of level-1 basis element j, a degree-0
-        binomial, as a tuple of (coeff, monomial, 0) terms, lead first.
-        Derived from the positions by one zip on first use and kept until
-        the next add_level: division combines these columns at every step,
-        and no level above is derived."""
-        return list(zip(*[
-            zip(repeat(sign), monos, targets) for sign, monos, targets in self.positions[1]
-        ]))
-
-    def key(self, level, mono, idx):
-        """The int key of the module monomial x^mono * e_idx at a level."""
-        return (mono << self.bits[level]) + self.base[level][idx]
 
     def add_level(self, positions):
         """Append the order induced by the next level's differential.
@@ -285,7 +267,6 @@ class OrderTower:
         self.base.append(list(map(add, map(lshift, tops, repeat(up)), count())))
         self.positions.append(positions)
         self.shifts.append(shifts)
-        self.__dict__.pop("binomials", None)
 
 
 def first(flags, start=0):
@@ -296,16 +277,10 @@ def first(flags, start=0):
 # ---------------------------------------------------------------------------
 # division and S-vectors
 
-def column(positions, j):
-    """Column j of a level given as its term positions: its (coeff,
-    monomial, basis index) terms, entry j of each position, in order."""
-    return tuple((sign, monos[j], targets[j]) for sign, monos, targets in positions)
-
-
 def divisor_table(tower: OrderTower):
-    """{support mask: the ascending positions j of the degree-0 columns
-    tower.binomials whose first term (the leading term) has its support
-    inside that mask}.
+    """{support mask: the ascending positions j of the degree-0 columns,
+    level 1 of the tower, whose first term (the leading term, entry j of
+    the first position) has its support inside that mask}.
 
     A leading monomial divides x^m only if it is listed under m's support
     (see GradedContext.support), so these are the candidate divisors in
@@ -315,8 +290,8 @@ def divisor_table(tower: OrderTower):
     """
     ctx = tower.ctx
     table = {}
-    for j, column in enumerate(tower.binomials):
-        inside = ctx.support(column[0][1])
+    for j, lead in enumerate(tower.positions[1][0][1]):
+        inside = ctx.support(lead)
         free = sub = ctx.guard ^ inside
         while True:
             table.setdefault(inside + sub, []).append(j)
@@ -328,20 +303,22 @@ def divisor_table(tower: OrderTower):
 
 def divide(g, tower: OrderTower, table):
     """The remainder of the degree-0 element g on division by the degree-0
-    columns tower.binomials, whose candidate divisors ``table`` lists as
-    divisor_table(tower) builds it.
+    columns, level 1 of the tower, whose candidate divisors ``table`` lists
+    as divisor_table(tower) builds it.
 
     At level 0 the module key of a term is its monomial, so the leading
     term of the work is max(work).  At every step it is reduced by the
     lowest-index column whose leading term, its first, divides it, taken
-    from the candidates listed under its support; an irreducible leading
-    term moves to the remainder.  Every leading coefficient is +-1, its own
+    from the candidates listed under its support, and the column is added
+    straight off the level's term positions; an irreducible leading term
+    moves to the remainder.  Every leading coefficient is +-1, its own
     inverse, so all coefficients stay in Z.  The leading terms met strictly
     decrease, so each key of the remainder is written once; a step that
     breaks this (a column whose first term is not its largest) raises
     InternalError naming the column divided by, instead of looping.
     """
-    basis = tower.binomials
+    positions = tower.positions[1]
+    sign, leads, _ = positions[0]
     support, guard = tower.ctx.support, tower.ctx.guard
     remainder = {}
     work = dict(g)
@@ -355,9 +332,9 @@ def divide(g, tower: OrderTower, table):
                 f"left a leading term at or above the one it reduced"
             )
         for bi in table.get(support(mono), ()):
-            bc, bm, _ = basis[bi][0]
+            bm = leads[bi]
             if not (bm - mono) & guard:
-                elem_combine(work, basis[bi], -coeff * bc, mono - bm)
+                elem_combine(work, positions, bi, -coeff * sign, mono - bm)
                 reduced = mono
                 break
         else:
@@ -380,37 +357,11 @@ def s_cofactor(tower: OrderTower, level, i, j):
     return sign, tower.ctx.cofactor(monos[i], monos[j])
 
 
-def s_leading_key(tower: OrderTower, level, i, j, m_ji, m_ij):
-    """The int key of Lt(S) for S = m_ji*f_i - m_ij*f_j, the columns f_i, f_j
-    of tower.positions[level + 1] and their cofactors as s_cofactor gives
-    them, or None when S = 0.  S itself is not built.
-
-    Both columns are stored in strictly decreasing key order (the
-    leading_term_formula check proves it), and multiplying by x^m adds
-    m << bits to every key, so entries i and j of the positions are walked
-    together from the top: the first key whose terms do not cancel is
-    Lt(S).  Every column of a level has one term per position, and the two
-    terms at a position share its sign, so they cancel exactly when their
-    keys and cofactor coefficients are equal; no column has a term left
-    over when the other runs out, and S = 0 when every term cancels.
-    """
-    bits, base = tower.bits[level], tower.base[level]
-    (ci, mi), (cj, mj) = m_ji, m_ij
-    up_i, up_j = mi << bits, mj << bits
-    for _, monos, targets in tower.positions[level + 1]:
-        ka = up_i + (monos[i] << bits) + base[targets[i]]
-        kb = up_j + (monos[j] << bits) + base[targets[j]]
-        if ka != kb:
-            return max(ka, kb)
-        if ci != cj:
-            return ka
-    return None
-
-
 def s_vector(tower: OrderTower, level, i, j):
-    """(S, m_ji, m_ij) with S = m_ji*f_i - m_ij*f_j cancelling the leading
-    terms of the columns f_i, f_j of tower.positions[level + 1] (cofactors
-    as in s_cofactor), or None when those sit on different basis elements.
+    """S = m_ji*f_i - m_ij*f_j, cancelling the leading terms of the columns
+    f_i, f_j of tower.positions[level + 1] (cofactors as in s_cofactor),
+    each added straight off the positions, or None when those leading terms
+    sit on different basis elements.
     """
     m_ji = s_cofactor(tower, level, i, j)
     if m_ji is None:
@@ -418,9 +369,9 @@ def s_vector(tower: OrderTower, level, i, j):
     m_ij = s_cofactor(tower, level, j, i)
     positions = tower.positions[level + 1]
     s = {}
-    elem_combine(s, column(positions, i), m_ji[0], m_ji[1])
-    elem_combine(s, column(positions, j), -m_ij[0], m_ij[1])
-    return s, m_ji, m_ij
+    elem_combine(s, positions, i, m_ji[0], m_ji[1])
+    elem_combine(s, positions, j, -m_ij[0], m_ij[1])
+    return s
 
 
 # ---------------------------------------------------------------------------

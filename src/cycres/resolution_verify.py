@@ -13,8 +13,7 @@ dimensions prove exactness only where d∘d = 0.
 
 import time
 from collections import Counter, deque
-from functools import partial
-from itertools import compress, count, islice, repeat, starmap, tee
+from itertools import compress, count, islice, repeat, tee
 from operator import add, eq, ge, gt, is_, itemgetter, lshift, ne, not_, rshift, sub
 
 from .errors import InternalError, ValidationError
@@ -35,7 +34,6 @@ from .poly_ring import (
     elem_combine,
     first,
     s_cofactor,
-    s_leading_key,
     s_vector,
 )
 
@@ -105,18 +103,20 @@ def _arrow_plus(A, B, Cs, C: CycComplex):
 
 
 def s_poly_closed_form(C, D, complex_: CycComplex):
-    """(S, l_cd, l_dc, heads): the S-polynomial of the two subset binomials
-    by the set-splitting identity, S = l_cd * f_F - l_dc * f_G, its two
-    monomial coefficients, and the leading terms of its pieces l_cd * f_F
-    and l_dc * f_G, as (monomial, basis index) pairs.
+    """(S, l_cd, l_dc, heads): the S-polynomial of the degree-0 columns of
+    two subsets by the set-splitting identity, S = l_cd * f_F - l_dc * f_G,
+    its two monomial coefficients, and the leading terms of its pieces
+    l_cd * f_F and l_dc * f_G, as (monomial, basis index) pairs.
 
     Splits the subsets into E = C&D, F = C-E, G = D-E, V = complement of the
-    union, and combines the degree-0 binomials f_F and f_G of F and G, each
-    looked up once, with explicit monomial coefficients; a piece whose
-    subset is empty is left out.  The heads are read off the first terms of
-    the two stored columns, with no leading-term computation.
+    union, and combines the degree-0 columns f_F and f_G of F and G, each
+    looked up once and added straight off level 1's term positions, with
+    explicit monomial coefficients; a piece whose subset is empty is left
+    out.  The heads are read off the first position, which holds the
+    leading terms, with no leading-term computation.
     """
-    arrows, binomials = complex_.arrows, complex_.tower.binomials
+    arrows, positions = complex_.arrows, complex_.positions[1]
+    _, leads, on = positions[0]
     full = (1 << complex_.n) - 1
     E, F, G, V = C & D, C & ~D, D & ~C, full & ~(C | D)
     l_cd = _arrow_plus(E, G, F, complex_) + arrows[F, G] + arrows[V, D]
@@ -124,10 +124,9 @@ def s_poly_closed_form(C, D, complex_: CycComplex):
     out, heads = {}, []
     for piece, mono, coeff in ((F, l_cd, 1), (G, l_dc, -1)):
         if piece:
-            f = binomials[complex_.index[1][piece, full ^ piece]]
-            elem_combine(out, f, coeff, mono)
-            _, lm, idx = f[0]
-            heads.append((mono + lm, idx))
+            f = complex_.index[1][piece, full ^ piece]
+            elem_combine(out, positions, f, coeff, mono)
+            heads.append((mono + leads[f], on[f]))
     return out, l_cd, l_dc, heads
 
 
@@ -137,27 +136,28 @@ def verify_degree0_gb(C: CycComplex):
     For every pair i < j of level 1 the S-vector S of the stored columns
     must equal the closed form (s_poly_closed_form); the two closed-form
     pieces lead on different monomials, so the larger of their leading
-    terms must be Lt(S), walked off the two columns (s_leading_key); and
-    S must divide to remainder 0 by the degree-0 columns.  A division that
-    does not descend (a column whose first term is not its largest) fails
-    the pair it divides, as a remainder would.  Counts the pairs divided.
+    terms must be Lt(S), read off the S just built: at level 0 the module
+    key of a term is its monomial, so Lt(S) is max(S), and nothing is
+    keyed; and S must divide to remainder 0 by the degree-0 columns.  A
+    division that does not descend (a column whose first term is not its
+    largest) fails the pair it divides, as a remainder would.  Counts the
+    pairs divided.
     """
     tower, blocks = C.tower, [p[0] for p in C.bases[1]]
-    table, key = divisor_table(tower), partial(tower.key, 0)
+    table = divisor_table(tower)
     pairs = 0
     for i, ci in enumerate(blocks):
         for j in range(i + 1, len(blocks)):
             cj = blocks[j]
-            sv = s_vector(tower, 0, i, j)
-            if sv is None:
+            s = s_vector(tower, 0, i, j)
+            if s is None:
                 return False, f"no S-pair for ({i + 1},{j + 1})", {"pairs": pairs}
-            s, m_ji, m_ij = sv
             formula, _, _, heads = s_poly_closed_form(ci, cj, C)
             if s != formula:
                 return False, (
                     f"closed form mismatch for C, D = {partition_str((ci, cj))}"
                 ), {"pairs": pairs}
-            if max(starmap(key, heads)) != s_leading_key(tower, 0, i, j, m_ji, m_ij):
+            if max(heads) != max(s, default=None):
                 return False, (
                     f"leading bound fails for C, D = {partition_str((ci, cj))}"
                 ), {"pairs": pairs}
@@ -202,9 +202,9 @@ def verify_distinct_images(C: CycComplex):
 
 
 def verify_colon_stability(C: CycComplex):
-    """I : x_n = I for the ideal I of the degree-0 binomials, exactly.
+    """I : x_n = I for the ideal I of the degree-0 columns, exactly.
 
-    The verdict rests on degree0_groebner, which proves the binomials a
+    The verdict rests on degree0_groebner, which proves those columns a
     Groebner basis G under weighted revlex with x_n last.  If no leading
     term of G involves x_n, then Lt(g) | x_n * x^m implies Lt(g) | x^m, so
     in(I : x_n) = in(I) and hence I : x_n = I (Bayer-Stillman; Eisenbud,
@@ -364,10 +364,12 @@ def verify_tau_level(C: CycComplex, k):
     must share a target, and they must equal their arrow monomials under
     the sign (-1)^(k-1) of level k's first position.  Position 0 of de must
     hold -m_ji on I and position 1 m_ij on J, and no other position either
-    partner.  Lt(S) is walked for every element at once by s_leading_key's
-    rule, one position of level k at a time, for the elements whose terms
-    have cancelled at every position before: both cofactors carry that
-    sign, so two terms cancel exactly when their keys are equal.  Each
+    partner.  S is not built: Lt(S) is walked for every element at once,
+    one position of level k at a time from the top, for the elements whose
+    terms have cancelled at every position before.  Both columns strictly
+    decrease, so the first position whose two terms do not cancel holds
+    Lt(S), the larger of them; both cofactors carry that sign, so the two
+    terms at a position cancel exactly when their keys are equal.  Each
     element still walking is keyed once at a position.  At position 0 the
     leads times their cofactors are one monomial, the lcm, so they cancel
     wherever they share a target, and only the flags are kept; an element
@@ -407,7 +409,7 @@ def verify_tau_level(C: CycComplex, k):
     # ((m + monos_t[c]) << bits) + base[targets_t[c]]
     bits, base = C.tower.bits[k - 1], C.tower.base[k - 1]
 
-    def keys(ms, ts, m, c):
+    def term_keys(ms, ts, m, c):
         terms = map(lshift, map(add, m, map(ms.__getitem__, c)), repeat(bits))
         return map(add, terms, map(base.__getitem__, map(ts.__getitem__, c)))
 
@@ -415,7 +417,7 @@ def verify_tau_level(C: CycComplex, k):
     walking = [range(width), I, J, m_ji, m_ij]
     for t, (_, ms, ts) in enumerate(C.positions[k]):
         elems, ii, jj, mi, mj = walking
-        a, b = keys(ms, ts, mi, ii), keys(ms, ts, mj, jj)
+        a, b = term_keys(ms, ts, mi, ii), term_keys(ms, ts, mj, jj)
         if t:
             # each element keyed once: tee hands each key to eq and to max
             # in step, and the larger goes to s_keys, cancelled or not
@@ -428,7 +430,7 @@ def verify_tau_level(C: CycComplex, k):
             # are kept, and an element whose leads do not is keyed again
             cancel = bytearray(map(eq, a, b))
             if not all(cancel):
-                ended = map(max, keys(ms, ts, mi, ii), keys(ms, ts, mj, jj))
+                ended = map(max, term_keys(ms, ts, mi, ii), term_keys(ms, ts, mj, jj))
                 for e, key in compress(zip(elems, ended), map(not_, cancel)):
                     s_keys[e] = key
         if not any(cancel):
@@ -462,7 +464,7 @@ def verify_tau_level(C: CycComplex, k):
             *(map(eq, on, J) for _, _, on in level[2:]),
         ]),
         ("standard-expression bound fails at", [
-            map(ne, keys(monos, targets, tails, on_tail), s_keys),
+            map(ne, term_keys(monos, targets, tails, on_tail), s_keys),
         ]),
     ]
     # min keeps the first of equal positions, so the earliest class names it

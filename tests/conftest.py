@@ -139,8 +139,8 @@ def columns(holder, k):
     """The columns of level k of a complex or an order tower, zipped from
     its term positions: column j is the tuple of (sign, monomial, basis
     index) terms, entry j of each position in order.  The package derives
-    no level above 1 as columns; this is the reference its whole-list
-    readings of the positions are tested against."""
+    no level as columns; this is the reference its readings of the
+    positions are tested against."""
     return list(zip(*[
         zip(repeat(sign), monos, targets) for sign, monos, targets in holder.positions[k]
     ]))
@@ -150,10 +150,7 @@ def set_entry(holder, k, i, j, mono=None, target=None):
     """Put mono and target in place of entry j of position i of level k of
     a complex or an order tower, in copies of that position's lists (the
     build shares target lists between positions and levels); None keeps
-    the stored entry.  A fault injected here is term i of column j; at
-    level 1 the tower's binomials are derived again when next read."""
-    if k == 1:
-        forget_binomials(holder)
+    the stored entry.  A fault injected here is term i of column j."""
     level = holder.positions[k]
     sign, monos, targets = level[i]
     monos, targets = list(monos), list(targets)
@@ -162,13 +159,6 @@ def set_entry(holder, k, i, j, mono=None, target=None):
     if target is not None:
         targets[j] = target
     level[i] = (sign, monos, targets)
-
-
-def forget_binomials(holder):
-    """Drop the level-1 columns the order tower of a complex (or the tower
-    itself) derived, as add_level does, so that they are derived again
-    from positions changed since."""
-    vars(getattr(holder, "tower", holder)).pop("binomials", None)
 
 
 def swap_entries(holder, k, j, a, b):

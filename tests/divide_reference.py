@@ -4,26 +4,27 @@ replace, kept as the reference that divide's remainders are tested against
 (as monomial_reference keeps exponent tuples).
 """
 
-from conftest import columns
 from cycres.poly_ring import elem_combine
 from tower_reference import leading_module_term
 
 
 def divide(g, tower, level):
-    """(quotient, remainder) of g by columns(tower, level + 1), each step
-    reducing by the lowest-index image whose leading term divides."""
-    basis = columns(tower, level + 1)
+    """(quotient, remainder) of g by the columns of level + 1 of the tower,
+    each step reducing by the lowest-index image whose leading term, entry
+    bi of the first position, divides."""
+    positions = tower.positions[level + 1]
+    sign, leads, on = positions[0]
     guard = tower.ctx.guard
     quotient, remainder = {}, {}
     work = dict(g)
     while work:
         coeff, mono, idx = leading_module_term(tower, work, level)
-        for bi, (bc, bm, bidx) in enumerate(f[0] for f in basis):
+        for bi, (bm, bidx) in enumerate(zip(leads, on)):
             if bidx == idx and not (bm - mono) & guard:
-                q = coeff * bc
+                q = coeff * sign
                 qm = mono - bm
                 quotient[qm, bi] = q
-                elem_combine(work, basis[bi], -q, qm)
+                elem_combine(work, positions, bi, -q, qm)
                 break
         else:
             remainder[mono, idx] = coeff

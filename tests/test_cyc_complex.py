@@ -236,8 +236,8 @@ def test_the_build_and_export_look_up_no_partition(monkeypatch):
 def test_resolve_derives_no_columns():
     # resolve builds, checks minimality and exports from the term
     # positions, and derives no column; a full verification reads them
-    # too, and derives the degree-0 columns alone, for division, besides
-    # the partition index the checks build on first use
+    # too, division and S-vectors included, and derives no column either:
+    # it adds only the partition index the checks build on first use
     complexes = [bundled_complex(name) for name in RESOLVABLE]
     complexes += [cc.build_complex(C.L) for C in swept_complexes()[-3:]]
     built = {"L", "ctx", "bases", "tower", "arrows", "n", "positions", "shifts"}
@@ -249,8 +249,7 @@ def test_resolve_derives_no_columns():
         assert set(vars(C.tower)) == tables
         assert rv.full_verify(C, d_max=2).passed
         assert set(vars(C)) == built | {"index"}
-        assert set(vars(C.tower)) == tables | {"binomials"}
-        assert C.tower.binomials == columns(C, 1)
+        assert set(vars(C.tower)) == tables
 
 
 @st.composite
@@ -579,7 +578,7 @@ def test_degree_bound_holds_every_shift_and_degree0_s_vector():
         r1 = len(columns(C, 1))
         for i in range(r1):
             for j in range(i + 1, r1):
-                s, _, _ = s_vector(C.tower, 0, i, j)
+                s = s_vector(C.tower, 0, i, j)
                 for mono, _ in s:
                     assert ctx.degree(mono) <= bound
                     assert not (-mono & ctx.mask) & ctx.guard

@@ -63,23 +63,30 @@ def test_every_definition_is_used_by_the_package():
     # ROADMAP: keep no helper that only its own test calls.  Every function,
     # class and method of the package is read somewhere in the package
     # outside its own body, or is wrapped by name by the benchmark's tracer,
-    # or is the console entry point; dunders are called by Python itself
+    # or is the console entry point; dunders are called by Python itself.
+    # A method counts as read only as an attribute (obj.name): a local
+    # variable or a function of the same name does not keep it
     tables = tracing_tables()
     traced = {attr.split(".")[-1] for _, attr in tables["LAYER_FUNCTIONS"]}
     traced |= set(tables["CHECK_FUNCTIONS"].values())
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
     def reads(tree):
-        return Counter(
-            node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-        )
+        """The Counters of the names and of the attributes read in tree."""
+        names, attributes = Counter(), Counter()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names[node.id] += 1
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes[node.attr] += 1
+        return names, attributes
 
     def definitions(node, prefix):
+        """(qualname, definition, whether it is a method) for every
+        definition below node."""
         for child in ast.iter_child_nodes(node):
             if isinstance(child, kinds):
-                yield f"{prefix}{child.name}", child
+                yield f"{prefix}{child.name}", child, isinstance(node, ast.ClassDef)
                 yield from definitions(child, f"{prefix}{child.name}.")
             else:
                 yield from definitions(child, prefix)
@@ -88,19 +95,28 @@ def test_every_definition_is_used_by_the_package():
         path.stem: ast.parse(path.read_text(), str(path))
         for path in sorted((ROOT / "src" / "cycres").glob("*.py"))
     }
-    used = sum((reads(tree) for tree in trees.values()), Counter())
-    unused, count = [], 0
+    names, attributes = Counter(), Counter()
+    for tree in trees.values():
+        tree_names, tree_attributes = reads(tree)
+        names += tree_names
+        attributes += tree_attributes
+    unused, count, methods = [], 0, 0
     for stem, tree in trees.items():
-        for qualname, node in definitions(tree, f"{stem}."):
+        for qualname, node, method in definitions(tree, f"{stem}."):
             count += 1
+            methods += method
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
             if name in traced or qualname == "cli.main":
                 continue
-            if used[name] - reads(node)[name] <= 0:
+            own_names, own_attributes = reads(node)
+            outside = attributes[name] - own_attributes[name]
+            if not method:
+                outside += names[name] - own_names[name]
+            if outside <= 0:
                 unused.append(qualname)
-    assert count > 100
+    assert count > 100 and methods > 10
     assert unused == []
 
 

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import permutations
 from json.encoder import encode_basestring_ascii
 
@@ -13,7 +14,8 @@ from cycres import poly_ring as pr
 from cycres import resolution_verify as rv
 from cycres.errors import InternalError
 from export_reference import column_str
-from tower_reference import TupleTower, leading_module_term
+from standard_expression_reference import s_leading_key
+from tower_reference import TupleTower, key, leading_module_term
 
 from conftest import (
     ECHELON6,
@@ -172,17 +174,17 @@ def test_leading_term_poly():
 
 
 def test_module_compare_k4_example(k4_complex):
-    key, P = k4_complex.tower.key, k4_complex.ctx.pack
+    at, P = partial(key, k4_complex.tower), k4_complex.ctx.pack
     # x*e_{1,7} maps to x^4, e_{1,1} maps to x1*x2*x3; degree 4 beats 3
-    assert key(1, P((1, 0, 0, 0)), 6) > key(1, P((0, 0, 0, 0)), 0)
-    assert key(1, P((1, 0, 0, 0)), 2) == key(1, P((1, 0, 0, 0)), 2)
+    assert at(1, P((1, 0, 0, 0)), 6) > at(1, P((0, 0, 0, 0)), 0)
+    assert at(1, P((1, 0, 0, 0)), 2) == at(1, P((1, 0, 0, 0)), 2)
 
 
 def test_module_compare_tie_breaks_by_larger_index(k4_complex):
-    key, P = k4_complex.tower.key, k4_complex.ctx.pack
+    at, P = partial(key, k4_complex.tower), k4_complex.ctx.pack
     # x1^2 * Lm(f_{0,2}) = x2^2 * Lm(f_{0,3}) = x1^2x2^2x3^2; index decides
-    assert key(1, P((2, 0, 0, 0)), 1) < key(1, P((0, 2, 0, 0)), 2)
-    assert key(1, P((0, 2, 0, 0)), 2) > key(1, P((2, 0, 0, 0)), 1)
+    assert at(1, P((2, 0, 0, 0)), 1) < at(1, P((0, 2, 0, 0)), 2)
+    assert at(1, P((0, 2, 0, 0)), 2) > at(1, P((2, 0, 0, 0)), 1)
 
 
 def test_leading_module_term_of_degree0_images(weighted4_echelon_complex):
@@ -197,19 +199,21 @@ def test_leading_module_term_of_degree0_images(weighted4_echelon_complex):
         assert mono == arrow_monomial(p[0], p[1], C.L, C.ctx)
 
 
-def assert_standard_expression(g, basis, quotient, remainder, tower, level):
-    """quotient is the Elem {(monomial, i): coeff} on the positions of basis."""
+def assert_standard_expression(g, quotient, remainder, tower, level):
+    """quotient is the Elem {(monomial, i): coeff} on the columns of level
+    level + 1 of the tower."""
     assert all(quotient.values()) and all(remainder.values())
+    positions, basis = tower.positions[level + 1], columns(tower, level + 1)
     recomposed = dict(remainder)
     for (mono, i), coeff in quotient.items():
-        pr.elem_combine(recomposed, basis[i], coeff, mono)
+        pr.elem_combine(recomposed, positions, i, coeff, mono)
     assert recomposed == g
     if g:
         _, gm, gi = leading_module_term(tower, g, level)
-        gkey = tower.key(level, gm, gi)
+        gkey = key(tower, level, gm, gi)
         for mono, i in quotient:
             _, bm, bi = leading_module_term(tower, column_elem(basis[i]), level)
-            assert gkey >= tower.key(level, mono + bm, bi)
+            assert gkey >= key(tower, level, mono + bm, bi)
     basis_lts = [leading_module_term(tower, column_elem(b), level) for b in basis]
     for mono, idx in remainder:
         for _, bm, bi in basis_lts:
@@ -236,10 +240,10 @@ def test_divide_basis_element_is_exact(k4_complex):
 def test_divide_k4_s_pair_reduces_to_zero(k4_complex):
     C = k4_complex
     g0 = columns(C, 1)
-    s, _, _ = pr.s_vector(C.tower, 0, 1, 0)
+    s = pr.s_vector(C.tower, 0, 1, 0)
     q, r = divided(s, C.tower)
     assert r == {}
-    assert_standard_expression(s, g0, q, r, C.tower, 0)
+    assert_standard_expression(s, q, r, C.tower, 0)
 
 
 def test_divide_coprime_leading_terms_leave_remainder(k4_complex):
@@ -248,7 +252,7 @@ def test_divide_coprime_leading_terms_leave_remainder(k4_complex):
     q, r = divided(g, C.tower)
     assert r == g
     assert q == {}
-    assert_standard_expression(g, columns(C, 1), q, r, C.tower, 0)
+    assert_standard_expression(g, q, r, C.tower, 0)
 
 
 def test_divide_prefers_lowest_index_divisor(k4_complex):
@@ -262,7 +266,7 @@ def test_divide_prefers_lowest_index_divisor(k4_complex):
         **poly_elem(C.ctx, {(0, 0, 1, 2): 1}, 0),
     }
     assert r == poly_elem(C.ctx, {(0, 0, 1, 5): 1})
-    assert_standard_expression(g, columns(C, 1), q, r, C.tower, 0)
+    assert_standard_expression(g, q, r, C.tower, 0)
     # the K4 columns are a Groebner basis, so any choice leaves that
     # remainder.  x1^2 - x3^2 and x1*x2 - x3^2 are not one: x1^2*x2 keeps
     # x2*x3^2 after the first and x1*x3^2 after the second
@@ -285,7 +289,7 @@ def test_divide_random_standard_expressions(k4_complex):
             mono = C.ctx.pack([rng.randint(0, 3) for _ in range(4)])
             elem_add_term(g, 0, rng.choice([-2, -1, 1, 2]), mono)
         q, r = divided(g, C.tower)
-        assert_standard_expression(g, columns(C, 1), q, r, C.tower, 0)
+        assert_standard_expression(g, q, r, C.tower, 0)
 
 
 def test_divide_refuses_a_lead_that_is_not_its_columns_first_term(monkeypatch):
@@ -307,7 +311,7 @@ def test_divide_refuses_a_lead_that_is_not_its_columns_first_term(monkeypatch):
     C = complex_from_matrix(COMPLEX_ROWS["k4"])
     assert [C.ctx.unpack(m) for _, m, _ in columns(C, 1)[4]] == [(0, 0, 3, 0), (1, 1, 0, 1)]
     swap_entries(C, 1, 4, 0, 1)
-    s, _, _ = pr.s_vector(C.tower, 0, 0, 3)
+    s = pr.s_vector(C.tower, 0, 0, 3)
     with pytest.raises(InternalError, match=r"division at level 0 does not descend: image 5 "):
         pr.divide(s, C.tower, pr.divisor_table(C.tower))
 
@@ -315,7 +319,7 @@ def test_divide_refuses_a_lead_that_is_not_its_columns_first_term(monkeypatch):
 def test_divide_homogeneous_input_gives_homogeneous_parts(generic4_complex):
     C = generic4_complex
     for i, j in [(1, 0), (4, 2), (6, 5)]:
-        s, _, _ = pr.s_vector(C.tower, 0, i, j)
+        s = pr.s_vector(C.tower, 0, i, j)
         if not s:
             continue
         assert {idx for _, idx in s} == {0}
@@ -329,9 +333,8 @@ def test_divide_homogeneous_input_gives_homogeneous_parts(generic4_complex):
 
 def test_s_vector_same_element_is_zero(k4_complex):
     C = k4_complex
-    s, m_ji, m_ij = pr.s_vector(C.tower, 0, 0, 0)
-    assert s == {}
-    assert m_ji == m_ij == (1, C.ctx.pack((0, 0, 0, 0)))
+    assert pr.s_vector(C.tower, 0, 0, 0) == {}
+    assert pr.s_cofactor(C.tower, 0, 0, 0) == (1, C.ctx.pack((0, 0, 0, 0)))
 
 
 def test_s_vector_nested_subsets_generic(generic4_complex):
@@ -339,20 +342,19 @@ def test_s_vector_nested_subsets_generic(generic4_complex):
     C = generic4_complex
     a14 = C.L.a[0][3]
     x1_a14 = C.ctx.pack((a14, 0, 0, 0))
-    s, m_ji, m_ij = pr.s_vector(C.tower, 0, 1, 0)
-    assert m_ji == (1, x1_a14)
+    s = pr.s_vector(C.tower, 0, 1, 0)
+    assert pr.s_cofactor(C.tower, 0, 1, 0) == (1, x1_a14)
     lt = leading_module_term(C.tower, s, 0)
-    lcm_key = C.tower.key(0, x1_a14 + columns(C, 1)[1][0][1], 0)
-    assert C.tower.key(0, lt[1], lt[2]) < lcm_key
+    lcm_key = key(C.tower, 0, x1_a14 + columns(C, 1)[1][0][1], 0)
+    assert key(C.tower, 0, lt[1], lt[2]) < lcm_key
 
 
 def test_s_vector_level_one_pair_from_worked_example(generic4_complex):
     # pair (f_{1,5}, f_{1,4}): quotient monomial -x1^(weight 1->4)
     C = generic4_complex
     a14 = C.L.a[0][3]
-    s, m_ji, m_ij = pr.s_vector(C.tower, 1, 4, 3)
-    assert m_ji == (-1, C.ctx.pack((a14, 0, 0, 0)))
-    assert s
+    assert pr.s_cofactor(C.tower, 1, 4, 3) == (-1, C.ctx.pack((a14, 0, 0, 0)))
+    assert pr.s_vector(C.tower, 1, 4, 3)
 
 
 def test_s_vector_disjoint_leading_basis_elements_no_pair(k4_complex):
@@ -365,13 +367,13 @@ def test_s_vector_disjoint_leading_basis_elements_no_pair(k4_complex):
 def test_s_vector_drops_below_lcm_k4_pairs(k4_complex, i, j):
     # the leading monomial of an S-vector is strictly below the cancelled lcm
     C = k4_complex
-    s, m_ji, m_ij = pr.s_vector(C.tower, 0, i, j)
+    s = pr.s_vector(C.tower, 0, i, j)
     ctx = C.ctx
     leads = [f[0][1] for f in columns(C, 1)]
     lcm = ctx.pack(ref.mono_lcm(ctx.unpack(leads[i]), ctx.unpack(leads[j])))
     if s:
         _, sm, si = leading_module_term(C.tower, s, 0)
-        assert C.tower.key(0, sm, si) < C.tower.key(0, lcm, 0)
+        assert key(C.tower, 0, sm, si) < key(C.tower, 0, lcm, 0)
 
 
 def test_combining_a_column_and_its_negative_leaves_nothing(k4_complex):
@@ -380,16 +382,17 @@ def test_combining_a_column_and_its_negative_leaves_nothing(k4_complex):
     mono = C.ctx.pack((1, 0, 2, 0))
     other = column_elem(columns(C, 1)[2])
     for k in (1, 2, 3):
-        for column in columns(C, k):
+        positions = C.positions[k]
+        for j, column in enumerate(columns(C, k)):
             acc = {}
-            pr.elem_combine(acc, column, -1, mono)
+            pr.elem_combine(acc, positions, j, -1, mono)
             assert acc == {(mono + m, idx): -c for c, m, idx in column}
-            pr.elem_combine(acc, column, 1, mono)
+            pr.elem_combine(acc, positions, j, 1, mono)
             assert acc == {}
             if k == 1:
                 acc = dict(other)
-                pr.elem_combine(acc, column, 1, 0)
-                pr.elem_combine(acc, column, -1, 0)
+                pr.elem_combine(acc, positions, j, 1, 0)
+                pr.elem_combine(acc, positions, j, -1, 0)
                 assert acc == other and all(acc.values())
     elem = {}
     elem_add_term(elem, 3, 2, mono)
@@ -573,7 +576,7 @@ def test_stored_columns_are_strictly_decreasing(name):
         assert len(columns(C, k)) == len(C.bases[k])
         for j, column in enumerate(columns(C, k)):
             assert type(column) is tuple
-            keys = [C.tower.key(k - 1, mono, idx) for _, mono, idx in column]
+            keys = [key(C.tower, k - 1, mono, idx) for _, mono, idx in column]
             assert all(a > b for a, b in zip(keys, keys[1:]))
             assert {C.ctx.degree(key >> C.tower.bits[k - 1]) for key in keys} == {C.shifts[k][j]}
 
@@ -798,7 +801,7 @@ def test_tower_keys_agree_with_recursive_definition(generic4_complex):
             m1 = C.ctx.pack([rng.randint(0, 4) for _ in range(4)])
             m2 = C.ctx.pack([rng.randint(0, 4) for _ in range(4)])
             i, j = rng.randrange(r), rng.randrange(r)
-            got = cmp(C.tower.key(level, m1, i), C.tower.key(level, m2, j))
+            got = cmp(key(C.tower, level, m1, i), key(C.tower, level, m2, j))
             assert got == _rec_compare(C, level, m1, i, m2, j)
 
 
@@ -818,7 +821,7 @@ def test_int_keys_order_column_terms_as_the_tuple_keys(name):
     old = TupleTower(tower_columns(C.tower))
     for k in range(1, C.n):
         terms = {(mono, idx) for column in columns(C, k) for _, mono, idx in column}
-        keys = {t: C.tower.key(k - 1, *t) for t in terms}
+        keys = {t: key(C.tower, k - 1, *t) for t in terms}
         assert all(type(key) is int for key in keys.values())
         assert len(set(keys.values())) == len(terms)
         assert sorted(terms, key=keys.get) == sorted(terms, key=lambda t: old.key(k - 1, *t))
@@ -850,7 +853,7 @@ def test_add_level_refuses_a_lead_that_falls_back():
     assert old.path[2] == [(0, 0, 0), (0, 1, 1)]
     for level in (1, 2):
         terms = [(m, i) for m in (0, x1, x2, x1 + x2) for i in range(2)]
-        assert sorted(terms, key=lambda t: tower.key(level, *t)) == sorted(
+        assert sorted(terms, key=lambda t: key(tower, level, *t)) == sorted(
             terms, key=lambda t: old.key(level, *t)
         )
 
@@ -873,11 +876,12 @@ def test_s_leading_key_walks_past_positions_that_cancel():
     ]))
     leads = {}
     for i, j in [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 3), (0, 0)]:
-        s, m_ji, m_ij = pr.s_vector(tower, 0, i, j)
-        walked = pr.s_leading_key(tower, 0, i, j, m_ji, m_ij)
+        s = pr.s_vector(tower, 0, i, j)
+        m_ji, m_ij = pr.s_cofactor(tower, 0, i, j), pr.s_cofactor(tower, 0, j, i)
+        walked = s_leading_key(tower, 0, i, j, m_ji, m_ij)
         if s:
             _, mono, idx = leading_module_term(tower, s, 0)
-            assert walked == tower.key(0, mono, idx), (i, j)
+            assert walked == key(tower, 0, mono, idx), (i, j)
             leads[i, j] = mono
         else:
             assert walked is None, (i, j)
@@ -907,7 +911,7 @@ def test_int_keys_agree_with_the_tuple_keys_on_random_pairs(generic4_complex):
                 pairs.append((m1, m1 + acc[i] - acc[j]))
                 ties += 1
             for a, b in pairs:
-                got = cmp(C.tower.key(level, a, i), C.tower.key(level, b, j))
+                got = cmp(key(C.tower, level, a, i), key(C.tower, level, b, j))
                 assert got == cmp(old.key(level, a, i), old.key(level, b, j))
     assert ties > 0
 
@@ -940,7 +944,7 @@ def test_divide_agrees_with_the_linear_scan_reference():
                 elem_add_term(g, 0, rng.choice([-2, -1, 1, 2]), mono)
             q, r = divide_reference.divide(g, C.tower, 0)
             assert pr.divide(g, C.tower, table) == r
-            assert_standard_expression(g, columns(C, 1), q, r, C.tower, 0)
+            assert_standard_expression(g, q, r, C.tower, 0)
             quotients += bool(q)
             remainders += bool(r)
     assert quotients > 100 and remainders > 100

@@ -14,7 +14,7 @@ from cycres.poly_ring import (
     GradedContext,
     divide,
     divisor_table,
-    s_leading_key,
+    s_cofactor,
     s_vector,
 )
 
@@ -24,8 +24,13 @@ import linalg_reference
 import oracle_reference
 from degree0_reference import verify_degree0_gb_by_pair
 from quotient_reference import run_key, verify_module_quotients_by_level
-from standard_expression_reference import below_leading_term, tau_pair, verify_tau_identity
-from tower_reference import leading_module_term
+from standard_expression_reference import (
+    below_leading_term,
+    s_leading_key,
+    tau_pair,
+    verify_tau_identity,
+)
+from tower_reference import key, leading_module_term
 from conftest import (
     ECHELON6,
     INSTANCES,
@@ -37,7 +42,6 @@ from conftest import (
     columns,
     complex_from_matrix,
     elem_scale_term,
-    forget_binomials,
     generic4_matrix,
     poly_elem,
     random_icb_digraph,
@@ -119,7 +123,6 @@ def _smaller_monomial_first(C, j):
     first[j] = lasts[j]
     closing = list(lasts)
     closing[j] = leads[j]
-    forget_binomials(C)
     C.positions[1][:] = [
         (sign, first, on), (last_sign, lasts, at), (last_sign, lasts, at), (sign, closing, at)
     ]
@@ -130,7 +133,7 @@ def test_s_poly_closed_form_nested(generic4_complex):
     # its coefficient is the arrow monomial from the outside V into C
     C = generic4_complex
     a = C.L.a
-    s, m_ji, m_ij = s_vector(C.tower, 0, 1, 0)
+    s = s_vector(C.tower, 0, 1, 0)
     formula, l_cd, l_dc, heads = rv.s_poly_closed_form(*P([2, 3], [1, 2, 3]), C)
     assert s == formula
     assert l_dc == C.ctx.pack((0, 0, 0, a[3][1] + a[3][2]))
@@ -598,7 +601,7 @@ def test_tau_identity_catches_a_lowered_first_tail_term():
     assert (C.ctx.unpack(mono), idx) == ((0, 0, 8, 0), 0)
     x3 = C.ctx.pack((0, 0, 1, 0))
     _replace_term(C, k + 1, col, lambda t: t[2] == idx, lambda t: (t[0], t[1] - x3, t[2]))
-    _, m_ji, m_ij = s_vector(C.tower, k - 1, i, j)
+    m_ji, m_ij = s_cofactor(C.tower, k - 1, i, j), s_cofactor(C.tower, k - 1, j, i)
     s_key = s_leading_key(C.tower, k - 1, i, j, m_ji, m_ij)
     tail = [(mono, idx) for _, mono, idx in columns(C, k + 1)[col][2:]]
     assert below_leading_term(C.tower, k - 1, s_key, tail)
@@ -653,7 +656,7 @@ def test_degree0_gb_catches_a_lowered_closed_form_lead():
     )
     ci, cj = C.bases[1][0][0], C.bases[1][3][0]
     assert (ci, cj) == P([1, 2, 3], [1, 2])
-    _, m_ji, m_ij = s_vector(C.tower, 0, 0, 3)
+    m_ji, m_ij = s_cofactor(C.tower, 0, 0, 3), s_cofactor(C.tower, 0, 3, 0)
     _, l_cd, _, _ = rv.s_poly_closed_form(ci, cj, C)
     s_key = s_leading_key(C.tower, 0, 0, 3, m_ji, m_ij)
     assert below_leading_term(C.tower, 0, s_key, [(l_cd, 4)])
@@ -686,7 +689,6 @@ def _degree0_faults(C):
             set_entry(C, 1, t, j, **change)
             yield j, name
             level[t] = stored
-            forget_binomials(C)
 
 
 @pytest.mark.parametrize("name", sorted(DEGREE0_CASES))
@@ -777,18 +779,19 @@ def test_walked_s_leading_key_is_the_lead_of_the_built_s_vector(case):
     levels = [None] + [columns(C, k) for k in range(1, C.n)]
 
     def walked_lead(level, i, j):
-        s, m_ji, m_ij = s_vector(tower, level, i, j)
+        s = s_vector(tower, level, i, j)
+        m_ji, m_ij = s_cofactor(tower, level, i, j), s_cofactor(tower, level, j, i)
         walked = s_leading_key(tower, level, i, j, m_ji, m_ij)
         if s:
             _, mono, idx = leading_module_term(tower, s, level)
-            assert walked == tower.key(level, mono, idx), (level, i, j)
+            assert walked == key(tower, level, mono, idx), (level, i, j)
         else:
             assert walked is None, (level, i, j)
         return walked
 
     def image_key(level, mono, j):
         _, lm, idx = levels[level + 1][j][0]
-        return tower.key(level, mono + lm, idx)
+        return key(tower, level, mono + lm, idx)
 
     r1 = len(C.bases[1])
     full = (1 << C.n) - 1
@@ -807,7 +810,7 @@ def test_walked_s_leading_key_is_the_lead_of_the_built_s_vector(case):
             ]
             assert below_leading_term(tower, 0, walked, terms), (i, j)
             assert max(image_key(0, *t) for t in terms) == walked, (i, j)
-            assert max(tower.key(0, *head) for head in heads) == walked, (i, j)
+            assert max(key(tower, 0, *head) for head in heads) == walked, (i, j)
     assert zero == r1
     for k in range(1, C.n - 1):
         for e in C.bases[k + 1]:
@@ -1527,16 +1530,15 @@ def tower_shape(tower):
 def test_full_verify_leaves_the_tower_as_built(rows):
     # every table of the tower is complete once add_level returns: a full
     # verification divides, walks S-pairs and ranks pieces, and adds to no
-    # table, replaces none and adds none.  The degree-0 columns are derived
-    # from the positions on first read, here before the verification, which
-    # reads those same lists; no other level is derived
+    # table, replaces none and adds none.  Division and S-vectors read the
+    # degree-0 columns off the positions, so no level is derived and the
+    # tower holds its five tables and nothing else
     C = complex_from_matrix(rows)
-    assert "binomials" not in vars(C.tower)
-    C.tower.binomials
     before = tower_shape(C.tower)
     report = rv.full_verify(C, d_max=2)
     assert report.passed, report.to_text()
     after = tower_shape(C.tower)
+    assert list(vars(C.tower)) == ["ctx", "bits", "base", "positions", "shifts"]
     assert after.keys() == before.keys()
     for name, (value, *lengths) in before.items():
         assert after[name][0] is value, name
@@ -1720,7 +1722,6 @@ def test_oracle_reads_the_tower_only_to_pick_pivots(rows, d_max):
     # exchange their entries, each keeping its sign, so every column is
     # negated and holds its smaller monomial first
     (lead_sign, leads, on), (last_sign, lasts, at) = C.positions[1]
-    forget_binomials(C)
     C.positions[1][:] = [(lead_sign, lasts, at), (last_sign, leads, on)]
     assert rv.graded_homology_oracle(C, d_max) == result
     scrambled_tower(C, 1)
