@@ -12,9 +12,9 @@ dimensions prove exactness only where d∘d = 0.
 """
 
 import time
-from collections import Counter, deque
+from collections import Counter
 from itertools import compress, count, islice, repeat, tee
-from operator import add, eq, ge, gt, is_, itemgetter, lshift, ne, not_, rshift, sub
+from operator import add, eq, ge, gt, itemgetter, lshift, ne, rshift, sub
 
 from .errors import InternalError, ValidationError
 from .graph_core import classify
@@ -88,20 +88,6 @@ def partition_str(p):
 # ---------------------------------------------------------------------------
 # degree-0 checks
 
-def _arrow_plus(A, B, Cs, C: CycComplex):
-    """prod over i in block A of x_i^((sum weights into B) - (sum weights into Cs))^+.
-
-    Each factor is the difference of two single-vertex arrow monomials: a
-    packed power of one variable is positive exactly when its exponent is.
-    """
-    arrows, out = C.arrows, 0
-    while A:
-        v = A & -A
-        out += max(arrows[v, B] - arrows[v, Cs], 0)
-        A ^= v
-    return out
-
-
 def s_poly_closed_form(C, D, complex_: CycComplex):
     """(S, l_cd, l_dc, heads): the S-polynomial of the degree-0 columns of
     two subsets by the set-splitting identity, S = l_cd * f_F - l_dc * f_G,
@@ -112,15 +98,19 @@ def s_poly_closed_form(C, D, complex_: CycComplex):
     union, and combines the degree-0 columns f_F and f_G of F and G, each
     looked up once and added straight off level 1's term positions, with
     explicit monomial coefficients; a piece whose subset is empty is left
-    out.  The heads are read off the first position, which holds the
-    leading terms, with no leading-term computation.
+    out.  l_cd is x^(a(E,G) - a(E,F))^+ * a(F,G) * a(V,D), for the arrow
+    monomials a of block pairs, and l_dc the same with C, F and D, G
+    swapped.  The arrow monomials from E hold only E's variables, so the
+    positive part of their quotient, taken field by field, is the cofactor
+    of the two (ctx.cofactor).  The heads are read off the first position,
+    which holds the leading terms, with no leading-term computation.
     """
-    arrows, positions = complex_.arrows, complex_.positions[1]
+    arrows, cofactor, positions = complex_.arrows, complex_.ctx.cofactor, complex_.positions[1]
     _, leads, on = positions[0]
     full = (1 << complex_.n) - 1
     E, F, G, V = C & D, C & ~D, D & ~C, full & ~(C | D)
-    l_cd = _arrow_plus(E, G, F, complex_) + arrows[F, G] + arrows[V, D]
-    l_dc = _arrow_plus(E, F, G, complex_) + arrows[G, F] + arrows[V, C]
+    l_cd = cofactor(arrows[E, F], arrows[E, G]) + arrows[F, G] + arrows[V, D]
+    l_dc = cofactor(arrows[E, G], arrows[E, F]) + arrows[G, F] + arrows[V, C]
     out, heads = {}, []
     for piece, mono, coeff in ((F, l_cd, 1), (G, l_dc, -1)):
         if piece:
@@ -266,17 +256,23 @@ def module_quotients(C: CycComplex, k, i, sources):
     quotient_sources gives them, and None; or None and the first fault.
 
     Computes each quotient from the stored leading terms and checks the
-    closed product formula; a pruned generator (its source is not retained)
-    must be divisible by a retained one.
+    closed product formula: for the last two blocks (j_k, j_k1) of j and
+    (i_k, i_k1) of i, the quotient is (-1)^(k-1) times
+    x^(a(E,j_k1) - a(E,i_k1))^+ * a(j_k & i_k1, j_k1), for E = j_k & i_k
+    and the arrow monomials a of block pairs, and the positive part is the
+    cofactor of the two arrow monomials from E (ctx.cofactor).  A pruned
+    generator (its source is not retained) must be divisible by a retained
+    one.
     """
-    basis, tower, arrows = C.bases[k], C.tower, C.arrows
+    basis, tower, arrows, cofactor = C.bases[k], C.tower, C.arrows, C.ctx.cofactor
     ik, ik1 = basis[i][k - 1 :]
     sign = (-1) ** (k - 1)
     gens = []
     for j, retained in sources:
         jk, jk1 = basis[j][k - 1 :]
+        E = jk & ik
         direct = s_cofactor(tower, k - 1, i, j)
-        expected = (sign, _arrow_plus(jk & ik, jk1, ik1, C) + arrows[jk & ik1, jk1])
+        expected = (sign, cofactor(arrows[E, ik1], arrows[E, jk1]) + arrows[jk & ik1, jk1])
         if direct != expected:
             return None, (
                 f"closed formula mismatch at level {k}, pair ({j + 1},{i + 1}): "
@@ -370,17 +366,14 @@ def verify_tau_level(C: CycComplex, k):
     decrease, so the first position whose two terms do not cancel holds
     Lt(S), the larger of them; both cofactors carry that sign, so the two
     terms at a position cancel exactly when their keys are equal.  Each
-    element still walking is keyed once at a position.  At position 0 the
-    leads times their cofactors are one monomial, the lcm, so they cancel
-    wherever they share a target, and only the flags are kept; an element
-    whose leads do not cancel is keyed again.  From position 1 on the two
-    keys go to the comparison and to max in the same pass, and the larger
-    is kept whether or not they cancel, until the element stops.  The first
-    tail term, at position 2 (every column has k+2 >= 3 terms), must map one
-    level down to Lt(S) exactly; the column's keys strictly decrease (the
-    leading_term_formula check), so it bounds the rest.  "tail = S" is
-    exactly d(de) = 0, which check_d_squared proves, so the tail is not
-    summed here.
+    element still walking is keyed once at a position, position 0 like
+    every other: its two keys go to the comparison and to max in the same
+    pass, and the larger is kept whether or not they cancel, until the
+    element stops.  The first tail term, at position 2 (every column has
+    k+2 >= 3 terms), must map one level down to Lt(S) exactly; the
+    column's keys strictly decrease (the leading_term_formula check), so it
+    bounds the rest.  "tail = S" is exactly d(de) = 0, which
+    check_d_squared proves, so the tail is not summed here.
 
     Each comparison flags the elements it fails, as a whole list, and a
     sign fault flags them all.  The flags fall into six fault classes, in
@@ -415,24 +408,13 @@ def verify_tau_level(C: CycComplex, k):
 
     s_keys = [None] * width
     walking = [range(width), I, J, m_ji, m_ij]
-    for t, (_, ms, ts) in enumerate(C.positions[k]):
+    for _, ms, ts in C.positions[k]:
         elems, ii, jj, mi, mj = walking
-        a, b = term_keys(ms, ts, mi, ii), term_keys(ms, ts, mj, jj)
-        if t:
-            # each element keyed once: tee hands each key to eq and to max
-            # in step, and the larger goes to s_keys, cancelled or not
-            (a, a2), (b, b2) = tee(a), tee(b)
-            ended = map(s_keys.__setitem__, elems, map(max, a2, b2))
-            cancel = bytearray(map(itemgetter(0), zip(map(eq, a, b), ended)))
-        else:
-            # m_ji * Lm f_i and m_ij * Lm f_j are one monomial, the lcm, so
-            # the leads cancel wherever they share a target: only the flags
-            # are kept, and an element whose leads do not is keyed again
-            cancel = bytearray(map(eq, a, b))
-            if not all(cancel):
-                ended = map(max, term_keys(ms, ts, mi, ii), term_keys(ms, ts, mj, jj))
-                for e, key in compress(zip(elems, ended), map(not_, cancel)):
-                    s_keys[e] = key
+        # each element keyed once: tee hands each key to eq and to max in
+        # step, and the larger goes to s_keys, cancelled or not
+        (a, a2), (b, b2) = tee(term_keys(ms, ts, mi, ii)), tee(term_keys(ms, ts, mj, jj))
+        ended = map(s_keys.__setitem__, elems, map(max, a2, b2))
+        cancel = bytearray(map(itemgetter(0), zip(map(eq, a, b), ended)))
         if not any(cancel):
             break
         if not all(cancel):
@@ -502,50 +484,37 @@ def verify_schreyer_coverage(C: CycComplex, k) -> tuple:
     the generators matched.  The lead of each image is verify_tau_level's
     to compare: rho(i, j) has the τ pair (i, j).
 
-    The retained pairs (j, i) are taken from the sibling runs in order, and
-    each is sent to its rho image and looked up on its own.  The witness is
-    the first pair that fails, and at one pair an image off the basis comes
-    first, then one met twice."""
+    One pass takes the retained pairs (j, i) from the sibling runs in
+    order, sends each to its rho image and looks it up, and stops at the
+    first pair whose image is off the basis or already met: that pair is
+    the witness, off the basis before met twice, and the pairs before it
+    are counted.  The retained pairs of a run, as offsets into it, depend
+    on its k-th blocks alone, so they are found once for each tuple of
+    them."""
     above, index = (C.bases[k + 1], C.index[k + 1]) if k + 1 < C.n else ([], {})
-    # the retained pairs, as machine ints (a level can hold hundreds of
-    # thousands; the module is loaded by the one check that needs it);
-    # those of a run, as offsets into it, depend on its k-th blocks alone,
-    # so they are found once for each tuple of them
-    from array import array
-
-    I, J, offsets = array("q"), array("q"), {}
     blocks = list(map(itemgetter(k - 1), C.bases[k]))
+    offsets, met, total = {}, bytearray(len(above)), 0
     for run in sibling_runs(C, k):
         a = run.start
         key = tuple(blocks[a:run.stop])
         pairs = offsets.get(key)
         if pairs is None:
-            kept = [
+            pairs = offsets[key] = [
                 (i - a, j - a)
                 for i, sources in quotient_sources(C, k, run)
                 for j, retained in sources
                 if retained
             ]
-            pairs = offsets[key] = [d for d, _ in kept], [d for _, d in kept]
-        I.extend(map(add, pairs[0], repeat(a)))
-        J.extend(map(add, pairs[1], repeat(a)))
-    reached = list(map(index.get, map(rho_image, repeat(C), repeat(k), I, J)))
-    off = first(map(is_, reached, repeat(None)))
-    if off is not None:
-        del reached[off:]
-    # one byte per basis element above marks the images met (deque with
-    # no room only runs the map); fewer marks than images means a repeat,
-    # the first image whose first position is not its own
-    met = bytearray(len(above))
-    deque(map(met.__setitem__, reached, repeat(1)), maxlen=0)
-    if met.count(1) < len(reached):
-        twice = first(map(ne, map({}.setdefault, reached, count()), count()))
-        h = partition_str(rho_image(C, k, I[twice], J[twice]))
-        return False, f"rho images collide on {h}", {"generators": twice}
-    if off is not None:
-        h = partition_str(rho_image(C, k, I[off], J[off]))
-        return False, f"rho image {h} not a basis element", {"generators": off}
-    total = len(I)
+        for i, j in pairs:
+            h = rho_image(C, k, i + a, j + a)
+            hi = index.get(h)
+            if hi is None:
+                witness = f"rho image {partition_str(h)} not a basis element"
+                return False, witness, {"generators": total}
+            if met[hi]:
+                return False, f"rho images collide on {partition_str(h)}", {"generators": total}
+            met[hi] = 1
+            total += 1
     # every image counted is distinct, so as many as the basis above cover it
     if total != len(above):
         return False, f"generator count {total} != rank {len(above)}", {"generators": total}

@@ -1,7 +1,9 @@
-"""Reference for the module-quotient check: the run memo kept per level,
+"""References for the module-quotient check: the run memo kept per level,
 which resolution_verify.verify_module_quotients replaces with one memo for
 every level, keyed also by whether the level's first-position sign is
-(-1)^(k-1).
+(-1)^(k-1); and the positive part of two arrow monomials taken one vertex
+at a time, which the closed formulas read as the cofactor of two block
+arrow monomials.
 """
 
 from itertools import count
@@ -9,6 +11,20 @@ from operator import itemgetter, ne
 
 from cycres.poly_ring import first
 from cycres.resolution_verify import module_quotients, quotient_sources, sibling_runs
+
+
+def arrow_plus(C, A, B, Cs):
+    """prod over i in block A of x_i^((sum weights into B) - (sum weights into Cs))^+.
+
+    Each factor is the difference of two single-vertex arrow monomials: a
+    packed power of one variable is positive exactly when its exponent is.
+    """
+    arrows, out = C.arrows, 0
+    while A:
+        v = A & -A
+        out += max(arrows[v, B] - arrows[v, Cs], 0)
+        A ^= v
+    return out
 
 
 def run_key(C, k, run):

@@ -1,7 +1,7 @@
 import gc
 from collections import Counter
 import random
-from itertools import groupby, product
+from itertools import combinations, groupby, product
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +23,7 @@ import lead_ideal_reference
 import linalg_reference
 import oracle_reference
 from degree0_reference import verify_degree0_gb_by_pair
-from quotient_reference import run_key, verify_module_quotients_by_level
+from quotient_reference import arrow_plus, run_key, verify_module_quotients_by_level
 from standard_expression_reference import (
     below_leading_term,
     s_leading_key,
@@ -141,6 +141,32 @@ def test_s_poly_closed_form_nested(generic4_complex):
     assert s == elem_scale_term(column_elem(f7), -1, l_dc)
     # the one piece's head is read off its stored column
     assert heads == [(l_dc + f7[0][1], f7[0][2])]
+
+
+def test_closed_formulas_read_the_cofactor_of_two_block_arrow_monomials():
+    # the positive part of two arrow monomials from one block, taken one
+    # vertex at a time, is the cofactor of the two block arrow monomials:
+    # checked on every triple (A, B, Cs) the closed formulas read, those of
+    # every degree-0 pair and of every source pair of every sibling run
+    triples = 0
+    for C in swept_complexes():
+        read = set()
+        for ci, cj in combinations([p[0] for p in C.bases[1]], 2):
+            E, F, G = ci & cj, ci & ~cj, cj & ~ci
+            read |= {(E, G, F), (E, F, G)}
+        for k in range(1, C.n):
+            basis = C.bases[k]
+            for run in rv.sibling_runs(C, k):
+                for i, sources in rv.quotient_sources(C, k, run):
+                    ik, ik1 = basis[i][k - 1 :]
+                    for j, _ in sources:
+                        jk, jk1 = basis[j][k - 1 :]
+                        read.add((jk & ik, jk1, ik1))
+        arrows, cofactor = C.arrows, C.ctx.cofactor
+        for A, B, Cs in read:
+            assert cofactor(arrows[A, Cs], arrows[A, B]) == arrow_plus(C, A, B, Cs), (A, B, Cs)
+        triples += len(read)
+    assert triples == 42561
 
 
 def test_colon_stability_examines_every_degree0_leading_term():
@@ -962,6 +988,28 @@ def test_schreyer_coverage_witnesses(k4_complex, monkeypatch):
     assert rv.verify_schreyer_coverage(C, 1) == (
         False, f"rho image {rv.partition_str(off)} not a basis element", {"generators": 0}
     )
+
+
+@pytest.mark.parametrize("collide, off", [(3, 7), (7, 3)])
+def test_schreyer_coverage_names_the_earlier_of_a_collision_and_an_image_off_the_basis(
+    collide, off, monkeypatch
+):
+    # every retained pair keeps its own image but two: pair `collide` is
+    # sent onto the image of the first pair, and pair `off` off the basis
+    # above.  Whichever comes first is the witness, with the pairs before
+    # it counted, as in the walk of one pair at a time
+    C = complex_from_matrix(K4_ROWS)
+    k, rho = 1, rv.rho_image
+    retained = [(i, j) for i, sources in _sources_by_scan(C, k) for j, kept in sources if kept]
+    images = {pair: rho(C, k, *pair) for pair in retained}
+    images[retained[collide]] = images[retained[0]]
+    images[retained[off]] = C.bases[k][0]
+    monkeypatch.setattr(rv, "rho_image", lambda C, k, i, j: images[i, j])
+    h = rv.partition_str(images[retained[min(collide, off)]])
+    witness = f"rho images collide on {h}" if collide < off else f"rho image {h} not a basis element"
+    expected = (False, witness, {"generators": min(collide, off)})
+    assert _schreyer_coverage_pair_by_pair(C, k) == expected
+    assert rv.verify_schreyer_coverage(C, k) == expected
 
 
 def test_schreyer_coverage_leaves_the_lead_to_the_tau_check():
