@@ -20,7 +20,7 @@ from functools import cached_property, partial
 from itertools import accumulate, chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
 from math import comb
-from operator import add, itemgetter, le, lshift, ne, or_
+from operator import add, itemgetter, le, ne, or_
 
 from . import intlinalg
 from .errors import InternalError, NotIrreducibleError, ValidationError
@@ -28,6 +28,7 @@ from .graph_core import CBMatrix, block_echelon_structure, classify
 from .poly_ring import (
     GradedContext,
     OrderTower,
+    elem_combine,
     elem_str,
     first,
     term_tails,
@@ -325,18 +326,11 @@ def composite(level, below, a, b):
 
 def composed_column(level, below, j):
     """The image one level further down of column j of a level, given with
-    the level below as term positions, summed term by term: {(monomial,
-    basis index): coefficient}, no zero coefficient kept."""
+    the level below as term positions, summed one column of the level below
+    per term (elem_combine): {(monomial, basis index): coefficient}."""
     image = {}
     for sign, monos, targets in level:
-        mono, t = monos[j], targets[j]
-        for sign_b, monos_b, targets_b in below:
-            key = (mono + monos_b[t], targets_b[t])
-            total = image.get(key, 0) + sign * sign_b
-            if total:
-                image[key] = total
-            else:
-                del image[key]
+        elem_combine(image, below, targets[j], sign, monos[j])
     return image
 
 
@@ -390,17 +384,15 @@ def check_leading_terms(C: CycComplex):
     one basis element.  Above level 1 the lead is the τ check's
     (resolution_verify.verify_tau_level).
 
-    Each position is keyed once, a whole list at a time, and consecutive
-    key lists compared.  The witness is the lowest column with either
-    fault, a fault of order first.
+    Each position is keyed once, a whole list at a time, by the tower
+    (OrderTower.keys), and consecutive key lists compared.  The witness is
+    the lowest column with either fault, a fault of order first.
     """
     for k in range(1, C.n):
-        bits, base = C.tower.bits[k - 1], C.tower.base[k - 1]
         level = C.positions[k]
         unordered, upper = None, None
         for _, monos, targets in level:
-            keys = map(add, map(lshift, monos, repeat(bits)), map(base.__getitem__, targets))
-            keys = list(keys)
+            keys = C.tower.keys(k - 1, monos, targets)
             if upper is not None:
                 j = first(map(le, upper, keys))
                 if j is not None and (unordered is None or j < unordered):

@@ -25,12 +25,12 @@ cyc_complex.boundary proves strictly decreasing and the
 leading_term_formula check verifies position by position, so a column's
 first term is its leading term.  The checks read the positions a whole
 list at a time, or entry j of the few they need, and so does the text
-output (elem_str).  Only S-vectors and division combine whole columns,
-and elem_combine adds column j straight off a level's positions: no level
-is derived as columns.  Only the degree-0 Groebner check divides, and it
-reads nothing but the remainder of a degree-0 element by the degree-0
-columns; the divisors are looked up by the support mask of the term to
-reduce, in a table that check builds once (divisor_table).
+output (elem_str).  Only S-vectors, division and d∘d's fallback sum
+columns, adding column j straight off a level's positions (elem_combine):
+no level is derived as columns.  Only the degree-0 Groebner check
+divides, and it reads nothing but the remainder of a degree-0 element by
+the degree-0 columns; the divisors are looked up by the support mask of
+the term to reduce, in a table that check builds once (divisor_table).
 Elements of the degree-0 ring live on basis index 0.
 The monomial order is the weighted reverse lexicographic order with positive
 integer weights nu: higher weighted degree wins, ties broken by the
@@ -180,14 +180,15 @@ class OrderTower:
     reaches and the index itself: a level is accepted only if the basis
     indices of its leading terms never fall along it, so the lists of indices
     met on the way order as the indices do, and integer order on the keys
-    (m << bits) + base[i] of x^m * e_i is the module order.  The tower owns
-    the differential, stored as each level's term positions, one sign
-    +-1 per position, and the degree shifts.  Each column is kept in the
-    order boundary emits its terms, strictly decreasing, so its first term
-    is its leading term and the one record of it.  Every table is immutable
-    once add_level returns.  Every position of a level has one length,
-    and column j is entry j of each; no level is derived as columns, and
-    division and S-vectors read level 1's positions too (elem_combine).
+    (m << bits) + base[i] of x^m * e_i, which keys gives for a whole list
+    of terms, is the module order.  The tower owns the differential, stored
+    as each level's term positions, one sign +-1 per position, and the
+    degree shifts.  Each column is kept in the order boundary emits its
+    terms, strictly decreasing, so its first term is its leading term and
+    the one record of it.  Every table is immutable once add_level returns.
+    Every position of a level has one length, and column j is entry j of
+    each; no level is derived as columns, and the sums of columns read the
+    positions too (elem_combine).
     """
 
     def __init__(self, ctx: GradedContext):
@@ -200,6 +201,11 @@ class OrderTower:
     @property
     def levels(self):
         return len(self.base)
+
+    def keys(self, level, monos, targets):
+        """The keys, as a list, of the terms x^m * e_t of a level, m and t in step."""
+        bits, base = self.bits[level], self.base[level]
+        return list(map(add, map(lshift, monos, repeat(bits)), map(base.__getitem__, targets)))
 
     def add_level(self, positions):
         """Append the order induced by the next level's differential.

@@ -13,7 +13,7 @@ dimensions prove exactness only where d∘d = 0.
 
 import time
 from collections import Counter
-from itertools import compress, count, islice, repeat, tee
+from itertools import compress, count, islice, repeat
 from operator import add, eq, ge, gt, itemgetter, lshift, ne, rshift, sub
 
 from .errors import InternalError, ValidationError
@@ -367,13 +367,13 @@ def verify_tau_level(C: CycComplex, k):
     Lt(S), the larger of them; both cofactors carry that sign, so the two
     terms at a position cancel exactly when their keys are equal.  Each
     element still walking is keyed once at a position, position 0 like
-    every other: its two keys go to the comparison and to max in the same
-    pass, and the larger is kept whether or not they cancel, until the
-    element stops.  The first tail term, at position 2 (every column has
-    k+2 >= 3 terms), must map one level down to Lt(S) exactly; the
-    column's keys strictly decrease (the leading_term_formula check), so it
-    bounds the rest.  "tail = S" is exactly d(de) = 0, which
-    check_d_squared proves, so the tail is not summed here.
+    every other, by the tower a whole list at a time (OrderTower.keys): its
+    two keys go to the comparison and to max, and the larger is kept
+    whether or not they cancel, until the element stops.  The first tail
+    term, at position 2 (every column has k+2 >= 3 terms), must map one
+    level down to Lt(S) exactly; the column's keys strictly decrease (the
+    leading_term_formula check), so it bounds the rest.  "tail = S" is
+    exactly d(de) = 0, which check_d_squared proves, so it is not summed.
 
     Each comparison flags the elements it fails, as a whole list, and a
     sign fault flags them all.  The flags fall into six fault classes, in
@@ -397,23 +397,18 @@ def verify_tau_level(C: CycComplex, k):
     m_ji = list(map(cofactor, map(monos.__getitem__, I), map(monos.__getitem__, J)))
     m_ij = list(map(cofactor, map(monos.__getitem__, J), map(monos.__getitem__, I)))
     (lead_sign, leads, on_i), (second_sign, seconds, on_j), (_, tails, on_tail) = level[:3]
-    # Lt(S) for S = m_ji * f_i - m_ij * f_j, keyed one level down: x^m
-    # times term t of column c of level k has the key
-    # ((m + monos_t[c]) << bits) + base[targets_t[c]]
-    bits, base = C.tower.bits[k - 1], C.tower.base[k - 1]
 
     def term_keys(ms, ts, m, c):
-        terms = map(lshift, map(add, m, map(ms.__getitem__, c)), repeat(bits))
-        return map(add, terms, map(base.__getitem__, map(ts.__getitem__, c)))
+        # x^m times the term (ms, ts) of column c, keyed one level down
+        return C.tower.keys(k - 1, map(add, m, map(ms.__getitem__, c)), map(ts.__getitem__, c))
 
     s_keys = [None] * width
     walking = [range(width), I, J, m_ji, m_ij]
     for _, ms, ts in C.positions[k]:
         elems, ii, jj, mi, mj = walking
-        # each element keyed once: tee hands each key to eq and to max in
-        # step, and the larger goes to s_keys, cancelled or not
-        (a, a2), (b, b2) = tee(term_keys(ms, ts, mi, ii)), tee(term_keys(ms, ts, mj, jj))
-        ended = map(s_keys.__setitem__, elems, map(max, a2, b2))
+        # the larger key goes to s_keys, cancelled or not
+        a, b = term_keys(ms, ts, mi, ii), term_keys(ms, ts, mj, jj)
+        ended = map(s_keys.__setitem__, elems, map(max, a, b))
         cancel = bytearray(map(itemgetter(0), zip(map(eq, a, b), ended)))
         if not any(cancel):
             break
@@ -535,22 +530,21 @@ def verify_coverage_all(C: CycComplex):
 # independent exactness oracle
 
 def monomials_of_degree(ctx: GradedContext, d):
-    """All monomials with the given weighted degree, packed, in the order
-    of their exponent vectors read lexicographically.  The caller makes
-    sure the packing holds degree d."""
+    """All monomials with the given weighted degree, as sums of packed
+    variables, in the order of their exponent vectors read
+    lexicographically.  The caller makes sure the packing holds degree d."""
     if d < 0:
         return []
-    nu, w = ctx.nu, ctx.width
-    # (degree left, packed exponents so far), one variable at a time
+    (*nu, v), (*xs, x) = ctx.nu, ctx.variables
+    # (degree left, monomial so far), one variable at a time
     partial = [(d, 0)]
-    for i, v in enumerate(nu[:-1]):
+    for v_i, x_i in zip(nu, xs):
         partial = [
-            (rem - e * v, low + (e << (w * i)))
-            for rem, low in partial
-            for e in range(rem // v + 1)
+            (rem - e * v_i, mono + e * x_i)
+            for rem, mono in partial
+            for e in range(rem // v_i + 1)
         ]
-    top, last, v = d << ctx.shift, w * (len(nu) - 1), nu[-1]
-    return [top - low - ((rem // v) << last) for rem, low in partial if rem % v == 0]
+    return [mono + rem // v * x for rem, mono in partial if rem % v == 0]
 
 
 def cached_monomials(ctx: GradedContext, e, mono_cache):
@@ -632,8 +626,8 @@ def k_polynomial(ctx: GradedContext, gens, memo):
     the unit.  Otherwise a variable x_i in the most generators is the pivot:
         K(S/J) = K(S/(J + x_i)) + t^nu_i K(S/(J : x_i))
     (Bigatti, JPAA 1997), where K(S/(J + x_i)) = (1 - t^nu_i) K(S/J') for
-    J' generated by the generators x_i does not divide.  memo holds every
-    K met, by gens.
+    J' generated by the generators x_i does not divide, x_i's field its
+    support mask.  memo holds every K met, by gens.
     """
     out = memo.get(gens)
     if out is not None:
@@ -649,12 +643,12 @@ def k_polynomial(ctx: GradedContext, gens, memo):
             out = add_shifted(dict(out), out, ctx.degree(g), -1)
     else:
         # the variable in the most generators; some two share it
-        w = ctx.width
+        fields = list(map(ctx.support, ctx.variables))
         i = max(
-            (i for i in range(ctx.n) if shared >> (w * i + w - 1) & 1),
-            key=lambda i: sum(mask >> (w * i + w - 1) & 1 for mask in masks),
+            (i for i, bit in enumerate(fields) if shared & bit),
+            key=lambda i: sum(1 for mask in masks if mask & fields[i]),
         )
-        bit, x, v = 1 << (w * i + w - 1), ctx.variables[i], ctx.nu[i]
+        bit, x, v = fields[i], ctx.variables[i], ctx.nu[i]
         rest = k_polynomial(
             ctx, tuple(g for g, mask in zip(gens, masks) if not mask & bit), memo
         )
@@ -818,7 +812,7 @@ def graded_homology_oracle(C: CycComplex, d_max):
         ), {"degrees": d}
     d0 = min(shorts)[0] if shorts else d_max + 1
     if d0 <= d_max:
-        if max(d_max // v for v in ctx.nu) > ctx.cap:
+        if GradedContext.holding(ctx.nu, d_max).width > ctx.width:
             raise InternalError(f"degree {d_max} does not fit {ctx.width}-bit fields")
         for d, widest in piece_widths(C, d0, d_max):
             if widest > MAX_ORACLE_COLS:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import partition_reference as ref
 from boundary_reference import lookup_boundary
 from export_reference import to_json_dict
+from tower_reference import key
 from cycres import cyc_complex as cc
 from cycres import graph_core
 from cycres import resolution_verify as rv
@@ -670,6 +671,32 @@ def reference_d_squared(C, k, j):
     return image
 
 
+def test_composed_column_sums_as_the_reference():
+    # every column of levels 2..n-1 composes to zero, summed by the package
+    # one column of the level below per term (elem_combine) and by the
+    # reference one term at a time
+    count = 0
+    for C in pairing_instances():
+        for k in range(2, C.n):
+            level, below = C.positions[k], C.positions[k - 1]
+            for j in range(len(C.bases[k])):
+                assert cc.composed_column(level, below, j) == {} == reference_d_squared(C, k, j)
+                count += 1
+    assert count == 25220
+
+
+def test_tower_keys_match_the_reference_key():
+    # the whole-list keys of every position of every level, given as lists
+    # (check_leading_terms) or as iterators (the τ walk), equal the
+    # reference key of each term, entry for entry
+    for C in pairing_instances():
+        for k in range(1, C.n):
+            for _, monos, targets in C.positions[k]:
+                want = [key(C.tower, k - 1, m, t) for m, t in zip(monos, targets)]
+                assert C.tower.keys(k - 1, monos, targets) == want
+                assert C.tower.keys(k - 1, iter(monos), iter(targets)) == want
+
+
 def recorded_sums(monkeypatch):
     """The (level, column) pairs check_d_squared sums, in order, as it sums
     them; a level is its list of positions."""
@@ -701,7 +728,9 @@ def test_d_squared_names_a_changed_monomial_on_its_level(monkeypatch):
                     set_entry(C, k, i, j, mono=mono + C.ctx.variables[0])
                 else:
                     set_entry(C, k, i, j, target=(target + 1) % len(C.bases[k - 1]))
-                assert reference_d_squared(C, k, j)
+                # the package's sum is the reference's, and nonzero
+                image = reference_d_squared(C, k, j)
+                assert image and cc.composed_column(C.positions[k], C.positions[k - 1], j) == image
                 del summed[:]
                 assert cc.check_d_squared(C) == (
                     False, f"composition nonzero on column {j + 1} in degree {k}", {}

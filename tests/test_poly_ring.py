@@ -858,6 +858,28 @@ def test_add_level_refuses_a_lead_that_falls_back():
         )
 
 
+def test_tower_keys_of_a_hand_built_tower_match_the_reference_key():
+    # every monomial up to degree 2 on every basis index of each level,
+    # keyed as one list, equals the reference key entry for entry; level 1
+    # has three basis elements, so its index field is 2 bits wide
+    ctx = pr.GradedContext(2, (1, 1), 3)
+    x1, x2 = ctx.variables
+    tower = pr.OrderTower(ctx)
+    tower.add_level(column_positions([
+        elem_terms({(x1, 0): 1}), elem_terms({(x2, 0): 1}), elem_terms({(x1 + x2, 0): 1}),
+    ]))
+    tower.add_level(column_positions([
+        elem_terms({(x2, 0): 1}), elem_terms({(x1, 1): 1}), elem_terms({(x1, 2): 1}),
+    ]))
+    assert tower.bits == [0, 2, 2]
+    monos = [0, x1, x2, 2 * x1, x1 + x2, 2 * x2]
+    for level in range(3):
+        terms = [(m, t) for m in monos for t in range(len(tower.base[level]))]
+        want = [key(tower, level, m, t) for m, t in terms]
+        assert tower.keys(level, [m for m, _ in terms], [t for _, t in terms]) == want
+        assert tower.keys(level, [], []) == []
+
+
 def test_s_leading_key_walks_past_positions_that_cancel():
     # every column of a level has one term per position, and the two terms
     # at a position share its sign: on hand-built columns of one level the

@@ -1193,6 +1193,24 @@ def test_monomials_of_degree():
     assert rv.monomials_of_degree(ctx, 3) == [ctx.pack(e) for e in lex]
     assert rv.monomials_of_degree(ctx, -1) == []
 
+    def vectors(nu, d):
+        # every exponent vector of weighted degree d, one variable at a time
+        if not nu:
+            return [()] if d == 0 else []
+        v, rest = nu[0], nu[1:]
+        return [(e, *tail) for e in range(d // v + 1) for tail in vectors(rest, d - e * v)]
+
+    # seeded weights 1..7 on 2..5 variables, every degree to 25: the packed
+    # exponent vectors of that degree, sorted lexicographically
+    rng = random.Random(40)
+    for n in range(2, 6):
+        for _ in range(4):
+            nu = tuple(rng.randint(1, 7) for _ in range(n))
+            ctx = GradedContext.holding(nu, 25)
+            for d in range(26):
+                want = [ctx.pack(e) for e in sorted(vectors(nu, d))]
+                assert rv.monomials_of_degree(ctx, d) == want, (nu, d)
+
 
 def test_oracle_refuses_a_degree_past_the_packing_before_any_piece(monkeypatch):
     # only pieces need the packing: the identity proves the unit 3-cycle
@@ -1211,6 +1229,30 @@ def test_oracle_refuses_a_degree_past_the_packing_before_any_piece(monkeypatch):
     scrambled_tower(C, 0)
     with pytest.raises(InternalError, match="degree 8 does not fit 4-bit fields"):
         rv.graded_homology_oracle(C, 8)
+
+
+def test_oracle_refuses_the_first_degree_whose_widest_power_overflows(monkeypatch):
+    # a weighted 3-cycle, nu = (3, 6, 2), in 6-bit fields (exponents to 31):
+    # degree 63 holds x3^31 and degree 64 needs x3^32.  On a scrambled tower
+    # the count falls short, so 63 is eliminated piece by piece through its
+    # last degree, and 64 is refused before any piece
+    C = complex_from_matrix([[1, -1, 0], [0, 2, -2], [-3, 0, 3]])
+    assert (C.ctx.nu, C.ctx.width) == ((3, 6, 2), 6)
+    scrambled_tower(C, 0)
+    ranked = []
+    graded_piece_rank = rv.graded_piece_rank
+
+    def recording(C, k, d, mono_cache):
+        ranked.append(d)
+        return graded_piece_rank(C, k, d, mono_cache)
+
+    monkeypatch.setattr(rv, "graded_piece_rank", recording)
+    assert rv.graded_homology_oracle(C, 63) == (True, None, {"degrees": 64})
+    assert max(ranked) == 63
+    del ranked[:]
+    with pytest.raises(InternalError, match="^degree 64 does not fit 6-bit fields$"):
+        rv.graded_homology_oracle(C, 64)
+    assert ranked == []
 
 
 def test_graded_pieces_vanish_at_degree_zero(k4_complex):
