@@ -20,7 +20,7 @@ from functools import cached_property, partial
 from itertools import accumulate, chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
 from math import comb
-from operator import add, itemgetter, le, ne, or_
+from operator import add, getitem, itemgetter, le, ne, or_
 
 from . import intlinalg
 from .errors import InternalError, NotIrreducibleError, ValidationError
@@ -133,28 +133,45 @@ def merge_targets(bases):
         yield targets
 
 
-def arrow_monomial(I, J, L: CBMatrix, ctx: GradedContext):
-    """prod_{i in I} x_i^(sum of weights from i into J), packed; I and J are
-    disjoint blocks."""
-    if I & J:
-        raise InternalError(
-            f"arrow monomial with overlapping sets {tuple(vertices(I))}, {tuple(vertices(J))}"
-        )
-    into = vertices(J)
-    return sum(ctx.power(i - 1, sum(L.a[i - 1][j - 1] for j in into)) for i in vertices(I))
+def arrow_table(L: CBMatrix, ctx: GradedContext):
+    """arrows[I][J]: the arrow monomial of every pair of disjoint blocks I, J
+    (masks), prod_{i in I} x_i^(sum of weights from i into J), packed; None
+    where I and J meet.
+
+    Filled once, by subset recursion: arrows[I][J] = arrows[I - v][J] +
+    x_v^w(v -> J) for the lowest vertex v of I, and the weight w(v -> J) =
+    w(v -> J - u) + a(v, u) for the lowest vertex u of J.  Each power of a
+    variable goes through ctx.power, which refuses an exponent past the
+    fields.
+    """
+    size = 1 << L.n
+    full = size - 1
+    powers = []
+    for v, row in enumerate(L.a):
+        weights = [0] * size
+        for J in range(1, size):
+            weights[J] = weights[J & (J - 1)] + row[(J & -J).bit_length() - 1]
+        powers.append([None if J >> v & 1 else ctx.power(v, w) for J, w in enumerate(weights)])
+    arrows = [[0] * size]
+    for I in range(1, size):
+        below, power = arrows[I & (I - 1)], powers[(I & -I).bit_length() - 1]
+        row = [None] * size
+        free = J = full ^ I
+        while True:
+            row[J] = below[J] + power[J]
+            if not J:
+                break
+            J = (J - 1) & free
+        arrows.append(row)
+    return arrows
 
 
-class ArrowTable(dict):
-    """The arrow monomials of one complex by block pair (I, J) of masks, each
-    summed once, when first asked for."""
-
-    def __init__(self, L: CBMatrix, ctx: GradedContext):
-        super().__init__()
-        self.L, self.ctx = L, ctx
-
-    def __missing__(self, pair):
-        mono = self[pair] = arrow_monomial(*pair, self.L, self.ctx)
-        return mono
+def block_arrows(arrows, basis, s, t):
+    """The arrow monomial from block s into block t of each partition p of
+    basis, arrows[p[s]][p[t]], as an iterator: p[s]'s row of the table,
+    then entry p[t] of it."""
+    rows = map(arrows.__getitem__, map(itemgetter(s), basis))
+    return map(getitem, rows, map(itemgetter(t), basis))
 
 
 def merge(p, s):
@@ -167,7 +184,7 @@ def merge(p, s):
     return p[:s] + (p[s] | p[s + 1],) + p[s + 2 :]
 
 
-def boundary(basis, arrows: ArrowTable, targets, below):
+def boundary(basis, arrows, targets, below):
     """Images of one level's basis partitions under the differential, as
     the level's term positions.
 
@@ -187,8 +204,11 @@ def boundary(basis, arrows: ArrowTable, targets, below):
     partition it was split from, merge(p, k-1), which stands at
     targets[k-1][j] one level down, so p's arrow monomial of merge s is
     entry targets[k-1][j] of that level's position of merge s,
-    below[k-2-s].  Only the merges s >= k-2, which read the split block,
-    look up the arrow table.
+    below[k-2-s]; one itemgetter of targets[k-1] makes every such copy of
+    the level (a level k >= 3 has at least k! > 1 elements, so the getter
+    returns a tuple).  Only the merges s >= k-2, which read the split block, look
+    their monomials up in ``arrows``, the complex's arrow_table: the row of
+    block s, then the entry of its successor (block_arrows).
 
     The positions come in the order s = k-1, ..., 0, k, strictly decreasing
     in the module order one level down, so the tower stores them as given
@@ -209,13 +229,14 @@ def boundary(basis, arrows: ArrowTable, targets, below):
     k = len(basis[0]) - 1
     if k < 1:
         raise InternalError("boundary needs at least two blocks")
+    parents = itemgetter(*targets[k - 1])
     positions = []
     for s in (*range(k - 1, -1, -1), k):
         sign, t = (-1, 0) if s == k else ((-1) ** s, s + 1)
         if s < k - 2:
-            monos = list(map(below[k - 2 - s][1].__getitem__, targets[k - 1]))
+            monos = list(parents(below[k - 2 - s][1]))
         else:
-            monos = list(map(arrows.__getitem__, map(itemgetter(s, t), basis)))
+            monos = list(block_arrows(arrows, basis, s, t))
         positions.append((sign, monos, targets[s]))
     return positions
 
@@ -229,14 +250,14 @@ class CycComplex:
     the few they need."""
 
     def __init__(
-        self, L: CBMatrix, ctx: GradedContext, bases, tower: OrderTower, arrows: ArrowTable
+        self, L: CBMatrix, ctx: GradedContext, bases, tower: OrderTower, arrows
     ):
         self.L = L
         self.ctx = ctx
         self.bases = bases      # bases[k]: partitions into k+1 blocks in srle order,
                                 # k = 0..n-1, split from bases[k-1] in its order
         self.tower = tower
-        self.arrows = arrows
+        self.arrows = arrows    # arrows[I][J]: the arrow monomial of disjoint blocks
         self.n = L.n
         self.positions = tower.positions  # positions[k]: d_k as term positions, k >= 1
         self.shifts = tower.shifts  # shifts[k][j]: weighted degree of basis element j in degree k
@@ -288,7 +309,7 @@ def build_complex(L: CBMatrix, degree=0) -> CycComplex:
         )
     nu = intlinalg.grading_vector(intlinalg.adjugate_row(L.signed_rows()))
     ctx = GradedContext.holding(nu, max(degree_bound(L, nu), degree))
-    arrows = ArrowTable(L, ctx)
+    arrows = arrow_table(L, ctx)
     bases = enumerate_basis(n)
     tower = OrderTower(ctx)
     for k, targets in enumerate(merge_targets(bases), 1):
@@ -401,7 +422,7 @@ def check_leading_terms(C: CycComplex):
         mismatch = None
         if k == 1:
             sign, monos, targets = level[0]
-            leads = map(C.arrows.__getitem__, C.bases[1])
+            leads = block_arrows(C.arrows, C.bases[1], 0, 1)
             mismatch = 0 if sign != 1 else first(
                 map(or_, map(ne, monos, leads), map(ne, targets, repeat(0)))
             )

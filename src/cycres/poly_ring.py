@@ -38,14 +38,16 @@ rightmost nonzero coordinate of the difference being negative.  Integer
 order on packed monomials is exactly that order.  Module orders are induced
 level by level through a fixed list of images, with ties broken by the
 larger basis index.  Exponent vectors are unpacked only to read input and
-to write text; the text of each monomial is rendered once per context
-(GradedContext.text) and prefixed with a position's sign once per
-position; elem_str hands out a level's term texts and basis suffixes as
+to write text; each term's sign and monomial is rendered once per context,
+in one of four tables by the sign's head (GradedContext.term_texts), and
+only the headless table renders the monomial (GradedContext.text);
+elem_str hands out a level's term texts and basis suffixes as lazy
 pieces, and its caller joins each column's pieces once.
 """
 
 from itertools import compress, count, repeat
 from operator import add, and_, lshift, lt, ne, neg, rshift
+from weakref import proxy
 
 from .errors import InternalError
 
@@ -77,8 +79,18 @@ class GradedContext:
         self.variables = tuple(         # x_1, ..., x_n packed
             (v << (n * w)) - (1 << (w * i)) for i, v in enumerate(nu)
         )
-        self._text = {}
         self._cofactors = {}
+        # the text of a term's sign and monomial, by the sign's head ("" or
+        # "-" opens a column, " + " or " - " follows a term) and monomial,
+        # each rendered when first asked for: only the headless table asks
+        # text, through a proxy so that the context makes no reference
+        # cycle, and the other three prefix its entry
+        ctx = proxy(self)
+        plain = Rendered(lambda mono: ctx.text(mono) or "1")
+        self.term_texts = {"": plain} | {
+            head: Rendered(lambda mono, head=head: head + plain[mono])
+            for head in ("-", " + ", " - ")
+        }
 
     @classmethod
     def holding(cls, nu, degree):
@@ -137,16 +149,22 @@ class GradedContext:
         return out
 
     def text(self, mono):
-        """x1*x3^2 style text of a monomial, "" for the unit; each distinct
-        monomial of the context is rendered once."""
-        out = self._text.get(mono)
-        if out is None:
-            out = self._text[mono] = "*".join(
-                f"x{v + 1}" if e == 1 else f"x{v + 1}^{e}"
-                for v, e in enumerate(self.unpack(mono))
-                if e
-            )
-        return out
+        """x1*x3^2 style text of a monomial, "" for the unit."""
+        return "*".join(
+            f"x{v + 1}" if e == 1 else f"x{v + 1}^{e}" for v, e in enumerate(self.unpack(mono)) if e
+        )
+
+
+class Rendered(dict):
+    """Texts by monomial, each rendered by ``render`` when first asked for."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, mono):
+        text = self[mono] = self.render(mono)
+        return text
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +419,14 @@ def elem_str(positions, tails, ctx: GradedContext):
     is the join of entry j of every piece, in order, rendered when asked
     for.  Each term renders as its position's sign, its monomial's text
     (ctx.text, "1" for the unit) and then tails[basis index] (see
-    term_tails), in the stored order.  Each position renders its sign and
-    monomial once per distinct monomial; the first position carries its
-    sign alone, "-" or nothing, and the others " - " or " + ".  The caller
-    zips the pieces with whatever surrounds each text, so a column is
-    joined once."""
+    term_tails), in the stored order.  The first position carries its sign
+    alone, "-" or nothing, and the others " - " or " + "; each term text is
+    looked up in the context's table for that head
+    (GradedContext.term_texts), so each sign and monomial is rendered once
+    per context, not once per position or rendering.  The caller zips the
+    pieces with whatever surrounds each text, so a column is joined once."""
     parts = []
     for i, (sign, monos, targets) in enumerate(positions):
         head = (" + " if sign > 0 else " - ") if i else ("" if sign > 0 else "-")
-        text = {mono: head + (ctx.text(mono) or "1") for mono in set(monos)}
-        parts += map(text.__getitem__, monos), map(tails.__getitem__, targets)
+        parts += map(ctx.term_texts[head].__getitem__, monos), map(tails.__getitem__, targets)
     return parts

@@ -20,6 +20,7 @@ from .errors import InternalError, ValidationError
 from .graph_core import classify
 from .cyc_complex import (
     CycComplex,
+    block_arrows,
     check_d_squared,
     check_leading_terms,
     merge,
@@ -109,8 +110,8 @@ def s_poly_closed_form(C, D, complex_: CycComplex):
     _, leads, on = positions[0]
     full = (1 << complex_.n) - 1
     E, F, G, V = C & D, C & ~D, D & ~C, full & ~(C | D)
-    l_cd = cofactor(arrows[E, F], arrows[E, G]) + arrows[F, G] + arrows[V, D]
-    l_dc = cofactor(arrows[E, G], arrows[E, F]) + arrows[G, F] + arrows[V, C]
+    l_cd = cofactor(arrows[E][F], arrows[E][G]) + arrows[F][G] + arrows[V][D]
+    l_dc = cofactor(arrows[E][G], arrows[E][F]) + arrows[G][F] + arrows[V][C]
     out, heads = {}, []
     for piece, mono, coeff in ((F, l_cd, 1), (G, l_dc, -1)):
         if piece:
@@ -272,7 +273,7 @@ def module_quotients(C: CycComplex, k, i, sources):
         jk, jk1 = basis[j][k - 1 :]
         E = jk & ik
         direct = s_cofactor(tower, k - 1, i, j)
-        expected = (sign, cofactor(arrows[E, ik1], arrows[E, jk1]) + arrows[jk & ik1, jk1])
+        expected = (sign, cofactor(arrows[E][ik1], arrows[E][jk1]) + arrows[jk & ik1][jk1])
         if direct != expected:
             return None, (
                 f"closed formula mismatch at level {k}, pair ({j + 1},{i + 1}): "
@@ -425,8 +426,8 @@ def verify_tau_level(C: CycComplex, k):
         ]),
         ("m-coefficients differ at", [
             repeat(sign != (-1) ** (k - 1), width),
-            map(ne, m_ji, map(arrows.__getitem__, map(itemgetter(k, k + 1), basis))),
-            map(ne, m_ij, map(arrows.__getitem__, map(itemgetter(k - 1, k), basis))),
+            map(ne, m_ji, block_arrows(arrows, basis, k, k + 1)),
+            map(ne, m_ij, block_arrows(arrows, basis, k - 1, k)),
         ]),
         ("leading component mismatch at", [
             repeat(lead_sign != -sign, width),

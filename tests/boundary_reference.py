@@ -1,11 +1,9 @@
 """The differential as it was first built, every merge's arrow monomial
-looked up in the arrow table for every basis element of a level.  The
-build copies the monomials of the merges s < k-2 from the level below (see
-cyc_complex.boundary); this is the reference those copies are tested
-against.
+looked up in the arrow table, arrows[I][J], for every basis element of a
+level.  The build copies the monomials of the merges s < k-2 from the
+level below (see cyc_complex.boundary); this is the reference those copies
+are tested against.
 """
-
-from operator import itemgetter
 
 
 def lookup_boundary(basis, arrows, targets):
@@ -17,6 +15,6 @@ def lookup_boundary(basis, arrows, targets):
     positions = []
     for s in (*range(k - 1, -1, -1), k):
         sign, t = (-1, 0) if s == k else ((-1) ** s, s + 1)
-        monos = list(map(arrows.__getitem__, map(itemgetter(s, t), basis)))
+        monos = [arrows[p[s]][p[t]] for p in basis]
         positions.append((sign, monos, targets[s]))
     return positions

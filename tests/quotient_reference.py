@@ -22,7 +22,7 @@ def arrow_plus(C, A, B, Cs):
     arrows, out = C.arrows, 0
     while A:
         v = A & -A
-        out += max(arrows[v, B] - arrows[v, Cs], 0)
+        out += max(arrows[v][B] - arrows[v][Cs], 0)
         A ^= v
     return out
 

@@ -85,8 +85,8 @@ def verify_tau_identity(C, k, pos):
         return False, f"no S-pair behind {partition_str(e)}"
     m_ij = s_cofactor(C.tower, k - 1, j, i)
     sign = (-1) ** (k - 1)
-    expect_ji = (sign, C.arrows[e[k], e[k + 1]])
-    expect_ij = (sign, C.arrows[e[k - 1], e[k]])
+    expect_ji = (sign, C.arrows[e[k]][e[k + 1]])
+    expect_ij = (sign, C.arrows[e[k - 1]][e[k]])
     if m_ji != expect_ji or m_ij != expect_ij:
         return False, f"m-coefficients differ at {partition_str(e)}"
     on = [targets[pos] for _, _, targets in level]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partition_reference as ref
+from arrow_reference import arrow_monomial
 from boundary_reference import lookup_boundary
 from export_reference import to_json_dict
 from tower_reference import key
@@ -42,7 +43,9 @@ from conftest import (
 )
 
 # 6-bit fields: exponents up to 31, above every row sum of generic4_matrix
+# but x4's, 33; 8-bit fields hold them all
 CTX4 = GradedContext(4, (1, 1, 1, 1), 6)
+CTX8 = GradedContext(4, (1, 1, 1, 1), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -289,53 +292,80 @@ def test_mask_operations_match_the_tuple_reference(case):
 # ---------------------------------------------------------------------------
 # arrow monomials and boundaries
 
+def disjoint_pairs(n):
+    """Every pair (I, J) of disjoint vertex masks of {1..n}, 3^n of them."""
+    return [(I, J) for I in range(1 << n) for J in range(1 << n) if not I & J]
+
+
 def test_arrow_monomial_empty_sets():
     L = generic4_matrix()
-    assert cc.arrow_monomial(*P([], [1, 2]), L, CTX4) == CTX4.pack((0, 0, 0, 0))
-    assert cc.arrow_monomial(*P([1, 2], []), L, CTX4) == CTX4.pack((0, 0, 0, 0))
+    assert arrow_monomial(*P([], [1, 2]), L, CTX4) == CTX4.pack((0, 0, 0, 0))
+    assert arrow_monomial(*P([1, 2], []), L, CTX4) == CTX4.pack((0, 0, 0, 0))
+    arrows = cc.arrow_table(L, CTX8)
+    assert arrows[0] == [0] * 16
+    assert [row[0] for row in arrows] == [0] * 16
 
 
 def test_arrow_monomial_k4(k4_complex):
     C = k4_complex
-    assert cc.arrow_monomial(*P([1, 2, 3], [4]), C.L, C.ctx) == C.ctx.pack((1, 1, 1, 0))
+    assert arrow_monomial(*P([1, 2, 3], [4]), C.L, C.ctx) == C.ctx.pack((1, 1, 1, 0))
+    assert C.arrows[0b0111][0b1000] == C.ctx.pack((1, 1, 1, 0))
 
 
 def test_arrow_monomial_generic():
     L = generic4_matrix()
     a = L.a
-    got = cc.arrow_monomial(*P([2, 3], [1, 4]), L, CTX4)
+    got = arrow_monomial(*P([2, 3], [1, 4]), L, CTX4)
     assert got == CTX4.pack((0, a[1][0] + a[1][3], a[2][0] + a[2][3], 0))
     with pytest.raises(InternalError, match=r"overlapping sets \(1, 2\), \(2, 3\)"):
-        cc.arrow_monomial(*P([1, 2], [2, 3]), L, CTX4)
+        arrow_monomial(*P([1, 2], [2, 3]), L, CTX4)
     # a row sum past the fields is refused, not wrapped into another variable
     with pytest.raises(InternalError, match="exponent 33 of x4 does not fit 6-bit fields"):
-        cc.arrow_monomial(*P([4], [1, 2, 3]), L, CTX4)
+        arrow_monomial(*P([4], [1, 2, 3]), L, CTX4)
+    # the table refuses it too, when it is built: x4's weight into
+    # {1, 2, 3} is 33, past the cap of 31, and every other row sum fits
+    with pytest.raises(InternalError, match="exponent 33 of x4 does not fit 6-bit fields"):
+        cc.arrow_table(L, CTX4)
+    arrows = cc.arrow_table(L, CTX8)
+    assert arrows[0b0110][0b1001] == CTX8.pack((0, a[1][0] + a[1][3], a[2][0] + a[2][3], 0))
+    assert arrows[0b1000][0b0111] == CTX8.pack((0, 0, 0, 33))
+    # a pair that meets has no entry
+    assert arrows[0b0011][0b0110] is None
+
+
+def test_arrow_table_is_the_reference_on_every_disjoint_pair():
+    # 3^n pairs per complex: the bundled instances and n = 2..7, seeds 0..2
+    for C in swept_complexes():
+        size = 1 << C.n
+        assert len(C.arrows) == size and {len(row) for row in C.arrows} == {size}
+        pairs = disjoint_pairs(C.n)
+        assert len(pairs) == 3**C.n
+        for I, J in pairs:
+            assert C.arrows[I][J] == arrow_monomial(I, J, C.L, C.ctx), (C.ctx.nu, I, J)
+        meet = [(I, J) for I in range(size) for J in range(size) if I & J]
+        assert all(C.arrows[I][J] is None for I, J in meet)
 
 
 @pytest.mark.parametrize("rows", [None, ECHELON6], ids=["k4", "echelon6"])
-def test_arrow_table_belongs_to_one_complex(rows, k4_complex, monkeypatch):
-    # every block pair is summed once, by the complex's own table; another
-    # complex in the same process has its own table and its own packing
-    calls = []
-    original = cc.arrow_monomial
-
-    def counting(I, J, L, ctx):
-        calls.append((I, J))
-        return original(I, J, L, ctx)
-
-    monkeypatch.setattr(cc, "arrow_monomial", counting)
+def test_arrow_table_belongs_to_one_complex(rows, k4_complex):
+    # the table holds every disjoint block pair, summed in the complex's
+    # own packing, and every column's monomials are its entries; another
+    # complex in the same process has its own table
     C = complex_from_matrix(rows or [[3, -1, -1, -1], [-1, 3, -1, -1],
                                      [-1, -1, 3, -1], [-1, -1, -1, 3]])
-    assert len(calls) == len(set(calls)) == len(C.arrows)
-    for (I, J), mono in C.arrows.items():
-        assert mono == original(I, J, C.L, C.ctx)
+    entries = {(I, J): C.arrows[I][J] for I, J in disjoint_pairs(C.n)}
+    assert entries == {(I, J): arrow_monomial(I, J, C.L, C.ctx) for I, J in entries}
     for k in range(1, C.n):
         for p, f in zip(C.bases[k], columns(C, k)):
             pairs = [(p[s], p[(s + 1) % (k + 1)]) for s in range(k + 1)]
-            assert sorted(m for _, m, _ in f) == sorted(C.arrows[pair] for pair in pairs)
+            assert sorted(m for _, m, _ in f) == sorted(entries[pair] for pair in pairs)
     assert C.arrows is not k4_complex.arrows
     other = complex_from_matrix(WEIGHTED4)
-    assert other.arrows is not C.arrows and other.arrows.ctx is other.ctx
+    assert other.arrows is not C.arrows
+    assert all(
+        other.arrows[I][J] == arrow_monomial(I, J, other.L, other.ctx)
+        for I, J in disjoint_pairs(other.n)
+    )
 
 
 def test_boundary_level2_generic_example(generic4_complex):
@@ -387,7 +417,7 @@ def summed_boundary(p, arrows, index_below):
     elem = {}
     for s in range(k + 1):
         sign = -1 if s == k else (-1) ** s
-        mono = arrows[p[s], p[(s + 1) % (k + 1)]]
+        mono = arrows[p[s]][p[(s + 1) % (k + 1)]]
         elem_add_term(elem, index_below[cc.merge(p, s)], sign, mono)
     return elem
 

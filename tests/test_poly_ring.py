@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divide_reference
+from arrow_reference import arrow_monomial
 import monomial_reference as ref
 from cycres import cyc_complex, graph_core
 from cycres import poly_ring as pr
@@ -192,8 +193,6 @@ def test_leading_module_term_of_degree0_images(weighted4_echelon_complex):
     C = weighted4_echelon_complex
     for j, p in enumerate(C.bases[1]):
         coeff, mono, idx = columns(C, 1)[j][0]
-        from cycres.cyc_complex import arrow_monomial
-
         assert idx == 0
         assert coeff == 1
         assert mono == arrow_monomial(p[0], p[1], C.L, C.ctx)
@@ -700,9 +699,10 @@ def test_column_str_renders_any_coefficient():
 
 
 def test_elem_str_renders_each_distinct_monomial_once(monkeypatch):
-    # text is kept per context: a second rendering unpacks nothing, and a
-    # fresh complex renders its own monomials again.  Each position asks
-    # ctx.text once per distinct monomial it holds
+    # text is kept per context: ctx.text is asked once per distinct
+    # monomial of the complex, whatever the positions and signs it stands
+    # under, a second rendering asks and unpacks nothing, and a fresh
+    # complex renders its own monomials again
     C = complex_from_matrix(ECHELON6)
     unpacked = []
     original = pr.GradedContext.unpack
@@ -723,18 +723,18 @@ def test_elem_str_renders_each_distinct_monomial_once(monkeypatch):
     monkeypatch.setattr(C.ctx, "text", lambda mono: asked.append(mono) or text(mono))
     texts = rendered(C)
     distinct = {m for k in range(1, C.n) for _, monos, _ in C.positions[k] for m in monos}
-    assert sorted(unpacked) == sorted(distinct)
+    assert sorted(unpacked) == sorted(asked) == sorted(distinct)
     per_position = sum(len(set(monos)) for k in range(1, C.n) for _, monos, _ in C.positions[k])
-    assert len(asked) == per_position > len(distinct)
+    assert per_position > len(distinct)
     assert rendered(C) == texts
-    assert len(asked) == 2 * per_position
-    assert texts == [
-        column_str(f, tails[k], C.ctx) for k in range(1, C.n) for f in columns(C, k)
-    ]
-    assert len(unpacked) == len(distinct)
+    assert len(asked) == len(unpacked) == len(distinct)
     D = complex_from_matrix(ECHELON6)
     assert column_texts(D.positions[1], tails[1], D.ctx)[0] == texts[0]
     assert len(unpacked) > len(distinct)
+    assert len(asked) == len(distinct)
+    assert texts == [
+        column_str(f, tails[k], C.ctx) for k in range(1, C.n) for f in columns(C, k)
+    ]
 
 
 def test_elem_str_with_escaped_tails_is_the_escaped_text():

@@ -164,7 +164,7 @@ def test_closed_formulas_read_the_cofactor_of_two_block_arrow_monomials():
                         read.add((jk & ik, jk1, ik1))
         arrows, cofactor = C.arrows, C.ctx.cofactor
         for A, B, Cs in read:
-            assert cofactor(arrows[A, Cs], arrows[A, B]) == arrow_plus(C, A, B, Cs), (A, B, Cs)
+            assert cofactor(arrows[A][Cs], arrows[A][B]) == arrow_plus(C, A, B, Cs), (A, B, Cs)
         triples += len(read)
     assert triples == 42561
 
