@@ -4,6 +4,11 @@ Subcommands: classify | resolve | verify | gb | homology.  Inputs are UTF-8
 JSON documents, either {"matrix": [[..]]} (signed Laplacian, takes
 precedence) or {"n": .., "arcs": [{"from":., "to":., "w":.}, ..]}.
 
+resolve, verify, gb and homology load their input through one loader,
+which refuses a digraph of more than cyc_complex.MAX_VERTICES vertices and
+an oversized --max-degree span as soon as the input is parsed, before the
+Laplacian is built; classify has no vertex cap.
+
 Exit codes: 0 success, 1 verification failure (or InternalError), 2 invalid
 input (ValidationError), 3 class error (NotIrreducibleError: matrix not
 irreducible where required).
@@ -14,6 +19,7 @@ import functools
 import gc
 import json
 import sys
+from contextlib import nullcontext
 
 from . import cyc_complex, graph_core, intlinalg, resolution_verify
 from .errors import InternalError, NotIrreducibleError, ValidationError
@@ -34,10 +40,17 @@ def _load(path):
     return graph_core.parse_digraph(text)
 
 
-def _prepare(args):
+def _build(args):
+    """The complex of the input, packed for an explicit --max-degree: the
+    loader of resolve, verify, gb and homology.  A vertex count past the
+    cap and a bound spanning too many degrees are refused on the parsed
+    digraph, before the Laplacian, the relabelling or any enumeration."""
     g = _load(args.input)
-    L = graph_core.laplacian(g)
-    return graph_core.prepare(L, args.omega)
+    cyc_complex.refuse_oversized_n(g.n)
+    if args.d_max is not None:
+        resolution_verify.refuse_oversized_span(args.d_max)
+    M = graph_core.prepare(graph_core.laplacian(g), args.omega)
+    return cyc_complex.build_complex(M, args.d_max or 0)
 
 
 def _emit(args, payload, text):
@@ -83,33 +96,19 @@ def cmd_classify(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    M = _prepare(args)
-    C = cyc_complex.build_complex(M)
+    C = _build(args)
     minimal, _ = cyc_complex.minimality_check(C)
+    # the document goes to --out or else stdout, the summary to the other stream
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        cyc_complex.export_json(C, fh)
+        fh.write("\n")
     summary = f"ranks={list(C.ranks())} minimal={str(minimal).lower()}"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            cyc_complex.export_json(C, fh)
-            fh.write("\n")
-        print(summary)
-    else:
-        cyc_complex.export_json(C, sys.stdout)
-        sys.stdout.write("\n")
-        print(summary, file=sys.stderr)
+    print(summary, file=sys.stdout if args.out else sys.stderr)
     return EXIT_OK
 
 
-def _build_for_oracle(args):
-    """The complex, packed for an explicit --max-degree; a bound spanning
-    too many degrees is refused before the build."""
-    M = _prepare(args)
-    if args.d_max is not None:
-        resolution_verify.refuse_oversized_span(args.d_max)
-    return cyc_complex.build_complex(M, args.d_max or 0)
-
-
 def cmd_verify(args) -> int:
-    C = _build_for_oracle(args)
+    C = _build(args)
     report = resolution_verify.full_verify(C, d_max=args.d_max, instance=args.input)
     ok = report.passed
     if args.require_minimal:
@@ -126,15 +125,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gb(args) -> int:
-    M = _prepare(args)
-    C = cyc_complex.build_complex(M)
+    C = _build(args)
     lines = list(map("".join, zip(*elem_str(C.positions[1], term_tails(0, 1), C.ctx))))
     _emit(args, {"groebner_basis": lines}, "\n".join(lines))
     return EXIT_OK
 
 
 def cmd_homology(args) -> int:
-    C = _build_for_oracle(args)
+    C = _build(args)
     check = resolution_verify.run_check(
         "graded_homology", lambda: resolution_verify.graded_homology_oracle(C, args.d_max)
     )

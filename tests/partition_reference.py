@@ -1,10 +1,12 @@
 """Partitions as tuples of sorted vertex tuples: the plain operations that
 block bitmasks replace, and the basis enumeration that building each level
 from the one below replaces, kept as the reference the mask ones are tested
-against (as monomial_reference keeps the exponent-tuple monomials).
+against (as monomial_reference keeps the exponent-tuple monomials), and the
+closed count of a basis over all degrees.
 """
 
 from itertools import permutations
+from math import comb
 
 
 def srle_key(p, n):
@@ -62,3 +64,12 @@ def enumerate_basis(n, k):
         keyed += zip(permutations(keys), (perm + (last,) for perm in permutations(others)))
     keyed.sort()
     return [p for _, p in keyed]
+
+
+def basis_size(n):
+    """The basis size over all degrees, sum_j (j-1)! * S(n, j); j! * S(n, j)
+    counts the maps of n vertices onto j blocks, by inclusion-exclusion."""
+    return sum(
+        sum((-1) ** i * comb(j, i) * (j - i) ** n for i in range(j + 1)) // j
+        for j in range(1, n + 1)
+    )

@@ -398,7 +398,12 @@ def test_resolve_and_gb_render_the_stored_column_order(tmp_path, capsys, monkeyp
     C = cyc_complex.build_complex(graph_core.prepare(graph_core.laplacian(g)))
     expected = export_text(C)
 
-    monkeypatch.setattr(cyc_complex, "build_complex", lambda M: C)
+    def built(M, degree):
+        # resolve and gb pack no oracle bound
+        assert degree == 0
+        return C
+
+    monkeypatch.setattr(cyc_complex, "build_complex", built)
     assert export_text(C) == expected
     out_path = tmp_path / "k4.json"
     assert run(capsys, "resolve", inst("k4.json"), "--out", str(out_path))[0] == 0
@@ -500,22 +505,38 @@ def test_homology_past_the_build_exponents(tmp_path, capsys):
     assert (check["status"], check["counters"]) == ("pass", {"degrees": 41})
 
 
+def directed_cycle(path, n):
+    arcs = [{"from": v, "to": v % n + 1, "w": 1} for v in range(1, n + 1)]
+    path.write_text(json.dumps({"n": n, "arcs": arcs}))
+    return str(path)
+
+
 def test_ten_vertices_exit_2_before_any_enumeration(tmp_path, capsys, monkeypatch):
-    from cycres import cyc_complex
+    cycle10 = directed_cycle(tmp_path / "cycle10.json", 10)
+    code, out, _ = run(capsys, "classify", cycle10)
+    assert code == 0 and out.startswith("ICB")
+    from cycres import cyc_complex, graph_core
 
     def refuse(*args):
-        raise AssertionError("a basis was enumerated")
+        raise AssertionError("the input was worked on past the parse")
 
-    monkeypatch.setattr(cyc_complex, "enumerate_basis", refuse)
-    path = tmp_path / "cycle10.json"
-    arcs = [{"from": v, "to": v % 10 + 1, "w": 1} for v in range(1, 11)]
-    path.write_text(json.dumps({"n": 10, "arcs": arcs}))
-    code, out, _ = run(capsys, "classify", str(path))
-    assert code == 0 and out.startswith("ICB")
-    for command in ("resolve", "verify", "gb", "homology"):
-        code, out, err = run(capsys, command, str(path))
-        assert (code, out) == (2, ""), command
-        assert "n = 10 has 14,174,522 basis elements" in err
+    # the vertex count is refused on the parsed digraph: no Laplacian, no
+    # relabelling and no basis, on 10 vertices and on 2,000
+    for module, name in (
+        (graph_core, "laplacian"), (graph_core, "prepare"), (cyc_complex, "enumerate_basis")
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    out_path = tmp_path / "out.json"
+    for n in (10, 2000):
+        path = directed_cycle(tmp_path / f"cycle{n}.json", n)
+        message = f"error: n = {n} is past the vertex cap: at most n = 9 is built\n"
+        for args in (
+            ["resolve"], ["resolve", "--out", str(out_path)], ["verify"],
+            ["verify", "--max-degree", "5"], ["gb"], ["homology"],
+        ):
+            code, out, err = run(capsys, args[0], path, *args[1:])
+            assert (code, out, err) == (2, "", message), args
+    assert not out_path.exists()
 
 
 def refuse_pieces(monkeypatch):

@@ -617,8 +617,8 @@ def test_degree_bound_holds_every_shift_and_degree0_s_vector():
 
 def test_basis_size_counts_every_degree():
     for n in range(1, 7):
-        assert cc.basis_size(n) == sum(map(len, cc.enumerate_basis(n)))
-    assert [cc.basis_size(n) for n in (8, 9, 10)] == [94_586, 1_091_670, 14_174_522]
+        assert ref.basis_size(n) == sum(map(len, cc.enumerate_basis(n)))
+    assert [ref.basis_size(n) for n in (8, 9, 10)] == [94_586, 1_091_670, 14_174_522]
 
 
 def test_ten_vertices_are_refused_before_any_enumeration(monkeypatch):
@@ -629,8 +629,9 @@ def test_ten_vertices_are_refused_before_any_enumeration(monkeypatch):
     g = graph_core.validate_digraph(10, [(v, v % 10 + 1, 1) for v in range(1, 11)])
     L = graph_core.laplacian(g)
     assert graph_core.classify(L) == "ICB"
-    with pytest.raises(ValidationError, match="n = 10 has 14,174,522 basis elements"):
+    with pytest.raises(ValidationError) as e:
         cc.build_complex(graph_core.prepare(L))
+    assert str(e.value) == "n = 10 is past the vertex cap: at most n = 9 is built"
 
 
 def test_shifts_are_homogeneous_degrees(generic4_complex):
